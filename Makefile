@@ -13,8 +13,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, then the two packages whose
+# tests run real goroutines against each other (shard loops, migration,
+# router fan-out) twenty more times: their verdict must come from the
+# code, not from which goroutine won a scheduling race once.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 ./internal/server ./internal/router
 
 # Short smoke run of the parallel grid engine: one iteration per worker
 # count, reporting workers, queries/s, allocs and speedup over workers=1.
@@ -22,9 +27,14 @@ race:
 # machine-readable perf trajectory (queries/s, p50/p99, allocs per shard
 # count) that future PRs diff against — and checkbench gates the idle
 # tracer's overhead (trace=off within 5% of the no-tracer baseline).
+# BenchmarkDecide then merges the bare decision engine's ns/query and
+# allocs/query per scheme into the same file (it must run after the
+# sweep, which rewrites the file), and checkbench gates those at zero
+# allocations.
 bench:
 	$(GO) test -run '^$$' -bench GridWorkers -benchtime 1x .
 	BENCH_JSON=BENCH_server.json $(GO) test -run '^$$' -bench ServerThroughput -benchtime 1000x .
+	BENCH_JSON=BENCH_server.json $(GO) test -run '^$$' -bench Decide -benchtime 200000x .
 	@cat BENCH_server.json
 	$(GO) run ./scripts/checkbench BENCH_server.json
 

@@ -7,6 +7,15 @@
 // The cache is purely mechanical: it does not price anything and takes no
 // decisions. Schemes and the economy decide what to build and what to
 // evict; the simulator advances the clock.
+//
+// Each cache owns the structure.Registry that names its inventory, and
+// keeps its state in slices indexed by the registry's slots. The slot
+// methods (At, BuildingAt, TouchAt, EvictAt) are the decision path; the
+// ID methods (Has, Get, Building, Touch, Evict) resolve the name first and
+// serve the edges — views, restores, tests. Every walk the cache offers
+// (ForEach, Entries, CompleteDue, Snapshot) is in structure-ID order,
+// never slot-assignment order, so a restored cache — whose slots were
+// assigned in a different order — behaves and serialises identically.
 package cache
 
 import (
@@ -64,12 +73,29 @@ type pendingBuild struct {
 
 // Cache is the mutable cache state. It is not safe for concurrent use; a
 // simulation owns exactly one cache.
+//
+// Residency and pending builds are slices indexed by the structure's
+// registry slot, each with a live list of the occupied slots kept in ID
+// order: the per-query reads (is this column resident? what does it owe?)
+// are one slice index, and every ordered walk — build completion, the
+// failure sweep, snapshots — follows the live list without sorting.
 type Cache struct {
-	clock    time.Duration
-	entries  map[structure.ID]*Entry
-	pending  map[structure.ID]*pendingBuild
+	clock time.Duration
+	reg   *structure.Registry
+
+	entries     []*Entry         // slot → resident entry, nil when not resident
+	live        []structure.Slot // resident slots in ID order
+	pending     []*pendingBuild  // slot → in-flight build, nil when none
+	pendingLive []structure.Slot // building slots in ID order
+
 	resident int64 // disk bytes of resident structures
 	capacity int64 // 0 = unlimited (economy schemes); >0 = hard cap (net-only)
+
+	// nodes and maxNode count the resident extra CPU nodes and track the
+	// highest resident ordinal, maintained by CompleteDue and Evict so
+	// the rent integrators read them without walking the residents.
+	nodes   int
+	maxNode int
 
 	// epoch counts mutations that can change what is resident or being
 	// built (build starts, completions, evictions). Callers memoizing
@@ -78,17 +104,24 @@ type Cache struct {
 	epoch int64
 }
 
-// New creates an empty cache. capacityBytes of 0 means unlimited.
+// New creates an empty cache with its own structure registry.
+// capacityBytes of 0 means unlimited.
 func New(capacityBytes int64) *Cache {
 	if capacityBytes < 0 {
 		capacityBytes = 0
 	}
 	return &Cache{
-		entries:  make(map[structure.ID]*Entry),
-		pending:  make(map[structure.ID]*pendingBuild),
+		reg:      structure.NewRegistry(),
 		capacity: capacityBytes,
+		maxNode:  1,
 	}
 }
+
+// Registry returns the slot table shared by this cache and everything
+// that decides against it. The optimizer and the economy take their
+// slots from here, so a plan enumerated against a cache indexes that
+// cache's state directly.
+func (c *Cache) Registry() *structure.Registry { return c.reg }
 
 // Clock returns the cache's current time.
 func (c *Cache) Clock() time.Duration { return c.clock }
@@ -113,45 +146,56 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 // ResidentBytes returns disk currently occupied by resident structures.
 func (c *Cache) ResidentBytes() int64 { return c.resident }
 
-// Has reports whether the structure is resident (built and not evicted).
-func (c *Cache) Has(id structure.ID) bool {
-	_, ok := c.entries[id]
-	return ok
+// At returns the resident entry in a slot, or nil. Slots the cache has
+// never seen (including the unassigned slot 0) hold nothing.
+func (c *Cache) At(s structure.Slot) *Entry {
+	if int(s) < len(c.entries) {
+		return c.entries[s]
+	}
+	return nil
 }
+
+// BuildingAt reports whether a build for the slot is in flight.
+func (c *Cache) BuildingAt(s structure.Slot) bool {
+	return int(s) < len(c.pending) && c.pending[s] != nil
+}
+
+// Has reports whether the structure is resident (built and not evicted).
+func (c *Cache) Has(id structure.ID) bool { return c.At(c.reg.Lookup(id)) != nil }
 
 // Get returns the entry for a resident structure.
 func (c *Cache) Get(id structure.ID) (*Entry, bool) {
-	e, ok := c.entries[id]
-	return e, ok
+	e := c.At(c.reg.Lookup(id))
+	return e, e != nil
 }
 
 // Building reports whether a build for the structure is in flight.
-func (c *Cache) Building(id structure.ID) bool {
-	_, ok := c.pending[id]
-	return ok
-}
+func (c *Cache) Building(id structure.ID) bool { return c.BuildingAt(c.reg.Lookup(id)) }
 
 // Len returns the number of resident structures.
-func (c *Cache) Len() int { return len(c.entries) }
+func (c *Cache) Len() int { return len(c.live) }
 
-// ForEach calls f for every resident entry in unspecified order. It is the
-// allocation-free alternative to Entries for per-entry decisions that do
-// not depend on iteration order. f must not add or remove entries.
+// ForEach calls f for every resident entry in structure-ID order, without
+// allocating. f must not add or remove entries.
 func (c *Cache) ForEach(f func(*Entry)) {
-	for _, e := range c.entries {
-		f(e)
+	for _, s := range c.live {
+		f(c.entries[s])
 	}
 }
 
-// Entries returns resident entries sorted by structure ID for deterministic
-// iteration.
+// Entries returns the resident entries in structure-ID order.
 func (c *Cache) Entries() []*Entry {
-	out := make([]*Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		out = append(out, e)
+	out := make([]*Entry, len(c.live))
+	for i, s := range c.live {
+		out[i] = c.entries[s]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].S.ID < out[j].S.ID })
 	return out
+}
+
+// grow sizes the slot-indexed slices to cover every assigned slot.
+func (c *Cache) grow() {
+	c.entries = structure.Grow(c.entries, c.reg)
+	c.pending = structure.Grow(c.pending, c.reg)
 }
 
 // StartBuild registers an investment: the structure becomes resident at
@@ -161,50 +205,77 @@ func (c *Cache) StartBuild(st *structure.Structure, readyAt time.Duration, build
 	if st == nil {
 		return fmt.Errorf("cache: nil structure")
 	}
-	if c.Has(st.ID) {
+	s := c.reg.SlotOf(st)
+	if c.At(s) != nil {
 		return fmt.Errorf("cache: %s already resident", st.ID)
 	}
-	if c.Building(st.ID) {
+	if c.BuildingAt(s) {
 		return fmt.Errorf("cache: %s already building", st.ID)
 	}
 	if readyAt < c.clock {
 		readyAt = c.clock
 	}
-	c.pending[st.ID] = &pendingBuild{
+	c.addPending(s, &pendingBuild{
 		entry: &Entry{
-			S:              st,
+			S:              c.reg.Structure(s),
 			BuildPrice:     buildPrice,
 			AmortRemaining: buildPrice,
 		},
 		readyAt: readyAt,
-	}
+	})
 	c.epoch++
 	return nil
 }
 
-// CompleteDue promotes pending builds whose ready time has passed. It
-// returns the newly resident entries sorted by structure ID.
-func (c *Cache) CompleteDue() []*Entry {
-	var done []*Entry
-	for id, pb := range c.pending {
-		if pb.readyAt <= c.clock {
-			pb.entry.BuiltAt = pb.readyAt
-			pb.entry.LastUsed = pb.readyAt
-			pb.entry.MaintPaidUntil = pb.readyAt
-			c.entries[id] = pb.entry
-			c.resident += pb.entry.S.Bytes
-			done = append(done, pb.entry)
-			delete(c.pending, id)
-			c.epoch++
+// addPending files an in-flight build under its slot.
+func (c *Cache) addPending(s structure.Slot, pb *pendingBuild) {
+	c.grow()
+	c.pending[s] = pb
+	c.pendingLive = c.reg.Insert(c.pendingLive, s)
+}
+
+// addResident files a resident entry under its slot, maintaining the
+// byte and CPU-node counters.
+func (c *Cache) addResident(s structure.Slot, e *Entry) {
+	c.grow()
+	c.entries[s] = e
+	c.live = c.reg.Insert(c.live, s)
+	c.resident += e.S.Bytes
+	if e.S.Kind == structure.KindCPUNode {
+		c.nodes++
+		if e.S.NodeOrdinal > c.maxNode {
+			c.maxNode = e.S.NodeOrdinal
 		}
 	}
-	sort.Slice(done, func(i, j int) bool { return done[i].S.ID < done[j].S.ID })
+}
+
+// CompleteDue promotes pending builds whose ready time has passed. It
+// returns the newly resident entries in structure-ID order.
+func (c *Cache) CompleteDue() []*Entry {
+	var done []*Entry
+	keep := c.pendingLive[:0]
+	for _, s := range c.pendingLive {
+		pb := c.pending[s]
+		if pb.readyAt > c.clock {
+			keep = append(keep, s)
+			continue
+		}
+		pb.entry.BuiltAt = pb.readyAt
+		pb.entry.LastUsed = pb.readyAt
+		pb.entry.MaintPaidUntil = pb.readyAt
+		c.pending[s] = nil
+		c.addResident(s, pb.entry)
+		done = append(done, pb.entry)
+		c.epoch++
+	}
+	c.pendingLive = keep
 	return done
 }
 
-// Touch records that a selected plan used the structure now.
-func (c *Cache) Touch(id structure.ID) {
-	if e, ok := c.entries[id]; ok {
+// TouchAt records that a selected plan used the structure in the slot
+// now.
+func (c *Cache) TouchAt(s structure.Slot) {
+	if e := c.At(s); e != nil {
 		if e.Uses == 0 {
 			e.FirstUsed = c.clock
 		}
@@ -213,30 +284,44 @@ func (c *Cache) Touch(id structure.ID) {
 	}
 }
 
-// Evict removes a resident structure and returns its entry.
-func (c *Cache) Evict(id structure.ID) (*Entry, bool) {
-	e, ok := c.entries[id]
-	if !ok {
+// Touch records that a selected plan used the structure now.
+func (c *Cache) Touch(id structure.ID) { c.TouchAt(c.reg.Lookup(id)) }
+
+// EvictAt removes the resident structure in a slot and returns its
+// entry.
+func (c *Cache) EvictAt(s structure.Slot) (*Entry, bool) {
+	e := c.At(s)
+	if e == nil {
 		return nil, false
 	}
-	delete(c.entries, id)
+	c.entries[s] = nil
+	c.live = c.reg.Remove(c.live, s)
 	c.resident -= e.S.Bytes
+	if e.S.Kind == structure.KindCPUNode {
+		c.nodes--
+		if e.S.NodeOrdinal == c.maxNode {
+			c.maxNode = 1
+			for _, ls := range c.live {
+				if st := c.entries[ls].S; st.Kind == structure.KindCPUNode && st.NodeOrdinal > c.maxNode {
+					c.maxNode = st.NodeOrdinal
+				}
+			}
+		}
+	}
 	c.epoch++
 	return e, true
 }
+
+// Evict removes a resident structure and returns its entry.
+func (c *Cache) Evict(id structure.ID) (*Entry, bool) { return c.EvictAt(c.reg.Lookup(id)) }
 
 // LRUVictims returns up to n resident structures in least-recently-used
 // order, breaking ties by structure ID for determinism. CPU nodes are
 // returned like any other structure; callers that only want disk residents
 // can filter on Kind.
 func (c *Cache) LRUVictims(n int) []*Entry {
-	all := c.Entries()
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].LastUsed != all[j].LastUsed {
-			return all[i].LastUsed < all[j].LastUsed
-		}
-		return all[i].S.ID < all[j].S.ID
-	})
+	all := c.Entries() // ID order, so a stable sort leaves ties by ID
+	sort.SliceStable(all, func(i, j int) bool { return all[i].LastUsed < all[j].LastUsed })
 	if n > len(all) {
 		n = len(all)
 	}
@@ -259,45 +344,29 @@ func (c *Cache) EnsureRoom(need int64) ([]*Entry, bool) {
 	}
 	var evicted []*Entry
 	for c.resident+need > c.capacity {
-		victims := c.LRUVictims(c.Len())
+		// The least recently used disk structure, earliest ID among ties:
+		// the live list is in ID order, so the first strict minimum wins.
 		var victim *Entry
-		for _, v := range victims {
-			if v.S.Bytes > 0 {
-				victim = v
-				break
+		for _, s := range c.live {
+			if e := c.entries[s]; e.S.Bytes > 0 && (victim == nil || e.LastUsed < victim.LastUsed) {
+				victim = e
 			}
 		}
 		if victim == nil {
 			return evicted, false
 		}
-		c.Evict(victim.S.ID)
+		c.EvictAt(victim.S.Slot)
 		evicted = append(evicted, victim)
 	}
 	return evicted, true
 }
 
 // NodeCount returns the number of resident extra CPU nodes.
-func (c *Cache) NodeCount() int {
-	n := 0
-	for _, e := range c.entries {
-		if e.S.Kind == structure.KindCPUNode {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) NodeCount() int { return c.nodes }
 
 // MaxNodeOrdinal returns the highest resident CPU node ordinal, or 1 when
 // only the base worker exists. Plans may use nodes 1..MaxNodeOrdinal.
-func (c *Cache) MaxNodeOrdinal() int {
-	best := 1
-	for _, e := range c.entries {
-		if e.S.Kind == structure.KindCPUNode && e.S.NodeOrdinal > best {
-			best = e.S.NodeOrdinal
-		}
-	}
-	return best
-}
+func (c *Cache) MaxNodeOrdinal() int { return c.maxNode }
 
 // PendingCount returns the number of builds in flight.
-func (c *Cache) PendingCount() int { return len(c.pending) }
+func (c *Cache) PendingCount() int { return len(c.pendingLive) }

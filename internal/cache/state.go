@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/money"
@@ -35,7 +34,8 @@ type PendingState struct {
 }
 
 // State is the exported form of a Cache: clock, residency and pending
-// builds. Entries and pending builds are sorted by ID so repeated
+// builds. Entries and pending builds are in ID order (the live lists'
+// order, whatever slots the structures happen to hold) so repeated
 // snapshots of the same cache are byte-identical.
 type State struct {
 	Clock    time.Duration
@@ -47,7 +47,8 @@ type State struct {
 // Snapshot exports the cache state.
 func (c *Cache) Snapshot() State {
 	st := State{Clock: c.clock, Capacity: c.capacity}
-	for _, e := range c.Entries() {
+	for _, s := range c.live {
+		e := c.entries[s]
 		st.Entries = append(st.Entries, EntryState{
 			ID:             e.S.ID,
 			BuiltAt:        e.BuiltAt,
@@ -61,15 +62,15 @@ func (c *Cache) Snapshot() State {
 			EarnedValue:    e.EarnedValue,
 		})
 	}
-	for id, pb := range c.pending {
+	for _, s := range c.pendingLive {
+		pb := c.pending[s]
 		st.Pending = append(st.Pending, PendingState{
-			ID:             id,
+			ID:             pb.entry.S.ID,
 			ReadyAt:        pb.readyAt,
 			BuildPrice:     pb.entry.BuildPrice,
 			AmortRemaining: pb.entry.AmortRemaining,
 		})
 	}
-	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].ID < st.Pending[j].ID })
 	return st
 }
 
@@ -81,7 +82,7 @@ func (c *Cache) Snapshot() State {
 // snapshot's: a capacity change means the scheme was reconfigured and
 // the snapshot no longer describes this cache.
 func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structure, error)) error {
-	if len(c.entries) != 0 || len(c.pending) != 0 {
+	if len(c.live) != 0 || len(c.pendingLive) != 0 {
 		return fmt.Errorf("cache: restore into non-empty cache")
 	}
 	if c.capacity != st.Capacity {
@@ -90,18 +91,21 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 	if st.Clock < 0 {
 		return fmt.Errorf("cache: snapshot clock %v is negative", st.Clock)
 	}
-	entries := make(map[structure.ID]*Entry, len(st.Entries))
-	var resident int64
+	// Resolve everything before touching the cache, so a bad snapshot
+	// leaves it empty.
+	entries := make([]*Entry, 0, len(st.Entries))
+	resident := make(map[structure.ID]bool, len(st.Entries))
 	for _, es := range st.Entries {
-		if _, dup := entries[es.ID]; dup {
+		if resident[es.ID] {
 			return fmt.Errorf("cache: duplicate entry %s in snapshot", es.ID)
 		}
+		resident[es.ID] = true
 		s, err := resolve(es.ID)
 		if err != nil {
 			return fmt.Errorf("cache: restoring %s: %w", es.ID, err)
 		}
-		entries[es.ID] = &Entry{
-			S:              s,
+		entries = append(entries, &Entry{
+			S:              c.reg.Register(s),
 			BuiltAt:        es.BuiltAt,
 			FirstUsed:      es.FirstUsed,
 			LastUsed:       es.LastUsed,
@@ -111,33 +115,37 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 			MaintPaidUntil: es.MaintPaidUntil,
 			UnpaidMaint:    es.UnpaidMaint,
 			EarnedValue:    es.EarnedValue,
-		}
-		resident += s.Bytes
+		})
 	}
-	pending := make(map[structure.ID]*pendingBuild, len(st.Pending))
+	pending := make([]*pendingBuild, 0, len(st.Pending))
+	building := make(map[structure.ID]bool, len(st.Pending))
 	for _, ps := range st.Pending {
-		if _, dup := pending[ps.ID]; dup {
+		if building[ps.ID] {
 			return fmt.Errorf("cache: duplicate pending build %s in snapshot", ps.ID)
 		}
-		if _, dup := entries[ps.ID]; dup {
+		if resident[ps.ID] {
 			return fmt.Errorf("cache: %s both resident and pending in snapshot", ps.ID)
 		}
+		building[ps.ID] = true
 		s, err := resolve(ps.ID)
 		if err != nil {
 			return fmt.Errorf("cache: restoring pending %s: %w", ps.ID, err)
 		}
-		pending[ps.ID] = &pendingBuild{
+		pending = append(pending, &pendingBuild{
 			entry: &Entry{
-				S:              s,
+				S:              c.reg.Register(s),
 				BuildPrice:     ps.BuildPrice,
 				AmortRemaining: ps.AmortRemaining,
 			},
 			readyAt: ps.ReadyAt,
-		}
+		})
 	}
 	c.clock = st.Clock
-	c.entries = entries
-	c.pending = pending
-	c.resident = resident
+	for _, e := range entries {
+		c.addResident(e.S.Slot, e)
+	}
+	for _, pb := range pending {
+		c.addPending(pb.entry.S.Slot, pb)
+	}
 	return nil
 }

@@ -88,15 +88,16 @@ func testEconomy(t *testing.T, provider Provider, mutate func(*Config)) (*Econom
 // ledger at its cap must admit a new structure's regret (evicting the
 // least-regret existing entry), not evict the entry it just inserted.
 func TestLedgerCapAdmitsNewEntries(t *testing.T) {
-	l := newLedger("t", 0, 4)
+	reg := structure.NewRegistry()
+	l := newLedger("t", 0, 4, reg)
 	for i := 0; i < 4; i++ {
-		l.add(structure.ID(fmt.Sprintf("s%d", i)), money.Amount(100*(i+1)))
+		l.add(reg.Intern(structure.ID(fmt.Sprintf("s%d", i))), money.Amount(100*(i+1)))
 	}
-	l.add("fresh", money.Amount(1000))
-	if _, ok := l.entries["fresh"]; !ok {
+	l.add(reg.Intern("fresh"), money.Amount(1000))
+	if !l.rows[reg.Lookup("fresh")].live {
 		t.Fatal("full ledger evicted the entry it just inserted (inverted LRU): new structures can never accrue regret")
 	}
-	if _, ok := l.entries["s0"]; ok {
+	if l.rows[reg.Lookup("s0")].live {
 		t.Error("eviction spared the least-regret entry s0")
 	}
 	if l.regretDropped != money.Amount(100) {
@@ -114,8 +115,9 @@ func TestLedgerCapAdmitsNewEntries(t *testing.T) {
 // regret from the books.
 func TestLedgerCapEvictionAccountsRegret(t *testing.T) {
 	const capN = 8
-	l := newLedger("t", 0, capN)
-	victim := structure.ID("victim")
+	reg := structure.NewRegistry()
+	l := newLedger("t", 0, capN, reg)
+	victim := reg.Intern("victim")
 	var victimRegret money.Amount
 	for round := 0; round < 500; round++ {
 		l.add(victim, money.Amount(50))
@@ -124,18 +126,18 @@ func TestLedgerCapEvictionAccountsRegret(t *testing.T) {
 		// with a token share — under LRU eviction these would rotate the
 		// victim out every round.
 		for j := 0; j < capN; j++ {
-			l.add(structure.ID(fmt.Sprintf("oneoff-%d-%d", round, j)), money.Amount(1))
+			l.add(reg.Intern(structure.ID(fmt.Sprintf("oneoff-%d-%d", round, j))), money.Amount(1))
 		}
 	}
-	e, ok := l.entries[victim]
-	if !ok {
+	e := l.rows[victim]
+	if !e.live {
 		t.Fatal("cold-cycling one-off IDs evicted the victim structure's regret entry")
 	}
 	if e.regret != victimRegret {
 		t.Errorf("victim regret %v, want %v accrued across the attack", e.regret, victimRegret)
 	}
-	if len(l.entries) > capN {
-		t.Errorf("%d live entries exceed cap %d", len(l.entries), capN)
+	if len(l.live) > capN {
+		t.Errorf("%d live entries exceed cap %d", len(l.live), capN)
 	}
 	if !l.regretDropped.IsPositive() {
 		t.Error("cap evictions accounted no dropped regret")
@@ -339,11 +341,11 @@ func TestInvestBackoffSurvivesRestore(t *testing.T) {
 			if econ.market.failureCount == 0 {
 				t.Fatal("stream produced no structure failures; backoff never exercised")
 			}
-			if len(econ.market.failCount) == 0 {
+			st := econ.Snapshot()
+			if len(st.Market.FailCounts) == 0 {
 				t.Fatal("failures recorded no failCount backoff history")
 			}
 
-			st := econ.Snapshot()
 			cfg := econ.cfg
 			restored, err := New(cfg)
 			if err != nil {
@@ -352,17 +354,18 @@ func TestInvestBackoffSurvivesRestore(t *testing.T) {
 			if err := restored.Restore(st); err != nil {
 				t.Fatal(err)
 			}
-			if len(restored.market.failCount) != len(econ.market.failCount) {
-				t.Fatalf("restore kept %d failCount entries, want %d",
-					len(restored.market.failCount), len(econ.market.failCount))
+			if got := restored.Snapshot().Market.FailCounts; len(got) != len(st.Market.FailCounts) {
+				t.Fatalf("restore kept %d failCount entries, want %d", len(got), len(st.Market.FailCounts))
 			}
 			threshold := money.FromDollars(0.001)
-			for id, n := range econ.market.failCount {
-				if got := restored.market.failCount[id]; got != n {
+			for _, fc := range st.Market.FailCounts {
+				id, n := fc.ID, int(fc.Count)
+				slot, rslot := econ.reg.Lookup(id), restored.reg.Lookup(id)
+				if got := restored.market.failures(rslot); got != n {
 					t.Errorf("failCount[%s] restored as %d, want %d", id, got, n)
 				}
-				before := econ.market.investmentBar(threshold, id)
-				after := restored.market.investmentBar(threshold, id)
+				before := econ.market.bars(threshold).at(econ.market.failures(slot))
+				after := restored.market.bars(threshold).at(restored.market.failures(rslot))
 				if before != after {
 					t.Errorf("investment bar for %s changed across restore: %v -> %v", id, before, after)
 				}

@@ -213,12 +213,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// regretEntry is one ledger row.
-type regretEntry struct {
-	regret  money.Amount
-	touched int64 // ledger logical clock for LRU GC
-}
-
 // Decision reports how one query was handled.
 type Decision struct {
 	// Case classification (§IV-C).
@@ -252,6 +246,12 @@ type Decision struct {
 type Economy struct {
 	cfg    Config
 	market *Market
+	// reg is the cache's slot table: ledger rows and market bookkeeping
+	// are indexed by its slots. Plans enumerated against cfg.Cache carry
+	// structures it owns.
+	reg *structure.Registry
+	// investKind is cfg.InvestKinds flattened for the per-share test.
+	investKind [structure.KindIndex + 1]bool
 
 	// pool is the communal account of the altruistic provider: the
 	// single-ledger economy of §IV. Nil under the selfish provider.
@@ -328,10 +328,14 @@ func New(cfg Config) (*Economy, error) {
 	e := &Economy{
 		cfg:     cfg,
 		market:  newMarket(cfg),
+		reg:     cfg.Cache.Registry(),
 		tenants: make(map[string]*Ledger),
 	}
+	for k := range e.investKind {
+		e.investKind[k] = cfg.InvestKinds == nil || cfg.InvestKinds[structure.Kind(k)]
+	}
 	if cfg.Provider == ProviderAltruistic {
-		e.pool = newLedger("", cfg.InitialCredit, cfg.LedgerCap)
+		e.pool = newLedger("", cfg.InitialCredit, cfg.LedgerCap, e.reg)
 	}
 	return e, nil
 }
@@ -388,7 +392,7 @@ func (e *Economy) ledgerFor(tenant string) *Ledger {
 	if e.cfg.Provider == ProviderSelfish {
 		seed = e.cfg.InitialCredit
 	}
-	l := newLedger(tenant, seed, e.cfg.LedgerCap)
+	l := newLedger(tenant, seed, e.cfg.LedgerCap, e.reg)
 	e.tenants[tenant] = l
 	return l
 }
@@ -583,8 +587,9 @@ func (e *Economy) settle(q *workload.Query, p *plan.Plan, backendExec, scanExec 
 	// unreimbursed (the provider absorbs them, in both modes the rent
 	// risk of a failed structure).
 	for _, st := range p.Structures.Items() {
-		entry, ok := e.cfg.Cache.Get(st.ID)
-		if !ok {
+		slot := e.reg.Find(st)
+		entry := e.cfg.Cache.At(slot)
+		if entry == nil {
 			continue
 		}
 		share := cache.AmortShare(entry, e.cfg.AmortN)
@@ -592,7 +597,7 @@ func (e *Economy) settle(q *workload.Query, p *plan.Plan, backendExec, scanExec 
 			// Selfish: reimburse the structure's owner for the amortized
 			// build share plus the maintenance arrears this use settles.
 			recovery := share.Add(e.market.maintDueOf(entry))
-			owner := e.ledgerFor(e.market.owner[st.ID])
+			owner := e.ownerOf(slot)
 			owner.credit = owner.credit.Add(recovery)
 			owner.recovered = owner.recovered.Add(recovery)
 			if recovery != 0 {
@@ -615,8 +620,21 @@ func (e *Economy) settle(q *workload.Query, p *plan.Plan, backendExec, scanExec 
 			earned = earned.Add(extraShare)
 		}
 		entry.EarnedValue = entry.EarnedValue.Add(earned)
-		e.cfg.Cache.Touch(st.ID)
+		e.cfg.Cache.TouchAt(slot)
 	}
+}
+
+// ownerOf returns the ledger of the tenant that financed the resident in
+// a slot. The market remembers the ledger itself once it has seen it; a
+// restored market knows only the tenant's name and resolves it here on
+// the first reimbursement. An unowned resident reimburses the untagged
+// tenant, as its empty owner name always has.
+func (e *Economy) ownerOf(slot structure.Slot) *Ledger {
+	row := e.market.row(slot)
+	if row.ownerLedger == nil {
+		row.ownerLedger = e.ledgerFor(row.owner)
+	}
+	return row.ownerLedger
 }
 
 // accrueRegret implements Eq. 1–2 over the rejected possible plans.
@@ -671,7 +689,7 @@ func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) mo
 	base := money.Amount(int64(r) / n)
 	rem := int64(r) % n
 	var landed money.Amount
-	for i, id := range p.Missing {
+	for i, st := range p.Missing {
 		share := base
 		if int64(i) < rem {
 			share++
@@ -679,11 +697,10 @@ func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) mo
 		if !share.IsPositive() {
 			continue
 		}
-		st, _ := p.Structures.Get(id)
-		if st == nil || !e.kindAllowed(st.Kind) {
+		if !e.kindAllowed(st.Kind) {
 			continue
 		}
-		acct.add(id, share)
+		acct.add(e.reg.SlotOf(st), share)
 		landed = landed.Add(share)
 		if acct != led {
 			led.regretAccrued = led.regretAccrued.Add(share)
@@ -694,10 +711,7 @@ func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) mo
 
 // kindAllowed reports whether the scheme may invest in this kind.
 func (e *Economy) kindAllowed(k structure.Kind) bool {
-	if e.cfg.InvestKinds == nil {
-		return true
-	}
-	return e.cfg.InvestKinds[k]
+	return int(k) < len(e.investKind) && e.investKind[k]
 }
 
 // invest scans the account's regret ledger and builds every structure
@@ -717,46 +731,41 @@ func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 	if !threshold.IsPositive() {
 		return nil, 0
 	}
-	// Fast path for the common query that triggers nothing: the sorted
-	// pass below only ever acts on entries whose regret crosses the bar,
-	// so if no entry does, the whole pass is a no-op — detect that with
-	// one read-only sweep of the live map (iteration order is irrelevant
-	// to a boolean) and skip the per-call sorted-ID allocation.
-	crossed := false
-	for id, entry := range acct.entries {
-		if entry.regret.MulInt(2) >= e.market.investmentBar(threshold, id) {
-			crossed = true
-			break
-		}
-	}
-	if !crossed {
-		return nil, 0
-	}
+	// One pass over the live rows in structure-ID order — the order
+	// builds are attempted and reported in — against the per-failure-count
+	// bar ladder of this scan. The common query crosses nothing and the
+	// pass is a compare per row; a row that crosses but cannot build (a
+	// conservative provider short of its price) costs one memoized price
+	// read per query, not a sort.
+	bars := e.market.bars(threshold)
+	ca := e.cfg.Cache
 	var built []structure.ID
 	considered := 0
-	for _, id := range acct.sortedIDs() {
-		entry := acct.entries[id]
+	for i := 0; i < len(acct.live); {
+		slot := acct.live[i]
 		// Eq. 3 with round(): triggers at regret >= 0.5·a·CR. A history
-		// of failed builds raises the bar exponentially.
-		bar := e.market.investmentBar(threshold, id)
-		if entry.regret.MulInt(2) < bar {
+		// of failed builds raises the bar exponentially, never lowers
+		// it, so most rows are dismissed against the base threshold.
+		if r2 := acct.rows[slot].regret.MulInt(2); r2 < threshold || r2 < bars.at(e.market.failures(slot)) {
+			i++
 			continue
 		}
 		considered++
-		ca := e.cfg.Cache
-		if ca.Has(id) || ca.Building(id) {
-			delete(acct.entries, id)
+		if ca.At(slot) != nil || ca.BuildingAt(slot) {
+			acct.drop(slot)
 			continue
 		}
-		st, err := e.market.resolveStructure(id)
+		st, err := e.market.resolveStructure(slot)
 		if err != nil {
-			delete(acct.entries, id)
+			acct.drop(slot)
 			continue
 		}
 		if e.market.buildStructure(st, acct) {
-			built = append(built, id)
-			delete(acct.entries, id)
+			built = append(built, st.ID)
+			acct.drop(slot)
+			continue
 		}
+		i++
 	}
 	return built, considered
 }
@@ -784,7 +793,7 @@ func (e *Economy) Stats() Stats {
 		s.Invested = e.pool.invested
 		s.Recovered = e.pool.recovered
 		s.InvestCount = e.pool.investCount
-		s.LedgerSize = len(e.pool.entries)
+		s.LedgerSize = len(e.pool.live)
 	}
 	for _, l := range e.tenants {
 		s.ProfitTotal = s.ProfitTotal.Add(l.profitTotal)
@@ -793,7 +802,7 @@ func (e *Economy) Stats() Stats {
 			s.Invested = s.Invested.Add(l.invested)
 			s.Recovered = s.Recovered.Add(l.recovered)
 			s.InvestCount += l.investCount
-			s.LedgerSize += len(l.entries)
+			s.LedgerSize += len(l.live)
 		}
 	}
 	return s

@@ -480,7 +480,7 @@ func TestHandleQueryErrors(t *testing.T) {
 		t.Error("empty plan set accepted")
 	}
 	// A plan set with no runnable plan is a contract violation.
-	p := &plan.Plan{Query: q, Structures: structure.NewSet(), Missing: []structure.ID{"col:x.y"}}
+	p := &plan.Plan{Query: q, Structures: structure.NewSet(), Missing: []*structure.Structure{{ID: "col:x.y", Kind: structure.KindColumn}}}
 	if _, err := r.econ.HandleQuery(q, []*plan.Plan{p}); err == nil {
 		t.Error("no-runnable-plan set accepted")
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/money"
 	"repro/internal/plan"
+	"repro/internal/structure"
 )
 
 // This file holds the economy's adversarial-audit hooks: a pure
@@ -134,7 +135,8 @@ func (e *Economy) selectPlanWith(b budget.Func, plans []*plan.Plan) *plan.Plan {
 func (e *Economy) CheckInvariants() error {
 	check := func(l *Ledger, isAccount bool) error {
 		var live money.Amount
-		for id, entry := range l.entries {
+		for _, s := range l.live {
+			entry, id := l.rows[s], e.reg.ID(s)
 			if entry.regret.IsNegative() {
 				return fmt.Errorf("ledger %q: negative regret %v on %s", l.tenant, entry.regret, id)
 			}
@@ -143,8 +145,8 @@ func (e *Economy) CheckInvariants() error {
 			}
 			live = live.Add(entry.regret)
 		}
-		if len(l.entries) > l.cap {
-			return fmt.Errorf("ledger %q: %d live entries exceed cap %d", l.tenant, len(l.entries), l.cap)
+		if len(l.live) > l.cap {
+			return fmt.Errorf("ledger %q: %d live entries exceed cap %d", l.tenant, len(l.live), l.cap)
 		}
 		if l.regretAccrued.IsNegative() || l.regretDropped.IsNegative() {
 			return fmt.Errorf("ledger %q: negative regret counters (accrued %v, dropped %v)", l.tenant, l.regretAccrued, l.regretDropped)
@@ -175,16 +177,16 @@ func (e *Economy) CheckInvariants() error {
 			return err
 		}
 		if e.pool != nil {
-			if l.credit != 0 || l.invested != 0 || l.investCount != 0 || len(l.entries) != 0 || l.regretDropped != 0 {
+			if l.credit != 0 || l.invested != 0 || l.investCount != 0 || len(l.live) != 0 || l.regretDropped != 0 {
 				return fmt.Errorf("altruistic mirror %q carries account state (credit %v, invested %v, %d entries)",
-					l.tenant, l.credit, l.invested, len(l.entries))
+					l.tenant, l.credit, l.invested, len(l.live))
 			}
 		}
 	}
 	if e.pool != nil {
-		for id, owner := range e.market.owner {
-			if owner != "" {
-				return fmt.Errorf("altruistic provider recorded tenant %q as owner of %s", owner, id)
+		for s, row := range e.market.rows {
+			if row.owner != "" {
+				return fmt.Errorf("altruistic provider recorded tenant %q as owner of %s", row.owner, e.reg.ID(structure.Slot(s)))
 			}
 		}
 	}

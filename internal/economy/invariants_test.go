@@ -205,9 +205,9 @@ func TestRegretLedgerNeverNegative(t *testing.T) {
 		}
 		// Spot-check ledger non-negativity on this query's structures.
 		for _, p := range plans {
-			for _, id := range p.Missing {
-				if r.econ.Regret(id).IsNegative() {
-					t.Fatalf("negative regret for %s", id)
+			for _, st := range p.Missing {
+				if r.econ.Regret(st.ID).IsNegative() {
+					t.Fatalf("negative regret for %s", st.ID)
 				}
 			}
 		}

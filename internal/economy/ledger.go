@@ -1,14 +1,12 @@
 package economy
 
 import (
-	"slices"
-
 	"repro/internal/money"
 	"repro/internal/structure"
 )
 
 // Ledger is one tenant's account with the cloud: credit, spend, profit
-// and regret attribution, plus the live per-structure regret entries that
+// and regret attribution, plus the live per-structure regret rows that
 // drive the Eq. 3 investment test when the provider is selfish.
 //
 // Under the altruistic provider there is one communal Ledger (the pool)
@@ -23,11 +21,16 @@ type Ledger struct {
 	tenant string
 	credit money.Amount
 
-	// entries is the live regret map (Eq. 1–2 accumulation, LRU-capped
-	// per §IV-B); clock is its logical LRU clock.
-	entries map[structure.ID]*regretEntry
-	clock   int64
-	cap     int
+	// rows is the regret table (Eq. 1–2 accumulation, capped per
+	// §IV-B), indexed by the structure's registry slot and grown on
+	// demand; live lists the slots holding a row, in structure-ID order —
+	// the order the Eq. 3 scan and snapshots walk. clock is the table's
+	// logical LRU clock.
+	reg   *structure.Registry
+	rows  []regretRow
+	live  []structure.Slot
+	clock int64
+	cap   int
 
 	// Attribution counters. regretAccrued is cumulative (monotone) so
 	// per-tenant regret stays reportable and mergeable even after ledger
@@ -45,19 +48,19 @@ type Ledger struct {
 	declinedCount int64
 	queries       int64
 	cacheAnswered int64
-
-	// idScratch backs sortedIDs, reused across investment scans.
-	idScratch []structure.ID
 }
 
-// newLedger opens a ledger with the given seed capital and regret cap.
-func newLedger(tenant string, seed money.Amount, cap int) *Ledger {
-	return &Ledger{
-		tenant:  tenant,
-		credit:  seed,
-		entries: make(map[structure.ID]*regretEntry),
-		cap:     cap,
-	}
+// regretRow is one regret-table row; live marks slots that hold one.
+type regretRow struct {
+	regret  money.Amount
+	touched int64 // ledger logical clock for LRU GC
+	live    bool
+}
+
+// newLedger opens a ledger with the given seed capital and regret cap,
+// keyed by the slots of reg.
+func newLedger(tenant string, seed money.Amount, cap int, reg *structure.Registry) *Ledger {
+	return &Ledger{tenant: tenant, credit: seed, cap: cap, reg: reg}
 }
 
 // Tenant returns the ledger's tenant name ("" for the communal pool).
@@ -68,10 +71,19 @@ func (l *Ledger) Credit() money.Amount { return l.credit }
 
 // regretOf returns the live regret accumulated against a structure.
 func (l *Ledger) regretOf(id structure.ID) money.Amount {
-	if e, ok := l.entries[id]; ok {
-		return e.regret
+	if s := l.reg.Lookup(id); int(s) < len(l.rows) {
+		return l.rows[s].regret
 	}
 	return 0
+}
+
+// row returns the slot's row, growing the table to cover every slot the
+// registry has assigned.
+func (l *Ledger) row(s structure.Slot) *regretRow {
+	if int(s) >= len(l.rows) {
+		l.rows = structure.Grow(l.rows, l.reg)
+	}
+	return &l.rows[s]
 }
 
 // add accrues a regret share against a structure, touching its LRU slot.
@@ -80,56 +92,50 @@ func (l *Ledger) regretOf(id structure.ID) money.Amount {
 // empty, gc, then fill) let a full ledger evict every newcomer at
 // touched=0 — the map froze at its first cap entries and new structures
 // could never accrue regret again.
-func (l *Ledger) add(id structure.ID, share money.Amount) {
+func (l *Ledger) add(s structure.Slot, share money.Amount) {
 	l.clock++
-	entry, ok := l.entries[id]
-	if !ok {
-		entry = &regretEntry{}
-		l.entries[id] = entry
+	row := l.row(s)
+	fresh := !row.live
+	if fresh {
+		row.live = true
+		l.live = l.reg.Insert(l.live, s)
 	}
-	entry.regret = entry.regret.Add(share)
-	entry.touched = l.clock
+	row.regret = row.regret.Add(share)
+	row.touched = l.clock
 	l.regretAccrued = l.regretAccrued.Add(share)
-	if !ok {
+	if fresh {
 		l.gc()
 	}
 }
 
-// gc enforces the cap on the regret map (§IV-B garbage collection). The
+// drop removes a live row (consumed by investment, or garbage
+// collected).
+func (l *Ledger) drop(s structure.Slot) {
+	l.rows[s] = regretRow{}
+	l.live = l.reg.Remove(l.live, s)
+}
+
+// gc enforces the cap on the regret table (§IV-B garbage collection). The
 // victim is the entry with the least regret, oldest-touched among ties —
 // plain LRU would let an adversary cold-cycle one-off structure IDs
-// through the map and evict a victim structure's accumulating regret
+// through the table and evict a victim structure's accumulating regret
 // before it ever reached the Eq. 3 bar, defeating investment forever.
 // Least-regret eviction makes that attack self-defeating (the spray's
 // own near-zero entries are the victims) and whatever is evicted is
 // accounted in regretDropped rather than silently discarded.
 func (l *Ledger) gc() {
-	if len(l.entries) <= l.cap {
+	if len(l.live) <= l.cap {
 		return
 	}
-	var victim structure.ID
-	var ve *regretEntry
-	for id, entry := range l.entries {
-		if ve == nil || entry.regret < ve.regret ||
-			(entry.regret == ve.regret && entry.touched < ve.touched) {
-			victim, ve = id, entry
+	victim := l.live[0]
+	for _, s := range l.live[1:] {
+		row, vr := &l.rows[s], &l.rows[victim]
+		if row.regret < vr.regret || (row.regret == vr.regret && row.touched < vr.touched) {
+			victim = s
 		}
 	}
-	l.regretDropped = l.regretDropped.Add(ve.regret)
-	delete(l.entries, victim)
-}
-
-// sortedIDs returns the regret map's keys in deterministic order for the
-// investment scan. The returned slice is a per-ledger scratch buffer,
-// valid until the next call.
-func (l *Ledger) sortedIDs() []structure.ID {
-	ids := l.idScratch[:0]
-	for id := range l.entries {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	l.idScratch = ids
-	return ids
+	l.regretDropped = l.regretDropped.Add(l.rows[victim].regret)
+	l.drop(victim)
 }
 
 // TenantStats is the reportable snapshot of one tenant's ledger.
@@ -168,8 +174,8 @@ type TenantStats struct {
 // liveRegret sums the live regret entries.
 func (l *Ledger) liveRegret() money.Amount {
 	var total money.Amount
-	for _, e := range l.entries {
-		total = total.Add(e.regret)
+	for _, s := range l.live {
+		total = total.Add(l.rows[s].regret)
 	}
 	return total
 }
@@ -190,6 +196,6 @@ func (l *Ledger) stats() TenantStats {
 		Invested:      l.invested,
 		Recovered:     l.recovered,
 		InvestCount:   l.investCount,
-		LedgerSize:    len(l.entries),
+		LedgerSize:    len(l.live),
 	}
 }

@@ -1,7 +1,6 @@
 package economy
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/cache"
@@ -22,22 +21,11 @@ import (
 // whoever built each resident.
 type Market struct {
 	cfg Config
+	reg *structure.Registry // the cache's slot table
 
-	// owner records which tenant financed each structure's build ("" for
-	// the altruistic pool). Cleared on eviction: a rebuild may be financed
-	// by someone else.
-	owner map[structure.ID]string
-
-	// failCount records how many times a structure has failed, for
-	// investment backoff. Survives eviction by design.
-	failCount map[structure.ID]int
-
-	// resolved caches ID → Structure reconstructions. Structures are
-	// immutable descriptors and the ID space is catalog-bounded, so the
-	// cache never invalidates; without it a ledger entry that sits above
-	// the investment bar but cannot build (conservative provider, low
-	// credit) re-parses its ID on every query.
-	resolved map[structure.ID]*structure.Structure
+	// rows is the per-structure bookkeeping, indexed by registry slot and
+	// grown on demand.
+	rows []marketRow
 
 	// buildUsage accumulates the physical resource usage of investments
 	// since the last drain.
@@ -45,9 +33,42 @@ type Market struct {
 
 	failureCount int64
 
+	// ladder backs bars and victims backs sweepFailures, both reused
+	// across queries.
+	ladder  investBars
+	victims []victim
+
 	// events mirrors Economy.events (installed via Economy.SetEvents) for
 	// the invest and evict events the market itself originates.
 	events func(obs.Event)
+}
+
+// marketRow is the market's bookkeeping for one structure slot.
+type marketRow struct {
+	// owned marks a structure some ledger financed; owner is that
+	// ledger's tenant name ("" for the altruistic pool) and ownerLedger
+	// the ledger itself once known — a restore knows only the name, and
+	// the first reimbursement resolves it. Cleared on eviction: a rebuild
+	// may be financed by someone else.
+	owned       bool
+	owner       string
+	ownerLedger *Ledger
+
+	// failCount records how many times the structure has failed, for
+	// investment backoff. Survives eviction by design.
+	failCount int
+
+	// rentPerHour memoizes the structure's hourly rent in dollars (a
+	// constant of its kind and size); rentKnown marks it computed.
+	rentPerHour float64
+	rentKnown   bool
+
+	// safeUntil is the clock up to which safeEntry — the resident the
+	// slot held when it was computed, never-used or used per safeIdle —
+	// is known not to fail, so the failure sweep need not test it.
+	safeEntry *cache.Entry
+	safeIdle  bool
+	safeUntil time.Duration
 }
 
 // emit reports one event if a sink is installed, stamping the economy
@@ -62,11 +83,16 @@ func (m *Market) emit(ev obs.Event) {
 
 // newMarket wires the shared pool.
 func newMarket(cfg Config) *Market {
-	return &Market{
-		cfg:       cfg,
-		owner:     make(map[structure.ID]string),
-		failCount: make(map[structure.ID]int),
+	return &Market{cfg: cfg, reg: cfg.Cache.Registry()}
+}
+
+// row returns the slot's bookkeeping row, growing the table to cover
+// every slot the registry has assigned.
+func (m *Market) row(s structure.Slot) *marketRow {
+	if int(s) >= len(m.rows) {
+		m.rows = structure.Grow(m.rows, m.reg)
 	}
+	return &m.rows[s]
 }
 
 // Cache exposes the shared residency state.
@@ -74,7 +100,12 @@ func (m *Market) Cache() *cache.Cache { return m.cfg.Cache }
 
 // Owner returns the tenant that financed a resident structure ("" for
 // the communal pool or unknown structures).
-func (m *Market) Owner(id structure.ID) string { return m.owner[id] }
+func (m *Market) Owner(id structure.ID) string {
+	if s := m.reg.Lookup(id); int(s) < len(m.rows) {
+		return m.rows[s].owner
+	}
+	return ""
+}
 
 // drainBuildUsage returns the physical usage of all investments since the
 // previous drain and resets the accumulator.
@@ -84,16 +115,50 @@ func (m *Market) drainBuildUsage() cost.Usage {
 	return u
 }
 
-// investmentBar raises the Eq. 3 threshold exponentially with the
-// structure's failure history, damping build-evict-rebuild cycles.
-func (m *Market) investmentBar(threshold money.Amount, id structure.ID) money.Amount {
-	bar := threshold
-	if m.cfg.InvestBackoff > 1 {
-		for i := 0; i < m.failCount[id] && i < 30; i++ {
-			bar = bar.MulFloat(m.cfg.InvestBackoff)
-		}
+// maxBackoffSteps caps the failure history the investment bar compounds
+// over.
+const maxBackoffSteps = 30
+
+// investBars is the Eq. 3 bar per failure count for one investment scan:
+// bars.at(k) is the threshold raised by k prior failures. The ladder is
+// the same MulFloat chain the bar has always been — threshold, then one
+// multiplication per failure, rounding at every step — computed once per
+// scan and extended only as far as the scan's failure counts reach.
+type investBars struct {
+	backoff float64
+	n       int
+	bar     [maxBackoffSteps + 1]money.Amount
+}
+
+// bars restarts the market's ladder at an account's base threshold.
+func (m *Market) bars(threshold money.Amount) *investBars {
+	m.ladder.backoff = m.cfg.InvestBackoff
+	m.ladder.n = 1
+	m.ladder.bar[0] = threshold
+	return &m.ladder
+}
+
+// at returns the bar after `failures` prior failures: the threshold
+// raised exponentially, damping build-evict-rebuild cycles.
+func (b *investBars) at(failures int) money.Amount {
+	if !(b.backoff > 1) || failures <= 0 {
+		return b.bar[0]
 	}
-	return bar
+	if failures > maxBackoffSteps {
+		failures = maxBackoffSteps
+	}
+	for ; b.n <= failures; b.n++ {
+		b.bar[b.n] = b.bar[b.n-1].MulFloat(b.backoff)
+	}
+	return b.bar[failures]
+}
+
+// failures returns the slot's failure count.
+func (m *Market) failures(s structure.Slot) int {
+	if int(s) < len(m.rows) {
+		return m.rows[s].failCount
+	}
+	return 0
 }
 
 // buildStructure starts construction of st (and, for indexes, of its
@@ -116,16 +181,12 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 		// Build missing columns first; the index build waits for them.
 		var colsReady = now
 		for _, ref := range st.Index.Refs() {
-			colID := structure.ColumnID(ref)
-			if ca.Has(colID) {
-				continue
-			}
-			if ca.Building(colID) {
-				continue
-			}
-			colSt, err := structure.ColumnStructure(m.cfg.Model.Catalog(), ref)
+			colSt, err := m.reg.Column(m.cfg.Model.Catalog(), ref)
 			if err != nil {
 				return false
+			}
+			if ca.At(colSt.Slot) != nil || ca.BuildingAt(colSt.Slot) {
+				continue
 			}
 			colPrice, colOut, err := m.cfg.Optimizer.BuildPrice(colSt, ca)
 			if err != nil {
@@ -136,12 +197,12 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 			}
 			payer.credit = payer.credit.Sub(colPrice)
 			payer.invested = payer.invested.Add(colPrice)
-			m.owner[colID] = payer.tenant
+			m.started(colSt.Slot, payer)
 			m.buildUsage.Add(colOut.Usage)
 			m.emit(obs.Event{
 				Type:      obs.EventInvest,
 				Tenant:    payer.tenant,
-				Structure: string(colID),
+				Structure: string(colSt.ID),
 				Amount:    colPrice,
 				Reason:    "prerequisite column for an index build",
 			})
@@ -166,7 +227,7 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 	payer.credit = payer.credit.Sub(price)
 	payer.invested = payer.invested.Add(price)
 	payer.investCount++
-	m.owner[st.ID] = payer.tenant
+	m.started(m.reg.Find(st), payer)
 	m.buildUsage.Add(out.Usage)
 	m.emit(obs.Event{
 		Type:      obs.EventInvest,
@@ -178,6 +239,12 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 	return true
 }
 
+// started records the ledger that just financed a build as its owner.
+func (m *Market) started(s structure.Slot, payer *Ledger) {
+	row := m.row(s)
+	row.owned, row.owner, row.ownerLedger = true, payer.tenant, payer
+}
+
 // indexSortOnly prices just the in-cache sort of an index build.
 func (m *Market) indexSortOnly(st *structure.Structure) (money.Amount, cost.Outcome, error) {
 	out, err := m.cfg.Model.BuildIndex(st.Index, func(catalog.ColumnRef) bool { return true })
@@ -187,30 +254,34 @@ func (m *Market) indexSortOnly(st *structure.Structure) (money.Amount, cost.Outc
 	return cost.Price(m.cfg.Model.Schedule(), out.Usage), out, nil
 }
 
-// resolveStructure reconstructs the Structure behind a ledger ID by asking
-// the catalog. Ledger entries always originate from plans, so the ID shape
-// is trusted.
-func (m *Market) resolveStructure(id structure.ID) (*structure.Structure, error) {
-	if st, ok := m.resolved[id]; ok {
+// resolveStructure returns the Structure behind a ledger slot. Rows
+// accrued from plans already carry one; a row restored by name is parsed
+// against the catalog once and registered, so a candidate that sits above
+// the investment bar but cannot build (conservative provider, low credit)
+// does not re-parse its ID on every query.
+func (m *Market) resolveStructure(s structure.Slot) (*structure.Structure, error) {
+	if st := m.reg.Structure(s); st != nil {
 		return st, nil
 	}
-	st, err := ResolveID(m.cfg.Model.Catalog(), id)
+	st, err := ResolveID(m.cfg.Model.Catalog(), m.reg.ID(s))
 	if err != nil {
 		return nil, err
 	}
-	if m.resolved == nil {
-		m.resolved = make(map[structure.ID]*structure.Structure)
-	}
-	m.resolved[id] = st
-	return st, nil
+	return m.reg.Register(st), nil
 }
 
 // maintDueOf returns the maintenance arrears a resident entry has accrued
 // at the current cache clock — the same quantity the optimizer priced into
 // the plan's MaintPrice.
 func (m *Market) maintDueOf(entry *cache.Entry) money.Amount {
+	return m.dueAt(entry, m.cfg.Cache.Clock())
+}
+
+// dueAt returns the arrears the entry will have accrued by clock t if
+// nobody pays in between.
+func (m *Market) dueAt(entry *cache.Entry, t time.Duration) money.Amount {
 	return cache.MaintDue(entry, func(en *cache.Entry) money.Amount {
-		return m.cfg.Model.MaintCost(en.S.Kind == structure.KindCPUNode, en.S.Bytes, m.cfg.Cache.Clock()-en.MaintPaidUntil)
+		return m.rent(en.S, t-en.MaintPaidUntil)
 	})
 }
 
@@ -230,62 +301,114 @@ func (m *Market) maintDueOf(entry *cache.Entry) money.Amount {
 // The floors suppress evictions over negligible arrears so structures do
 // not flap at short intervals, and give fresh builds time to see their
 // first use (partial structure sets are unusable until complete).
+//
+// The sweep walks the residents in structure-ID order, so victims fall in
+// the order they are reported. Pricing arrears is the expensive part of
+// the test, so it comes last: a used structure is priced only once its
+// rates already condemn it, and a never-used one only when the clock has
+// passed the point up to which it is known to sit below its floor.
 func (m *Market) sweepFailures() []structure.ID {
 	if m.cfg.MaintFailureFactor <= 0 {
 		return nil
 	}
 	ca := m.cfg.Cache
-	type victim struct {
-		id     structure.ID
-		due    money.Amount
-		reason string
-	}
-	var victims []victim
+	now := ca.Clock()
+	victims := m.victims[:0]
 	ca.ForEach(func(entry *cache.Entry) {
-		due := m.maintDueOf(entry)
-		reason := ""
-		if entry.Uses == 0 {
-			if due > m.cfg.NeverUsedFloor &&
-				due > entry.BuildPrice.MulFloat(m.cfg.MaintFailureFactor) {
-				reason = "never used: arrears exceeded the build price factor"
-			}
-		} else if due > m.cfg.FailureFloor {
-			// Grace window: rates need at least an hour of post-first-
-			// use history to mean anything.
-			window := ca.Clock() - entry.FirstUsed
-			if window >= time.Hour {
-				rentPerHour := m.cfg.Model.MaintCost(
-					entry.S.Kind == structure.KindCPUNode, entry.S.Bytes, time.Hour).Dollars()
-				valuePerHour := entry.EarnedValue.Dollars() / window.Hours()
-				if rentPerHour > m.cfg.MaintFailureFactor*valuePerHour {
-					reason = "rent rate outweighed lifetime value rate"
-				}
-			}
-		}
-		if reason != "" {
-			victims = append(victims, victim{id: entry.S.ID, due: due, reason: reason})
+		if due, reason := m.failing(entry, now); reason != "" {
+			victims = append(victims, victim{entry: entry, due: due, reason: reason})
 		}
 	})
+	m.victims = victims
 	if len(victims) == 0 {
 		return nil
 	}
-	// Eviction decisions are independent per entry, so the victim SET is
-	// deterministic even though map order is not; sort for stable output.
-	sort.Slice(victims, func(i, j int) bool { return victims[i].id < victims[j].id })
 	ids := make([]structure.ID, 0, len(victims))
-	for _, v := range victims {
+	for i, v := range victims {
+		s := v.entry.S.Slot
+		row := m.row(s)
 		m.emit(obs.Event{
 			Type:      obs.EventEvict,
-			Tenant:    m.owner[v.id],
-			Structure: string(v.id),
+			Tenant:    row.owner,
+			Structure: string(v.entry.S.ID),
 			Amount:    v.due,
 			Reason:    v.reason,
 		})
-		ca.Evict(v.id)
-		delete(m.owner, v.id)
-		m.failCount[v.id]++
+		ca.EvictAt(s)
+		row.owned, row.owner, row.ownerLedger = false, "", nil
+		row.failCount++
 		m.failureCount++
-		ids = append(ids, v.id)
+		ids = append(ids, v.entry.S.ID)
+		victims[i] = victim{}
 	}
 	return ids
+}
+
+// victim is one structure the failure sweep condemned.
+type victim struct {
+	entry  *cache.Entry
+	due    money.Amount
+	reason string
+}
+
+// failing applies the two failure rules to one resident at clock now,
+// returning its arrears and the reason when it must go ("" otherwise).
+//
+// Both rules only ever turn true as the clock advances with the entry
+// left alone (arrears and idle windows grow, the value rate decays), and
+// a use only pushes them further from true (it settles the arrears and
+// adds earned value). So a verdict of "not before clock T" stands until
+// T: each miss looks ahead — doubling the entry's idle or measured window
+// — and the sweep skips the entry until the clock gets there. A condemning
+// verdict remembers nothing, so asking again gives the same answer.
+func (m *Market) failing(entry *cache.Entry, now time.Duration) (money.Amount, string) {
+	st := entry.S
+	row := m.row(st.Slot)
+	idle := entry.Uses == 0
+	if row.safeEntry == entry && row.safeIdle == idle && now <= row.safeUntil {
+		return 0, ""
+	}
+	row.safeEntry, row.safeIdle, row.safeUntil = entry, idle, now
+	if idle {
+		limit := money.MaxAmount(m.cfg.NeverUsedFloor, entry.BuildPrice.MulFloat(m.cfg.MaintFailureFactor))
+		if due := m.dueAt(entry, now); due > limit {
+			row.safeEntry = nil
+			return due, "never used: arrears exceeded the build price factor"
+		}
+		ahead := now + max(now-entry.MaintPaidUntil, time.Minute)
+		if m.dueAt(entry, ahead) <= limit {
+			row.safeUntil = ahead
+		}
+		return 0, ""
+	}
+	// Grace window: rates need at least an hour of post-first-use
+	// history to mean anything.
+	window := now - entry.FirstUsed
+	if window < time.Hour {
+		row.safeUntil = entry.FirstUsed + time.Hour - 1
+		return 0, ""
+	}
+	if !row.rentKnown {
+		row.rentPerHour, row.rentKnown = m.rent(st, time.Hour).Dollars(), true
+	}
+	outweighed := func(window time.Duration) bool {
+		valuePerHour := entry.EarnedValue.Dollars() / window.Hours()
+		return row.rentPerHour > m.cfg.MaintFailureFactor*valuePerHour
+	}
+	if !outweighed(window) {
+		if !outweighed(2 * window) {
+			row.safeUntil = now + window
+		}
+		return 0, ""
+	}
+	if due := m.dueAt(entry, now); due > m.cfg.FailureFloor {
+		row.safeEntry = nil
+		return due, "rent rate outweighed lifetime value rate"
+	}
+	return 0, ""
+}
+
+// rent prices holding a structure for duration d.
+func (m *Market) rent(st *structure.Structure, d time.Duration) money.Amount {
+	return m.cfg.Model.MaintCost(st.Kind == structure.KindCPUNode, st.Bytes, d)
 }

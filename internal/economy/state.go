@@ -93,16 +93,17 @@ func snapshotLedger(l *Ledger) LedgerState {
 		Queries:       l.queries,
 		CacheAnswered: l.cacheAnswered,
 	}
-	for _, id := range l.sortedIDs() {
-		e := l.entries[id]
-		st.Entries = append(st.Entries, RegretEntryState{ID: id, Regret: e.regret, Touched: e.touched})
+	for _, s := range l.live {
+		row := l.rows[s]
+		st.Entries = append(st.Entries, RegretEntryState{ID: l.reg.ID(s), Regret: row.regret, Touched: row.touched})
 	}
 	return st
 }
 
-// restoreLedger rebuilds one ledger with the economy's configured cap.
-func restoreLedger(st LedgerState, cap int) *Ledger {
-	l := newLedger(st.Tenant, 0, cap)
+// restoreLedger rebuilds one ledger with the economy's configured cap,
+// interning the regret rows' IDs into the cache's registry.
+func restoreLedger(st LedgerState, cap int, reg *structure.Registry) *Ledger {
+	l := newLedger(st.Tenant, 0, cap, reg)
 	l.credit = st.Credit
 	l.clock = st.Clock
 	l.spend = st.Spend
@@ -116,7 +117,12 @@ func restoreLedger(st LedgerState, cap int) *Ledger {
 	l.queries = st.Queries
 	l.cacheAnswered = st.CacheAnswered
 	for _, es := range st.Entries {
-		l.entries[es.ID] = &regretEntry{regret: es.Regret, touched: es.Touched}
+		s := reg.Intern(es.ID)
+		row := l.row(s)
+		if !row.live {
+			l.live = reg.Insert(l.live, s)
+		}
+		*row = regretRow{regret: es.Regret, touched: es.Touched, live: true}
 	}
 	return l
 }
@@ -138,14 +144,19 @@ func (e *Economy) Snapshot() *State {
 	for _, name := range names {
 		st.Tenants = append(st.Tenants, snapshotLedger(e.tenants[name]))
 	}
-	for id, tenant := range e.market.owner {
-		st.Market.Owners = append(st.Market.Owners, OwnerState{ID: id, Tenant: tenant})
+	// Market rows in ID order, whatever slots the structures hold.
+	for _, s := range e.reg.Ordered() {
+		if int(s) >= len(e.market.rows) {
+			continue
+		}
+		row := &e.market.rows[s]
+		if row.owned {
+			st.Market.Owners = append(st.Market.Owners, OwnerState{ID: e.reg.ID(s), Tenant: row.owner})
+		}
+		if row.failCount != 0 {
+			st.Market.FailCounts = append(st.Market.FailCounts, FailCountState{ID: e.reg.ID(s), Count: int64(row.failCount)})
+		}
 	}
-	sort.Slice(st.Market.Owners, func(i, j int) bool { return st.Market.Owners[i].ID < st.Market.Owners[j].ID })
-	for id, n := range e.market.failCount {
-		st.Market.FailCounts = append(st.Market.FailCounts, FailCountState{ID: id, Count: int64(n)})
-	}
-	sort.Slice(st.Market.FailCounts, func(i, j int) bool { return st.Market.FailCounts[i].ID < st.Market.FailCounts[j].ID })
 	st.Market.BuildUsage = e.market.buildUsage
 	st.Market.FailureCount = e.market.failureCount
 	return st
@@ -173,17 +184,18 @@ func (e *Economy) Restore(st *State) error {
 		if _, dup := e.tenants[ls.Tenant]; dup {
 			return fmt.Errorf("economy: duplicate tenant %q in snapshot", ls.Tenant)
 		}
-		e.tenants[ls.Tenant] = restoreLedger(ls, e.cfg.LedgerCap)
+		e.tenants[ls.Tenant] = restoreLedger(ls, e.cfg.LedgerCap, e.reg)
 	}
 	if st.Pool != nil {
-		e.pool = restoreLedger(*st.Pool, e.cfg.LedgerCap)
+		e.pool = restoreLedger(*st.Pool, e.cfg.LedgerCap, e.reg)
 	}
 	m := e.market
 	for _, os := range st.Market.Owners {
-		m.owner[os.ID] = os.Tenant
+		row := m.row(e.reg.Intern(os.ID))
+		row.owned, row.owner = true, os.Tenant
 	}
 	for _, fs := range st.Market.FailCounts {
-		m.failCount[fs.ID] = int(fs.Count)
+		m.row(e.reg.Intern(fs.ID)).failCount = int(fs.Count)
 	}
 	m.buildUsage = st.Market.BuildUsage
 	m.failureCount = st.Market.FailureCount

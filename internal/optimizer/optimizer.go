@@ -4,10 +4,23 @@
 // resident) or PQpos (needs investment). Prices follow the scheme's cost
 // model: execution (Eq. 8–9), amortized build shares (Eq. 4–7) and
 // maintenance arrears (footnote 3).
+//
+// The optimizer plans against a cache and speaks that cache's structure
+// slots (structure.Registry): the first time it plans a template it
+// registers the template's columns and index candidates and keeps the
+// registry-owned structures, so residency and build-price lookups per
+// query are slice reads, never string hashes. One query's cache plan
+// variants — plain scan or index probe, on 1..MaxNodes nodes — share
+// their column set, so Enumerate prices that set (and the picked index,
+// and the growing node prefix) once and assembles the variants from the
+// three priced pieces. Nothing here depends on slot numbers: plans list
+// their structures in template order (columns, index, nodes), which is
+// the order regret is split and settlements are reported in.
 package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
@@ -50,13 +63,20 @@ func (c Config) Validate() error {
 // structure objects per template (IDs and sizes are on the per-query hot
 // path), so it is NOT safe for concurrent use; each scheme owns one
 // optimizer, matching the single-threaded simulation loop.
+//
+// Everything the optimizer remembers about structures is expressed in the
+// slots of the cache's structure.Registry: the per-template tables hold
+// registry-owned structures (Slot filled in), the build-price memo is a
+// slice indexed by slot. The tables bind to the registry of the cache
+// passed to Enumerate/BuildPrice and are rebuilt if a different cache
+// shows up, so two optimizers planning against one cache — a scheme's
+// own and an outside observer's — agree on every slot.
 type Optimizer struct {
 	cfg Config
 
-	tplColumns map[*workload.Template][]*structure.Structure
-	tplIndexes map[*workload.Template]map[structure.ID]*structure.Structure
-	tplCandIDs map[*workload.Template][]structure.ID
-	cpuNodes   []*structure.Structure // cpuNodes[i] is node ordinal i+2
+	reg      *structure.Registry // registry the tables below are bound to
+	tpls     map[*workload.Template]*tplSet
+	cpuNodes []*structure.Structure // cpuNodes[i] is node ordinal i+2
 
 	// scratch backs the slice Enumerate returns, reused across calls to
 	// keep the per-query hot path free of slice growth.
@@ -70,39 +90,46 @@ type Optimizer struct {
 	pool []*plan.Plan
 	used int
 
-	// colIDs caches ref → ID strings: BuildPrice's residency predicate
-	// runs per missing index per query, and structure.ColumnID would
-	// otherwise mint a fresh string each time.
-	colIDs map[catalog.ColumnRef]structure.ID
+	// cols, idx and nodes are the three pieces every cache plan variant
+	// of one query is assembled from: the template's column set, the
+	// picked index, and the extra CPU nodes up to the variant's count.
+	// Enumerate prices each piece once per query — residency, amortized
+	// shares, maintenance arrears, missing list — and the variants share
+	// the result instead of re-pricing the same columns per variant.
+	cols, idx, nodes piece
 
-	// priceMemo memoizes BuildPrice per structure for as long as the
-	// cache's residency epoch stands still. Build prices depend only on
-	// the model (fixed) and on which columns are resident, so between
-	// builds and evictions — i.e. for almost every query — pricing a
-	// missing candidate is a map hit instead of a full Eq. 10/12/14
-	// walk over the catalog.
-	priceMemo  map[structure.ID]memoPrice
-	priceCache *cache.Cache
-	priceEpoch int64
+	// priceMemo memoizes BuildPrice per slot for as long as the cache's
+	// residency epoch stands still. Build prices depend only on the
+	// model (fixed) and on which columns are resident, so between builds
+	// and evictions — i.e. for almost every query — pricing a missing
+	// candidate is a slice read instead of a full Eq. 10/12/14 walk over
+	// the catalog.
+	priceMemo []memoPrice
 }
 
-// memoPrice is one memoized BuildPrice result.
+// tplSet is the structure inventory of one template: its columns
+// (deduplicated, template order) and its index candidates (template
+// order; empty when the optimizer plans no indexes).
+type tplSet struct {
+	cols  []*structure.Structure
+	cands []*structure.Structure
+}
+
+// piece is the priced share of one group of structures in a plan.
+type piece struct {
+	amort   money.Amount           // Ca: resident shares plus Build/n of missing ones
+	maint   money.Amount           // arrears of the resident ones
+	missing []*structure.Structure // members not resident, in group order
+}
+
+func (pc *piece) reset() { *pc = piece{missing: pc.missing[:0]} }
+
+// memoPrice is one memoized BuildPrice result, valid while stamp equals
+// the cache epoch plus one (so the zero value is never valid).
 type memoPrice struct {
+	stamp int64
 	price money.Amount
 	out   cost.Outcome
-}
-
-// columnID returns the cached structure ID for a column reference.
-func (o *Optimizer) columnID(ref catalog.ColumnRef) structure.ID {
-	if id, ok := o.colIDs[ref]; ok {
-		return id
-	}
-	id := structure.ColumnID(ref)
-	if o.colIDs == nil {
-		o.colIDs = make(map[catalog.ColumnRef]structure.ID)
-	}
-	o.colIDs[ref] = id
-	return id
 }
 
 // nextPlan returns a cleared plan from the pool, growing it on first
@@ -126,55 +153,54 @@ func New(cfg Config) (*Optimizer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	o := &Optimizer{
-		cfg:        cfg,
-		tplColumns: make(map[*workload.Template][]*structure.Structure),
-		tplIndexes: make(map[*workload.Template]map[structure.ID]*structure.Structure),
-		tplCandIDs: make(map[*workload.Template][]structure.ID),
-	}
-	for n := 2; n <= cfg.Model.Tunables().MaxNodes; n++ {
-		o.cpuNodes = append(o.cpuNodes, structure.CPUNode(n))
-	}
-	return o, nil
+	return &Optimizer{cfg: cfg, tpls: make(map[*workload.Template]*tplSet)}, nil
 }
 
-// columnsFor returns the memoized column structures of a template.
-func (o *Optimizer) columnsFor(tpl *workload.Template) ([]*structure.Structure, error) {
-	if cols, ok := o.tplColumns[tpl]; ok {
-		return cols, nil
+// bind points the optimizer's slot tables at the cache's registry. Each
+// cache owns one registry for life, so this is a pointer compare per call
+// and a rebuild only when the optimizer meets a different cache.
+func (o *Optimizer) bind(ca *cache.Cache) {
+	reg := ca.Registry()
+	if o.reg == reg {
+		return
 	}
-	cols := make([]*structure.Structure, 0, len(tpl.Columns))
+	o.reg = reg
+	clear(o.tpls)
+	clear(o.priceMemo)
+	o.cpuNodes = o.cpuNodes[:0]
+	for n := 2; n <= o.cfg.Model.Tunables().MaxNodes; n++ {
+		o.cpuNodes = append(o.cpuNodes, reg.Register(structure.CPUNode(n)))
+	}
+}
+
+// setFor returns the memoized structure inventory of a template,
+// registering its columns and index candidates on first sight.
+func (o *Optimizer) setFor(tpl *workload.Template) (*tplSet, error) {
+	if set, ok := o.tpls[tpl]; ok {
+		return set, nil
+	}
+	cat := o.cfg.Model.Catalog()
+	set := &tplSet{cols: make([]*structure.Structure, 0, len(tpl.Columns))}
 	for _, ref := range tpl.Columns {
-		st, err := structure.ColumnStructure(o.cfg.Model.Catalog(), ref)
+		st, err := o.reg.Column(cat, ref)
 		if err != nil {
 			return nil, err
 		}
-		cols = append(cols, st)
+		if !slices.Contains(set.cols, st) {
+			set.cols = append(set.cols, st)
+		}
 	}
-	o.tplColumns[tpl] = cols
-	return cols, nil
-}
-
-// indexFor returns the memoized index structure of a template candidate.
-func (o *Optimizer) indexFor(tpl *workload.Template, id structure.ID) (*structure.Structure, error) {
-	byID, ok := o.tplIndexes[tpl]
-	if !ok {
-		byID = make(map[structure.ID]*structure.Structure, len(tpl.IndexCandidates))
-		o.tplIndexes[tpl] = byID
+	if o.cfg.AllowIndexes {
+		for _, def := range tpl.IndexCandidates {
+			st, err := o.reg.Index(cat, def)
+			if err != nil {
+				return nil, err
+			}
+			set.cands = append(set.cands, st)
+		}
 	}
-	if st, ok := byID[id]; ok {
-		return st, nil
-	}
-	def, ok := o.indexDefFor(tpl, id)
-	if !ok {
-		return nil, fmt.Errorf("optimizer: index %s not a candidate of %s", id, tpl.Name)
-	}
-	st, err := structure.IndexStructure(o.cfg.Model.Catalog(), def)
-	if err != nil {
-		return nil, err
-	}
-	byID[id] = st
-	return st, nil
+	o.tpls[tpl] = set
+	return set, nil
 }
 
 // Enumerate produces the priced plan set PQ for the query given the current
@@ -188,10 +214,17 @@ func (o *Optimizer) indexFor(tpl *workload.Template, id structure.ID) (*structur
 // Missing slices inside each plan) is only valid until the next
 // Enumerate call; callers that outlive one query's handling must deep-
 // copy what they keep. This holds for the SkylineOnly path too: Skyline
-// returns a fresh slice but it aliases the same pooled plans.
+// returns a fresh slice but it aliases the same pooled plans. The
+// *structure.Structure values inside the plans are the cache registry's
+// own and outlive the call; their Slot fields index that cache's state.
 func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan, error) {
 	if q == nil || ca == nil {
 		return nil, fmt.Errorf("optimizer: query and cache are required")
+	}
+	o.bind(ca)
+	set, err := o.setFor(q.Template)
+	if err != nil {
+		return nil, err
 	}
 	o.used = 0
 	plans := o.scratch[:0]
@@ -210,21 +243,41 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 		maxNodes = 1
 	}
 
+	// Price the pieces the variants share, once: all template columns
+	// must be resident for a cache plan to run, and every index variant
+	// probes the same index.
+	o.cols.reset()
+	for _, st := range set.cols {
+		if err := o.price(&o.cols, ca, st); err != nil {
+			return nil, err
+		}
+	}
+	o.idx.reset()
+	index := pickIndex(set, ca)
+	if index != nil {
+		if err := o.price(&o.idx, ca, index); err != nil {
+			return nil, err
+		}
+	}
+	o.nodes.reset()
 	for nodes := 1; nodes <= maxNodes; nodes++ {
-		p, err := o.cachePlan(q, ca, false, structure.ID(""), nodes)
+		if nodes > 1 {
+			// The piece grows with the variant: nodes 2..n.
+			if err := o.price(&o.nodes, ca, o.cpuNodes[nodes-2]); err != nil {
+				return nil, err
+			}
+		}
+		p, err := o.cachePlan(q, set, nil, nodes)
 		if err != nil {
 			return nil, err
 		}
 		plans = append(plans, p)
-
-		if o.cfg.AllowIndexes {
-			if idxID, ok := o.pickIndex(q, ca); ok {
-				ip, err := o.cachePlan(q, ca, true, idxID, nodes)
-				if err != nil {
-					return nil, err
-				}
-				plans = append(plans, ip)
+		if index != nil {
+			ip, err := o.cachePlan(q, set, index, nodes)
+			if err != nil {
+				return nil, err
 			}
+			plans = append(plans, ip)
 		}
 	}
 
@@ -239,27 +292,18 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 
 // pickIndex chooses the index this query's plans would use: a resident
 // matching candidate if one exists (cheapest to use), otherwise the first
-// candidate in template order (the one regret should accrue to). Reports
-// false when the template has no candidates.
-func (o *Optimizer) pickIndex(q *workload.Query, ca *cache.Cache) (structure.ID, bool) {
-	tpl := q.Template
-	if len(tpl.IndexCandidates) == 0 {
-		return "", false
+// candidate in template order (the one regret should accrue to). Returns
+// nil when the template has no candidates or indexes are not planned.
+func pickIndex(set *tplSet, ca *cache.Cache) *structure.Structure {
+	if len(set.cands) == 0 {
+		return nil
 	}
-	ids, ok := o.tplCandIDs[tpl]
-	if !ok {
-		ids = make([]structure.ID, len(tpl.IndexCandidates))
-		for i, def := range tpl.IndexCandidates {
-			ids[i] = structure.IndexID(def)
-		}
-		o.tplCandIDs[tpl] = ids
-	}
-	for _, id := range ids {
-		if ca.Has(id) {
-			return id, true
+	for _, st := range set.cands {
+		if ca.At(st.Slot) != nil {
+			return st
 		}
 	}
-	return ids[0], true
+	return set.cands[0]
 }
 
 // backendPlan prices Eq. 9 execution. It uses no cache structures.
@@ -277,65 +321,58 @@ func (o *Optimizer) backendPlan(q *workload.Query) (*plan.Plan, error) {
 	return p, nil
 }
 
-// cachePlan builds and prices one cache-resident plan variant.
-func (o *Optimizer) cachePlan(q *workload.Query, ca *cache.Cache, useIndex bool, idxID structure.ID, nodes int) (*plan.Plan, error) {
+// cachePlan assembles one cache-resident plan variant from the pieces
+// Enumerate priced for this query: the column set, the index (nil for a
+// plain scan) and the extra CPU nodes up to `nodes`.
+func (o *Optimizer) cachePlan(q *workload.Query, set *tplSet, index *structure.Structure, nodes int) (*plan.Plan, error) {
 	m := o.cfg.Model
-	out, err := m.CacheExec(q, useIndex, nodes)
+	out, err := m.CacheExec(q, index != nil, nodes)
 	if err != nil {
 		return nil, err
 	}
 	p := o.nextPlan()
 	p.Query = q
 	p.Location = plan.Cache
-	p.UsesIndex = useIndex
-	p.Index = idxID
 	p.Nodes = nodes
 	p.Outcome = out
 	p.ExecPrice = cost.Price(m.Schedule(), out.Usage)
 
-	// Column structures: all template columns must be resident.
-	cols, err := o.columnsFor(q.Template)
-	if err != nil {
-		return nil, err
+	p.Structures.Extend(set.cols...)
+	p.AmortPrice = o.cols.amort
+	p.MaintPrice = o.cols.maint
+	p.Missing = append(p.Missing, o.cols.missing...)
+	if index != nil {
+		p.UsesIndex = true
+		p.Index = index.ID
+		p.Structures.Extend(index)
+		p.AmortPrice = p.AmortPrice.Add(o.idx.amort)
+		p.MaintPrice = p.MaintPrice.Add(o.idx.maint)
+		p.Missing = append(p.Missing, o.idx.missing...)
 	}
-	for _, st := range cols {
-		o.addStructure(p, ca, st)
-	}
-
-	// The index structure.
-	if useIndex {
-		st, err := o.indexFor(q.Template, idxID)
-		if err != nil {
-			return nil, err
-		}
-		o.addStructure(p, ca, st)
-	}
-
-	// Extra CPU nodes.
-	for n := 2; n <= nodes; n++ {
-		o.addStructure(p, ca, o.cpuNodes[n-2])
-	}
-
-	// Price the missing structures' amortized build shares.
-	if err := o.priceMissing(p, ca); err != nil {
-		return nil, err
-	}
+	p.Structures.Extend(o.cpuNodes[:nodes-1]...)
+	p.AmortPrice = p.AmortPrice.Add(o.nodes.amort)
+	p.MaintPrice = p.MaintPrice.Add(o.nodes.maint)
+	p.Missing = append(p.Missing, o.nodes.missing...)
 	return p, nil
 }
 
-// addStructure registers a structure on the plan, accumulating amortization
-// and maintenance arrears for resident structures and recording missing
-// ones.
-func (o *Optimizer) addStructure(p *plan.Plan, ca *cache.Cache, st *structure.Structure) {
-	if !p.Structures.Add(st) {
-		return
+// price adds one structure to a piece: the amortized share and
+// maintenance arrears of a resident structure, or — for a missing one —
+// the amortized share of its build cost (Eq. 6–7 applied to prospective
+// inventory: the first of the n amortizing queries would pay Build/n).
+func (o *Optimizer) price(pc *piece, ca *cache.Cache, st *structure.Structure) error {
+	if e := ca.At(st.Slot); e != nil {
+		pc.amort = pc.amort.Add(cache.AmortShare(e, o.cfg.AmortN))
+		pc.maint = pc.maint.Add(o.maintDue(ca, e))
+		return nil
 	}
-	if e, ok := ca.Get(st.ID); ok {
-		p.AmortPrice = p.AmortPrice.Add(cache.AmortShare(e, o.cfg.AmortN))
-		p.MaintPrice = p.MaintPrice.Add(o.maintDue(ca, e))
-		return
+	price, _, err := o.BuildPrice(st, ca)
+	if err != nil {
+		return err
 	}
-	p.Missing = append(p.Missing, st.ID)
+	pc.amort = pc.amort.Add(price.DivInt(o.cfg.AmortN))
+	pc.missing = append(pc.missing, st)
+	return nil
 }
 
 // maintDue prices the maintenance arrears of a resident entry at the
@@ -346,31 +383,19 @@ func (o *Optimizer) maintDue(ca *cache.Cache, e *cache.Entry) money.Amount {
 	})
 }
 
-// priceMissing adds the amortized share of the build cost of each missing
-// structure (Eq. 6–7 applied to prospective inventory: the first of the n
-// amortizing queries would pay Build/n).
-func (o *Optimizer) priceMissing(p *plan.Plan, ca *cache.Cache) error {
-	for _, id := range p.Missing {
-		st, _ := p.Structures.Get(id)
-		price, _, err := o.BuildPrice(st, ca)
-		if err != nil {
-			return err
-		}
-		p.AmortPrice = p.AmortPrice.Add(price.DivInt(o.cfg.AmortN))
-	}
-	return nil
-}
-
 // BuildPrice returns the price and the build duration of constructing a
 // structure now, under the optimizer's model and the current cache state
 // (Eq. 10, 12, 14).
 func (o *Optimizer) BuildPrice(st *structure.Structure, ca *cache.Cache) (money.Amount, cost.Outcome, error) {
-	if o.priceCache != ca || o.priceEpoch != ca.Epoch() {
-		clear(o.priceMemo)
-		o.priceCache, o.priceEpoch = ca, ca.Epoch()
+	o.bind(ca)
+	slot := o.reg.SlotOf(st)
+	if int(slot) >= len(o.priceMemo) {
+		o.priceMemo = structure.Grow(o.priceMemo, o.reg)
 	}
-	if e, ok := o.priceMemo[st.ID]; ok {
-		return e.price, e.out, nil
+	memo := &o.priceMemo[slot]
+	stamp := ca.Epoch() + 1
+	if memo.stamp == stamp {
+		return memo.price, memo.out, nil
 	}
 	m := o.cfg.Model
 	var out cost.Outcome
@@ -382,7 +407,7 @@ func (o *Optimizer) BuildPrice(st *structure.Structure, ca *cache.Cache) (money.
 		out, err = m.BuildColumn(st.Column)
 	case structure.KindIndex:
 		out, err = m.BuildIndex(st.Index, func(ref catalog.ColumnRef) bool {
-			return ca.Has(o.columnID(ref))
+			return ca.At(o.reg.ColumnSlot(ref)) != nil
 		})
 	default:
 		err = fmt.Errorf("optimizer: unknown structure kind %v", st.Kind)
@@ -391,21 +416,8 @@ func (o *Optimizer) BuildPrice(st *structure.Structure, ca *cache.Cache) (money.
 		return 0, cost.Outcome{}, err
 	}
 	price := cost.Price(m.Schedule(), out.Usage)
-	if o.priceMemo == nil {
-		o.priceMemo = make(map[structure.ID]memoPrice)
-	}
-	o.priceMemo[st.ID] = memoPrice{price: price, out: out}
+	*memo = memoPrice{stamp: stamp, price: price, out: out}
 	return price, out, nil
-}
-
-// indexDefFor resolves the candidate IndexDef with the given structure ID.
-func (o *Optimizer) indexDefFor(tpl *workload.Template, id structure.ID) (catalog.IndexDef, bool) {
-	for _, def := range tpl.IndexCandidates {
-		if structure.IndexID(def) == id {
-			return def, true
-		}
-	}
-	return catalog.IndexDef{}, false
 }
 
 // Config returns the optimizer configuration.

@@ -208,15 +208,27 @@ func TestPickIndexPrefersResident(t *testing.T) {
 	ca.StartBuild(st, 0, 0)
 	ca.CompleteDue()
 
-	id, ok := o.pickIndex(q, ca)
-	if !ok || id != structure.IndexID(def) {
-		t.Errorf("pickIndex = %v, want resident %v", id, structure.IndexID(def))
+	// pickedIndex enumerates and returns the index the index plans probe.
+	pickedIndex := func(ca *cache.Cache) structure.ID {
+		t.Helper()
+		plans, err := o.Enumerate(q, ca)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range plans {
+			if p.UsesIndex {
+				return p.Index
+			}
+		}
+		t.Fatal("no index plan enumerated")
+		return ""
+	}
+	if id := pickedIndex(ca); id != structure.IndexID(def) {
+		t.Errorf("picked index = %v, want resident %v", id, structure.IndexID(def))
 	}
 	// Cold cache: first candidate.
-	cold := cache.New(0)
-	id, ok = o.pickIndex(q, cold)
-	if !ok || id != structure.IndexID(q.Template.IndexCandidates[0]) {
-		t.Errorf("cold pickIndex = %v", id)
+	if id := pickedIndex(cache.New(0)); id != structure.IndexID(q.Template.IndexCandidates[0]) {
+		t.Errorf("cold picked index = %v", id)
 	}
 }
 

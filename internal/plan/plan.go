@@ -69,10 +69,10 @@ type Plan struct {
 	// price: pricing arrears into selection would make an idle
 	// structure's plans ever more expensive, deadlocking it out of use.
 	MaintPrice money.Amount
-	// Missing lists structures the plan needs that are not yet built.
-	// A plan with len(Missing) > 0 belongs to PQpos — it cannot run
-	// today and is tracked only for regret (§IV-B).
-	Missing []structure.ID
+	// Missing lists the members of Structures that are not yet built,
+	// in Structures order. A plan with len(Missing) > 0 belongs to PQpos
+	// — it cannot run today and is tracked only for regret (§IV-B).
+	Missing []*structure.Structure
 }
 
 // Reset clears the plan for reuse, keeping the allocated capacity of its

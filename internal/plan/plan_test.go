@@ -32,7 +32,7 @@ func TestRunnable(t *testing.T) {
 	if !p.Runnable() {
 		t.Error("plan with no missing structures must be runnable")
 	}
-	p.Missing = []structure.ID{"col:x.y"}
+	p.Missing = []*structure.Structure{{ID: "col:x.y", Kind: structure.KindColumn}}
 	if p.Runnable() {
 		t.Error("plan with missing structures must not be runnable")
 	}
@@ -109,7 +109,7 @@ func TestCheapestAndFastest(t *testing.T) {
 func TestPartition(t *testing.T) {
 	a := mk(10, 100)
 	b := mk(20, 200)
-	b.Missing = []structure.ID{"cpu:2"}
+	b.Missing = []*structure.Structure{structure.CPUNode(2)}
 	c := mk(30, 300)
 	exist, possible := Partition([]*Plan{a, b, c})
 	if len(exist) != 2 || exist[0] != a || exist[1] != c {
@@ -131,7 +131,7 @@ func TestPlanString(t *testing.T) {
 	p.UsesIndex = true
 	p.Index = "idx_t(a)"
 	p.Nodes = 3
-	p.Missing = []structure.ID{"cpu:3"}
+	p.Missing = []*structure.Structure{structure.CPUNode(3)}
 	s := p.String()
 	for _, want := range []string{"idx_t(a)", "nodes=3", "missing=1"} {
 		if !contains(s, want) {

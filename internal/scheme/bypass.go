@@ -24,8 +24,23 @@ import (
 type Bypass struct {
 	model *cost.Model
 	ca    *cache.Cache
-	yield map[structure.ID]int64
+	reg   *structure.Registry // the cache's slot table
 	load  float64
+
+	// yield is the per-column byte-yield accumulator, indexed by the
+	// column structure's registry slot and grown on demand.
+	yield []yieldRow
+	// cols memoizes each template's column structures (registry-owned, one
+	// per template column reference), so the per-query path mints no ID
+	// strings.
+	cols map[*workload.Template][]*structure.Structure
+}
+
+// yieldRow is one column's accumulator; live marks columns that have
+// accrued yield since they were last loaded (a row may be live at zero).
+type yieldRow struct {
+	bytes int64
+	live  bool
 }
 
 // NewBypass builds the bypass baseline. The deciding schedule is forced to
@@ -52,11 +67,13 @@ func NewBypass(p Params) (*Bypass, error) {
 		return nil, err
 	}
 	capBytes := int64(float64(p.Catalog.TotalBytes()) * p.CacheFraction)
+	ca := cache.New(capBytes)
 	return &Bypass{
 		model: model,
-		ca:    cache.New(capBytes),
-		yield: make(map[structure.ID]int64),
+		ca:    ca,
+		reg:   ca.Registry(),
 		load:  p.LoadFactor,
+		cols:  make(map[*workload.Template][]*structure.Structure),
 	}, nil
 }
 
@@ -66,9 +83,11 @@ func (b *Bypass) Name() string { return "bypass" }
 // YieldSnapshot exports the per-column yield accumulators (the scheme's
 // only mutable state beyond the cache), for persistence.
 func (b *Bypass) YieldSnapshot() map[structure.ID]int64 {
-	out := make(map[structure.ID]int64, len(b.yield))
-	for id, y := range b.yield {
-		out[id] = y
+	out := make(map[structure.ID]int64)
+	for s, row := range b.yield {
+		if row.live {
+			out[b.reg.ID(structure.Slot(s))] = row.bytes
+		}
 	}
 	return out
 }
@@ -76,10 +95,37 @@ func (b *Bypass) YieldSnapshot() map[structure.ID]int64 {
 // RestoreYield replaces the yield accumulators with a previously
 // exported set.
 func (b *Bypass) RestoreYield(m map[structure.ID]int64) {
-	b.yield = make(map[structure.ID]int64, len(m))
+	clear(b.yield)
 	for id, y := range m {
-		b.yield[id] = y
+		*b.yieldRow(b.reg.Intern(id)) = yieldRow{bytes: y, live: true}
 	}
+}
+
+// yieldRow returns the slot's accumulator, growing the table to cover
+// every slot the registry has assigned.
+func (b *Bypass) yieldRow(s structure.Slot) *yieldRow {
+	if int(s) >= len(b.yield) {
+		b.yield = structure.Grow(b.yield, b.reg)
+	}
+	return &b.yield[s]
+}
+
+// columnsFor returns the memoized column structures of a template,
+// registering them on first sight.
+func (b *Bypass) columnsFor(tpl *workload.Template) ([]*structure.Structure, error) {
+	if cols, ok := b.cols[tpl]; ok {
+		return cols, nil
+	}
+	cols := make([]*structure.Structure, 0, len(tpl.Columns))
+	for _, ref := range tpl.Columns {
+		st, err := b.reg.Column(b.model.Catalog(), ref)
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, st)
+	}
+	b.cols[tpl] = cols
+	return cols, nil
 }
 
 // Cache implements Scheme.
@@ -90,24 +136,27 @@ func (b *Bypass) HandleQuery(q *workload.Query) (Result, error) {
 	if err := step(b.ca, q); err != nil {
 		return Result{}, err
 	}
+	cols, err := b.columnsFor(q.Template)
+	if err != nil {
+		return Result{}, err
+	}
 
-	// Identify missing columns.
-	var missing []structure.ID
-	for _, ref := range q.Template.Columns {
-		id := structure.ColumnID(ref)
-		if !b.ca.Has(id) {
-			missing = append(missing, id)
+	// Count the missing columns.
+	missing := 0
+	for _, st := range cols {
+		if b.ca.At(st.Slot) == nil {
+			missing++
 		}
 	}
 
-	if len(missing) == 0 {
+	if missing == 0 {
 		// Answer in the cache.
 		out, err := b.model.CacheExec(q, false, 1)
 		if err != nil {
 			return Result{}, err
 		}
-		for _, ref := range q.Template.Columns {
-			b.ca.Touch(structure.ColumnID(ref))
+		for _, st := range cols {
+			b.ca.TouchAt(st.Slot)
 		}
 		return Result{
 			ResponseTime: out.Time,
@@ -132,29 +181,22 @@ func (b *Bypass) HandleQuery(q *workload.Query) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	share := result / int64(len(missing))
-	for _, ref := range q.Template.Columns {
-		id := structure.ColumnID(ref)
-		if b.ca.Has(id) || b.ca.Building(id) {
+	share := result / int64(missing)
+	for _, st := range cols {
+		if b.ca.At(st.Slot) != nil || b.ca.BuildingAt(st.Slot) {
 			continue
 		}
-		b.yield[id] += share
-		colBytes, err := b.model.Catalog().ColumnBytes(ref)
-		if err != nil {
-			return Result{}, err
-		}
-		if float64(b.yield[id]) < b.load*float64(colBytes) {
+		row := b.yieldRow(st.Slot)
+		row.bytes += share
+		row.live = true
+		if float64(row.bytes) < b.load*float64(st.Bytes) {
 			continue
 		}
 		// Break-even reached: load the column if the cap allows.
-		if _, ok := b.ca.EnsureRoom(colBytes); !ok {
+		if _, ok := b.ca.EnsureRoom(st.Bytes); !ok {
 			continue
 		}
-		buildOut, err := b.model.BuildColumn(ref)
-		if err != nil {
-			return Result{}, err
-		}
-		st, err := structure.ColumnStructure(b.model.Catalog(), ref)
+		buildOut, err := b.model.BuildColumn(st.Column)
 		if err != nil {
 			return Result{}, err
 		}
@@ -164,7 +206,7 @@ func (b *Bypass) HandleQuery(q *workload.Query) (Result, error) {
 		}
 		res.BuildUsage.Add(buildOut.Usage)
 		res.Investments++
-		delete(b.yield, id)
+		*row = yieldRow{}
 	}
 	return res, nil
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -278,8 +278,17 @@ func TestMigrationUnderConcurrentLoad(t *testing.T) {
 		}
 	}
 
-	var hotDone atomic.Int64
-	var rejected atomic.Int64
+	// The gate that decides the outcome: the hot submitter parks after
+	// moveAt replies until the shard is frozen, so its next submission
+	// is rejected by construction, and the packet is installed only once
+	// that rejection has been seen. The other three submitters run
+	// unsynchronised throughout — the migration still races live load —
+	// but "some submitter observed ErrShardNotOwned mid-migration" no
+	// longer depends on who wins a sleep.
+	reached := make(chan struct{})   // hot submitter has moveAt replies
+	frozen := make(chan struct{})    // shard frozen on A; hot submitter may go on
+	sawReject := make(chan struct{}) // a submitter was told not-owned
+	var rejectOnce sync.Once
 	replies := make([][]server.Response, shards)
 	var wg sync.WaitGroup
 	for k := 0; k < shards; k++ {
@@ -289,6 +298,10 @@ func TestMigrationUnderConcurrentLoad(t *testing.T) {
 			ctx := context.Background()
 			owner := a
 			for n := 0; n < perShard; n++ {
+				if k == hot && n == moveAt {
+					close(reached)
+					<-frozen
+				}
 				req := reqFor(k, n)
 				for {
 					resp, err := owner.Submit(ctx, req)
@@ -301,36 +314,47 @@ func TestMigrationUnderConcurrentLoad(t *testing.T) {
 						return
 					}
 					// Re-route: the owner moved. Flip to the other backend
-					// and retry; if the packet is still in flight both
-					// sides reject, so back off briefly.
-					rejected.Add(1)
+					// and retry; while the packet is still in flight both
+					// sides reject, so yield and go round again.
+					rejectOnce.Do(func() { close(sawReject) })
 					if owner == a {
 						owner = b
 					} else {
 						owner = a
 					}
-					time.Sleep(200 * time.Microsecond)
-				}
-				if k == hot {
-					hotDone.Add(1)
+					runtime.Gosched()
 				}
 			}
 		}(k)
 	}
 
-	// The migration fires while all four submitters are running.
-	for hotDone.Load() < moveAt {
-		time.Sleep(100 * time.Microsecond)
+	// The migration fires while all four submitters are running. A
+	// submitter that bailed out on an unexpected error must fail the test
+	// rather than leave it parked on the gate.
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	await := func(ch <-chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-done:
+			t.Fatalf("submitters exited before %s", what)
+		}
 	}
+	await(reached, "the hot shard reached its migration point")
+	if err := a.FreezeShard(hot); err != nil {
+		t.Fatal(err)
+	}
+	close(frozen)
+	await(sawReject, "any of them saw ErrShardNotOwned; the migration did not race the load")
 	pkt := transferShard(t, a, hot)
 	if err := b.InstallShard(hot, pkt); err != nil {
 		t.Fatalf("install during load: %v", err)
 	}
-	wg.Wait()
-
-	if rejected.Load() == 0 {
-		t.Error("no submitter ever saw ErrShardNotOwned; the migration did not race the load")
-	}
+	<-done
 
 	// Sequential control: same per-shard streams, no migration.
 	ctl := migrationServer(t, economy.ProviderSelfish, server.NewVirtualClock(), shards)

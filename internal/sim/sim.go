@@ -234,15 +234,21 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		<-producerDone
 	}()
 
-	// Per-tenant attribution. The map cost per query is negligible next
-	// to plan enumeration and settlement.
+	// Per-tenant attribution. Consecutive queries mostly share a tenant
+	// (the paper's streams are untagged; tagged ones are Zipf-skewed), so
+	// the previous query's section is tried before the map.
 	tenantReps := make(map[string]*TenantReport)
+	var lastTenant *TenantReport
 	tenantOf := func(name string) *TenantReport {
+		if lastTenant != nil && lastTenant.Tenant == name {
+			return lastTenant
+		}
 		tr, ok := tenantReps[name]
 		if !ok {
 			tr = &TenantReport{Tenant: name}
 			tenantReps[name] = tr
 		}
+		lastTenant = tr
 		return tr
 	}
 

@@ -1,8 +1,13 @@
 // Package structure defines the physical cache structures the cloud can
 // invest in. §V-C fixes the inventory to three kinds: CPU nodes (N), table
 // columns (T) and indexes (I). Structures are identified by a stable string
-// ID so the economy can key its regret ledger (§IV-C) and the cache its
-// residency state by the same name.
+// ID — the name snapshots, events and views carry — and, inside one cache,
+// by the dense Slot its Registry assigns that ID: the cache's residency
+// state, the economy's regret ledgers (§IV-C) and the optimizer's price
+// memo are slices indexed by slot, so the per-query decision path hashes
+// no names. Slot numbers follow first-sight order and mean nothing outside
+// their registry; anything ordered or observable follows ID order (see
+// Registry).
 package structure
 
 import (
@@ -62,6 +67,11 @@ type Structure struct {
 	// Bytes is the disk footprint of the structure. CPU nodes occupy no
 	// disk; columns occupy size(T) (Eq. 13); indexes size(I) (Eq. 15).
 	Bytes int64
+
+	// Slot is the structure's index in the Registry that owns it; 0 for
+	// a free-standing structure. Only meaningful to that registry — use
+	// Registry.Find/SlotOf when the owner is not known.
+	Slot Slot
 }
 
 // CPUNode returns the structure describing the n-th CPU node (n ≥ 2).
@@ -112,7 +122,8 @@ func IndexID(def catalog.IndexDef) ID { return ID(def.Name()) }
 // CPUNodeID returns the canonical ID for the n-th CPU node.
 func CPUNodeID(n int) ID { return ID(fmt.Sprintf("cpu:%d", n)) }
 
-// KindOf parses the kind out of an ID without needing the Structure.
+// KindOf parses the kind out of an ID without needing the Structure —
+// for code that has only a name; the decision path reads Structure.Kind.
 func KindOf(id ID) Kind {
 	s := string(id)
 	switch {
@@ -159,6 +170,14 @@ func (s *Set) Add(st *Structure) bool {
 	}
 	s.items = append(s.items, st)
 	return true
+}
+
+// Extend appends structures without the duplicate scan. The caller
+// guarantees they are distinct from each other and from the set's
+// contents — the optimizer's per-template tables are deduplicated once,
+// so its per-plan sets need no string compares.
+func (s *Set) Extend(items ...*Structure) {
+	s.items = append(s.items, items...)
 }
 
 // Contains reports whether the ID is in the set.

@@ -143,3 +143,87 @@ func TestStructureString(t *testing.T) {
 		t.Error("empty String")
 	}
 }
+
+func TestRegistrySlotsAndIDOrder(t *testing.T) {
+	r := NewRegistry()
+	if r.Lookup("cpu:2") != 0 || r.Len() != 1 {
+		t.Fatal("fresh registry must know nothing and reserve slot 0")
+	}
+	// First-sight order is deliberately not ID order.
+	names := []ID{"idx_t(a)", "col:t.b", "cpu:3", "col:t.a", "zzz", "aaa"}
+	var live []Slot
+	for i, id := range names {
+		s := r.Intern(id)
+		if int(s) != i+1 || r.Intern(id) != s || r.Lookup(id) != s || r.ID(s) != id {
+			t.Fatalf("Intern(%s) = %d, want stable slot %d", id, s, i+1)
+		}
+		live = r.Insert(live, s)
+	}
+	var walked []ID
+	for _, s := range live {
+		walked = append(walked, r.ID(s))
+	}
+	want := []ID{"aaa", "col:t.a", "col:t.b", "cpu:3", "idx_t(a)", "zzz"}
+	if len(walked) != len(want) {
+		t.Fatalf("live list = %v", walked)
+	}
+	for i := range want {
+		if walked[i] != want[i] || r.ID(r.Ordered()[i]) != want[i] {
+			t.Fatalf("ID order: live %v, Ordered %v, want %v", walked, r.Ordered(), want)
+		}
+	}
+	live = r.Remove(live, r.Lookup("cpu:3"))
+	live = r.Remove(live, r.Lookup("aaa"))
+	if len(live) != 4 || r.ID(live[0]) != "col:t.a" || r.ID(live[3]) != "zzz" {
+		t.Errorf("after Remove: %v", live)
+	}
+}
+
+func TestRegistryOwnsCopies(t *testing.T) {
+	r, other := NewRegistry(), NewRegistry()
+	free := CPUNode(2)
+	own := r.Register(free)
+	if own == free || free.Slot != 0 {
+		t.Fatal("Register must copy, never adopt or modify, its argument")
+	}
+	if own.Slot == 0 || own.ID != free.ID || r.Structure(own.Slot) != own || r.Register(CPUNode(2)) != own {
+		t.Fatalf("canonical structure = %+v", own)
+	}
+	// Ownership is checked, not assumed: a free-standing structure and
+	// one owned by another registry resolve by name.
+	other.Intern("pad")
+	foreign := other.Register(CPUNode(2))
+	if foreign.Slot == own.Slot {
+		t.Fatal("test needs the two registries to disagree on the slot")
+	}
+	for _, st := range []*Structure{own, free, foreign} {
+		if r.Find(st) != own.Slot || r.SlotOf(st) != own.Slot {
+			t.Errorf("Find/SlotOf(%p) = %d/%d, want %d", st, r.Find(st), r.SlotOf(st), own.Slot)
+		}
+	}
+	unknown := CPUNode(9)
+	if r.Find(unknown) != 0 {
+		t.Error("Find must not register")
+	}
+	if s := r.SlotOf(unknown); s == 0 || r.Structure(s).NodeOrdinal != 9 {
+		t.Error("SlotOf must register an unknown structure")
+	}
+	// A slot interned by name holds no structure until one is registered.
+	s := r.Intern("col:lineitem.l_shipdate")
+	if r.Structure(s) != nil {
+		t.Error("interned name already has a structure")
+	}
+	c := testCatalog(t)
+	col, err := r.Column(c, catalog.Col("lineitem", "l_shipdate"))
+	if err != nil || col.Slot != s || r.ColumnSlot(col.Column) != s {
+		t.Errorf("Column = %+v, %v; want slot %d", col, err, s)
+	}
+	if again, _ := r.Column(c, col.Column); again != col {
+		t.Error("Column must return the registered structure")
+	}
+	def := catalog.IndexDef{Table: "lineitem", Columns: []string{"l_shipdate"}}
+	idx, err := r.Index(c, def)
+	if again, _ := r.Index(c, def); err != nil || again != idx || idx.Slot == 0 {
+		t.Errorf("Index = %+v, %v", idx, err)
+	}
+}
