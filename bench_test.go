@@ -130,18 +130,13 @@ func BenchmarkGridWorkers(b *testing.B) {
 
 // serverBenchCell is one row of the machine-readable perf trajectory.
 // Mode distinguishes the admission path: "inproc" submits single queries
-// in-process with the shard loops' group commit disabled (the historical
-// one-message-per-wakeup baseline), "microbatch" is the same singleton
-// Submit load with group commit on (the shard drains its whole mailbox
-// into one lock acquisition per wakeup), "batch" uses SubmitBatch, "http"
-// goes through the JSON API over a real socket, "bin" through the
-// length-prefixed binary protocol with one lockstep connection per
-// submitter, "lockstep" shares ONE v1 connection between all submitters
-// behind a mutex (one outstanding batch — the round-trip-bound baseline
-// the multiplexed protocol exists to beat), "pipelined" shares ONE
-// v2 MuxClient between all submitters with their batches tagged and in
-// flight concurrently, and "routed" is the same pipelined load through
-// a cloudrouter front: client -> router (fan-out by shard) -> backend,
+// in-process (singleton Submit against the production shard loop, which
+// drains its whole mailbox into one lock acquisition per wakeup),
+// "batch" uses SubmitBatch, "http" goes through the JSON API over a real
+// socket, "pipelined" shares ONE MuxClient between all submitters with
+// their batches tagged and in flight concurrently over the binary
+// protocol, and "routed" is the same pipelined load through a
+// cloudrouter front: client -> router (fan-out by shard) -> backend,
 // pricing the cluster tier's extra hop against "pipelined" direct.
 // AllocsPerQuery is normalized per query (not per benchmark op, which is
 // a whole batch in the batched modes) so cells compare across modes; the
@@ -196,16 +191,14 @@ type decideBenchCell struct {
 }
 
 // simRTT is the round-trip time simulated on the shared-socket protocol
-// rows ("lockstep" and "pipelined"): a conservative same-zone cloud
-// RTT. Loopback has essentially none, and without one the lockstep
-// protocol's deficiency is invisible — the blocked client donates its
-// core to the server, so one-outstanding-batch costs nothing. The delay
-// is injected on reply delivery only (requests travel instantly), which
-// is equivalent for both protocols, and the affected cells record it in
-// sim_rtt_ms so they are never mistaken for raw-loopback rows. The
-// nominal value is a floor: sleep granularity stretches the realized
-// RTT (to ~1.4 ms on the reference container), identically for both
-// modes, so the lockstep/pipelined ratio is unaffected.
+// rows ("pipelined" and "routed"): a conservative same-zone cloud RTT.
+// Loopback has essentially none, and without one a protocol's ability to
+// keep batches in flight is invisible — a blocked client donates its
+// core to the server, so waiting costs nothing. The delay is injected
+// on reply delivery only (requests travel instantly), and the affected
+// cells record it in sim_rtt_ms so they are never mistaken for
+// raw-loopback rows. The nominal value is a floor: sleep granularity
+// stretches the realized RTT (to ~1.4 ms on the reference container).
 const simRTT = 500 * time.Microsecond
 
 // latConn wraps a connection so inbound bytes become visible `delay`
@@ -371,10 +364,6 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 		Params:  DefaultParams(cat),
 		Clock:   NewWallClock(60),
 		Budgets: PaperBudgets(),
-		// "inproc" preserves the pre-group-commit baseline so the
-		// "microbatch" row isolates the server-side micro-batching gain
-		// on the identical singleton-Submit load.
-		DisableMicroBatch: mode == "inproc",
 		// Default rows run without a tracer so the trajectory stays
 		// comparable with the pre-observability baseline; the trace cells
 		// measure what installing one costs.
@@ -412,7 +401,7 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		baseURL = ts.URL
-	case "bin", "lockstep", "pipelined":
+	case "pipelined":
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
@@ -449,35 +438,23 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 		binAddr = routerLn.Addr().String()
 	}
 
-	// The shared-connection modes dial exactly once: "lockstep" is the
-	// one-outstanding-batch baseline (every submitter queues on the same
-	// mutex and waits its round trip out), "pipelined" multiplexes all
-	// submitters' tagged batches over the same socket concurrently.
-	var (
-		lockstepMu sync.Mutex
-		lockstepCl *wire.Client
-		muxCl      *wire.MuxClient
-	)
+	// The shared-connection modes dial exactly once and multiplex all
+	// submitters' tagged batches over that one socket.
+	var muxCl *wire.MuxClient
 	switch mode {
-	case "lockstep", "pipelined", "routed":
+	case "pipelined", "routed":
 		raw, err := net.Dial("tcp", binAddr)
 		if err != nil {
 			b.Fatal(err)
 		}
 		conn := newLatConn(raw, simRTT)
-		if mode == "lockstep" {
-			cl := wire.NewClient(conn)
-			defer cl.Close()
-			lockstepCl = cl
-		} else {
-			cl, err := wire.NewMuxClient(conn)
-			if err != nil {
-				conn.Close()
-				b.Fatal(err)
-			}
-			defer cl.Close()
-			muxCl = cl
+		cl, err := wire.NewMuxClient(conn)
+		if err != nil {
+			conn.Close()
+			b.Fatal(err)
 		}
+		defer cl.Close()
+		muxCl = cl
 	}
 
 	// benchQueryAt shapes query i identically for every mode — the
@@ -499,9 +476,9 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 	// shard's decision, a batch on its slowest shard group, a network
 	// client on its socket round trip), so oversubscribe the submitters
 	// to keep every shard loop busy — like a real daemon with more
-	// connections than cores. This includes "inproc": the micro-batching
-	// comparison only means something if queues actually form, and a
-	// single submitter per core never leaves more than one message in a
+	// connections than cores. This includes "inproc": the shard loops'
+	// group commit only engages if queues actually form, and a single
+	// submitter per core never leaves more than one message in a
 	// mailbox. "pipelined" goes much wider — its whole point is many
 	// batches in flight on one socket, and the submitter count is the
 	// in-flight window: wide enough that the simulated RTT stops being
@@ -554,10 +531,9 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 	// from its own slice of the tenant stream, so the warm-up scales
 	// with the shard count). The network fronts skip this — their
 	// measured loops run orders of magnitude more queries per
-	// connection cost, and the lockstep cell would spend seconds of
-	// simulated RTT warming up.
+	// connection cost.
 	switch mode {
-	case "inproc", "microbatch", "batch":
+	case "inproc", "batch":
 		ops := (shards*64 + batch - 1) / batch
 		var warm sync.WaitGroup
 		for w := 0; w < 8; w++ {
@@ -595,7 +571,7 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 	b.RunParallel(func(pb *testing.PB) {
 		ctx := context.Background()
 		switch mode {
-		case "inproc", "microbatch":
+		case "inproc":
 			for pb.Next() {
 				tenant, template := benchQueryAt(idx.Add(1))
 				t0 := time.Now()
@@ -643,60 +619,6 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 					return
 				}
 			}
-		case "bin":
-			cl, err := wire.Dial(binAddr)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			defer cl.Close()
-			qs := make([]wire.Query, batch)
-			for pb.Next() {
-				from := idx.Add(int64(batch)) - int64(batch)
-				for j := range qs {
-					tenant, template := benchQueryAt(from + int64(j))
-					qs[j] = wire.Query{Tenant: tenant, Template: template}
-				}
-				t0 := time.Now()
-				replies, err := cl.Submit(qs)
-				lat.record(time.Since(t0))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				for k := range replies {
-					if replies[k].Err != "" {
-						b.Errorf("reply error: %s", replies[k].Err)
-						return
-					}
-				}
-			}
-		case "lockstep":
-			for pb.Next() {
-				from := idx.Add(int64(batch)) - int64(batch)
-				lockstepMu.Lock()
-				qs := make([]wire.Query, batch)
-				for j := range qs {
-					tenant, template := benchQueryAt(from + int64(j))
-					qs[j] = wire.Query{Tenant: tenant, Template: template}
-				}
-				t0 := time.Now()
-				replies, err := lockstepCl.Submit(qs)
-				lat.record(time.Since(t0))
-				if err == nil {
-					for k := range replies {
-						if replies[k].Err != "" {
-							err = fmt.Errorf("reply error: %s", replies[k].Err)
-							break
-						}
-					}
-				}
-				lockstepMu.Unlock()
-				if err != nil {
-					b.Error(err)
-					return
-				}
-			}
 		case "pipelined", "routed":
 			qs := make([]wire.Query, batch)
 			for pb.Next() {
@@ -740,7 +662,7 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 	b.ReportMetric(wallP50.Seconds()*1e3, "wall-p50-ms")
 	b.ReportMetric(wallP99.Seconds()*1e3, "wall-p99-ms")
 	var rttMs float64
-	if mode == "lockstep" || mode == "pipelined" || mode == "routed" {
+	if mode == "pipelined" || mode == "routed" {
 		rttMs = simRTT.Seconds() * 1e3
 	}
 	cell := serverBenchCell{
@@ -779,7 +701,7 @@ func runServerThroughput(b *testing.B, out *serverBenchFile, mode string, shards
 // BenchmarkServerThroughput sweeps the serving layer's admission paths:
 // the in-process shard sweep (the engine's ceiling), batched admission,
 // and the two network fronts — JSON/HTTP (the PR 2 baseline) and the
-// length-prefixed binary protocol with connection reuse and batching.
+// length-prefixed binary protocol, direct and through a router.
 // Each run reports queries/s plus the economy's promised-response
 // percentiles. When the BENCH_JSON env var names a file, the sweep also
 // writes the machine-readable trajectory there (the `make bench` smoke
@@ -795,9 +717,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 			runServerThroughput(b, &out, "inproc", shards, 1, 0, "")
 		})
 	}
-	b.Run("mode=microbatch/shards=4", func(b *testing.B) {
-		runServerThroughput(b, &out, "microbatch", 4, 1, 0, "")
-	})
 	for _, batch := range []int{16, 64} {
 		b.Run(fmt.Sprintf("mode=batch/shards=4/batch=%d", batch), func(b *testing.B) {
 			runServerThroughput(b, &out, "batch", 4, batch, 0, "")
@@ -807,18 +726,6 @@ func BenchmarkServerThroughput(b *testing.B) {
 		runServerThroughput(b, &out, "http", 4, 1, 0, "")
 	})
 	for _, batch := range []int{1, 64} {
-		b.Run(fmt.Sprintf("mode=bin/shards=4/batch=%d", batch), func(b *testing.B) {
-			runServerThroughput(b, &out, "bin", 4, batch, 0, "")
-		})
-	}
-	// One shared connection, two protocols: the lockstep baseline pays a
-	// full round trip per batch; the multiplexed client keeps the socket
-	// and the shards busy with tagged batches in flight. The batch=1 pair
-	// is the pipelining headline — same load, same single socket.
-	for _, batch := range []int{1, 64} {
-		b.Run(fmt.Sprintf("mode=lockstep/shards=4/batch=%d", batch), func(b *testing.B) {
-			runServerThroughput(b, &out, "lockstep", 4, batch, 0, "")
-		})
 		// The cluster tier's overhead pair: the identical pipelined load
 		// direct vs through a cloudrouter front — scripts/checkbench
 		// gates routed against pipelined at 15%. Like the trace group

@@ -24,9 +24,10 @@
 // structures, clocks, counters) to <state-dir>/econ.snap, and the next
 // boot restores it — resuming the same credit, tenants and cache instead
 // of cold-starting. -checkpoint-interval adds periodic checkpoints so a
-// crash loses at most one interval; a wire-protocol snapshot frame (or
-// wire.Client.Snapshot) checkpoints on demand. A truncated or corrupt
-// snapshot fails restore cleanly: the daemon logs it and boots fresh.
+// crash loses at most one interval; the wire protocol's checkpoint
+// frame (wire.MuxClient.Checkpoint) checkpoints on demand. A truncated
+// or corrupt snapshot fails restore cleanly: the daemon logs it and
+// boots fresh.
 //
 // Observability:
 //
@@ -46,7 +47,7 @@
 //	            [-scheme econ-cheap] [-provider altruistic|selfish]
 //	            [-sf 0] [-speedup 1] [-tick 1s] [-seed 1] [-mailbox 256]
 //	            [-failure-floor USD] [-maint-failure-factor F]
-//	            [-no-microbatch] [-state-dir DIR] [-checkpoint-interval D]
+//	            [-state-dir DIR] [-checkpoint-interval D]
 //	            [-trace-sample N] [-trace-ring N] [-journal-ring N]
 //	            [-pprof] [-log-format text|json]
 package main
@@ -92,7 +93,6 @@ func main() {
 	providerName := flag.String("provider", "altruistic", "economy accounting: altruistic (pooled account per shard) or selfish (per-tenant ledgers)")
 	failureFloor := flag.Float64("failure-floor", 0, "minimum arrears (USD) before a used structure can fail; 0 keeps the default calibration")
 	maintFactor := flag.Float64("maint-failure-factor", 0, "rent-vs-value ratio that evicts a structure (footnote 3); 0 keeps the default calibration")
-	noMicroBatch := flag.Bool("no-microbatch", false, "disable the shard loops' mailbox group commit")
 	stateDir := flag.String("state-dir", "", "directory for durable economy state: restore <dir>/econ.snap on boot, write it on drain/checkpoint; empty disables persistence")
 	checkpointInterval := flag.Duration("checkpoint-interval", 0, "periodic state checkpoint cadence (0 disables; requires -state-dir)")
 	traceSample := flag.Int64("trace-sample", 0, "decision-trace sampling period: 0 off, 1 every query, N one in N (runtime cost is one atomic load per query while off)")
@@ -190,21 +190,20 @@ func main() {
 	}
 
 	srv, err := server.New(server.Config{
-		Shards:            *shards,
-		Scheme:            *schemeName,
-		Params:            params,
-		Clock:             clock,
-		Budgets:           experiments.PaperBudgetPolicy(),
-		TickEvery:         *tick,
-		Seed:              *seed,
-		MailboxDepth:      *mailbox,
-		DisableMicroBatch: *noMicroBatch,
-		SnapshotPath:      snapshotPath,
-		CheckpointEvery:   *checkpointInterval,
-		Restore:           restored,
-		TraceRing:         *traceRing,
-		TraceSampleEvery:  *traceSample,
-		JournalRing:       *journalRing,
+		Shards:           *shards,
+		Scheme:           *schemeName,
+		Params:           params,
+		Clock:            clock,
+		Budgets:          experiments.PaperBudgetPolicy(),
+		TickEvery:        *tick,
+		Seed:             *seed,
+		MailboxDepth:     *mailbox,
+		SnapshotPath:     snapshotPath,
+		CheckpointEvery:  *checkpointInterval,
+		Restore:          restored,
+		TraceRing:        *traceRing,
+		TraceSampleEvery: *traceSample,
+		JournalRing:      *journalRing,
 	})
 	if err != nil {
 		fail(err)

@@ -13,7 +13,7 @@
 //	workloadgen -serve http://localhost:8344 [-queries N] [-qps Q]
 //	            [-clients C] [-tenants T] [-batch B] [-check] ...
 //	workloadgen -serve localhost:8345 -proto bin -batch 64
-//	            -stats-url http://localhost:8344 [-check] ...
+//	            [-stats-url http://localhost:8344] [-check] ...
 //	workloadgen -serve localhost:8345 -proto bin -pipeline 32 [-check] ...
 //
 // With -adversary <strategy> a hostile tenant stream (internal/adversary:
@@ -26,20 +26,20 @@
 // across T synthetic tenants so the daemon exercises all its shards. With
 // -proto http, batches of B ride POST /v1/query (B=1) or /v1/batch; with
 // -proto bin they ride the length-prefixed binary protocol over C
-// persistent connections — lockstep (v1, one batch outstanding per
-// connection) by default, or multiplexed (v2) with -pipeline N, which
-// keeps N tagged batches in flight per connection and lets the daemon
-// complete them out of order. The client reports achieved QPS and
-// request-latency percentiles, then fetches /v1/stats; pipelined runs
-// skip the polling entirely and take the daemon's server-pushed stats
-// stream over the same protocol instead. With -check it exits non-zero
-// if the server's query-count delta over the run does not match the
-// client's acks or any shard's account went negative.
+// persistent multiplexed connections, each keeping -pipeline N tagged
+// batches in flight (default 1) that the daemon may complete out of
+// order. The client reports achieved QPS and request-latency
+// percentiles, then fetches the daemon's stats — GET /v1/stats when an
+// HTTP base is known, otherwise over the binary protocol itself, where
+// the run also holds a server-pushed stats stream open instead of
+// polling. With -check it exits non-zero if the server's query-count
+// delta over the run does not match the client's acks or any shard's
+// account went negative.
 //
 // With -dump-trace N the client also fetches up to N of the daemon's
 // sampled decision traces after the run — over GET /v1/trace on the
-// HTTP front, or the multiplexed protocol's trace frame on the binary
-// front — and prints them as JSON. The daemon must be sampling
+// HTTP front, or the binary protocol's trace frame on the binary front
+// — and prints them as JSON. The daemon must be sampling
 // (cloudcached -trace-sample) for records to exist.
 package main
 
@@ -83,7 +83,7 @@ func main() {
 	serve := flag.String("serve", "", "cloudcached address: an http://host:port base URL, or with -proto bin the binary listener's host:port; empty writes a CSV trace instead")
 	proto := flag.String("proto", "http", "serving protocol: http (JSON) or bin (length-prefixed wire frames)")
 	batch := flag.Int("batch", 1, "queries per submission batch in -serve mode")
-	pipeline := flag.Int("pipeline", 0, "with -proto bin: keep this many tagged batches in flight per connection over the multiplexed v2 protocol (0 = lockstep v1)")
+	pipeline := flag.Int("pipeline", 1, "with -proto bin: tagged batches kept in flight per connection")
 	qps := flag.Float64("qps", 0, "target request rate against -serve (0 = unthrottled)")
 	clients := flag.Int("clients", 8, "concurrent client connections in -serve mode")
 	tenants := flag.Int("tenants", 16, "synthetic tenants the stream is spread across in -serve mode")
@@ -353,57 +353,9 @@ func httpRequestOf(g genQuery) server.QueryRequest {
 	}
 }
 
-// runBinClient drains job batches over one persistent binary-protocol
-// connection.
-func runBinClient(addr string, jobs <-chan []genQuery, res *loadResult) {
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		// The whole connection failed: count everything this worker
-		// would have sent as failed so the totals still add up.
-		for batch := range jobs {
-			res.observe(0, 0, int64(len(batch)), 0)
-		}
-		return
-	}
-	defer cl.Close()
-	var qs []wire.Query
-	for batch := range jobs {
-		qs = qs[:0]
-		for _, g := range batch {
-			b := g.budget
-			qs = append(qs, wire.Query{
-				Tenant:         g.tenant,
-				Template:       g.template,
-				Selectivity:    g.selectivity,
-				HasSelectivity: true,
-				Budget:         &b,
-			})
-		}
-		t0 := time.Now()
-		replies, err := cl.Submit(qs)
-		lat := time.Since(t0)
-		if err != nil {
-			res.observe(0, 0, int64(len(batch)), 0)
-			continue
-		}
-		var ok, declined, failed int64
-		for i := range replies {
-			if replies[i].Err != "" {
-				failed++
-				continue
-			}
-			ok++
-			if replies[i].Resp.Declined {
-				declined++
-			}
-		}
-		res.observe(ok, declined, failed, lat)
-	}
-}
-
-// runMuxClient drains job batches over ONE multiplexed (protocol v2)
-// connection, with `window` submitter goroutines keeping that many
-// tagged batches in flight at once. The daemon completes them out of
+// runMuxClient drains job batches over ONE binary-protocol connection,
+// with `window` submitter goroutines keeping that many tagged batches in
+// flight at once. The daemon completes them out of
 // order as its shard groups finish; each submitter's latency clock only
 // covers its own batch.
 func runMuxClient(addr string, window int, jobs <-chan []genQuery, res *loadResult) {
@@ -500,11 +452,11 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 	default:
 		return fmt.Errorf("unknown protocol %q (want http or bin)", cfg.proto)
 	}
-	if cfg.pipeline < 0 {
-		cfg.pipeline = 0
+	if cfg.pipeline > 1 && cfg.proto != "bin" {
+		return fmt.Errorf("-pipeline needs -proto bin (pipelining rides the binary front)")
 	}
-	if cfg.pipeline > 0 && cfg.proto != "bin" {
-		return fmt.Errorf("-pipeline needs -proto bin (the multiplexed protocol rides the binary front)")
+	if cfg.pipeline < 1 {
+		cfg.pipeline = 1
 	}
 	if cfg.statsURL == "" && cfg.proto == "http" {
 		cfg.statsURL = cfg.base
@@ -512,46 +464,24 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 	httpClient := &http.Client{Timeout: 30 * time.Second}
 
 	// Stats come over HTTP when a stats URL is known; the binary front
-	// fetches them over the wire protocol's stats frame instead, so a
-	// bin-only replay needs no HTTP port at all.
+	// fetches them over its own protocol instead — one server-pushed
+	// snapshot per fetch — so a bin-only replay needs no HTTP port at all.
+	wireStats := cfg.proto == "bin" && cfg.statsURL == ""
 	fetch := func(st *server.Stats) error {
 		return fetchStats(httpClient, cfg.statsURL, st)
 	}
-	haveStats := cfg.statsURL != ""
-	if !haveStats && cfg.proto == "bin" {
-		haveStats = true
-		if cfg.pipeline > 0 {
-			// Pipelined runs never poll: each snapshot is a one-shot
-			// server-pushed stats frame on a v2 connection.
-			fetch = func(st *server.Stats) error {
-				cl, err := wire.DialMux(cfg.base)
-				if err != nil {
-					return err
-				}
-				defer cl.Close()
-				s, err := cl.Stats(context.Background())
-				if err != nil {
-					return err
-				}
-				*st = s
-				return nil
+	if wireStats {
+		fetch = func(st *server.Stats) error {
+			cl, err := wire.DialMux(cfg.base)
+			if err != nil {
+				return err
 			}
-		} else {
-			fetch = func(st *server.Stats) error {
-				cl, err := wire.Dial(cfg.base)
-				if err != nil {
-					return err
-				}
-				defer cl.Close()
-				s, err := cl.Stats()
-				if err != nil {
-					return err
-				}
-				*st = s
-				return nil
-			}
+			defer cl.Close()
+			*st, err = cl.Stats(context.Background())
+			return err
 		}
 	}
+	haveStats := cfg.statsURL != "" || wireStats
 	if !haveStats && cfg.check {
 		return fmt.Errorf("-check needs a stats source (-stats-url, or -proto bin/http)")
 	}
@@ -613,12 +543,13 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 		}
 	}()
 
-	// Pipelined runs also hold a live stats stream open for the duration:
-	// the daemon pushes a snapshot every second on its own initiative,
-	// replacing the poll loop an external dashboard would otherwise run.
+	// Runs that take their stats over the wire also hold a live stats
+	// stream open for the duration: the daemon pushes a snapshot every
+	// second on its own initiative, replacing the poll loop an external
+	// dashboard would otherwise run.
 	var statsPushes atomic.Int64
 	var statsStream *wire.MuxClient
-	if cfg.pipeline > 0 {
+	if wireStats {
 		if cl, err := wire.DialMux(cfg.base); err == nil {
 			if sub, err := cl.SubscribeStats(1.0); err == nil {
 				statsStream = cl
@@ -644,11 +575,7 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 			case "http":
 				runHTTPClient(httpClient, cfg.base, jobs, res)
 			case "bin":
-				if cfg.pipeline > 0 {
-					runMuxClient(cfg.base, cfg.pipeline, jobs, res)
-				} else {
-					runBinClient(cfg.base, jobs, res)
-				}
+				runMuxClient(cfg.base, cfg.pipeline, jobs, res)
 			}
 		}()
 	}
@@ -656,7 +583,7 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 	elapsed := time.Since(start)
 
 	protoName := cfg.proto
-	if cfg.pipeline > 0 {
+	if cfg.proto == "bin" {
 		protoName = fmt.Sprintf("bin-pipelined/%d", cfg.pipeline)
 	}
 	achieved := float64(res.ok+res.failed) / elapsed.Seconds()
@@ -759,8 +686,6 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 func dumpTraces(client *http.Client, cfg loadConfig) error {
 	var view server.TraceView
 	if cfg.proto == "bin" {
-		// The trace frame rides the multiplexed protocol; a lockstep run
-		// opens a v2 connection just for the dump (same listener).
 		cl, err := wire.DialMux(cfg.base)
 		if err != nil {
 			return err

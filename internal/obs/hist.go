@@ -74,8 +74,3 @@ func (h *Histogram) WritePrometheus(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s_sum%s %g\n", name, labels, float64(h.sum.Load())/1e9)
 	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.count.Load())
 }
-
-// sortSlice is a tiny typed wrapper over sort.Slice.
-func sortSlice[T any](s []T, less func(a, b T) bool) {
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-}

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -178,7 +180,7 @@ func (j *Journal) Snapshot(typ, tenant string, sinceSeq int64) []Event {
 		}
 	}
 	j.mu.Unlock()
-	sortSlice(out, func(a, b Event) bool { return a.Seq < b.Seq })
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 
@@ -190,7 +192,7 @@ func MergeEvents(n int, shards ...[]Event) []Event {
 	for _, s := range shards {
 		out = append(out, s...)
 	}
-	sortSlice(out, func(a, b Event) bool { return a.Seq < b.Seq })
+	slices.SortFunc(out, func(a, b Event) int { return cmp.Compare(a.Seq, b.Seq) })
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}

@@ -20,6 +20,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -61,10 +63,10 @@ type Record struct {
 	// Stage latencies, nanoseconds. Decode and encode are the front's
 	// per-query share of its frame work; wait is time spent queued in
 	// the shard mailbox; decide is the economy's serialized decision.
-	DecodeNanos  int64 `json:"decode_ns"`
-	WaitNanos    int64 `json:"mailbox_wait_ns"`
-	DecideNanos  int64 `json:"decide_ns"`
-	EncodeNanos  int64 `json:"encode_ns"`
+	DecodeNanos int64 `json:"decode_ns"`
+	WaitNanos   int64 `json:"mailbox_wait_ns"`
+	DecideNanos int64 `json:"decide_ns"`
+	EncodeNanos int64 `json:"encode_ns"`
 	// WallNanos orders records across shards: nanoseconds since the
 	// tracer was created, stamped at publish.
 	WallNanos int64 `json:"wall_ns"`
@@ -224,16 +226,12 @@ func (t *Tracer) Snapshot(tenant, template string, n int) []Record {
 // sortRecords orders records by wall publish time, breaking ties by
 // (shard, seq) so repeated snapshots of an idle tracer are stable.
 func sortRecords(recs []Record) {
-	// Insertion-adjacent sizes dominate (rings are small); use the
-	// standard sort for clarity.
-	sortSlice(recs, func(a, b Record) bool {
-		if a.WallNanos != b.WallNanos {
-			return a.WallNanos < b.WallNanos
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Seq < b.Seq
+	slices.SortFunc(recs, func(a, b Record) int {
+		return cmp.Or(
+			cmp.Compare(a.WallNanos, b.WallNanos),
+			cmp.Compare(a.Shard, b.Shard),
+			cmp.Compare(a.Seq, b.Seq),
+		)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -175,7 +176,7 @@ func normReplies(rs []wire.Reply) []byte {
 	for i := range c {
 		c[i].Resp.QueryID = 0
 	}
-	return wire.AppendReplyBatch(nil, c)
+	return wire.AppendTaggedReplyBatch(nil, 0, c)
 }
 
 // TestRouterBootstrap checks fresh-cluster conflict resolution: two
@@ -325,6 +326,30 @@ func TestRouterMigrationParity(t *testing.T) {
 	// listeners and backends).
 	if err := cl.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouterCheckpointRefusedByTag: a checkpoint asked of the router (a
+// per-backend operation it refuses) fails that call only — the front
+// connection, which may be another tier's control plane, keeps serving.
+func TestRouterCheckpointRefusedByTag(t *testing.T) {
+	const shards = 2
+	_, addrA, _ := newBackend(t, shards, nil)
+	_, front := newRouterFront(t, []string{addrA}, -1)
+	cl, err := wire.DialMux(front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	_, _, err = cl.Checkpoint(context.Background())
+	var terr *wire.TaggedError
+	if !errors.As(err, &terr) || !strings.Contains(terr.Msg, "per-backend") {
+		t.Fatalf("router checkpoint: err = %v, want a tag-scoped per-backend refusal", err)
+	}
+	replies, err := cl.Submit(context.Background(), batchFor(shardTenants(shards), 0, 0))
+	if err != nil || replies[0].Err != "" {
+		t.Fatalf("front connection unusable after the refusal: %+v, %v", replies, err)
 	}
 }
 

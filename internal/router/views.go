@@ -259,9 +259,10 @@ func (r *Router) EventsViewSince(since int64) (server.EventsView, int64) {
 }
 
 // Checkpoint is refused at the router: checkpoints are per-backend
-// durable state, and the v1 snapshot reply cannot be relayed through a
-// multiplexed backend connection. Drive each backend's own admin
-// endpoint instead.
+// durable state, each written to its own backend's state path. Send
+// the checkpoint frame to each backend's own listener instead. (The
+// refusal travels as a tag-scoped error: the front connection that
+// asked keeps serving.)
 func (r *Router) Checkpoint() (string, int64, error) {
 	return "", 0, errors.New("router: checkpoint is a per-backend operation; call the backend directly")
 }

@@ -119,15 +119,6 @@ type Config struct {
 	TickEvery time.Duration
 	// MailboxDepth bounds each shard's admission queue. Default 256.
 	MailboxDepth int
-	// DisableMicroBatch turns off the shard loops' group commit (one
-	// lock acquisition and clock read per mailbox drain) and restores
-	// the one-message-per-wakeup loop. A drained group shares one
-	// arrival stamp — the same same-instant semantics SubmitBatch gives
-	// a batch — so on a virtual clock decisions are identical either
-	// way; on a wall clock queued messages are stamped at drain time
-	// rather than with per-message clock reads. The knob exists so
-	// benchmarks can measure the gain.
-	DisableMicroBatch bool
 	// DecideDelay, when set, is called with the shard id at the start of
 	// every mailbox drain, before the shard takes its lock. A test hook:
 	// out-of-order completion tests install randomized per-shard sleeps
@@ -449,6 +440,12 @@ func ShardIndexFor(tenant, template string, shards int) int {
 // and returns it. Safe for arbitrary concurrency. After Shutdown begins
 // it returns ErrServerClosed; a query accepted before that is always
 // answered, even if Shutdown is already in progress.
+//
+// Submit is deliberately not a one-item SubmitBatchAsync: it sends the
+// request by value and waits on a pooled reply channel, so a query costs
+// no allocation, where a one-item batch would pay the carve buffers and
+// a completion closure. POST /v1/query (the http-mixed benchmark
+// workload) and the in-process bench cells ride this path.
 func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	sh := s.shards[s.ShardIndex(req)]
 
@@ -492,79 +489,35 @@ type BatchItem struct {
 	Err  error
 }
 
-// SubmitBatch submits many queries in one call: requests are grouped by
-// destination shard and each group travels the mailbox as a single
-// message, amortizing channel sends, lock acquisitions and reply
+// SubmitBatch submits many queries in one call and waits for all of them:
+// SubmitBatchAsync plus a wait, so a batch is carved, decided and answered
+// by exactly one path whether or not the caller blocks. Requests are
+// grouped by destination shard and each group travels the mailbox as a
+// single message, amortizing channel sends, lock acquisitions and reply
 // allocations across the group. Within a shard, requests are decided in
 // slice order with one shared arrival stamp, so results are
 // deterministic given the shard's prior state. The returned slice aligns
 // positionally with reqs; per-request failures land in BatchItem.Err
 // while the call-level error reports only whole-batch conditions
 // (ErrServerClosed, ctx cancellation). The graceful-drain guarantee of
-// Submit holds: an accepted batch is always fully answered.
+// Submit holds: an accepted batch is always fully answered. An empty
+// batch is a no-op.
 func (s *Server) SubmitBatch(ctx context.Context, reqs []Request) ([]BatchItem, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrServerClosed
+	done := make(chan []BatchItem, 1)
+	if err := s.SubmitBatchAsync(ctx, reqs, func(items []BatchItem) { done <- items }); err != nil {
+		return nil, err
 	}
-	s.submitWG.Add(1)
-	s.mu.Unlock()
-	defer s.submitWG.Done()
-
-	// Group request positions by shard, preserving submission order
-	// within each group. Groups are carved out of flat per-call buffers
-	// (requests, original positions, reply storage) so the whole call
-	// costs a fixed handful of allocations regardless of batch size —
-	// the shard loops fill the caller-owned reply storage in place.
-	reqBuf, posBuf, replyBuf, offs, counts := s.carveGroups(reqs)
-	active := 0
-	for _, c := range counts {
-		if c > 0 {
-			active++
-		}
+	// If ctx dies first the accepted groups are still decided and their
+	// buffered completion dropped — same semantics as an abandoned Submit.
+	select {
+	case items := <-done:
+		return items, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-
-	// Enqueue every group, then collect. Sends may block on a full
-	// mailbox, but the shard loops drain independently of this
-	// goroutine, so sequential sends cannot deadlock. If ctx dies
-	// after some sends, the already-accepted groups are still decided
-	// (and their buffered replies dropped) — same semantics as an
-	// abandoned Submit.
-	// One wait stamp covers the whole call; groups enqueue back to back.
-	// One buffered channel collects every group's completion: each group
-	// writes its replies into its own replyBuf sub-slice, so the channel
-	// only signals that the sub-slice is ready.
-	enq := s.nanos()
-	done := make(chan []shardReply, active)
-	for idx, c := range counts {
-		if c == 0 {
-			continue
-		}
-		grp := reqBuf[offs[idx] : offs[idx]+c]
-		buf := replyBuf[offs[idx] : offs[idx]+c]
-		select {
-		case s.shards[idx].mailbox <- shardMsg{batch: grp, batchReply: done, replyBuf: buf, enq: enq}:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	for i := 0; i < active; i++ {
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-
-	out := make([]BatchItem, len(reqs))
-	for j := range replyBuf {
-		out[posBuf[j]] = BatchItem{Resp: replyBuf[j].resp, Err: replyBuf[j].err}
-	}
-	return out, nil
 }
 
 // carveGroups partitions a batch by destination shard into flat buffers:
@@ -598,15 +551,14 @@ func (s *Server) carveGroups(reqs []Request) (reqBuf []Request, posBuf []int, re
 	return reqBuf, posBuf, replyBuf, offs, counts
 }
 
-// SubmitBatchAsync is SubmitBatch without the wait: requests are grouped
-// by destination shard and enqueued exactly like SubmitBatch — same
-// per-shard decision order, same same-instant arrival semantics, so a
-// batch's items are byte-identical to what the synchronous call would
-// have returned — but the call returns as soon as every group is
-// enqueued, and done is invoked exactly once with the positional items
-// when the last shard group finishes. This is what lets a pipelined
-// listener accept new frames while prior batches are still deciding:
-// batches complete out of order as their shard groups drain.
+// SubmitBatchAsync is the batch primitive: requests are grouped by
+// destination shard — submission order preserved within each group, one
+// shared arrival stamp per group — and enqueued one mailbox message per
+// group. The call returns as soon as every group is enqueued, and done
+// is invoked exactly once with the positional items when the last shard
+// group finishes. This is what lets a pipelined listener accept new
+// frames while prior batches are still deciding: batches complete out
+// of order as their shard groups drain.
 //
 // done runs on the shard goroutine that completed the batch's final
 // group, so it must be quick and must not call back into the server's
@@ -614,7 +566,7 @@ func (s *Server) carveGroups(reqs []Request) (reqBuf []Request, posBuf []int, re
 // goroutine. It may fire before SubmitBatchAsync returns. On a non-nil
 // error (ErrServerClosed, ctx cancellation mid-enqueue) done is never
 // invoked; groups already enqueued are still decided and their results
-// discarded, the same semantics as an abandoned SubmitBatch.
+// discarded.
 func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func([]BatchItem)) error {
 	if len(reqs) == 0 {
 		return fmt.Errorf("server: empty batch")
@@ -634,6 +586,10 @@ func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func
 	items := make([]BatchItem, len(reqs))
 	pending := new(atomic.Int32)
 
+	// Groups are carved out of flat per-call buffers (requests, original
+	// positions, reply storage) so the whole call costs a fixed handful of
+	// allocations regardless of batch size — the shard loops fill the
+	// caller-owned reply storage in place.
 	reqBuf, posBuf, replyBuf, offs, counts := s.carveGroups(reqs)
 	n := int32(0)
 	for _, c := range counts {
@@ -645,8 +601,10 @@ func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func
 	// later groups are still enqueueing cannot see a premature zero.
 	pending.Add(n)
 
+	// One wait stamp covers the whole call; groups enqueue back to back.
+	// Sends may block on a full mailbox, but the shard loops drain
+	// independently of this goroutine, so sequential sends cannot deadlock.
 	enq := s.nanos()
-
 	for idx, c := range counts {
 		if c == 0 {
 			continue

@@ -17,31 +17,24 @@ import (
 	"repro/internal/workload"
 )
 
-// shardMsg is one unit of mailbox work: a single query or a whole batch,
-// plus the matching reply channel. Reply channels are buffered (capacity
-// 1) so the shard loop never blocks on a caller that has already given
-// up. Batches keep the mailbox traffic proportional to submissions, not
-// queries: one send, one dequeue and one reply allocation cover the
-// entire slice.
+// shardMsg is one unit of mailbox work: a single query with its reply
+// channel, or one shard group of a batch with its completion callback.
+// Reply channels are buffered (capacity 1) so the shard loop never
+// blocks on a caller that has already given up. Batches keep the mailbox
+// traffic proportional to submissions, not queries: one send and one
+// dequeue cover the entire slice.
 type shardMsg struct {
 	// req/reply carry a single submission when batch is nil.
 	req   Request
 	reply chan shardReply
 
-	// batch/batchReply carry a batched submission. The slice is owned by
-	// the shard until the reply is sent.
-	batch      []Request
-	batchReply chan []shardReply
-
-	// replyBuf, when non-nil, is caller-owned storage for the batch's
-	// replies (len(batch) entries), so the shard loop fills it instead of
-	// allocating per drain. The caller must not read it until the reply
-	// channel delivers it (or batchDone runs).
-	replyBuf []shardReply
-
-	// batchDone, when non-nil, replaces batchReply for asynchronous
-	// batches (SubmitBatchAsync): the loop invokes it with the group's
-	// replies after releasing the shard lock, on the shard goroutine.
+	// batch carries one shard group of SubmitBatchAsync. The slice is
+	// owned by the shard until batchDone runs. replyBuf is caller-owned
+	// storage for the group's replies (len(batch) entries) that the loop
+	// fills in place; batchDone is invoked with it after the shard lock is
+	// released, on the shard goroutine.
+	batch     []Request
+	replyBuf  []shardReply
 	batchDone func([]shardReply)
 
 	// enq is the Server.nanos() stamp at enqueue, measuring mailbox wait
@@ -96,7 +89,7 @@ type shard struct {
 	storageGBSeconds float64
 	nodeSeconds      float64
 
-	// deferred is handleMsgs' scratch list of async completions to run
+	// deferred is handleMsgs' scratch list of batch completions to run
 	// after the lock drops; a field so its capacity survives drains.
 	deferred []deferredDone
 
@@ -173,10 +166,9 @@ func (s *shard) randFloat64() float64 {
 // handleMsgs call — group commit: under load, singleton Submits that
 // queued while the shard was busy share a single lock acquisition, clock
 // read and rent accrual instead of paying one each. Decisions stay in
-// strict dequeue order with one shared arrival stamp (SubmitBatch's
+// strict dequeue order with one shared arrival stamp (a batch's
 // same-instant semantics applied to the drain), so on a virtual clock
-// results are exactly those of the one-message-per-wakeup loop;
-// Config.DisableMicroBatch restores that loop for comparison.
+// results are exactly those of a one-message-per-wakeup loop.
 func (s *shard) loop() {
 	defer close(s.done)
 	var pending []shardMsg
@@ -191,7 +183,7 @@ func (s *shard) loop() {
 			// A closed mailbox ends the drain too; the outer receive
 			// observes the close on the next iteration and exits.
 			drained := false
-			for !drained && !s.srv.cfg.DisableMicroBatch {
+			for !drained {
 				select {
 				case m2, ok2 := <-s.mailbox:
 					if !ok2 {
@@ -214,7 +206,7 @@ func (s *shard) loop() {
 	}
 }
 
-// deferredDone is one async-batch completion held back until the shard
+// deferredDone is one batch completion held back until the shard
 // lock is released: the callback chains into SubmitBatchAsync's done,
 // which is caller code and must be free to read server state (snapshot
 // paths on OTHER shards, encode work) without holding this shard's mu.
@@ -226,10 +218,10 @@ type deferredDone struct {
 // handleMsgs decides a whole mailbox drain under one lock acquisition and
 // one clock read: every message in the group shares the arrival stamp, as
 // if its queries had been submitted back-to-back at the same instant.
-// Replies go out per message in order; the channels are buffered, so a
-// caller that gave up blocks nothing. Async completions (batchDone) are
-// invoked after the lock is dropped, still on this goroutine and still in
-// dequeue order.
+// Singleton replies go out per message in order; the channels are
+// buffered, so a caller that gave up blocks nothing. Batch completions
+// are invoked after the lock is dropped, still on this goroutine and
+// still in dequeue order.
 func (s *shard) handleMsgs(msgs []shardMsg) {
 	if delay := s.srv.cfg.DecideDelay; delay != nil {
 		delay(s.id)
@@ -249,56 +241,42 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 	s.deferred = s.deferred[:0]
 	for _, m := range msgs {
 		wait := drainNanos - m.enq
-		if m.batch != nil {
-			replies := m.replyBuf
-			if replies == nil {
-				replies = make([]shardReply, len(m.batch))
-			}
-			for i, req := range m.batch {
-				replies[i] = s.handleLocked(req, now, wait)
-			}
-			if m.batchDone != nil {
-				s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: replies})
-			} else {
-				m.batchReply <- replies
-			}
-		} else {
+		if m.batch == nil {
 			m.reply <- s.handleLocked(m.req, now, wait)
+			continue
 		}
+		for i, req := range m.batch {
+			m.replyBuf[i] = s.handleLocked(req, now, wait)
+		}
+		s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: m.replyBuf})
 	}
-	s.mu.Unlock()
-	for i := range s.deferred {
-		s.deferred[i].fn(s.deferred[i].replies)
-		s.deferred[i] = deferredDone{}
-	}
+	s.unlockAndComplete()
 }
 
 // rejectLocked answers a whole mailbox drain with ErrShardNotOwned
 // without deciding anything or touching shard state — no clock read, no
 // accrual, no counters — so a frozen shard's captured state is exactly
 // its state at the last real decision. Called with s.mu held; releases
-// it. Async completions still run after the lock drops, in order.
+// it. Batch completions still run after the lock drops, in order.
 func (s *shard) rejectLocked(msgs []shardMsg) {
 	err := fmt.Errorf("%w (shard %d)", ErrShardNotOwned, s.id)
 	s.deferred = s.deferred[:0]
 	for _, m := range msgs {
-		if m.batch != nil {
-			replies := m.replyBuf
-			if replies == nil {
-				replies = make([]shardReply, len(m.batch))
-			}
-			for i := range replies {
-				replies[i] = shardReply{err: err}
-			}
-			if m.batchDone != nil {
-				s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: replies})
-			} else {
-				m.batchReply <- replies
-			}
-		} else {
+		if m.batch == nil {
 			m.reply <- shardReply{err: err}
+			continue
 		}
+		for i := range m.replyBuf {
+			m.replyBuf[i] = shardReply{err: err}
+		}
+		s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: m.replyBuf})
 	}
+	s.unlockAndComplete()
+}
+
+// unlockAndComplete releases s.mu and then runs the drain's held-back
+// batch completions, in dequeue order.
+func (s *shard) unlockAndComplete() {
 	s.mu.Unlock()
 	for i := range s.deferred {
 		s.deferred[i].fn(s.deferred[i].replies)

@@ -3,35 +3,40 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
-// Shard checkpoint-transfer frames (v2 only, all tagged): the admin
-// surface a router drives a live migration with. The sequence mirrors
-// the server API — freeze stops a shard deciding, extract moves its
-// state out as an opaque persist-encoded packet, install adopts the
+// Admin frames (all tagged): the surface a router drives a live
+// migration with, plus the on-demand checkpoint. The migration sequence
+// mirrors the server API — freeze stops a shard deciding, extract moves
+// its state out as an opaque persist-encoded packet, install adopts the
 // packet on the destination — and every step answers either its reply
-// frame or a tag-scoped error, so a failed migration never kills the
+// frame or a tag-scoped error, so a refused admin call never kills the
 // connection carrying it.
 //
-//	payload admin := msgShardFreeze   | uvarint tag | uvarint shard
-//	              | msgShardExtract   | uvarint tag | uvarint shard
-//	              | msgShardState     | uvarint tag | uvarint shard | packet bytes
-//	              | msgShardInstall   | uvarint tag | uvarint shard | packet bytes
-//	              | msgShardAck       | uvarint tag | uvarint shard
-//	              | msgOwnersRequest  | uvarint tag
-//	              | msgOwnersReply    | uvarint tag | uvarint n | n × bool
+//	payload admin := msgShardFreeze       | uvarint tag | uvarint shard
+//	              | msgShardExtract      | uvarint tag | uvarint shard
+//	              | msgShardState        | uvarint tag | uvarint shard | packet bytes
+//	              | msgShardInstall      | uvarint tag | uvarint shard | packet bytes
+//	              | msgShardAck          | uvarint tag | uvarint shard
+//	              | msgOwnersRequest     | uvarint tag
+//	              | msgOwnersReply       | uvarint tag | uvarint n | n × bool
+//	              | msgCheckpointRequest | uvarint tag
+//	              | msgCheckpointReply   | uvarint tag | string path | uvarint bytes
 //
 // The packet bytes are the persist.ShardPacket encoding, carried
 // verbatim: self-framing, CRC-guarded, and relayable without decoding.
 // MaxFrame bounds a migratable shard's encoded size.
 const (
-	msgShardFreeze   byte = 21
-	msgShardExtract  byte = 22
-	msgShardState    byte = 23
-	msgShardInstall  byte = 24
-	msgShardAck      byte = 25
-	msgOwnersRequest byte = 26
-	msgOwnersReply   byte = 27
+	msgShardFreeze       byte = 21
+	msgShardExtract      byte = 22
+	msgShardState        byte = 23
+	msgShardInstall      byte = 24
+	msgShardAck          byte = 25
+	msgOwnersRequest     byte = 26
+	msgOwnersReply       byte = 27
+	msgCheckpointRequest byte = 28
+	msgCheckpointReply   byte = 29
 )
 
 // maxOwners bounds an owners reply's shard count: far above any sane
@@ -40,34 +45,32 @@ const maxOwners = 1 << 16
 
 // appendTagShard is the shared body of the fixed tag+shard frames.
 func appendTagShard(b []byte, typ byte, tag uint64, shard int) []byte {
-	b = append(b, typ)
-	b = binary.AppendUvarint(b, tag)
-	return binary.AppendUvarint(b, uint64(shard))
+	return binary.AppendUvarint(appendTag(b, typ, tag), uint64(shard))
 }
 
-// consumeTagShard parses a tag+shard body and requires exhaustion.
-func consumeTagShard(payload []byte, typ byte, name string) (tag uint64, shard int, err error) {
-	mt, rest, err := consumeByte(payload)
+// consumeTagShard parses a tag+shard head, leaving the rest of the body.
+func consumeTagShard(payload []byte, typ byte) (tag uint64, shard int, rest []byte, err error) {
+	tag, rest, err = consumeTag(payload, typ)
 	if err != nil {
-		return 0, 0, err
-	}
-	if mt != typ {
-		return 0, 0, fmt.Errorf("wire: expected %s, got message type %d", name, mt)
-	}
-	if tag, rest, err = consumeUvarint(rest); err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	u, rest, err := consumeUvarint(rest)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, nil, err
 	}
 	if u > maxOwners {
-		return 0, 0, fmt.Errorf("wire: shard index %d out of range", u)
+		return 0, 0, nil, fmt.Errorf("wire: shard index %d out of range", u)
 	}
-	if len(rest) != 0 {
-		return 0, 0, fmt.Errorf("wire: %d trailing bytes after %s", len(rest), name)
+	return tag, int(u), rest, nil
+}
+
+// decodeTagShard parses a frame that is exactly tag+shard.
+func decodeTagShard(payload []byte, typ byte) (tag uint64, shard int, err error) {
+	tag, shard, rest, err := consumeTagShard(payload, typ)
+	if err != nil {
+		return 0, 0, err
 	}
-	return tag, int(u), nil
+	return tag, shard, expectEnd(rest, typ)
 }
 
 // AppendShardFreeze appends a freeze request: stop the shard deciding
@@ -80,7 +83,7 @@ func AppendShardFreeze(b []byte, tag uint64, shard int) []byte {
 
 // DecodeShardFreeze parses a freeze request (msg byte included).
 func DecodeShardFreeze(payload []byte) (tag uint64, shard int, err error) {
-	return consumeTagShard(payload, msgShardFreeze, "shard freeze")
+	return decodeTagShard(payload, msgShardFreeze)
 }
 
 // AppendShardExtract appends an extract request: freeze the shard and
@@ -92,7 +95,7 @@ func AppendShardExtract(b []byte, tag uint64, shard int) []byte {
 
 // DecodeShardExtract parses an extract request (msg byte included).
 func DecodeShardExtract(payload []byte) (tag uint64, shard int, err error) {
-	return consumeTagShard(payload, msgShardExtract, "shard extract")
+	return decodeTagShard(payload, msgShardExtract)
 }
 
 // AppendShardAck appends the success reply to a freeze or install.
@@ -102,43 +105,27 @@ func AppendShardAck(b []byte, tag uint64, shard int) []byte {
 
 // DecodeShardAck parses an ack (msg byte included).
 func DecodeShardAck(payload []byte) (tag uint64, shard int, err error) {
-	return consumeTagShard(payload, msgShardAck, "shard ack")
+	return decodeTagShard(payload, msgShardAck)
 }
 
 // appendShardPacketFrame is the shared body of the two packet-bearing
 // frames (state reply and install request).
 func appendShardPacketFrame(b []byte, typ byte, tag uint64, shard int, packet []byte) []byte {
-	b = append(b, typ)
-	b = binary.AppendUvarint(b, tag)
-	b = binary.AppendUvarint(b, uint64(shard))
-	return append(b, packet...)
+	return append(appendTagShard(b, typ, tag, shard), packet...)
 }
 
-// consumeShardPacketFrame parses a packet-bearing body. The packet is
+// decodeShardPacketFrame parses a packet-bearing frame. The packet is
 // the payload's remainder, copied out so the caller owns it after the
 // read buffer is reused; its own header and CRCs validate the contents.
-func consumeShardPacketFrame(payload []byte, typ byte, name string) (tag uint64, shard int, packet []byte, err error) {
-	mt, rest, err := consumeByte(payload)
+func decodeShardPacketFrame(payload []byte, typ byte) (tag uint64, shard int, packet []byte, err error) {
+	tag, shard, rest, err := consumeTagShard(payload, typ)
 	if err != nil {
 		return 0, 0, nil, err
-	}
-	if mt != typ {
-		return 0, 0, nil, fmt.Errorf("wire: expected %s, got message type %d", name, mt)
-	}
-	if tag, rest, err = consumeUvarint(rest); err != nil {
-		return 0, 0, nil, err
-	}
-	u, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if u > maxOwners {
-		return 0, 0, nil, fmt.Errorf("wire: shard index %d out of range", u)
 	}
 	if len(rest) == 0 {
-		return 0, 0, nil, fmt.Errorf("wire: %s carries no packet", name)
+		return 0, 0, nil, fmt.Errorf("wire: %s carries no packet", msgNames[typ])
 	}
-	return tag, int(u), append([]byte(nil), rest...), nil
+	return tag, shard, append([]byte(nil), rest...), nil
 }
 
 // AppendShardState appends the extract reply: the shard's state as an
@@ -150,7 +137,7 @@ func AppendShardState(b []byte, tag uint64, shard int, packet []byte) []byte {
 // DecodeShardState parses an extract reply (msg byte included). The
 // returned packet is a fresh copy.
 func DecodeShardState(payload []byte) (tag uint64, shard int, packet []byte, err error) {
-	return consumeShardPacketFrame(payload, msgShardState, "shard state")
+	return decodeShardPacketFrame(payload, msgShardState)
 }
 
 // AppendShardInstall appends an install request: adopt the packet into
@@ -162,42 +149,25 @@ func AppendShardInstall(b []byte, tag uint64, shard int, packet []byte) []byte {
 // DecodeShardInstall parses an install request (msg byte included). The
 // returned packet is a fresh copy.
 func DecodeShardInstall(payload []byte) (tag uint64, shard int, packet []byte, err error) {
-	return consumeShardPacketFrame(payload, msgShardInstall, "shard install")
+	return decodeShardPacketFrame(payload, msgShardInstall)
 }
 
 // AppendOwnersRequest appends an ownership query: which of the engine's
 // shard slots decide traffic here? A router bootstraps its routing map
 // from the answers.
 func AppendOwnersRequest(b []byte, tag uint64) []byte {
-	b = append(b, msgOwnersRequest)
-	return binary.AppendUvarint(b, tag)
+	return appendTag(b, msgOwnersRequest, tag)
 }
 
 // DecodeOwnersRequest parses an ownership query (msg byte included).
 func DecodeOwnersRequest(payload []byte) (uint64, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, err
-	}
-	if typ != msgOwnersRequest {
-		return 0, fmt.Errorf("wire: expected owners request, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, err
-	}
-	if len(rest) != 0 {
-		return 0, fmt.Errorf("wire: %d trailing bytes after owners request", len(rest))
-	}
-	return tag, nil
+	return decodeTagOnly(payload, msgOwnersRequest)
 }
 
 // AppendOwnersReply appends the ownership answer: one bool per shard
 // slot, true where this engine decides.
 func AppendOwnersReply(b []byte, tag uint64, owned []bool) []byte {
-	b = append(b, msgOwnersReply)
-	b = binary.AppendUvarint(b, tag)
-	b = binary.AppendUvarint(b, uint64(len(owned)))
+	b = binary.AppendUvarint(appendTag(b, msgOwnersReply, tag), uint64(len(owned)))
 	for _, o := range owned {
 		b = appendBool(b, o)
 	}
@@ -206,14 +176,8 @@ func AppendOwnersReply(b []byte, tag uint64, owned []bool) []byte {
 
 // DecodeOwnersReply parses an ownership answer (msg byte included).
 func DecodeOwnersReply(payload []byte) (tag uint64, owned []bool, err error) {
-	typ, rest, err := consumeByte(payload)
+	tag, rest, err := consumeTag(payload, msgOwnersReply)
 	if err != nil {
-		return 0, nil, err
-	}
-	if typ != msgOwnersReply {
-		return 0, nil, fmt.Errorf("wire: expected owners reply, got message type %d", typ)
-	}
-	if tag, rest, err = consumeUvarint(rest); err != nil {
 		return 0, nil, err
 	}
 	n, rest, err := consumeUvarint(rest)
@@ -234,8 +198,45 @@ func DecodeOwnersReply(payload []byte) (tag uint64, owned []bool, err error) {
 		}
 		owned[i] = b != 0
 	}
-	if len(rest) != 0 {
-		return 0, nil, fmt.Errorf("wire: %d trailing bytes after owners reply", len(rest))
+	return tag, owned, expectEnd(rest, msgOwnersReply)
+}
+
+// AppendCheckpointRequest appends an on-demand checkpoint request: the
+// engine persists its economy state to its configured state path now.
+// The reply is a msgCheckpointReply, or a tagged error from an engine
+// with no state path (or a disk that refused the write).
+func AppendCheckpointRequest(b []byte, tag uint64) []byte {
+	return appendTag(b, msgCheckpointRequest, tag)
+}
+
+// DecodeCheckpointRequest parses a checkpoint request (msg byte
+// included).
+func DecodeCheckpointRequest(payload []byte) (uint64, error) {
+	return decodeTagOnly(payload, msgCheckpointRequest)
+}
+
+// AppendCheckpointReply appends the checkpoint answer: where the
+// snapshot landed and how many bytes it encoded to.
+func AppendCheckpointReply(b []byte, tag uint64, path string, size int64) []byte {
+	b = appendString(appendTag(b, msgCheckpointReply, tag), path)
+	return binary.AppendUvarint(b, uint64(size))
+}
+
+// DecodeCheckpointReply parses a checkpoint answer (msg byte included).
+func DecodeCheckpointReply(payload []byte) (tag uint64, path string, size int64, err error) {
+	tag, rest, err := consumeTag(payload, msgCheckpointReply)
+	if err != nil {
+		return 0, "", 0, err
 	}
-	return tag, owned, nil
+	if path, rest, err = consumeString(rest); err != nil {
+		return 0, "", 0, err
+	}
+	u, rest, err := consumeUvarint(rest)
+	if err != nil {
+		return 0, "", 0, err
+	}
+	if u > math.MaxInt64 {
+		return 0, "", 0, fmt.Errorf("wire: checkpoint size %d out of range", u)
+	}
+	return tag, path, int64(u), expectEnd(rest, msgCheckpointReply)
 }

@@ -23,7 +23,8 @@ import (
 type Engine interface {
 	// SubmitBatch decides a batch and returns positional replies.
 	// Per-item failures ride Reply.Err; a returned error fails the whole
-	// batch (and in v1 the connection).
+	// batch. The protocol loop itself only ever submits asynchronously;
+	// this is the form in-process callers (HTTP handlers, replays) use.
 	SubmitBatch(ctx context.Context, qs []Query, decodeNanos int64) ([]Reply, error)
 	// SubmitBatchAsync hands a batch to the engine and returns without
 	// waiting; done fires exactly once with the positional replies. An
@@ -35,8 +36,8 @@ type Engine interface {
 	EventsViewSnapshot(typ, tenant string, n int) server.EventsView
 	EventsViewSince(since int64) (server.EventsView, int64)
 
-	// Checkpoint persists the engine's durable state now (the v1 admin
-	// frame); engines without a state path answer an error.
+	// Checkpoint persists the engine's durable state now (the checkpoint
+	// admin frame); engines without a state path answer an error.
 	Checkpoint() (path string, size int64, err error)
 
 	// Shard migration admin. Packets travel as opaque persist-encoded
@@ -57,9 +58,8 @@ type Engine interface {
 
 // ServerEngine adapts the in-process server to the Engine surface the
 // protocol loops serve. Materializing wire queries into engine requests
-// (budget closures included) happens here, so every front — lockstep,
-// multiplexed, routed — shares one conversion with identical error
-// wording.
+// (budget closures included) happens here, so every front — direct or
+// routed — shares one conversion with identical error wording.
 func ServerEngine(srv *server.Server) Engine { return &serverEngine{srv: srv} }
 
 type serverEngine struct {

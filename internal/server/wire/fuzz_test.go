@@ -2,10 +2,21 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/server"
 )
+
+// unhex decodes a captured frame.
+func unhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
 // fuzzSeeds returns valid payloads for every frame type, so the fuzzer
 // starts from deep inside the grammar instead of rediscovering it.
@@ -15,19 +26,6 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		{Tenant: "alice", Template: "Q6", Selectivity: sel, HasSelectivity: true},
 		{Template: "Q1", Budget: &server.BudgetJSON{Shape: "linear", PriceUSD: 0.01, TmaxSec: 60, K: 2}},
 		{Tenant: "bob", Template: "Q3"},
-	}
-	qb, err := AppendQueryBatch(nil, queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb := AppendReplyBatch(nil, []Reply{
-		{Resp: server.Response{QueryID: 7, Shard: 2, Template: "Q6", Selectivity: sel,
-			ArrivalSec: 1.5, Location: "cache", ResponseTimeSec: 0.25, ChargedUSD: 0.002}},
-		{Err: "unknown template \"Q99\""},
-	})
-	st, err := AppendStats(nil, server.Stats{Scheme: "econ-cheap", Shards: 4, Queries: 10})
-	if err != nil {
-		t.Fatal(err)
 	}
 	tqb, err := AppendTaggedQueryBatch(nil, 42, queries)
 	if err != nil {
@@ -50,14 +48,17 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	return [][]byte{
-		qb,
-		rb,
-		st,
-		AppendStatsRequest(nil),
-		AppendSnapshotRequest(nil),
-		AppendSnapshotReply(nil, "/tmp/state/econ.snap", 123456),
+		// Frames of the retired lockstep generation (message types 1, 2,
+		// 4–7), as its encoders last wrote them: what a legacy client
+		// still sends. No decoder may accept one, let alone choke on it.
+		unhex(t, "010305616c69636502513601613255302aa9833f0002513102017b14ae47e17a843f0000000000004e40000000000000004003626f6202513300"),
+		unhex(t, "0202000e02025136613255302aa9833f000000000000f83f00056361636865000000000000d03ffca9f1d24d62603f000000000000000000000116756e6b6e6f776e2074656d706c617465202251393922"),
+		append([]byte{5}, sp[2:]...), // stats reply: type byte, then the JSON
+		{4},                          // stats request
+		{6},                          // snapshot request
+		unhex(t, "07142f746d702f73746174652f65636f6e2e736e6170c0c407"),
 		appendErrorPayload(nil, "server: closed"),
-		// Protocol v2: tagged frames and the stats stream.
+		// Hello, tagged batches and the stats stream.
 		AppendHello(nil, ProtocolV2),
 		tqb,
 		trb,
@@ -82,6 +83,8 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		AppendShardAck(nil, 8, 3),
 		AppendOwnersRequest(nil, 9),
 		AppendOwnersReply(nil, 9, []bool{true, false, true, true}),
+		AppendCheckpointRequest(nil, 10),
+		AppendCheckpointReply(nil, 10, "/tmp/state/econ.snap", 123456),
 	}
 }
 
@@ -101,35 +104,8 @@ func FuzzWireDecode(f *testing.F) {
 		// Round trips are compared as re-encoded BYTES, not values:
 		// arbitrary inputs can carry NaN floats, which decode fine but
 		// never compare equal to themselves.
-		if qs, err := DecodeQueryBatch(data, nil); err == nil {
-			enc, err := AppendQueryBatch(nil, qs)
-			if err == nil {
-				qs2, err := DecodeQueryBatch(enc, nil)
-				if err != nil {
-					t.Fatalf("re-decode of re-encoded query batch failed: %v", err)
-				}
-				enc2, err := AppendQueryBatch(nil, qs2)
-				if err != nil || !bytes.Equal(enc, enc2) {
-					t.Fatalf("query batch round trip diverged (%v):\n%x\n%x", err, enc, enc2)
-				}
-			}
-		}
-		if rs, err := DecodeReplyBatch(data, nil); err == nil && len(rs) != 0 {
-			enc := AppendReplyBatch(nil, rs)
-			rs2, err := DecodeReplyBatch(enc, nil)
-			if err != nil {
-				t.Fatalf("re-decode of re-encoded reply batch failed: %v", err)
-			}
-			if enc2 := AppendReplyBatch(nil, rs2); !bytes.Equal(enc, enc2) {
-				t.Fatalf("reply batch round trip diverged:\n%x\n%x", enc, enc2)
-			}
-		}
-		_, _ = DecodeStats(data)
-		_, _, _ = DecodeSnapshotReply(data)
-
-		// Protocol v2 decoders: same never-panic, byte-stable-round-trip
-		// contract as the v1 set.
 		_, _ = DecodeHello(data)
+		_, _ = DecodeError(data)
 		if tag, qs, err := DecodeTaggedQueryBatch(data, nil); err == nil {
 			enc, err := AppendTaggedQueryBatch(nil, tag, qs)
 			if err == nil {
@@ -249,6 +225,19 @@ func FuzzWireDecode(f *testing.F) {
 			enc := AppendOwnersRequest(nil, tag)
 			if tag2, err := DecodeOwnersRequest(enc); err != nil || tag2 != tag {
 				t.Fatalf("owners request round trip: tag %d→%d, err %v", tag, tag2, err)
+			}
+		}
+		if tag, err := DecodeCheckpointRequest(data); err == nil {
+			enc := AppendCheckpointRequest(nil, tag)
+			if tag2, err := DecodeCheckpointRequest(enc); err != nil || tag2 != tag {
+				t.Fatalf("checkpoint request round trip: tag %d→%d, err %v", tag, tag2, err)
+			}
+		}
+		if tag, path, size, err := DecodeCheckpointReply(data); err == nil {
+			enc := AppendCheckpointReply(nil, tag, path, size)
+			tag2, path2, size2, err := DecodeCheckpointReply(enc)
+			if err != nil || tag2 != tag || path2 != path || size2 != size {
+				t.Fatalf("checkpoint reply round trip: (%d,%q,%d)→(%d,%q,%d), err %v", tag, path, size, tag2, path2, size2, err)
 			}
 		}
 		if tag, owned, err := DecodeOwnersReply(data); err == nil {

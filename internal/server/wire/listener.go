@@ -2,7 +2,7 @@ package wire
 
 import (
 	"bufio"
-	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -40,14 +40,11 @@ func Serve(l net.Listener, srv *server.Server) error {
 
 // ServeEngine accepts connections on l and speaks the binary protocol
 // against eng until l is closed (the caller's shutdown signal). Each
-// connection gets its own goroutine; the first frame the client sends
-// selects the generation — a hello frame opens the multiplexed v2
-// protocol (tagged frames, out-of-order completion, streaming stats),
-// anything else is served as lockstep v1, so existing clients keep
-// working unchanged. Transient accept failures (fd exhaustion under
-// connection load, peer resets inside the accept queue) are retried
-// with exponential backoff, like net/http's Serve, so a busy front does
-// not take the whole daemon down.
+// connection gets its own goroutine, so a slow or silent opener never
+// holds up the accept loop. Transient accept failures (fd exhaustion
+// under connection load, peer resets inside the accept queue) are
+// retried with exponential backoff, like net/http's Serve, so a busy
+// front does not take the whole daemon down.
 func ServeEngine(l net.Listener, eng Engine) error {
 	var delay time.Duration
 	for {
@@ -72,233 +69,53 @@ func ServeEngine(l net.Listener, eng Engine) error {
 	}
 }
 
-// serveConn reads one connection's first frame and dispatches: hello →
-// the multiplexed v2 loop, anything else → the lockstep v1 loop with
-// that first payload replayed.
+// maxHelloFrame bounds the one frame a peer can make the server read
+// before it has shown it speaks the protocol: a hello is a type byte and
+// one uvarint.
+const maxHelloFrame = 1 + binary.MaxVarintLen64
+
+// errNotHello answers any first frame that is not a hello — a client of
+// the retired lockstep generation, a port scanner, garbage.
+var errNotHello = fmt.Errorf("wire: a connection must open with a hello frame (protocol version %d); the untagged lockstep protocol (message types 1, 2, 4-7) is retired", ProtocolV2)
+
+// serveConn admits one connection. The first frame is judged by its head
+// alone — length prefix, then type byte — so whatever a legacy or
+// hostile opener sent is refused without its body being read, let alone
+// decoded: one msgError frame naming the hello requirement, then close.
 func serveConn(conn net.Conn, eng Engine) {
 	br := bufio.NewReaderSize(conn, 64<<10)
-	first, err := ReadFrame(br, nil)
+	head, err := br.Peek(4)
 	if err != nil {
 		conn.Close()
 		return
 	}
-	if IsHello(first) {
-		serveMux(conn, br, first, eng)
+	if n := binary.LittleEndian.Uint32(head); n == 0 || n > maxHelloFrame {
+		refuse(conn, errNotHello)
 		return
 	}
-	serveLockstep(conn, br, first, eng)
-}
-
-// serveLockstep runs one v1 connection's frame loop. Any protocol
-// violation answers with a msgError frame and drops the connection; a
-// drained server answers ErrServerClosed the same way. Accepted batches
-// are always fully answered before the next frame is read.
-func serveLockstep(conn net.Conn, br *bufio.Reader, first []byte, eng Engine) {
-	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, 64<<10)
-
-	var (
-		rbuf    []byte
-		wbuf    []byte
-		queries []Query
-		names   interner
-	)
-	fail := func(err error) {
-		wbuf = appendErrorPayload(wbuf[:0], err.Error())
-		if werr := WriteFrame(bw, wbuf); werr == nil {
-			_ = bw.Flush()
-		}
+	// The frame has a body, so its type byte is on its way.
+	if head, err = br.Peek(5); err != nil {
+		conn.Close()
+		return
 	}
-	next := first
-	for {
-		var err error
-		if next == nil {
-			next, err = ReadFrame(br, rbuf)
-			if err != nil {
-				// io.EOF (clean close) and dead-conn read errors both just
-				// end the loop; there is no one left to tell.
-				return
-			}
-		}
-		payload := next
-		next = nil
-		rbuf = payload[:0]
-
-		// Admin snapshot requests trigger an on-demand checkpoint. A
-		// failure (no state path configured, disk trouble) answers with
-		// an error frame but keeps the connection: the client asked for
-		// an action, not a protocol exchange, and may retry or move on.
-		if IsSnapshotRequest(payload) {
-			path, size, err := eng.Checkpoint()
-			if err != nil {
-				wbuf = appendErrorPayload(wbuf[:0], err.Error())
-			} else {
-				wbuf = AppendSnapshotReply(wbuf[:0], path, size)
-			}
-			if err := WriteFrame(bw, wbuf); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			continue
-		}
-
-		// Stats requests share the connection with query traffic: answer
-		// the snapshot and keep framing.
-		if IsStatsRequest(payload) {
-			wbuf, err = AppendStats(wbuf[:0], eng.Stats())
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := WriteFrame(bw, wbuf); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			continue
-		}
-
-		// Stage timing is paid only while tracing is live: two clock reads
-		// per BATCH, amortized over its queries.
-		traceOn := eng.TraceEnabled()
-		var decStart time.Time
-		if traceOn {
-			decStart = time.Now()
-		}
-		queries, err = decodeQueryBatchInterned(payload, queries, &names)
-		if err != nil {
-			fail(err)
-			return
-		}
-		var decodeNanos int64
-		if traceOn {
-			decodeNanos = time.Since(decStart).Nanoseconds()
-		}
-
-		replies, err := eng.SubmitBatch(context.Background(), queries, decodeNanos)
-		if err != nil {
-			fail(err)
-			return
-		}
-		var encStart time.Time
-		if traceOn {
-			encStart = time.Now()
-		}
-		wbuf = AppendReplyBatch(wbuf[:0], replies)
-		if traceOn {
-			// Back-fill the encode stage into the sampled records: the shard
-			// published them before the reply bytes existed.
-			eng.BackfillEncode(replies, time.Since(encStart).Nanoseconds())
-		}
-		if err := WriteFrame(bw, wbuf); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
+	if head[4] != msgHello {
+		refuse(conn, errNotHello)
+		return
 	}
-}
-
-// Client is one reusable client connection. It is not safe for
-// concurrent use: open one Client per submitting goroutine, exactly like
-// one would pool HTTP connections.
-type Client struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	rbuf    []byte
-	wbuf    []byte
-	replies []Reply
-}
-
-// Dial connects to a binary-protocol listener.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	hello, err := ReadFrame(br, nil)
 	if err != nil {
-		return nil, err
+		conn.Close()
+		return
 	}
-	return NewClient(conn), nil
+	serveMux(conn, br, hello, eng)
 }
 
-// NewClient wraps an established connection.
-func NewClient(conn net.Conn) *Client {
-	return &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
+// refuse ends a connection that never became a session: one msgError
+// frame saying why, then close.
+func refuse(conn net.Conn, err error) {
+	bw := bufio.NewWriter(conn)
+	if werr := WriteFrame(bw, appendErrorPayload(nil, err.Error())); werr == nil {
+		_ = bw.Flush()
 	}
-}
-
-// Close closes the underlying connection.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// Submit sends one query batch and reads the positional replies. The
-// returned slice is reused by the next Submit; copy anything kept.
-func (c *Client) Submit(qs []Query) ([]Reply, error) {
-	var err error
-	c.wbuf, err = AppendQueryBatch(c.wbuf[:0], qs)
-	if err != nil {
-		return nil, err
-	}
-	if err := WriteFrame(c.bw, c.wbuf); err != nil {
-		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	payload, err := ReadFrame(c.br, c.rbuf)
-	if err != nil {
-		return nil, err
-	}
-	c.rbuf = payload[:0]
-	c.replies, err = DecodeReplyBatch(payload, c.replies)
-	if err != nil {
-		return nil, err
-	}
-	if len(c.replies) != len(qs) {
-		return nil, fmt.Errorf("wire: %d replies for %d queries", len(c.replies), len(qs))
-	}
-	return c.replies, nil
-}
-
-// Snapshot asks the daemon to persist its economy state to the
-// configured state path right now — the wire protocol's admin
-// checkpoint. It returns where the snapshot landed and its encoded
-// size; a daemon running without a state path answers an error.
-func (c *Client) Snapshot() (path string, size int64, err error) {
-	c.wbuf = AppendSnapshotRequest(c.wbuf[:0])
-	if err := WriteFrame(c.bw, c.wbuf); err != nil {
-		return "", 0, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return "", 0, err
-	}
-	payload, err := ReadFrame(c.br, c.rbuf)
-	if err != nil {
-		return "", 0, err
-	}
-	c.rbuf = payload[:0]
-	return DecodeSnapshotReply(payload)
-}
-
-// Stats requests the live engine snapshot over the wire — the binary
-// front's answer to GET /v1/stats, including the merged per-tenant
-// ledgers.
-func (c *Client) Stats() (server.Stats, error) {
-	c.wbuf = AppendStatsRequest(c.wbuf[:0])
-	if err := WriteFrame(c.bw, c.wbuf); err != nil {
-		return server.Stats{}, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return server.Stats{}, err
-	}
-	payload, err := ReadFrame(c.br, c.rbuf)
-	if err != nil {
-		return server.Stats{}, err
-	}
-	c.rbuf = payload[:0]
-	return DecodeStats(payload)
+	conn.Close()
 }

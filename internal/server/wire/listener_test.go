@@ -1,12 +1,16 @@
 package wire_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/scheme"
@@ -18,16 +22,27 @@ import (
 // port, mirroring the HTTP tests' newHTTPServer.
 func newWireServer(t *testing.T, shards int) (*server.Server, string) {
 	t.Helper()
+	return newTestServer(t, shards, nil)
+}
+
+// newTestServer is newWireServer with the engine config open to
+// adjustment before the server is built.
+func newTestServer(t *testing.T, shards int, adjust func(*server.Config)) (*server.Server, string) {
+	t.Helper()
 	cat := catalog.TPCH(20)
 	params := scheme.DefaultParams(cat)
 	params.RegretFraction = 0.0001
 	params.LoadFactor = 0.02
-	srv, err := server.New(server.Config{
+	cfg := server.Config{
 		Shards: shards,
 		Scheme: "econ-cheap",
 		Params: params,
 		Clock:  server.NewVirtualClock(),
-	})
+	}
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,22 +57,31 @@ func newWireServer(t *testing.T, shards int) (*server.Server, string) {
 		if err := <-serveDone; err != nil {
 			t.Errorf("wire.Serve: %v", err)
 		}
-		_ = srv.Shutdown(context.Background())
+		_ = srv.Shutdown(ctx)
 	})
 	return srv, ln.Addr().String()
+}
+
+var ctx = context.Background()
+
+// dialMux opens a client the test closes on exit.
+func dialMux(t *testing.T, addr string) *wire.MuxClient {
+	t.Helper()
+	cl, err := wire.DialMux(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cl.Close() })
+	return cl
 }
 
 // TestWireQuery is the binary-protocol echo of TestHTTPQuery: one query
 // with an explicit budget comes back fully populated.
 func TestWireQuery(t *testing.T) {
 	_, addr := newWireServer(t, 4)
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dialMux(t, addr)
 
-	replies, err := cl.Submit([]wire.Query{{
+	replies, err := cl.Submit(ctx, []wire.Query{{
 		Tenant:         "alice",
 		Template:       "Q6",
 		Selectivity:    0.0096,
@@ -89,11 +113,7 @@ func TestWireQuery(t *testing.T) {
 // successes with per-query errors, and the server's counters agree.
 func TestWireBatchAndReuse(t *testing.T) {
 	srv, addr := newWireServer(t, 4)
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dialMux(t, addr)
 
 	const rounds = 10
 	var ok, failed int64
@@ -103,7 +123,7 @@ func TestWireBatchAndReuse(t *testing.T) {
 			{Tenant: fmt.Sprintf("t%d", r), Template: "Q999"}, // per-item error
 			{Tenant: fmt.Sprintf("u%d", r), Template: "Q6"},
 		}
-		replies, err := cl.Submit(batch)
+		replies, err := cl.Submit(ctx, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +161,7 @@ func TestWireConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			cl, err := wire.Dial(addr)
+			cl, err := wire.DialMux(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -149,7 +169,7 @@ func TestWireConcurrentClients(t *testing.T) {
 			defer cl.Close()
 			templates := []string{"Q1", "Q3", "Q6", "Q10"}
 			for i := 0; i < perClient; i++ {
-				replies, err := cl.Submit([]wire.Query{{
+				replies, err := cl.Submit(ctx, []wire.Query{{
 					Tenant:   fmt.Sprintf("tenant-%d", (c+i)%7),
 					Template: templates[i%len(templates)],
 				}})
@@ -174,56 +194,123 @@ func TestWireConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestWireServerClosed: a drained engine answers with an error frame.
+// TestWireServerClosed: a drained engine refuses the batch, by tag — the
+// connection itself stays up.
 func TestWireServerClosed(t *testing.T) {
 	srv, addr := newWireServer(t, 2)
-	cl, err := wire.Dial(addr)
-	if err != nil {
+	cl := dialMux(t, addr)
+	if _, err := cl.Submit(ctx, []wire.Query{{Template: "Q1"}}); err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	if _, err := cl.Submit([]wire.Query{{Template: "Q1"}}); err != nil {
+	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	_, err = cl.Submit([]wire.Query{{Template: "Q1"}})
+	_, err := cl.Submit(ctx, []wire.Query{{Template: "Q1"}})
 	if err == nil || !strings.Contains(err.Error(), "closed") {
 		t.Errorf("post-drain submit: err = %v, want server-closed error", err)
 	}
 }
 
-// TestWireGarbageFrame: a protocol violation gets an error frame and the
-// connection is dropped without hurting the server.
-func TestWireGarbageFrame(t *testing.T) {
-	srv, addr := newWireServer(t, 2)
+// firstFrameReply opens a raw connection, writes first verbatim and
+// returns everything the server sends before it closes the connection.
+func firstFrameReply(t *testing.T, addr string, first []byte) []byte {
+	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// A framed payload that is not a query batch.
-	if err := wire.WriteFrame(conn, []byte{0x7F, 1, 2, 3}); err != nil {
+	if _, err := conn.Write(first); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := wire.ReadFrame(conn, nil)
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	reply, err := io.ReadAll(conn)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("server did not close the connection: %v", err)
 	}
-	if _, err := wire.DecodeReplyBatch(payload, nil); err == nil || !strings.Contains(err.Error(), "server error") {
-		t.Errorf("garbage frame answered with %v, want a server-error payload", err)
+	return reply
+}
+
+// wantRefusal checks a first-frame reply is exactly one msgError frame
+// naming the hello requirement.
+func wantRefusal(t *testing.T, name string, reply []byte) {
+	t.Helper()
+	r := bytes.NewReader(reply)
+	payload, err := wire.ReadFrame(r, nil)
+	if err != nil {
+		t.Fatalf("%s: no error frame before close: %v (%x)", name, err, reply)
 	}
+	msg, err := wire.DecodeError(payload)
+	if err != nil {
+		t.Fatalf("%s: answered with %x, want a msgError frame: %v", name, payload, err)
+	}
+	if !strings.Contains(msg, "hello") || !strings.Contains(msg, "retired") {
+		t.Errorf("%s: refusal %q names neither the hello requirement nor the retired protocol", name, msg)
+	}
+	if r.Len() != 0 {
+		t.Errorf("%s: %d bytes after the one error frame", name, r.Len())
+	}
+}
+
+// TestWireGarbageFrame: a first frame that is not a hello gets one error
+// frame and the connection is dropped without hurting the server.
+func TestWireGarbageFrame(t *testing.T) {
+	srv, addr := newWireServer(t, 2)
+	wantRefusal(t, "garbage", firstFrameReply(t, addr, []byte{4, 0, 0, 0, 0x7F, 1, 2, 3}))
 	// The server still serves fresh connections.
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.Submit([]wire.Query{{Template: "Q6"}}); err != nil {
+	cl := dialMux(t, addr)
+	if _, err := cl.Submit(ctx, []wire.Query{{Template: "Q6"}}); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.Queries != 1 {
 		t.Errorf("queries = %d, want 1", st.Queries)
+	}
+}
+
+// TestWireLegacyFirstFrame: clients of the retired lockstep generation —
+// their frames embedded here as captured bytes, so the check outlives
+// the encoder that made them — and hostile openers are all told to say
+// hello, once, and hung up on. Nothing they sent is decoded: the query
+// batch below is well-formed and would have been decided.
+func TestWireLegacyFirstFrame(t *testing.T) {
+	srv, addr := newWireServer(t, 2)
+	frame := func(payloadHex string) []byte {
+		payload, err := hex.DecodeString(payloadHex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]byte{byte(len(payload)), 0, 0, 0}, payload...)
+	}
+	cases := map[string][]byte{
+		// type 1 (query batch) | n=1 | tenant "alice" | template "Q6" | flags 0
+		"v1 query batch":      frame("010105616c69636502513600"),
+		"v1 stats request":    frame("04"),
+		"v1 snapshot request": frame("06"),
+		"empty frame":         {0, 0, 0, 0},
+		// A length prefix past MaxFrame, with a hello's type byte behind
+		// it: the size alone refuses it, and no body is waited for.
+		"oversize prefix": {0xFF, 0xFF, 0xFF, 0xFF, 8},
+		// A hello-typed frame too long to be a hello.
+		"fat hello": append([]byte{64, 0, 0, 0, 8}, make([]byte, 63)...),
+	}
+	for name, first := range cases {
+		wantRefusal(t, name, firstFrameReply(t, addr, first))
+	}
+	if st := srv.Stats(); st.Queries != 0 || st.Errors != 0 {
+		t.Errorf("refused frames reached the engine: %d queries, %d errors", st.Queries, st.Errors)
+	}
+	// A hello of an older version is refused by version, not by shape.
+	reply := firstFrameReply(t, addr, []byte{2, 0, 0, 0, 8, 1})
+	payload, err := wire.ReadFrame(bytes.NewReader(reply), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := wire.DecodeError(payload); err != nil || !strings.Contains(msg, "unsupported protocol version 1") {
+		t.Errorf("hello v1 answered (%q, %v), want an unsupported-version error", msg, err)
+	}
+	// And the listener is unharmed.
+	cl := dialMux(t, addr)
+	if _, err := cl.Submit(ctx, []wire.Query{{Template: "Q6"}}); err != nil {
+		t.Fatal(err)
 	}
 }

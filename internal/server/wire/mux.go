@@ -39,43 +39,58 @@ type muxResult struct {
 	err     error
 }
 
-// traceResult is one trace request's outcome on the client side.
-type traceResult struct {
-	view server.TraceView
-	err  error
-}
-
-// adminResult is one shard-admin request's outcome on the client side:
-// an ack (freeze, install), a state packet (extract), or an ownership
-// map (owners), depending on which frame the tag was opened for.
+// adminResult is one admin request's outcome on the client side: an
+// ack (freeze, install), a state packet (extract), an ownership map
+// (owners) or a checkpoint receipt, depending on which frame the tag was
+// opened for.
 type adminResult struct {
 	shard  int
 	packet []byte
 	owned  []bool
+	path   string
+	size   int64
 	err    error
 }
 
-// EventsSub is one client-side economy-events subscription. Cursored
-// installments arrive on C as the server pushes them — each carries only
-// events the subscription has not yet seen, plus the journal's running
-// totals — and the channel is closed when the subscription ends. A slow
-// consumer drops installments rather than stalling the reader; the
-// totals in the next installment still reconcile (they are running
-// sums, not deltas).
-type EventsSub struct {
-	C   <-chan server.EventsView
-	c   chan server.EventsView
-	tag uint64
+// Sub is one client-side subscription to a server-pushed view. Values
+// arrive on C as the server pushes them; the channel is closed when the
+// subscription ends (Close, a tag-scoped server error, or connection
+// teardown). A slow consumer drops pushes rather than stalling the
+// connection's reader — stats are snapshots and an events installment's
+// totals are running sums, not deltas, so the next push still
+// reconciles.
+type Sub[T any] struct {
+	C <-chan T
+	c chan T
+
 	cl  *MuxClient
+	tag uint64
+	// push is the frame type this subscription receives; unsub the frame
+	// type Close sends.
+	push, unsub byte
 
 	mu     sync.Mutex
 	closed bool
 	err    error
 }
 
+// StatsSub streams engine snapshots (SubscribeStats).
+type StatsSub = Sub[server.Stats]
+
+// EventsSub streams cursored economy-event installments
+// (SubscribeEvents): each carries only events the subscription has not
+// yet seen, plus the journal's running totals.
+type EventsSub = Sub[server.EventsView]
+
+// subscription is what the reader needs of a Sub of any view type.
+type subscription interface {
+	deliver(payload []byte) error
+	finish(cause error) bool
+}
+
 // Err reports why the subscription ended, once C is closed; nil means a
 // clean Close.
-func (s *EventsSub) Err() error {
+func (s *Sub[T]) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
@@ -83,16 +98,16 @@ func (s *EventsSub) Err() error {
 
 // Close unsubscribes: the server stops pushing and C is closed. Safe to
 // call more than once.
-func (s *EventsSub) Close() error {
-	if !s.finish(nil) {
-		return nil
+func (s *Sub[T]) Close() error {
+	if s.finish(nil) {
+		s.cl.unsubscribe(s.tag, s.unsub)
 	}
-	return s.cl.sendEventsUnsubscribe(s.tag)
+	return nil
 }
 
 // finish closes C exactly once, recording the cause; reports whether
 // this call was the one that closed it.
-func (s *EventsSub) finish(cause error) bool {
+func (s *Sub[T]) finish(cause error) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -104,84 +119,28 @@ func (s *EventsSub) finish(cause error) bool {
 	return true
 }
 
-// deliver hands the reader an installment without racing finish: the
-// mutex serializes the send against the close, and a slow consumer
-// drops the installment rather than stalling the connection's reader.
-func (s *EventsSub) deliver(view server.EventsView) {
+// deliver decodes one push frame and hands it to the consumer without
+// racing finish: the mutex serializes the send against the close, and a
+// slow consumer drops the push rather than stalling the reader. An
+// undecodable push is a protocol violation and comes back as an error.
+func (s *Sub[T]) deliver(payload []byte) error {
+	var view T
+	if _, err := decodeJSONPush(payload, s.push, &view); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return
+		return nil
 	}
 	select {
 	case s.c <- view:
 	default:
 	}
+	return nil
 }
 
-// StatsSub is one client-side stats subscription. Snapshots arrive on C
-// as the server pushes them; the channel is closed when the
-// subscription ends (Close, a tag-scoped server error, or connection
-// teardown). A slow consumer drops pushes rather than stalling the
-// connection's reader.
-type StatsSub struct {
-	C   <-chan server.Stats
-	c   chan server.Stats
-	tag uint64
-	cl  *MuxClient
-
-	mu     sync.Mutex
-	closed bool
-	err    error
-}
-
-// Err reports why the subscription ended, once C is closed; nil means a
-// clean Close.
-func (s *StatsSub) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close unsubscribes: the server stops pushing and C is closed. Safe to
-// call more than once.
-func (s *StatsSub) Close() error {
-	if !s.finish(nil) {
-		return nil
-	}
-	return s.cl.sendUnsubscribe(s.tag)
-}
-
-// finish closes C exactly once, recording the cause; reports whether
-// this call was the one that closed it.
-func (s *StatsSub) finish(cause error) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	s.closed = true
-	s.err = cause
-	close(s.c)
-	return true
-}
-
-// deliver hands the reader a snapshot without racing finish: the mutex
-// serializes the send against the close, and a slow consumer drops the
-// push rather than stalling the connection's reader.
-func (s *StatsSub) deliver(st server.Stats) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	select {
-	case s.c <- st:
-	default:
-	}
-}
-
-// MuxClient is the multiplexed (protocol v2) client: one connection,
+// MuxClient is the protocol's client: one connection,
 // any number of goroutines, any number of outstanding batches. Each
 // Submit rides a tagged frame; a reader goroutine demultiplexes replies
 // back to their callers as the server completes them — out of order
@@ -202,17 +161,15 @@ type MuxClient struct {
 
 	mu      sync.Mutex
 	calls   map[uint64]*muxCall
-	subs    map[uint64]*StatsSub
-	tcalls  map[uint64]chan traceResult
-	esubs   map[uint64]*EventsSub
+	subs    map[uint64]subscription
 	acalls  map[uint64]chan adminResult
 	nextTag uint64
 	err     error // sticky: why the connection died
 	done    chan struct{}
 }
 
-// DialMux connects to a binary-protocol listener and negotiates
-// protocol v2.
+// DialMux connects to a binary-protocol listener and performs the hello
+// exchange.
 func DialMux(addr string) (*MuxClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -234,9 +191,7 @@ func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 		conn:   conn,
 		bw:     bufio.NewWriterSize(conn, 64<<10),
 		calls:  make(map[uint64]*muxCall),
-		subs:   make(map[uint64]*StatsSub),
-		tcalls: make(map[uint64]chan traceResult),
-		esubs:  make(map[uint64]*EventsSub),
+		subs:   make(map[uint64]subscription),
 		acalls: make(map[uint64]chan adminResult),
 		wdone:  make(chan struct{}),
 		done:   make(chan struct{}),
@@ -256,8 +211,8 @@ func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: reading hello reply: %w", err)
 	}
-	if len(payload) > 0 && payload[0] == msgError {
-		msg, _, err := consumeString(payload[1:])
+	if payload[0] == msgError {
+		msg, err := DecodeError(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -335,168 +290,14 @@ func (c *MuxClient) writeLoop() {
 func (c *MuxClient) readLoop(br *bufio.Reader) {
 	var rbuf []byte
 	var fatal error
-	for {
+	for fatal == nil {
 		payload, err := ReadFrame(br, rbuf)
 		if err != nil {
 			fatal = err
 			break
 		}
 		rbuf = payload[:0]
-
-		switch {
-		case len(payload) > 0 && payload[0] == msgTaggedReplyBatch:
-			// Decoded into a fresh slice: the caller owns it outright, and
-			// concurrent callers must not share scratch space.
-			tag, replies, err := DecodeTaggedReplyBatch(payload, nil)
-			if err != nil {
-				fatal = err
-				break
-			}
-			c.mu.Lock()
-			call := c.calls[tag]
-			delete(c.calls, tag)
-			c.mu.Unlock()
-			if call == nil {
-				continue // abandoned (ctx cancellation); drop it
-			}
-			if len(replies) != call.n {
-				call.ch <- muxResult{err: fmt.Errorf("wire: %d replies for %d queries (tag %d)", len(replies), call.n, tag)}
-				continue
-			}
-			call.ch <- muxResult{replies: replies}
-
-		case len(payload) > 0 && payload[0] == msgTaggedError:
-			tag, msg, err := DecodeTaggedError(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			terr := &TaggedError{Tag: tag, Msg: msg}
-			c.mu.Lock()
-			call := c.calls[tag]
-			delete(c.calls, tag)
-			sub := c.subs[tag]
-			delete(c.subs, tag)
-			tcall := c.tcalls[tag]
-			delete(c.tcalls, tag)
-			esub := c.esubs[tag]
-			delete(c.esubs, tag)
-			acall := c.acalls[tag]
-			delete(c.acalls, tag)
-			c.mu.Unlock()
-			if call != nil {
-				call.ch <- muxResult{err: terr}
-			}
-			if sub != nil {
-				sub.finish(terr)
-			}
-			if tcall != nil {
-				tcall <- traceResult{err: terr}
-			}
-			if esub != nil {
-				esub.finish(terr)
-			}
-			if acall != nil {
-				acall <- adminResult{err: terr}
-			}
-
-		case len(payload) > 0 && payload[0] == msgStatsPush:
-			tag, st, err := DecodeStatsPush(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			c.mu.Lock()
-			sub := c.subs[tag]
-			c.mu.Unlock()
-			if sub != nil {
-				sub.deliver(st)
-			}
-
-		case len(payload) > 0 && payload[0] == msgTracePush:
-			tag, view, err := DecodeTracePush(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			c.mu.Lock()
-			tcall := c.tcalls[tag]
-			delete(c.tcalls, tag)
-			c.mu.Unlock()
-			if tcall != nil {
-				tcall <- traceResult{view: view}
-			}
-
-		case len(payload) > 0 && payload[0] == msgEventsPush:
-			tag, view, err := DecodeEventsPush(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			c.mu.Lock()
-			esub := c.esubs[tag]
-			c.mu.Unlock()
-			if esub != nil {
-				esub.deliver(view)
-			}
-
-		case len(payload) > 0 && payload[0] == msgShardAck:
-			tag, shard, err := DecodeShardAck(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			c.mu.Lock()
-			acall := c.acalls[tag]
-			delete(c.acalls, tag)
-			c.mu.Unlock()
-			if acall != nil {
-				acall <- adminResult{shard: shard}
-			}
-
-		case len(payload) > 0 && payload[0] == msgShardState:
-			// DecodeShardState copies the packet out of the read buffer, so
-			// the caller owns it outright.
-			tag, shard, packet, err := DecodeShardState(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			c.mu.Lock()
-			acall := c.acalls[tag]
-			delete(c.acalls, tag)
-			c.mu.Unlock()
-			if acall != nil {
-				acall <- adminResult{shard: shard, packet: packet}
-			}
-
-		case len(payload) > 0 && payload[0] == msgOwnersReply:
-			tag, owned, err := DecodeOwnersReply(payload)
-			if err != nil {
-				fatal = err
-				break
-			}
-			c.mu.Lock()
-			acall := c.acalls[tag]
-			delete(c.acalls, tag)
-			c.mu.Unlock()
-			if acall != nil {
-				acall <- adminResult{owned: owned}
-			}
-
-		case len(payload) > 0 && payload[0] == msgError:
-			msg, _, err := consumeString(payload[1:])
-			if err == nil {
-				err = fmt.Errorf("wire: server error: %s", msg)
-			}
-			fatal = err
-
-		default:
-			fatal = fmt.Errorf("wire: unexpected message type %d", firstByte(payload))
-		}
-		if fatal != nil {
-			break
-		}
+		fatal = c.handleFrame(payload)
 	}
 
 	// Fail everything in flight, exactly once, then stop the writer.
@@ -506,35 +307,142 @@ func (c *MuxClient) readLoop(br *bufio.Reader) {
 	}
 	calls := c.calls
 	subs := c.subs
-	tcalls := c.tcalls
-	esubs := c.esubs
 	acalls := c.acalls
 	c.calls = make(map[uint64]*muxCall)
-	c.subs = make(map[uint64]*StatsSub)
-	c.tcalls = make(map[uint64]chan traceResult)
-	c.esubs = make(map[uint64]*EventsSub)
+	c.subs = make(map[uint64]subscription)
 	c.acalls = make(map[uint64]chan adminResult)
 	c.mu.Unlock()
+	closed := fmt.Errorf("%w: %v", ErrClientClosed, fatal)
 	for _, call := range calls {
-		call.ch <- muxResult{err: fmt.Errorf("%w: %v", ErrClientClosed, fatal)}
+		call.ch <- muxResult{err: closed}
 	}
 	for _, sub := range subs {
-		sub.finish(fmt.Errorf("%w: %v", ErrClientClosed, fatal))
-	}
-	for _, tcall := range tcalls {
-		tcall <- traceResult{err: fmt.Errorf("%w: %v", ErrClientClosed, fatal)}
-	}
-	for _, esub := range esubs {
-		esub.finish(fmt.Errorf("%w: %v", ErrClientClosed, fatal))
+		sub.finish(closed)
 	}
 	for _, acall := range acalls {
-		acall <- adminResult{err: fmt.Errorf("%w: %v", ErrClientClosed, fatal)}
+		acall <- adminResult{err: closed}
 	}
 	c.qmu.Lock()
 	c.stopping = true
 	c.qmu.Unlock()
 	c.cond.Signal()
 	close(c.done)
+}
+
+// handleFrame routes one inbound frame (never empty: ReadFrame rejects
+// those) to whoever opened its tag. Replies to abandoned tags (ctx
+// cancellation, a closed subscription) are dropped; a returned error is
+// fatal to the connection.
+func (c *MuxClient) handleFrame(payload []byte) error {
+	switch payload[0] {
+	case msgTaggedReplyBatch:
+		// Decoded into a fresh slice: the caller owns it outright, and
+		// concurrent callers must not share scratch space.
+		tag, replies, err := DecodeTaggedReplyBatch(payload, nil)
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		call := c.calls[tag]
+		delete(c.calls, tag)
+		c.mu.Unlock()
+		if call == nil {
+			return nil
+		}
+		if len(replies) != call.n {
+			call.ch <- muxResult{err: fmt.Errorf("wire: %d replies for %d queries (tag %d)", len(replies), call.n, tag)}
+			return nil
+		}
+		call.ch <- muxResult{replies: replies}
+
+	case msgTaggedError:
+		tag, msg, err := DecodeTaggedError(payload)
+		if err != nil {
+			return err
+		}
+		terr := &TaggedError{Tag: tag, Msg: msg}
+		c.mu.Lock()
+		call := c.calls[tag]
+		delete(c.calls, tag)
+		sub := c.subs[tag]
+		delete(c.subs, tag)
+		acall := c.acalls[tag]
+		delete(c.acalls, tag)
+		c.mu.Unlock()
+		if call != nil {
+			call.ch <- muxResult{err: terr}
+		}
+		if sub != nil {
+			sub.finish(terr)
+		}
+		if acall != nil {
+			acall <- adminResult{err: terr}
+		}
+
+	case msgStatsPush, msgTracePush, msgEventsPush:
+		tag, _, err := consumeTag(payload, payload[0])
+		if err != nil {
+			return err
+		}
+		c.mu.Lock()
+		sub := c.subs[tag]
+		c.mu.Unlock()
+		if sub != nil {
+			return sub.deliver(payload)
+		}
+
+	case msgShardAck:
+		tag, shard, err := DecodeShardAck(payload)
+		if err != nil {
+			return err
+		}
+		c.completeAdmin(tag, adminResult{shard: shard})
+
+	case msgShardState:
+		// DecodeShardState copies the packet out of the read buffer, so
+		// the caller owns it outright.
+		tag, shard, packet, err := DecodeShardState(payload)
+		if err != nil {
+			return err
+		}
+		c.completeAdmin(tag, adminResult{shard: shard, packet: packet})
+
+	case msgOwnersReply:
+		tag, owned, err := DecodeOwnersReply(payload)
+		if err != nil {
+			return err
+		}
+		c.completeAdmin(tag, adminResult{owned: owned})
+
+	case msgCheckpointReply:
+		tag, path, size, err := DecodeCheckpointReply(payload)
+		if err != nil {
+			return err
+		}
+		c.completeAdmin(tag, adminResult{path: path, size: size})
+
+	case msgError:
+		msg, err := DecodeError(payload)
+		if err != nil {
+			return err
+		}
+		return fmt.Errorf("wire: server error: %s", msg)
+
+	default:
+		return fmt.Errorf("wire: unexpected message type %d", payload[0])
+	}
+	return nil
+}
+
+// completeAdmin hands an admin reply to the call waiting on its tag.
+func (c *MuxClient) completeAdmin(tag uint64, res adminResult) {
+	c.mu.Lock()
+	acall := c.acalls[tag]
+	delete(c.acalls, tag)
+	c.mu.Unlock()
+	if acall != nil {
+		acall <- res
+	}
 }
 
 // register allocates a fresh tag under mu, failing fast on a dead
@@ -555,9 +463,9 @@ func (c *MuxClient) register(attach func(tag uint64)) (uint64, error) {
 // Submit sends one tagged query batch and waits for its replies. Safe
 // for concurrent use: any number of goroutines may have batches in
 // flight on the one connection, and each gets its own freshly allocated
-// reply slice. Per-item failures ride Reply.Err exactly as in the
-// lockstep client; a batch-scoped failure (a draining server, a decode
-// error) returns a *TaggedError with the connection still healthy.
+// reply slice. Per-item failures ride Reply.Err; a batch-scoped failure
+// (a draining server, a decode error) returns a *TaggedError with the
+// connection still healthy.
 func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 	call := &muxCall{n: len(qs), ch: make(chan muxResult, 1)}
 	tag, err := c.register(func(tag uint64) { c.calls[tag] = call })
@@ -584,63 +492,76 @@ func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 	}
 }
 
+// subscribe opens a tag for a server-pushed view of type T, sends the
+// frame build makes for it, and returns the subscription the reader will
+// deliver pushes of type push to. buf is C's capacity.
+func subscribe[T any](c *MuxClient, buf int, push, unsub byte, build func(tag uint64) []byte) (*Sub[T], error) {
+	ch := make(chan T, buf)
+	sub := &Sub[T]{C: ch, c: ch, cl: c, push: push, unsub: unsub}
+	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.subs[tag] = sub })
+	if err != nil {
+		return nil, err
+	}
+	c.send(build(tag))
+	return sub, nil
+}
+
+// fetch is the one-shot form: a request the server answers with exactly
+// one push (and keeps no ticker for).
+func fetch[T any](ctx context.Context, c *MuxClient, push byte, build func(tag uint64) []byte) (T, error) {
+	var zero T
+	sub, err := subscribe[T](c, 1, push, 0, build)
+	if err != nil {
+		return zero, err
+	}
+	defer c.dropSub(sub.tag)
+	select {
+	case view, ok := <-sub.C:
+		if !ok {
+			return zero, sub.Err()
+		}
+		return view, nil
+	case <-c.done:
+		return zero, ErrClientClosed
+	case <-ctx.Done():
+		return zero, ctx.Err()
+	}
+}
+
+// dropSub forgets a subscription tag; reports whether the connection is
+// still alive to be told about it.
+func (c *MuxClient) dropSub(tag uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.subs, tag)
+	return c.err == nil
+}
+
+// unsubscribe tells the server a subscription tag is done — unless the
+// connection is already dead and there is no one to tell.
+func (c *MuxClient) unsubscribe(tag uint64, typ byte) {
+	if c.dropSub(tag) {
+		c.send(appendTag(nil, typ, tag))
+	}
+}
+
 // SubscribeStats opens a server-pushed stats stream: one snapshot
 // immediately, then one every interval (floored by the server at its
 // minimum cadence). The pushes arrive on the returned sub's C. Close
 // the sub to stop the stream.
 func (c *MuxClient) SubscribeStats(interval float64) (*StatsSub, error) {
-	ch := make(chan server.Stats, 4)
-	sub := &StatsSub{C: ch, c: ch, cl: c}
-	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.subs[tag] = sub })
-	if err != nil {
-		return nil, err
-	}
-	c.send(AppendStatsSubscribe(nil, tag, interval))
-	return sub, nil
+	return subscribe[server.Stats](c, 4, msgStatsPush, msgStatsUnsubscribe, func(tag uint64) []byte {
+		return AppendStatsSubscribe(nil, tag, interval)
+	})
 }
 
-// Stats fetches one live engine snapshot via a one-shot subscription —
-// the v2 answer to the lockstep client's Stats round trip, served by a
-// server push instead of a poll.
+// Stats fetches one live engine snapshot — the binary front's answer to
+// GET /v1/stats, merged per-tenant ledgers included — as a one-shot
+// subscription (interval 0).
 func (c *MuxClient) Stats(ctx context.Context) (server.Stats, error) {
-	ch := make(chan server.Stats, 1)
-	sub := &StatsSub{C: ch, c: ch, cl: c}
-	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.subs[tag] = sub })
-	if err != nil {
-		return server.Stats{}, err
-	}
-	// Interval 0: the server pushes exactly once and keeps no ticker.
-	c.send(AppendStatsSubscribe(nil, tag, 0))
-	defer func() {
-		c.mu.Lock()
-		delete(c.subs, tag)
-		c.mu.Unlock()
-	}()
-	select {
-	case st, ok := <-ch:
-		if !ok {
-			return server.Stats{}, sub.Err()
-		}
-		return st, nil
-	case <-c.done:
-		return server.Stats{}, ErrClientClosed
-	case <-ctx.Done():
-		return server.Stats{}, ctx.Err()
-	}
-}
-
-// sendUnsubscribe tells the server a subscription tag is done; the
-// client-side bookkeeping is already cleared.
-func (c *MuxClient) sendUnsubscribe(tag uint64) error {
-	c.mu.Lock()
-	delete(c.subs, tag)
-	err := c.err
-	c.mu.Unlock()
-	if err != nil {
-		return nil // connection already dead; nothing to tell
-	}
-	c.send(AppendStatsUnsubscribe(nil, tag))
-	return nil
+	return fetch[server.Stats](ctx, c, msgStatsPush, func(tag uint64) []byte {
+		return AppendStatsSubscribe(nil, tag, 0)
+	})
 }
 
 // Trace fetches the server's sampled decision traces over the query
@@ -648,56 +569,18 @@ func (c *MuxClient) sendUnsubscribe(tag uint64) error {
 // filter ("" matches everything); n <= 0 applies the server's default
 // bound.
 func (c *MuxClient) Trace(ctx context.Context, tenant, template string, n int) (server.TraceView, error) {
-	ch := make(chan traceResult, 1)
-	tag, err := c.register(func(tag uint64) { c.tcalls[tag] = ch })
-	if err != nil {
-		return server.TraceView{}, err
-	}
-	if n < 0 {
-		n = 0
-	}
-	c.send(AppendTraceRequest(nil, tag, tenant, template, uint64(n)))
-	select {
-	case res := <-ch:
-		return res.view, res.err
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.tcalls, tag)
-		c.mu.Unlock()
-		return server.TraceView{}, ctx.Err()
-	}
+	return fetch[server.TraceView](ctx, c, msgTracePush, func(tag uint64) []byte {
+		return AppendTraceRequest(nil, tag, tenant, template, uint64(max(n, 0)))
+	})
 }
 
 // Events fetches one economy-events snapshot — the binary twin of GET
 // /v1/events. typ and tenant filter ("" matches everything); n <= 0
 // applies the server's default bound.
 func (c *MuxClient) Events(ctx context.Context, typ, tenant string, n int) (server.EventsView, error) {
-	ch := make(chan server.EventsView, 1)
-	sub := &EventsSub{C: ch, c: ch, cl: c}
-	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.esubs[tag] = sub })
-	if err != nil {
-		return server.EventsView{}, err
-	}
-	if n < 0 {
-		n = 0
-	}
-	c.send(AppendEventsRequest(nil, tag, typ, tenant, uint64(n)))
-	defer func() {
-		c.mu.Lock()
-		delete(c.esubs, tag)
-		c.mu.Unlock()
-	}()
-	select {
-	case view, ok := <-ch:
-		if !ok {
-			return server.EventsView{}, sub.Err()
-		}
-		return view, nil
-	case <-c.done:
-		return server.EventsView{}, ErrClientClosed
-	case <-ctx.Done():
-		return server.EventsView{}, ctx.Err()
-	}
+	return fetch[server.EventsView](ctx, c, msgEventsPush, func(tag uint64) []byte {
+		return AppendEventsRequest(nil, tag, typ, tenant, uint64(max(n, 0)))
+	})
 }
 
 // SubscribeEvents opens a server-pushed economy-events stream: one
@@ -706,27 +589,9 @@ func (c *MuxClient) Events(ctx context.Context, typ, tenant string, n int) (serv
 // lives server-side, so installments never repeat an event. Close the
 // sub to stop the stream.
 func (c *MuxClient) SubscribeEvents(interval float64) (*EventsSub, error) {
-	ch := make(chan server.EventsView, 4)
-	sub := &EventsSub{C: ch, c: ch, cl: c}
-	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.esubs[tag] = sub })
-	if err != nil {
-		return nil, err
-	}
-	c.send(AppendEventsSubscribe(nil, tag, interval))
-	return sub, nil
-}
-
-// sendEventsUnsubscribe mirrors sendUnsubscribe for events streams.
-func (c *MuxClient) sendEventsUnsubscribe(tag uint64) error {
-	c.mu.Lock()
-	delete(c.esubs, tag)
-	err := c.err
-	c.mu.Unlock()
-	if err != nil {
-		return nil // connection already dead; nothing to tell
-	}
-	c.send(AppendEventsUnsubscribe(nil, tag))
-	return nil
+	return subscribe[server.EventsView](c, 4, msgEventsPush, msgEventsUnsubscribe, func(tag uint64) []byte {
+		return AppendEventsSubscribe(nil, tag, interval)
+	})
 }
 
 // Done is closed when the connection has died and every in-flight call
@@ -808,4 +673,16 @@ func (c *MuxClient) Owners(ctx context.Context) ([]bool, error) {
 		return nil, err
 	}
 	return res.owned, nil
+}
+
+// Checkpoint asks the engine to persist its economy state to its
+// configured state path right now, and returns where the snapshot
+// landed and its encoded size. An engine running without a state path —
+// or a router, whose checkpoints are per-backend — refuses with a
+// *TaggedError; the connection keeps serving.
+func (c *MuxClient) Checkpoint(ctx context.Context) (path string, size int64, err error) {
+	res, err := c.adminCall(ctx, func(tag uint64) []byte {
+		return AppendCheckpointRequest(nil, tag)
+	})
+	return res.path, res.size, err
 }

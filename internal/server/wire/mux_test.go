@@ -12,51 +12,29 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/catalog"
-	"repro/internal/scheme"
 	"repro/internal/server"
 	"repro/internal/server/wire"
 )
 
-// newMuxServer is newWireServer with a per-shard decision-delay hook the
+// newMuxServer is newWireServer with per-shard decision delays the
 // out-of-order tests use to scramble completion order.
 func newMuxServer(t *testing.T, shards int, delays []atomic.Int64) (*server.Server, string) {
 	t.Helper()
-	cat := catalog.TPCH(20)
-	params := scheme.DefaultParams(cat)
-	params.RegretFraction = 0.0001
-	params.LoadFactor = 0.02
-	cfg := server.Config{
-		Shards: shards,
-		Scheme: "econ-cheap",
-		Params: params,
-		Clock:  server.NewVirtualClock(),
+	if delays == nil {
+		return newWireServer(t, shards)
 	}
-	if delays != nil {
-		cfg.DecideDelay = func(shard int) {
-			if d := delays[shard].Load(); d > 0 {
-				time.Sleep(time.Duration(d))
-			}
+	return newHookedServer(t, shards, func(shard int) {
+		if d := delays[shard].Load(); d > 0 {
+			time.Sleep(time.Duration(d))
 		}
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- wire.Serve(ln, srv) }()
-	t.Cleanup(func() {
-		_ = ln.Close()
-		if err := <-serveDone; err != nil {
-			t.Errorf("wire.Serve: %v", err)
-		}
-		_ = srv.Shutdown(context.Background())
 	})
-	return srv, ln.Addr().String()
+}
+
+// newHookedServer is newWireServer with a hook every shard calls before
+// each mailbox drain (server.Config.DecideDelay).
+func newHookedServer(t *testing.T, shards int, hook func(shard int)) (*server.Server, string) {
+	t.Helper()
+	return newTestServer(t, shards, func(cfg *server.Config) { cfg.DecideDelay = hook })
 }
 
 // shardTenants finds one tenant name per shard, so each worker in the
@@ -82,7 +60,7 @@ func shardTenants(srv *server.Server, shards int) []string {
 // goroutines share one MuxClient against a server whose shards sleep
 // random amounts before deciding, so replies complete in scrambled
 // order. Every tagged reply must still be byte-identical (modulo the
-// global QueryID counter) to a sequential lockstep replay on a fresh
+// global QueryID counter) to a sequential replay on a fresh
 // identically-seeded server — then the whole thing drains gracefully.
 func TestMuxOutOfOrderParity(t *testing.T) {
 	const shards = 4
@@ -144,26 +122,23 @@ func TestMuxOutOfOrderParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sequential lockstep replay on a fresh twin. Worker-major order is
-	// fine: each worker's queries live on their own shard, so per-shard
-	// arrival order is identical to the concurrent run's.
-	srv2, addr2 := newMuxServer(t, shards, nil)
+	// Sequential replay on a fresh twin, in process — the reference is the
+	// order, not a codec. Worker-major order is fine: each worker's
+	// queries live on their own shard, so per-shard arrival order is
+	// identical to the concurrent run's.
+	srv2, _ := newMuxServer(t, shards, nil)
 	if want := tenants; !equalStrings(want, shardTenants(srv2, shards)) {
 		t.Fatal("twin server hashed tenants differently")
 	}
-	cl2, err := wire.Dial(addr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
+	ref := wire.ServerEngine(srv2)
 	for w := 0; w < shards; w++ {
 		for r := 0; r < rounds; r++ {
-			want, err := cl2.Submit(batchFor(w, r))
+			want, err := ref.SubmitBatch(context.Background(), batchFor(w, r), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !repliesEqualModuloID(t, got[w][r], want) {
-				t.Fatalf("worker %d round %d: pipelined replies diverge from lockstep replay\n got: %+v\nwant: %+v",
+				t.Fatalf("worker %d round %d: pipelined replies diverge from sequential replay\n got: %+v\nwant: %+v",
 					w, r, got[w][r], want)
 			}
 		}
@@ -193,7 +168,7 @@ func repliesEqualModuloID(t *testing.T, a, b []wire.Reply) bool {
 		for i := range c {
 			c[i].Resp.QueryID = 0
 		}
-		return wire.AppendReplyBatch(nil, c)
+		return wire.AppendTaggedReplyBatch(nil, 0, c)
 	}
 	return bytes.Equal(norm(a), norm(b))
 }
@@ -372,7 +347,7 @@ func TestMuxStatsStreaming(t *testing.T) {
 }
 
 // TestMuxStatsOneShot: MuxClient.Stats is a single server push, and it
-// sees the same engine the lockstep path does.
+// sees the same engine an in-process caller does.
 func TestMuxStatsOneShot(t *testing.T) {
 	srv, addr := newMuxServer(t, 2, nil)
 	cl, err := wire.DialMux(addr)

@@ -7,18 +7,20 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/server"
 )
 
-// maxStatsSubs bounds the concurrent stats subscriptions one connection
-// may hold open: each costs a goroutine, and a hostile client must not
-// be able to mint unbounded ones.
-const maxStatsSubs = 16
+// maxSubs bounds the concurrent streaming subscriptions (stats and
+// events together) one connection may hold open: each costs a goroutine,
+// and a hostile client must not be able to mint unbounded ones.
+const maxSubs = 16
 
-// minStatsInterval floors a subscription's push cadence so a hostile
-// 1 ns interval cannot turn the stats path into a busy loop.
-const minStatsInterval = time.Millisecond
+// minSubInterval floors a subscription's push cadence so a hostile 1 ns
+// interval cannot turn the push path into a busy loop.
+const minSubInterval = time.Millisecond
 
-// muxConn is one v2 (multiplexed) server connection: a read loop that
+// muxConn is one server connection: a read loop that
 // dispatches tagged frames without waiting for prior batches, a single
 // writer goroutine that serializes every outbound frame (completions
 // arrive on shard goroutines, stats pushes on subscription goroutines),
@@ -52,22 +54,24 @@ type muxConn struct {
 	// subs maps subscription tags to their stop channels.
 	subs   map[uint64]chan struct{}
 	subsWG sync.WaitGroup
+
+	// queries and names are the read loop's decode scratch: the reused
+	// item slice and the connection's tenant/template interner.
+	queries []Query
+	names   interner
 }
 
-// serveMux runs one v2 connection. The client's hello has already been
-// read (that is how the listener knew to come here); everything else —
-// including the hello reply — goes through the writer.
+// serveMux runs one connection whose first frame was a hello. That
+// frame has already been read (it is how the listener knew to come
+// here); everything else — including the hello reply — goes through the
+// writer.
 func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 	version, err := DecodeHello(hello)
-	if err != nil || version < ProtocolV2 {
-		if err == nil {
-			err = fmt.Errorf("wire: unsupported protocol version %d (server speaks %d)", version, ProtocolV2)
-		}
-		bw := bufio.NewWriter(conn)
-		if werr := WriteFrame(bw, appendErrorPayload(nil, err.Error())); werr == nil {
-			_ = bw.Flush()
-		}
-		conn.Close()
+	if err == nil && version < ProtocolV2 {
+		err = fmt.Errorf("wire: unsupported protocol version %d (server speaks %d)", version, ProtocolV2)
+	}
+	if err != nil {
+		refuse(conn, err)
 		return
 	}
 
@@ -197,284 +201,200 @@ func (c *muxConn) writeLoop() {
 }
 
 // readLoop accepts frames until the client goes away or commits an
-// unscopable protocol violation. Tagged failures — a bad batch body, a
-// drained server, one subscription too many — answer a tagged error and
-// keep the connection; only unparseable framing kills it.
+// unscopable protocol violation, which is answered with one msgError
+// before the connection is torn down.
 func (c *muxConn) readLoop(br *bufio.Reader) {
-	ctx := context.Background()
 	var rbuf []byte
-	var queries []Query
-	var names interner
 	for {
 		payload, err := ReadFrame(br, rbuf)
 		if err != nil {
 			return
 		}
 		rbuf = payload[:0]
-
-		switch {
-		case len(payload) > 0 && payload[0] == msgTaggedQueryBatch:
-			// Stage timing is paid only while tracing is live: one clock
-			// read pair per BATCH, amortized over its queries.
-			traceOn := c.eng.TraceEnabled()
-			var decStart time.Time
-			if traceOn {
-				decStart = time.Now()
-			}
-			// The tag is parsed first so any body error can be scoped to
-			// it; only an unparseable tag kills the connection.
-			tag, rest, terr := consumeUvarint(payload[1:])
-			if terr != nil {
-				c.send(appendErrorPayload(nil, terr.Error()))
-				return
-			}
-			queries, err = consumeQueryItemsInterned(rest, queries, &names)
-			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
-				continue
-			}
-			var decodeNanos int64
-			if traceOn {
-				decodeNanos = time.Since(decStart).Nanoseconds()
-			}
-			// The engine owns the batch until the completion fires, so it
-			// gets its own slice — the next frame reuses the read buffer.
-			batch := make([]Query, len(queries))
-			copy(batch, queries)
-			c.inflight.Add(1)
-			t := tag
-			err := c.eng.SubmitBatchAsync(ctx, batch, decodeNanos, func(replies []Reply) {
-				defer c.inflight.Done()
-				var encStart time.Time
-				if traceOn {
-					encStart = time.Now()
-				}
-				frame := AppendTaggedReplyBatch(c.getBuf(), t, replies)
-				if traceOn {
-					// Back-fill the encode stage into the sampled records:
-					// the shard published them before the reply bytes
-					// existed.
-					c.eng.BackfillEncode(replies, time.Since(encStart).Nanoseconds())
-				}
-				c.send(frame)
-			})
-			if err != nil {
-				// ErrServerClosed during drain — or a malformed budget in the
-				// batch body: this batch fails, the connection survives to
-				// serve the client's other tags.
-				c.inflight.Done()
-				c.send(AppendTaggedError(nil, tag, err.Error()))
-			}
-
-		case len(payload) > 0 && payload[0] == msgStatsSubscribe:
-			tag, intervalSec, err := DecodeStatsSubscribe(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			c.startSub(tag, intervalSec)
-
-		case len(payload) > 0 && payload[0] == msgStatsUnsubscribe:
-			tag, err := DecodeStatsUnsubscribe(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			c.stopSub(tag)
-
-		case len(payload) > 0 && payload[0] == msgTraceRequest:
-			tag, tenant, template, n, err := DecodeTraceRequest(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			if n > MaxBatch {
-				n = MaxBatch
-			}
-			frame, err := AppendTracePush(nil, tag, c.eng.TraceViewSnapshot(tenant, template, int(n)))
-			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
-				continue
-			}
-			c.send(frame)
-
-		case len(payload) > 0 && payload[0] == msgEventsRequest:
-			tag, typ, tenant, n, err := DecodeEventsRequest(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			if n > MaxBatch {
-				n = MaxBatch
-			}
-			frame, err := AppendEventsPush(nil, tag, c.eng.EventsViewSnapshot(typ, tenant, int(n)))
-			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
-				continue
-			}
-			c.send(frame)
-
-		case len(payload) > 0 && payload[0] == msgEventsSubscribe:
-			tag, intervalSec, err := DecodeEventsSubscribe(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			c.startEventsSub(tag, intervalSec)
-
-		case len(payload) > 0 && payload[0] == msgEventsUnsubscribe:
-			tag, err := DecodeEventsUnsubscribe(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			c.stopSub(tag)
-
-		case IsSnapshotRequest(payload):
-			// The v1 admin checkpoint works under v2 too: the reply is
-			// untagged, but the requester knows what it asked for.
-			path, size, err := c.eng.Checkpoint()
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-			} else {
-				c.send(AppendSnapshotReply(nil, path, size))
-			}
-
-		// Shard checkpoint-transfer admin: every failure is scoped to the
-		// requesting tag — a refused migration step must never take down
-		// the connection carrying the cluster's control plane.
-		case len(payload) > 0 && payload[0] == msgShardFreeze:
-			tag, shard, err := DecodeShardFreeze(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			if err := c.eng.FreezeShard(shard); err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
-			} else {
-				c.send(AppendShardAck(nil, tag, shard))
-			}
-
-		case len(payload) > 0 && payload[0] == msgShardExtract:
-			tag, shard, err := DecodeShardExtract(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			packet, err := c.eng.ExtractShardPacket(shard)
-			if err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
-			} else {
-				c.send(AppendShardState(nil, tag, shard, packet))
-			}
-
-		case len(payload) > 0 && payload[0] == msgShardInstall:
-			tag, shard, packet, err := DecodeShardInstall(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			if err := c.eng.InstallShardPacket(shard, packet); err != nil {
-				c.send(AppendTaggedError(nil, tag, err.Error()))
-			} else {
-				c.send(AppendShardAck(nil, tag, shard))
-			}
-
-		case len(payload) > 0 && payload[0] == msgOwnersRequest:
-			tag, err := DecodeOwnersRequest(payload)
-			if err != nil {
-				c.send(appendErrorPayload(nil, err.Error()))
-				return
-			}
-			c.send(AppendOwnersReply(nil, tag, c.eng.OwnedShards()))
-
-		default:
-			c.send(appendErrorPayload(nil, fmt.Sprintf("wire: unexpected v2 message type %d", firstByte(payload))))
+		if err := c.handleFrame(payload); err != nil {
+			c.send(appendErrorPayload(nil, err.Error()))
 			return
 		}
 	}
 }
 
-func firstByte(p []byte) byte {
-	if len(p) == 0 {
-		return 0
+// handleFrame serves one inbound frame (never empty: ReadFrame rejects
+// those). Tagged failures — a bad batch body, a drained server, one
+// subscription too many, a refused admin call — answer a tagged error
+// and keep the connection, which may be carrying a cluster's control
+// plane; only a frame no tag can scope (unknown type, unparseable head)
+// is returned as an error, and kills it.
+func (c *muxConn) handleFrame(payload []byte) error {
+	switch payload[0] {
+	case msgTaggedQueryBatch:
+		return c.submitBatch(payload)
+
+	case msgStatsSubscribe:
+		tag, intervalSec, err := DecodeStatsSubscribe(payload)
+		if err != nil {
+			return err
+		}
+		c.startSub(tag, intervalSec, func() { c.pushJSON(msgStatsPush, tag, c.eng.Stats()) })
+
+	case msgEventsSubscribe:
+		tag, intervalSec, err := DecodeEventsSubscribe(payload)
+		if err != nil {
+			return err
+		}
+		// Cursored by journal sequence number: the first installment is
+		// everything the journals buffer, later ones only what is new.
+		var cursor int64
+		c.startSub(tag, intervalSec, func() {
+			var view server.EventsView
+			view, cursor = c.eng.EventsViewSince(cursor)
+			c.pushJSON(msgEventsPush, tag, view)
+		})
+
+	case msgStatsUnsubscribe, msgEventsUnsubscribe:
+		tag, err := decodeTagOnly(payload, payload[0])
+		if err != nil {
+			return err
+		}
+		c.stopSub(tag)
+
+	case msgTraceRequest:
+		tag, tenant, template, n, err := DecodeTraceRequest(payload)
+		if err != nil {
+			return err
+		}
+		c.pushJSON(msgTracePush, tag, c.eng.TraceViewSnapshot(tenant, template, int(min(n, MaxBatch))))
+
+	case msgEventsRequest:
+		tag, typ, tenant, n, err := DecodeEventsRequest(payload)
+		if err != nil {
+			return err
+		}
+		c.pushJSON(msgEventsPush, tag, c.eng.EventsViewSnapshot(typ, tenant, int(min(n, MaxBatch))))
+
+	case msgCheckpointRequest:
+		tag, err := DecodeCheckpointRequest(payload)
+		if err != nil {
+			return err
+		}
+		path, size, err := c.eng.Checkpoint()
+		c.answer(tag, AppendCheckpointReply(nil, tag, path, size), err)
+
+	case msgShardFreeze:
+		tag, shard, err := DecodeShardFreeze(payload)
+		if err != nil {
+			return err
+		}
+		c.answer(tag, AppendShardAck(nil, tag, shard), c.eng.FreezeShard(shard))
+
+	case msgShardExtract:
+		tag, shard, err := DecodeShardExtract(payload)
+		if err != nil {
+			return err
+		}
+		packet, err := c.eng.ExtractShardPacket(shard)
+		c.answer(tag, AppendShardState(nil, tag, shard, packet), err)
+
+	case msgShardInstall:
+		tag, shard, packet, err := DecodeShardInstall(payload)
+		if err != nil {
+			return err
+		}
+		c.answer(tag, AppendShardAck(nil, tag, shard), c.eng.InstallShardPacket(shard, packet))
+
+	case msgOwnersRequest:
+		tag, err := DecodeOwnersRequest(payload)
+		if err != nil {
+			return err
+		}
+		c.send(AppendOwnersReply(nil, tag, c.eng.OwnedShards()))
+
+	default:
+		return fmt.Errorf("wire: unexpected message type %d", payload[0])
 	}
-	return p[0]
+	return nil
 }
 
-// startSub opens one stats subscription: an immediate push, then one
-// every interval. A non-positive (or non-finite) interval is the
-// one-shot form — push once, auto-close. Subscribing an active tag or
-// exceeding the per-connection cap answers a tagged error.
-func (c *muxConn) startSub(tag uint64, intervalSec float64) {
-	interval := time.Duration(0)
-	if intervalSec > 0 { // NaN compares false: one-shot
-		interval = time.Duration(intervalSec * float64(time.Second))
-		if interval < minStatsInterval {
-			interval = minStatsInterval
-		}
+// answer sends a tagged call's reply frame — or, when the call failed,
+// the tag-scoped error that replaces it.
+func (c *muxConn) answer(tag uint64, frame []byte, err error) {
+	if err != nil {
+		frame = AppendTaggedError(nil, tag, err.Error())
 	}
-	c.qmu.Lock()
-	if _, dup := c.subs[tag]; dup {
-		c.qmu.Unlock()
-		c.send(AppendTaggedError(nil, tag, "wire: stats subscription tag already active"))
-		return
-	}
-	if interval > 0 && len(c.subs) >= maxStatsSubs {
-		c.qmu.Unlock()
-		c.send(AppendTaggedError(nil, tag, fmt.Sprintf("wire: too many stats subscriptions (max %d)", maxStatsSubs)))
-		return
-	}
-	var stop chan struct{}
-	if interval > 0 {
-		stop = make(chan struct{})
-		c.subs[tag] = stop
-	}
-	c.qmu.Unlock()
-
-	c.pushStats(tag)
-	if interval == 0 {
-		return
-	}
-	c.subsWG.Add(1)
-	go func() {
-		defer c.subsWG.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.pushStats(tag)
-			case <-stop:
-				return
-			}
-		}
-	}()
+	c.send(frame)
 }
 
-// pushStats snapshots the engine and enqueues one tagged push frame.
-func (c *muxConn) pushStats(tag uint64) {
-	payload, err := AppendStatsPush(nil, tag, c.eng.Stats())
+// pushJSON sends one JSON-bodied view frame under tag.
+func (c *muxConn) pushJSON(typ byte, tag uint64, view any) {
+	frame, err := appendJSONPush(nil, typ, tag, view)
+	c.answer(tag, frame, err)
+}
+
+// submitBatch decodes one tagged query batch and hands it to the engine
+// without waiting: the completion encodes and enqueues the reply frame
+// whenever the batch's last shard group finishes.
+func (c *muxConn) submitBatch(payload []byte) error {
+	// Stage timing is paid only while tracing is live: one clock read
+	// pair per BATCH, amortized over its queries.
+	traceOn := c.eng.TraceEnabled()
+	var decStart time.Time
+	if traceOn {
+		decStart = time.Now()
+	}
+	// The tag is parsed first so any body error can be scoped to it;
+	// only an unparseable tag kills the connection.
+	tag, rest, err := consumeTag(payload, msgTaggedQueryBatch)
+	if err != nil {
+		return err
+	}
+	c.queries, err = consumeQueryItems(rest, c.queries, &c.names)
 	if err != nil {
 		c.send(AppendTaggedError(nil, tag, err.Error()))
-		return
+		return nil
 	}
-	c.send(payload)
+	var decodeNanos int64
+	if traceOn {
+		decodeNanos = time.Since(decStart).Nanoseconds()
+	}
+	// The engine owns the batch until the completion fires, so it gets
+	// its own slice — the next frame reuses the decode scratch.
+	batch := make([]Query, len(c.queries))
+	copy(batch, c.queries)
+	c.inflight.Add(1)
+	err = c.eng.SubmitBatchAsync(context.Background(), batch, decodeNanos, func(replies []Reply) {
+		defer c.inflight.Done()
+		var encStart time.Time
+		if traceOn {
+			encStart = time.Now()
+		}
+		frame := AppendTaggedReplyBatch(c.getBuf(), tag, replies)
+		if traceOn {
+			// Back-fill the encode stage into the sampled records: the
+			// shard published them before the reply bytes existed.
+			c.eng.BackfillEncode(replies, time.Since(encStart).Nanoseconds())
+		}
+		c.send(frame)
+	})
+	if err != nil {
+		// ErrServerClosed during drain — or a malformed budget in the
+		// batch body: this batch fails, the connection survives to serve
+		// the client's other tags.
+		c.inflight.Done()
+		c.send(AppendTaggedError(nil, tag, err.Error()))
+	}
+	return nil
 }
 
-// startEventsSub opens one economy-events subscription: an immediate
-// installment of everything the journals buffer, then every interval
-// only the events the subscription has not yet seen (cursored by
-// journal sequence number). A non-positive interval is the one-shot
-// form. Events subscriptions share the stats subscriptions' tag space
-// and per-connection cap.
-func (c *muxConn) startEventsSub(tag uint64, intervalSec float64) {
+// startSub opens one subscription: an immediate push, then one every
+// interval, all on one goroutine at a time (the read loop's, then the
+// ticker's), so push may keep state between calls. A non-positive (or
+// non-finite) interval is the one-shot form — push once, hold nothing.
+// Subscribing an active tag or exceeding the per-connection cap answers
+// a tagged error. Stats and events streams share the tag space and the
+// cap.
+func (c *muxConn) startSub(tag uint64, intervalSec float64, push func()) {
 	interval := time.Duration(0)
 	if intervalSec > 0 { // NaN compares false: one-shot
-		interval = time.Duration(intervalSec * float64(time.Second))
-		if interval < minStatsInterval {
-			interval = minStatsInterval
-		}
+		interval = max(time.Duration(intervalSec*float64(time.Second)), minSubInterval)
 	}
 	c.qmu.Lock()
 	if _, dup := c.subs[tag]; dup {
@@ -482,9 +402,9 @@ func (c *muxConn) startEventsSub(tag uint64, intervalSec float64) {
 		c.send(AppendTaggedError(nil, tag, "wire: subscription tag already active"))
 		return
 	}
-	if interval > 0 && len(c.subs) >= maxStatsSubs {
+	if interval > 0 && len(c.subs) >= maxSubs {
 		c.qmu.Unlock()
-		c.send(AppendTaggedError(nil, tag, fmt.Sprintf("wire: too many subscriptions (max %d)", maxStatsSubs)))
+		c.send(AppendTaggedError(nil, tag, fmt.Sprintf("wire: too many subscriptions (max %d)", maxSubs)))
 		return
 	}
 	var stop chan struct{}
@@ -494,7 +414,7 @@ func (c *muxConn) startEventsSub(tag uint64, intervalSec float64) {
 	}
 	c.qmu.Unlock()
 
-	cursor := c.pushEvents(tag, 0)
+	push()
 	if interval == 0 {
 		return
 	}
@@ -506,25 +426,12 @@ func (c *muxConn) startEventsSub(tag uint64, intervalSec float64) {
 		for {
 			select {
 			case <-t.C:
-				cursor = c.pushEvents(tag, cursor)
+				push()
 			case <-stop:
 				return
 			}
 		}
 	}()
-}
-
-// pushEvents enqueues one cursored events installment and returns the
-// advanced cursor.
-func (c *muxConn) pushEvents(tag uint64, since int64) int64 {
-	view, cursor := c.eng.EventsViewSince(since)
-	payload, err := AppendEventsPush(nil, tag, view)
-	if err != nil {
-		c.send(AppendTaggedError(nil, tag, err.Error()))
-		return cursor
-	}
-	c.send(payload)
-	return cursor
 }
 
 // stopSub ends one subscription; unknown tags are a no-op (the stream

@@ -1,49 +1,21 @@
 package wire_test
 
 import (
-	"context"
-	"net"
+	"errors"
 	"path/filepath"
+	"sync"
 	"testing"
 
-	"repro/internal/catalog"
 	"repro/internal/persist"
-	"repro/internal/scheme"
 	"repro/internal/server"
 	"repro/internal/server/wire"
 )
 
-// newWireServerWithState mirrors newWireServer but configures a snapshot
-// path, so the admin snapshot frame has somewhere to checkpoint to.
+// newWireServerWithState is newWireServer with a snapshot path
+// configured, so the admin checkpoint frame has somewhere to write.
 func newWireServerWithState(t *testing.T, shards int, snapshotPath string) (*server.Server, string) {
 	t.Helper()
-	cat := catalog.TPCH(20)
-	params := scheme.DefaultParams(cat)
-	params.RegretFraction = 0.0001
-	srv, err := server.New(server.Config{
-		Shards:       shards,
-		Scheme:       "econ-cheap",
-		Params:       params,
-		Clock:        server.NewVirtualClock(),
-		SnapshotPath: snapshotPath,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- wire.Serve(ln, srv) }()
-	t.Cleanup(func() {
-		_ = ln.Close()
-		if err := <-serveDone; err != nil {
-			t.Errorf("wire.Serve: %v", err)
-		}
-		_ = srv.Shutdown(context.Background())
-	})
-	return srv, ln.Addr().String()
+	return newTestServer(t, shards, func(cfg *server.Config) { cfg.SnapshotPath = snapshotPath })
 }
 
 // TestWireSnapshotFrame: the admin frame checkpoints the live engine to
@@ -52,13 +24,9 @@ func newWireServerWithState(t *testing.T, shards int, snapshotPath string) (*ser
 func TestWireSnapshotFrame(t *testing.T) {
 	statePath := filepath.Join(t.TempDir(), "econ.snap")
 	_, addr := newWireServerWithState(t, 2, statePath)
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dialMux(t, addr)
 
-	if _, err := cl.Submit([]wire.Query{
+	if _, err := cl.Submit(ctx, []wire.Query{
 		{Tenant: "alice", Template: "Q6"},
 		{Tenant: "bob", Template: "Q1"},
 		{Tenant: "carol", Template: "Q3"},
@@ -66,12 +34,12 @@ func TestWireSnapshotFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path, size, err := cl.Snapshot()
+	path, size, err := cl.Checkpoint(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if path != statePath || size <= 0 {
-		t.Fatalf("Snapshot() = %q, %d; want %q, >0", path, size, statePath)
+		t.Fatalf("Checkpoint() = %q, %d; want %q, >0", path, size, statePath)
 	}
 	snap, err := persist.Load(statePath)
 	if err != nil {
@@ -86,48 +54,87 @@ func TestWireSnapshotFrame(t *testing.T) {
 	}
 
 	// The connection still carries queries after the admin exchange.
-	if _, err := cl.Submit([]wire.Query{{Tenant: "alice", Template: "Q6"}}); err != nil {
+	if _, err := cl.Submit(ctx, []wire.Query{{Tenant: "alice", Template: "Q6"}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestWireSnapshotFrameUnconfigured: a daemon without a state path
-// answers the admin frame with an error frame and keeps the connection.
+// refuses the admin frame by tag and keeps the connection.
 func TestWireSnapshotFrameUnconfigured(t *testing.T) {
 	_, addr := newWireServer(t, 2)
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dialMux(t, addr)
 
-	if _, _, err := cl.Snapshot(); err == nil {
-		t.Fatal("snapshot without a configured state path succeeded")
+	_, _, err := cl.Checkpoint(ctx)
+	var terr *wire.TaggedError
+	if !errors.As(err, &terr) {
+		t.Fatalf("checkpoint without a configured state path: err = %v, want a *TaggedError", err)
 	}
 	// The error is a reply, not a hangup: the connection still serves.
-	if _, err := cl.Submit([]wire.Query{{Tenant: "alice", Template: "Q6"}}); err != nil {
-		t.Fatalf("connection dead after snapshot error: %v", err)
+	if _, err := cl.Submit(ctx, []wire.Query{{Tenant: "alice", Template: "Q6"}}); err != nil {
+		t.Fatalf("connection dead after checkpoint refusal: %v", err)
+	}
+}
+
+// TestMuxCheckpointRefusalSparesInFlight is the regression test for the
+// control-plane bug: a refused checkpoint used to be answered with an
+// untagged error frame, which the client treats as fatal — failing
+// every call in flight on the connection. Here a Submit is held inside
+// its shard's decision while the checkpoint is refused; it must still
+// complete.
+func TestMuxCheckpointRefusalSparesInFlight(t *testing.T) {
+	const shards = 2
+	held := server.ShardIndexFor("alice", "Q1", shards)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	_, addr := newHookedServer(t, shards, func(shard int) {
+		if shard == held {
+			once.Do(func() { close(entered); <-release })
+		}
+	})
+	cl := dialMux(t, addr)
+
+	type result struct {
+		replies []wire.Reply
+		err     error
+	}
+	done := make(chan result, 1)
+	go func() {
+		replies, err := cl.Submit(ctx, []wire.Query{{Tenant: "alice", Template: "Q1"}})
+		done <- result{replies, err}
+	}()
+	<-entered // the batch is inside the engine, undecided
+
+	_, _, err := cl.Checkpoint(ctx)
+	var terr *wire.TaggedError
+	if !errors.As(err, &terr) {
+		t.Errorf("refused checkpoint: err = %v, want a *TaggedError", err)
+	}
+	close(release)
+	if res := <-done; res.err != nil || len(res.replies) != 1 || res.replies[0].Err != "" {
+		t.Fatalf("in-flight submit disturbed by the refusal: %+v, %v", res.replies, res.err)
 	}
 }
 
 // TestWireSnapshotReplyCodec round-trips the reply payload without a
 // socket.
 func TestWireSnapshotReplyCodec(t *testing.T) {
-	payload := wire.AppendSnapshotReply(nil, "/var/lib/ccd/econ.snap", 123456)
-	path, size, err := wire.DecodeSnapshotReply(payload)
+	payload := wire.AppendCheckpointReply(nil, 11, "/var/lib/ccd/econ.snap", 123456)
+	tag, path, size, err := wire.DecodeCheckpointReply(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path != "/var/lib/ccd/econ.snap" || size != 123456 {
-		t.Errorf("round trip = %q, %d", path, size)
+	if tag != 11 || path != "/var/lib/ccd/econ.snap" || size != 123456 {
+		t.Errorf("round trip = %d, %q, %d", tag, path, size)
 	}
-	if !wire.IsSnapshotRequest(wire.AppendSnapshotRequest(nil)) {
-		t.Error("snapshot request not recognized")
+	if tag, err := wire.DecodeCheckpointRequest(wire.AppendCheckpointRequest(nil, 11)); err != nil || tag != 11 {
+		t.Errorf("checkpoint request round trip = %d, %v", tag, err)
 	}
-	if _, _, err := wire.DecodeSnapshotReply([]byte{42}); err == nil {
-		t.Error("bad snapshot reply accepted")
+	if _, _, _, err := wire.DecodeCheckpointReply([]byte{42}); err == nil {
+		t.Error("bad checkpoint reply accepted")
 	}
-	if _, _, err := wire.DecodeSnapshotReply(payload[:3]); err == nil {
-		t.Error("truncated snapshot reply accepted")
+	if _, _, _, err := wire.DecodeCheckpointReply(payload[:3]); err == nil {
+		t.Error("truncated checkpoint reply accepted")
 	}
 }

@@ -8,26 +8,22 @@ import (
 	"repro/internal/server/wire"
 )
 
-// TestWireStatsFrame: the stats frame shares the query connection and
+// TestWireStatsFrame: the stats fetch shares the query connection and
 // returns the same snapshot /v1/stats would serve — per-tenant ledgers
 // included — so binary-front clients never need the HTTP port.
 func TestWireStatsFrame(t *testing.T) {
 	srv, addr := newWireServer(t, 4)
-	cl, err := wire.Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
+	cl := dialMux(t, addr)
 
 	// Interleave queries and stats requests on one connection.
-	if _, err := cl.Submit([]wire.Query{
+	if _, err := cl.Submit(ctx, []wire.Query{
 		{Tenant: "alice", Template: "Q6"},
 		{Tenant: "bob", Template: "Q1"},
 		{Tenant: "alice", Template: "Q3"},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := cl.Stats()
+	st, err := cl.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +46,7 @@ func TestWireStatsFrame(t *testing.T) {
 	}
 
 	// The connection still carries queries after a stats exchange.
-	if _, err := cl.Submit([]wire.Query{{Tenant: "bob", Template: "Q6"}}); err != nil {
+	if _, err := cl.Submit(ctx, []wire.Query{{Tenant: "bob", Template: "Q6"}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,21 +63,18 @@ func TestWireStatsCodec(t *testing.T) {
 			{Tenant: "b", Queries: 3, SpendUSD: 0.25},
 		},
 	}
-	payload, err := wire.AppendStats(nil, in)
+	payload, err := wire.AppendStatsPush(nil, 9, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := wire.DecodeStats(payload)
+	tag, out, err := wire.DecodeStatsPush(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip changed stats:\nin  %+v\nout %+v", in, out)
+	if tag != 9 || !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip changed stats (tag %d):\nin  %+v\nout %+v", tag, in, out)
 	}
-	if !wire.IsStatsRequest(wire.AppendStatsRequest(nil)) {
-		t.Error("stats request not recognized")
-	}
-	if _, err := wire.DecodeStats([]byte{9, 9}); err == nil {
+	if _, _, err := wire.DecodeStatsPush([]byte{9, 9}); err == nil {
 		t.Error("bad stats payload accepted")
 	}
 }

@@ -3,54 +3,52 @@
 // sequence of frames, each a 4-byte little-endian payload length
 // followed by the payload; the first payload byte is the message type.
 //
-// The protocol has two generations, autodetected per connection by the
-// first frame a client sends:
+// The protocol is multiplexed. A connection opens with a hello/version
+// exchange, after which every frame carries a client-chosen uvarint
+// tag. Any number of tagged query batches may be outstanding; the
+// server accepts new frames while prior batches are still deciding and
+// replies complete OUT OF ORDER as their shard groups finish, matched
+// to requests by tag. Errors are scoped to a tag — one bad batch
+// answers a tagged error and the connection keeps serving — and a
+// stats subscription streams server-pushed snapshots without polling.
+// MuxClient speaks it and is safe for concurrent use.
 //
-// v1 (lockstep): clients send query batches and read one reply batch per
-// request frame — exactly one request outstanding per connection. Served
-// forever as the compat path for wire.Client.
+//	frame   := len uint32 LE | payload
+//	payload := msgHello             | uvarint version
+//	         | msgError             | string          (connection-fatal)
+//	         | msgTaggedQueryBatch  | uvarint tag | uvarint n | n × query
+//	         | msgTaggedReplyBatch  | uvarint tag | uvarint n | n × reply
+//	         | msgTaggedError       | uvarint tag | string
+//	         | msgStatsSubscribe    | uvarint tag | f64 intervalSec
+//	         | msgStatsUnsubscribe  | uvarint tag
+//	         | msgStatsPush         | uvarint tag | json            (server.Stats)
+//	         | msgTraceRequest      | uvarint tag | string tenant | string template | uvarint n
+//	         | msgTracePush         | uvarint tag | json            (server.TraceView)
+//	         | msgEventsRequest     | uvarint tag | string type | string tenant | uvarint n
+//	         | msgEventsPush        | uvarint tag | json            (server.EventsView)
+//	         | msgEventsSubscribe   | uvarint tag | f64 intervalSec
+//	         | msgEventsUnsubscribe | uvarint tag
 //
-//	frame      := len uint32 LE | payload
-//	payload v1 := msgQueryBatch   | uvarint n | n × query
-//	            | msgReplyBatch   | uvarint n | n × reply
-//	            | msgError        | string          (whole-frame failure)
-//	            | msgStatsRequest                   (live snapshot request)
-//	            | msgStats        | json            (server.Stats snapshot)
-//	            | msgSnapshotRequest                (admin: persist state now)
-//	            | msgSnapshotReply | string path | uvarint bytes
+// plus the tagged admin frames in admin.go (shard migration, ownership,
+// on-demand checkpoint). msgError is the one untagged reply: it reports
+// a violation no tag can scope — a first frame that is not a hello, an
+// unparseable tag, an unknown message type — and the sender closes the
+// connection after it.
 //
-// v2 (multiplexed): the connection opens with a hello/version exchange,
-// after which every frame carries a client-chosen uvarint tag. Any
-// number of tagged query batches may be outstanding; the server accepts
-// new frames while prior batches are still deciding and replies complete
-// OUT OF ORDER as their shard groups finish, matched to requests by tag.
-// Errors are scoped to a tag — one bad batch answers a tagged error and
-// the connection keeps serving — and a stats subscription streams
-// server-pushed snapshots without polling. MuxClient speaks v2 and is
-// safe for concurrent use.
+// Message types 1, 2 and 4–7 belonged to the retired lockstep
+// generation (untagged query/reply batches, stats and snapshot
+// request/reply pairs). They are reserved and never reused: a peer that
+// opens with one is told to say hello and hung up on.
 //
-//	payload v2 := msgHello             | uvarint version
-//	            | msgTaggedQueryBatch  | uvarint tag | uvarint n | n × query
-//	            | msgTaggedReplyBatch  | uvarint tag | uvarint n | n × reply
-//	            | msgTaggedError       | uvarint tag | string
-//	            | msgStatsSubscribe    | uvarint tag | f64 intervalSec
-//	            | msgStatsUnsubscribe  | uvarint tag
-//	            | msgStatsPush         | uvarint tag | json
-//	            | msgTraceRequest      | uvarint tag | string tenant | string template | uvarint n
-//	            | msgTracePush         | uvarint tag | json            (server.TraceView)
-//	            | msgEventsRequest     | uvarint tag | string type | string tenant | uvarint n
-//	            | msgEventsPush        | uvarint tag | json            (server.EventsView)
-//	            | msgEventsSubscribe   | uvarint tag | f64 intervalSec
-//	            | msgEventsUnsubscribe | uvarint tag
+// Requests and subscriptions are fully binary; the snapshot bodies
+// (stats, traces, events) ride as JSON inside the frame — they flow at
+// human cadence, not per query, so the self-describing encoding tracks
+// the evolving view schemas for free while framing, connection reuse and
+// the hot query path stay binary. An events subscription is cursored:
+// each push carries only events the subscription has not yet seen, plus
+// the journal's running totals.
 //
-// The observability frames (trace, events) follow the stats convention:
-// requests and subscriptions are fully binary, the snapshot bodies ride
-// as JSON inside the frame — they flow at human cadence, not per query.
-// An events subscription is cursored: each push carries only events the
-// subscription has not yet seen, plus the journal's running totals.
-//
-// Shared item grammar (identical bytes in both generations, so a tagged
-// batch's content is byte-identical to its lockstep answer):
+// Item grammar:
 //
 //	query      := string tenant | string template | byte flags
 //	              | f64 selectivity?   (flags&flagSelectivity)
@@ -72,23 +70,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 
 	"repro/internal/binenc"
 	"repro/internal/server"
 )
 
-// Message types.
+// Message types. 1, 2 and 4–7 are retired (see the package comment) and
+// must never be reassigned; the admin frames in admin.go continue the
+// numbering at 21.
 const (
-	msgQueryBatch      byte = 1
-	msgReplyBatch      byte = 2
-	msgError           byte = 3
-	msgStatsRequest    byte = 4
-	msgStats           byte = 5
-	msgSnapshotRequest byte = 6
-	msgSnapshotReply   byte = 7
+	msgError byte = 3
 
-	// v2 (multiplexed) message types.
 	msgHello            byte = 8
 	msgTaggedQueryBatch byte = 9
 	msgTaggedReplyBatch byte = 10
@@ -97,7 +89,6 @@ const (
 	msgStatsUnsubscribe byte = 13
 	msgStatsPush        byte = 14
 
-	// v2 observability message types.
 	msgTraceRequest      byte = 15
 	msgTracePush         byte = 16
 	msgEventsRequest     byte = 17
@@ -105,6 +96,33 @@ const (
 	msgEventsSubscribe   byte = 19
 	msgEventsUnsubscribe byte = 20
 )
+
+// msgNames words the decoders' complaints.
+var msgNames = [...]string{
+	msgError:             "error",
+	msgHello:             "hello",
+	msgTaggedQueryBatch:  "tagged query batch",
+	msgTaggedReplyBatch:  "tagged reply batch",
+	msgTaggedError:       "tagged error",
+	msgStatsSubscribe:    "stats subscribe",
+	msgStatsUnsubscribe:  "stats unsubscribe",
+	msgStatsPush:         "stats push",
+	msgTraceRequest:      "trace request",
+	msgTracePush:         "trace push",
+	msgEventsRequest:     "events request",
+	msgEventsPush:        "events push",
+	msgEventsSubscribe:   "events subscribe",
+	msgEventsUnsubscribe: "events unsubscribe",
+	msgShardFreeze:       "shard freeze",
+	msgShardExtract:      "shard extract",
+	msgShardState:        "shard state",
+	msgShardInstall:      "shard install",
+	msgShardAck:          "shard ack",
+	msgOwnersRequest:     "owners request",
+	msgOwnersReply:       "owners reply",
+	msgCheckpointRequest: "checkpoint request",
+	msgCheckpointReply:   "checkpoint reply",
+}
 
 // ProtocolV2 is the version the hello frame negotiates. A server
 // answers hello with its own version; both sides then speak the lower
@@ -185,7 +203,149 @@ var (
 	consumeByte    = binenc.Byte
 )
 
-// --- query batch ----------------------------------------------------------
+// --- shared frame shapes ---------------------------------------------------
+//
+// Every payload but hello and msgError opens "type byte, uvarint tag",
+// and most bodies are one of four shapes — nothing more, an f64 cadence,
+// two filter strings and a bound, or a JSON view. Each shape is written
+// once here; the exported codecs below name the message type.
+
+// appendTag opens a tagged payload.
+func appendTag(b []byte, typ byte, tag uint64) []byte {
+	return binary.AppendUvarint(append(b, typ), tag)
+}
+
+// consumeType checks a payload's type byte.
+func consumeType(payload []byte, typ byte) (rest []byte, err error) {
+	mt, rest, err := consumeByte(payload)
+	if err != nil {
+		return nil, err
+	}
+	if mt != typ {
+		return nil, fmt.Errorf("wire: expected %s, got message type %d", msgNames[typ], mt)
+	}
+	return rest, nil
+}
+
+// consumeTag checks a payload's type byte and parses its tag.
+func consumeTag(payload []byte, typ byte) (tag uint64, rest []byte, err error) {
+	if rest, err = consumeType(payload, typ); err != nil {
+		return 0, nil, err
+	}
+	return consumeUvarint(rest)
+}
+
+// expectEnd rejects bytes left over after a fixed-shape body.
+func expectEnd(rest []byte, typ byte) error {
+	if len(rest) != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after %s", len(rest), msgNames[typ])
+	}
+	return nil
+}
+
+// decodeTagOnly parses a payload that is nothing but its tag
+// (unsubscribes, owners and checkpoint requests).
+func decodeTagOnly(payload []byte, typ byte) (uint64, error) {
+	tag, rest, err := consumeTag(payload, typ)
+	if err != nil {
+		return 0, err
+	}
+	return tag, expectEnd(rest, typ)
+}
+
+// appendSubscribe / decodeSubscribe: tag plus a push cadence in seconds.
+func appendSubscribe(b []byte, typ byte, tag uint64, intervalSec float64) []byte {
+	return appendF64(appendTag(b, typ, tag), intervalSec)
+}
+
+func decodeSubscribe(payload []byte, typ byte) (tag uint64, intervalSec float64, err error) {
+	tag, rest, err := consumeTag(payload, typ)
+	if err != nil {
+		return 0, 0, err
+	}
+	if intervalSec, rest, err = consumeF64(rest); err != nil {
+		return 0, 0, err
+	}
+	return tag, intervalSec, expectEnd(rest, typ)
+}
+
+// appendViewRequest / decodeViewRequest: tag, two filter strings ("" matches
+// everything) and a result bound (0 applies the server's default).
+func appendViewRequest(b []byte, typ byte, tag uint64, f1, f2 string, n uint64) []byte {
+	b = appendString(appendTag(b, typ, tag), f1)
+	return binary.AppendUvarint(appendString(b, f2), n)
+}
+
+func decodeViewRequest(payload []byte, typ byte) (tag uint64, f1, f2 string, n uint64, err error) {
+	tag, rest, err := consumeTag(payload, typ)
+	if err != nil {
+		return 0, "", "", 0, err
+	}
+	if f1, rest, err = consumeString(rest); err != nil {
+		return 0, "", "", 0, err
+	}
+	if f2, rest, err = consumeString(rest); err != nil {
+		return 0, "", "", 0, err
+	}
+	if n, rest, err = consumeUvarint(rest); err != nil {
+		return 0, "", "", 0, err
+	}
+	return tag, f1, f2, n, expectEnd(rest, typ)
+}
+
+// appendJSONPush / decodeJSONPush: tag, then the view as JSON to the end
+// of the payload.
+func appendJSONPush(b []byte, typ byte, tag uint64, view any) ([]byte, error) {
+	data, err := json.Marshal(view)
+	if err != nil {
+		return nil, err
+	}
+	return append(appendTag(b, typ, tag), data...), nil
+}
+
+func decodeJSONPush(payload []byte, typ byte, view any) (uint64, error) {
+	tag, rest, err := consumeTag(payload, typ)
+	if err != nil {
+		return 0, err
+	}
+	if err := json.Unmarshal(rest, view); err != nil {
+		return 0, fmt.Errorf("wire: bad %s payload: %w", msgNames[typ], err)
+	}
+	return tag, nil
+}
+
+// --- hello + connection-fatal error ----------------------------------------
+
+// AppendHello appends a hello payload carrying the sender's protocol
+// version (it rides where every other payload carries its tag). A
+// connection opens with exactly one hello in each direction; a server
+// that reads anything else first answers msgError and closes.
+func AppendHello(b []byte, version uint64) []byte {
+	return appendTag(b, msgHello, version)
+}
+
+// DecodeHello parses a hello payload (msg byte included).
+func DecodeHello(payload []byte) (uint64, error) {
+	return decodeTagOnly(payload, msgHello)
+}
+
+// appendErrorPayload builds a msgError payload.
+func appendErrorPayload(b []byte, msg string) []byte {
+	return appendString(append(b, msgError), msg)
+}
+
+// DecodeError parses a msgError payload (msg byte included): the peer's
+// reason for closing the connection.
+func DecodeError(payload []byte) (string, error) {
+	rest, err := consumeType(payload, msgError)
+	if err != nil {
+		return "", err
+	}
+	msg, _, err := consumeString(rest)
+	return msg, err
+}
+
+// --- query and reply batches -----------------------------------------------
 
 func budgetShapeByte(shape string) (byte, error) {
 	switch shape {
@@ -217,28 +377,18 @@ func budgetShapeString(b byte) (string, error) {
 	}
 }
 
-// AppendQueryBatch appends one v1 query-batch payload to b.
-func AppendQueryBatch(b []byte, qs []Query) ([]byte, error) {
-	if len(qs) == 0 || len(qs) > MaxBatch {
-		return nil, fmt.Errorf("wire: batch size %d outside [1, %d]", len(qs), MaxBatch)
-	}
-	return appendQueryItems(append(b, msgQueryBatch), qs)
-}
-
-// AppendTaggedQueryBatch appends one v2 tagged query-batch payload: the
-// same item bytes as v1 behind a client-chosen tag that the matching
-// reply (or tag-scoped error) will carry back.
+// AppendTaggedQueryBatch appends one tagged query-batch payload: the
+// items behind a client-chosen tag that the matching reply (or
+// tag-scoped error) will carry back.
 func AppendTaggedQueryBatch(b []byte, tag uint64, qs []Query) ([]byte, error) {
 	if len(qs) == 0 || len(qs) > MaxBatch {
 		return nil, fmt.Errorf("wire: batch size %d outside [1, %d]", len(qs), MaxBatch)
 	}
-	b = append(b, msgTaggedQueryBatch)
-	b = binary.AppendUvarint(b, tag)
-	return appendQueryItems(b, qs)
+	return appendQueryItems(appendTag(b, msgTaggedQueryBatch, tag), qs)
 }
 
-// appendQueryItems appends the shared batch body: uvarint count then the
-// query items.
+// appendQueryItems appends a batch body: uvarint count then the query
+// items.
 func appendQueryItems(b []byte, qs []Query) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(qs)))
 	for i := range qs {
@@ -275,62 +425,24 @@ func appendQueryItems(b []byte, qs []Query) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeQueryBatch parses a v1 query-batch payload (msg byte included),
-// appending into qs to reuse its capacity.
-func DecodeQueryBatch(payload []byte, qs []Query) ([]Query, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return nil, err
-	}
-	if typ != msgQueryBatch {
-		return nil, fmt.Errorf("wire: expected query batch, got message type %d", typ)
-	}
-	return consumeQueryItems(rest, qs)
-}
-
-// decodeQueryBatchInterned is DecodeQueryBatch with a per-connection
-// interner for tenant/template names — the server loops' hot decode.
-func decodeQueryBatchInterned(payload []byte, qs []Query, in *interner) ([]Query, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return nil, err
-	}
-	if typ != msgQueryBatch {
-		return nil, fmt.Errorf("wire: expected query batch, got message type %d", typ)
-	}
-	return consumeQueryItemsInterned(rest, qs, in)
-}
-
-// DecodeTaggedQueryBatch parses a v2 tagged query-batch payload. When
-// the tag itself parses, it is returned even on a body error, so the
-// server can scope the error frame to the failing batch instead of
-// killing the connection.
+// DecodeTaggedQueryBatch parses a tagged query-batch payload, appending
+// into qs to reuse its capacity. When the tag itself parses, it is
+// returned even on a body error, so the server can scope the error frame
+// to the failing batch instead of killing the connection.
 func DecodeTaggedQueryBatch(payload []byte, qs []Query) (uint64, []Query, error) {
-	typ, rest, err := consumeByte(payload)
+	tag, rest, err := consumeTag(payload, msgTaggedQueryBatch)
 	if err != nil {
 		return 0, nil, err
 	}
-	if typ != msgTaggedQueryBatch {
-		return 0, nil, fmt.Errorf("wire: expected tagged query batch, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, nil, err
-	}
-	out, err := consumeQueryItems(rest, qs)
+	out, err := consumeQueryItems(rest, qs, nil)
 	return tag, out, err
 }
 
-// consumeQueryItems parses the shared batch body.
-func consumeQueryItems(rest []byte, qs []Query) ([]Query, error) {
-	return consumeQueryItemsInterned(rest, qs, nil)
-}
-
-// consumeQueryItemsInterned parses the shared batch body, resolving
-// tenant/template names through a per-connection interner so a steady
-// workload's names are allocated once per connection instead of once per
-// query. in may be nil (plain allocation).
-func consumeQueryItemsInterned(rest []byte, qs []Query, in *interner) ([]Query, error) {
+// consumeQueryItems parses a batch body into qs (reusing its capacity),
+// resolving tenant/template names through a per-connection interner so a
+// steady workload's names are allocated once per connection instead of
+// once per query. in may be nil (plain allocation).
+func consumeQueryItems(rest []byte, qs []Query, in *interner) ([]Query, error) {
 	n, rest, err := consumeUvarint(rest)
 	if err != nil {
 		return nil, err
@@ -389,22 +501,13 @@ func consumeQueryItemsInterned(rest []byte, qs []Query, in *interner) ([]Query, 
 	return qs, nil
 }
 
-// --- reply batch ----------------------------------------------------------
-
-// AppendReplyBatch appends one v1 reply-batch payload to b.
-func AppendReplyBatch(b []byte, rs []Reply) []byte {
-	return appendReplyItems(append(b, msgReplyBatch), rs)
-}
-
-// AppendTaggedReplyBatch appends one v2 tagged reply-batch payload: the
-// request tag, then item bytes identical to the v1 reply batch.
+// AppendTaggedReplyBatch appends one tagged reply-batch payload: the
+// request's tag, then one positional reply per query.
 func AppendTaggedReplyBatch(b []byte, tag uint64, rs []Reply) []byte {
-	b = append(b, msgTaggedReplyBatch)
-	b = binary.AppendUvarint(b, tag)
-	return appendReplyItems(b, rs)
+	return appendReplyItems(appendTag(b, msgTaggedReplyBatch, tag), rs)
 }
 
-// appendReplyItems appends the shared reply-batch body.
+// appendReplyItems appends a reply-batch body.
 func appendReplyItems(b []byte, rs []Reply) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for i := range rs {
@@ -432,37 +535,10 @@ func appendReplyItems(b []byte, rs []Reply) []byte {
 	return b
 }
 
-// DecodeReplyBatch parses a v1 reply-batch payload (msg byte included),
-// appending into rs to reuse its capacity. A msgError payload comes back
-// as an error.
-func DecodeReplyBatch(payload []byte, rs []Reply) ([]Reply, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return nil, err
-	}
-	if typ == msgError {
-		msg, _, err := consumeString(rest)
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("wire: server error: %s", msg)
-	}
-	if typ != msgReplyBatch {
-		return nil, fmt.Errorf("wire: expected reply batch, got message type %d", typ)
-	}
-	return consumeReplyItems(rest, rs)
-}
-
-// DecodeTaggedReplyBatch parses a v2 tagged reply-batch payload.
+// DecodeTaggedReplyBatch parses a tagged reply-batch payload, appending
+// into rs to reuse its capacity.
 func DecodeTaggedReplyBatch(payload []byte, rs []Reply) (uint64, []Reply, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	if typ != msgTaggedReplyBatch {
-		return 0, nil, fmt.Errorf("wire: expected tagged reply batch, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
+	tag, rest, err := consumeTag(payload, msgTaggedReplyBatch)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -470,7 +546,8 @@ func DecodeTaggedReplyBatch(payload []byte, rs []Reply) (uint64, []Reply, error)
 	return tag, out, err
 }
 
-// consumeReplyItems parses the shared reply-batch body.
+// consumeReplyItems parses a reply-batch body into rs (reusing its
+// capacity).
 func consumeReplyItems(rest []byte, rs []Reply) ([]Reply, error) {
 	n, rest, err := consumeUvarint(rest)
 	if err != nil {
@@ -548,68 +625,17 @@ func consumeReplyItems(rest []byte, rs []Reply) ([]Reply, error) {
 	return rs, nil
 }
 
-// appendErrorPayload builds a msgError payload.
-func appendErrorPayload(b []byte, msg string) []byte {
-	b = append(b, msgError)
-	return appendString(b, msg)
-}
-
-// --- v2 hello + tagged error ----------------------------------------------
-
-// AppendHello appends a hello payload carrying the sender's protocol
-// version. A v2 connection opens with exactly one hello in each
-// direction; a server that reads anything else first serves the
-// connection as lockstep v1.
-func AppendHello(b []byte, version uint64) []byte {
-	b = append(b, msgHello)
-	return binary.AppendUvarint(b, version)
-}
-
-// DecodeHello parses a hello payload (msg byte included).
-func DecodeHello(payload []byte) (uint64, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, err
-	}
-	if typ != msgHello {
-		return 0, fmt.Errorf("wire: expected hello, got message type %d", typ)
-	}
-	version, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, err
-	}
-	if len(rest) != 0 {
-		return 0, fmt.Errorf("wire: %d trailing bytes after hello", len(rest))
-	}
-	return version, nil
-}
-
-// IsHello reports whether a payload is a hello frame — the v1/v2
-// dispatch the listener does on a connection's first frame.
-func IsHello(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == msgHello
-}
-
 // AppendTaggedError appends a tag-scoped error payload: the batch or
 // subscription named by tag failed, and only it — the connection keeps
 // serving every other tag.
 func AppendTaggedError(b []byte, tag uint64, msg string) []byte {
-	b = append(b, msgTaggedError)
-	b = binary.AppendUvarint(b, tag)
-	return appendString(b, msg)
+	return appendString(appendTag(b, msgTaggedError, tag), msg)
 }
 
 // DecodeTaggedError parses a tag-scoped error payload (msg byte
 // included).
 func DecodeTaggedError(payload []byte) (uint64, string, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, "", err
-	}
-	if typ != msgTaggedError {
-		return 0, "", fmt.Errorf("wire: expected tagged error, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
+	tag, rest, err := consumeTag(payload, msgTaggedError)
 	if err != nil {
 		return 0, "", err
 	}
@@ -617,13 +643,10 @@ func DecodeTaggedError(payload []byte) (uint64, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	if len(rest) != 0 {
-		return 0, "", fmt.Errorf("wire: %d trailing bytes after tagged error", len(rest))
-	}
-	return tag, msg, nil
+	return tag, msg, expectEnd(rest, msgTaggedError)
 }
 
-// --- v2 streaming stats ----------------------------------------------------
+// --- streaming stats --------------------------------------------------------
 
 // AppendStatsSubscribe appends a stats-subscription payload: the server
 // pushes a msgStatsPush frame carrying tag immediately and then every
@@ -631,234 +654,91 @@ func DecodeTaggedError(payload []byte) (uint64, string, error) {
 // stream on the query connection. intervalSec <= 0 (or non-finite)
 // requests a single push — the one-shot fetch.
 func AppendStatsSubscribe(b []byte, tag uint64, intervalSec float64) []byte {
-	b = append(b, msgStatsSubscribe)
-	b = binary.AppendUvarint(b, tag)
-	return appendF64(b, intervalSec)
+	return appendSubscribe(b, msgStatsSubscribe, tag, intervalSec)
 }
 
 // DecodeStatsSubscribe parses a stats-subscription payload (msg byte
 // included).
 func DecodeStatsSubscribe(payload []byte) (tag uint64, intervalSec float64, err error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	if typ != msgStatsSubscribe {
-		return 0, 0, fmt.Errorf("wire: expected stats subscribe, got message type %d", typ)
-	}
-	if tag, rest, err = consumeUvarint(rest); err != nil {
-		return 0, 0, err
-	}
-	if intervalSec, rest, err = consumeF64(rest); err != nil {
-		return 0, 0, err
-	}
-	if len(rest) != 0 {
-		return 0, 0, fmt.Errorf("wire: %d trailing bytes after stats subscribe", len(rest))
-	}
-	return tag, intervalSec, nil
+	return decodeSubscribe(payload, msgStatsSubscribe)
 }
 
 // AppendStatsUnsubscribe appends a stats-unsubscribe payload ending the
 // stream opened under tag.
 func AppendStatsUnsubscribe(b []byte, tag uint64) []byte {
-	b = append(b, msgStatsUnsubscribe)
-	return binary.AppendUvarint(b, tag)
+	return appendTag(b, msgStatsUnsubscribe, tag)
 }
 
 // DecodeStatsUnsubscribe parses a stats-unsubscribe payload (msg byte
 // included).
 func DecodeStatsUnsubscribe(payload []byte) (uint64, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, err
-	}
-	if typ != msgStatsUnsubscribe {
-		return 0, fmt.Errorf("wire: expected stats unsubscribe, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, err
-	}
-	if len(rest) != 0 {
-		return 0, fmt.Errorf("wire: %d trailing bytes after stats unsubscribe", len(rest))
-	}
-	return tag, nil
+	return decodeTagOnly(payload, msgStatsUnsubscribe)
 }
 
-// AppendStatsPush appends a pushed stats payload. Like the v1 stats
-// frame the snapshot rides as JSON — stats flow at human cadence, not
-// per query — behind the subscription's tag.
+// AppendStatsPush appends a pushed stats payload: the engine snapshot
+// /v1/stats would serve, behind the subscription's tag.
 func AppendStatsPush(b []byte, tag uint64, st server.Stats) ([]byte, error) {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, msgStatsPush)
-	b = binary.AppendUvarint(b, tag)
-	return append(b, data...), nil
+	return appendJSONPush(b, msgStatsPush, tag, st)
 }
 
 // DecodeStatsPush parses a pushed stats payload (msg byte included).
 func DecodeStatsPush(payload []byte) (uint64, server.Stats, error) {
 	var st server.Stats
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, st, err
-	}
-	if typ != msgStatsPush {
-		return 0, st, fmt.Errorf("wire: expected stats push, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, st, err
-	}
-	if err := json.Unmarshal(rest, &st); err != nil {
-		return 0, st, fmt.Errorf("wire: bad stats push payload: %w", err)
-	}
-	return tag, st, nil
+	tag, err := decodeJSONPush(payload, msgStatsPush, &st)
+	return tag, st, err
 }
 
-// --- v2 trace + events frames ----------------------------------------------
+// --- trace + events frames --------------------------------------------------
 
 // AppendTraceRequest appends a trace-request payload: the binary twin of
 // GET /v1/trace. tenant and template filter ("" matches everything);
 // n == 0 applies the server's default bound.
 func AppendTraceRequest(b []byte, tag uint64, tenant, template string, n uint64) []byte {
-	b = append(b, msgTraceRequest)
-	b = binary.AppendUvarint(b, tag)
-	b = appendString(b, tenant)
-	b = appendString(b, template)
-	return binary.AppendUvarint(b, n)
+	return appendViewRequest(b, msgTraceRequest, tag, tenant, template, n)
 }
 
 // DecodeTraceRequest parses a trace-request payload (msg byte included).
 func DecodeTraceRequest(payload []byte) (tag uint64, tenant, template string, n uint64, err error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, "", "", 0, err
-	}
-	if typ != msgTraceRequest {
-		return 0, "", "", 0, fmt.Errorf("wire: expected trace request, got message type %d", typ)
-	}
-	if tag, rest, err = consumeUvarint(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if tenant, rest, err = consumeString(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if template, rest, err = consumeString(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if n, rest, err = consumeUvarint(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if len(rest) != 0 {
-		return 0, "", "", 0, fmt.Errorf("wire: %d trailing bytes after trace request", len(rest))
-	}
-	return tag, tenant, template, n, nil
+	return decodeViewRequest(payload, msgTraceRequest)
 }
 
 // AppendTracePush appends a trace-reply payload: the sampled decision
-// records as JSON behind the request's tag.
+// records behind the request's tag.
 func AppendTracePush(b []byte, tag uint64, view server.TraceView) ([]byte, error) {
-	data, err := json.Marshal(view)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, msgTracePush)
-	b = binary.AppendUvarint(b, tag)
-	return append(b, data...), nil
+	return appendJSONPush(b, msgTracePush, tag, view)
 }
 
 // DecodeTracePush parses a trace-reply payload (msg byte included).
 func DecodeTracePush(payload []byte) (uint64, server.TraceView, error) {
 	var view server.TraceView
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, view, err
-	}
-	if typ != msgTracePush {
-		return 0, view, fmt.Errorf("wire: expected trace push, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, view, err
-	}
-	if err := json.Unmarshal(rest, &view); err != nil {
-		return 0, view, fmt.Errorf("wire: bad trace push payload: %w", err)
-	}
-	return tag, view, nil
+	tag, err := decodeJSONPush(payload, msgTracePush, &view)
+	return tag, view, err
 }
 
 // AppendEventsRequest appends an events-request payload: the binary twin
 // of GET /v1/events. typ and tenant filter ("" matches everything);
 // n == 0 applies the server's default bound.
 func AppendEventsRequest(b []byte, tag uint64, typ, tenant string, n uint64) []byte {
-	b = append(b, msgEventsRequest)
-	b = binary.AppendUvarint(b, tag)
-	b = appendString(b, typ)
-	b = appendString(b, tenant)
-	return binary.AppendUvarint(b, n)
+	return appendViewRequest(b, msgEventsRequest, tag, typ, tenant, n)
 }
 
 // DecodeEventsRequest parses an events-request payload (msg byte
 // included).
 func DecodeEventsRequest(payload []byte) (tag uint64, typ, tenant string, n uint64, err error) {
-	mt, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, "", "", 0, err
-	}
-	if mt != msgEventsRequest {
-		return 0, "", "", 0, fmt.Errorf("wire: expected events request, got message type %d", mt)
-	}
-	if tag, rest, err = consumeUvarint(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if typ, rest, err = consumeString(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if tenant, rest, err = consumeString(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if n, rest, err = consumeUvarint(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if len(rest) != 0 {
-		return 0, "", "", 0, fmt.Errorf("wire: %d trailing bytes after events request", len(rest))
-	}
-	return tag, typ, tenant, n, nil
+	return decodeViewRequest(payload, msgEventsRequest)
 }
 
 // AppendEventsPush appends an events payload — the one-shot reply to an
 // events request, or one cursored installment of an events subscription.
 func AppendEventsPush(b []byte, tag uint64, view server.EventsView) ([]byte, error) {
-	data, err := json.Marshal(view)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, msgEventsPush)
-	b = binary.AppendUvarint(b, tag)
-	return append(b, data...), nil
+	return appendJSONPush(b, msgEventsPush, tag, view)
 }
 
 // DecodeEventsPush parses an events payload (msg byte included).
 func DecodeEventsPush(payload []byte) (uint64, server.EventsView, error) {
 	var view server.EventsView
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, view, err
-	}
-	if typ != msgEventsPush {
-		return 0, view, fmt.Errorf("wire: expected events push, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, view, err
-	}
-	if err := json.Unmarshal(rest, &view); err != nil {
-		return 0, view, fmt.Errorf("wire: bad events push payload: %w", err)
-	}
-	return tag, view, nil
+	tag, err := decodeJSONPush(payload, msgEventsPush, &view)
+	return tag, view, err
 }
 
 // AppendEventsSubscribe appends an events-subscription payload: the
@@ -867,166 +747,25 @@ func DecodeEventsPush(payload []byte) (uint64, server.EventsView, error) {
 // the subscription has not yet seen. intervalSec <= 0 (or non-finite)
 // requests a single installment.
 func AppendEventsSubscribe(b []byte, tag uint64, intervalSec float64) []byte {
-	b = append(b, msgEventsSubscribe)
-	b = binary.AppendUvarint(b, tag)
-	return appendF64(b, intervalSec)
+	return appendSubscribe(b, msgEventsSubscribe, tag, intervalSec)
 }
 
 // DecodeEventsSubscribe parses an events-subscription payload (msg byte
 // included).
 func DecodeEventsSubscribe(payload []byte) (tag uint64, intervalSec float64, err error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	if typ != msgEventsSubscribe {
-		return 0, 0, fmt.Errorf("wire: expected events subscribe, got message type %d", typ)
-	}
-	if tag, rest, err = consumeUvarint(rest); err != nil {
-		return 0, 0, err
-	}
-	if intervalSec, rest, err = consumeF64(rest); err != nil {
-		return 0, 0, err
-	}
-	if len(rest) != 0 {
-		return 0, 0, fmt.Errorf("wire: %d trailing bytes after events subscribe", len(rest))
-	}
-	return tag, intervalSec, nil
+	return decodeSubscribe(payload, msgEventsSubscribe)
 }
 
 // AppendEventsUnsubscribe appends an events-unsubscribe payload ending
 // the stream opened under tag.
 func AppendEventsUnsubscribe(b []byte, tag uint64) []byte {
-	b = append(b, msgEventsUnsubscribe)
-	return binary.AppendUvarint(b, tag)
+	return appendTag(b, msgEventsUnsubscribe, tag)
 }
 
 // DecodeEventsUnsubscribe parses an events-unsubscribe payload (msg byte
 // included).
 func DecodeEventsUnsubscribe(payload []byte) (uint64, error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return 0, err
-	}
-	if typ != msgEventsUnsubscribe {
-		return 0, fmt.Errorf("wire: expected events unsubscribe, got message type %d", typ)
-	}
-	tag, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, err
-	}
-	if len(rest) != 0 {
-		return 0, fmt.Errorf("wire: %d trailing bytes after events unsubscribe", len(rest))
-	}
-	return tag, nil
-}
-
-// --- stats frames ---------------------------------------------------------
-
-// AppendStatsRequest appends a stats-request payload: a client asking for
-// the live engine snapshot over the same connection it submits on,
-// replacing /v1/stats polling for binary-front clients.
-func AppendStatsRequest(b []byte) []byte {
-	return append(b, msgStatsRequest)
-}
-
-// AppendStats appends a stats payload. The snapshot rides as JSON inside
-// the binary frame: stats are read at human cadence, not per query, so
-// the self-describing encoding (which tracks the evolving Stats schema
-// for free) beats hand-rolled field codecs here — framing, connection
-// reuse and the hot query path stay fully binary.
-func AppendStats(b []byte, st server.Stats) ([]byte, error) {
-	data, err := json.Marshal(st)
-	if err != nil {
-		return nil, err
-	}
-	b = append(b, msgStats)
-	return append(b, data...), nil
-}
-
-// DecodeStats parses a stats payload (msg byte included). A msgError
-// payload comes back as an error.
-func DecodeStats(payload []byte) (server.Stats, error) {
-	var st server.Stats
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return st, err
-	}
-	if typ == msgError {
-		msg, _, err := consumeString(rest)
-		if err != nil {
-			return st, err
-		}
-		return st, fmt.Errorf("wire: server error: %s", msg)
-	}
-	if typ != msgStats {
-		return st, fmt.Errorf("wire: expected stats, got message type %d", typ)
-	}
-	if err := json.Unmarshal(rest, &st); err != nil {
-		return st, fmt.Errorf("wire: bad stats payload: %w", err)
-	}
-	return st, nil
-}
-
-// IsStatsRequest reports whether a decoded payload is a stats request.
-func IsStatsRequest(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == msgStatsRequest
-}
-
-// --- snapshot (admin) frames ----------------------------------------------
-
-// AppendSnapshotRequest appends a snapshot-request payload: an admin
-// client asking the daemon to persist its economy state to the
-// configured state path right now (an on-demand checkpoint).
-func AppendSnapshotRequest(b []byte) []byte {
-	return append(b, msgSnapshotRequest)
-}
-
-// IsSnapshotRequest reports whether a decoded payload is a snapshot
-// request.
-func IsSnapshotRequest(payload []byte) bool {
-	return len(payload) > 0 && payload[0] == msgSnapshotRequest
-}
-
-// AppendSnapshotReply appends a snapshot-reply payload: where the
-// snapshot landed and how many bytes it encoded to.
-func AppendSnapshotReply(b []byte, path string, size int64) []byte {
-	b = append(b, msgSnapshotReply)
-	b = appendString(b, path)
-	return binary.AppendUvarint(b, uint64(size))
-}
-
-// DecodeSnapshotReply parses a snapshot-reply payload (msg byte
-// included). A msgError payload comes back as an error.
-func DecodeSnapshotReply(payload []byte) (path string, size int64, err error) {
-	typ, rest, err := consumeByte(payload)
-	if err != nil {
-		return "", 0, err
-	}
-	if typ == msgError {
-		msg, _, err := consumeString(rest)
-		if err != nil {
-			return "", 0, err
-		}
-		return "", 0, fmt.Errorf("wire: server error: %s", msg)
-	}
-	if typ != msgSnapshotReply {
-		return "", 0, fmt.Errorf("wire: expected snapshot reply, got message type %d", typ)
-	}
-	if path, rest, err = consumeString(rest); err != nil {
-		return "", 0, err
-	}
-	u, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return "", 0, err
-	}
-	if u > math.MaxInt64 {
-		return "", 0, fmt.Errorf("wire: snapshot size %d out of range", u)
-	}
-	if len(rest) != 0 {
-		return "", 0, fmt.Errorf("wire: %d trailing bytes after snapshot reply", len(rest))
-	}
-	return path, int64(u), nil
+	return decodeTagOnly(payload, msgEventsUnsubscribe)
 }
 
 // --- framing --------------------------------------------------------------

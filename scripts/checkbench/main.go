@@ -11,13 +11,12 @@
 //     cloudrouter front) must retain at least 85% of its mode=pipelined
 //     twin's throughput — the cluster tier's "the hop is cheap"
 //     contract.
-//   - Allocations: every in-process admission cell (inproc,
-//     microbatch, batch) must stay within 10% (plus one alloc of
-//     absolute slack) of the allocs/query recorded when the
-//     allocation-free hot path landed — the "steady state does not
-//     allocate" contract. Throughput is noisy on shared hosts;
-//     allocation counts are nearly deterministic, so this gate is the
-//     sharp one.
+//   - Allocations: every in-process admission cell (inproc, batch)
+//     must stay within 10% (plus one alloc of absolute slack) of the
+//     allocs/query recorded when the allocation-free hot path landed —
+//     the "steady state does not allocate" contract. Throughput is
+//     noisy on shared hosts; allocation counts are nearly
+//     deterministic, so this gate is the sharp one.
 //   - Decision engine: every scheme's BenchmarkDecide row — bare
 //     scheme.HandleQuery on a warmed, resident-heavy state — must run at
 //     zero allocs/query. The engine indexes slices by structure slot; a
@@ -89,13 +88,12 @@ type allocKey struct {
 }
 
 var allocBaseline = map[allocKey]float64{
-	{"inproc", 1, 1}:     4.2,
-	{"inproc", 2, 1}:     4.8,
-	{"inproc", 4, 1}:     4.9,
-	{"inproc", 8, 1}:     5.8,
-	{"microbatch", 4, 1}: 4.9,
-	{"batch", 4, 16}:     3.6,
-	{"batch", 4, 64}:     1.1,
+	{"inproc", 1, 1}: 4.2,
+	{"inproc", 2, 1}: 4.8,
+	{"inproc", 4, 1}: 4.9,
+	{"inproc", 8, 1}: 5.8,
+	{"batch", 4, 16}: 3.6,
+	{"batch", 4, 64}: 1.1,
 }
 
 func main() {

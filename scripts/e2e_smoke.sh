@@ -47,13 +47,15 @@ grep -q "decision traces: sample_every=64" "$BIN/trace_http.out" || {
 }
 
 # Same stream again over the binary protocol with connection reuse and
-# batching; the delta-based check tolerates the earlier run's counters.
+# batching (one batch in flight per connection, stats over HTTP); the
+# delta-based check tolerates the earlier run's counters.
 "$BIN/workloadgen" -serve "$BIN_ADDR" -proto bin -batch 32 -queries "$QUERIES" \
     -clients 8 -tenants 16 -stats-url "http://$ADDR" -check
 
 # Multi-tenant skewed replay: a Zipf(1.1) hot-tenant mix over the binary
-# front, stats fetched over the wire protocol's stats frame (no -stats-url),
-# with the per-tenant ledger-sum invariant checked from the client side.
+# front, stats fetched over the wire protocol itself (MuxClient.Stats; no
+# -stats-url), with the per-tenant ledger-sum invariant checked from the
+# client side.
 "$BIN/workloadgen" -serve "$BIN_ADDR" -proto bin -batch 16 -queries "$QUERIES" \
     -clients 8 -tenants 8 -tenant-skew 1.1 -check
 
@@ -79,11 +81,11 @@ print(f"adversary OK: mallory settled {m['queries']} underbid queries, "
       f"spend=${m['spend_usd']:.4f}")
 EOF
 
-# Same stream once more over the multiplexed v2 protocol: 4 connections,
-# 32 tagged batches in flight on each, completed out of order by the
-# daemon, with stats taken from the server-pushed stream (no polling).
-# The -check invariants prove the reordering lost and double-counted
-# nothing; -dump-trace fetches traces over the v2 trace frame.
+# Same stream once more, pipelined: 4 connections, 32 tagged batches in
+# flight on each, completed out of order by the daemon, with stats taken
+# from the server-pushed stream (no polling). The -check invariants
+# prove the reordering lost and double-counted nothing; -dump-trace
+# fetches traces over the protocol's trace frame.
 "$BIN/workloadgen" -serve "$BIN_ADDR" -proto bin -pipeline 32 -batch 4 -queries "$QUERIES" \
     -clients 4 -tenants 16 -check -dump-trace 4 >"$BIN/trace_bin.out"
 grep -q "decision traces: sample_every=64" "$BIN/trace_bin.out" || {
@@ -315,7 +317,7 @@ curl -sf "http://$RT_ADDR/metrics" | grep -q "cloudrouter_shards $SHARDS" || {
     echo "router metrics missing shard count"; exit 1
 }
 
-# Replay through the router (multiplexed v2, stats fetched from the
+# Replay through the router (pipelined, stats fetched from the
 # router's merged view over the wire) while a live migration runs in the
 # middle of the stream. Throttled so the move genuinely lands mid-run.
 "$BIN/workloadgen" -serve "$RT_BIN" -proto bin -pipeline 16 -batch 8 -queries "$CQ" \
