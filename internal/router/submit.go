@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -82,6 +83,8 @@ func (r *Router) SubmitBatchAsync(ctx context.Context, qs []wire.Query, decodeNa
 	if len(qs) == 0 {
 		return errors.New("router: empty batch")
 	}
+	// The caller lends qs for this call only; the fan-out outlives it.
+	qs = slices.Clone(qs)
 	go func() {
 		rs, err := r.SubmitBatch(ctx, qs, decodeNanos)
 		if err != nil {

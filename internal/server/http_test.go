@@ -299,3 +299,60 @@ func TestHTTPAfterShutdown(t *testing.T) {
 		t.Error("healthz must report draining")
 	}
 }
+
+// TestHTTPInlineCounter reads the fast path from outside: lone POST
+// /v1/query requests on an idle engine are decided inline, a batch goes
+// through the mailbox, and per shard /v1/stats and /metrics agree that
+// inline + mailbox decisions make up `queries`.
+func TestHTTPInlineCounter(t *testing.T) {
+	_, ts := newHTTPServer(t)
+	const singles = 9
+	for i := 0; i < singles; i++ {
+		resp, body := postQuery(t, ts.URL, fmt.Sprintf(`{"tenant":"t%d","template":"Q6"}`, i%3))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: %d %s", i, resp.StatusCode, body)
+		}
+	}
+	resp, body := postBody(t, ts.URL+"/v1/batch",
+		`[{"tenant":"t0","template":"Q6"},{"tenant":"t1","template":"Q1"},{"tenant":"t0","template":"Q3"}]`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %d %s", resp.StatusCode, body)
+	}
+	const batched = 3
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st server.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var metrics bytes.Buffer
+	if _, err := metrics.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	var inline, mailbox int64
+	for _, sh := range st.PerShard {
+		inline += sh.Inline
+		mailbox += sh.Queries - sh.Inline
+		for name, want := range map[string]int64{
+			"cloudcache_inline_decisions_total": sh.Inline,
+			"cloudcache_queries_total":          sh.Queries,
+		} {
+			if line := fmt.Sprintf("%s{shard=\"%d\"} %d\n", name, sh.Shard, want); !strings.Contains(metrics.String(), line) {
+				t.Errorf("/metrics lacks %q (the /v1/stats value)", strings.TrimSpace(line))
+			}
+		}
+	}
+	if inline != singles || mailbox != batched || st.Queries != singles+batched {
+		t.Errorf("inline %d + mailbox %d of %d queries, want %d + %d", inline, mailbox, st.Queries, singles, batched)
+	}
+}

@@ -58,6 +58,8 @@ func (s *Server) WriteMetrics(w io.Writer) {
 
 	writeShardCounter(w, "cloudcache_queries_total", "Queries decided.", st.PerShard,
 		func(sh *ShardStats) int64 { return sh.Queries })
+	writeShardCounter(w, "cloudcache_inline_decisions_total", "Queries decided on their caller's goroutine (idle shard), without a mailbox hand-off.", st.PerShard,
+		func(sh *ShardStats) int64 { return sh.Inline })
 	writeShardCounter(w, "cloudcache_declined_total", "Queries declined (Case C).", st.PerShard,
 		func(sh *ShardStats) int64 { return sh.Declined })
 	writeShardCounter(w, "cloudcache_cache_answered_total", "Queries answered from cached structures.", st.PerShard,
@@ -71,7 +73,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 
 	writeShardGauge(w, "cloudcache_mailbox_depth", "Admission-queue length at scrape time.", st.PerShard,
 		func(sh *ShardStats) float64 { return float64(sh.MailboxDepth) })
-	writeShardGauge(w, "cloudcache_mailbox_oldest_wait_seconds", "Head message's queue wait at the most recent drain (real seconds).", st.PerShard,
+	writeShardGauge(w, "cloudcache_mailbox_oldest_wait_seconds", "Queue wait of the most recent decision: the head message's at a mailbox drain, 0 for an inline decision (real seconds).", st.PerShard,
 		func(sh *ShardStats) float64 { return sh.OldestWaitSec })
 	writeShardGauge(w, "cloudcache_resident_bytes", "Bytes of cached structures resident on the shard.", st.PerShard,
 		func(sh *ShardStats) float64 { return float64(sh.ResidentBytes) })

@@ -246,6 +246,7 @@ func (s *shard) resetLocked(fresh scheme.Scheme) {
 	s.storageGBSeconds = 0
 	s.nodeSeconds = 0
 	s.queries = 0
+	s.inline = 0
 	s.declined = 0
 	s.cacheAnswered = 0
 	s.investments = 0

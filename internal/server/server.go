@@ -4,10 +4,16 @@
 // independent economy shards.
 //
 // Each shard owns a complete scheme instance — cache, account, regret
-// ledger — and serializes its decisions through a mailbox goroutine, so
-// the paper's single-owner economy invariants hold per shard with no
-// locking on the decision path. Queries route to shards by tenant (or
-// template when no tenant is given), keeping each tenant's regret and
+// ledger — behind one lock, so the paper's single-owner economy
+// invariants hold per shard. The lock serializes, the mailbox queues: a
+// single query that finds its shard idle (nothing queued, lock free) is
+// decided right where it is, on its caller's goroutine — Submit, a
+// one-request batch, the HTTP handler and the wire front's connection
+// reader all run a lone query to completion without a hand-off — while
+// contended singletons and all batched work wait in the shard's mailbox
+// for its loop goroutine, which decides a whole drain under one
+// acquisition. Queries route to shards by tenant (or template when no
+// tenant is given), keeping each tenant's regret and
 // amortization history together. A shared Clock (wall, accelerated, or
 // virtual) drives rent and uptime accrual: a ticker integrates storage
 // and node rent through idle periods and completes due builds, mirroring
@@ -120,10 +126,13 @@ type Config struct {
 	// MailboxDepth bounds each shard's admission queue. Default 256.
 	MailboxDepth int
 	// DecideDelay, when set, is called with the shard id at the start of
-	// every mailbox drain, before the shard takes its lock. A test hook:
-	// out-of-order completion tests install randomized per-shard sleeps
-	// here to scramble which shard group of a pipelined batch finishes
-	// first. Nil (the default) costs one predicted branch per drain.
+	// every mailbox drain, before the shard takes its lock — and sends
+	// every submission through the mailbox, idle shard or not, so the hook
+	// sees them all. A test hook: out-of-order completion tests install
+	// randomized per-shard sleeps here to scramble which shard group of a
+	// pipelined batch finishes first, and a no-op hook is the forced-
+	// mailbox arm of the inline/mailbox differential test. Nil (the
+	// default) costs one predicted branch per decision.
 	DecideDelay func(shard int)
 	// Seed derives each shard's deterministic RNG. Default 1.
 	Seed int64
@@ -436,37 +445,49 @@ func ShardIndexFor(tenant, template string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
+// admit registers one submission with the drain: it fails once Shutdown
+// has begun, and otherwise holds submitWG — which the caller releases when
+// its query is decided inline or its last message is enqueued — so drain
+// closes the mailboxes, and finalize runs, only after every accepted
+// query is decided or queued.
+func (s *Server) admit() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrServerClosed
+	}
+	s.submitWG.Add(1)
+	return nil
+}
+
 // Submit routes the query to its shard, waits for the economy's answer
 // and returns it. Safe for arbitrary concurrency. After Shutdown begins
 // it returns ErrServerClosed; a query accepted before that is always
 // answered, even if Shutdown is already in progress.
 //
-// Submit is deliberately not a one-item SubmitBatchAsync: it sends the
-// request by value and waits on a pooled reply channel, so a query costs
-// no allocation, where a one-item batch would pay the carve buffers and
-// a completion closure. POST /v1/query (the http-mixed benchmark
-// workload) and the in-process bench cells ride this path.
+// An idle shard decides the query right here, on the caller's goroutine;
+// only a busy one costs a mailbox message and a wait on a pooled reply
+// channel. Either way a query allocates nothing. POST /v1/query (the
+// http-mixed benchmark workload) and the in-process bench cells ride
+// this path, and a one-request SubmitBatchAsync shares its two halves
+// (shard.tryDecide, shard.enqueue).
 func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
-	sh := s.shards[s.ShardIndex(req)]
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return Response{}, ErrServerClosed
+	if err := s.admit(); err != nil {
+		return Response{}, err
 	}
-	s.submitWG.Add(1)
-	s.mu.Unlock()
 	defer s.submitWG.Done()
 
+	sh := s.shards[s.ShardIndex(req)]
+	if r, ok := sh.tryDecide(req); ok {
+		return r.resp, r.err
+	}
 	reply, _ := s.replyPool.Get().(chan shardReply)
 	if reply == nil {
 		reply = make(chan shardReply, 1)
 	}
-	select {
-	case sh.mailbox <- shardMsg{req: req, reply: reply, enq: s.nanos()}:
-	case <-ctx.Done():
+	if err := sh.enqueue(ctx, shardMsg{req: req, reply: reply, enq: s.nanos()}); err != nil {
 		s.replyPool.Put(reply) // never enqueued; still empty
-		return Response{}, ctx.Err()
+		return Response{}, err
 	}
 	// The shard always answers (the loop drains its mailbox before
 	// exiting), so an abandoned wait leaks nothing: the reply channel is
@@ -560,28 +581,35 @@ func (s *Server) carveGroups(reqs []Request) (reqBuf []Request, posBuf []int, re
 // frames while prior batches are still deciding: batches complete out
 // of order as their shard groups drain.
 //
-// done runs on the shard goroutine that completed the batch's final
-// group, so it must be quick and must not call back into the server's
-// snapshot paths (Stats, Structures); hand heavy work to another
-// goroutine. It may fire before SubmitBatchAsync returns. On a non-nil
-// error (ErrServerClosed, ctx cancellation mid-enqueue) done is never
-// invoked; groups already enqueued are still decided and their results
-// discarded.
+// A one-request batch is a singleton, not a group: it takes Submit's
+// path — decided on this goroutine when its shard is idle, with done
+// invoked before SubmitBatchAsync returns, else one by-value mailbox
+// message — and pays none of the carve below.
+//
+// done otherwise runs on the shard goroutine that completed the batch's
+// final group, so it must be quick and must not call back into the
+// server's snapshot paths (Stats, Structures); hand heavy work to another
+// goroutine. It never runs under a shard lock. On a non-nil error
+// (ErrServerClosed, ctx cancellation mid-enqueue) done is never invoked;
+// groups already enqueued are still decided and their results discarded.
+// reqs is not retained past the call.
 func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func([]BatchItem)) error {
 	if len(reqs) == 0 {
 		return fmt.Errorf("server: empty batch")
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrServerClosed
+	if err := s.admit(); err != nil {
+		return err
 	}
-	s.submitWG.Add(1)
-	s.mu.Unlock()
-	// The WG guards only the enqueue phase: drain closes the mailboxes
-	// after submitWG.Wait(), and the loops answer everything already
-	// enqueued before exiting, so completion needs no further guard.
 	defer s.submitWG.Done()
+
+	if len(reqs) == 1 {
+		sh := s.shards[s.ShardIndex(reqs[0])]
+		if r, ok := sh.tryDecide(reqs[0]); ok {
+			done([]BatchItem{{Resp: r.resp, Err: r.err}})
+			return nil
+		}
+		return sh.enqueue(ctx, shardMsg{req: reqs[0], done: done, enq: s.nanos()})
+	}
 
 	items := make([]BatchItem, len(reqs))
 	pending := new(atomic.Int32)
@@ -620,12 +648,10 @@ func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func
 				done(items)
 			}
 		}
-		select {
-		case s.shards[idx].mailbox <- shardMsg{batch: grp, batchDone: cb, replyBuf: buf, enq: enq}:
-		case <-ctx.Done():
-			// Unsent groups keep pending above zero forever, so done can
-			// never fire after this error return.
-			return ctx.Err()
+		// Unsent groups keep pending above zero forever, so done can never
+		// fire after an error return.
+		if err := s.shards[idx].enqueue(ctx, shardMsg{batch: grp, batchDone: cb, replyBuf: buf, enq: enq}); err != nil {
+			return err
 		}
 	}
 	return nil

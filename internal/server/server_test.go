@@ -50,13 +50,15 @@ func testBudget() budget.Func {
 }
 
 // clearGauges zeroes the real-time saturation gauges before determinism
-// comparisons: mailbox depth and oldest-waiter age measure wall-clock
-// scheduling, not economy state, so two byte-identical replays may
-// legitimately differ there.
+// comparisons: mailbox depth, oldest-waiter age and how many decisions
+// found their shard idle measure wall-clock scheduling (and which submit
+// path a replay took), not economy state, so two byte-identical replays
+// may legitimately differ there.
 func clearGauges(st *server.Stats) {
 	for i := range st.PerShard {
 		st.PerShard[i].MailboxDepth = 0
 		st.PerShard[i].OldestWaitSec = 0
+		st.PerShard[i].Inline = 0
 	}
 }
 
@@ -269,77 +271,108 @@ func TestVirtualClockAccrual(t *testing.T) {
 
 // TestGracefulDrain: Shutdown racing a flood of Submits must answer every
 // accepted query and reject the rest with ErrServerClosed — nothing
-// dropped, nothing double-counted.
+// dropped, nothing double-counted — whichever path decided them: a
+// contended flood mixes mailbox and inline decisions, one submitter per
+// shard is decided inline throughout.
 func TestGracefulDrain(t *testing.T) {
-	cat := testCatalog()
-	srv, err := server.New(server.Config{
-		Shards: 4,
-		Scheme: "econ-cheap",
-		Params: testParams(cat),
-		Clock:  server.NewVirtualClock(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	perShard := scratchTenants()
+	floods := []struct {
+		name       string
+		goroutines int
+		tenant     func(g int) string
+		allInline  bool
+	}{
+		{"contended", 12, func(g int) string { return fmt.Sprintf("t%d", g) }, false},
+		{"one submitter per shard", scratchShards, func(g int) string { return perShard[g][0] }, true},
 	}
-
-	ctx := context.Background()
-	const goroutines = 12
-	const perG = 80
-	var accepted, rejected int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			<-start
-			for i := 0; i < perG; i++ {
-				_, err := srv.Submit(ctx, server.Request{
-					Tenant:   fmt.Sprintf("t%d", g),
-					Template: "Q1",
-					Budget:   testBudget(),
-				})
-				mu.Lock()
-				switch {
-				case err == nil:
-					accepted++
-				case errors.Is(err, server.ErrServerClosed):
-					rejected++
-				default:
-					mu.Unlock()
-					t.Errorf("unexpected error: %v", err)
-					return
-				}
-				mu.Unlock()
+	for _, flood := range floods {
+		t.Run(flood.name, func(t *testing.T) {
+			cat := testCatalog()
+			srv, err := server.New(server.Config{
+				Shards: scratchShards,
+				Scheme: "econ-cheap",
+				Params: testParams(cat),
+				Clock:  server.NewVirtualClock(),
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(g)
-	}
-	close(start)
-	// Let some queries through, then drain mid-flood.
-	time.Sleep(5 * time.Millisecond)
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
 
-	if accepted+rejected != goroutines*perG {
-		t.Errorf("accepted %d + rejected %d != %d submitted", accepted, rejected, goroutines*perG)
-	}
-	st := srv.Stats()
-	if st.Queries != accepted {
-		t.Errorf("server handled %d queries but %d submissions were accepted", st.Queries, accepted)
-	}
-	if !st.Draining {
-		t.Error("stats must report draining after shutdown")
-	}
+			// Every goroutine floods until the drain turns it away; the drain
+			// begins once letThrough queries have been answered.
+			const letThrough = 200
+			ctx := context.Background()
+			var submitted, accepted, rejected int64
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			through := make(chan struct{})
+			for g := 0; g < flood.goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for {
+						_, err := srv.Submit(ctx, server.Request{
+							Tenant:   flood.tenant(g),
+							Template: "Q1",
+							Budget:   testBudget(),
+						})
+						mu.Lock()
+						submitted++
+						switch {
+						case err == nil:
+							if accepted++; accepted == letThrough {
+								close(through)
+							}
+							mu.Unlock()
+						case errors.Is(err, server.ErrServerClosed):
+							rejected++
+							mu.Unlock()
+							return
+						default:
+							mu.Unlock()
+							t.Errorf("unexpected error: %v", err)
+							return
+						}
+					}
+				}(g)
+			}
+			flooded := make(chan struct{})
+			go func() { wg.Wait(); close(flooded) }()
+			select {
+			case <-through:
+			case <-flooded: // every goroutine failed; reported above
+			}
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			<-flooded
 
-	// The server stays closed and Shutdown stays idempotent.
-	if _, err := srv.Submit(ctx, server.Request{Template: "Q1"}); !errors.Is(err, server.ErrServerClosed) {
-		t.Errorf("post-shutdown submit: err = %v, want ErrServerClosed", err)
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Errorf("second shutdown: %v", err)
+			if accepted+rejected != submitted || rejected != int64(flood.goroutines) {
+				t.Errorf("accepted %d + rejected %d of %d submitted by %d goroutines", accepted, rejected, submitted, flood.goroutines)
+			}
+			st := srv.Stats()
+			if st.Queries != accepted {
+				t.Errorf("server handled %d queries but %d submissions were accepted", st.Queries, accepted)
+			}
+			var inline int64
+			for _, sh := range st.PerShard {
+				inline += sh.Inline
+			}
+			if inline > accepted || (flood.allInline && inline != accepted) {
+				t.Errorf("%d of %d accepted queries decided inline (all inline expected: %v)", inline, accepted, flood.allInline)
+			}
+			if !st.Draining {
+				t.Error("stats must report draining after shutdown")
+			}
+
+			// The server stays closed and Shutdown stays idempotent.
+			if _, err := srv.Submit(ctx, server.Request{Template: "Q1"}); !errors.Is(err, server.ErrServerClosed) {
+				t.Errorf("post-shutdown submit: err = %v, want ErrServerClosed", err)
+			}
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Errorf("second shutdown: %v", err)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,16 +18,20 @@ import (
 	"repro/internal/workload"
 )
 
-// shardMsg is one unit of mailbox work: a single query with its reply
-// channel, or one shard group of a batch with its completion callback.
-// Reply channels are buffered (capacity 1) so the shard loop never
-// blocks on a caller that has already given up. Batches keep the mailbox
-// traffic proportional to submissions, not queries: one send and one
-// dequeue cover the entire slice.
+// shardMsg is one unit of mailbox work: a single query that found its
+// shard busy — with Submit's reply channel or a one-request
+// SubmitBatchAsync's completion — or one shard group of a batch with its
+// completion callback. Reply channels are buffered (capacity 1) so the
+// shard loop never blocks on a caller that has already given up. Batches
+// keep the mailbox traffic proportional to submissions, not queries: one
+// send and one dequeue cover the entire slice.
 type shardMsg struct {
-	// req/reply carry a single submission when batch is nil.
+	// req carries a single submission, by value, when batch is nil; the
+	// answer goes to reply (Submit) or, after the shard lock is released,
+	// to done as a one-item slice (SubmitBatchAsync).
 	req   Request
 	reply chan shardReply
+	done  func([]BatchItem)
 
 	// batch carries one shard group of SubmitBatchAsync. The slice is
 	// owned by the shard until batchDone runs. replyBuf is caller-owned
@@ -49,10 +54,13 @@ type shardReply struct {
 }
 
 // shard owns one slice of the economy: its own scheme (cache, account,
-// regret ledger), its own deterministic RNG and its own metrics. All
-// decisions are serialized through the mailbox goroutine; the mutex exists
-// only so snapshots and housekeeping can observe (and accrue rent into) a
-// consistent state without joining the queue.
+// regret ledger), its own deterministic RNG and its own metrics. The lock
+// serializes: every decision, housekeeping pass and snapshot runs under
+// mu, on whichever goroutine holds it. The mailbox queues: contended
+// singletons and all batched work wait there for the loop goroutine, which
+// decides a whole drain under one acquisition. A single query that finds
+// the shard idle — nothing queued, lock free — never sees the mailbox; it
+// is decided on its caller's goroutine (tryDecide).
 type shard struct {
 	id  int
 	srv *Server
@@ -60,6 +68,13 @@ type shard struct {
 	mailbox chan shardMsg
 	tick    chan struct{} // capacity 1; coalesces housekeeping ticks
 	done    chan struct{} // closed when the loop has drained and exited
+
+	// queued counts messages enqueued (or about to be) and not yet decided.
+	// It gates the inline path: while it is nonzero every submission joins
+	// the queue, so a goroutine's earlier asynchronous submissions are
+	// always decided before its later ones and inline callers can never
+	// starve a waiting mailbox.
+	queued atomic.Int64
 
 	mu  sync.Mutex
 	sch scheme.Scheme
@@ -94,10 +109,11 @@ type shard struct {
 	deferred []deferredDone
 
 	// scratchQ is the per-shard query object decideLocked reuses for
-	// every decision: shards are mailbox-serialized and nothing retains
-	// the *workload.Query past the scheme's HandleQuery return (pooled
-	// plans hold the pointer only until the next Enumerate), so one
-	// scratch object replaces a heap allocation per query.
+	// every decision: decisions are serialized by mu — on the loop
+	// goroutine or an inline caller's alike — and nothing retains the
+	// *workload.Query past the scheme's HandleQuery return (pooled plans
+	// hold the pointer only until the next Enumerate), so one scratch
+	// object replaces a heap allocation per query.
 	scratchQ workload.Query
 	// scratchStep + stepFunc are the matching fast path for the default
 	// budget: when the server's policy is step-shaped, decideLocked
@@ -107,12 +123,15 @@ type shard struct {
 	scratchStep budget.Step
 	stepFunc    budget.Func
 
-	// oldestWait is the head message's mailbox wait observed at the most
-	// recent drain, nanoseconds — the saturation gauge /v1/stats reports.
-	// Atomic because snapshots read it without joining the queue.
+	// oldestWait is the queue wait of the shard's most recent decision,
+	// nanoseconds: the head message's mailbox wait at a drain, 0 for an
+	// inline decision — the saturation gauge /v1/stats reports.
 	oldestWait atomic.Int64
 
-	queries       int64
+	queries int64
+	// inline counts the queries among them decided on their caller's
+	// goroutine; queries - inline went through the mailbox.
+	inline        int64
 	declined      int64
 	cacheAnswered int64
 	investments   int64
@@ -206,22 +225,65 @@ func (s *shard) loop() {
 	}
 }
 
-// deferredDone is one batch completion held back until the shard
-// lock is released: the callback chains into SubmitBatchAsync's done,
-// which is caller code and must be free to read server state (snapshot
-// paths on OTHER shards, encode work) without holding this shard's mu.
+// deferredDone is one completion held back until the shard lock is
+// released: it chains into SubmitBatchAsync's done, which is caller code
+// and must be free to read server state (snapshot paths on OTHER shards,
+// encode work) without holding this shard's mu. A batch group completes
+// through fn(replies); a queued one-request batch through one(reply).
 type deferredDone struct {
 	fn      func([]shardReply)
 	replies []shardReply
+
+	one   func([]BatchItem)
+	reply shardReply
+}
+
+// tryDecide is the fast half of the singleton path: when the shard is
+// idle — nothing queued ahead and the lock free — it decides req right
+// here, on the caller's goroutine, and reports true. It tries and never
+// waits: a busy shard (or a DecideDelay hook, which forces the mailbox
+// so tests can reorder completions) sends the caller to the queue
+// instead. A disowned shard answers ErrShardNotOwned without touching
+// state, exactly as the loop would.
+func (s *shard) tryDecide(req Request) (shardReply, bool) {
+	if s.srv.cfg.DecideDelay != nil || s.queued.Load() != 0 || !s.mu.TryLock() {
+		return shardReply{}, false
+	}
+	defer s.mu.Unlock()
+	if !s.owned {
+		return shardReply{err: s.notOwnedErr()}, true
+	}
+	now := s.nowLocked()
+	s.accrueLocked(now)
+	reply := s.handleLocked(req, now, 0)
+	if reply.err == nil {
+		s.inline++
+	}
+	s.oldestWait.Store(0)
+	return reply, true
+}
+
+// enqueue is the slow half: one by-value mailbox message, counted in
+// queued from before the send until the loop has decided it. The send may
+// block on a full mailbox; ctx abandons it.
+func (s *shard) enqueue(ctx context.Context, m shardMsg) error {
+	s.queued.Add(1)
+	select {
+	case s.mailbox <- m:
+		return nil
+	case <-ctx.Done():
+		s.queued.Add(-1)
+		return ctx.Err()
+	}
 }
 
 // handleMsgs decides a whole mailbox drain under one lock acquisition and
 // one clock read: every message in the group shares the arrival stamp, as
 // if its queries had been submitted back-to-back at the same instant.
-// Singleton replies go out per message in order; the channels are
-// buffered, so a caller that gave up blocks nothing. Batch completions
-// are invoked after the lock is dropped, still on this goroutine and
-// still in dequeue order.
+// Submit's replies go out per message in order; the channels are
+// buffered, so a caller that gave up blocks nothing. Completions are
+// invoked after the lock is dropped, still on this goroutine and still in
+// dequeue order.
 func (s *shard) handleMsgs(msgs []shardMsg) {
 	if delay := s.srv.cfg.DecideDelay; delay != nil {
 		delay(s.id)
@@ -232,56 +294,54 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 	drainNanos := s.srv.nanos()
 	s.oldestWait.Store(drainNanos - msgs[0].enq)
 	s.mu.Lock()
-	if !s.owned {
-		s.rejectLocked(msgs)
-		return
+	var now time.Duration
+	if s.owned {
+		now = s.nowLocked()
+		s.accrueLocked(now)
 	}
-	now := s.nowLocked()
-	s.accrueLocked(now)
 	s.deferred = s.deferred[:0]
 	for _, m := range msgs {
 		wait := drainNanos - m.enq
-		if m.batch == nil {
-			m.reply <- s.handleLocked(m.req, now, wait)
-			continue
+		switch {
+		case m.batch != nil:
+			for i, req := range m.batch {
+				m.replyBuf[i] = s.answerLocked(req, now, wait)
+			}
+			s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: m.replyBuf})
+		case m.reply != nil:
+			m.reply <- s.answerLocked(m.req, now, wait)
+		default:
+			s.deferred = append(s.deferred, deferredDone{one: m.done, reply: s.answerLocked(m.req, now, wait)})
 		}
-		for i, req := range m.batch {
-			m.replyBuf[i] = s.handleLocked(req, now, wait)
-		}
-		s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: m.replyBuf})
 	}
-	s.unlockAndComplete()
-}
-
-// rejectLocked answers a whole mailbox drain with ErrShardNotOwned
-// without deciding anything or touching shard state — no clock read, no
-// accrual, no counters — so a frozen shard's captured state is exactly
-// its state at the last real decision. Called with s.mu held; releases
-// it. Batch completions still run after the lock drops, in order.
-func (s *shard) rejectLocked(msgs []shardMsg) {
-	err := fmt.Errorf("%w (shard %d)", ErrShardNotOwned, s.id)
-	s.deferred = s.deferred[:0]
-	for _, m := range msgs {
-		if m.batch == nil {
-			m.reply <- shardReply{err: err}
-			continue
-		}
-		for i := range m.replyBuf {
-			m.replyBuf[i] = shardReply{err: err}
-		}
-		s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: m.replyBuf})
-	}
-	s.unlockAndComplete()
-}
-
-// unlockAndComplete releases s.mu and then runs the drain's held-back
-// batch completions, in dequeue order.
-func (s *shard) unlockAndComplete() {
+	// Decided: inline callers may have the shard again.
+	s.queued.Add(-int64(len(msgs)))
 	s.mu.Unlock()
 	for i := range s.deferred {
-		s.deferred[i].fn(s.deferred[i].replies)
-		s.deferred[i] = deferredDone{}
+		d := &s.deferred[i]
+		if d.one != nil {
+			d.one([]BatchItem{{Resp: d.reply.resp, Err: d.reply.err}})
+		} else {
+			d.fn(d.replies)
+		}
+		*d = deferredDone{}
 	}
+}
+
+// answerLocked is handleLocked behind the ownership check: a disowned
+// shard answers ErrShardNotOwned without deciding anything or touching
+// shard state — no clock read, no accrual, no counters — so a frozen
+// shard's captured state is exactly its state at the last real decision.
+// Callers hold s.mu.
+func (s *shard) answerLocked(req Request, now time.Duration, waitNanos int64) shardReply {
+	if !s.owned {
+		return shardReply{err: s.notOwnedErr()}
+	}
+	return s.handleLocked(req, now, waitNanos)
+}
+
+func (s *shard) notOwnedErr() error {
+	return fmt.Errorf("%w (shard %d)", ErrShardNotOwned, s.id)
 }
 
 // nowLocked reads the server clock clamped to monotone shard time.
@@ -511,6 +571,7 @@ func (s *shard) snapshot() (ShardStats, []float64) {
 		Owned:              s.owned,
 		ClockSec:           now.Seconds(),
 		Queries:            s.queries,
+		Inline:             s.inline,
 		Declined:           s.declined,
 		CacheAnswered:      s.cacheAnswered,
 		Investments:        s.investments,

@@ -17,10 +17,15 @@ type ShardStats struct {
 	// ClockSec is the shard's economy time (seconds since server start).
 	ClockSec float64 `json:"clock_s"`
 
-	// Traffic counters. Errors counts requests the shard could not
-	// decide (unknown template, sizing or scheme failures): an unhealthy
-	// shard is visibly erroring, not idle.
+	// Traffic counters. Inline counts the queries among Queries that
+	// found the shard idle and were decided on their caller's goroutine;
+	// the rest waited in the mailbox for the shard's loop. It restarts
+	// from zero with the process (snapshots do not carry it). Errors
+	// counts requests the shard could not decide (unknown template, sizing
+	// or scheme failures): an unhealthy shard is visibly erroring, not
+	// idle.
 	Queries       int64 `json:"queries"`
+	Inline        int64 `json:"inline"`
 	Declined      int64 `json:"declined"`
 	CacheAnswered int64 `json:"cache_answered"`
 	Investments   int64 `json:"investments"`
@@ -28,10 +33,11 @@ type ShardStats struct {
 	Errors        int64 `json:"errors"`
 
 	// Saturation gauges. MailboxDepth is the admission queue's length at
-	// snapshot time; OldestWaitSec is the head message's queue wait
-	// observed at the shard's most recent mailbox drain (real seconds,
-	// not economy time) — together they show a shard falling behind
-	// before response times do.
+	// snapshot time; OldestWaitSec is the queue wait of the shard's most
+	// recent decision (real seconds, not economy time): the head
+	// message's wait at a mailbox drain, 0 when the decision was made
+	// inline — together they show a shard falling behind before response
+	// times do.
 	MailboxDepth  int     `json:"mailbox_depth"`
 	OldestWaitSec float64 `json:"oldest_wait_s"`
 

@@ -19,7 +19,10 @@ import (
 //
 // decodeNanos is the wall time the caller spent decoding the batch's
 // frame, forwarded so per-query stage traces include it; engines without
-// tracing ignore it. A nil done callback is never passed.
+// tracing ignore it. A nil done callback is never passed. qs is borrowed
+// for the call: the protocol loop hands over its decode scratch and
+// reuses it for the next frame, so an engine that needs the queries
+// after a submit method returns copies them first.
 type Engine interface {
 	// SubmitBatch decides a batch and returns positional replies.
 	// Per-item failures ride Reply.Err; a returned error fails the whole
@@ -27,8 +30,10 @@ type Engine interface {
 	// this is the form in-process callers (HTTP handlers, replays) use.
 	SubmitBatch(ctx context.Context, qs []Query, decodeNanos int64) ([]Reply, error)
 	// SubmitBatchAsync hands a batch to the engine and returns without
-	// waiting; done fires exactly once with the positional replies. An
-	// error means done will never fire.
+	// waiting; done fires exactly once with the positional replies —
+	// possibly before the call returns, on the caller's goroutine, when
+	// the engine could answer on the spot. An error means done will never
+	// fire.
 	SubmitBatchAsync(ctx context.Context, qs []Query, decodeNanos int64, done func([]Reply)) error
 
 	Stats() server.Stats
@@ -66,22 +71,26 @@ type serverEngine struct {
 	srv *server.Server
 }
 
-// materialize converts wire queries to engine requests, spreading the
-// caller's decode time across them for the stage trace.
-func (e *serverEngine) materialize(qs []Query, decodeNanos int64) ([]server.Request, error) {
-	reqs := make([]server.Request, len(qs))
+// requests materializes wire queries into engine requests, spreading the
+// caller's decode time across them for the stage trace. one backs a
+// one-query batch — the caller's stack, so the singleton path allocates
+// no request slice.
+func requests(one *[1]server.Request, qs []Query, decodeNanos int64) ([]server.Request, error) {
+	if len(qs) == 0 {
+		return nil, nil
+	}
+	reqs := one[:]
+	if len(qs) > 1 {
+		reqs = make([]server.Request, len(qs))
+	}
+	share := max(decodeNanos, 0) / int64(len(qs))
 	for i := range qs {
 		req, err := qs[i].Request()
 		if err != nil {
 			return nil, fmt.Errorf("batch[%d]: %w", i, err)
 		}
+		req.DecodeNanos = share
 		reqs[i] = req
-	}
-	if decodeNanos > 0 && len(reqs) > 0 {
-		share := decodeNanos / int64(len(reqs))
-		for i := range reqs {
-			reqs[i].DecodeNanos = share
-		}
 	}
 	return reqs, nil
 }
@@ -99,7 +108,8 @@ func itemsToReplies(items []server.BatchItem) []Reply {
 }
 
 func (e *serverEngine) SubmitBatch(ctx context.Context, qs []Query, decodeNanos int64) ([]Reply, error) {
-	reqs, err := e.materialize(qs, decodeNanos)
+	var one [1]server.Request
+	reqs, err := requests(&one, qs, decodeNanos)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +121,8 @@ func (e *serverEngine) SubmitBatch(ctx context.Context, qs []Query, decodeNanos 
 }
 
 func (e *serverEngine) SubmitBatchAsync(ctx context.Context, qs []Query, decodeNanos int64, done func([]Reply)) error {
-	reqs, err := e.materialize(qs, decodeNanos)
+	var one [1]server.Request
+	reqs, err := requests(&one, qs, decodeNanos)
 	if err != nil {
 		return err
 	}

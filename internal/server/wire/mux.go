@@ -34,6 +34,12 @@ type muxCall struct {
 	ch chan muxResult
 }
 
+// muxCallPool recycles Submit's calls and their buffered result
+// channels. A call returns to the pool only after its result was
+// received, so a pooled channel is always empty; abandoned calls (ctx
+// cancellation, a failed encode) are left to the garbage collector.
+var muxCallPool = sync.Pool{New: func() any { return &muxCall{ch: make(chan muxResult, 1)} }}
+
 type muxResult struct {
 	replies []Reply
 	err     error
@@ -166,6 +172,9 @@ type MuxClient struct {
 	nextTag uint64
 	err     error // sticky: why the connection died
 	done    chan struct{}
+
+	// names interns the strings the read loop decodes out of replies.
+	names interner
 }
 
 // DialMux connects to a binary-protocol listener and performs the hello
@@ -254,6 +263,7 @@ func (c *MuxClient) send(payload []byte) {
 func (c *MuxClient) writeLoop() {
 	defer close(c.wdone)
 	var dead bool
+	var batch [][]byte
 	for {
 		c.qmu.Lock()
 		for len(c.queue) == 0 && !c.stopping {
@@ -263,8 +273,10 @@ func (c *MuxClient) writeLoop() {
 			c.qmu.Unlock()
 			return
 		}
-		batch := c.queue
-		c.queue = nil
+		// Double-buffered: the burst just written becomes the next queue,
+		// so a steady load enqueues without allocating.
+		clear(batch)
+		batch, c.queue = c.queue, batch[:0]
 		c.qmu.Unlock()
 
 		if dead {
@@ -337,8 +349,14 @@ func (c *MuxClient) handleFrame(payload []byte) error {
 	switch payload[0] {
 	case msgTaggedReplyBatch:
 		// Decoded into a fresh slice: the caller owns it outright, and
-		// concurrent callers must not share scratch space.
-		tag, replies, err := DecodeTaggedReplyBatch(payload, nil)
+		// concurrent callers must not share scratch space. Only the
+		// template and location names — a small closed set — are shared,
+		// through the reader's interner.
+		tag, rest, err := consumeTag(payload, msgTaggedReplyBatch)
+		if err != nil {
+			return err
+		}
+		replies, err := consumeReplyItems(rest, nil, &c.names)
 		if err != nil {
 			return err
 		}
@@ -467,12 +485,13 @@ func (c *MuxClient) register(attach func(tag uint64)) (uint64, error) {
 // (a draining server, a decode error) returns a *TaggedError with the
 // connection still healthy.
 func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
-	call := &muxCall{n: len(qs), ch: make(chan muxResult, 1)}
+	call := muxCallPool.Get().(*muxCall)
+	call.n = len(qs)
 	tag, err := c.register(func(tag uint64) { c.calls[tag] = call })
 	if err != nil {
 		return nil, err
 	}
-	payload, err := AppendTaggedQueryBatch(nil, tag, qs)
+	payload, err := AppendTaggedQueryBatch(make([]byte, 0, sizeTaggedQueryBatch(qs)), tag, qs)
 	if err != nil {
 		c.mu.Lock()
 		delete(c.calls, tag)
@@ -482,6 +501,7 @@ func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 	c.send(payload)
 	select {
 	case res := <-call.ch:
+		muxCallPool.Put(call)
 		return res.replies, res.err
 	case <-ctx.Done():
 		// Abandon the tag; the reader drops the late reply on the floor.

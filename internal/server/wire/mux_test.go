@@ -435,7 +435,11 @@ func TestMuxDrainInFlight(t *testing.T) {
 	}
 	defer cl.Close()
 
+	// The drain begins once letThrough queries have been answered.
 	const workers = 8
+	const letThrough = 100
+	var answered atomic.Int64
+	through := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	stop := make(chan struct{})
@@ -465,16 +469,22 @@ func TestMuxDrainInFlight(t *testing.T) {
 					errs <- fmt.Errorf("worker %d iter %d: %d replies", w, i, len(replies))
 					return
 				}
+				if answered.Add(1) == letThrough {
+					close(through)
+				}
 			}
 		}(w)
 	}
-	time.Sleep(20 * time.Millisecond)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-through:
+	case <-done: // every worker failed; reported below
+	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -492,4 +502,138 @@ func asTagged(err error, target **wire.TaggedError) bool {
 		*target = te
 	}
 	return ok
+}
+
+// rawHello opens a raw protocol connection: hello out, hello reply in.
+func rawHello(t *testing.T, conn net.Conn) {
+	t.Helper()
+	if err := wire.WriteFrame(conn, wire.AppendHello(nil, wire.ProtocolV2)); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := wire.ReadFrame(conn, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.DecodeHello(payload); err != nil {
+		t.Fatalf("hello reply: %v", err)
+	}
+}
+
+// TestMuxFrameAndAHalf: the connection's reader answers a lone query
+// itself and flushes only when its next read would block — and "would
+// block" must mean no COMPLETE frame is buffered. A client that sends one
+// full frame plus half of the next in a single write, then waits for the
+// first reply before sending the rest, must get that reply: bytes of an
+// unfinished frame sitting in the read buffer are not work to do.
+func TestMuxFrameAndAHalf(t *testing.T) {
+	_, addr := newWireServer(t, 4)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	rawHello(t, conn)
+
+	var stream bytes.Buffer
+	for tag := uint64(1); tag <= 2; tag++ {
+		frame, err := wire.AppendTaggedQueryBatch(nil, tag, []wire.Query{{Tenant: "half", Template: "Q6"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteFrame(&stream, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut := stream.Len() * 3 / 4 // all of frame 1, half of frame 2
+	readReply := func(want uint64) {
+		t.Helper()
+		if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := wire.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("reply %d: %v (a buffered half frame must not hold back the finished frame's reply)", want, err)
+		}
+		tag, replies, err := wire.DecodeTaggedReplyBatch(payload, nil)
+		if err != nil || tag != want || len(replies) != 1 || replies[0].Err != "" {
+			t.Fatalf("reply %d: tag %d, replies %+v, err %v", want, tag, replies, err)
+		}
+	}
+	if _, err := conn.Write(stream.Bytes()[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	readReply(1)
+	if _, err := conn.Write(stream.Bytes()[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	readReply(2)
+}
+
+// pipeListener hands the server in-memory connections. net.Pipe has no
+// buffer at all, so a peer that does not read is, from the first byte, a
+// client whose socket buffer is full.
+type pipeListener struct {
+	conns  chan net.Conn
+	closed chan struct{}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.closed:
+		return nil, net.ErrClosed
+	}
+}
+func (l *pipeListener) Close() error   { close(l.closed); return nil }
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+// TestMuxStalledClientSparesOthers: a client that sends a query and never
+// reads the reply stalls whoever writes to it — its own connection's
+// reader or writer — and nobody else. No shard goroutine and no shard
+// lock is ever held across a socket write, so another connection's
+// queries to the SAME shard keep being answered, whether the stalled
+// query was decided inline (on the reader) or through the mailbox.
+func TestMuxStalledClientSparesOthers(t *testing.T) {
+	for name, adjust := range map[string]func(*server.Config){
+		"inline":  nil,
+		"mailbox": func(cfg *server.Config) { cfg.DecideDelay = func(int) {} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := newTestServer(t, 4, adjust)
+			pl := &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+			served := make(chan error, 1)
+			go func() { served <- wire.Serve(pl, srv) }()
+			defer func() {
+				pl.Close()
+				if err := <-served; err != nil {
+					t.Errorf("wire.Serve: %v", err)
+				}
+			}()
+
+			stalled, serverEnd := net.Pipe()
+			defer stalled.Close() // fails the server's blocked write, freeing the connection
+			pl.conns <- serverEnd
+			rawHello(t, stalled)
+			frame, err := wire.AppendTaggedQueryBatch(nil, 1, []wire.Query{{Tenant: "shared", Template: "Q6"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Returns once the server has read the frame; its reply then
+			// blocks on the pipe for as long as this test does not read it.
+			if err := wire.WriteFrame(stalled, frame); err != nil {
+				t.Fatal(err)
+			}
+
+			cl := dialMux(t, addr)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for i := 0; i < 50; i++ {
+				replies, err := cl.Submit(ctx, []wire.Query{{Tenant: "shared", Template: "Q6"}})
+				if err != nil || len(replies) != 1 || replies[0].Err != "" {
+					t.Fatalf("query %d behind a stalled client: replies %+v, err %v", i, replies, err)
+				}
+			}
+		})
+	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
@@ -20,15 +21,27 @@ const maxSubs = 16
 // interval cannot turn the push path into a busy loop.
 const minSubInterval = time.Millisecond
 
-// muxConn is one server connection: a read loop that
-// dispatches tagged frames without waiting for prior batches, a single
-// writer goroutine that serializes every outbound frame (completions
-// arrive on shard goroutines, stats pushes on subscription goroutines),
-// and the bookkeeping tying them together.
+// muxConn is one server connection: a read loop that dispatches tagged
+// frames without waiting for prior batches, a single writer goroutine
+// that serializes the outbound frames other goroutines complete (batch
+// completions arrive on shard goroutines, stats pushes on subscription
+// goroutines), and the bookkeeping tying them together. The reader is its
+// own writer of first resort: a reply completed while the reader is still
+// inside the submit call that produced it — an idle shard decided the
+// query on the reader's goroutine — is written by the reader and flushed
+// when it has nothing further to read, so a lone query is read, decided
+// and answered without waking anyone.
 type muxConn struct {
 	eng  Engine
 	conn net.Conn
+	br   *bufio.Reader
+
+	// wmu guards the write side: bw, and dead, which is set once a write
+	// failed and the connection was closed. The writer goroutine holds it
+	// per drained burst, the reader per reply it writes itself.
+	wmu  sync.Mutex
 	bw   *bufio.Writer
+	dead bool
 
 	// qmu guards the outbound frame queue; cond wakes the writer. send
 	// never blocks, so shard-loop completion callbacks never stall on a
@@ -39,15 +52,24 @@ type muxConn struct {
 	queue    [][]byte
 	stopping bool
 
-	// free recycles spent payload buffers back to reply encoders, and
-	// spare recycles the queue's own backing array across writer drains,
-	// so a steady pipelined load enqueues frames without allocating.
-	// Both guarded by qmu.
-	free  [][]byte
-	spare [][]byte
+	// submitting is the sequence number of the SubmitBatchAsync call the
+	// reader is inside (0 outside one); a completion that finds its own
+	// number there leaves its reply frame in parked for the reader
+	// instead of queueing it. seq, the reader's own, numbers the calls.
+	// submitting and parked are guarded by qmu.
+	submitting uint64
+	parked     []byte
+	seq        uint64
+	// unflushed, also the reader's own, counts the reply bytes the reader
+	// wrote into bw that still wait for its flush.
+	unflushed int
+
+	// free recycles spent payload buffers back to reply encoders, so a
+	// steady load encodes frames without allocating. Guarded by qmu.
+	free [][]byte
 
 	// inflight counts batches handed to SubmitBatchAsync whose
-	// completions have not yet enqueued their reply frame; connection
+	// completions have not yet handed over their reply frame; connection
 	// teardown waits for it so no completion touches a freed writer.
 	inflight sync.WaitGroup
 
@@ -63,8 +85,8 @@ type muxConn struct {
 
 // serveMux runs one connection whose first frame was a hello. That
 // frame has already been read (it is how the listener knew to come
-// here); everything else — including the hello reply — goes through the
-// writer.
+// here). The hello reply is written before any goroutine exists, so it
+// is first on the wire whoever writes next.
 func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 	version, err := DecodeHello(hello)
 	if err == nil && version < ProtocolV2 {
@@ -78,19 +100,23 @@ func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 	c := &muxConn{
 		eng:  eng,
 		conn: conn,
+		br:   br,
 		bw:   bufio.NewWriterSize(conn, 64<<10),
 		subs: make(map[uint64]chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.qmu)
+	if c.writeLocked(true, AppendHello(nil, ProtocolV2)); c.dead {
+		return
+	}
 
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		c.writeLoop()
 	}()
-	c.send(AppendHello(nil, ProtocolV2))
 
-	c.readLoop(br)
+	c.readLoop()
+	c.flush() // a reader that quit on a bad frame may still hold replies
 
 	// Teardown order matters: stop the subscription tickers, wait out
 	// in-flight batch completions (the shard loops always answer, so this
@@ -111,13 +137,30 @@ func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 // blocks; safe from any goroutine.
 func (c *muxConn) send(payload []byte) {
 	c.qmu.Lock()
-	if c.queue == nil && c.spare != nil {
-		c.queue, c.spare = c.spare, nil
-	}
 	c.queue = append(c.queue, payload)
 	c.qmu.Unlock()
 	c.cond.Signal()
 }
+
+// complete hands over one batch's reply frame: to the reader, when the
+// reader is still inside the submit call numbered seq that produced it,
+// else to the writer's queue. The goroutine completing a batch — a shard
+// loop, usually — therefore never touches the socket: a client that
+// stops reading must not stall an economy.
+func (c *muxConn) complete(seq uint64, frame []byte) {
+	c.qmu.Lock()
+	if c.submitting == seq {
+		c.parked = frame
+		c.qmu.Unlock()
+		return
+	}
+	c.queue = append(c.queue, frame)
+	c.qmu.Unlock()
+	c.cond.Signal()
+}
+
+// flushBytes is one Ethernet TCP segment's payload.
+const flushBytes = 1460
 
 // maxFreeBufs bounds the recycled-payload free list; maxFreeBufCap keeps
 // one oversized frame (a fat stats push, a shard-state packet) from
@@ -129,7 +172,7 @@ const (
 
 // getBuf returns a recycled payload buffer (length 0) for an encoder to
 // append into, or nil when the free list is empty — append grows nil
-// fine. The buffer returns to the free list after the writer sends it.
+// fine. The buffer returns to the free list after it is written.
 func (c *muxConn) getBuf() []byte {
 	c.qmu.Lock()
 	var b []byte
@@ -142,34 +185,55 @@ func (c *muxConn) getBuf() []byte {
 	return b
 }
 
-// recycle returns a drained queue batch to the pools: the payload
-// buffers feed getBuf, the backing array becomes the next queue slice.
-func (c *muxConn) recycle(batch [][]byte) {
-	c.qmu.Lock()
-	for i, p := range batch {
+// freeLocked returns written payload buffers to getBuf's free list.
+// Callers hold qmu.
+func (c *muxConn) freeLocked(frames ...[]byte) {
+	for _, p := range frames {
 		if len(c.free) < maxFreeBufs && cap(p) <= maxFreeBufCap {
 			c.free = append(c.free, p[:0])
 		}
-		batch[i] = nil
 	}
-	if c.spare == nil {
-		c.spare = batch[:0]
-	}
-	c.qmu.Unlock()
 }
 
-// writeLoop serializes all outbound frames. Each wakeup drains the whole
-// queue into the buffered writer and flushes once — under pipelining
-// pressure many reply frames share one syscall. A write error marks the
-// connection dead AND closes it: a dropped frame poisons the multiplexed
-// stream (its tag would wait forever on the client), so the read loop
-// must observe the close and tear the connection down rather than leave
-// the peer hanging. The loop keeps draining (and discarding) so senders
-// are never stuck, and exits when the conn is torn down.
+// writeLocked writes frames into bw and, when asked, flushes it. A write
+// error marks the connection dead AND closes it: a dropped frame poisons
+// the multiplexed stream (its tag would wait forever on the client), so
+// the read loop must observe the close and tear the connection down
+// rather than leave the peer hanging. Callers hold wmu (or are alone with
+// the connection).
+func (c *muxConn) writeLocked(flush bool, frames ...[]byte) {
+	if c.dead {
+		return
+	}
+	var err error
+	for _, p := range frames {
+		if err = WriteFrame(c.bw, p); err != nil {
+			break
+		}
+	}
+	if err == nil && flush {
+		err = c.bw.Flush()
+	}
+	if err != nil {
+		c.dead = true
+		c.conn.Close()
+	}
+}
+
+// writeLoop serializes the queued outbound frames. Each wakeup drains
+// the whole queue into the buffered writer and flushes once — under
+// pipelining pressure many reply frames share one syscall. Once the
+// connection is dead it keeps draining (and discarding) so senders are
+// never stuck, and exits when the conn is torn down.
 func (c *muxConn) writeLoop() {
-	var dead bool
+	var batch [][]byte
 	for {
 		c.qmu.Lock()
+		// The burst just written: its payload buffers feed getBuf and its
+		// backing array becomes the next queue (double-buffered), so a
+		// steady pipelined load enqueues frames without allocating.
+		c.freeLocked(batch...)
+		clear(batch)
 		for len(c.queue) == 0 && !c.stopping {
 			c.cond.Wait()
 		}
@@ -177,36 +241,74 @@ func (c *muxConn) writeLoop() {
 			c.qmu.Unlock()
 			return
 		}
-		batch := c.queue
-		c.queue = nil
+		batch, c.queue = c.queue, batch[:0]
 		c.qmu.Unlock()
 
-		if dead {
-			continue
-		}
-		for _, p := range batch {
-			if err := WriteFrame(c.bw, p); err != nil {
-				dead = true
-				break
-			}
-		}
-		if !dead && c.bw.Flush() != nil {
-			dead = true
-		}
-		if dead {
-			c.conn.Close()
-		}
-		c.recycle(batch)
+		c.wmu.Lock()
+		c.writeLocked(true, batch...)
+		c.wmu.Unlock()
+	}
+}
+
+// frameBuffered reports whether the next inbound frame is already
+// complete in the read buffer, so reading it will not block. A buffered
+// fragment does not count: a client that sent a frame and a half is
+// waiting for the first frame's reply.
+func (c *muxConn) frameBuffered() bool {
+	n := c.br.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := c.br.Peek(4)
+	return uint64(n) >= 4+uint64(binary.LittleEndian.Uint32(hdr))
+}
+
+// reply sends a frame the reader holds: into the write buffer, without
+// waking the writer goroutine and without flushing — readLoop flushes
+// when its next read would block, so a pipelined burst of lone queries
+// shares one flush and a closed-loop client gets its reply in the same
+// breath as the decision. The reader may block here only on its own
+// client (the buffer spilling into a full socket), and yields the frame
+// to the writer when that is mid-burst.
+func (c *muxConn) reply(frame []byte) {
+	if !c.wmu.TryLock() {
+		c.send(frame)
+		return
+	}
+	c.writeLocked(false, frame)
+	c.wmu.Unlock()
+	c.unflushed += 4 + len(frame)
+	c.qmu.Lock()
+	c.freeLocked(frame)
+	c.qmu.Unlock()
+}
+
+// flush pushes the replies the reader buffered out to the client. When
+// the writer goroutine holds the write side it is about to flush the
+// whole buffer — the reader's bytes, written earlier, included.
+func (c *muxConn) flush() {
+	c.unflushed = 0
+	if c.wmu.TryLock() {
+		c.writeLocked(true)
+		c.wmu.Unlock()
 	}
 }
 
 // readLoop accepts frames until the client goes away or commits an
 // unscopable protocol violation, which is answered with one msgError
 // before the connection is torn down.
-func (c *muxConn) readLoop(br *bufio.Reader) {
+func (c *muxConn) readLoop() {
 	var rbuf []byte
 	for {
-		payload, err := ReadFrame(br, rbuf)
+		// Replies the reader buffered go out when it is about to block —
+		// a closed-loop client is waiting for exactly that reply — or,
+		// mid-burst, as soon as they would fill a packet: holding more
+		// saves nothing on the wire and only delays a pipelining client,
+		// which works on the first replies while the rest are decided.
+		if c.unflushed >= flushBytes || (c.unflushed > 0 && !c.frameBuffered()) {
+			c.flush()
+		}
+		payload, err := ReadFrame(c.br, rbuf)
 		if err != nil {
 			return
 		}
@@ -330,8 +432,9 @@ func (c *muxConn) pushJSON(typ byte, tag uint64, view any) {
 }
 
 // submitBatch decodes one tagged query batch and hands it to the engine
-// without waiting: the completion encodes and enqueues the reply frame
-// whenever the batch's last shard group finishes.
+// without waiting: the completion encodes the reply frame whenever the
+// batch's last shard group finishes and hands it to the writer — or, if
+// that happens before the engine call returns, back to the reader.
 func (c *muxConn) submitBatch(payload []byte) error {
 	// Stage timing is paid only while tracing is live: one clock read
 	// pair per BATCH, amortized over its queries.
@@ -355,12 +458,15 @@ func (c *muxConn) submitBatch(payload []byte) error {
 	if traceOn {
 		decodeNanos = time.Since(decStart).Nanoseconds()
 	}
-	// The engine owns the batch until the completion fires, so it gets
-	// its own slice — the next frame reuses the decode scratch.
-	batch := make([]Query, len(c.queries))
-	copy(batch, c.queries)
+	c.seq++
+	seq := c.seq
+	c.qmu.Lock()
+	c.submitting = seq
+	c.qmu.Unlock()
 	c.inflight.Add(1)
-	err = c.eng.SubmitBatchAsync(context.Background(), batch, decodeNanos, func(replies []Reply) {
+	// The engine borrows the decode scratch for the call only; the next
+	// frame reuses it.
+	err = c.eng.SubmitBatchAsync(context.Background(), c.queries, decodeNanos, func(replies []Reply) {
 		defer c.inflight.Done()
 		var encStart time.Time
 		if traceOn {
@@ -372,14 +478,21 @@ func (c *muxConn) submitBatch(payload []byte) error {
 			// shard published them before the reply bytes existed.
 			c.eng.BackfillEncode(replies, time.Since(encStart).Nanoseconds())
 		}
-		c.send(frame)
+		c.complete(seq, frame)
 	})
+	c.qmu.Lock()
+	c.submitting = 0
+	frame := c.parked
+	c.parked = nil
+	c.qmu.Unlock()
 	if err != nil {
 		// ErrServerClosed during drain — or a malformed budget in the
 		// batch body: this batch fails, the connection survives to serve
 		// the client's other tags.
 		c.inflight.Done()
 		c.send(AppendTaggedError(nil, tag, err.Error()))
+	} else if frame != nil {
+		c.reply(frame)
 	}
 	return nil
 }

@@ -66,6 +66,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -387,6 +388,19 @@ func AppendTaggedQueryBatch(b []byte, tag uint64, qs []Query) ([]byte, error) {
 	return appendQueryItems(appendTag(b, msgTaggedQueryBatch, tag), qs)
 }
 
+// sizeTaggedQueryBatch bounds a tagged query-batch payload's encoded
+// size, so an encoder can allocate its buffer once instead of growing it.
+func sizeTaggedQueryBatch(qs []Query) int {
+	n := 1 + 2*binary.MaxVarintLen64 // type, tag, count
+	for i := range qs {
+		n += 2*binary.MaxVarintLen32 + len(qs[i].Tenant) + len(qs[i].Template) + 1 + 8
+		if qs[i].Budget != nil {
+			n += 1 + 3*8
+		}
+	}
+	return n
+}
+
 // appendQueryItems appends a batch body: uvarint count then the query
 // items.
 func appendQueryItems(b []byte, qs []Query) ([]byte, error) {
@@ -542,13 +556,14 @@ func DecodeTaggedReplyBatch(payload []byte, rs []Reply) (uint64, []Reply, error)
 	if err != nil {
 		return 0, nil, err
 	}
-	out, err := consumeReplyItems(rest, rs)
+	out, err := consumeReplyItems(rest, rs, nil)
 	return tag, out, err
 }
 
 // consumeReplyItems parses a reply-batch body into rs (reusing its
-// capacity).
-func consumeReplyItems(rest []byte, rs []Reply) ([]Reply, error) {
+// capacity), resolving template and location names through in as
+// consumeQueryItems does tenants and templates. in may be nil.
+func consumeReplyItems(rest []byte, rs []Reply, in *interner) ([]Reply, error) {
 	n, rest, err := consumeUvarint(rest)
 	if err != nil {
 		return nil, err
@@ -583,9 +598,11 @@ func consumeReplyItems(rest []byte, rs []Reply) ([]Reply, error) {
 			return nil, err
 		}
 		resp.Shard = int(u)
-		if resp.Template, rest, err = consumeString(rest); err != nil {
+		var name []byte
+		if name, rest, err = consumeBytes(rest); err != nil {
 			return nil, err
 		}
+		resp.Template = in.intern(name)
 		if resp.Selectivity, rest, err = consumeF64(rest); err != nil {
 			return nil, err
 		}
@@ -597,9 +614,10 @@ func consumeReplyItems(rest []byte, rs []Reply) ([]Reply, error) {
 			return nil, err
 		}
 		resp.Declined = declined != 0
-		if resp.Location, rest, err = consumeString(rest); err != nil {
+		if name, rest, err = consumeBytes(rest); err != nil {
 			return nil, err
 		}
+		resp.Location = in.intern(name)
 		if resp.ResponseTimeSec, rest, err = consumeF64(rest); err != nil {
 			return nil, err
 		}
@@ -770,31 +788,59 @@ func DecodeEventsUnsubscribe(payload []byte) (uint64, error) {
 
 // --- framing --------------------------------------------------------------
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame. The header travels
+// through a bufio.Writer's own buffer when w is one (every connection's
+// is): a stack array handed to an io.Writer escapes, which would cost an
+// allocation per frame.
 func WriteFrame(w io.Writer, payload []byte) error {
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame of %d bytes exceeds %d", len(payload), MaxFrame)
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok {
+		hdr = bw.AvailableBuffer()
+	}
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
 }
 
+// readHeader reads a frame's 4-byte length prefix — straight out of a
+// bufio.Reader's buffer when r is one, for the same reason WriteFrame
+// borrows the writer's.
+func readHeader(r io.Reader) (uint32, error) {
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(4)
+		if err != nil {
+			if len(hdr) > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		n := binary.LittleEndian.Uint32(hdr)
+		_, err = br.Discard(4)
+		return n, err
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(hdr[:]), nil
+}
+
 // ReadFrame reads one frame's payload, reusing buf when it is large
 // enough. io.EOF before the first header byte means a clean close.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := readHeader(r)
+	if err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("wire: truncated frame header")
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
 	if n == 0 {
 		return nil, fmt.Errorf("wire: empty frame")
 	}
