@@ -1,14 +1,18 @@
 // Package binenc holds the binary codec primitives shared by the wire
 // protocol (internal/server/wire) and the state-snapshot format
-// (internal/persist): varint-prefixed strings, IEEE-754 doubles and
-// bounds-checked consumption that fails with an error — never a panic,
-// never an out-of-range read — on truncated or hostile input. One
-// implementation means one place to get the bounds checks right; both
-// fuzz targets (FuzzWireDecode, FuzzSnapshotDecode) hammer it.
+// (internal/persist). It has two halves and nothing else: the Append*
+// functions, which write a field, and Reader, the one cursor that reads
+// them back — varints, length-prefixed strings, IEEE-754 doubles —
+// failing with an error, never a panic and never an out-of-range read,
+// on truncated or hostile input. One implementation means one place to
+// get the bounds checks right: binenc_test.go walks every strict prefix
+// of every primitive, and the decoders built on it are fuzzed by
+// FuzzWireDecode (wire frames) and FuzzRecordDecode (snapshot records).
 package binenc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 )
@@ -37,72 +41,140 @@ func AppendBool(b []byte, v bool) []byte {
 	return append(b, 0)
 }
 
-// Uvarint consumes a uvarint.
-func Uvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("binenc: bad uvarint")
+// Reader is a cursor over one payload whose first failure sticks: the
+// failing read records its error and empties the cursor, so every later
+// read fails too and returns a zero value. A decoder therefore reads its
+// fields straight down and checks Err (or End) once at the bottom.
+// Decode-only validation joins the same stream through Fail.
+type Reader struct {
+	b   []byte
+	err error
+}
+
+// NewReader returns a Reader over b. The Reader never writes to b.
+func NewReader(b []byte) Reader { return Reader{b: b} }
+
+// Len is the number of unread bytes; 0 after any failure.
+func (r *Reader) Len() int { return len(r.b) }
+
+// Err is the first failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// Fail records a validation failure exactly as a truncated read would:
+// the first error is kept, the cursor is emptied.
+func (r *Reader) Fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
 	}
-	return v, b[n:], nil
+	r.b = nil
+}
+
+// End closes a fixed-shape body: it returns the first failure if there
+// was one, and otherwise rejects bytes left over after what.
+func (r *Reader) End(what string) error {
+	if len(r.b) != 0 {
+		r.Fail("binenc: %d trailing bytes after %s", len(r.b), what)
+	}
+	return r.err
+}
+
+// Rest consumes and returns everything unread (aliasing the input).
+func (r *Reader) Rest() []byte {
+	b := r.b
+	r.b = nil
+	return b
+}
+
+// Uvarint consumes a uvarint.
+func (r *Reader) Uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.Fail("binenc: bad uvarint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
 }
 
 // Varint consumes a varint.
-func Varint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
+func (r *Reader) Varint() int64 {
+	v, n := binary.Varint(r.b)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("binenc: bad varint")
+		r.Fail("binenc: bad varint")
+		return 0
 	}
-	return v, b[n:], nil
+	r.b = r.b[n:]
+	return v
 }
 
-// String consumes a length-prefixed string, validating the length
-// against the bytes that remain.
-func String(b []byte) (string, []byte, error) {
-	n, b, err := Uvarint(b)
-	if err != nil {
-		return "", nil, err
+// Count consumes an element count and validates it against the bytes
+// that remain, each element occupying at least minBytes (values below 1
+// count as 1): a corrupt count can never make a decoder loop or allocate
+// beyond the input's own size.
+func (r *Reader) Count(minBytes int) int {
+	v := r.Uvarint()
+	if minBytes < 1 {
+		minBytes = 1
 	}
-	if n > uint64(len(b)) {
-		return "", nil, fmt.Errorf("binenc: string length %d overruns input", n)
+	if v > uint64(len(r.b)/minBytes) {
+		r.Fail("binenc: count %d overruns the %d bytes that remain", v, len(r.b))
+		return 0
 	}
-	return string(b[:n]), b[n:], nil
+	return int(v)
 }
 
 // Bytes consumes a length-prefixed string but returns the raw sub-slice
 // of the input instead of allocating a string. The slice aliases the
 // input buffer and is valid only as long as the buffer is; callers that
 // need the value past the buffer's lifetime must copy (or intern) it.
-func Bytes(b []byte) ([]byte, []byte, error) {
-	n, b, err := Uvarint(b)
-	if err != nil {
-		return nil, nil, err
+func (r *Reader) Bytes() []byte {
+	n := r.Uvarint()
+	if n > uint64(len(r.b)) {
+		r.Fail("binenc: string length %d overruns input", n)
+		return nil
 	}
-	if n > uint64(len(b)) {
-		return nil, nil, fmt.Errorf("binenc: string length %d overruns input", n)
-	}
-	return b[:n], b[n:], nil
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s
 }
 
-// F64 consumes an IEEE-754 double.
-func F64(b []byte) (float64, []byte, error) {
-	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("binenc: truncated float64")
+// String consumes a length-prefixed string, copying it out of the input.
+func (r *Reader) String() string { return string(r.Bytes()) }
+
+// errShort fails a fixed-width read. It is a ready-made value and short
+// a leaf that sets it, so that U64, F64 and Byte — unlike the reads that
+// format their complaint through Fail — stay small enough to inline into
+// their callers.
+var errShort = errors.New("binenc: truncated fixed-width field")
+
+func (r *Reader) short() {
+	if r.err == nil {
+		r.err = errShort
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
+	r.b = nil
 }
 
 // U64 consumes a fixed-width uint64.
-func U64(b []byte) (uint64, []byte, error) {
+func (r *Reader) U64() uint64 {
+	b := r.b
 	if len(b) < 8 {
-		return 0, nil, fmt.Errorf("binenc: truncated uint64")
+		r.short()
+		return 0
 	}
-	return binary.LittleEndian.Uint64(b), b[8:], nil
+	r.b = b[8:]
+	return binary.LittleEndian.Uint64(b)
 }
 
+// F64 consumes an IEEE-754 double.
+func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
 // Byte consumes one byte.
-func Byte(b []byte) (byte, []byte, error) {
+func (r *Reader) Byte() byte {
+	b := r.b
 	if len(b) < 1 {
-		return 0, nil, fmt.Errorf("binenc: truncated byte")
+		r.short()
+		return 0
 	}
-	return b[0], b[1:], nil
+	r.b = b[1:]
+	return b[0]
 }

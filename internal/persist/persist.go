@@ -19,17 +19,27 @@
 // exactly. Writes go through a temp file and an atomic rename: a crash
 // mid-checkpoint leaves the previous snapshot intact.
 //
-// The decoder never panics on hostile input and never allocates more
-// than a small multiple of the input size (every count is validated
-// against the bytes that remain), which the FuzzSnapshotDecode target
-// enforces.
+// Every record is described ONCE, by a layout function (layoutShard,
+// layoutLedger, ...) that a two-direction codec walks: encoding appends
+// each field the layout shows it, decoding fills the same fields from a
+// binenc.Reader, so the two directions cannot disagree about order,
+// width or bounds. The decoder never panics on hostile input and never
+// allocates more than a small multiple of the input size (every count is
+// validated against the bytes that remain before anything is looped over
+// or allocated). Three fuzz targets hold it to that. FuzzSnapshotDecode
+// and FuzzShardPacketDecode mutate whole files and so exercise the
+// containers — header, frame lengths, CRCs, trailing bytes; a mutation
+// inside a frame dies at its CRC and never reaches a layout.
+// FuzzRecordDecode is the one that does: its bytes are a record payload,
+// framed with a fresh CRC behind a valid header, so the count bounds and
+// reservoir checks meet hostile input.
 package persist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -124,717 +134,366 @@ type ShardState struct {
 	Yield []YieldState
 }
 
-// Snapshot is one serialized engine state.
-type Snapshot struct {
-	// Scheme and Provider name the configuration the snapshot was taken
-	// under; restore validates both so state never silently crosses a
-	// reconfiguration.
+// Fingerprint names the configuration a snapshot or shard packet was
+// captured under. Restore and shard installation validate scheme,
+// provider and catalog so state never silently crosses a
+// reconfiguration, and adopt NextID so query IDs stay monotone.
+type Fingerprint struct {
 	Scheme   string
 	Provider string
-	// CatalogBytes fingerprints the catalog (its total size): a snapshot
-	// taken against one catalog must not restore against another.
-	CatalogBytes int64
-	// NextID is the server's query-ID counter.
-	NextID int64
-	// Clock is the server clock at snapshot time; a restored daemon
-	// resumes its wall clock from here so rent does not replay.
-	Clock time.Duration
-	// CreatedUnixNano stamps the snapshot (informational).
-	CreatedUnixNano int64
-
-	Shards []ShardState
-}
-
-// ShardPacket is one shard's state plus the configuration fingerprint
-// it was captured under — the unit of live migration. The fingerprint
-// mirrors the snapshot meta record: an installing backend validates
-// scheme, provider and catalog so shard state never silently crosses a
-// reconfiguration, and adopts NextID so query IDs stay monotone across
-// the move.
-type ShardPacket struct {
-	Scheme       string
-	Provider     string
+	// CatalogBytes fingerprints the catalog (its total size): state taken
+	// against one catalog must not restore against another.
 	CatalogBytes int64
 	// NextID is the source server's query-ID counter at capture time.
 	NextID int64
-	// Clock is the source server clock at capture time.
+	// Clock is the server clock at capture time; a restored daemon
+	// resumes its wall clock from here so rent does not replay.
 	Clock time.Duration
-	// CreatedUnixNano stamps the packet (informational).
+	// CreatedUnixNano stamps the capture (informational).
 	CreatedUnixNano int64
+}
 
+// Snapshot is one serialized engine state.
+type Snapshot struct {
+	Fingerprint
+	Shards []ShardState
+}
+
+// ShardPacket is one shard's state plus the fingerprint it was captured
+// under — the unit of live migration.
+type ShardPacket struct {
+	Fingerprint
 	State ShardState
 }
 
-// --- primitive codec ------------------------------------------------------
-//
-// The append/consume primitives live in internal/binenc, shared with
-// the wire protocol; creader adapts them to a cursor so record decoders
-// read field after field without threading the remainder by hand.
+// --- the two-direction codec ------------------------------------------------
 
-var (
-	appendString = binenc.AppendString
-	appendF64    = binenc.AppendF64
-	appendU64    = binenc.AppendU64
-	appendBool   = binenc.AppendBool
-)
-
-// creader consumes a payload with bounds-checked primitives. All methods
-// return an error instead of panicking on truncated or hostile input.
-type creader struct {
+// codec walks a record layout in one of two directions. Encoding (r is
+// nil) appends every field the layout shows it to b; decoding fills the
+// same fields from r, whose first failure sticks, so a layout never
+// checks an error: decode does, once, when the layout returns. The field
+// primitives below are the only code that knows which direction it is.
+type codec struct {
 	b []byte
+	r *binenc.Reader
 }
 
-func (r *creader) len() int { return len(r.b) }
-
-func (r *creader) uvarint() (v uint64, err error) {
-	v, r.b, err = binenc.Uvarint(r.b)
-	return v, err
+// varint is a signed integer — counters, money's fixed-point micro-dollars,
+// nanosecond times.
+func varint[T ~int64 | ~int](c *codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.Varint())
+	} else {
+		c.b = binary.AppendVarint(c.b, int64(*v))
+	}
 }
 
-func (r *creader) varint() (v int64, err error) {
-	v, r.b, err = binenc.Varint(r.b)
-	return v, err
+// bounded is a non-negative int riding a uvarint. Decoding rejects values
+// above limit, so a corrupt count or index cannot balloon a loop.
+func bounded(c *codec, v *int, limit uint64, what string) {
+	if c.r == nil {
+		c.b = binary.AppendUvarint(c.b, uint64(*v))
+		return
+	}
+	u := c.r.Uvarint()
+	if u > limit {
+		c.r.Fail("persist: %s %d exceeds %d", what, u, limit)
+	}
+	*v = int(u)
 }
 
-// count reads an element count and validates it against the bytes that
-// remain, each element occupying at least minBytes: a corrupt count can
-// never make the decoder allocate beyond the input's own size.
-func (r *creader) count(minBytes int) (int, error) {
-	v, err := r.uvarint()
-	if err != nil {
-		return 0, err
+func f64(c *codec, v *float64) {
+	if c.r != nil {
+		*v = c.r.F64()
+	} else {
+		c.b = binenc.AppendF64(c.b, *v)
 	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
-	if v > uint64(len(r.b)/minBytes) {
-		return 0, fmt.Errorf("persist: count %d overruns frame", v)
-	}
-	return int(v), nil
 }
 
-func (r *creader) str() (s string, err error) {
-	s, r.b, err = binenc.String(r.b)
-	return s, err
+func u64(c *codec, v *uint64) {
+	if c.r != nil {
+		*v = c.r.U64()
+	} else {
+		c.b = binenc.AppendU64(c.b, *v)
+	}
 }
 
-func (r *creader) f64() (v float64, err error) {
-	v, r.b, err = binenc.F64(r.b)
-	return v, err
+func str[T ~string](c *codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.String())
+	} else {
+		c.b = binenc.AppendString(c.b, string(*v))
+	}
 }
 
-func (r *creader) u64() (v uint64, err error) {
-	v, r.b, err = binenc.U64(r.b)
-	return v, err
+// octet is one byte: a small enumeration, or a record's type.
+func octet[T ~uint8 | ~int](c *codec, v *T) {
+	if c.r != nil {
+		*v = T(c.r.Byte())
+	} else {
+		c.b = append(c.b, byte(*v))
+	}
 }
 
-func (r *creader) byte() (v byte, err error) {
-	v, r.b, err = binenc.Byte(r.b)
-	return v, err
+// flag is one byte, written 0 or 1; any non-zero byte reads as true.
+func flag(c *codec, v *bool) {
+	if c.r != nil {
+		*v = c.r.Byte() != 0
+	} else {
+		c.b = binenc.AppendBool(c.b, *v)
+	}
 }
 
-func (r *creader) bool() (bool, error) {
-	v, err := r.byte()
-	return v != 0, err
+// record opens a payload with its type byte. Encoding writes typ;
+// decoding reads it back into got, which can differ only then.
+func record(c *codec, typ byte) {
+	got := typ
+	octet(c, &got)
+	if got != typ {
+		c.r.Fail("persist: expected record type %d, got %d", typ, got)
+	}
 }
 
-func (r *creader) amount() (money.Amount, error) {
-	v, err := r.varint()
-	return money.Amount(v), err
+// optional is a presence flag and, when set, the value behind the pointer.
+func optional[T any](c *codec, p **T, layout func(*codec, *T)) {
+	has := *p != nil
+	flag(c, &has)
+	if !has {
+		return
+	}
+	if c.r != nil {
+		*p = new(T)
+	}
+	layout(c, *p)
 }
 
-func (r *creader) duration() (time.Duration, error) {
-	v, err := r.varint()
-	return time.Duration(v), err
-}
-
-// --- composite codecs -----------------------------------------------------
-
-func appendUsage(b []byte, u cost.Usage) []byte {
-	b = appendF64(b, u.CPUSeconds)
-	b = binary.AppendVarint(b, u.IOOps)
-	b = binary.AppendVarint(b, u.NetBytes)
-	b = binary.AppendVarint(b, int64(u.Boots))
-	return b
-}
-
-func (r *creader) usage() (cost.Usage, error) {
-	var u cost.Usage
-	var err error
-	if u.CPUSeconds, err = r.f64(); err != nil {
-		return u, err
-	}
-	if u.IOOps, err = r.varint(); err != nil {
-		return u, err
-	}
-	if u.NetBytes, err = r.varint(); err != nil {
-		return u, err
-	}
-	boots, err := r.varint()
-	if err != nil {
-		return u, err
-	}
-	u.Boots = int(boots)
-	return u, nil
-}
-
-func appendDurationStats(b []byte, st metrics.DurationStatsState) []byte {
-	b = binary.AppendVarint(b, st.Running.N)
-	b = appendF64(b, st.Running.Mean)
-	b = appendF64(b, st.Running.M2)
-	b = appendF64(b, st.Running.Min)
-	b = appendF64(b, st.Running.Max)
-	b = appendF64(b, st.Running.Sum)
-	b = appendBool(b, st.Running.HasSamples)
-	b = binary.AppendUvarint(b, uint64(st.Reservoir.Cap))
-	b = binary.AppendVarint(b, st.Reservoir.Seen)
-	b = binary.AppendUvarint(b, uint64(len(st.Reservoir.Data)))
-	for _, v := range st.Reservoir.Data {
-		b = appendF64(b, v)
-	}
-	b = appendU64(b, st.Reservoir.PRNG)
-	return b
-}
-
-func (r *creader) durationStats() (metrics.DurationStatsState, error) {
-	var st metrics.DurationStatsState
-	var err error
-	if st.Running.N, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.Running.N < 0 {
-		return st, fmt.Errorf("persist: negative sample count %d", st.Running.N)
-	}
-	if st.Running.Mean, err = r.f64(); err != nil {
-		return st, err
-	}
-	if st.Running.M2, err = r.f64(); err != nil {
-		return st, err
-	}
-	if st.Running.Min, err = r.f64(); err != nil {
-		return st, err
-	}
-	if st.Running.Max, err = r.f64(); err != nil {
-		return st, err
-	}
-	if st.Running.Sum, err = r.f64(); err != nil {
-		return st, err
-	}
-	if st.Running.HasSamples, err = r.bool(); err != nil {
-		return st, err
-	}
-	cap64, err := r.uvarint()
-	if err != nil {
-		return st, err
-	}
-	if cap64 > math.MaxInt32 {
-		return st, fmt.Errorf("persist: reservoir cap %d out of range", cap64)
-	}
-	st.Reservoir.Cap = int(cap64)
-	if st.Reservoir.Seen, err = r.varint(); err != nil {
-		return st, err
-	}
-	n, err := r.count(8)
-	if err != nil {
-		return st, err
-	}
-	if n > 0 {
-		st.Reservoir.Data = make([]float64, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		v, err := r.f64()
-		if err != nil {
-			return st, err
+// list is a counted sequence: a uvarint count, then each element's
+// layout. Decoding validates the count against the bytes that remain
+// (minBytes being the least one element can occupy) before the loop, then
+// grows the slice element by element and decodes in place — allocation
+// follows the bytes actually present, never the count claimed — and
+// leaves an empty sequence nil.
+func list[T any](c *codec, s *[]T, minBytes int, each func(*codec, *T)) {
+	if c.r == nil {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
+		for i := range *s {
+			each(c, &(*s)[i])
 		}
-		st.Reservoir.Data = append(st.Reservoir.Data, v)
+		return
 	}
-	if st.Reservoir.PRNG, err = r.u64(); err != nil {
-		return st, err
+	n := c.r.Count(minBytes)
+	for i := 0; i < n && c.r.Err() == nil; i++ {
+		var zero T
+		*s = append(*s, zero)
+		each(c, &(*s)[i])
+	}
+}
+
+// f64s is list for the one sequence that is most of every snapshot, the
+// reservoir's samples: the elements are fixed-width, so the count check
+// is exact and one allocation and one tight loop replace a call per
+// element.
+func f64s(c *codec, s *[]float64) {
+	if c.r == nil {
+		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
+		for _, v := range *s {
+			c.b = binenc.AppendF64(c.b, v)
+		}
+		return
+	}
+	if n := c.r.Count(8); n > 0 {
+		*s = make([]float64, n)
+		for i := range *s {
+			(*s)[i] = c.r.F64()
+		}
+	}
+}
+
+// encode runs a layout forwards and returns the record's bytes.
+func encode[T any](layout func(*codec, *T), v *T) []byte {
+	var c codec
+	layout(&c, v)
+	return c.b
+}
+
+// decode runs the same layout backwards over one frame's payload, which
+// the record must fill exactly.
+func decode[T any](payload []byte, what string, layout func(*codec, *T), v *T) error {
+	r := binenc.NewReader(payload)
+	layout(&codec{r: &r}, v)
+	return r.End(what + " record")
+}
+
+// --- record layouts ---------------------------------------------------------
+//
+// One function per record; field order here IS the format.
+
+func layoutUsage(c *codec, u *cost.Usage) {
+	f64(c, &u.CPUSeconds)
+	varint(c, &u.IOOps)
+	varint(c, &u.NetBytes)
+	varint(c, &u.Boots)
+}
+
+func layoutDurationStats(c *codec, st *metrics.DurationStatsState) {
+	run, res := &st.Running, &st.Reservoir
+	varint(c, &run.N)
+	f64(c, &run.Mean)
+	f64(c, &run.M2)
+	f64(c, &run.Min)
+	f64(c, &run.Max)
+	f64(c, &run.Sum)
+	flag(c, &run.HasSamples)
+	bounded(c, &res.Cap, math.MaxInt32, "reservoir cap")
+	varint(c, &res.Seen)
+	f64s(c, &res.Data)
+	u64(c, &res.PRNG)
+	if c.r == nil {
+		return
+	}
+	if run.N < 0 {
+		c.r.Fail("persist: negative sample count %d", run.N)
 	}
 	// A reservoir that claims fewer observations than it retains (or a
 	// negative count) is corrupt, and the replacement draw after restore
 	// would divide by Seen: reject rather than restore a time bomb.
-	if st.Reservoir.Seen < int64(len(st.Reservoir.Data)) {
-		return st, fmt.Errorf("persist: reservoir claims %d observations but retains %d",
-			st.Reservoir.Seen, len(st.Reservoir.Data))
+	if res.Seen < int64(len(res.Data)) {
+		c.r.Fail("persist: reservoir claims %d observations but retains %d", res.Seen, len(res.Data))
 	}
-	return st, nil
 }
 
-func appendCacheState(b []byte, st cache.State) []byte {
-	b = binary.AppendVarint(b, int64(st.Clock))
-	b = binary.AppendVarint(b, st.Capacity)
-	b = binary.AppendUvarint(b, uint64(len(st.Entries)))
-	for _, e := range st.Entries {
-		b = appendString(b, string(e.ID))
-		b = binary.AppendVarint(b, int64(e.BuiltAt))
-		b = binary.AppendVarint(b, int64(e.FirstUsed))
-		b = binary.AppendVarint(b, int64(e.LastUsed))
-		b = binary.AppendVarint(b, e.Uses)
-		b = binary.AppendVarint(b, int64(e.BuildPrice))
-		b = binary.AppendVarint(b, int64(e.AmortRemaining))
-		b = binary.AppendVarint(b, int64(e.MaintPaidUntil))
-		b = binary.AppendVarint(b, int64(e.UnpaidMaint))
-		b = binary.AppendVarint(b, int64(e.EarnedValue))
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Pending)))
-	for _, p := range st.Pending {
-		b = appendString(b, string(p.ID))
-		b = binary.AppendVarint(b, int64(p.ReadyAt))
-		b = binary.AppendVarint(b, int64(p.BuildPrice))
-		b = binary.AppendVarint(b, int64(p.AmortRemaining))
-	}
-	return b
+func layoutCacheEntry(c *codec, e *cache.EntryState) {
+	str(c, &e.ID)
+	varint(c, &e.BuiltAt)
+	varint(c, &e.FirstUsed)
+	varint(c, &e.LastUsed)
+	varint(c, &e.Uses)
+	varint(c, &e.BuildPrice)
+	varint(c, &e.AmortRemaining)
+	varint(c, &e.MaintPaidUntil)
+	varint(c, &e.UnpaidMaint)
+	varint(c, &e.EarnedValue)
 }
 
-func (r *creader) cacheState() (cache.State, error) {
-	var st cache.State
-	var err error
-	if st.Clock, err = r.duration(); err != nil {
-		return st, err
-	}
-	if st.Capacity, err = r.varint(); err != nil {
-		return st, err
-	}
-	n, err := r.count(10)
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		var e cache.EntryState
-		var id string
-		if id, err = r.str(); err != nil {
-			return st, err
-		}
-		e.ID = structure.ID(id)
-		if e.BuiltAt, err = r.duration(); err != nil {
-			return st, err
-		}
-		if e.FirstUsed, err = r.duration(); err != nil {
-			return st, err
-		}
-		if e.LastUsed, err = r.duration(); err != nil {
-			return st, err
-		}
-		if e.Uses, err = r.varint(); err != nil {
-			return st, err
-		}
-		if e.BuildPrice, err = r.amount(); err != nil {
-			return st, err
-		}
-		if e.AmortRemaining, err = r.amount(); err != nil {
-			return st, err
-		}
-		if e.MaintPaidUntil, err = r.duration(); err != nil {
-			return st, err
-		}
-		if e.UnpaidMaint, err = r.amount(); err != nil {
-			return st, err
-		}
-		if e.EarnedValue, err = r.amount(); err != nil {
-			return st, err
-		}
-		st.Entries = append(st.Entries, e)
-	}
-	n, err = r.count(4)
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		var p cache.PendingState
-		var id string
-		if id, err = r.str(); err != nil {
-			return st, err
-		}
-		p.ID = structure.ID(id)
-		if p.ReadyAt, err = r.duration(); err != nil {
-			return st, err
-		}
-		if p.BuildPrice, err = r.amount(); err != nil {
-			return st, err
-		}
-		if p.AmortRemaining, err = r.amount(); err != nil {
-			return st, err
-		}
-		st.Pending = append(st.Pending, p)
-	}
-	return st, nil
+func layoutCachePending(c *codec, p *cache.PendingState) {
+	str(c, &p.ID)
+	varint(c, &p.ReadyAt)
+	varint(c, &p.BuildPrice)
+	varint(c, &p.AmortRemaining)
 }
 
-func appendLedger(b []byte, st economy.LedgerState) []byte {
-	b = appendString(b, st.Tenant)
-	b = binary.AppendVarint(b, int64(st.Credit))
-	b = binary.AppendVarint(b, st.Clock)
-	b = binary.AppendUvarint(b, uint64(len(st.Entries)))
-	for _, e := range st.Entries {
-		b = appendString(b, string(e.ID))
-		b = binary.AppendVarint(b, int64(e.Regret))
-		b = binary.AppendVarint(b, e.Touched)
-	}
-	b = binary.AppendVarint(b, int64(st.Spend))
-	b = binary.AppendVarint(b, int64(st.ProfitTotal))
-	b = binary.AppendVarint(b, int64(st.Invested))
-	b = binary.AppendVarint(b, int64(st.Recovered))
-	b = binary.AppendVarint(b, int64(st.RegretAccrued))
-	b = binary.AppendVarint(b, int64(st.RegretDropped))
-	b = binary.AppendVarint(b, st.InvestCount)
-	b = binary.AppendVarint(b, st.DeclinedCount)
-	b = binary.AppendVarint(b, st.Queries)
-	b = binary.AppendVarint(b, st.CacheAnswered)
-	return b
+func layoutCacheState(c *codec, st *cache.State) {
+	varint(c, &st.Clock)
+	varint(c, &st.Capacity)
+	list(c, &st.Entries, 10, layoutCacheEntry)
+	list(c, &st.Pending, 4, layoutCachePending)
 }
 
-func (r *creader) ledger() (economy.LedgerState, error) {
-	var st economy.LedgerState
-	var err error
-	if st.Tenant, err = r.str(); err != nil {
-		return st, err
-	}
-	if st.Credit, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.Clock, err = r.varint(); err != nil {
-		return st, err
-	}
-	n, err := r.count(3)
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		var e economy.RegretEntryState
-		var id string
-		if id, err = r.str(); err != nil {
-			return st, err
-		}
-		e.ID = structure.ID(id)
-		if e.Regret, err = r.amount(); err != nil {
-			return st, err
-		}
-		if e.Touched, err = r.varint(); err != nil {
-			return st, err
-		}
-		st.Entries = append(st.Entries, e)
-	}
-	if st.Spend, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.ProfitTotal, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.Invested, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.Recovered, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.RegretAccrued, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.RegretDropped, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.InvestCount, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.DeclinedCount, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.Queries, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.CacheAnswered, err = r.varint(); err != nil {
-		return st, err
-	}
-	return st, nil
+func layoutRegretEntry(c *codec, e *economy.RegretEntryState) {
+	str(c, &e.ID)
+	varint(c, &e.Regret)
+	varint(c, &e.Touched)
 }
 
-func appendEconomyState(b []byte, st *economy.State) []byte {
-	b = append(b, byte(st.Provider))
-	b = appendBool(b, st.Pool != nil)
-	if st.Pool != nil {
-		b = appendLedger(b, *st.Pool)
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Tenants)))
-	for _, l := range st.Tenants {
-		b = appendLedger(b, l)
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Market.Owners)))
-	for _, o := range st.Market.Owners {
-		b = appendString(b, string(o.ID))
-		b = appendString(b, o.Tenant)
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Market.FailCounts)))
-	for _, f := range st.Market.FailCounts {
-		b = appendString(b, string(f.ID))
-		b = binary.AppendVarint(b, f.Count)
-	}
-	b = appendUsage(b, st.Market.BuildUsage)
-	b = binary.AppendVarint(b, st.Market.FailureCount)
-	return b
+func layoutLedger(c *codec, st *economy.LedgerState) {
+	str(c, &st.Tenant)
+	varint(c, &st.Credit)
+	varint(c, &st.Clock)
+	list(c, &st.Entries, 3, layoutRegretEntry)
+	varint(c, &st.Spend)
+	varint(c, &st.ProfitTotal)
+	varint(c, &st.Invested)
+	varint(c, &st.Recovered)
+	varint(c, &st.RegretAccrued)
+	varint(c, &st.RegretDropped)
+	varint(c, &st.InvestCount)
+	varint(c, &st.DeclinedCount)
+	varint(c, &st.Queries)
+	varint(c, &st.CacheAnswered)
 }
 
-func (r *creader) economyState() (*economy.State, error) {
-	st := &economy.State{}
-	prov, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	st.Provider = economy.Provider(prov)
-	hasPool, err := r.bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasPool {
-		pool, err := r.ledger()
-		if err != nil {
-			return nil, err
-		}
-		st.Pool = &pool
-	}
-	n, err := r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		l, err := r.ledger()
-		if err != nil {
-			return nil, err
-		}
-		st.Tenants = append(st.Tenants, l)
-	}
-	n, err = r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var o economy.OwnerState
-		var id string
-		if id, err = r.str(); err != nil {
-			return nil, err
-		}
-		o.ID = structure.ID(id)
-		if o.Tenant, err = r.str(); err != nil {
-			return nil, err
-		}
-		st.Market.Owners = append(st.Market.Owners, o)
-	}
-	n, err = r.count(2)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		var f economy.FailCountState
-		var id string
-		if id, err = r.str(); err != nil {
-			return nil, err
-		}
-		f.ID = structure.ID(id)
-		if f.Count, err = r.varint(); err != nil {
-			return nil, err
-		}
-		st.Market.FailCounts = append(st.Market.FailCounts, f)
-	}
-	if st.Market.BuildUsage, err = r.usage(); err != nil {
-		return nil, err
-	}
-	if st.Market.FailureCount, err = r.varint(); err != nil {
-		return nil, err
-	}
-	return st, nil
+func layoutOwner(c *codec, o *economy.OwnerState) {
+	str(c, &o.ID)
+	str(c, &o.Tenant)
 }
 
-// --- record payloads ------------------------------------------------------
-
-func appendMeta(b []byte, s *Snapshot) []byte {
-	b = append(b, recMeta)
-	b = appendString(b, s.Scheme)
-	b = appendString(b, s.Provider)
-	b = binary.AppendVarint(b, s.CatalogBytes)
-	b = binary.AppendVarint(b, s.NextID)
-	b = binary.AppendVarint(b, int64(s.Clock))
-	b = binary.AppendVarint(b, s.CreatedUnixNano)
-	b = binary.AppendUvarint(b, uint64(len(s.Shards)))
-	return b
+func layoutFailCount(c *codec, f *economy.FailCountState) {
+	str(c, &f.ID)
+	varint(c, &f.Count)
 }
 
-func decodeMeta(payload []byte) (*Snapshot, int, error) {
-	r := &creader{b: payload}
-	typ, err := r.byte()
-	if err != nil {
-		return nil, 0, err
-	}
-	if typ != recMeta {
-		return nil, 0, fmt.Errorf("persist: expected meta record, got type %d", typ)
-	}
-	s := &Snapshot{}
-	if s.Scheme, err = r.str(); err != nil {
-		return nil, 0, err
-	}
-	if s.Provider, err = r.str(); err != nil {
-		return nil, 0, err
-	}
-	if s.CatalogBytes, err = r.varint(); err != nil {
-		return nil, 0, err
-	}
-	if s.NextID, err = r.varint(); err != nil {
-		return nil, 0, err
-	}
-	if s.Clock, err = r.duration(); err != nil {
-		return nil, 0, err
-	}
-	if s.CreatedUnixNano, err = r.varint(); err != nil {
-		return nil, 0, err
-	}
-	shards, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	if shards == 0 || shards > MaxShards {
-		return nil, 0, fmt.Errorf("persist: shard count %d outside [1, %d]", shards, MaxShards)
-	}
-	if r.len() != 0 {
-		return nil, 0, fmt.Errorf("persist: %d trailing bytes after meta record", r.len())
-	}
-	return s, int(shards), nil
+func layoutEconomyState(c *codec, st *economy.State) {
+	octet(c, &st.Provider)
+	optional(c, &st.Pool, layoutLedger)
+	list(c, &st.Tenants, 2, layoutLedger)
+	list(c, &st.Market.Owners, 2, layoutOwner)
+	list(c, &st.Market.FailCounts, 2, layoutFailCount)
+	layoutUsage(c, &st.Market.BuildUsage)
+	varint(c, &st.Market.FailureCount)
 }
 
-func appendShard(b []byte, st *ShardState) []byte {
-	b = append(b, recShard)
-	b = binary.AppendUvarint(b, uint64(st.Index))
-	b = binary.AppendVarint(b, int64(st.LastNow))
-	b = binary.AppendVarint(b, int64(st.LastAccrual))
-	b = binary.AppendVarint(b, int64(st.EndOfRun))
-	b = appendF64(b, st.StorageGBSeconds)
-	b = appendF64(b, st.NodeSeconds)
-	b = binary.AppendVarint(b, st.Queries)
-	b = binary.AppendVarint(b, st.Declined)
-	b = binary.AppendVarint(b, st.CacheAnswered)
-	b = binary.AppendVarint(b, st.Investments)
-	b = binary.AppendVarint(b, st.Failures)
-	b = binary.AppendVarint(b, st.Errors)
-	b = binary.AppendVarint(b, int64(st.Revenue))
-	b = binary.AppendVarint(b, int64(st.Profit))
-	b = appendUsage(b, st.ExecUsage)
-	b = appendUsage(b, st.BuildUsage)
-	b = appendU64(b, st.RNG)
-	b = appendDurationStats(b, st.Response)
-	b = appendCacheState(b, st.Cache)
-	b = appendBool(b, st.Economy != nil)
-	if st.Economy != nil {
-		b = appendEconomyState(b, st.Economy)
-	}
-	b = binary.AppendUvarint(b, uint64(len(st.Yield)))
-	for _, y := range st.Yield {
-		b = appendString(b, string(y.ID))
-		b = binary.AppendVarint(b, y.Bytes)
-	}
-	return b
+func layoutYield(c *codec, y *YieldState) {
+	str(c, &y.ID)
+	varint(c, &y.Bytes)
 }
 
-func decodeShard(payload []byte) (ShardState, error) {
-	var st ShardState
-	r := &creader{b: payload}
-	typ, err := r.byte()
-	if err != nil {
-		return st, err
-	}
-	if typ != recShard {
-		return st, fmt.Errorf("persist: expected shard record, got type %d", typ)
-	}
-	idx, err := r.uvarint()
-	if err != nil {
-		return st, err
-	}
-	if idx > MaxShards {
-		return st, fmt.Errorf("persist: shard index %d out of range", idx)
-	}
-	st.Index = int(idx)
-	if st.LastNow, err = r.duration(); err != nil {
-		return st, err
-	}
-	if st.LastAccrual, err = r.duration(); err != nil {
-		return st, err
-	}
-	if st.EndOfRun, err = r.duration(); err != nil {
-		return st, err
-	}
-	if st.StorageGBSeconds, err = r.f64(); err != nil {
-		return st, err
-	}
-	if st.NodeSeconds, err = r.f64(); err != nil {
-		return st, err
-	}
-	if st.Queries, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.Declined, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.CacheAnswered, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.Investments, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.Failures, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.Errors, err = r.varint(); err != nil {
-		return st, err
-	}
-	if st.Revenue, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.Profit, err = r.amount(); err != nil {
-		return st, err
-	}
-	if st.ExecUsage, err = r.usage(); err != nil {
-		return st, err
-	}
-	if st.BuildUsage, err = r.usage(); err != nil {
-		return st, err
-	}
-	if st.RNG, err = r.u64(); err != nil {
-		return st, err
-	}
-	if st.Response, err = r.durationStats(); err != nil {
-		return st, err
-	}
-	if st.Cache, err = r.cacheState(); err != nil {
-		return st, err
-	}
-	hasEco, err := r.bool()
-	if err != nil {
-		return st, err
-	}
-	if hasEco {
-		if st.Economy, err = r.economyState(); err != nil {
-			return st, err
-		}
-	}
-	n, err := r.count(2)
-	if err != nil {
-		return st, err
-	}
-	for i := 0; i < n; i++ {
-		var y YieldState
-		var id string
-		if id, err = r.str(); err != nil {
-			return st, err
-		}
-		y.ID = structure.ID(id)
-		if y.Bytes, err = r.varint(); err != nil {
-			return st, err
-		}
-		st.Yield = append(st.Yield, y)
-	}
-	if r.len() != 0 {
-		return st, fmt.Errorf("persist: %d trailing bytes after shard record", r.len())
-	}
-	return st, nil
+func layoutShard(c *codec, st *ShardState) {
+	record(c, recShard)
+	bounded(c, &st.Index, MaxShards, "shard index")
+	varint(c, &st.LastNow)
+	varint(c, &st.LastAccrual)
+	varint(c, &st.EndOfRun)
+	f64(c, &st.StorageGBSeconds)
+	f64(c, &st.NodeSeconds)
+	varint(c, &st.Queries)
+	varint(c, &st.Declined)
+	varint(c, &st.CacheAnswered)
+	varint(c, &st.Investments)
+	varint(c, &st.Failures)
+	varint(c, &st.Errors)
+	varint(c, &st.Revenue)
+	varint(c, &st.Profit)
+	layoutUsage(c, &st.ExecUsage)
+	layoutUsage(c, &st.BuildUsage)
+	u64(c, &st.RNG)
+	layoutDurationStats(c, &st.Response)
+	layoutCacheState(c, &st.Cache)
+	optional(c, &st.Economy, layoutEconomyState)
+	list(c, &st.Yield, 2, layoutYield)
 }
 
-// --- framing and file I/O -------------------------------------------------
+func layoutFingerprint(c *codec, f *Fingerprint) {
+	str(c, &f.Scheme)
+	str(c, &f.Provider)
+	varint(c, &f.CatalogBytes)
+	varint(c, &f.NextID)
+	varint(c, &f.Clock)
+	varint(c, &f.CreatedUnixNano)
+}
+
+// meta is a snapshot's first record: the fingerprint, then how many
+// shard frames follow.
+type meta struct {
+	Fingerprint
+	shards int
+}
+
+func layoutMeta(c *codec, m *meta) {
+	record(c, recMeta)
+	layoutFingerprint(c, &m.Fingerprint)
+	bounded(c, &m.shards, MaxShards, "shard count")
+	if c.r != nil && m.shards == 0 {
+		c.r.Fail("persist: snapshot claims no shards")
+	}
+}
+
+// layoutShardMeta is a shard packet's first record.
+func layoutShardMeta(c *codec, f *Fingerprint) {
+	record(c, recShardMeta)
+	layoutFingerprint(c, f)
+}
+
+// --- framing and containers -------------------------------------------------
 
 // appendFrame wraps one payload with its length prefix and CRC.
 func appendFrame(b, payload []byte) []byte {
@@ -861,110 +520,70 @@ func nextFrame(data []byte) (payload, rest []byte, err error) {
 	return payload, data[4:], nil
 }
 
-// EncodeBytes serializes a snapshot.
-func EncodeBytes(s *Snapshot) []byte {
-	b := append([]byte{}, magic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, Version)
-	b = appendFrame(b, appendMeta(nil, s))
-	for i := range s.Shards {
-		b = appendFrame(b, appendShard(nil, &s.Shards[i]))
-	}
-	return b
+// appendHeader opens a container: its magic and the format version.
+func appendHeader(m [6]byte) []byte {
+	return binary.LittleEndian.AppendUint16(append([]byte{}, m[:]...), Version)
 }
 
-// Encode writes a snapshot to w.
-func Encode(w io.Writer, s *Snapshot) error {
-	_, err := w.Write(EncodeBytes(s))
-	return err
+// openContainer checks a container's magic and version and splits off
+// its first frame, whose record the layout decodes into v.
+func openContainer[T any](data []byte, m [6]byte, what string, layout func(*codec, *T), v *T) (rest []byte, err error) {
+	if len(data) < len(m)+2 {
+		return nil, fmt.Errorf("persist: %s too short for header", what)
+	}
+	if !bytes.Equal(data[:len(m)], m[:]) {
+		return nil, fmt.Errorf("persist: bad %s magic", what)
+	}
+	if ver := binary.LittleEndian.Uint16(data[len(m):]); ver != Version {
+		return nil, fmt.Errorf("persist: unsupported %s version %d (want %d)", what, ver, Version)
+	}
+	payload, rest, err := nextFrame(data[len(m)+2:])
+	if err != nil {
+		return nil, err
+	}
+	return rest, decode(payload, what+" meta", layout, v)
+}
+
+// shardFrame decodes the next frame as a shard record into st.
+func shardFrame(data []byte, st *ShardState) (rest []byte, err error) {
+	payload, rest, err := nextFrame(data)
+	if err != nil {
+		return nil, err
+	}
+	return rest, decode(payload, "shard", layoutShard, st)
+}
+
+// EncodeBytes serializes a snapshot.
+func EncodeBytes(s *Snapshot) []byte {
+	b := appendFrame(appendHeader(magic), encode(layoutMeta, &meta{s.Fingerprint, len(s.Shards)}))
+	for i := range s.Shards {
+		b = appendFrame(b, encode(layoutShard, &s.Shards[i]))
+	}
+	return b
 }
 
 // Decode parses a snapshot. Truncated, corrupt or version-mismatched
 // input fails with an error — never a panic, never partial state.
 func Decode(data []byte) (*Snapshot, error) {
-	if len(data) < len(magic)+2 {
-		return nil, fmt.Errorf("persist: file too short for header")
-	}
-	if string(data[:len(magic)]) != string(magic[:]) {
-		return nil, fmt.Errorf("persist: bad magic")
-	}
-	v := binary.LittleEndian.Uint16(data[len(magic):])
-	if v != Version {
-		return nil, fmt.Errorf("persist: unsupported snapshot version %d (want %d)", v, Version)
-	}
-	rest := data[len(magic)+2:]
-
-	payload, rest, err := nextFrame(rest)
+	var m meta
+	rest, err := openContainer(data, magic, "snapshot", layoutMeta, &m)
 	if err != nil {
 		return nil, err
 	}
-	s, shards, err := decodeMeta(payload)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < shards; i++ {
-		if payload, rest, err = nextFrame(rest); err != nil {
+	s := &Snapshot{Fingerprint: m.Fingerprint}
+	for i := 0; i < m.shards; i++ {
+		s.Shards = append(s.Shards, ShardState{})
+		if rest, err = shardFrame(rest, &s.Shards[i]); err != nil {
 			return nil, fmt.Errorf("persist: shard %d: %w", i, err)
 		}
-		st, err := decodeShard(payload)
-		if err != nil {
-			return nil, fmt.Errorf("persist: shard %d: %w", i, err)
+		if got := s.Shards[i].Index; got != i {
+			return nil, fmt.Errorf("persist: shard record %d carries index %d", i, got)
 		}
-		if st.Index != i {
-			return nil, fmt.Errorf("persist: shard record %d carries index %d", i, st.Index)
-		}
-		s.Shards = append(s.Shards, st)
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("persist: %d trailing bytes after last shard", len(rest))
 	}
 	return s, nil
-}
-
-// --- single-shard packets -------------------------------------------------
-
-func appendShardMeta(b []byte, p *ShardPacket) []byte {
-	b = append(b, recShardMeta)
-	b = appendString(b, p.Scheme)
-	b = appendString(b, p.Provider)
-	b = binary.AppendVarint(b, p.CatalogBytes)
-	b = binary.AppendVarint(b, p.NextID)
-	b = binary.AppendVarint(b, int64(p.Clock))
-	b = binary.AppendVarint(b, p.CreatedUnixNano)
-	return b
-}
-
-func decodeShardMeta(payload []byte) (*ShardPacket, error) {
-	r := &creader{b: payload}
-	typ, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if typ != recShardMeta {
-		return nil, fmt.Errorf("persist: expected shard-meta record, got type %d", typ)
-	}
-	p := &ShardPacket{}
-	if p.Scheme, err = r.str(); err != nil {
-		return nil, err
-	}
-	if p.Provider, err = r.str(); err != nil {
-		return nil, err
-	}
-	if p.CatalogBytes, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if p.NextID, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if p.Clock, err = r.duration(); err != nil {
-		return nil, err
-	}
-	if p.CreatedUnixNano, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if r.len() != 0 {
-		return nil, fmt.Errorf("persist: %d trailing bytes after shard-meta record", r.len())
-	}
-	return p, nil
 }
 
 // EncodeShardPacket serializes one shard for transfer:
@@ -976,11 +595,8 @@ func decodeShardMeta(payload []byte) (*ShardPacket, error) {
 // packet truncated or corrupted in flight fails installation cleanly on
 // the receiving backend instead of loading partial state.
 func EncodeShardPacket(p *ShardPacket) []byte {
-	b := append([]byte{}, shardMagic[:]...)
-	b = binary.LittleEndian.AppendUint16(b, Version)
-	b = appendFrame(b, appendShardMeta(nil, p))
-	b = appendFrame(b, appendShard(nil, &p.State))
-	return b
+	b := appendFrame(appendHeader(shardMagic), encode(layoutShardMeta, &p.Fingerprint))
+	return appendFrame(b, encode(layoutShard, &p.State))
 }
 
 // DecodeShardPacket parses a single-shard packet with the same
@@ -988,30 +604,12 @@ func EncodeShardPacket(p *ShardPacket) []byte {
 // multiple of the input, and fails loudly on truncation, corruption or
 // a version mismatch.
 func DecodeShardPacket(data []byte) (*ShardPacket, error) {
-	if len(data) < len(shardMagic)+2 {
-		return nil, fmt.Errorf("persist: packet too short for header")
-	}
-	if string(data[:len(shardMagic)]) != string(shardMagic[:]) {
-		return nil, fmt.Errorf("persist: bad shard packet magic")
-	}
-	v := binary.LittleEndian.Uint16(data[len(shardMagic):])
-	if v != Version {
-		return nil, fmt.Errorf("persist: unsupported shard packet version %d (want %d)", v, Version)
-	}
-	rest := data[len(shardMagic)+2:]
-
-	payload, rest, err := nextFrame(rest)
+	p := &ShardPacket{}
+	rest, err := openContainer(data, shardMagic, "shard packet", layoutShardMeta, &p.Fingerprint)
 	if err != nil {
 		return nil, err
 	}
-	p, err := decodeShardMeta(payload)
-	if err != nil {
-		return nil, err
-	}
-	if payload, rest, err = nextFrame(rest); err != nil {
-		return nil, err
-	}
-	if p.State, err = decodeShard(payload); err != nil {
+	if rest, err = shardFrame(rest, &p.State); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {

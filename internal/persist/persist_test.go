@@ -1,9 +1,12 @@
 package persist
 
 import (
+	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,12 +40,14 @@ func sampleSnapshot() *Snapshot {
 		CacheAnswered: 31,
 	}
 	return &Snapshot{
-		Scheme:          "econ-cheap",
-		Provider:        "altruistic",
-		CatalogBytes:    123456789,
-		NextID:          4242,
-		Clock:           90 * time.Minute,
-		CreatedUnixNano: 1700000000000000000,
+		Fingerprint: Fingerprint{
+			Scheme:          "econ-cheap",
+			Provider:        "altruistic",
+			CatalogBytes:    123456789,
+			NextID:          4242,
+			Clock:           90 * time.Minute,
+			CreatedUnixNano: 1700000000000000000,
+		},
 		Shards: []ShardState{
 			{
 				Index:            0,
@@ -200,6 +205,46 @@ func TestDecodeRejectsLyingReservoir(t *testing.T) {
 	s.Shards[0].Response.Running.N = -1
 	if _, err := Decode(EncodeBytes(s)); err == nil {
 		t.Error("negative running sample count decoded")
+	}
+}
+
+// TestDecodeOnlyBounds: values no encoder run would write — a reservoir
+// cap past MaxInt32, a shard index or count past MaxShards, a snapshot
+// of no shards, a count that promises more elements than bytes remain —
+// arrive CRC-valid and must be rejected by the layouts themselves.
+func TestDecodeOnlyBounds(t *testing.T) {
+	snap := func(mutate func(*Snapshot)) []byte {
+		s := sampleSnapshot()
+		mutate(s)
+		return EncodeBytes(s)
+	}
+	for name, data := range map[string][]byte{
+		"reservoir cap past MaxInt32": snap(func(s *Snapshot) { s.Shards[0].Response.Reservoir.Cap = math.MaxInt32 + 1 }),
+		"no shards":                   snap(func(s *Snapshot) { s.Shards = nil }),
+		"shard count past MaxShards": appendFrame(appendHeader(magic),
+			encode(layoutMeta, &meta{shards: MaxShards + 1})),
+		"wrong record type": appendFrame(appendHeader(magic),
+			encode(layoutShardMeta, &Fingerprint{})),
+	} {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	if _, err := DecodeShardPacket(EncodeShardPacket(&ShardPacket{State: ShardState{Index: MaxShards + 1}})); err == nil {
+		t.Error("shard index past MaxShards decoded")
+	}
+
+	// A yield list claiming three entries over the bytes of two: the
+	// count is checked against what remains before the loop runs.
+	shard := encode(layoutShard, &sampleSnapshot().Shards[1])
+	at := bytes.LastIndex(shard, []byte("\x02\x16col:orders.o_orderdate"))
+	if at < 0 {
+		t.Fatal("sample shard no longer ends in its two-entry yield list")
+	}
+	shard[at] = 0x7F
+	pkt := appendFrame(appendFrame(appendHeader(shardMagic), encode(layoutShardMeta, &Fingerprint{})), shard)
+	if _, err := DecodeShardPacket(pkt); err == nil || !strings.Contains(err.Error(), "count") {
+		t.Errorf("lying yield count: err %v, want the count bound", err)
 	}
 }
 

@@ -747,3 +747,34 @@ func TestRouterCursorLRU(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterIdleEventsViewsAreEmptyArrays: an idle cluster's events
+// views must marshal exactly like an idle backend's own — "events":[]
+// — not "events":null, which is what re-slicing a nil slice used to
+// push through msgEventsPush.
+func TestRouterIdleEventsViewsAreEmptyArrays(t *testing.T) {
+	const shards = 2
+	srvA, addrA, _ := newBackend(t, shards, nil)
+	_, addrB, _ := newBackend(t, shards, nil)
+	r, _ := newRouterFront(t, []string{addrA, addrB}, -1)
+
+	marshal := func(v server.EventsView) string {
+		t.Helper()
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	want := marshal(srvA.EventsViewSnapshot("", "", 0))
+	if !strings.Contains(want, `"events":[]`) {
+		t.Fatalf("an idle backend answers %s; the reference itself lost the contract", want)
+	}
+	if got := marshal(r.EventsViewSnapshot("", "", 0)); got != want {
+		t.Errorf("router EventsViewSnapshot = %s, backend's own = %s", got, want)
+	}
+	since, _ := r.EventsViewSince(0)
+	if got := marshal(since); got != want {
+		t.Errorf("router EventsViewSince = %s, backend's own = %s", got, want)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -60,65 +59,19 @@ func (r *Router) Stats() server.Stats {
 		}
 	}
 
-	tenants := make(map[string]server.TenantStats)
-	var meanW, p50W, p95W, p99W float64
-	for _, st := range per {
-		agg.PerShard = append(agg.PerShard, st)
-		for _, ts := range st.Tenants {
-			m := tenants[ts.Tenant]
-			m.Tenant = ts.Tenant
-			m.Queries += ts.Queries
-			m.Declined += ts.Declined
-			m.CacheAnswered += ts.CacheAnswered
-			m.CreditUSD += ts.CreditUSD
-			m.SpendUSD += ts.SpendUSD
-			m.ProfitUSD += ts.ProfitUSD
-			m.RegretUSD += ts.RegretUSD
-			m.InvestedUSD += ts.InvestedUSD
-			m.RecoveredUSD += ts.RecoveredUSD
-			m.StructuresCharged += ts.StructuresCharged
-			m.LedgerSize += ts.LedgerSize
-			tenants[ts.Tenant] = m
+	agg.PerShard = per
+	agg.Aggregate()
+	if executed := float64(agg.Queries - agg.Declined); executed > 0 {
+		var p50W, p95W, p99W float64
+		for _, st := range per {
+			w := float64(st.Queries - st.Declined)
+			p50W += st.ResponseP50Sec * w
+			p95W += st.ResponseP95Sec * w
+			p99W += st.ResponseP99Sec * w
 		}
-		if st.ClockSec > agg.ClockSec {
-			agg.ClockSec = st.ClockSec
-		}
-		agg.Queries += st.Queries
-		agg.Declined += st.Declined
-		agg.CacheAnswered += st.CacheAnswered
-		agg.Investments += st.Investments
-		agg.Failures += st.Failures
-		agg.Errors += st.Errors
-		agg.ExecCostUSD += st.ExecCostUSD
-		agg.BuildCostUSD += st.BuildCostUSD
-		agg.StorageCostUSD += st.StorageCostUSD
-		agg.NodeCostUSD += st.NodeCostUSD
-		agg.OperatingCostUSD += st.OperatingCostUSD
-		agg.RevenueUSD += st.RevenueUSD
-		agg.ProfitUSD += st.ProfitUSD
-		agg.ResidentBytes += st.ResidentBytes
-		agg.CreditUSD += st.CreditUSD
-		w := float64(st.Queries - st.Declined)
-		meanW += st.ResponseMeanSec * w
-		p50W += st.ResponseP50Sec * w
-		p95W += st.ResponseP95Sec * w
-		p99W += st.ResponseP99Sec * w
-	}
-	if executed := agg.Queries - agg.Declined; executed > 0 {
-		agg.ResponseMeanSec = meanW / float64(executed)
-		agg.ResponseP50Sec = p50W / float64(executed)
-		agg.ResponseP95Sec = p95W / float64(executed)
-		agg.ResponseP99Sec = p99W / float64(executed)
-	}
-	if len(tenants) > 0 {
-		agg.Tenants = make([]server.TenantStats, 0, len(tenants))
-		for _, ts := range tenants {
-			if executed := ts.Queries - ts.Declined; executed > 0 {
-				ts.HitRate = float64(ts.CacheAnswered) / float64(executed)
-			}
-			agg.Tenants = append(agg.Tenants, ts)
-		}
-		sort.Slice(agg.Tenants, func(i, j int) bool { return agg.Tenants[i].Tenant < agg.Tenants[j].Tenant })
+		agg.ResponseP50Sec = p50W / executed
+		agg.ResponseP95Sec = p95W / executed
+		agg.ResponseP99Sec = p99W / executed
 	}
 	return agg
 }
@@ -149,6 +102,16 @@ func (r *Router) TraceViewSnapshot(tenant, template string, n int) server.TraceV
 	return view
 }
 
+// addTotals sums one backend's conservation totals into the cluster's.
+func addTotals(sum *server.EventTotalsView, t server.EventTotalsView) {
+	sum.Invests += t.Invests
+	sum.Evicts += t.Evicts
+	sum.Recovers += t.Recovers
+	sum.InvestedUSD += t.InvestedUSD
+	sum.EvictedUSD += t.EvictedUSD
+	sum.RecoveredUSD += t.RecoveredUSD
+}
+
 // EventsViewSnapshot concatenates the backends' journals and sums their
 // conservation totals. Events keep each backend's own Seq numbering —
 // Seq orders a journal, not the cluster.
@@ -165,16 +128,11 @@ func (r *Router) EventsViewSnapshot(typ, tenant string, n int) server.EventsView
 		if err != nil {
 			continue
 		}
-		view.Totals.Invests += ev.Totals.Invests
-		view.Totals.Evicts += ev.Totals.Evicts
-		view.Totals.Recovers += ev.Totals.Recovers
-		view.Totals.InvestedUSD += ev.Totals.InvestedUSD
-		view.Totals.EvictedUSD += ev.Totals.EvictedUSD
-		view.Totals.RecoveredUSD += ev.Totals.RecoveredUSD
+		addTotals(&view.Totals, ev.Totals)
 		view.Events = append(view.Events, ev.Events...)
 	}
 	if view.Events == nil {
-		view.Events = view.Events[:0:0]
+		view.Events = []obs.Event{} // keep the []-not-null JSON contract
 	}
 	return view
 }
@@ -234,12 +192,7 @@ func (r *Router) EventsViewSince(since int64) (server.EventsView, int64) {
 		if err != nil {
 			continue
 		}
-		view.Totals.Invests += ev.Totals.Invests
-		view.Totals.Evicts += ev.Totals.Evicts
-		view.Totals.Recovers += ev.Totals.Recovers
-		view.Totals.InvestedUSD += ev.Totals.InvestedUSD
-		view.Totals.EvictedUSD += ev.Totals.EvictedUSD
-		view.Totals.RecoveredUSD += ev.Totals.RecoveredUSD
+		addTotals(&view.Totals, ev.Totals)
 		for _, e := range ev.Events {
 			if e.Seq > last[b.id] {
 				view.Events = append(view.Events, e)
@@ -248,7 +201,7 @@ func (r *Router) EventsViewSince(since int64) (server.EventsView, int64) {
 		}
 	}
 	if view.Events == nil {
-		view.Events = view.Events[:0:0]
+		view.Events = []obs.Event{} // keep the []-not-null JSON contract
 	}
 	r.curMu.Lock()
 	if e, ok := r.cursors[since]; ok {

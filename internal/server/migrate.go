@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/metrics"
@@ -109,15 +108,7 @@ func (s *Server) ExtractShardChecked(i int, check func(*persist.ShardPacket) err
 	}
 
 	sh.mu.Lock()
-	pkt := &persist.ShardPacket{
-		Scheme:          s.cfg.Scheme,
-		Provider:        s.cfg.Params.Provider.String(),
-		CatalogBytes:    s.catalog.TotalBytes(),
-		NextID:          s.nextID.Load(),
-		Clock:           s.clock.Now(),
-		CreatedUnixNano: time.Now().UnixNano(),
-		State:           sh.captureStateLocked(),
-	}
+	pkt := &persist.ShardPacket{Fingerprint: s.fingerprint(), State: sh.captureStateLocked()}
 	if check != nil {
 		if err := check(pkt); err != nil {
 			sh.owned = wasOwned
@@ -141,20 +132,11 @@ func (s *Server) InstallShard(i int, pkt *persist.ShardPacket) error {
 	if err := s.validShard(i); err != nil {
 		return err
 	}
-	if pkt.Scheme != s.cfg.Scheme {
-		return fmt.Errorf("server: packet scheme %q != configured %q", pkt.Scheme, s.cfg.Scheme)
-	}
-	if want := s.cfg.Params.Provider.String(); pkt.Provider != want {
-		return fmt.Errorf("server: packet provider %q != configured %q", pkt.Provider, want)
-	}
-	if got := s.catalog.TotalBytes(); pkt.CatalogBytes != got {
-		return fmt.Errorf("server: packet catalog (%d bytes) != configured catalog (%d bytes)", pkt.CatalogBytes, got)
+	if err := s.checkFingerprint("packet", &pkt.Fingerprint); err != nil {
+		return err
 	}
 	if pkt.State.Index != i {
 		return fmt.Errorf("server: packet carries shard %d, installing into %d", pkt.State.Index, i)
-	}
-	if pkt.NextID < 0 {
-		return fmt.Errorf("server: packet query counter %d is negative", pkt.NextID)
 	}
 	s.mu.Lock()
 	if s.closed {

@@ -33,7 +33,17 @@ type yieldScheme interface {
 // in flight land in the next checkpoint). On a drained server it is the
 // complete final state.
 func (s *Server) Snapshot() *persist.Snapshot {
-	snap := &persist.Snapshot{
+	snap := &persist.Snapshot{Fingerprint: s.fingerprint()}
+	for _, sh := range s.shards {
+		snap.Shards = append(snap.Shards, sh.captureState())
+	}
+	return snap
+}
+
+// fingerprint stamps a capture — whole-engine snapshot or single-shard
+// packet — with the configuration it was taken under.
+func (s *Server) fingerprint() persist.Fingerprint {
+	return persist.Fingerprint{
 		Scheme:          s.cfg.Scheme,
 		Provider:        s.cfg.Params.Provider.String(),
 		CatalogBytes:    s.catalog.TotalBytes(),
@@ -41,10 +51,25 @@ func (s *Server) Snapshot() *persist.Snapshot {
 		Clock:           s.clock.Now(),
 		CreatedUnixNano: time.Now().UnixNano(),
 	}
-	for _, sh := range s.shards {
-		snap.Shards = append(snap.Shards, sh.captureState())
+}
+
+// checkFingerprint refuses state (what: "snapshot" or "packet") captured
+// under another configuration: it must never silently cross a
+// reconfiguration.
+func (s *Server) checkFingerprint(what string, f *persist.Fingerprint) error {
+	if f.Scheme != s.cfg.Scheme {
+		return fmt.Errorf("server: %s scheme %q != configured %q", what, f.Scheme, s.cfg.Scheme)
 	}
-	return snap
+	if want := s.cfg.Params.Provider.String(); f.Provider != want {
+		return fmt.Errorf("server: %s provider %q != configured %q", what, f.Provider, want)
+	}
+	if got := s.catalog.TotalBytes(); f.CatalogBytes != got {
+		return fmt.Errorf("server: %s catalog (%d bytes) != configured catalog (%d bytes)", what, f.CatalogBytes, got)
+	}
+	if f.NextID < 0 {
+		return fmt.Errorf("server: %s query counter %d is negative", what, f.NextID)
+	}
+	return nil
 }
 
 // Checkpoint writes the current state to Config.SnapshotPath and returns
@@ -105,20 +130,11 @@ func (s *Server) runCheckpointer(every time.Duration) {
 // mismatch between the snapshot and the live configuration fails the
 // whole restore: state must never silently cross a reconfiguration.
 func (s *Server) restore(snap *persist.Snapshot) error {
-	if snap.Scheme != s.cfg.Scheme {
-		return fmt.Errorf("server: snapshot scheme %q != configured %q", snap.Scheme, s.cfg.Scheme)
-	}
-	if want := s.cfg.Params.Provider.String(); snap.Provider != want {
-		return fmt.Errorf("server: snapshot provider %q != configured %q", snap.Provider, want)
-	}
-	if got := s.catalog.TotalBytes(); snap.CatalogBytes != got {
-		return fmt.Errorf("server: snapshot catalog (%d bytes) != configured catalog (%d bytes)", snap.CatalogBytes, got)
+	if err := s.checkFingerprint("snapshot", &snap.Fingerprint); err != nil {
+		return err
 	}
 	if len(snap.Shards) != len(s.shards) {
 		return fmt.Errorf("server: snapshot has %d shards, configured %d", len(snap.Shards), len(s.shards))
-	}
-	if snap.NextID < 0 {
-		return fmt.Errorf("server: snapshot query counter %d is negative", snap.NextID)
 	}
 	for i := range snap.Shards {
 		if err := s.shards[i].restoreState(&snap.Shards[i]); err != nil {

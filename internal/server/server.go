@@ -678,16 +678,41 @@ func (s *Server) Stats() Stats {
 	agg.Draining = s.closed
 	s.mu.Unlock()
 
+	var samples, weights []float64
+	for _, sh := range s.shards {
+		st, smp := sh.snapshot()
+		agg.PerShard = append(agg.PerShard, st)
+		// Reservoirs are capped: each retained sample stands for
+		// executed/len(smp) observations, so busy shards keep their
+		// weight in the merged percentiles.
+		if len(smp) > 0 {
+			w := float64(st.Queries-st.Declined) / float64(len(smp))
+			for _, v := range smp {
+				samples = append(samples, v)
+				weights = append(weights, w)
+			}
+		}
+	}
+	agg.Aggregate()
+	ps := metrics.WeightedQuantilesOf(samples, weights, 0.50, 0.95, 0.99)
+	agg.ResponseP50Sec, agg.ResponseP95Sec, agg.ResponseP99Sec = ps[0], ps[1], ps[2]
+	return agg
+}
+
+// Aggregate fills a fresh Stats' cluster-wide figures from its PerShard
+// rows: the counter and money sums, the latest shard clock, the
+// executed-weighted mean response time and the merged tenant section.
+// The response percentiles stay the caller's, because the rule differs:
+// the engine merges its shards' reservoirs, a router — which sees no
+// reservoir — can only weigh the per-shard percentiles.
+func (agg *Stats) Aggregate() {
 	// Tenant-routed traffic keeps a tenant on one shard, but untagged
 	// (template-routed) queries spread the "" tenant across shards: merge
 	// by summing per tenant name, then sort for a deterministic section.
 	tenants := make(map[string]TenantStats)
-
-	var samples, weights []float64
 	var meanWeighted float64
-	for _, sh := range s.shards {
-		st, smp := sh.snapshot()
-		agg.PerShard = append(agg.PerShard, st)
+	for i := range agg.PerShard {
+		st := &agg.PerShard[i]
 		for _, ts := range st.Tenants {
 			m := tenants[ts.Tenant]
 			m.Tenant = ts.Tenant
@@ -703,16 +728,6 @@ func (s *Server) Stats() Stats {
 			m.StructuresCharged += ts.StructuresCharged
 			m.LedgerSize += ts.LedgerSize
 			tenants[ts.Tenant] = m
-		}
-		// Reservoirs are capped: each retained sample stands for
-		// executed/len(smp) observations, so busy shards keep their
-		// weight in the merged percentiles.
-		if len(smp) > 0 {
-			w := float64(st.Queries-st.Declined) / float64(len(smp))
-			for _, v := range smp {
-				samples = append(samples, v)
-				weights = append(weights, w)
-			}
 		}
 		if st.ClockSec > agg.ClockSec {
 			agg.ClockSec = st.ClockSec
@@ -737,8 +752,6 @@ func (s *Server) Stats() Stats {
 	if executed := agg.Queries - agg.Declined; executed > 0 {
 		agg.ResponseMeanSec = meanWeighted / float64(executed)
 	}
-	ps := metrics.WeightedQuantilesOf(samples, weights, 0.50, 0.95, 0.99)
-	agg.ResponseP50Sec, agg.ResponseP95Sec, agg.ResponseP99Sec = ps[0], ps[1], ps[2]
 	if len(tenants) > 0 {
 		agg.Tenants = make([]TenantStats, 0, len(tenants))
 		for _, ts := range tenants {
@@ -749,7 +762,6 @@ func (s *Server) Stats() Stats {
 		}
 		sort.Slice(agg.Tenants, func(i, j int) bool { return agg.Tenants[i].Tenant < agg.Tenants[j].Tenant })
 	}
-	return agg
 }
 
 // Structures lists every resident structure across all shards.

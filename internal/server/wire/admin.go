@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/binenc"
 )
 
 // Admin frames (all tagged): the surface a router drives a live
@@ -48,29 +50,21 @@ func appendTagShard(b []byte, typ byte, tag uint64, shard int) []byte {
 	return binary.AppendUvarint(appendTag(b, typ, tag), uint64(shard))
 }
 
-// consumeTagShard parses a tag+shard head, leaving the rest of the body.
-func consumeTagShard(payload []byte, typ byte) (tag uint64, shard int, rest []byte, err error) {
-	tag, rest, err = consumeTag(payload, typ)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	u, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, 0, nil, err
-	}
+// readTagShard reads a tag+shard head, leaving the rest of the body.
+func readTagShard(r *binenc.Reader, typ byte) (tag uint64, shard int) {
+	tag = readTag(r, typ)
+	u := r.Uvarint()
 	if u > maxOwners {
-		return 0, 0, nil, fmt.Errorf("wire: shard index %d out of range", u)
+		r.Fail("wire: shard index %d out of range", u)
 	}
-	return tag, int(u), rest, nil
+	return tag, int(u)
 }
 
 // decodeTagShard parses a frame that is exactly tag+shard.
 func decodeTagShard(payload []byte, typ byte) (tag uint64, shard int, err error) {
-	tag, shard, rest, err := consumeTagShard(payload, typ)
-	if err != nil {
-		return 0, 0, err
-	}
-	return tag, shard, expectEnd(rest, typ)
+	r := binenc.NewReader(payload)
+	tag, shard = readTagShard(&r, typ)
+	return tag, shard, r.End(msgNames[typ])
 }
 
 // AppendShardFreeze appends a freeze request: stop the shard deciding
@@ -118,14 +112,15 @@ func appendShardPacketFrame(b []byte, typ byte, tag uint64, shard int, packet []
 // the payload's remainder, copied out so the caller owns it after the
 // read buffer is reused; its own header and CRCs validate the contents.
 func decodeShardPacketFrame(payload []byte, typ byte) (tag uint64, shard int, packet []byte, err error) {
-	tag, shard, rest, err := consumeTagShard(payload, typ)
-	if err != nil {
+	r := binenc.NewReader(payload)
+	tag, shard = readTagShard(&r, typ)
+	if err := r.Err(); err != nil {
 		return 0, 0, nil, err
 	}
-	if len(rest) == 0 {
+	if r.Len() == 0 {
 		return 0, 0, nil, fmt.Errorf("wire: %s carries no packet", msgNames[typ])
 	}
-	return tag, shard, append([]byte(nil), rest...), nil
+	return tag, shard, append([]byte(nil), r.Rest()...), nil
 }
 
 // AppendShardState appends the extract reply: the shard's state as an
@@ -176,29 +171,22 @@ func AppendOwnersReply(b []byte, tag uint64, owned []bool) []byte {
 
 // DecodeOwnersReply parses an ownership answer (msg byte included).
 func DecodeOwnersReply(payload []byte) (tag uint64, owned []bool, err error) {
-	tag, rest, err := consumeTag(payload, msgOwnersReply)
-	if err != nil {
-		return 0, nil, err
-	}
-	n, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, nil, err
-	}
+	r := binenc.NewReader(payload)
+	tag = readTag(&r, msgOwnersReply)
+	n := r.Uvarint()
 	if n > maxOwners {
-		return 0, nil, fmt.Errorf("wire: owners reply of %d shards exceeds %d", n, maxOwners)
+		r.Fail("wire: owners reply of %d shards exceeds %d", n, maxOwners)
+		n = 0
 	}
 	owned = make([]bool, n)
 	for i := range owned {
-		var b byte
-		if b, rest, err = consumeByte(rest); err != nil {
-			return 0, nil, err
-		}
+		b := r.Byte()
 		if b > 1 {
-			return 0, nil, fmt.Errorf("wire: bad owners bool %d", b)
+			r.Fail("wire: bad owners bool %d", b)
 		}
 		owned[i] = b != 0
 	}
-	return tag, owned, expectEnd(rest, msgOwnersReply)
+	return tag, owned, r.End(msgNames[msgOwnersReply])
 }
 
 // AppendCheckpointRequest appends an on-demand checkpoint request: the
@@ -224,19 +212,12 @@ func AppendCheckpointReply(b []byte, tag uint64, path string, size int64) []byte
 
 // DecodeCheckpointReply parses a checkpoint answer (msg byte included).
 func DecodeCheckpointReply(payload []byte) (tag uint64, path string, size int64, err error) {
-	tag, rest, err := consumeTag(payload, msgCheckpointReply)
-	if err != nil {
-		return 0, "", 0, err
-	}
-	if path, rest, err = consumeString(rest); err != nil {
-		return 0, "", 0, err
-	}
-	u, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return 0, "", 0, err
-	}
+	r := binenc.NewReader(payload)
+	tag = readTag(&r, msgCheckpointReply)
+	path = r.String()
+	u := r.Uvarint()
 	if u > math.MaxInt64 {
-		return 0, "", 0, fmt.Errorf("wire: checkpoint size %d out of range", u)
+		r.Fail("wire: checkpoint size %d out of range", u)
 	}
-	return tag, path, int64(u), expectEnd(rest, msgCheckpointReply)
+	return tag, path, int64(u), r.End(msgNames[msgCheckpointReply])
 }

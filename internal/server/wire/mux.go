@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/binenc"
 	"repro/internal/server"
 )
 
@@ -352,11 +353,7 @@ func (c *MuxClient) handleFrame(payload []byte) error {
 		// concurrent callers must not share scratch space. Only the
 		// template and location names — a small closed set — are shared,
 		// through the reader's interner.
-		tag, rest, err := consumeTag(payload, msgTaggedReplyBatch)
-		if err != nil {
-			return err
-		}
-		replies, err := consumeReplyItems(rest, nil, &c.names)
+		tag, replies, err := readTaggedReplyBatch(payload, nil, &c.names)
 		if err != nil {
 			return err
 		}
@@ -398,8 +395,9 @@ func (c *MuxClient) handleFrame(payload []byte) error {
 		}
 
 	case msgStatsPush, msgTracePush, msgEventsPush:
-		tag, _, err := consumeTag(payload, payload[0])
-		if err != nil {
+		r := binenc.NewReader(payload)
+		tag := readTag(&r, payload[0])
+		if err := r.Err(); err != nil {
 			return err
 		}
 		c.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/server"
 )
 
@@ -445,11 +446,13 @@ func (c *muxConn) submitBatch(payload []byte) error {
 	}
 	// The tag is parsed first so any body error can be scoped to it;
 	// only an unparseable tag kills the connection.
-	tag, rest, err := consumeTag(payload, msgTaggedQueryBatch)
+	r := binenc.NewReader(payload)
+	tag := readTag(&r, msgTaggedQueryBatch)
+	err := r.Err()
 	if err != nil {
 		return err
 	}
-	c.queries, err = consumeQueryItems(rest, c.queries, &c.names)
+	c.queries, err = readQueryItems(&r, c.queries, &c.names)
 	if err != nil {
 		c.send(AppendTaggedError(nil, tag, err.Error()))
 		return nil

@@ -187,21 +187,18 @@ type Reply struct {
 	Err  string
 }
 
-// --- primitive append/consume helpers ------------------------------------
+// --- primitive helpers ------------------------------------------------------
 //
-// Thin aliases over the shared codec (internal/binenc), which owns the
-// bounds checks for both this protocol and the state-snapshot format.
+// Encoders append through thin aliases over the shared codec
+// (internal/binenc); decoders read through its Reader, which owns the
+// bounds checks for both this protocol and the state-snapshot format and
+// whose first failure sticks — a decoder reads its fields straight down
+// and checks once, with End.
 
 var (
-	appendString   = binenc.AppendString
-	appendF64      = binenc.AppendF64
-	appendBool     = binenc.AppendBool
-	consumeUvarint = binenc.Uvarint
-	consumeVarint  = binenc.Varint
-	consumeString  = binenc.String
-	consumeBytes   = binenc.Bytes
-	consumeF64     = binenc.F64
-	consumeByte    = binenc.Byte
+	appendString = binenc.AppendString
+	appendF64    = binenc.AppendF64
+	appendBool   = binenc.AppendBool
 )
 
 // --- shared frame shapes ---------------------------------------------------
@@ -216,42 +213,27 @@ func appendTag(b []byte, typ byte, tag uint64) []byte {
 	return binary.AppendUvarint(append(b, typ), tag)
 }
 
-// consumeType checks a payload's type byte.
-func consumeType(payload []byte, typ byte) (rest []byte, err error) {
-	mt, rest, err := consumeByte(payload)
-	if err != nil {
-		return nil, err
+// readType reads a payload's type byte, which must be typ. (The head
+// helpers take the caller's Reader by pointer: handing one back by value
+// costs the batch=1 decode a measurable copy.)
+func readType(r *binenc.Reader, typ byte) {
+	if mt := r.Byte(); mt != typ {
+		r.Fail("wire: expected %s, got message type %d", msgNames[typ], mt)
 	}
-	if mt != typ {
-		return nil, fmt.Errorf("wire: expected %s, got message type %d", msgNames[typ], mt)
-	}
-	return rest, nil
 }
 
-// consumeTag checks a payload's type byte and parses its tag.
-func consumeTag(payload []byte, typ byte) (tag uint64, rest []byte, err error) {
-	if rest, err = consumeType(payload, typ); err != nil {
-		return 0, nil, err
-	}
-	return consumeUvarint(rest)
-}
-
-// expectEnd rejects bytes left over after a fixed-shape body.
-func expectEnd(rest []byte, typ byte) error {
-	if len(rest) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes after %s", len(rest), msgNames[typ])
-	}
-	return nil
+// readTag reads a tagged payload's head: the type byte, then the tag.
+func readTag(r *binenc.Reader, typ byte) uint64 {
+	readType(r, typ)
+	return r.Uvarint()
 }
 
 // decodeTagOnly parses a payload that is nothing but its tag
 // (unsubscribes, owners and checkpoint requests).
 func decodeTagOnly(payload []byte, typ byte) (uint64, error) {
-	tag, rest, err := consumeTag(payload, typ)
-	if err != nil {
-		return 0, err
-	}
-	return tag, expectEnd(rest, typ)
+	r := binenc.NewReader(payload)
+	tag := readTag(&r, typ)
+	return tag, r.End(msgNames[typ])
 }
 
 // appendSubscribe / decodeSubscribe: tag plus a push cadence in seconds.
@@ -260,14 +242,10 @@ func appendSubscribe(b []byte, typ byte, tag uint64, intervalSec float64) []byte
 }
 
 func decodeSubscribe(payload []byte, typ byte) (tag uint64, intervalSec float64, err error) {
-	tag, rest, err := consumeTag(payload, typ)
-	if err != nil {
-		return 0, 0, err
-	}
-	if intervalSec, rest, err = consumeF64(rest); err != nil {
-		return 0, 0, err
-	}
-	return tag, intervalSec, expectEnd(rest, typ)
+	r := binenc.NewReader(payload)
+	tag = readTag(&r, typ)
+	intervalSec = r.F64()
+	return tag, intervalSec, r.End(msgNames[typ])
 }
 
 // appendViewRequest / decodeViewRequest: tag, two filter strings ("" matches
@@ -278,20 +256,12 @@ func appendViewRequest(b []byte, typ byte, tag uint64, f1, f2 string, n uint64) 
 }
 
 func decodeViewRequest(payload []byte, typ byte) (tag uint64, f1, f2 string, n uint64, err error) {
-	tag, rest, err := consumeTag(payload, typ)
-	if err != nil {
-		return 0, "", "", 0, err
-	}
-	if f1, rest, err = consumeString(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if f2, rest, err = consumeString(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	if n, rest, err = consumeUvarint(rest); err != nil {
-		return 0, "", "", 0, err
-	}
-	return tag, f1, f2, n, expectEnd(rest, typ)
+	r := binenc.NewReader(payload)
+	tag = readTag(&r, typ)
+	f1 = r.String()
+	f2 = r.String()
+	n = r.Uvarint()
+	return tag, f1, f2, n, r.End(msgNames[typ])
 }
 
 // appendJSONPush / decodeJSONPush: tag, then the view as JSON to the end
@@ -305,11 +275,12 @@ func appendJSONPush(b []byte, typ byte, tag uint64, view any) ([]byte, error) {
 }
 
 func decodeJSONPush(payload []byte, typ byte, view any) (uint64, error) {
-	tag, rest, err := consumeTag(payload, typ)
-	if err != nil {
+	r := binenc.NewReader(payload)
+	tag := readTag(&r, typ)
+	if err := r.Err(); err != nil {
 		return 0, err
 	}
-	if err := json.Unmarshal(rest, view); err != nil {
+	if err := json.Unmarshal(r.Rest(), view); err != nil {
 		return 0, fmt.Errorf("wire: bad %s payload: %w", msgNames[typ], err)
 	}
 	return tag, nil
@@ -338,12 +309,9 @@ func appendErrorPayload(b []byte, msg string) []byte {
 // DecodeError parses a msgError payload (msg byte included): the peer's
 // reason for closing the connection.
 func DecodeError(payload []byte) (string, error) {
-	rest, err := consumeType(payload, msgError)
-	if err != nil {
-		return "", err
-	}
-	msg, _, err := consumeString(rest)
-	return msg, err
+	r := binenc.NewReader(payload)
+	readType(&r, msgError)
+	return r.String(), r.Err()
 }
 
 // --- query and reply batches -----------------------------------------------
@@ -444,73 +412,48 @@ func appendQueryItems(b []byte, qs []Query) ([]byte, error) {
 // returned even on a body error, so the server can scope the error frame
 // to the failing batch instead of killing the connection.
 func DecodeTaggedQueryBatch(payload []byte, qs []Query) (uint64, []Query, error) {
-	tag, rest, err := consumeTag(payload, msgTaggedQueryBatch)
-	if err != nil {
+	r := binenc.NewReader(payload)
+	tag := readTag(&r, msgTaggedQueryBatch)
+	if err := r.Err(); err != nil {
 		return 0, nil, err
 	}
-	out, err := consumeQueryItems(rest, qs, nil)
+	out, err := readQueryItems(&r, qs, nil)
 	return tag, out, err
 }
 
-// consumeQueryItems parses a batch body into qs (reusing its capacity),
+// readQueryItems parses a batch body into qs (reusing its capacity),
 // resolving tenant/template names through a per-connection interner so a
 // steady workload's names are allocated once per connection instead of
 // once per query. in may be nil (plain allocation).
-func consumeQueryItems(rest []byte, qs []Query, in *interner) ([]Query, error) {
-	n, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
+func readQueryItems(r *binenc.Reader, qs []Query, in *interner) ([]Query, error) {
+	n := r.Uvarint()
 	if n == 0 || n > MaxBatch {
-		return nil, fmt.Errorf("wire: batch size %d outside [1, %d]", n, MaxBatch)
+		r.Fail("wire: batch size %d outside [1, %d]", n, MaxBatch)
 	}
 	qs = qs[:0]
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		var q Query
-		var name []byte
-		if name, rest, err = consumeBytes(rest); err != nil {
-			return nil, err
-		}
-		q.Tenant = in.intern(name)
-		if name, rest, err = consumeBytes(rest); err != nil {
-			return nil, err
-		}
-		q.Template = in.intern(name)
-		var flags byte
-		if flags, rest, err = consumeByte(rest); err != nil {
-			return nil, err
-		}
+		q.Tenant = in.intern(r.Bytes())
+		q.Template = in.intern(r.Bytes())
+		flags := r.Byte()
 		if flags&flagSelectivity != 0 {
 			q.HasSelectivity = true
-			if q.Selectivity, rest, err = consumeF64(rest); err != nil {
-				return nil, err
-			}
+			q.Selectivity = r.F64()
 		}
 		if flags&flagBudget != 0 {
-			var shape byte
-			if shape, rest, err = consumeByte(rest); err != nil {
-				return nil, err
+			shape, err := budgetShapeString(r.Byte())
+			if err != nil {
+				r.Fail("%w", err)
 			}
-			shapeName, err2 := budgetShapeString(shape)
-			if err2 != nil {
-				return nil, err2
-			}
-			bj := &server.BudgetJSON{Shape: shapeName}
-			if bj.PriceUSD, rest, err = consumeF64(rest); err != nil {
-				return nil, err
-			}
-			if bj.TmaxSec, rest, err = consumeF64(rest); err != nil {
-				return nil, err
-			}
-			if bj.K, rest, err = consumeF64(rest); err != nil {
-				return nil, err
-			}
-			q.Budget = bj
+			q.Budget = &server.BudgetJSON{Shape: shape}
+			q.Budget.PriceUSD = r.F64()
+			q.Budget.TmaxSec = r.F64()
+			q.Budget.K = r.F64()
 		}
 		qs = append(qs, q)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after query batch", len(rest))
+	if err := r.End("query batch"); err != nil {
+		return nil, err
 	}
 	return qs, nil
 }
@@ -552,95 +495,48 @@ func appendReplyItems(b []byte, rs []Reply) []byte {
 // DecodeTaggedReplyBatch parses a tagged reply-batch payload, appending
 // into rs to reuse its capacity.
 func DecodeTaggedReplyBatch(payload []byte, rs []Reply) (uint64, []Reply, error) {
-	tag, rest, err := consumeTag(payload, msgTaggedReplyBatch)
-	if err != nil {
-		return 0, nil, err
-	}
-	out, err := consumeReplyItems(rest, rs, nil)
-	return tag, out, err
+	return readTaggedReplyBatch(payload, rs, nil)
 }
 
-// consumeReplyItems parses a reply-batch body into rs (reusing its
-// capacity), resolving template and location names through in as
-// consumeQueryItems does tenants and templates. in may be nil.
-func consumeReplyItems(rest []byte, rs []Reply, in *interner) ([]Reply, error) {
-	n, rest, err := consumeUvarint(rest)
-	if err != nil {
-		return nil, err
-	}
+// readTaggedReplyBatch is DecodeTaggedReplyBatch resolving template and
+// location names through in, as readQueryItems does tenants and
+// templates. in may be nil.
+func readTaggedReplyBatch(payload []byte, rs []Reply, in *interner) (uint64, []Reply, error) {
+	r := binenc.NewReader(payload)
+	tag := readTag(&r, msgTaggedReplyBatch)
+	n := r.Uvarint()
 	if n > MaxBatch {
-		return nil, fmt.Errorf("wire: reply batch size %d exceeds %d", n, MaxBatch)
+		r.Fail("wire: reply batch size %d exceeds %d", n, MaxBatch)
 	}
 	rs = rs[:0]
-	for i := uint64(0); i < n; i++ {
-		var r Reply
-		status, rest2, err := consumeByte(rest)
-		if err != nil {
-			return nil, err
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		var rep Reply
+		switch status := r.Byte(); status {
+		case 1:
+			rep.Err = r.String()
+		case 0:
+			resp := &rep.Resp
+			resp.QueryID = r.Varint()
+			resp.Shard = int(r.Uvarint())
+			resp.Template = in.intern(r.Bytes())
+			resp.Selectivity = r.F64()
+			resp.ArrivalSec = r.F64()
+			resp.Declined = r.Byte() != 0
+			resp.Location = in.intern(r.Bytes())
+			resp.ResponseTimeSec = r.F64()
+			resp.ChargedUSD = r.F64()
+			resp.ProfitUSD = r.F64()
+			resp.Investments = int(r.Uvarint())
+			resp.Failures = int(r.Uvarint())
+		default:
+			r.Fail("wire: bad reply status %d", status)
 		}
-		rest = rest2
-		if status == 1 {
-			if r.Err, rest, err = consumeString(rest); err != nil {
-				return nil, err
-			}
-			rs = append(rs, r)
-			continue
-		}
-		if status != 0 {
-			return nil, fmt.Errorf("wire: bad reply status %d", status)
-		}
-		resp := &r.Resp
-		if resp.QueryID, rest, err = consumeVarint(rest); err != nil {
-			return nil, err
-		}
-		var u uint64
-		if u, rest, err = consumeUvarint(rest); err != nil {
-			return nil, err
-		}
-		resp.Shard = int(u)
-		var name []byte
-		if name, rest, err = consumeBytes(rest); err != nil {
-			return nil, err
-		}
-		resp.Template = in.intern(name)
-		if resp.Selectivity, rest, err = consumeF64(rest); err != nil {
-			return nil, err
-		}
-		if resp.ArrivalSec, rest, err = consumeF64(rest); err != nil {
-			return nil, err
-		}
-		var declined byte
-		if declined, rest, err = consumeByte(rest); err != nil {
-			return nil, err
-		}
-		resp.Declined = declined != 0
-		if name, rest, err = consumeBytes(rest); err != nil {
-			return nil, err
-		}
-		resp.Location = in.intern(name)
-		if resp.ResponseTimeSec, rest, err = consumeF64(rest); err != nil {
-			return nil, err
-		}
-		if resp.ChargedUSD, rest, err = consumeF64(rest); err != nil {
-			return nil, err
-		}
-		if resp.ProfitUSD, rest, err = consumeF64(rest); err != nil {
-			return nil, err
-		}
-		if u, rest, err = consumeUvarint(rest); err != nil {
-			return nil, err
-		}
-		resp.Investments = int(u)
-		if u, rest, err = consumeUvarint(rest); err != nil {
-			return nil, err
-		}
-		resp.Failures = int(u)
-		rs = append(rs, r)
+		rs = append(rs, rep)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after reply batch", len(rest))
+	if err := r.End("reply batch"); err != nil {
+		return 0, nil, err
 	}
-	return rs, nil
+	return tag, rs, nil
 }
 
 // AppendTaggedError appends a tag-scoped error payload: the batch or
@@ -653,15 +549,10 @@ func AppendTaggedError(b []byte, tag uint64, msg string) []byte {
 // DecodeTaggedError parses a tag-scoped error payload (msg byte
 // included).
 func DecodeTaggedError(payload []byte) (uint64, string, error) {
-	tag, rest, err := consumeTag(payload, msgTaggedError)
-	if err != nil {
-		return 0, "", err
-	}
-	msg, rest, err := consumeString(rest)
-	if err != nil {
-		return 0, "", err
-	}
-	return tag, msg, expectEnd(rest, msgTaggedError)
+	r := binenc.NewReader(payload)
+	tag := readTag(&r, msgTaggedError)
+	msg := r.String()
+	return tag, msg, r.End(msgNames[msgTaggedError])
 }
 
 // --- streaming stats --------------------------------------------------------

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"reflect"
@@ -147,6 +148,48 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFrame(bytes.NewReader([]byte{5, 0, 0, 0, 1, 2}), nil); err == nil {
 		t.Error("truncated frame accepted")
+	}
+}
+
+// TestAdminDecodeOnlyValidation: the checks that make sense only on
+// decode — a value the encoder can never write — reject exactly like a
+// truncation does, on frames that are otherwise well-formed.
+func TestAdminDecodeOnlyValidation(t *testing.T) {
+	over := binary.AppendUvarint(nil, maxOwners+1)
+	cases := map[string]func() error{
+		"owners bool 2": func() error {
+			_, _, err := DecodeOwnersReply([]byte{msgOwnersReply, 9, 2, 1, 2})
+			return err
+		},
+		"owners count over the cap": func() error {
+			_, _, err := DecodeOwnersReply(append([]byte{msgOwnersReply, 9}, over...))
+			return err
+		},
+		"shard index over the cap": func() error {
+			_, _, err := DecodeShardFreeze(append([]byte{msgShardFreeze, 9}, over...))
+			return err
+		},
+		"packet frame with a shard index over the cap": func() error {
+			_, _, _, err := DecodeShardInstall(append(append([]byte{msgShardInstall, 9}, over...), "packet"...))
+			return err
+		},
+		"checkpoint size over MaxInt64": func() error {
+			p := binary.AppendUvarint(appendString([]byte{msgCheckpointReply, 9}, "/s"), 1<<63)
+			_, _, _, err := DecodeCheckpointReply(p)
+			return err
+		},
+	}
+	for name, decode := range cases {
+		if decode() == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	// The same frames with in-range values decode.
+	if _, owned, err := DecodeOwnersReply([]byte{msgOwnersReply, 9, 2, 1, 0}); err != nil || len(owned) != 2 || !owned[0] || owned[1] {
+		t.Errorf("valid owners reply: %v %v", owned, err)
+	}
+	if _, _, size, err := DecodeCheckpointReply(binary.AppendUvarint(appendString([]byte{msgCheckpointReply, 9}, "/s"), 1<<62)); err != nil || size != 1<<62 {
+		t.Errorf("valid checkpoint reply: %d %v", size, err)
 	}
 }
 
