@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchcheck profile fuzz e2e loc ci
+.PHONY: all build vet fmt test race bench benchcheck profile fuzz e2e loc ci
 
 all: ci
 
@@ -9,6 +9,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting drift fails here instead of accumulating: gofmt must have
+# nothing to say about any file in the tree.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -50,7 +55,9 @@ profile:
 	$(GO) tool pprof -top -nodecount=10 cpu.prof
 
 # Short fuzz of the hostile-input decoders — wire frames and state
-# snapshots must never panic or load partial state — plus the adversarial
+# snapshots must never panic or load partial state, and the HTTP front's
+# hand-written JSON scanner must never accept a body encoding/json would
+# refuse or read differently — plus the adversarial
 # economy fuzzer: fuzzed multi-tenant streams with a lying tenant must
 # never break credit conservation, regret accounting, journal
 # reconciliation or underbid dominance. Seed corpora live in the
@@ -65,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzShardPacketDecode -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzRecordDecode -fuzztime 10s -fuzzminimizetime 1x ./internal/persist
+	$(GO) test -run '^$$' -fuzz FuzzQueryRequestDecode -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzEconomyAdversarial -fuzztime 10s ./internal/economy
 
 # End-to-end smoke of the cloudcached daemon: start, replay a stream over
@@ -87,4 +95,4 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 # The tier-1 gate.
-ci: build vet race benchcheck bench fuzz e2e
+ci: build vet fmt race benchcheck bench fuzz e2e

@@ -74,7 +74,7 @@ func TestCellSeedIsCoordinateFunction(t *testing.T) {
 		t.Error("CellSeed is not stable")
 	}
 	for _, other := range []int64{
-		CellSeed(42, "econ-cheap", 2 * time.Second),
+		CellSeed(42, "econ-cheap", 2*time.Second),
 		CellSeed(42, "bypass", time.Second),
 		CellSeed(43, "econ-cheap", time.Second),
 	} {

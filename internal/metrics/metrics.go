@@ -139,11 +139,14 @@ func (r *Reservoir) Quantile(q float64) float64 {
 	sorted := make([]float64, len(r.data))
 	copy(sorted, r.data)
 	sort.Float64s(sorted)
-	return quantileSorted(sorted, q)
+	return QuantileSorted(sorted, q)
 }
 
-// quantileSorted interpolates the q-quantile of an ascending sample set.
-func quantileSorted(sorted []float64, q float64) float64 {
+// QuantileSorted interpolates the q-quantile (0 ≤ q ≤ 1) of an ascending
+// sample set: what Reservoir.Quantile returns for the same samples, for a
+// caller that sorted its own copy once and reads several quantiles off it.
+// Returns 0 with no samples.
+func QuantileSorted(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
@@ -174,47 +177,85 @@ func (r *Reservoir) Samples() []float64 {
 	return out
 }
 
-// WeightedQuantilesOf estimates quantiles of samples carrying unequal
-// weights, sorting once for all requested quantiles. This is the correct
-// way to merge capped reservoirs from streams of different lengths: a
-// reservoir that retained k of n observations contributes each sample
-// with weight n/k, so a busy shard is not flattened to equal footing
-// with an idle one. Uses midpoint positions with linear interpolation;
-// values and weights must have equal length (weights <= 0 are skipped).
-// Results are 0 with no positive-weight samples.
-func WeightedQuantilesOf(values, weights []float64, qs ...float64) []float64 {
-	type pair struct{ v, w float64 }
-	ps := make([]pair, 0, len(values))
-	total := 0.0
-	for i, v := range values {
-		if w := weights[i]; w > 0 {
-			ps = append(ps, pair{v, w})
-			total += w
+// QuantilesOfSortedRuns estimates quantiles over the union of several
+// ascending sample runs, every sample of runs[i] carrying weights[i]. This
+// is the correct way to merge capped reservoirs from streams of different
+// lengths: a reservoir that retained k of n observations contributes each
+// sample with weight n/k, so a busy shard is not flattened to equal
+// footing with an idle one. The runs are merged k-way — each was sorted
+// once by whoever produced it, so nothing is sorted again here; equal
+// values keep run order. Uses midpoint positions with linear
+// interpolation; runs and weights must have equal length (runs with a
+// weight <= 0 are skipped). Results are 0 with no positive-weight samples.
+func QuantilesOfSortedRuns(runs [][]float64, weights []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	// heads is a binary min-heap of the runs that still have samples,
+	// ordered by each run's next sample, then by run index.
+	heads := make([]int, 0, len(runs))
+	next := make([]int, len(runs))
+	n, total := 0, 0.0
+	for i, run := range runs {
+		if weights[i] > 0 && len(run) > 0 {
+			heads = append(heads, i)
+			n += len(run)
 		}
 	}
-	out := make([]float64, len(qs))
-	if len(ps) == 0 || total <= 0 {
+	if n == 0 {
 		return out
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
-	// pos[k] is the cumulative-midpoint position of sample k in [0,1].
-	pos := make([]float64, len(ps))
-	cum := 0.0
-	for i, p := range ps {
-		pos[i] = (cum + p.w/2) / total
-		cum += p.w
+	less := func(a, b int) bool {
+		va, vb := runs[a][next[a]], runs[b][next[b]]
+		return va < vb || va == vb && a < b
+	}
+	siftDown := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heads) {
+				return
+			}
+			if c+1 < len(heads) && less(heads[c+1], heads[c]) {
+				c++
+			}
+			if !less(heads[c], heads[i]) {
+				return
+			}
+			heads[i], heads[c] = heads[c], heads[i]
+			i = c
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	// vals is the merged run; pos[k] is the cumulative-midpoint position
+	// of sample k in [0,1] once divided by the total weight.
+	vals := make([]float64, 0, n)
+	pos := make([]float64, 0, n)
+	for len(heads) > 0 {
+		r := heads[0]
+		w := weights[r]
+		vals = append(vals, runs[r][next[r]])
+		pos = append(pos, total+w/2)
+		total += w
+		if next[r]++; next[r] == len(runs[r]) {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		siftDown(0)
+	}
+	for i := range pos {
+		pos[i] /= total
 	}
 	for j, q := range qs {
 		switch {
 		case q <= pos[0]:
-			out[j] = ps[0].v
-		case q >= pos[len(ps)-1]:
-			out[j] = ps[len(ps)-1].v
+			out[j] = vals[0]
+		case q >= pos[n-1]:
+			out[j] = vals[n-1]
 		default:
 			i := sort.SearchFloat64s(pos, q)
 			lo, hi := i-1, i
 			frac := (q - pos[lo]) / (pos[hi] - pos[lo])
-			out[j] = ps[lo].v*(1-frac) + ps[hi].v*frac
+			out[j] = vals[lo]*(1-frac) + vals[hi]*frac
 		}
 	}
 	return out

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -88,6 +91,69 @@ func TestTracerPublishSnapshotEncode(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("seq 6 missing from snapshot")
+	}
+}
+
+// snapshotByFullSort is Snapshot as it was before it learned to stop
+// early: copy every retained record of every ring, filter, sort all of
+// it, keep the last n. The reference TestTracerSnapshotBoundedRead holds
+// the bounded read to.
+func snapshotByFullSort(t *Tracer, tenant, template string, n int) []Record {
+	var out []Record
+	for _, r := range t.rings {
+		r.mu.Lock()
+		size := int64(len(r.buf))
+		count := min(r.next, size)
+		for i := r.next - count; i < r.next; i++ {
+			rec := r.buf[i%size]
+			if tenant != "" && rec.Tenant != tenant {
+				continue
+			}
+			if template != "" && rec.Template != template {
+				continue
+			}
+			out = append(out, rec)
+		}
+		r.mu.Unlock()
+	}
+	sortRecords(out)
+	if n > 0 && len(out) > n {
+		out = out[len(out)-n:]
+	}
+	return out
+}
+
+// TestTracerSnapshotBoundedRead: walking each ring newest-first and
+// stopping at n matches returns the same records in the same order as
+// sorting everything — on wrapped, partly filled and empty rings, with
+// either filter, both, or none, for n below, at and above what matches,
+// and with wall stamps that tie across shards.
+func TestTracerSnapshotBoundedRead(t *testing.T) {
+	tr := NewTracer(4, 16, 1)
+	rng := rand.New(rand.NewSource(3))
+	wall := [4]int64{}
+	// Shard 0 wraps several times, 1 wraps once, 2 stays partly filled, 3 empty.
+	for shard, count := range []int{70, 20, 5, 0} {
+		for i := 0; i < count; i++ {
+			wall[shard] += int64(rng.Intn(3)) // ties within and across shards
+			tr.Publish(shard, Record{
+				QueryID:   int64(shard*1000 + i),
+				Tenant:    fmt.Sprintf("t%d", rng.Intn(3)),
+				Template:  fmt.Sprintf("q%d", rng.Intn(2)),
+				WallNanos: wall[shard],
+			})
+		}
+	}
+	for _, tenant := range []string{"", "t0", "t2", "nobody"} {
+		for _, template := range []string{"", "q1"} {
+			for _, n := range []int{-1, 0, 1, 2, 3, 7, 16, 17, 40, 1000} {
+				got := tr.Snapshot(tenant, template, n)
+				want := snapshotByFullSort(tr, tenant, template, n)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("Snapshot(%q, %q, %d):\n got %+v\nwant %+v", tenant, template, n, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -159,7 +159,9 @@ func (t *Tracer) Sample(shard int) bool {
 // Publish copies a completed record into the shard's ring, assigns its
 // per-shard sequence number and feeds the stage histograms. It returns
 // the sequence number so the front can back-fill EncodeNanos via
-// SetEncode once the reply is on the wire.
+// SetEncode once the reply is on the wire. A shard's records must arrive
+// with non-decreasing WallNanos (the shard stamps them under its own
+// lock): Snapshot's bounded read relies on ring order being time order.
 func (t *Tracer) Publish(shard int, rec Record) int64 {
 	r := t.rings[shard]
 	r.mu.Lock()
@@ -195,24 +197,27 @@ func (t *Tracer) SetEncode(shard int, seq, nanos int64) {
 // tenant/template filters ("" matches everything), newest last,
 // ordered by publish time across shards. n <= 0 returns all retained
 // matches.
+//
+// Each ring is walked newest-first and left after n matches: publish
+// stamps never decrease within a ring, so the newest n overall are among
+// each ring's newest n, and a bounded read copies and sorts at most
+// rings × n records however large the rings are.
 func (t *Tracer) Snapshot(tenant, template string, n int) []Record {
 	var out []Record
 	for _, r := range t.rings {
 		r.mu.Lock()
 		size := int64(len(r.buf))
-		count := r.next
-		if count > size {
-			count = size
-		}
-		for i := r.next - count; i < r.next; i++ {
-			rec := r.buf[i%size]
+		oldest := max(r.next-size, 0)
+		for i, taken := r.next-1, 0; i >= oldest && (n <= 0 || taken < n); i-- {
+			rec := &r.buf[i%size]
 			if tenant != "" && rec.Tenant != tenant {
 				continue
 			}
 			if template != "" && rec.Template != template {
 				continue
 			}
-			out = append(out, rec)
+			out = append(out, *rec)
+			taken++
 		}
 		r.mu.Unlock()
 	}

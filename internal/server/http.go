@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/budget"
@@ -24,24 +26,6 @@ type QueryRequest struct {
 	Template    string      `json:"template"`
 	Selectivity *float64    `json:"selectivity,omitempty"`
 	Budget      *BudgetJSON `json:"budget,omitempty"`
-}
-
-// Request converts the wire form into the engine's Request.
-func (qr *QueryRequest) Request() (Request, error) {
-	bf, err := qr.Budget.Func()
-	if err != nil {
-		return Request{}, err
-	}
-	req := Request{
-		Tenant:   qr.Tenant,
-		Template: qr.Template,
-		Budget:   bf,
-	}
-	if qr.Selectivity != nil {
-		req.Selectivity = *qr.Selectivity
-		req.HasSelectivity = true
-	}
-	return req, nil
 }
 
 // BudgetJSON is the wire form of a user budget function B_Q(t): a shape
@@ -161,6 +145,68 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	writeJSON(w, r, status, errorJSON{Error: err.Error()})
 }
 
+// maxBodyBytes bounds a POST body on /v1/query and /v1/batch — room for a
+// full maxHTTPBatch of generously sized items. A declared Content-Length
+// over it is refused before a byte is read; a body of undeclared length
+// is cut off at it.
+const maxBodyBytes = 1 << 20
+
+// bodyBufs recycles the buffer a POST handler reads its body into and
+// then builds its reply in. maxPooledBuf keeps an occasional large batch
+// from parking its megabyte in the pool.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBuf = 16 << 10
+
+func putBodyBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}
+}
+
+// readBody reads the request body into buf, enforcing maxBodyBytes, and
+// answers the request itself when it cannot: 413 for an oversized body,
+// 400 for one that could not be read.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) bool {
+	if r.ContentLength <= maxBodyBytes {
+		body := r.Body
+		if r.ContentLength < 0 {
+			// net/http already stops a declared length at its end; only an
+			// undeclared one needs the guard (and its allocation).
+			body = http.MaxBytesReader(w, body, maxBodyBytes)
+		}
+		_, err := buf.ReadFrom(body)
+		if err == nil {
+			return true
+		}
+		if tooLarge := new(http.MaxBytesError); !errors.As(err, &tooLarge) {
+			writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			return false
+		}
+	}
+	writeError(w, r, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBodyBytes))
+	return false
+}
+
+// jsonContentType is the Content-Type value of every raw reply, shared:
+// net/http reads header values and never writes to them, and a per-reply
+// Header().Set would allocate this slice anew.
+var jsonContentType = []string{"application/json"}
+
+// writeRawJSON sends a 200 whose body is already encoded, in one Write.
+func writeRawJSON(w http.ResponseWriter, r *http.Request, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		slog.Error("server: writing response failed",
+			"method", r.Method,
+			"path", r.URL.Path,
+			"remote", r.RemoteAddr,
+			"err", err)
+	}
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
@@ -174,18 +220,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if traceOn {
 		decStart = time.Now()
 	}
-	var qr QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&qr); err != nil {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBodyBuf(buf)
+	if !readBody(w, r, buf) {
+		return
+	}
+	fq, err := decodeQueryBody(buf.Bytes())
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if qr.Template == "" {
+	if fq.template == "" {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("template is required"))
 		return
 	}
-	req, err := qr.Request()
+	req, err := fq.request()
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -210,7 +259,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if traceOn {
 			encStart = time.Now()
 		}
-		writeJSON(w, r, http.StatusOK, resp)
+		// The request's bytes are spent; the reply is built where they were.
+		buf.Reset()
+		if body, ok := appendResponse(buf.AvailableBuffer(), &resp); ok {
+			buf.Write(body)
+			buf.WriteByte('\n') // json.Encoder ends every value with one
+			writeRawJSON(w, r, buf.Bytes())
+		} else {
+			writeJSON(w, r, http.StatusOK, resp)
+		}
 		if traceOn && resp.TraceSeq != 0 {
 			tr.SetEncode(resp.Shard, resp.TraceSeq, time.Since(encStart).Nanoseconds())
 		}
@@ -226,7 +283,8 @@ type BatchResponseItem struct {
 
 // maxHTTPBatch bounds one /v1/batch submission; larger batches gain
 // nothing (they only delay the first reply) and unbounded ones are a
-// memory hazard.
+// memory hazard — which maxBodyBytes closes for the decode that has to
+// happen before the items can be counted.
 const maxHTTPBatch = 4096
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -240,31 +298,34 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if traceOn {
 		decStart = time.Now()
 	}
-	var qrs []QueryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&qrs); err != nil {
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer putBodyBuf(buf)
+	if !readBody(w, r, buf) {
+		return
+	}
+	fqs, err := decodeBatchBody(buf.Bytes())
+	if err != nil {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if len(qrs) == 0 {
+	if len(fqs) == 0 {
 		writeError(w, r, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
-	if len(qrs) > maxHTTPBatch {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(qrs), maxHTTPBatch))
+	if len(fqs) > maxHTTPBatch {
+		writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch of %d exceeds limit %d", len(fqs), maxHTTPBatch))
 		return
 	}
-	reqs := make([]Request, len(qrs))
-	for i := range qrs {
+	reqs := make([]Request, len(fqs))
+	for i := range fqs {
 		// Malformed items are client errors for the whole request, same
 		// as on /v1/query — they must not reach the shards and pollute
 		// the Errors counter.
-		if qrs[i].Template == "" {
+		if fqs[i].template == "" {
 			writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch[%d]: template is required", i))
 			return
 		}
-		req, err := qrs[i].Request()
+		req, err := fqs[i].request()
 		if err != nil {
 			writeError(w, r, http.StatusBadRequest, fmt.Errorf("batch[%d]: %w", i, err))
 			return
@@ -286,27 +347,33 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusInternalServerError, err)
 		return
 	}
-	out := make([]BatchResponseItem, len(items))
-	for i := range items {
-		if items[i].Err != nil {
-			out[i].Error = items[i].Err.Error()
-		} else {
-			resp := items[i].Resp
-			out[i].Response = &resp
-		}
-	}
 	var encStart time.Time
 	if traceOn {
 		encStart = time.Now()
 	}
-	writeJSON(w, r, http.StatusOK, out)
+	buf.Reset()
+	if body, ok := appendBatchReply(buf.AvailableBuffer(), items); ok {
+		buf.Write(body)
+		buf.WriteByte('\n')
+		writeRawJSON(w, r, buf.Bytes())
+	} else {
+		out := make([]BatchResponseItem, len(items))
+		for i := range items {
+			if items[i].Err != nil {
+				out[i].Error = items[i].Err.Error()
+			} else {
+				out[i].Response = &items[i].Resp
+			}
+		}
+		writeJSON(w, r, http.StatusOK, out)
+	}
 	if traceOn {
 		// Back-fill the encode stage into the sampled records; the whole
 		// reply body shares one encode, amortized per item.
-		share := time.Since(encStart).Nanoseconds() / int64(len(out))
-		for i := range out {
-			if out[i].Response != nil && out[i].Response.TraceSeq != 0 {
-				tr.SetEncode(out[i].Response.Shard, out[i].Response.TraceSeq, share)
+		share := time.Since(encStart).Nanoseconds() / int64(len(items))
+		for i := range items {
+			if items[i].Err == nil && items[i].Resp.TraceSeq != 0 {
+				tr.SetEncode(items[i].Resp.Shard, items[i].Resp.TraceSeq, share)
 			}
 		}
 	}

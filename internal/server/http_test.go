@@ -42,6 +42,36 @@ func postBody(t *testing.T, url string, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
+// bodyLimit is the server's bound on a POST body (maxBodyBytes).
+const bodyLimit = 1 << 20
+
+// postOversized checks both halves of the body bound on one route: valid
+// JSON padded with whitespace to one byte over the limit is refused with
+// 413 whether its length is declared (refused before a byte is read) or
+// not (cut off while reading), and padded to exactly the limit it is
+// served. The handler is driven directly: a real client may see its
+// connection reset while it is still writing a body nobody will read.
+func postOversized(t *testing.T, srv *server.Server, path, body string) {
+	t.Helper()
+	post := func(pad int, declared bool) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body+strings.Repeat(" ", pad-len(body))))
+		if !declared {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+	for _, declared := range []bool{true, false} {
+		if rec := post(bodyLimit+1, declared); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: body over the limit (length declared: %v): status = %d, want 413 (body %s)", path, declared, rec.Code, rec.Body)
+		}
+		if rec := post(bodyLimit, declared); rec.Code != http.StatusOK {
+			t.Errorf("%s: body at the limit (length declared: %v): status = %d, want 200 (body %s)", path, declared, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestHTTPQuery(t *testing.T) {
 	_, ts := newHTTPServer(t)
 	resp, body := postQuery(t, ts.URL,
@@ -73,7 +103,8 @@ func TestHTTPQueryDefaultsBudget(t *testing.T) {
 }
 
 func TestHTTPQueryErrors(t *testing.T) {
-	_, ts := newHTTPServer(t)
+	srv, ts := newHTTPServer(t)
+	postOversized(t, srv, "/v1/query", `{"template":"Q1"}`)
 	cases := []struct {
 		name, body string
 		status     int
@@ -226,6 +257,8 @@ func TestHTTPBatch(t *testing.T) {
 	if st.Queries != 2 || st.Errors != 1 {
 		t.Errorf("queries/errors = %d/%d, want 2/1", st.Queries, st.Errors)
 	}
+
+	postOversized(t, srv, "/v1/batch", `[{"template":"Q1"}]`)
 
 	// Malformed batches are whole-request errors.
 	for name, body := range map[string]string{

@@ -12,9 +12,11 @@ import (
 // Prometheus text exposition (GET /metrics). Hand-rolled on purpose: the
 // format is a few lines of fmt.Fprintf and the repository takes no
 // third-party dependencies. Economy counters and gauges come from the
-// same Stats snapshot /v1/stats serves (so the two endpoints can never
-// disagree), stage-latency histograms from the tracer, event totals from
-// the journals, and runtime/GC gauges from runtime.ReadMemStats.
+// same Stats snapshot /v1/stats serves, taken without its response
+// percentiles (so the two endpoints can never disagree, and a scrape
+// sorts no reservoir), stage-latency histograms from the tracer, event
+// totals from the journals, and runtime/GC gauges from
+// runtime.ReadMemStats.
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -46,7 +48,8 @@ func writeGauge(w io.Writer, name, help string, v float64) {
 
 // WriteMetrics writes the full Prometheus text exposition to w.
 func (s *Server) WriteMetrics(w io.Writer) {
-	st := s.Stats()
+	// Nothing below prints a response percentile.
+	st := s.stats(false)
 
 	writeGauge(w, "cloudcache_clock_seconds", "Economy clock, seconds since server start.", st.ClockSec)
 	draining := 0.0

@@ -668,7 +668,11 @@ func (s *Server) Housekeep() {
 
 // Stats snapshots live metrics across all shards. Aggregate percentiles
 // are estimated over the union of the per-shard reservoirs.
-func (s *Server) Stats() Stats {
+func (s *Server) Stats() Stats { return s.stats(true) }
+
+// stats builds the snapshot; without percentiles no reservoir is copied,
+// sorted or merged and every response percentile reads zero.
+func (s *Server) stats(percentiles bool) Stats {
 	agg := Stats{
 		Scheme:   s.cfg.Scheme,
 		Provider: s.cfg.Params.Provider.String(),
@@ -678,23 +682,22 @@ func (s *Server) Stats() Stats {
 	agg.Draining = s.closed
 	s.mu.Unlock()
 
-	var samples, weights []float64
+	var runs [][]float64
+	var weights []float64
 	for _, sh := range s.shards {
-		st, smp := sh.snapshot()
+		st, run := sh.snapshot(percentiles)
 		agg.PerShard = append(agg.PerShard, st)
 		// Reservoirs are capped: each retained sample stands for
-		// executed/len(smp) observations, so busy shards keep their
+		// executed/len(run) observations, so busy shards keep their
 		// weight in the merged percentiles.
-		if len(smp) > 0 {
-			w := float64(st.Queries-st.Declined) / float64(len(smp))
-			for _, v := range smp {
-				samples = append(samples, v)
-				weights = append(weights, w)
-			}
+		if len(run) > 0 {
+			runs = append(runs, run)
+			weights = append(weights, float64(st.Queries-st.Declined)/float64(len(run)))
 		}
 	}
 	agg.Aggregate()
-	ps := metrics.WeightedQuantilesOf(samples, weights, 0.50, 0.95, 0.99)
+	// Each shard sorted its own run; merging them sorts nothing again.
+	ps := metrics.QuantilesOfSortedRuns(runs, weights, 0.50, 0.95, 0.99)
 	agg.ResponseP50Sec, agg.ResponseP95Sec, agg.ResponseP99Sec = ps[0], ps[1], ps[2]
 	return agg
 }

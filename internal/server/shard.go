@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -549,9 +550,28 @@ func (s *shard) finalize() {
 	s.accrueLocked(end)
 }
 
-// snapshot captures the shard's stats and returns the raw response-time
-// reservoir samples so the caller can estimate aggregate percentiles.
-func (s *shard) snapshot() (ShardStats, []float64) {
+// snapshot captures the shard's stats. With samples it also fills the
+// response percentiles and returns the reservoir's retained samples,
+// ascending, for the caller to merge into aggregate percentiles: the
+// reservoir is copied once under the lock and sorted once after the lock is
+// released — a 4 096-sample sort must not stall decisions — and the three
+// percentiles are read off that one sorted run. Without samples the
+// percentiles stay zero and the reservoir is not touched: the counters-only
+// read /metrics takes, which prints no percentile.
+func (s *shard) snapshot(samples bool) (ShardStats, []float64) {
+	st, run := s.capture(samples)
+	if samples {
+		slices.Sort(run)
+		st.ResponseP50Sec = metrics.QuantileSorted(run, 0.50)
+		st.ResponseP95Sec = metrics.QuantileSorted(run, 0.95)
+		st.ResponseP99Sec = metrics.QuantileSorted(run, 0.99)
+	}
+	return st, run
+}
+
+// capture is snapshot's locked half: every counter and gauge, and — with
+// samples — an unsorted copy of the reservoir. It computes no percentile.
+func (s *shard) capture(samples bool) (ShardStats, []float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A disowned shard's state is in transit: report it as-is without
@@ -580,9 +600,6 @@ func (s *shard) snapshot() (ShardStats, []float64) {
 		MailboxDepth:       len(s.mailbox),
 		OldestWaitSec:      float64(s.oldestWait.Load()) / 1e9,
 		ResponseMeanSec:    s.response.Mean(),
-		ResponseP50Sec:     s.response.Percentile(50),
-		ResponseP95Sec:     s.response.Percentile(95),
-		ResponseP99Sec:     s.response.Percentile(99),
 		ExecCostUSD:        cost.Price(acct, s.execUsage).Dollars(),
 		BuildCostUSD:       cost.Price(acct, s.buildUsage).Dollars(),
 		StorageCostUSD:     acct.StorageRent(s.storageGBSeconds).Dollars(),
@@ -604,6 +621,9 @@ func (s *shard) snapshot() (ShardStats, []float64) {
 		for _, ts := range s.eco.TenantStats() {
 			st.Tenants = append(st.Tenants, tenantStatsView(ts))
 		}
+	}
+	if !samples {
+		return st, nil
 	}
 	return st, s.response.Samples()
 }
