@@ -43,16 +43,24 @@ bench:
 	@cat BENCH_server.json
 	$(GO) run ./scripts/checkbench BENCH_server.json
 
-# Profile the single-shard in-process hot path (the submit→decide→reply
-# loop with no wire stack in the way): one ServerThroughput cell under
-# -cpuprofile/-memprofile, then the top-10 allocation sites by object
-# count and the top-10 CPU consumers. The alloc listing is the first
-# place to look when checkbench's allocs/query gate trips.
+# Profile the two hot paths, one command each way of running the engine.
+# Served: the single-shard in-process path (the submit→decide→reply loop
+# with no wire stack in the way), one ServerThroughput cell under
+# -cpuprofile/-memprofile. Offline: the Fig. 4/5 grid (sim.Run over
+# optimizer, economy and generator; no server exists), three passes per
+# worker count. Each prints the top-10 allocation sites by object count
+# and the top-10 CPU consumers. The alloc listing is the first place to
+# look when checkbench's allocs/query gate or sim's TestRunAllocsPerQuery
+# trips.
 profile:
 	$(GO) test -run '^$$' -bench 'ServerThroughput/shards=1$$' -benchtime 20000x \
 		-cpuprofile cpu.prof -memprofile mem.prof .
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects mem.prof
 	$(GO) tool pprof -top -nodecount=10 cpu.prof
+	$(GO) test -run '^$$' -bench GridWorkers -benchtime 3x \
+		-cpuprofile cpu_grid.prof -memprofile mem_grid.prof .
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects mem_grid.prof
+	$(GO) tool pprof -top -nodecount=10 cpu_grid.prof
 
 # Short fuzz of the hostile-input decoders — wire frames and state
 # snapshots must never panic or load partial state, and the HTTP front's

@@ -32,7 +32,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload seed")
 	arrival := flag.String("arrival", "fixed", "arrival process: fixed or poisson")
 	dbBytes := flag.Int64("dbsize", catalog.PaperDatabaseBytes, "back-end database size in bytes")
-	batch := flag.Int("batch", 0, "queries per generation batch handed to the settlement stage (0 = default)")
 	providerName := flag.String("provider", "altruistic", "economy accounting: altruistic (pooled account) or selfish (per-tenant ledgers)")
 	tenants := flag.Int("tenants", 0, "synthetic tenants the stream is spread across (0 = untagged)")
 	tenantSkew := flag.Float64("tenant-skew", 1.1, "Zipf skew of tenant popularity")
@@ -85,7 +84,6 @@ func main() {
 		Scheme:    sch,
 		Generator: gen,
 		Queries:   *queries,
-		BatchSize: *batch,
 		OnProgress: func(done int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d queries", done, *queries)
 		},

@@ -207,14 +207,13 @@ func writeTrace(src workload.Source, cat *catalog.Catalog, queries int, out stri
 		if q == nil {
 			return
 		}
-		scan, err := q.ScanBytes(cat)
+		sz, err := q.Sizes(cat)
 		if err != nil {
 			fail(err)
 		}
-		result, _ := q.ResultBytes(cat)
 		fmt.Fprintf(bw, "%d,%.3f,%s,%.6g,%d,%d,%.6f,%.0f\n",
 			q.ID, q.Arrival.Seconds(), q.Template.Name, q.Selectivity,
-			scan, result,
+			sz.Scan, sz.Result,
 			q.Budget.At(time.Millisecond).Dollars(), q.Budget.Tmax().Seconds())
 	}
 }

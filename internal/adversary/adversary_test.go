@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -234,6 +235,37 @@ func TestSourceDeterminism(t *testing.T) {
 			if a[i].Template.Name != b[i].Template.Name || a[i].Arrival != b[i].Arrival ||
 				a[i].Selectivity != b[i].Selectivity || a[i].Tenant != b[i].Tenant {
 				t.Fatalf("%s: query %d differs across identical seeds", strat, i)
+			}
+		}
+	}
+}
+
+// TestSourcesKeepTheirQueries pins the adversary side of the batch
+// ownership rule (workload.Source.Batch): a consumer that hands its batch
+// buffer back gets, from every strategy and its honest twin, the stream a
+// fresh draw gets — and no query changes after it was emitted, because an
+// adversary source never recycles what it finds in the buffer.
+func TestSourcesKeepTheirQueries(t *testing.T) {
+	cat := catalog.TPCH(20)
+	for _, strat := range All() {
+		for _, honest := range []bool{false, true} {
+			mk := func() *Source {
+				s, err := New(Config{Strategy: strat, Catalog: cat, Seed: 11, Honest: honest})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			fresh, recycling := mk(), mk()
+			var emitted, buf []*workload.Query
+			for len(emitted) < 400 {
+				buf = recycling.Batch(29, buf[:0])
+				emitted = append(emitted, buf...)
+			}
+			for i, q := range emitted {
+				if want := fresh.Next(); !reflect.DeepEqual(*q, *want) {
+					t.Fatalf("%s (honest=%v) query %d: %+v with a recycled buffer, %+v fresh", strat, honest, i, *q, *want)
+				}
 			}
 		}
 	}

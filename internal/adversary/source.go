@@ -139,12 +139,11 @@ func (s *Source) Next() *workload.Query {
 		Selectivity: sel,
 		Arrival:     s.clock,
 	}
-	scan, err := q.ScanBytes(s.cfg.Catalog)
+	sz, err := q.Sizes(s.cfg.Catalog)
 	if err != nil {
 		panic(fmt.Sprintf("adversary: sizing validated template: %v", err))
 	}
-	result, _ := q.ResultBytes(s.cfg.Catalog)
-	truth := s.cfg.Truth.BudgetFor(q, scan, result)
+	truth := s.cfg.Truth.BudgetFor(q, sz.Scan, sz.Result)
 	q.Truth = truth
 	q.Budget = s.declare(truth)
 	return q

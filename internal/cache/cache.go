@@ -175,6 +175,10 @@ func (c *Cache) Building(id structure.ID) bool { return c.BuildingAt(c.reg.Looku
 // Len returns the number of resident structures.
 func (c *Cache) Len() int { return len(c.live) }
 
+// Live returns the resident slots in structure-ID order. The slice is
+// the cache's own: read it, and finish before adding or removing entries.
+func (c *Cache) Live() []structure.Slot { return c.live }
+
 // ForEach calls f for every resident entry in structure-ID order, without
 // allocating. f must not add or remove entries.
 func (c *Cache) ForEach(f func(*Entry)) {

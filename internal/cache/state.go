@@ -147,5 +147,6 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 	for _, pb := range pending {
 		c.addPending(pb.entry.S.Slot, pb)
 	}
+	c.epoch++ // residency changed under anyone who planned against the empty cache
 	return nil
 }

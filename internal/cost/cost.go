@@ -202,52 +202,49 @@ func (m *Model) scanOutcome(bytes int64, nodes int) Outcome {
 // optionally through a useful index, on `nodes` CPU nodes. Non-parallelizable
 // templates ignore extra nodes.
 func (m *Model) CacheExec(q *workload.Query, useIndex bool, nodes int) (Outcome, error) {
-	if nodes < 1 {
-		nodes = 1
-	}
-	if nodes > m.tun.MaxNodes {
-		nodes = m.tun.MaxNodes
-	}
-	if !q.Template.Parallelizable {
-		nodes = 1
-	}
-	var bytes int64
-	var err error
-	if useIndex {
-		bytes, err = q.IndexScanBytes(m.cat)
-	} else {
-		bytes, err = q.ScanBytes(m.cat)
-	}
+	sz, err := q.Sizes(m.cat)
 	if err != nil {
 		return Outcome{}, err
 	}
-	out := m.scanOutcome(bytes, nodes)
-	if useIndex {
-		out.Usage.CPUSeconds += m.tun.IndexProbeCPUSeconds
-		out.Time += time.Duration(m.tun.IndexProbeCPUSeconds * float64(time.Second))
+	return m.CacheExecSized(q.Template, sz, useIndex, nodes), nil
+}
+
+// CacheExecSized is CacheExec for a query of template tpl already sized:
+// a caller pricing every plan variant of one query sizes it once.
+func (m *Model) CacheExecSized(tpl *workload.Template, sz workload.Sizes, useIndex bool, nodes int) Outcome {
+	nodes = min(max(nodes, 1), m.tun.MaxNodes)
+	if !tpl.Parallelizable {
+		nodes = 1
 	}
-	return out, nil
+	if !useIndex {
+		return m.scanOutcome(sz.Scan, nodes)
+	}
+	out := m.scanOutcome(sz.IndexScan, nodes)
+	out.Usage.CPUSeconds += m.tun.IndexProbeCPUSeconds
+	out.Time += time.Duration(m.tun.IndexProbeCPUSeconds * float64(time.Second))
+	return out
 }
 
 // BackendExec is Eq. 9: the query runs completely in the back-end database
 // (a row store, hence RowStoreFactor) and the result is shipped to the
 // cache over the WAN. The transfer burns fn of a CPU while in flight.
 func (m *Model) BackendExec(q *workload.Query) (Outcome, error) {
-	scan, err := q.ScanBytes(m.cat)
+	sz, err := q.Sizes(m.cat)
 	if err != nil {
 		return Outcome{}, err
 	}
-	result, err := q.ResultBytes(m.cat)
-	if err != nil {
-		return Outcome{}, err
-	}
-	rowBytes := int64(float64(scan) * m.tun.RowStoreFactor)
+	return m.BackendExecSized(sz), nil
+}
+
+// BackendExecSized is BackendExec for a query already sized.
+func (m *Model) BackendExecSized(sz workload.Sizes) Outcome {
+	rowBytes := int64(float64(sz.Scan) * m.tun.RowStoreFactor)
 	out := m.scanOutcome(rowBytes, 1)
-	transfer := m.sched.TransferTime(result)
+	transfer := m.sched.TransferTime(sz.Result)
 	out.Time += transfer
 	out.Usage.CPUSeconds += m.sched.FNet * transfer.Seconds()
-	out.Usage.NetBytes += result
-	return out, nil
+	out.Usage.NetBytes += sz.Result
+	return out
 }
 
 // BuildColumn is Eq. 12: transferring one column from the back-end into the

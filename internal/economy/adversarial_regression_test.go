@@ -3,6 +3,7 @@ package economy
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -356,6 +357,20 @@ func TestInvestBackoffSurvivesRestore(t *testing.T) {
 			}
 			if got := restored.Snapshot().Market.FailCounts; len(got) != len(st.Market.FailCounts) {
 				t.Fatalf("restore kept %d failCount entries, want %d", len(got), len(st.Market.FailCounts))
+			}
+			// The investment scan's blocked-row memo is derived state: a
+			// snapshot carries none of it, a restored ledger starts without
+			// it, and the restored books are the snapshot's, byte for byte.
+			if !reflect.DeepEqual(restored.Snapshot(), st) {
+				t.Errorf("restored books differ from the snapshot they came from")
+			}
+			mallory := restored.ledgerFor("mallory")
+			for _, l := range []*Ledger{restored.account(mallory), mallory} {
+				for _, s := range l.live {
+					if row := l.rows[s]; row.blockedEpoch != 0 || row.blockedPrice != 0 {
+						t.Errorf("restored ledger %q remembers a blocked build of %s", l.tenant, l.reg.ID(s))
+					}
+				}
 			}
 			threshold := money.FromDollars(0.001)
 			for _, fc := range st.Market.FailCounts {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/budget"
 	"repro/internal/cache"
 	"repro/internal/money"
+	"repro/internal/optimizer"
 	"repro/internal/structure"
 	"repro/internal/workload"
 )
@@ -263,5 +264,152 @@ func TestFailureSweepLookaheadMatchesRule(t *testing.T) {
 				t.Errorf("stream exercised failure reasons %v over %d verdicts; want both rules to fire", condemned, verdicts)
 			}
 		})
+	}
+}
+
+// TestInvestBlockedMemoMatchesPlainLoop pins the investment scan's
+// blocked-row memo to the plain loop that prices every crossed row on
+// every query. Two economies run the same stream in lockstep, poor enough
+// that rows cross Eq. 3 long before the account can pay for them; one has
+// its memo wiped before every query. Decisions and books must stay equal
+// while rows sit blocked, when credit rises past a remembered price, when
+// the cache's epoch moves under a memo, and across a snapshot/restore of
+// the memoizing side (which carries no memo over).
+func TestInvestBlockedMemoMatchesPlainLoop(t *testing.T) {
+	for _, provider := range []Provider{ProviderAltruistic, ProviderSelfish} {
+		t.Run(provider.String(), func(t *testing.T) {
+			type rig struct {
+				econ *Economy
+				opt  *optimizer.Optimizer
+				ca   *cache.Cache
+			}
+			var tpls []*workload.Template
+			mk := func() rig {
+				econ, opt, ca, ts := testEconomy(t, provider, func(cfg *Config) {
+					cfg.InitialCredit = money.FromDollars(0.05)
+					cfg.RegretFraction = 0.001
+				})
+				tpls = ts
+				return rig{econ, opt, ca}
+			}
+			ledgers := func(e *Economy) []*Ledger {
+				var out []*Ledger
+				if e.pool != nil {
+					out = append(out, e.pool)
+				}
+				for _, l := range e.tenants {
+					out = append(out, l)
+				}
+				return out
+			}
+			memo, plain := mk(), mk()
+			rng := rand.New(rand.NewSource(23))
+			var held, paidOff, outdated, builds int
+			for i := 0; i < 8000; i++ {
+				tpl := tpls[rng.Intn(len(tpls))]
+				q := workload.Query{
+					ID:          int64(i + 1),
+					Tenant:      fmt.Sprintf("t%d", rng.Intn(2)),
+					Template:    tpl,
+					Selectivity: tpl.SelMin + rng.Float64()*(tpl.SelMax-tpl.SelMin),
+					Arrival:     memo.ca.Clock() + time.Duration(1+rng.Intn(20))*time.Second,
+					Budget:      budget.NewStep(money.FromDollars(0.003), time.Hour),
+				}
+				if i == 4000 {
+					// Restart the memoizing side from its own snapshot.
+					fresh := mk()
+					resolve := func(id structure.ID) (*structure.Structure, error) {
+						return ResolveID(memo.econ.cfg.Model.Catalog(), id)
+					}
+					if err := fresh.ca.Restore(memo.ca.Snapshot(), resolve); err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.econ.Restore(memo.econ.Snapshot()); err != nil {
+						t.Fatal(err)
+					}
+					memo = fresh
+				}
+				var decided [2]Decision
+				heldIDs := map[structure.ID]bool{} // blocked on the memoizing side as the query arrives
+				for side, r := range []rig{memo, plain} {
+					r.ca.Advance(q.Arrival)
+					r.ca.CompleteDue()
+					for _, l := range ledgers(r.econ) {
+						for _, s := range l.live {
+							row := &l.rows[s]
+							switch {
+							case side == 1:
+								row.blockedPrice, row.blockedEpoch = 0, 0
+							case row.blockedEpoch == 0:
+							case row.blockedEpoch != r.ca.Epoch()+1:
+								outdated++
+							default:
+								held++
+								heldIDs[l.reg.ID(s)] = true
+							}
+						}
+					}
+					qq := q
+					plans, err := r.opt.Enumerate(&qq, r.ca)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d, err := r.econ.HandleQuery(&qq, plans)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d.Chosen != nil {
+						chosen := *d.Chosen // pooled: compare by value, not by address
+						chosen.Query, chosen.Structures, chosen.Missing = nil, nil, nil
+						d.Chosen = &chosen
+					}
+					decided[side] = d
+				}
+				builds += len(decided[0].Investments)
+				if d := decided[0]; len(d.Failures) == 0 && len(d.Investments) > 0 && heldIDs[d.Investments[0]] {
+					paidOff++ // the query's profit lifted the account past a remembered price
+				}
+				if !reflect.DeepEqual(decided[0], decided[1]) {
+					t.Fatalf("query %d: with the memo %+v, plain loop %+v", i, decided[0], decided[1])
+				}
+				if i%250 == 0 || i == 7999 {
+					if !reflect.DeepEqual(memo.econ.Snapshot(), plain.econ.Snapshot()) {
+						t.Fatalf("query %d: books diverged:\n%+v\nvs\n%+v", i, memo.econ.Snapshot(), plain.econ.Snapshot())
+					}
+					if !reflect.DeepEqual(memo.ca.Snapshot(), plain.ca.Snapshot()) {
+						t.Fatalf("query %d: caches diverged", i)
+					}
+				}
+			}
+			if held < 100 || paidOff == 0 || outdated == 0 || builds < 10 {
+				t.Errorf("stream too tame: memo held %d row-queries, %d paid off, %d outlived their epoch, %d builds",
+					held, paidOff, outdated, builds)
+			}
+		})
+	}
+}
+
+// TestInvestBarsCrossedMatchesLadder pins the early-stopping climb to the
+// full ladder: whatever order rows arrive in, crossed says what comparing
+// against the row's own rung — every rung below it computed — says, which
+// is the doubled-regret test of Eq. 3's round().
+func TestInvestBarsCrossedMatchesLadder(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, backoff := range []float64{0, 1, 1.0000001, 1.5, 2, 7.3} {
+		for scan := 0; scan < 400; scan++ {
+			threshold := money.Amount(1 + rng.Int63n(1<<uint(1+rng.Intn(50))))
+			lazy := (&Market{cfg: Config{InvestBackoff: backoff}}).bars(threshold)
+			full := (&Market{cfg: Config{InvestBackoff: backoff}}).bars(threshold)
+			for row := 0; row < 40; row++ {
+				failures := rng.Intn(maxBackoffSteps + 5)
+				regret := money.Amount(rng.Int63n(1 << uint(1+rng.Intn(62))))
+				bar := full.at(failures)
+				want := regret.MulInt(2) >= bar
+				if got := lazy.crossed(regret, failures); got != want {
+					t.Fatalf("backoff %g, threshold %d: crossed(%d, %d failures) = %v, bar %d says %v",
+						backoff, threshold, regret, failures, got, bar, want)
+				}
+			}
+		}
 	}
 }

@@ -30,6 +30,7 @@ package economy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -267,14 +268,24 @@ type Economy struct {
 	// events it originates.
 	events func(obs.Event)
 
-	// scratchExist/scratchPoss/scratchAfford back HandleQuery's per-query
-	// plan partitions, reused across calls so the steady-state decision
-	// path allocates nothing. Safe because the economy is single-owner
-	// (one shard or one simulation loop) and the slices never outlive the
-	// call.
+	// evals, scratchExist and scratchAfford back HandleQuery's per-query
+	// view of the plan set, reused across calls so the steady-state
+	// decision path allocates nothing. Safe because the economy is
+	// single-owner (one shard or one simulation loop) and the slices never
+	// outlive the call.
+	evals         []planEval
 	scratchExist  []*plan.Plan
-	scratchPoss   []*plan.Plan
 	scratchAfford []*plan.Plan
+}
+
+// planEval is what one plan of PQ means to the arriving query. HandleQuery
+// derives it once per plan; classification, selection, settlement and the
+// regret of Eq. 1–2 all read it.
+type planEval struct {
+	price    money.Amount // C(P_Q) = Ce + Ca (Eq. 4)
+	budget   money.Amount // B_Q at the plan's promised time
+	afford   bool         // budget >= price
+	runnable bool         // PQexist member
 }
 
 // SetEvents installs a sink for the economy's structured events: every
@@ -418,9 +429,38 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 	// failed structure cannot be chosen.
 	d.Failures = e.market.sweepFailures()
 
-	exist, poss := plan.PartitionInto(plans, e.scratchExist[:0], e.scratchPoss[:0])
-	e.scratchExist, e.scratchPoss = exist, poss
-	if len(exist) == 0 {
+	// One pass over the full PQ: each plan's price against the budget at
+	// its promised time, the affordable runnable set, and the two anchor
+	// plans that measure the value of cache structures marginally —
+	// columns earn the plain column scan's saving over the back-end plan;
+	// the index and extra nodes earn only their improvement over the
+	// plain scan.
+	evals, affordableExist := e.evals[:0], e.scratchAfford[:0]
+	nAfford, nExist := 0, 0
+	var backendExec, scanExec money.Amount
+	haveScan := false
+	for _, p := range plans {
+		ev := planEval{price: p.Price(), budget: q.Budget.At(p.Time()), runnable: p.Runnable()}
+		ev.afford = ev.budget >= ev.price
+		if ev.runnable {
+			nExist++
+		}
+		if ev.afford {
+			nAfford++
+			if ev.runnable {
+				affordableExist = append(affordableExist, p)
+			}
+		}
+		if p.Location == plan.Backend {
+			backendExec = p.ExecPrice
+		} else if !p.UsesIndex && p.Nodes == 1 {
+			scanExec = p.ExecPrice
+			haveScan = true
+		}
+		evals = append(evals, ev)
+	}
+	e.evals, e.scratchAfford = evals, affordableExist
+	if nExist == 0 {
 		return Decision{}, fmt.Errorf("economy: no runnable plan (the backend plan must always exist)")
 	}
 
@@ -428,16 +468,7 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 	acct := e.account(led)
 	led.queries++
 
-	// Affordability and case classification over the full PQ.
-	affordable := func(p *plan.Plan) bool {
-		return q.Budget.At(p.Time()) >= p.Price()
-	}
-	nAfford := 0
-	for _, p := range plans {
-		if affordable(p) {
-			nAfford++
-		}
-	}
+	// Case classification over the full PQ.
 	switch {
 	case nAfford == 0:
 		d.Case = CaseA
@@ -448,41 +479,29 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 	}
 
 	// Plan selection.
-	affordableExist := e.scratchAfford[:0]
-	for _, p := range exist {
-		if affordable(p) {
-			affordableExist = append(affordableExist, p)
-		}
-	}
-	e.scratchAfford = affordableExist
 	switch {
 	case len(affordableExist) > 0:
-		d.Chosen = e.selectPlan(q, affordableExist)
+		d.Chosen = e.selectPlanWith(q.Budget, affordableExist)
 	case e.cfg.UserAcceptsOverBudget:
 		// §VII-A: the user accepts the cheapest runnable offer.
+		exist := e.scratchExist[:0]
+		for i, p := range plans {
+			if evals[i].runnable {
+				exist = append(exist, p)
+			}
+		}
+		e.scratchExist = exist
 		d.Chosen = plan.Cheapest(exist)
 	default:
 		d.Declined = true
 		led.declinedCount++
 	}
 
-	// Payment, profit and per-structure collections. Two anchor plans
-	// measure the value of cache structures marginally: columns earn
-	// the plain column scan's saving over the back-end plan; the index
-	// and extra nodes earn only their improvement over the plain scan.
-	var backendExec, scanExec money.Amount
-	haveScan := false
-	for _, p := range plans {
-		if p.Location == plan.Backend {
-			backendExec = p.ExecPrice
-		}
-		if p.Location == plan.Cache && !p.UsesIndex && p.Nodes == 1 {
-			scanExec = p.ExecPrice
-			haveScan = true
-		}
-	}
+	// Payment, profit and per-structure collections.
+	var chosen planEval
 	if d.Chosen != nil {
-		e.settle(q, d.Chosen, backendExec, scanExec, haveScan, led, &d)
+		chosen = evals[slices.Index(plans, d.Chosen)]
+		e.settle(d.Chosen, chosen, backendExec, scanExec, haveScan, led, &d)
 		if d.Chosen.Location == plan.Cache {
 			led.cacheAnswered++
 		}
@@ -492,16 +511,9 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 	// lands in the deciding account's live map (the pool when altruistic,
 	// the tenant's own when selfish) and is attributed to the tenant in
 	// either case.
-	d.RegretAccrued = e.accrueRegret(q, plans, d.Chosen, led, acct)
+	d.RegretAccrued = e.accrueRegret(plans, evals, d.Chosen, chosen.price, led, acct)
 	d.Investments, d.InvestConsidered = e.invest(acct)
 	return d, nil
-}
-
-// selectPlan applies the scheme's criterion to the affordable runnable set.
-// It delegates to selectPlanWith so the live decision and the Quote
-// counterfactual can never drift apart.
-func (e *Economy) selectPlan(q *workload.Query, plans []*plan.Plan) *plan.Plan {
-	return e.selectPlanWith(q.Budget, plans)
 }
 
 // settle charges the user, credits profit and collects the amortized and
@@ -521,23 +533,17 @@ func (e *Economy) selectPlan(q *workload.Query, plans []*plan.Plan) *plan.Plan {
 // the chosen plan achieves over the plain scan. This keeps base data
 // "less eligible for eviction" than accelerators (§VII-B), because the
 // columns carry the bulk of the measured value.
-func (e *Economy) settle(q *workload.Query, p *plan.Plan, backendExec, scanExec money.Amount, haveScan bool, led *Ledger, d *Decision) {
-	price := p.Price()
-	budgetAt := q.Budget.At(p.Time())
-	charged := price
-	if budgetAt > price {
-		charged = budgetAt
-	}
-	d.Charged = charged
-	d.Profit = charged.Sub(price)
+func (e *Economy) settle(p *plan.Plan, ev planEval, backendExec, scanExec money.Amount, haveScan bool, led *Ledger, d *Decision) {
+	d.Charged = money.MaxAmount(ev.price, ev.budget)
+	d.Profit = d.Charged.Sub(ev.price)
 
-	led.spend = led.spend.Add(charged)
+	led.spend = led.spend.Add(d.Charged)
 	led.profitTotal = led.profitTotal.Add(d.Profit)
 
 	// Execution cost is paid through to the infrastructure; profit,
 	// amortized shares and maintenance recovery stay in the accounts.
 	if e.pool != nil {
-		e.pool.credit = e.pool.credit.Add(charged.Sub(p.ExecPrice))
+		e.pool.credit = e.pool.credit.Add(d.Charged.Sub(p.ExecPrice))
 		recovery := p.AmortPrice.Add(p.MaintPrice)
 		e.pool.recovered = e.pool.recovered.Add(recovery)
 		if recovery != 0 {
@@ -646,20 +652,20 @@ func (e *Economy) ownerOf(slot structure.Slot) *Ledger {
 // (Eq. 2, the case-B regret). The union applies in every case; each term
 // is only ever non-negative. The return is the total regret actually
 // distributed (for decision tracing).
-func (e *Economy) accrueRegret(q *workload.Query, plans []*plan.Plan, chosen *plan.Plan, led, acct *Ledger) money.Amount {
+func (e *Economy) accrueRegret(plans []*plan.Plan, evals []planEval, chosen *plan.Plan, chosenPrice money.Amount, led, acct *Ledger) money.Amount {
 	var total money.Amount
-	for _, p := range plans {
-		if p.Runnable() || p == chosen {
+	for i, p := range plans {
+		ev := &evals[i]
+		if ev.runnable || p == chosen {
 			continue
 		}
 		var r money.Amount
-		price := p.Price()
-		if chosen != nil && price <= chosen.Price() {
+		if chosen != nil && ev.price <= chosenPrice {
 			// Eq. 1: regret(PQj) = B_PQ(t_i) - B_PQ(t_j).
-			r = chosen.Price().Sub(price)
-		} else if budgetAt := q.Budget.At(p.Time()); budgetAt >= price {
+			r = chosenPrice.Sub(ev.price)
+		} else if ev.afford {
 			// Eq. 2: regret(PQj) = B_Q(t_j) - B_PQ(t_j).
-			r = budgetAt.Sub(price)
+			r = ev.budget.Sub(ev.price)
 		}
 		if !r.IsPositive() {
 			continue
@@ -675,7 +681,9 @@ func (e *Economy) accrueRegret(q *workload.Query, plans []*plan.Plan, chosen *pl
 // missing ones are tracked). The share lands in the deciding account's
 // live map and is attributed to the generating tenant's cumulative
 // counter. The return is the regret actually landed (skipped kinds
-// accrue nothing).
+// accrue nothing). Rows are keyed by st.Slot: like every plan HandleQuery
+// sees, p was enumerated against cfg.Cache, whose registry owns its
+// structures (or none does yet).
 func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) money.Amount {
 	n := int64(len(p.Missing))
 	if n == 0 || !r.IsPositive() {
@@ -700,7 +708,11 @@ func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) mo
 		if !e.kindAllowed(st.Kind) {
 			continue
 		}
-		acct.add(e.reg.SlotOf(st), share)
+		slot := st.Slot
+		if slot == 0 { // a free-standing structure: register it
+			slot = e.reg.SlotOf(st)
+		}
+		acct.add(slot, share)
 		landed = landed.Add(share)
 		if acct != led {
 			led.regretAccrued = led.regretAccrued.Add(share)
@@ -735,22 +747,30 @@ func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 	// builds are attempted and reported in — against the per-failure-count
 	// bar ladder of this scan. The common query crosses nothing and the
 	// pass is a compare per row; a row that crosses but cannot build (a
-	// conservative provider short of its price) costs one memoized price
-	// read per query, not a sort.
+	// conservative provider short of its price) remembers the price that
+	// blocked it, and costs two compares per query until the account can
+	// cover it or the cache's residency — and with it the price — moves.
 	bars := e.market.bars(threshold)
+	half := halfUp(threshold)
 	ca := e.cfg.Cache
 	var built []structure.ID
 	considered := 0
 	for i := 0; i < len(acct.live); {
 		slot := acct.live[i]
-		// Eq. 3 with round(): triggers at regret >= 0.5·a·CR. A history
-		// of failed builds raises the bar exponentially, never lowers
-		// it, so most rows are dismissed against the base threshold.
-		if r2 := acct.rows[slot].regret.MulInt(2); r2 < threshold || r2 < bars.at(e.market.failures(slot)) {
+		row := &acct.rows[slot]
+		// Eq. 3 with round(): triggers at 2·regret >= a·CR, tested as
+		// regret >= ⌈a·CR/2⌉. A history of failed builds raises the bar
+		// exponentially, never lowers it, so most rows are dismissed
+		// against the base threshold.
+		if row.regret < half || !bars.crossed(row.regret, e.market.failures(slot)) {
 			i++
 			continue
 		}
 		considered++
+		if row.blockedEpoch == ca.Epoch()+1 && acct.credit < row.blockedPrice {
+			i++
+			continue
+		}
 		if ca.At(slot) != nil || ca.BuildingAt(slot) {
 			acct.drop(slot)
 			continue
@@ -760,10 +780,14 @@ func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 			acct.drop(slot)
 			continue
 		}
-		if e.market.buildStructure(st, acct) {
+		ok, short := e.market.buildStructure(st, acct)
+		if ok {
 			built = append(built, st.ID)
 			acct.drop(slot)
 			continue
+		}
+		if short != 0 {
+			row.blockedPrice, row.blockedEpoch = short, ca.Epoch()+1
 		}
 		i++
 	}

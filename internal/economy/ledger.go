@@ -55,6 +55,15 @@ type regretRow struct {
 	regret  money.Amount
 	touched int64 // ledger logical clock for LRU GC
 	live    bool
+
+	// blockedPrice and blockedEpoch remember that the row crossed the
+	// Eq. 3 bar but a conservative account could not cover its build
+	// price: while the cache's epoch plus one still equals blockedEpoch
+	// the price stands, so the investment scan re-tests affordability
+	// with a compare instead of pricing the build again. Derived state:
+	// dropped with the row, never persisted.
+	blockedPrice money.Amount
+	blockedEpoch int64
 }
 
 // newLedger opens a ledger with the given seed capital and regret cap,

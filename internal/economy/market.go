@@ -71,6 +71,12 @@ type marketRow struct {
 	safeUntil time.Duration
 }
 
+// safe reports whether the resident in the row's slot is already known
+// not to fail at clock now — the failure sweep's per-resident fast path.
+func (r *marketRow) safe(entry *cache.Entry, now time.Duration) bool {
+	return r.safeEntry == entry && r.safeIdle == (entry.Uses == 0) && now <= r.safeUntil
+}
+
 // emit reports one event if a sink is installed, stamping the economy
 // clock.
 func (m *Market) emit(ev obs.Event) {
@@ -123,7 +129,7 @@ const maxBackoffSteps = 30
 // bars.at(k) is the threshold raised by k prior failures. The ladder is
 // the same MulFloat chain the bar has always been — threshold, then one
 // multiplication per failure, rounding at every step — computed once per
-// scan and extended only as far as the scan's failure counts reach.
+// scan and extended only as far as the scan needs it.
 type investBars struct {
 	backoff float64
 	n       int
@@ -138,20 +144,53 @@ func (m *Market) bars(threshold money.Amount) *investBars {
 	return &m.ladder
 }
 
+// rung clamps a failure count to the ladder: no backoff configured means
+// one bar for everybody.
+func (b *investBars) rung(failures int) int {
+	if !(b.backoff > 1) || failures <= 0 {
+		return 0
+	}
+	return min(failures, maxBackoffSteps)
+}
+
 // at returns the bar after `failures` prior failures: the threshold
 // raised exponentially, damping build-evict-rebuild cycles.
 func (b *investBars) at(failures int) money.Amount {
-	if !(b.backoff > 1) || failures <= 0 {
-		return b.bar[0]
+	k := b.rung(failures)
+	for b.n <= k {
+		b.climb()
 	}
-	if failures > maxBackoffSteps {
-		failures = maxBackoffSteps
-	}
-	for ; b.n <= failures; b.n++ {
-		b.bar[b.n] = b.bar[b.n-1].MulFloat(b.backoff)
-	}
-	return b.bar[failures]
+	return b.bar[k]
 }
+
+// climb computes the next rung of the ladder.
+func (b *investBars) climb() {
+	b.bar[b.n] = b.bar[b.n-1].MulFloat(b.backoff)
+	b.n++
+}
+
+// crossed reports whether regret meets Eq. 3 — round(regret/bar) >= 1,
+// i.e. 2·regret >= bar — against the bar after `failures` prior failures.
+// Each rung is at least the one below it (a positive amount times a
+// factor above one never rounds down past itself), so a regret below any
+// rung up to its own is below its own: the ladder is climbed only until a
+// rung dismisses the row, which takes as many multiplications as the
+// regret is doublings above the threshold, not as the row has failures.
+func (b *investBars) crossed(regret money.Amount, failures int) bool {
+	k := b.rung(failures)
+	for b.n <= k {
+		if regret < halfUp(b.bar[b.n-1]) {
+			return false
+		}
+		b.climb()
+	}
+	return regret >= halfUp(b.bar[k])
+}
+
+// halfUp returns ⌈t/2⌉ for a positive bar t: the least regret r with
+// 2·r >= t, so `r < halfUp(t)` is Eq. 3's `2·r < t` without an overflow-
+// checked doubling per row.
+func halfUp(t money.Amount) money.Amount { return t/2 + t%2 }
 
 // failures returns the slot's failure count.
 func (m *Market) failures(s structure.Slot) int {
@@ -164,15 +203,17 @@ func (m *Market) failures(s structure.Slot) int {
 // buildStructure starts construction of st (and, for indexes, of its
 // missing columns first, per Eq. 14), charging the payer ledger. It
 // reports whether the investment was made; a conservative provider skips
-// builds the payer's account cannot cover.
-func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
+// builds the payer's account cannot cover, and then — only then — short
+// is the price the account fell short of, which stands until the cache's
+// epoch moves.
+func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) (built bool, short money.Amount) {
 	ca := m.cfg.Cache
 	price, out, err := m.cfg.Optimizer.BuildPrice(st, ca)
 	if err != nil {
-		return false
+		return false, 0
 	}
 	if m.cfg.Conservative && payer.credit < price {
-		return false
+		return false, price
 	}
 
 	now := ca.Clock()
@@ -183,17 +224,17 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 		for _, ref := range st.Index.Refs() {
 			colSt, err := m.reg.Column(m.cfg.Model.Catalog(), ref)
 			if err != nil {
-				return false
+				return false, 0
 			}
 			if ca.At(colSt.Slot) != nil || ca.BuildingAt(colSt.Slot) {
 				continue
 			}
 			colPrice, colOut, err := m.cfg.Optimizer.BuildPrice(colSt, ca)
 			if err != nil {
-				return false
+				return false, 0
 			}
 			if err := ca.StartBuild(colSt, now+colOut.Time, colPrice); err != nil {
-				return false
+				return false, 0
 			}
 			payer.credit = payer.credit.Sub(colPrice)
 			payer.invested = payer.invested.Add(colPrice)
@@ -215,14 +256,14 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 		// component by pretending all columns are cached.
 		sortOnly, sortOut, err := m.indexSortOnly(st)
 		if err != nil {
-			return false
+			return false, 0
 		}
 		price, out = sortOnly, sortOut
 		readyAt = colsReady + out.Time
 	}
 
 	if err := ca.StartBuild(st, readyAt, price); err != nil {
-		return false
+		return false, 0
 	}
 	payer.credit = payer.credit.Sub(price)
 	payer.invested = payer.invested.Add(price)
@@ -236,7 +277,7 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) bool {
 		Amount:    price,
 		Reason:    "accumulated regret crossed the Eq. 3 investment bar",
 	})
-	return true
+	return true, 0
 }
 
 // started records the ledger that just financed a build as its owner.
@@ -314,11 +355,15 @@ func (m *Market) sweepFailures() []structure.ID {
 	ca := m.cfg.Cache
 	now := ca.Clock()
 	victims := m.victims[:0]
-	ca.ForEach(func(entry *cache.Entry) {
+	for _, s := range ca.Live() {
+		entry := ca.At(s)
+		if m.row(s).safe(entry, now) {
+			continue
+		}
 		if due, reason := m.failing(entry, now); reason != "" {
 			victims = append(victims, victim{entry: entry, due: due, reason: reason})
 		}
-	})
+	}
 	m.victims = victims
 	if len(victims) == 0 {
 		return nil
@@ -365,7 +410,7 @@ func (m *Market) failing(entry *cache.Entry, now time.Duration) (money.Amount, s
 	st := entry.S
 	row := m.row(st.Slot)
 	idle := entry.Uses == 0
-	if row.safeEntry == entry && row.safeIdle == idle && now <= row.safeUntil {
+	if row.safe(entry, now) {
 		return 0, ""
 	}
 	row.safeEntry, row.safeIdle, row.safeUntil = entry, idle, now

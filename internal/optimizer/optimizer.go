@@ -8,19 +8,22 @@
 // The optimizer plans against a cache and speaks that cache's structure
 // slots (structure.Registry): the first time it plans a template it
 // registers the template's columns and index candidates and keeps the
-// registry-owned structures, so residency and build-price lookups per
-// query are slice reads, never string hashes. One query's cache plan
-// variants — plain scan or index probe, on 1..MaxNodes nodes — share
-// their column set, so Enumerate prices that set (and the picked index,
-// and the growing node prefix) once and assembles the variants from the
-// three priced pieces. Nothing here depends on slot numbers: plans list
-// their structures in template order (columns, index, nodes), which is
-// the order regret is split and settlements are reported in.
+// registry-owned structures. Which structures a plan variant — plain scan
+// or index probe, on 1..MaxNodes nodes — uses, which of them are missing,
+// what a missing one costs to build and its Build/n share change only
+// when the cache's residency changes, so all of that is compiled into a
+// per-template plan table once per cache.Epoch(); a query then pays for
+// what only it can change: its own size, the execution outcomes, and each
+// resident structure's amortized share and arrears. Nothing here depends
+// on slot numbers: plans list their structures in template order
+// (columns, index, nodes), which is the order regret is split and
+// settlements are reported in.
 package optimizer
 
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
@@ -59,70 +62,83 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Optimizer enumerates plans against a cache. It memoizes the immutable
-// structure objects per template (IDs and sizes are on the per-query hot
-// path), so it is NOT safe for concurrent use; each scheme owns one
-// optimizer, matching the single-threaded simulation loop.
+// Optimizer enumerates plans against a cache. It keeps per-template plan
+// tables and pooled plans, so it is NOT safe for concurrent use; each
+// scheme owns one optimizer, matching the single-threaded simulation loop.
 //
 // Everything the optimizer remembers about structures is expressed in the
-// slots of the cache's structure.Registry: the per-template tables hold
+// slots of the cache's structure.Registry: the plan tables hold
 // registry-owned structures (Slot filled in), the build-price memo is a
-// slice indexed by slot. The tables bind to the registry of the cache
-// passed to Enumerate/BuildPrice and are rebuilt if a different cache
-// shows up, so two optimizers planning against one cache — a scheme's
-// own and an outside observer's — agree on every slot.
+// slice indexed by slot. Both bind to the registry of the cache passed to
+// Enumerate/BuildPrice and are rebuilt if a different cache shows up, and
+// both are stamped with the cache's residency epoch, so two optimizers
+// planning against one cache — a scheme's own and an outside observer's —
+// agree on every slot and every price.
 type Optimizer struct {
 	cfg Config
 
 	reg      *structure.Registry // registry the tables below are bound to
-	tpls     map[*workload.Template]*tplSet
+	tpls     map[*workload.Template]*planTable
 	cpuNodes []*structure.Structure // cpuNodes[i] is node ordinal i+2
 
-	// scratch backs the slice Enumerate returns, reused across calls to
-	// keep the per-query hot path free of slice growth.
+	// scratch backs the slice Enumerate returns and pool holds every
+	// *plan.Plan the optimizer has ever handed out; Enumerate refills both
+	// from the front, so a steady-state call allocates nothing. none is
+	// the back-end plans' (empty) structure set.
 	scratch []*plan.Plan
-
-	// pool holds every *plan.Plan the optimizer has ever handed out;
-	// Enumerate resets and reuses them from the front (used counts the
-	// current call's consumption). Together with scratch this makes a
-	// steady-state Enumerate allocation-free: PR 1 pooled the slice,
-	// this extends the pattern to the Plan values themselves.
-	pool []*plan.Plan
-	used int
-
-	// cols, idx and nodes are the three pieces every cache plan variant
-	// of one query is assembled from: the template's column set, the
-	// picked index, and the extra CPU nodes up to the variant's count.
-	// Enumerate prices each piece once per query — residency, amortized
-	// shares, maintenance arrears, missing list — and the variants share
-	// the result instead of re-pricing the same columns per variant.
-	cols, idx, nodes piece
+	pool    []*plan.Plan
+	used    int
+	none    *structure.Set
 
 	// priceMemo memoizes BuildPrice per slot for as long as the cache's
 	// residency epoch stands still. Build prices depend only on the
-	// model (fixed) and on which columns are resident, so between builds
-	// and evictions — i.e. for almost every query — pricing a missing
-	// candidate is a slice read instead of a full Eq. 10/12/14 walk over
-	// the catalog.
+	// model (fixed) and on which columns are resident.
 	priceMemo []memoPrice
 }
 
-// tplSet is the structure inventory of one template: its columns
-// (deduplicated, template order) and its index candidates (template
-// order; empty when the optimizer plans no indexes).
-type tplSet struct {
-	cols  []*structure.Structure
-	cands []*structure.Structure
+// planTable is what the optimizer keeps per template. cols and cands are
+// the template's structure inventory — its columns (deduplicated) and its
+// index candidates (empty when the optimizer plans no indexes), both in
+// template order — registered on first sight and fixed for the registry's
+// life. The rest is the template's cache plan set compiled against one
+// residency epoch; the pooled plans Enumerate hands out point into it.
+type planTable struct {
+	cols, cands []*structure.Structure
+
+	stamp int64                // cache epoch + 1 the fields below were compiled at; 0 = never
+	index *structure.Structure // the index the probe variants use, nil for none
+	// The three groups every variant is assembled from: the column set,
+	// the picked index, and one piece per extra CPU node (nodes[i] is node
+	// ordinal i+2). Variants share their pieces, so a query prices each
+	// resident structure once however many variants employ it.
+	colPiece, idxPiece piece
+	nodes              []piece
+	// variants is the cache plan set in plan order: per node count, the
+	// plain scan, then the index probe when an index was picked.
+	variants []variant
 }
 
-// piece is the priced share of one group of structures in a plan.
+// piece is one group of structures as the current epoch sees it.
 type piece struct {
-	amort   money.Amount           // Ca: resident shares plus Build/n of missing ones
-	maint   money.Amount           // arrears of the resident ones
-	missing []*structure.Structure // members not resident, in group order
+	// build is Σ Build/n over the missing members: the amortized share of
+	// their build cost (Eq. 6–7 applied to prospective inventory — the
+	// first of the n amortizing queries would pay Build/n).
+	build money.Amount
+	// resident holds the members' cache entries; their amortized shares
+	// and maintenance arrears are the per-query terms of a plan's price.
+	resident []*cache.Entry
+	// missing lists the members not resident, in group order.
+	missing []*structure.Structure
 }
 
-func (pc *piece) reset() { *pc = piece{missing: pc.missing[:0]} }
+// variant is one cache plan of the table. set and missing are shared by
+// every plan enumerated from the variant until the table is recompiled.
+type variant struct {
+	nodes   int
+	index   *structure.Structure // nil for the plain scan
+	set     *structure.Set
+	missing []*structure.Structure
+}
 
 // memoPrice is one memoized BuildPrice result, valid while stamp equals
 // the cache epoch plus one (so the zero value is never valid).
@@ -132,28 +148,12 @@ type memoPrice struct {
 	out   cost.Outcome
 }
 
-// nextPlan returns a cleared plan from the pool, growing it on first
-// use. Pooled plans keep their Structures set and Missing slice capacity
-// across reuse.
-func (o *Optimizer) nextPlan() *plan.Plan {
-	if o.used < len(o.pool) {
-		p := o.pool[o.used]
-		o.used++
-		p.Reset()
-		return p
-	}
-	p := &plan.Plan{Structures: structure.NewSet()}
-	o.pool = append(o.pool, p)
-	o.used++
-	return p
-}
-
 // New builds an optimizer.
 func New(cfg Config) (*Optimizer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Optimizer{cfg: cfg, tpls: make(map[*workload.Template]*tplSet)}, nil
+	return &Optimizer{cfg: cfg, tpls: make(map[*workload.Template]*planTable), none: structure.NewSet()}, nil
 }
 
 // bind points the optimizer's slot tables at the cache's registry. Each
@@ -173,34 +173,148 @@ func (o *Optimizer) bind(ca *cache.Cache) {
 	}
 }
 
-// setFor returns the memoized structure inventory of a template,
-// registering its columns and index candidates on first sight.
-func (o *Optimizer) setFor(tpl *workload.Template) (*tplSet, error) {
-	if set, ok := o.tpls[tpl]; ok {
-		return set, nil
-	}
-	cat := o.cfg.Model.Catalog()
-	set := &tplSet{cols: make([]*structure.Structure, 0, len(tpl.Columns))}
-	for _, ref := range tpl.Columns {
-		st, err := o.reg.Column(cat, ref)
-		if err != nil {
-			return nil, err
-		}
-		if !slices.Contains(set.cols, st) {
-			set.cols = append(set.cols, st)
-		}
-	}
-	if o.cfg.AllowIndexes {
-		for _, def := range tpl.IndexCandidates {
-			st, err := o.reg.Index(cat, def)
+// tableFor returns the template's plan table compiled for the cache's
+// current epoch, registering the template's columns and index candidates
+// on first sight and recompiling when the epoch has moved.
+func (o *Optimizer) tableFor(tpl *workload.Template, ca *cache.Cache) (*planTable, error) {
+	tb, ok := o.tpls[tpl]
+	if !ok {
+		cat := o.cfg.Model.Catalog()
+		tb = &planTable{cols: make([]*structure.Structure, 0, len(tpl.Columns))}
+		for _, ref := range tpl.Columns {
+			st, err := o.reg.Column(cat, ref)
 			if err != nil {
 				return nil, err
 			}
-			set.cands = append(set.cands, st)
+			if !slices.Contains(tb.cols, st) {
+				tb.cols = append(tb.cols, st)
+			}
+		}
+		if o.cfg.AllowIndexes {
+			for _, def := range tpl.IndexCandidates {
+				st, err := o.reg.Index(cat, def)
+				if err != nil {
+					return nil, err
+				}
+				tb.cands = append(tb.cands, st)
+			}
+		}
+		o.tpls[tpl] = tb
+	}
+	if stamp := ca.Epoch() + 1; tb.stamp != stamp {
+		tb.stamp = 0 // a failed compile leaves no half-built table behind
+		if err := o.compile(tb, tpl, ca); err != nil {
+			return nil, err
+		}
+		tb.stamp = stamp
+	}
+	return tb, nil
+}
+
+// compile rebuilds the epoch-dependent half of a plan table: the picked
+// index, the three pieces, and every variant's missing list — refilled in
+// place; plans of an earlier Enumerate that still point at one are past
+// their contract. The variants' structure sets are built once per picked
+// index and never written again.
+func (o *Optimizer) compile(tb *planTable, tpl *workload.Template, ca *cache.Cache) error {
+	maxNodes := 1
+	if o.cfg.AllowNodes && tpl.Parallelizable {
+		maxNodes = o.cfg.Model.Tunables().MaxNodes
+	}
+	// All template columns must be resident for a cache plan to run, and
+	// every index variant probes the same index.
+	index := pickIndex(tb.cands, ca)
+	if err := o.place(&tb.colPiece, ca, tb.cols...); err != nil {
+		return err
+	}
+	if index != nil {
+		if err := o.place(&tb.idxPiece, ca, index); err != nil {
+			return err
 		}
 	}
-	o.tpls[tpl] = set
-	return set, nil
+	if tb.nodes == nil {
+		tb.nodes = make([]piece, maxNodes-1)
+	}
+	for i := range tb.nodes {
+		if err := o.place(&tb.nodes[i], ca, o.cpuNodes[i]); err != nil {
+			return err
+		}
+	}
+
+	// A variant's structure set depends on the epoch only through the
+	// picked index; its missing list is its pieces', concatenated.
+	if tb.variants == nil || index != tb.index {
+		tb.index = index
+		perNode := 1
+		if index != nil {
+			perNode = 2
+		}
+		tb.variants = make([]variant, maxNodes*perNode)
+		for i := range tb.variants {
+			v := &tb.variants[i]
+			v.nodes, v.set = i/perNode+1, structure.NewSet()
+			v.set.Extend(tb.cols...)
+			if i%perNode == 1 {
+				v.index = index
+				v.set.Extend(index)
+			}
+			v.set.Extend(o.cpuNodes[:v.nodes-1]...)
+		}
+	}
+	for i := range tb.variants {
+		v := &tb.variants[i]
+		v.missing = append(v.missing[:0], tb.colPiece.missing...)
+		if v.index != nil {
+			v.missing = append(v.missing, tb.idxPiece.missing...)
+		}
+		for _, pc := range tb.nodes[:v.nodes-1] {
+			v.missing = append(v.missing, pc.missing...)
+		}
+	}
+	return nil
+}
+
+// place sorts a group's members into a piece by residency, pricing the
+// missing ones' Build/n shares.
+func (o *Optimizer) place(pc *piece, ca *cache.Cache, members ...*structure.Structure) error {
+	clear(pc.resident) // drop evicted entries the old epoch held
+	*pc = piece{resident: pc.resident[:0], missing: pc.missing[:0]}
+	for _, st := range members {
+		if e := ca.At(st.Slot); e != nil {
+			pc.resident = append(pc.resident, e)
+			continue
+		}
+		price, _, err := o.BuildPrice(st, ca)
+		if err != nil {
+			return err
+		}
+		pc.build = pc.build.Add(price.DivInt(o.cfg.AmortN))
+		pc.missing = append(pc.missing, st)
+	}
+	return nil
+}
+
+// due prices a piece for one query at cache clock now: Ca — the missing
+// members' compiled Build/n plus each resident's amortized share — and
+// the residents' maintenance arrears.
+func (o *Optimizer) due(pc *piece, now time.Duration) (amort, maint money.Amount) {
+	amort = pc.build
+	for _, e := range pc.resident {
+		amort = amort.Add(cache.AmortShare(e, o.cfg.AmortN))
+		rent := o.cfg.Model.MaintCost(e.S.Kind == structure.KindCPUNode, e.S.Bytes, now-e.MaintPaidUntil)
+		maint = maint.Add(e.UnpaidMaint.Add(rent))
+	}
+	return amort, maint
+}
+
+// nextPlan returns a pooled plan for Enumerate to overwrite — every field
+// of it — growing the pool on first use.
+func (o *Optimizer) nextPlan() *plan.Plan {
+	if o.used == len(o.pool) {
+		o.pool = append(o.pool, new(plan.Plan))
+	}
+	o.used++
+	return o.pool[o.used-1]
 }
 
 // Enumerate produces the priced plan set PQ for the query given the current
@@ -210,75 +324,79 @@ func (o *Optimizer) setFor(tpl *workload.Template) (*tplSet, error) {
 // Aliasing contract: the returned slice AND the *Plan values it holds
 // are owned by the optimizer — the slice is backed by a per-optimizer
 // scratch buffer and the plans come from a pool that the next Enumerate
-// call resets and reuses. Everything (including the Structures sets and
-// Missing slices inside each plan) is only valid until the next
-// Enumerate call; callers that outlive one query's handling must deep-
-// copy what they keep. This holds for the SkylineOnly path too: Skyline
-// returns a fresh slice but it aliases the same pooled plans. The
+// call overwrites. The Structures sets and Missing slices inside the
+// plans belong to the optimizer's per-template tables, shared between the
+// plans of one variant and rewritten when the cache's residency next
+// changes: read-only for the caller. Everything is only valid until the
+// next Enumerate call; callers that outlive one query's handling must
+// deep-copy what they keep. This holds for the SkylineOnly path too:
+// Skyline returns a fresh slice but it aliases the same pooled plans. The
 // *structure.Structure values inside the plans are the cache registry's
 // own and outlive the call; their Slot fields index that cache's state.
+//
+// The plans keep q in their Query field for as long as they are valid, so
+// q must stay untouched until the next Enumerate — a query stream that
+// recycles its queries (workload.Source.Batch) may only reclaim q after
+// that, which handing back a batch whose every query has been handled
+// guarantees.
 func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan, error) {
 	if q == nil || ca == nil {
 		return nil, fmt.Errorf("optimizer: query and cache are required")
 	}
 	o.bind(ca)
-	set, err := o.setFor(q.Template)
+	tb, err := o.tableFor(q.Template, ca)
 	if err != nil {
 		return nil, err
 	}
+	m := o.cfg.Model
+	sz, err := q.Sizes(m.Catalog())
+	if err != nil {
+		return nil, err
+	}
+	sched := m.Schedule()
 	o.used = 0
 	plans := o.scratch[:0]
 
-	backend, err := o.backendPlan(q)
-	if err != nil {
-		return nil, err
-	}
-	plans = append(plans, backend)
+	// Eq. 9: the back-end plan uses no cache structures. Pooled plans are
+	// overwritten field by field — a whole-struct store would copy every
+	// plan through the stack and the collector's bulk write barrier.
+	p := o.nextPlan()
+	p.Query, p.Location, p.Structures, p.Nodes = q, plan.Backend, o.none, 1
+	p.UsesIndex, p.Index = false, ""
+	p.Outcome = m.BackendExecSized(sz)
+	p.ExecPrice = cost.Price(sched, p.Outcome.Usage)
+	p.AmortPrice, p.MaintPrice, p.Missing = 0, 0, nil
+	plans = append(plans, p)
 
-	maxNodes := 1
-	if o.cfg.AllowNodes {
-		maxNodes = o.cfg.Model.Tunables().MaxNodes
-	}
-	if !q.Template.Parallelizable {
-		maxNodes = 1
-	}
-
-	// Price the pieces the variants share, once: all template columns
-	// must be resident for a cache plan to run, and every index variant
-	// probes the same index.
-	o.cols.reset()
-	for _, st := range set.cols {
-		if err := o.price(&o.cols, ca, st); err != nil {
-			return nil, err
+	// The per-query share of the cache plans' prices: what each piece's
+	// residents are owed now. The node piece grows with the variant.
+	now := ca.Clock()
+	colAmort, colMaint := o.due(&tb.colPiece, now)
+	idxAmort, idxMaint := o.due(&tb.idxPiece, now)
+	var nodeAmort, nodeMaint money.Amount
+	nodes := 1
+	for i := range tb.variants {
+		v := &tb.variants[i]
+		if v.nodes > nodes {
+			nodes = v.nodes
+			a, mt := o.due(&tb.nodes[nodes-2], now)
+			nodeAmort, nodeMaint = nodeAmort.Add(a), nodeMaint.Add(mt)
 		}
-	}
-	o.idx.reset()
-	index := pickIndex(set, ca)
-	if index != nil {
-		if err := o.price(&o.idx, ca, index); err != nil {
-			return nil, err
+		p := o.nextPlan()
+		p.Query, p.Location, p.Structures, p.Nodes = q, plan.Cache, v.set, v.nodes
+		p.Outcome = m.CacheExecSized(q.Template, sz, v.index != nil, v.nodes)
+		p.ExecPrice = cost.Price(sched, p.Outcome.Usage)
+		p.AmortPrice, p.MaintPrice, p.Missing = colAmort, colMaint, v.missing
+		if v.index != nil {
+			p.UsesIndex, p.Index = true, v.index.ID
+			p.AmortPrice = p.AmortPrice.Add(idxAmort)
+			p.MaintPrice = p.MaintPrice.Add(idxMaint)
+		} else {
+			p.UsesIndex, p.Index = false, ""
 		}
-	}
-	o.nodes.reset()
-	for nodes := 1; nodes <= maxNodes; nodes++ {
-		if nodes > 1 {
-			// The piece grows with the variant: nodes 2..n.
-			if err := o.price(&o.nodes, ca, o.cpuNodes[nodes-2]); err != nil {
-				return nil, err
-			}
-		}
-		p, err := o.cachePlan(q, set, nil, nodes)
-		if err != nil {
-			return nil, err
-		}
+		p.AmortPrice = p.AmortPrice.Add(nodeAmort)
+		p.MaintPrice = p.MaintPrice.Add(nodeMaint)
 		plans = append(plans, p)
-		if index != nil {
-			ip, err := o.cachePlan(q, set, index, nodes)
-			if err != nil {
-				return nil, err
-			}
-			plans = append(plans, ip)
-		}
 	}
 
 	o.scratch = plans
@@ -290,97 +408,20 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 	return plans, nil
 }
 
-// pickIndex chooses the index this query's plans would use: a resident
-// matching candidate if one exists (cheapest to use), otherwise the first
-// candidate in template order (the one regret should accrue to). Returns
-// nil when the template has no candidates or indexes are not planned.
-func pickIndex(set *tplSet, ca *cache.Cache) *structure.Structure {
-	if len(set.cands) == 0 {
-		return nil
-	}
-	for _, st := range set.cands {
+// pickIndex chooses the index a template's plans would use: a resident
+// candidate if one exists (cheapest to use), otherwise the first candidate
+// in template order (the one regret should accrue to). Returns nil when
+// the template has no candidates or indexes are not planned.
+func pickIndex(cands []*structure.Structure, ca *cache.Cache) *structure.Structure {
+	for _, st := range cands {
 		if ca.At(st.Slot) != nil {
 			return st
 		}
 	}
-	return set.cands[0]
-}
-
-// backendPlan prices Eq. 9 execution. It uses no cache structures.
-func (o *Optimizer) backendPlan(q *workload.Query) (*plan.Plan, error) {
-	out, err := o.cfg.Model.BackendExec(q)
-	if err != nil {
-		return nil, err
-	}
-	p := o.nextPlan()
-	p.Query = q
-	p.Location = plan.Backend
-	p.Nodes = 1
-	p.Outcome = out
-	p.ExecPrice = cost.Price(o.cfg.Model.Schedule(), out.Usage)
-	return p, nil
-}
-
-// cachePlan assembles one cache-resident plan variant from the pieces
-// Enumerate priced for this query: the column set, the index (nil for a
-// plain scan) and the extra CPU nodes up to `nodes`.
-func (o *Optimizer) cachePlan(q *workload.Query, set *tplSet, index *structure.Structure, nodes int) (*plan.Plan, error) {
-	m := o.cfg.Model
-	out, err := m.CacheExec(q, index != nil, nodes)
-	if err != nil {
-		return nil, err
-	}
-	p := o.nextPlan()
-	p.Query = q
-	p.Location = plan.Cache
-	p.Nodes = nodes
-	p.Outcome = out
-	p.ExecPrice = cost.Price(m.Schedule(), out.Usage)
-
-	p.Structures.Extend(set.cols...)
-	p.AmortPrice = o.cols.amort
-	p.MaintPrice = o.cols.maint
-	p.Missing = append(p.Missing, o.cols.missing...)
-	if index != nil {
-		p.UsesIndex = true
-		p.Index = index.ID
-		p.Structures.Extend(index)
-		p.AmortPrice = p.AmortPrice.Add(o.idx.amort)
-		p.MaintPrice = p.MaintPrice.Add(o.idx.maint)
-		p.Missing = append(p.Missing, o.idx.missing...)
-	}
-	p.Structures.Extend(o.cpuNodes[:nodes-1]...)
-	p.AmortPrice = p.AmortPrice.Add(o.nodes.amort)
-	p.MaintPrice = p.MaintPrice.Add(o.nodes.maint)
-	p.Missing = append(p.Missing, o.nodes.missing...)
-	return p, nil
-}
-
-// price adds one structure to a piece: the amortized share and
-// maintenance arrears of a resident structure, or — for a missing one —
-// the amortized share of its build cost (Eq. 6–7 applied to prospective
-// inventory: the first of the n amortizing queries would pay Build/n).
-func (o *Optimizer) price(pc *piece, ca *cache.Cache, st *structure.Structure) error {
-	if e := ca.At(st.Slot); e != nil {
-		pc.amort = pc.amort.Add(cache.AmortShare(e, o.cfg.AmortN))
-		pc.maint = pc.maint.Add(o.maintDue(ca, e))
+	if len(cands) == 0 {
 		return nil
 	}
-	price, _, err := o.BuildPrice(st, ca)
-	if err != nil {
-		return err
-	}
-	pc.amort = pc.amort.Add(price.DivInt(o.cfg.AmortN))
-	pc.missing = append(pc.missing, st)
-	return nil
-}
-
-// maintDue prices the maintenance arrears of a resident entry at the
-// current cache clock.
-func (o *Optimizer) maintDue(ca *cache.Cache, e *cache.Entry) money.Amount {
-	return cache.MaintDue(e, func(e *cache.Entry) money.Amount {
-		return o.cfg.Model.MaintCost(e.S.Kind == structure.KindCPUNode, e.S.Bytes, ca.Clock()-e.MaintPaidUntil)
-	})
+	return cands[0]
 }
 
 // BuildPrice returns the price and the build duration of constructing a

@@ -1,12 +1,16 @@
 package optimizer
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/money"
 	"repro/internal/plan"
 	"repro/internal/pricing"
 	"repro/internal/structure"
@@ -381,5 +385,258 @@ func TestEnumerateSkylineResultIndependentOfScratch(t *testing.T) {
 		if a[i] != snapshot[i] {
 			t.Error("skyline result was clobbered by the next Enumerate")
 		}
+	}
+}
+
+// refEnumerate is the optimizer before it kept plan tables, kept as the
+// reference model: every call walks the template, and every cache plan
+// variant — plain scan or index probe, on 1..MaxNodes nodes — is sized and
+// priced from scratch, structure by structure, against the cache as it
+// stands. It shares nothing with Optimizer but the cost model and the
+// cache's registry (so the structures it lists are the same objects).
+func refEnumerate(t *testing.T, cfg Config, q *workload.Query, ca *cache.Cache) []*plan.Plan {
+	t.Helper()
+	m, reg, cat := cfg.Model, ca.Registry(), cfg.Model.Catalog()
+	must := func(st *structure.Structure, err error) *structure.Structure {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	var cols []*structure.Structure
+	for _, ref := range q.Template.Columns {
+		if st := must(reg.Column(cat, ref)); !slices.Contains(cols, st) {
+			cols = append(cols, st)
+		}
+	}
+	var index *structure.Structure
+	if cfg.AllowIndexes && len(q.Template.IndexCandidates) > 0 {
+		for _, def := range q.Template.IndexCandidates {
+			if st := must(reg.Index(cat, def)); ca.At(st.Slot) != nil {
+				index = st
+				break
+			}
+		}
+		if index == nil {
+			index = must(reg.Index(cat, q.Template.IndexCandidates[0]))
+		}
+	}
+	maxNodes := 1
+	if cfg.AllowNodes && q.Template.Parallelizable {
+		maxNodes = m.Tunables().MaxNodes
+	}
+
+	buildPrice := func(st *structure.Structure) money.Amount {
+		var out cost.Outcome
+		var err error
+		switch st.Kind {
+		case structure.KindCPUNode:
+			out = m.BuildCPUNode()
+		case structure.KindColumn:
+			out, err = m.BuildColumn(st.Column)
+		case structure.KindIndex:
+			out, err = m.BuildIndex(st.Index, func(ref catalog.ColumnRef) bool {
+				return ca.At(reg.ColumnSlot(ref)) != nil
+			})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cost.Price(m.Schedule(), out.Usage)
+	}
+
+	out, err := m.BackendExec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []*plan.Plan{{
+		Query: q, Location: plan.Backend, Structures: structure.NewSet(), Nodes: 1,
+		Outcome: out, ExecPrice: cost.Price(m.Schedule(), out.Usage),
+	}}
+	probes := []*structure.Structure{nil} // per node count: the scan, then the probe
+	if index != nil {
+		probes = append(probes, index)
+	}
+	for nodes := 1; nodes <= maxNodes; nodes++ {
+		for _, idx := range probes {
+			out, err := m.CacheExec(q, idx != nil, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &plan.Plan{
+				Query: q, Location: plan.Cache, Structures: structure.NewSet(cols...), Nodes: nodes,
+				Outcome: out, ExecPrice: cost.Price(m.Schedule(), out.Usage),
+			}
+			if idx != nil {
+				p.UsesIndex, p.Index = true, idx.ID
+				p.Structures.Add(idx)
+			}
+			for n := 2; n <= nodes; n++ {
+				p.Structures.Add(reg.Register(structure.CPUNode(n)))
+			}
+			for _, st := range p.Structures.Items() {
+				if e := ca.At(st.Slot); e != nil {
+					p.AmortPrice = p.AmortPrice.Add(cache.AmortShare(e, cfg.AmortN))
+					p.MaintPrice = p.MaintPrice.Add(cache.MaintDue(e, func(e *cache.Entry) money.Amount {
+						return m.MaintCost(e.S.Kind == structure.KindCPUNode, e.S.Bytes, ca.Clock()-e.MaintPaidUntil)
+					}))
+					continue
+				}
+				p.AmortPrice = p.AmortPrice.Add(buildPrice(st).DivInt(cfg.AmortN))
+				p.Missing = append(p.Missing, st)
+			}
+			plans = append(plans, p)
+		}
+	}
+	return plans
+}
+
+// samePlans compares two plan sets field by field; structure lists must
+// hold the same registry objects in the same order.
+func samePlans(t *testing.T, when string, got, want []*plan.Plan) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d plans, reference has %d", when, len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		if g.Query != w.Query || g.Location != w.Location || g.Nodes != w.Nodes ||
+			g.UsesIndex != w.UsesIndex || g.Index != w.Index || g.Outcome != w.Outcome ||
+			g.ExecPrice != w.ExecPrice || g.AmortPrice != w.AmortPrice || g.MaintPrice != w.MaintPrice ||
+			!slices.Equal(g.Structures.Items(), w.Structures.Items()) || !slices.Equal(g.Missing, w.Missing) {
+			t.Fatalf("%s: plan %d is\n%+v (structures %v)\nreference says\n%+v (structures %v)",
+				when, i, *g, g.Structures.Items(), *w, w.Structures.Items())
+		}
+	}
+}
+
+// TestPlanTablesMatchPerVariantPricing drives the compiled plan tables
+// and the per-variant reference through the same seeded history of build
+// starts, completions, evictions, clock advances and settlements, over all
+// seven paper templates, as econ-col and as econ-cheap plan. Two
+// optimizers share the one cache — the scheme's own and an observer that
+// only looks now and then — and both must agree with the reference on
+// every field of every plan at every step.
+func TestPlanTablesMatchPerVariantPricing(t *testing.T) {
+	cat := catalog.TPCH(10)
+	tpls := workload.PaperTemplates()
+	for _, tpl := range tpls {
+		if err := tpl.Validate(cat); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, full := range []bool{false, true} {
+		name := "econ-col"
+		if full {
+			name = "econ-cheap"
+		}
+		t.Run(name, func(t *testing.T) {
+			m, err := cost.NewModel(cat, pricing.EC22008(), cost.DefaultTunables())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{Model: m, AmortN: 500, AllowIndexes: full, AllowNodes: full}
+			own, _ := New(cfg)
+			observer, _ := New(cfg)
+			ca := cache.New(0)
+			reg := ca.Registry()
+			rng := rand.New(rand.NewSource(17))
+
+			// The inventory builds draw from: every template column and
+			// index candidate, and the extra CPU nodes.
+			var inventory []*structure.Structure
+			for _, tpl := range tpls {
+				for _, ref := range tpl.Columns {
+					st, _ := reg.Column(cat, ref)
+					inventory = append(inventory, st)
+				}
+				for _, def := range tpl.IndexCandidates {
+					st, _ := reg.Index(cat, def)
+					inventory = append(inventory, st)
+				}
+			}
+			for n := 2; n <= m.Tunables().MaxNodes; n++ {
+				inventory = append(inventory, reg.Register(structure.CPUNode(n)))
+			}
+
+			// settle is what the economy does to the structures of a
+			// chosen plan: collect the share, clear the arrears, touch.
+			settle := func(p *plan.Plan) {
+				for _, st := range p.Structures.Items() {
+					e := ca.At(st.Slot)
+					if e == nil {
+						continue // evicted since the plan was enumerated
+					}
+					e.AmortRemaining = e.AmortRemaining.Sub(cache.AmortShare(e, cfg.AmortN))
+					e.UnpaidMaint, e.MaintPaidUntil = 0, ca.Clock()
+					ca.TouchAt(st.Slot)
+				}
+			}
+
+			epochs, runnable, lateEvictions := map[int64]bool{}, 0, 0
+			for step := 0; step < 12_000; step++ {
+				ca.Advance(ca.Clock() + time.Duration(rng.Intn(90_000))*time.Millisecond)
+				ca.CompleteDue()
+				switch r := rng.Intn(100); {
+				case r < 12:
+					st := inventory[rng.Intn(len(inventory))]
+					if ca.At(st.Slot) == nil && !ca.BuildingAt(st.Slot) {
+						price, out, err := own.BuildPrice(st, ca)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := ca.StartBuild(st, ca.Clock()+out.Time/20, price); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case r < 15 && ca.Len() > 0:
+					ca.EvictAt(ca.Live()[rng.Intn(ca.Len())])
+				}
+				epochs[ca.Epoch()] = true
+
+				tpl := tpls[rng.Intn(len(tpls))]
+				q := &workload.Query{ID: int64(step + 1), Template: tpl, Arrival: ca.Clock(),
+					Selectivity: tpl.SelMin + rng.Float64()*(tpl.SelMax-tpl.SelMin)}
+				want := refEnumerate(t, cfg, q, ca)
+				plans, err := own.Enumerate(q, ca)
+				if err != nil {
+					t.Fatal(err)
+				}
+				samePlans(t, fmt.Sprintf("step %d, %s", step, tpl.Name), plans, want)
+				if step%7 == 0 {
+					seen, err := observer.Enumerate(q, ca)
+					if err != nil {
+						t.Fatal(err)
+					}
+					samePlans(t, fmt.Sprintf("step %d, %s, observer", step, tpl.Name), seen, want)
+				}
+
+				// Settle the last runnable cache plan, if there is one — now
+				// and then after evicting one of its structures, as the
+				// economy's failure sweep does between Enumerate and settle:
+				// the plans in hand must stay what they were.
+				var chosen *plan.Plan
+				for _, p := range plans {
+					if p.Location == plan.Cache && p.Runnable() {
+						chosen = p
+					}
+				}
+				if chosen == nil {
+					continue
+				}
+				runnable++
+				if rng.Intn(40) == 0 {
+					items := chosen.Structures.Items()
+					ca.EvictAt(items[rng.Intn(len(items))].Slot)
+					lateEvictions++
+					samePlans(t, fmt.Sprintf("step %d, %s, after a late eviction", step, tpl.Name), plans, want)
+				}
+				settle(chosen)
+			}
+			if len(epochs) < 500 || runnable < 500 || lateEvictions < 5 {
+				t.Errorf("history too tame: %d epochs, %d runnable cache plans, %d late evictions", len(epochs), runnable, lateEvictions)
+			}
+		})
 	}
 }

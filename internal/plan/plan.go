@@ -45,7 +45,10 @@ type Plan struct {
 	Location Location
 	// Structures the plan employs (cache plans only): the columns it
 	// scans, the index it probes (if any) and the extra CPU nodes it
-	// runs on. Back-end plans use no cache structures.
+	// runs on. Back-end plans use no cache structures. An enumerated
+	// plan does not own its set (nor Missing): both belong to the
+	// optimizer's per-template table and are read-only to everyone else
+	// (see optimizer.Enumerate's aliasing contract).
 	Structures *structure.Set
 	// UsesIndex reports whether the plan probes an index.
 	UsesIndex bool
@@ -73,19 +76,6 @@ type Plan struct {
 	// in Structures order. A plan with len(Missing) > 0 belongs to PQpos
 	// — it cannot run today and is tracked only for regret (§IV-B).
 	Missing []*structure.Structure
-}
-
-// Reset clears the plan for reuse, keeping the allocated capacity of its
-// Structures set and Missing slice. The optimizer's plan pool calls this
-// before handing the object out again; nothing may hold a *Plan across
-// that boundary (see optimizer.Enumerate's aliasing contract).
-func (p *Plan) Reset() {
-	st := p.Structures
-	if st != nil {
-		st.Reset()
-	}
-	missing := p.Missing[:0]
-	*p = Plan{Structures: st, Missing: missing}
 }
 
 // Price is C(P_Q) = Ce + Ca (Eq. 4): the comparison price used for
@@ -199,15 +189,6 @@ func Fastest(plans []*Plan) *Plan {
 // Partition splits plans into PQexist (runnable now) and PQpos (needs new
 // structures), preserving order (§IV-B).
 func Partition(plans []*Plan) (exist, possible []*Plan) {
-	return PartitionInto(plans, nil, nil)
-}
-
-// PartitionInto is Partition appending into caller-owned slices — pass
-// them length-zero with retained capacity and the split allocates
-// nothing once the buffers have grown. The hot decision loop partitions
-// every query, so the per-call slices of the plain Partition would be
-// two avoidable allocations per decision.
-func PartitionInto(plans, exist, possible []*Plan) (e, pos []*Plan) {
 	for _, p := range plans {
 		if p.Runnable() {
 			exist = append(exist, p)

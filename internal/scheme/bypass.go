@@ -167,21 +167,17 @@ func (b *Bypass) HandleQuery(q *workload.Query) (Result, error) {
 
 	// Answer in the back-end, then accumulate yield on the missing
 	// columns and load the ones past break-even.
-	out, err := b.model.BackendExec(q)
+	sz, err := q.Sizes(b.model.Catalog())
 	if err != nil {
 		return Result{}, err
 	}
+	out := b.model.BackendExecSized(sz)
 	res := Result{
 		ResponseTime: out.Time,
 		Location:     plan.Backend,
 		ExecUsage:    out.Usage,
 	}
-
-	result, err := q.ResultBytes(b.model.Catalog())
-	if err != nil {
-		return Result{}, err
-	}
-	share := result / int64(missing)
+	share := sz.Result / int64(missing)
 	for _, st := range cols {
 		if b.ca.At(st.Slot) != nil || b.ca.BuildingAt(st.Slot) {
 			continue

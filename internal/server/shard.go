@@ -453,20 +453,19 @@ func (s *shard) decideLocked(req Request, now time.Duration) (shardReply, scheme
 		Budget:      req.Budget,
 	}
 	if q.Budget == nil {
-		scan, err := q.ScanBytes(s.srv.catalog)
+		sz, err := q.Sizes(s.srv.catalog)
 		if err != nil {
 			s.errors++
 			return shardReply{err: err}, scheme.Result{}
 		}
-		result, _ := q.ResultBytes(s.srv.catalog)
 		if sb := s.srv.stepBudgets; sb != nil {
-			if price, tmax, ok := sb.StepBudgetFor(q, scan, result); ok {
+			if price, tmax, ok := sb.StepBudgetFor(q, sz.Scan, sz.Result); ok {
 				s.scratchStep = budget.Step{Price: price, TMax: tmax}
 				q.Budget = s.stepFunc
 			}
 		}
 		if q.Budget == nil {
-			q.Budget = s.srv.budgets.BudgetFor(q, scan, result)
+			q.Budget = s.srv.budgets.BudgetFor(q, sz.Scan, sz.Result)
 		}
 	}
 

@@ -81,25 +81,36 @@ func TestTailRentCharged(t *testing.T) {
 	}
 }
 
-// TestBatchInvariance pins the pipelined producer: any batch size and
-// prefetch depth must yield the identical report.
+// oneAtATime serves Batch from Next: every query freshly allocated, none
+// recycled, whatever buffer comes back.
+type oneAtATime struct{ *workload.Generator }
+
+func (s oneAtATime) Batch(n int, buf []*workload.Query) []*workload.Query {
+	for ; n > 0; n-- {
+		buf = append(buf, s.Next())
+	}
+	return buf
+}
+
+// TestBatchInvariance pins Source.Batch against Next: the loop hands its
+// one batch buffer back for every refill and the generator overwrites the
+// queries in it, and that must yield the report of a stream drawn one
+// fresh query at a time.
 func TestBatchInvariance(t *testing.T) {
 	cat := catalog.TPCH(5)
-	run := func(batch, prefetch int) *Report {
+	run := func(wrap func(*workload.Generator) workload.Source) *Report {
 		rep, err := Run(Config{
-			Scheme:    testScheme(t, cat),
-			Generator: testGen(t, cat, time.Second, 9),
-			Queries:   2000,
-			BatchSize: batch,
-			Prefetch:  prefetch,
+			Scheme:  testScheme(t, cat),
+			Source:  wrap(testGen(t, cat, time.Second, 9)),
+			Queries: 2000,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rep
 	}
-	a := run(1, 1)
-	b := run(512, 8)
+	a := run(func(g *workload.Generator) workload.Source { return oneAtATime{g} })
+	b := run(func(g *workload.Generator) workload.Source { return g })
 	if a.OperatingCost != b.OperatingCost || a.Revenue != b.Revenue ||
 		a.Declined != b.Declined || a.CacheAnswered != b.CacheAnswered ||
 		a.Response.Mean() != b.Response.Mean() || a.EndOfRun != b.EndOfRun {

@@ -48,15 +48,13 @@ type Config struct {
 	// the number handled so far.
 	OnProgress    func(done int)
 	ProgressEvery int
-	// BatchSize is how many queries the generation stage hands to the
-	// settlement stage at a time. Generation runs in its own goroutine
-	// and stays BatchSize·Prefetch queries ahead, overlapping workload
-	// synthesis with economy settlement. Defaults to 256.
-	BatchSize int
-	// Prefetch is the depth of the generation channel in batches.
-	// Defaults to 4.
-	Prefetch int
 }
+
+// batchSize is how many queries the loop asks its source for at a time.
+// The one batch buffer is handed back to the source for every refill, so
+// a source that recycles (workload.Generator) allocates batchSize queries
+// per run, not one per query.
+const batchSize = 256
 
 // Report is the outcome of one run.
 type Report struct {
@@ -142,9 +140,10 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // RunContext executes the simulation, aborting between batches when ctx is
-// cancelled. Workload generation runs in a producer goroutine that stays a
-// few batches ahead of settlement; the query stream and all results are
-// identical to a fully sequential run for any BatchSize/Prefetch.
+// cancelled. The stream is drawn a batch at a time on the calling
+// goroutine; every finished batch goes back to the source as the next
+// call's buffer, which is what lets a recycling source overwrite its
+// queries — nothing here keeps a *Query past the batch it came in.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Scheme == nil {
 		return nil, fmt.Errorf("sim: Scheme is required")
@@ -168,12 +167,6 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.ReservoirCap == 0 {
 		cfg.ReservoirCap = 4096
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
-	if cfg.Prefetch <= 0 {
-		cfg.Prefetch = 4
-	}
 
 	rep := &Report{
 		SchemeName: cfg.Scheme.Name(),
@@ -190,49 +183,6 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	var firstArrival time.Duration
 	var lastArrival time.Duration
 	var endOfRun time.Duration
-
-	// Producer: the generator is single-owner, so exactly one goroutine
-	// calls Next. The deferred cancel-and-drain guarantees it has exited
-	// (and the generator is quiescent) before RunContext returns.
-	pctx, cancel := context.WithCancel(ctx)
-	produced := make(chan []*workload.Query, cfg.Prefetch)
-	// Consumed batch buffers recycle back to the producer, so a run of any
-	// length allocates at most Prefetch+1 batch slices.
-	free := make(chan []*workload.Query, cfg.Prefetch+1)
-	producerDone := make(chan struct{})
-	go func() {
-		defer close(producerDone)
-		defer close(produced)
-		for remaining := cfg.Queries; remaining > 0; {
-			n := cfg.BatchSize
-			if n > remaining {
-				n = remaining
-			}
-			var buf []*workload.Query
-			select {
-			case buf = <-free:
-				buf = buf[:0]
-			default:
-				buf = make([]*workload.Query, 0, n)
-			}
-			batch := src.Batch(n, buf)
-			select {
-			case produced <- batch:
-				if len(batch) < n {
-					// The source ran dry (only finite Sources do; the
-					// Generator never does): end the run early.
-					return
-				}
-				remaining -= n
-			case <-pctx.Done():
-				return
-			}
-		}
-	}()
-	defer func() {
-		cancel()
-		<-producerDone
-	}()
 
 	// Per-tenant attribution. Consecutive queries mostly share a tenant
 	// (the paper's streams are untagged; tagged ones are Zipf-skewed), so
@@ -253,7 +203,10 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	}
 
 	i := 0
-	for batch := range produced {
+	batch := make([]*workload.Query, 0, min(batchSize, cfg.Queries))
+	for i < cfg.Queries {
+		want := min(batchSize, cfg.Queries-i)
+		batch = src.Batch(want, batch[:0])
 		for _, q := range batch {
 			if i == 0 {
 				firstArrival = q.Arrival
@@ -303,20 +256,14 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 				cfg.OnProgress(i)
 			}
 		}
-		select {
-		case free <- batch:
-		default:
-		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-	}
-	if i != cfg.Queries {
-		// The producer stopped early; the only cause is cancellation.
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if len(batch) < want {
+			// The source ran dry (only finite Sources do; the Generator
+			// never does).
+			return nil, fmt.Errorf("sim: generator produced %d of %d queries", i, cfg.Queries)
 		}
-		return nil, fmt.Errorf("sim: generator produced %d of %d queries", i, cfg.Queries)
 	}
 
 	// Rent keeps accruing while the final queries execute: integrate the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -146,5 +147,40 @@ func TestBypassVsEconShareAccounting(t *testing.T) {
 	}
 	if rep.Revenue.IsPositive() {
 		t.Error("bypass has no payment model; revenue must be zero")
+	}
+}
+
+// TestRunAllocsPerQuery gates the offline path's allocation count (the
+// count, not the clock: it repeats on any machine). One query costs the
+// boxed budget.Step its generator hands it and nothing else — queries are
+// refilled in place, plans and their structure lists live in the
+// optimizer's tables, the economy decides out of scratch — plus a trickle
+// from builds, evictions and growing tables (1.05 here); it was 2.07
+// before the query stream recycled.
+func TestRunAllocsPerQuery(t *testing.T) {
+	cat := catalog.TPCH(5)
+	sch, err := scheme.NewEconCheap(scheme.DefaultParams(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := workload.NewGenerator(workload.Config{Catalog: cat, Seed: 3, Arrival: workload.NewFixedArrival(time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 20_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := Run(Config{Scheme: sch, Generator: gen, Queries: queries})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Investments == 0 || rep.CacheAnswered == 0 {
+		t.Fatalf("run built nothing or never answered in the cache: %v", rep)
+	}
+	perQuery := float64(after.Mallocs-before.Mallocs) / queries
+	t.Logf("%.3f allocations per query", perQuery)
+	if perQuery > 1.1 {
+		t.Errorf("sim.Run allocated %.3f objects per query, want <= 1.1 (the boxed budget plus a trickle)", perQuery)
 	}
 }

@@ -191,9 +191,12 @@ func (r *Registry) Insert(live []Slot, s Slot) []Slot {
 }
 
 // Remove deletes slot s from a live list kept in ID order and returns
-// the list. The caller guarantees s is present.
+// the list; a list that does not hold s comes back unchanged.
 func (r *Registry) Remove(live []Slot, s Slot) []Slot {
 	i := r.search(live, s)
+	if i == len(live) || live[i] != s {
+		return live
+	}
 	return slices.Delete(live, i, i+1)
 }
 

@@ -144,9 +144,10 @@ func (s *Structure) String() string {
 // Set is an ordered collection of unique structures, used for a plan's
 // structure list. Order is insertion order; uniqueness is by ID. Plan
 // sets hold a handful of entries (the scanned columns, at most one index
-// and one CPU-node structure), so membership is a linear scan over the
-// item slice — no side index, which keeps an empty Set allocation-free
-// and lets pooled plans reuse one via Reset.
+// and the extra CPU nodes), so membership is a linear scan over the item
+// slice — no side index, which keeps an empty Set allocation-free. The
+// optimizer builds one per plan variant and shares it, unmodified, between
+// every plan enumerated from that variant.
 type Set struct {
 	items []*Structure
 }
@@ -174,8 +175,7 @@ func (s *Set) Add(st *Structure) bool {
 
 // Extend appends structures without the duplicate scan. The caller
 // guarantees they are distinct from each other and from the set's
-// contents — the optimizer's per-template tables are deduplicated once,
-// so its per-plan sets need no string compares.
+// contents.
 func (s *Set) Extend(items ...*Structure) {
 	s.items = append(s.items, items...)
 }
@@ -198,14 +198,6 @@ func (s *Set) Get(id ID) (*Structure, bool) {
 		}
 	}
 	return nil, false
-}
-
-// Reset empties the set, retaining the item slice's capacity for reuse.
-func (s *Set) Reset() {
-	for i := range s.items {
-		s.items[i] = nil
-	}
-	s.items = s.items[:0]
 }
 
 // Len returns the number of structures.

@@ -1,6 +1,7 @@
 package structure
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/catalog"
@@ -225,5 +226,34 @@ func TestRegistryOwnsCopies(t *testing.T) {
 	idx, err := r.Index(c, def)
 	if again, _ := r.Index(c, def); err != nil || again != idx || idx.Slot == 0 {
 		t.Errorf("Index = %+v, %v", idx, err)
+	}
+}
+
+// TestRegistryRemove pins Remove on hits and misses: a slot that is not in
+// the list must leave the list alone — not delete the neighbour at its
+// insertion point, and not run off the end.
+func TestRegistryRemove(t *testing.T) {
+	r := NewRegistry()
+	a, b, c, d := r.Intern("a"), r.Intern("b"), r.Intern("c"), r.Intern("d")
+	cases := []struct {
+		name   string
+		live   []Slot
+		remove Slot
+		want   []Slot
+	}{
+		{"present first", []Slot{a, b, c}, a, []Slot{b, c}},
+		{"present middle", []Slot{a, b, c}, b, []Slot{a, c}},
+		{"present last", []Slot{a, b, c}, c, []Slot{a, b}},
+		{"only element", []Slot{b}, b, []Slot{}},
+		{"absent, sorts first", []Slot{b, c}, a, []Slot{b, c}},
+		{"absent, sorts between", []Slot{a, c}, b, []Slot{a, c}},
+		{"absent, sorts last", []Slot{a, b, c}, d, []Slot{a, b, c}},
+		{"empty list", nil, b, nil},
+	}
+	for _, tc := range cases {
+		got := r.Remove(slices.Clone(tc.live), tc.remove)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Remove(%v, %d) = %v, want %v", tc.name, tc.live, tc.remove, got, tc.want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -146,8 +147,17 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Next produces the next query in the stream.
+// Next produces the next query in the stream. The query is freshly
+// allocated and the caller's to keep: nothing the generator does later
+// touches it.
 func (g *Generator) Next() *Query {
+	q := new(Query)
+	g.fill(q)
+	return q
+}
+
+// fill overwrites q with the next query of the stream.
+func (g *Generator) fill(q *Query) {
 	// Advance the evolution phase.
 	if g.cfg.PhaseLength > 0 && g.inPhase >= g.cfg.PhaseLength {
 		g.rotate(g.cfg.EvolutionStride)
@@ -167,7 +177,7 @@ func (g *Generator) Next() *Query {
 	g.clock += gap
 	g.nextID++
 
-	q := &Query{
+	*q = Query{
 		ID:          g.nextID,
 		Template:    tpl,
 		Selectivity: sel,
@@ -176,15 +186,13 @@ func (g *Generator) Next() *Query {
 	if g.tenantZipf != nil {
 		q.Tenant = g.tenantName[g.tenantZipf.Sample(g.tenantRng)]
 	}
-	scan, err := q.ScanBytes(g.cfg.Catalog)
+	sz, err := q.Sizes(g.cfg.Catalog)
 	if err != nil {
 		// Templates were validated at construction; a failure here is
 		// a programming error.
 		panic(fmt.Sprintf("workload: sizing validated template: %v", err))
 	}
-	result, _ := q.ResultBytes(g.cfg.Catalog)
-	q.Budget = g.cfg.Budgets.BudgetFor(q, scan, result)
-	return q
+	q.Budget = g.cfg.Budgets.BudgetFor(q, sz.Scan, sz.Result)
 }
 
 // rotate shifts the popularity order by n positions: the template that was
@@ -193,28 +201,44 @@ func (g *Generator) rotate(n int) {
 	if len(g.order) == 0 {
 		return
 	}
+	// Rotate left by n in place: reverse each part, then the whole.
 	n %= len(g.order)
-	if n == 0 {
-		return
-	}
-	rotated := make([]int, 0, len(g.order))
-	rotated = append(rotated, g.order[n:]...)
-	rotated = append(rotated, g.order[:n]...)
-	copy(g.order, rotated)
+	slices.Reverse(g.order[:n])
+	slices.Reverse(g.order[n:])
+	slices.Reverse(g.order)
 }
 
-// Generate materialises n queries. For long streams prefer calling Next in
-// a loop to keep memory flat.
+// Generate materialises n queries, each freshly allocated and the
+// caller's to keep, like Next's. For long streams prefer Batch with a
+// recycled buffer to keep memory flat.
 func (g *Generator) Generate(n int) []*Query {
 	return g.Batch(n, make([]*Query, 0, n))
 }
 
-// Batch appends the next n queries of the stream to buf and returns it,
-// reusing buf's capacity. The stream is identical to n calls of Next; like
-// Next, Batch must only be called by the generator's single owner.
+// Batch appends the next n queries of the stream to buf and returns it.
+// The stream is identical to n calls of Next; like Next, Batch must only
+// be called by the generator's single owner.
+//
+// Batch recycles: where buf's spare capacity already holds queries —
+// those of an earlier batch the caller passes back as buf[:0] — they are
+// overwritten in place instead of allocating new ones (only a query's
+// boxed Budget is allocated afresh). So pass back only a batch that is
+// dead: every query of it handled and nothing still pointing at one,
+// and only to the generator that filled it. A nil or fresh buf recycles
+// nothing, and the queries it comes back with are the caller's to keep
+// until it hands them back.
 func (g *Generator) Batch(n int, buf []*Query) []*Query {
+	spare := buf[len(buf):cap(buf)] // what an earlier batch left behind
 	for i := 0; i < n; i++ {
-		buf = append(buf, g.Next())
+		var q *Query
+		if i < len(spare) {
+			q = spare[i]
+		}
+		if q == nil {
+			q = new(Query)
+		}
+		g.fill(q)
+		buf = append(buf, q)
 	}
 	return buf
 }

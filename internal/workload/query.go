@@ -34,45 +34,51 @@ type Query struct {
 	Truth budget.Func
 }
 
+// Sizes is one query's byte counts: what a full (index-less) cache
+// execution scans, what remains to scan through a useful index, and the
+// result set S(Q) shipped to the user (and, for back-end plans, across
+// the WAN to the cache; Eq. 9). Everything that prices a query prices
+// these three numbers, so a caller pricing many plans sizes once.
+type Sizes struct {
+	Scan, IndexScan, Result int64
+}
+
+// Sizes sizes the query against a catalog.
+func (q *Query) Sizes(c *catalog.Catalog) (Sizes, error) {
+	group, err := q.Template.GroupBytes(c)
+	if err != nil {
+		return Sizes{}, err
+	}
+	scan := atLeastOne(float64(group) * q.Selectivity)
+	return Sizes{
+		Scan:      scan,
+		IndexScan: atLeastOne(float64(scan) * q.Template.IndexSelectivity),
+		Result:    atLeastOne(float64(scan) * q.Template.ResultFraction),
+	}, nil
+}
+
+// atLeastOne truncates a byte count, flooring it at one byte.
+func atLeastOne(bytes float64) int64 {
+	return max(int64(bytes), 1)
+}
+
 // ScanBytes returns the bytes a full (index-less) cache execution scans:
 // the region fraction of the template's column group.
 func (q *Query) ScanBytes(c *catalog.Catalog) (int64, error) {
-	group, err := q.Template.GroupBytes(c)
-	if err != nil {
-		return 0, err
-	}
-	b := int64(float64(group) * q.Selectivity)
-	if b < 1 {
-		b = 1
-	}
-	return b, nil
+	sz, err := q.Sizes(c)
+	return sz.Scan, err
 }
 
 // IndexScanBytes returns the bytes scanned when a useful index exists.
 func (q *Query) IndexScanBytes(c *catalog.Catalog) (int64, error) {
-	full, err := q.ScanBytes(c)
-	if err != nil {
-		return 0, err
-	}
-	b := int64(float64(full) * q.Template.IndexSelectivity)
-	if b < 1 {
-		b = 1
-	}
-	return b, nil
+	sz, err := q.Sizes(c)
+	return sz.IndexScan, err
 }
 
-// ResultBytes returns the size S(Q) of the result set shipped to the user
-// (and, for back-end plans, across the WAN to the cache; Eq. 9).
+// ResultBytes returns the size S(Q) of the result set.
 func (q *Query) ResultBytes(c *catalog.Catalog) (int64, error) {
-	full, err := q.ScanBytes(c)
-	if err != nil {
-		return 0, err
-	}
-	b := int64(float64(full) * q.Template.ResultFraction)
-	if b < 1 {
-		b = 1
-	}
-	return b, nil
+	sz, err := q.Sizes(c)
+	return sz.Result, err
 }
 
 // String renders a short description for traces.

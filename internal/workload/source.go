@@ -7,9 +7,17 @@ import "time"
 // several of either. Queries must come out in non-decreasing Arrival
 // order — the simulator advances the cache clock from them.
 type Source interface {
-	// Next returns the next query in the stream.
+	// Next returns the next query in the stream, the caller's to keep.
 	Next() *Query
-	// Batch appends the next n queries to buf and returns it.
+	// Batch appends the next n queries to buf and returns it (fewer when
+	// the stream ends). The source may overwrite the queries it finds in
+	// buf's spare capacity instead of allocating new ones, so a consumer
+	// that recycles its batch buffer (buf[:0]) is declaring the previous
+	// batch dead: every query of it handled, nothing — a plan, a report —
+	// still pointing at one. Only hand back a buffer whose spare capacity
+	// is empty or holds queries this same source put there. A source that
+	// keeps queries it has yet to emit (Merge's look-ahead, an adversary's
+	// state) must never put them where a later Batch would recycle them.
 	Batch(n int, buf []*Query) []*Query
 	// Clock reports the arrival time of the last query produced.
 	Clock() time.Duration
@@ -61,7 +69,9 @@ func (m *Merge) Next() *Query {
 	return q
 }
 
-// Batch appends the next n queries to buf and returns it.
+// Batch appends the next n queries to buf and returns it. Merged queries
+// come from the inner sources' Next, so they are never recycled: what
+// buf's spare capacity holds is ignored.
 func (m *Merge) Batch(n int, buf []*Query) []*Query {
 	for i := 0; i < n; i++ {
 		q := m.Next()

@@ -3,9 +3,12 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/budget"
 	"repro/internal/catalog"
 	"repro/internal/money"
 )
@@ -420,5 +423,94 @@ func TestBatchReusesBuffer(t *testing.T) {
 	out := g.Batch(8, buf)
 	if len(out) != 8 || cap(out) != 16 {
 		t.Errorf("buffer not reused: len=%d cap=%d", len(out), cap(out))
+	}
+}
+
+// drawRecycled draws total queries from src in batches of varying size,
+// handing the one buffer back for every refill, and returns a copy of each
+// query taken while its batch was live.
+func drawRecycled(src Source, total int) []Query {
+	var out []Query
+	var buf []*Query
+	for n := 1; len(out) < total; n = n%97 + 13 {
+		buf = src.Batch(min(n, total-len(out)), buf[:0])
+		for _, q := range buf {
+			out = append(out, *q)
+		}
+	}
+	return out
+}
+
+// TestBatchRecycledMatchesNext pins the recycled stream to the fresh one:
+// a Batch that overwrites the queries left in its buffer yields, field for
+// field including the Budget, what Next calls yield — across several
+// evolution phases and with tenant tags drawn.
+func TestBatchRecycledMatchesNext(t *testing.T) {
+	cfg := Config{Catalog: paperCatalog(), Seed: 33, PhaseLength: 150, Tenants: 5, TenantTheta: 1}
+	fresh, _ := NewGenerator(cfg)
+	recycling, _ := NewGenerator(cfg)
+	const total = 700 // > 4 phases
+	got := drawRecycled(recycling, total)
+	for i := range got {
+		want := fresh.Next()
+		if !reflect.DeepEqual(got[i], *want) {
+			t.Fatalf("query %d: recycled batch gave %+v, Next gives %+v", i, got[i], *want)
+		}
+		if _, ok := got[i].Budget.(budget.Step); !ok {
+			t.Fatalf("query %d: budget is %T, want the boxed budget.Step", i, got[i].Budget)
+		}
+	}
+
+	// And it does recycle: a handed-back buffer comes back holding the
+	// same Query objects.
+	first := recycling.Batch(8, nil)
+	ptrs := slices.Clone(first)
+	second := recycling.Batch(8, first[:0])
+	if !slices.Equal(second, ptrs) {
+		t.Error("Batch allocated fresh queries instead of refilling the ones in its buffer")
+	}
+}
+
+// TestNextAndGenerateAreNeverOverwritten pins the other half of the
+// ownership rule: queries handed out by Next and Generate stay as they
+// were whatever the generator is asked for afterwards.
+func TestNextAndGenerateAreNeverOverwritten(t *testing.T) {
+	g, _ := NewGenerator(Config{Catalog: paperCatalog(), Seed: 34, PhaseLength: 40})
+	kept := g.Generate(8)
+	kept = append(kept, g.Next(), g.Next())
+	want := make([]Query, len(kept))
+	for i, q := range kept {
+		want[i] = *q
+	}
+	drawRecycled(g, 300)
+	g.Generate(8)
+	g.Next()
+	for i, q := range kept {
+		if !reflect.DeepEqual(*q, want[i]) {
+			t.Errorf("query %d was overwritten: %+v, was %+v", i, *q, want[i])
+		}
+	}
+}
+
+// TestMergeKeepsItsQueries runs a merge of two generators with a recycled
+// buffer against its twin drawn fresh: the same stream, and — Merge holds
+// one query of each source ahead — no query changes after it was emitted.
+func TestMergeKeepsItsQueries(t *testing.T) {
+	mk := func() *Merge {
+		a, _ := NewGenerator(Config{Catalog: paperCatalog(), Seed: 35, PhaseLength: 100, Arrival: NewPoissonArrival(3 * time.Second)})
+		b, _ := NewGenerator(Config{Catalog: paperCatalog(), Seed: 36, PhaseLength: 100, Arrival: NewPoissonArrival(5 * time.Second)})
+		return NewMerge(a, b)
+	}
+	fresh, recycling := mk(), mk()
+	var emitted []*Query
+	var buf []*Query
+	for len(emitted) < 500 {
+		buf = recycling.Batch(37, buf[:0])
+		emitted = append(emitted, buf...)
+	}
+	for i, q := range emitted {
+		if want := fresh.Next(); !reflect.DeepEqual(*q, *want) {
+			t.Fatalf("merged query %d: %+v with a recycled buffer, %+v fresh", i, *q, *want)
+		}
 	}
 }
