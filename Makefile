@@ -31,15 +31,12 @@ race:
 # The serving-layer sweep also writes BENCH_server.json — the
 # machine-readable perf trajectory (queries/s, p50/p99, allocs per shard
 # count) that future PRs diff against — and checkbench gates the idle
-# tracer's overhead (trace=off within 5% of the no-tracer baseline).
-# BenchmarkDecide then merges the bare decision engine's ns/query and
-# allocs/query per scheme into the same file (it must run after the
-# sweep, which rewrites the file), and checkbench gates those at zero
-# allocations.
+# tracer's overhead (trace=off within 5% of the no-tracer baseline). The
+# decision engine's zero-allocation gate is a plain test in tier-1
+# (TestDecideAllocs), not a line here.
 bench:
 	$(GO) test -run '^$$' -bench GridWorkers -benchtime 1x .
 	BENCH_JSON=BENCH_server.json $(GO) test -run '^$$' -bench ServerThroughput -benchtime 1000x .
-	BENCH_JSON=BENCH_server.json $(GO) test -run '^$$' -bench Decide -benchtime 200000x .
 	@cat BENCH_server.json
 	$(GO) run ./scripts/checkbench BENCH_server.json
 
@@ -50,8 +47,8 @@ bench:
 # optimizer, economy and generator; no server exists), three passes per
 # worker count. Each prints the top-10 allocation sites by object count
 # and the top-10 CPU consumers. The alloc listing is the first place to
-# look when checkbench's allocs/query gate or sim's TestRunAllocsPerQuery
-# trips.
+# look when checkbench's allocs/query gate, TestDecideAllocs,
+# TestSubmitAllocs or sim's TestRunAllocsPerQuery trips.
 profile:
 	$(GO) test -run '^$$' -bench 'ServerThroughput/shards=1$$' -benchtime 20000x \
 		-cpuprofile cpu.prof -memprofile mem.prof .

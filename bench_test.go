@@ -174,20 +174,6 @@ type serverBenchFile struct {
 	Scheme     string            `json:"scheme"`
 	GoMaxProcs int               `json:"gomaxprocs"`
 	Cells      []serverBenchCell `json:"cells"`
-	// Decide is written by BenchmarkDecide, which merges into the file
-	// the ServerThroughput sweep wrote (run it second, as `make bench`
-	// does; the sweep alone leaves it empty and checkbench says so).
-	Decide []decideBenchCell `json:"decide,omitempty"`
-}
-
-// decideBenchCell is one scheme's row of BenchmarkDecide: the bare
-// decision engine — scheme.HandleQuery, no server, queue or socket — on a
-// warmed, resident-heavy state.
-type decideBenchCell struct {
-	Scheme         string  `json:"scheme"`
-	Queries        int64   `json:"queries"`
-	NsPerQuery     float64 `json:"ns_per_query"`
-	AllocsPerQuery float64 `json:"allocs_per_query"`
 }
 
 // simRTT is the round-trip time simulated on the shared-socket protocol
@@ -930,10 +916,10 @@ func BenchmarkAblationAmortization(b *testing.B) {
 
 // --- The decision engine alone ----------------------------------------------
 
-// decideWarmup and decideInterval shape BenchmarkDecide's state: a
-// stationary stream (no popularity drift) at 10 s spacing, long enough
-// that every structure the workload will ever want has been bought and
-// built before the clock starts — the engine's steady state, where a
+// decideWarmup and decideInterval shape the decision engine's measured
+// state: a stationary stream (no popularity drift) at 10 s spacing, long
+// enough that every structure the workload will ever want has been bought
+// and built before measurement starts — the engine's steady state, where a
 // query finds its structures resident, pays their shares and triggers
 // nothing.
 const (
@@ -941,90 +927,79 @@ const (
 	decideInterval = 10 * time.Second
 )
 
-// BenchmarkDecide times scheme.HandleQuery in-process, per scheme, on that
-// warmed state: the per-query floor under every tier (sim.Run, a server
-// shard, a router backend all call exactly this). It reports ns/query and
-// allocs/query — the runtime.MemStats malloc delta over the measured
-// queries, so a fraction of an allocation per query still shows — and,
-// when BENCH_JSON names a file, merges the rows into it for
-// scripts/checkbench, which gates allocs/query at zero: the decision path
-// indexes slices by structure slot and must mint no strings, maps or
-// slices per query.
-func BenchmarkDecide(b *testing.B) {
+// warmDecide builds one scheme, runs it through the warm-up, and returns
+// it with n more queries of the same stream drawn up front: generation
+// allocates (a Query and a budget per query) and is not the engine.
+func warmDecide(tb testing.TB, name string, n int) (Scheme, []*Query) {
+	tb.Helper()
 	cat := PaperCatalog()
-	var cells []decideBenchCell
+	sch, err := NewScheme(name, DefaultParams(cat))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	gen, err := NewWorkload(WorkloadConfig{
+		Catalog:     cat,
+		Seed:        1,
+		Arrival:     FixedArrival(decideInterval),
+		Budgets:     PaperBudgets(),
+		PhaseLength: 1 << 40, // one phase: no drift, so the state settles
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 0; i < decideWarmup; i++ {
+		if _, err := sch.HandleQuery(gen.Next()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return sch, gen.Batch(n, nil)
+}
+
+// TestDecideAllocs gates the decision engine — scheme.HandleQuery, the
+// per-query floor under sim.Run, a server shard and a router backend — at
+// zero allocations per query on the warmed state, for every scheme. The
+// engine indexes slices by structure slot; a string minted, a map grown or
+// a slice made per query reads as >= 1 here, while the only allocations a
+// settled state still makes (the Entry of a rare build) stay orders of
+// magnitude under the gate.
+func TestDecideAllocs(t *testing.T) {
+	const queries, maxAllocs = 50_000, 0.005
 	for _, name := range SchemeNames() {
-		b.Run(name, func(b *testing.B) {
-			sch, err := NewScheme(name, DefaultParams(cat))
-			if err != nil {
-				b.Fatal(err)
-			}
-			gen, err := NewWorkload(WorkloadConfig{
-				Catalog:     cat,
-				Seed:        1,
-				Arrival:     FixedArrival(decideInterval),
-				Budgets:     PaperBudgets(),
-				PhaseLength: 1 << 40, // one phase: no drift, so the state settles
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < decideWarmup; i++ {
-				if _, err := sch.HandleQuery(gen.Next()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// Generation allocates (a Query and a budget per query) and
-			// is not the engine: draw the measured stream up front.
-			stream := gen.Batch(b.N, nil)
+		t.Run(name, func(t *testing.T) {
+			sch, stream := warmDecide(t, name, queries)
+			// The malloc delta, not testing.AllocsPerRun: a fraction of an
+			// allocation per query must still show.
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
+			for _, q := range stream {
+				if _, err := sch.HandleQuery(q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if got := float64(after.Mallocs-before.Mallocs) / queries; got >= maxAllocs {
+				t.Errorf("%s allocates %.4f per query (gate: 0.00); `go test -run '^$' -bench Decide/%s -memprofile mem.prof .` shows the site", name, got, name)
+			}
+		})
+	}
+}
+
+// BenchmarkDecide times scheme.HandleQuery in-process, per scheme, on that
+// warmed state.
+func BenchmarkDecide(b *testing.B) {
+	for _, name := range SchemeNames() {
+		b.Run(name, func(b *testing.B) {
+			sch, stream := warmDecide(b, name, b.N)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for _, q := range stream {
 				if _, err := sch.HandleQuery(q); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			cell := decideBenchCell{
-				Scheme:         name,
-				Queries:        int64(b.N),
-				NsPerQuery:     float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-				AllocsPerQuery: float64(after.Mallocs-before.Mallocs) / float64(b.N),
-			}
-			b.ReportMetric(cell.AllocsPerQuery, "allocs/query")
-			// The harness calls this closure with growing b.N; keep the
-			// last (largest) run of each scheme.
-			for i := range cells {
-				if cells[i].Scheme == name {
-					cells[i] = cell
-					return
-				}
-			}
-			cells = append(cells, cell)
 		})
 	}
-	path := os.Getenv("BENCH_JSON")
-	if path == "" {
-		return
-	}
-	var out serverBenchFile
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &out); err != nil {
-			b.Fatalf("bench: corrupt %s: %v", path, err)
-		}
-	}
-	out.Decide = cells
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("merged %d decide rows into %s", len(cells), path)
 }
 
 // --- Microbenchmarks on the per-query hot path ----------------------------

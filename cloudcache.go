@@ -28,6 +28,7 @@
 package cloudcache
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/budget"
@@ -241,9 +242,12 @@ type SimConfig struct {
 // statistics. Figure 4 is Report.OperatingCost; Figure 5 is
 // Report.Response.Mean().
 func Run(cfg SimConfig) (*Report, error) {
+	if cfg.Workload == nil {
+		return nil, fmt.Errorf("cloudcache: Workload is required")
+	}
 	return sim.Run(sim.Config{
 		Scheme:     cfg.Scheme,
-		Generator:  cfg.Workload,
+		Source:     cfg.Workload,
 		Queries:    cfg.Queries,
 		Accounting: cfg.Accounting,
 	})

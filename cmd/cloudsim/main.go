@@ -81,9 +81,9 @@ func main() {
 
 	start := time.Now()
 	rep, err := sim.Run(sim.Config{
-		Scheme:    sch,
-		Generator: gen,
-		Queries:   *queries,
+		Scheme:  sch,
+		Source:  gen,
+		Queries: *queries,
 		OnProgress: func(done int) {
 			fmt.Fprintf(os.Stderr, "\r%d/%d queries", done, *queries)
 		},

@@ -1,14 +1,7 @@
-// Command workloadgen generates a query trace and either writes it as CSV
-// (for inspection or replay by external tools) or replays it live against
-// a running cloudcached daemon at a target QPS, measuring end-to-end
-// throughput and verifying the economy's invariants from the outside.
-//
-// Trace mode (default):
-//
-//	workloadgen [-queries N] [-interval D] [-seed S] [-arrival fixed|poisson]
-//	            [-theta Z] [-phase N] [-o trace.csv]
-//
-// Load mode (-serve):
+// Command workloadgen generates a query stream and replays it live against
+// a running cloudcached daemon (or cloudrouter) at a target QPS, measuring
+// end-to-end throughput and verifying the economy's invariants from the
+// outside. -serve is required:
 //
 //	workloadgen -serve http://localhost:8344 [-queries N] [-qps Q]
 //	            [-clients C] [-tenants T] [-batch B] [-check] ...
@@ -18,12 +11,12 @@
 //
 // With -adversary <strategy> a hostile tenant stream (internal/adversary:
 // free-rider, regret-inflater, shape-bluffer, flash-crowd, shard-storm) is
-// merged into the honest stream in arrival order — in load mode the daemon
-// must keep every economy invariant with the liar in the books, which is
-// exactly what -check verifies from outside the process boundary.
+// merged into the honest stream in arrival order — the daemon must keep
+// every economy invariant with the liar in the books, which is exactly
+// what -check verifies from outside the process boundary.
 //
-// In load mode each generated query is submitted with its budget, spread
-// across T synthetic tenants so the daemon exercises all its shards. With
+// Each generated query is submitted with its budget, spread across T
+// synthetic tenants so the daemon exercises all its shards. With
 // -proto http, batches of B ride POST /v1/query (B=1) or /v1/batch; with
 // -proto bin they ride the length-prefixed binary protocol over C
 // persistent multiplexed connections, each keeping -pipeline N tagged
@@ -44,7 +37,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -79,21 +71,23 @@ func main() {
 	phase := flag.Int("phase", 20_000, "queries per workload-evolution phase")
 	adversaryName := flag.String("adversary", "", "merge a hostile tenant stream into the replay: free-rider, regret-inflater, shape-bluffer, flash-crowd or shard-storm (empty disables)")
 	adversaryHonest := flag.Bool("adversary-honest", false, "run the -adversary strategy's honest twin instead (same intent stream, truthful declarations)")
-	out := flag.String("o", "-", "output file (- for stdout)")
-	serve := flag.String("serve", "", "cloudcached address: an http://host:port base URL, or with -proto bin the binary listener's host:port; empty writes a CSV trace instead")
+	serve := flag.String("serve", "", "cloudcached address (required): an http://host:port base URL, or with -proto bin the binary listener's host:port")
 	proto := flag.String("proto", "http", "serving protocol: http (JSON) or bin (length-prefixed wire frames)")
-	batch := flag.Int("batch", 1, "queries per submission batch in -serve mode")
+	batch := flag.Int("batch", 1, "queries per submission batch")
 	pipeline := flag.Int("pipeline", 1, "with -proto bin: tagged batches kept in flight per connection")
 	qps := flag.Float64("qps", 0, "target request rate against -serve (0 = unthrottled)")
-	clients := flag.Int("clients", 8, "concurrent client connections in -serve mode")
-	tenants := flag.Int("tenants", 16, "synthetic tenants the stream is spread across in -serve mode")
-	tenantSkew := flag.Float64("tenant-skew", 0, "Zipf skew of tenant popularity in -serve mode (0 = round-robin)")
+	clients := flag.Int("clients", 8, "concurrent client connections")
+	tenants := flag.Int("tenants", 16, "synthetic tenants the stream is spread across")
+	tenantSkew := flag.Float64("tenant-skew", 0, "Zipf skew of tenant popularity (0 = round-robin)")
 	statsURL := flag.String("stats-url", "", "HTTP base URL for /v1/stats (defaults to -serve with -proto http; -proto bin fetches stats over the wire when unset)")
 	check := flag.Bool("check", false, "verify server-side invariants after the run and exit non-zero on violation")
 	tolerateErrors := flag.Bool("tolerate-errors", false, "with -check: accept per-query failures (degraded-cluster runs) — conservation invariants still apply to the queries that were acked")
 	dumpTrace := flag.Int("dump-trace", 0, "after the run, fetch up to N sampled decision traces from the daemon and print them as JSON (0 disables)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
+	if *serve == "" {
+		fail(fmt.Errorf("-serve is required: workloadgen replays its stream against a running daemon"))
+	}
 
 	switch *logFormat {
 	case "", "text":
@@ -122,7 +116,7 @@ func main() {
 		Theta:       *theta,
 		PhaseLength: *phase,
 	}
-	if *serve != "" && *tenantSkew > 0 {
+	if *tenantSkew > 0 {
 		// Skewed tenant mixes come from the generator's own tenant
 		// sampler (a dedicated RNG, so the query stream itself is
 		// unchanged); skew 0 keeps the legacy round-robin spread below.
@@ -163,58 +157,23 @@ func main() {
 		src.Next()
 	}
 
-	if *serve != "" {
-		cfg := loadConfig{
-			base:      *serve,
-			proto:     *proto,
-			queries:   *queries,
-			skip:      *skip,
-			qps:       *qps,
-			clients:   *clients,
-			tenants:   *tenants,
-			batch:     *batch,
-			pipeline:  *pipeline,
-			statsURL:  *statsURL,
-			check:     *check,
-			tolerate:  *tolerateErrors,
-			dumpTrace: *dumpTrace,
-		}
-		if err := serveLoad(src, cfg); err != nil {
-			fail(err)
-		}
-		return
+	cfg := loadConfig{
+		base:      *serve,
+		proto:     *proto,
+		queries:   *queries,
+		skip:      *skip,
+		qps:       *qps,
+		clients:   *clients,
+		tenants:   *tenants,
+		batch:     *batch,
+		pipeline:  *pipeline,
+		statsURL:  *statsURL,
+		check:     *check,
+		tolerate:  *tolerateErrors,
+		dumpTrace: *dumpTrace,
 	}
-	writeTrace(src, cat, *queries, *out)
-}
-
-// writeTrace is the original CSV mode.
-func writeTrace(src workload.Source, cat *catalog.Catalog, queries int, out string) {
-	var w io.Writer = os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
-	defer bw.Flush()
-
-	fmt.Fprintln(bw, "id,arrival_s,template,selectivity,scan_bytes,result_bytes,budget_usd,budget_tmax_s")
-	for i := 0; i < queries; i++ {
-		q := src.Next()
-		if q == nil {
-			return
-		}
-		sz, err := q.Sizes(cat)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(bw, "%d,%.3f,%s,%.6g,%d,%d,%.6f,%.0f\n",
-			q.ID, q.Arrival.Seconds(), q.Template.Name, q.Selectivity,
-			sz.Scan, sz.Result,
-			q.Budget.At(time.Millisecond).Dollars(), q.Budget.Tmax().Seconds())
+	if err := serveLoad(src, cfg); err != nil {
+		fail(err)
 	}
 }
 

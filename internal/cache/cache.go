@@ -30,7 +30,12 @@ import (
 // Entry is one resident structure plus its bookkeeping.
 type Entry struct {
 	S *structure.Structure
+	Record
+}
 
+// Record is one structure's residency history and money: what an Entry
+// keeps and a snapshot's EntryState persists, declared once for both.
+type Record struct {
 	// BuiltAt is when the structure became usable.
 	BuiltAt time.Duration
 	// FirstUsed is when a selected plan first employed the structure
@@ -221,9 +226,8 @@ func (c *Cache) StartBuild(st *structure.Structure, readyAt time.Duration, build
 	}
 	c.addPending(s, &pendingBuild{
 		entry: &Entry{
-			S:              c.reg.Structure(s),
-			BuildPrice:     buildPrice,
-			AmortRemaining: buildPrice,
+			S:      c.reg.Structure(s),
+			Record: Record{BuildPrice: buildPrice, AmortRemaining: buildPrice},
 		},
 		readyAt: readyAt,
 	})

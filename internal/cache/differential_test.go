@@ -47,7 +47,7 @@ func (r *refCache) startBuild(st *structure.Structure, readyAt time.Duration, pr
 	if readyAt < r.clock {
 		readyAt = r.clock
 	}
-	r.pending[st.ID] = &pendingBuild{entry: &Entry{S: st, BuildPrice: price, AmortRemaining: price}, readyAt: readyAt}
+	r.pending[st.ID] = &pendingBuild{entry: &Entry{S: st, Record: Record{BuildPrice: price, AmortRemaining: price}}, readyAt: readyAt}
 	return true
 }
 
@@ -129,11 +129,7 @@ func (r *refCache) nodes() (count, maxOrdinal int) {
 func (r *refCache) snapshot() State {
 	st := State{Clock: r.clock, Capacity: r.capacity}
 	for _, e := range r.sortedEntries() {
-		st.Entries = append(st.Entries, EntryState{
-			ID: e.S.ID, BuiltAt: e.BuiltAt, FirstUsed: e.FirstUsed, LastUsed: e.LastUsed, Uses: e.Uses,
-			BuildPrice: e.BuildPrice, AmortRemaining: e.AmortRemaining,
-			MaintPaidUntil: e.MaintPaidUntil, UnpaidMaint: e.UnpaidMaint, EarnedValue: e.EarnedValue,
-		})
+		st.Entries = append(st.Entries, EntryState{ID: e.S.ID, Record: e.Record})
 	}
 	for id, pb := range r.pending {
 		st.Pending = append(st.Pending, PendingState{

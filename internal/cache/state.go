@@ -13,16 +13,8 @@ import (
 // from the catalog, so restore reconstructs them through a resolver
 // instead of persisting sizes that could drift from the catalog.
 type EntryState struct {
-	ID             structure.ID
-	BuiltAt        time.Duration
-	FirstUsed      time.Duration
-	LastUsed       time.Duration
-	Uses           int64
-	BuildPrice     money.Amount
-	AmortRemaining money.Amount
-	MaintPaidUntil time.Duration
-	UnpaidMaint    money.Amount
-	EarnedValue    money.Amount
+	ID structure.ID
+	Record
 }
 
 // PendingState is the exported form of one in-flight build.
@@ -49,18 +41,7 @@ func (c *Cache) Snapshot() State {
 	st := State{Clock: c.clock, Capacity: c.capacity}
 	for _, s := range c.live {
 		e := c.entries[s]
-		st.Entries = append(st.Entries, EntryState{
-			ID:             e.S.ID,
-			BuiltAt:        e.BuiltAt,
-			FirstUsed:      e.FirstUsed,
-			LastUsed:       e.LastUsed,
-			Uses:           e.Uses,
-			BuildPrice:     e.BuildPrice,
-			AmortRemaining: e.AmortRemaining,
-			MaintPaidUntil: e.MaintPaidUntil,
-			UnpaidMaint:    e.UnpaidMaint,
-			EarnedValue:    e.EarnedValue,
-		})
+		st.Entries = append(st.Entries, EntryState{ID: e.S.ID, Record: e.Record})
 	}
 	for _, s := range c.pendingLive {
 		pb := c.pending[s]
@@ -104,18 +85,7 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 		if err != nil {
 			return fmt.Errorf("cache: restoring %s: %w", es.ID, err)
 		}
-		entries = append(entries, &Entry{
-			S:              c.reg.Register(s),
-			BuiltAt:        es.BuiltAt,
-			FirstUsed:      es.FirstUsed,
-			LastUsed:       es.LastUsed,
-			Uses:           es.Uses,
-			BuildPrice:     es.BuildPrice,
-			AmortRemaining: es.AmortRemaining,
-			MaintPaidUntil: es.MaintPaidUntil,
-			UnpaidMaint:    es.UnpaidMaint,
-			EarnedValue:    es.EarnedValue,
-		})
+		entries = append(entries, &Entry{S: c.reg.Register(s), Record: es.Record})
 	}
 	pending := make([]*pendingBuild, 0, len(st.Pending))
 	building := make(map[structure.ID]bool, len(st.Pending))
@@ -133,9 +103,8 @@ func (c *Cache) Restore(st State, resolve func(structure.ID) (*structure.Structu
 		}
 		pending = append(pending, &pendingBuild{
 			entry: &Entry{
-				S:              c.reg.Register(s),
-				BuildPrice:     ps.BuildPrice,
-				AmortRemaining: ps.AmortRemaining,
+				S:      c.reg.Register(s),
+				Record: Record{BuildPrice: ps.BuildPrice, AmortRemaining: ps.AmortRemaining},
 			},
 			readyAt: ps.ReadyAt,
 		})

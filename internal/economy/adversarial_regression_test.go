@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,8 @@ import (
 //     charged, per query and in the journal totals.
 //   - TestInvestBackoffSurvivesRestore: a restart must not reset the
 //     investment backoff a failed build raised.
+//   - TestRestoreRejectsDuplicates: a snapshot naming a regret row, an
+//     owner or a fail count twice restored silently, the last row winning.
 
 // testEconomy builds the standard adversarial test rig: TPCH catalog,
 // paper templates, conservative economy under the given provider.
@@ -101,10 +104,10 @@ func TestLedgerCapAdmitsNewEntries(t *testing.T) {
 	if l.rows[reg.Lookup("s0")].live {
 		t.Error("eviction spared the least-regret entry s0")
 	}
-	if l.regretDropped != money.Amount(100) {
-		t.Errorf("dropped regret accounted %v, want 100µ$ (entry s0)", l.regretDropped)
+	if l.RegretDropped != money.Amount(100) {
+		t.Errorf("dropped regret accounted %v, want 100µ$ (entry s0)", l.RegretDropped)
 	}
-	if got, want := l.liveRegret().Add(l.regretDropped), l.regretAccrued; got != want {
+	if got, want := l.liveRegret().Add(l.RegretDropped), l.RegretAccrued; got != want {
 		t.Errorf("regret conservation: live+dropped %v != accrued %v", got, want)
 	}
 }
@@ -140,10 +143,10 @@ func TestLedgerCapEvictionAccountsRegret(t *testing.T) {
 	if len(l.live) > capN {
 		t.Errorf("%d live entries exceed cap %d", len(l.live), capN)
 	}
-	if !l.regretDropped.IsPositive() {
+	if !l.RegretDropped.IsPositive() {
 		t.Error("cap evictions accounted no dropped regret")
 	}
-	if got, want := l.liveRegret().Add(l.regretDropped), l.regretAccrued; got != want {
+	if got, want := l.liveRegret().Add(l.RegretDropped), l.RegretAccrued; got != want {
 		t.Errorf("regret conservation: live+dropped %v != accrued %v — eviction lost regret silently", got, want)
 	}
 }
@@ -395,6 +398,61 @@ func TestInvestBackoffSurvivesRestore(t *testing.T) {
 				if err := restored.CheckInvariants(); err != nil {
 					t.Fatalf("restored economy fails invariants (tenant %s): %v", ts.Tenant, err)
 				}
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsDuplicates: a CRC-valid snapshot or shard packet is
+// still outside input, and one that names a regret row, an owner, a fail
+// count, a resident or a pending build twice is corrupt — restore refuses
+// it instead of merging with the last row winning. The economy's three
+// cases and the cache's three are one table because a shard restores
+// both, cache first; the control row shows the same shapes with distinct
+// names restore cleanly.
+func TestRestoreRejectsDuplicates(t *testing.T) {
+	cat := catalog.TPCH(20)
+	resolve := func(id structure.ID) (*structure.Structure, error) { return ResolveID(cat, id) }
+	row := RegretEntryState{ID: "cpu:2", Regret: 5, Touched: 1}
+	pending := cache.PendingState{ID: "cpu:4", ReadyAt: time.Hour}
+	cases := []struct {
+		name     string
+		provider Provider
+		eco      State
+		ca       cache.State
+		want     string // "" restores
+	}{
+		{"distinct names", ProviderSelfish, State{
+			Tenants: []LedgerState{{Tenant: "a", Entries: []RegretEntryState{row, {ID: "cpu:5"}}}},
+			Market: MarketState{
+				Owners:     []OwnerState{{ID: "cpu:2", Tenant: "a"}, {ID: "cpu:3", Tenant: "a"}},
+				FailCounts: []FailCountState{{ID: "cpu:2", Count: 1}, {ID: "cpu:3", Count: 2}},
+			},
+		}, cache.State{Entries: []cache.EntryState{{ID: "cpu:3"}}, Pending: []cache.PendingState{pending}}, ""},
+		{"pool regret row", ProviderAltruistic, State{Pool: &LedgerState{Entries: []RegretEntryState{row, row}}}, cache.State{}, "duplicate regret row"},
+		{"tenant regret row", ProviderSelfish, State{Tenants: []LedgerState{{Tenant: "a", Entries: []RegretEntryState{row, row}}}}, cache.State{}, "duplicate regret row"},
+		{"owner", ProviderSelfish, State{Market: MarketState{Owners: []OwnerState{{ID: "cpu:2", Tenant: "a"}, {ID: "cpu:2", Tenant: "b"}}}}, cache.State{}, "duplicate owner"},
+		{"fail count", ProviderSelfish, State{Market: MarketState{FailCounts: []FailCountState{{ID: "cpu:2", Count: 1}, {ID: "cpu:2", Count: 3}}}}, cache.State{}, "duplicate fail count"},
+		{"cache entry", ProviderSelfish, State{}, cache.State{Entries: []cache.EntryState{{ID: "cpu:3"}, {ID: "cpu:3"}}}, "duplicate entry"},
+		{"cache pending build", ProviderSelfish, State{}, cache.State{Pending: []cache.PendingState{pending, pending}}, "duplicate pending build"},
+		{"cache resident and pending", ProviderSelfish, State{}, cache.State{Entries: []cache.EntryState{{ID: "cpu:4"}}, Pending: []cache.PendingState{pending}}, "both resident and pending"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			econ, _, ca, _ := testEconomy(t, tc.provider, nil)
+			tc.eco.Provider = tc.provider
+			err := ca.Restore(tc.ca, resolve)
+			if err == nil {
+				err = econ.Restore(&tc.eco)
+			}
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("distinct names refused: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("restore error %v, want one naming %q", err, tc.want)
 			}
 		})
 	}

@@ -120,8 +120,8 @@ func TestLedgerMatchesMapModel(t *testing.T) {
 			if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
 				t.Fatalf("seed %d after %s: live rows not in ID order: %v", seed, op, ids)
 			}
-			if live := l.liveRegret(); live.Add(l.regretDropped) > l.regretAccrued {
-				t.Fatalf("seed %d after %s: live %v + dropped %v exceeds accrued %v", seed, op, live, l.regretDropped, l.regretAccrued)
+			if live := l.liveRegret(); live.Add(l.RegretDropped) > l.RegretAccrued {
+				t.Fatalf("seed %d after %s: live %v + dropped %v exceeds accrued %v", seed, op, live, l.RegretDropped, l.RegretAccrued)
 			}
 		}
 		for step := 0; step < 3000; step++ {
@@ -169,7 +169,10 @@ func TestLedgerMatchesMapModel(t *testing.T) {
 				// Restart: restore into a fresh registry, which meets the
 				// IDs in snapshot (ID) order.
 				reg = structure.NewRegistry()
-				l = restoreLedger(snapshotLedger(l), capN, reg)
+				var err error
+				if l, err = restoreLedger(snapshotLedger(l), capN, reg); err != nil {
+					t.Fatal(err)
+				}
 				check("restore")
 			}
 		}

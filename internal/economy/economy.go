@@ -466,7 +466,7 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 
 	led := e.ledgerFor(q.Tenant)
 	acct := e.account(led)
-	led.queries++
+	led.Queries++
 
 	// Case classification over the full PQ.
 	switch {
@@ -494,7 +494,7 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 		d.Chosen = plan.Cheapest(exist)
 	default:
 		d.Declined = true
-		led.declinedCount++
+		led.Declined++
 	}
 
 	// Payment, profit and per-structure collections.
@@ -503,7 +503,7 @@ func (e *Economy) HandleQuery(q *workload.Query, plans []*plan.Plan) (Decision, 
 		chosen = evals[slices.Index(plans, d.Chosen)]
 		e.settle(d.Chosen, chosen, backendExec, scanExec, haveScan, led, &d)
 		if d.Chosen.Location == plan.Cache {
-			led.cacheAnswered++
+			led.CacheAnswered++
 		}
 	}
 
@@ -537,15 +537,15 @@ func (e *Economy) settle(p *plan.Plan, ev planEval, backendExec, scanExec money.
 	d.Charged = money.MaxAmount(ev.price, ev.budget)
 	d.Profit = d.Charged.Sub(ev.price)
 
-	led.spend = led.spend.Add(d.Charged)
-	led.profitTotal = led.profitTotal.Add(d.Profit)
+	led.Spend = led.Spend.Add(d.Charged)
+	led.Profit = led.Profit.Add(d.Profit)
 
 	// Execution cost is paid through to the infrastructure; profit,
 	// amortized shares and maintenance recovery stay in the accounts.
 	if e.pool != nil {
 		e.pool.credit = e.pool.credit.Add(d.Charged.Sub(p.ExecPrice))
 		recovery := p.AmortPrice.Add(p.MaintPrice)
-		e.pool.recovered = e.pool.recovered.Add(recovery)
+		e.pool.Recovered = e.pool.Recovered.Add(recovery)
 		if recovery != 0 {
 			e.emit(obs.Event{
 				Type:   obs.EventRecover,
@@ -605,7 +605,7 @@ func (e *Economy) settle(p *plan.Plan, ev planEval, backendExec, scanExec money.
 			recovery := share.Add(e.market.maintDueOf(entry))
 			owner := e.ownerOf(slot)
 			owner.credit = owner.credit.Add(recovery)
-			owner.recovered = owner.recovered.Add(recovery)
+			owner.Recovered = owner.Recovered.Add(recovery)
 			if recovery != 0 {
 				e.emit(obs.Event{
 					Type:      obs.EventRecover,
@@ -715,7 +715,7 @@ func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) mo
 		acct.add(slot, share)
 		landed = landed.Add(share)
 		if acct != led {
-			led.regretAccrued = led.regretAccrued.Add(share)
+			led.RegretAccrued = led.RegretAccrued.Add(share)
 		}
 	}
 	return landed
@@ -814,18 +814,18 @@ func (e *Economy) Stats() Stats {
 		FailureCount: e.market.failureCount,
 	}
 	if e.pool != nil {
-		s.Invested = e.pool.invested
-		s.Recovered = e.pool.recovered
-		s.InvestCount = e.pool.investCount
+		s.Invested = e.pool.Invested
+		s.Recovered = e.pool.Recovered
+		s.InvestCount = e.pool.InvestCount
 		s.LedgerSize = len(e.pool.live)
 	}
 	for _, l := range e.tenants {
-		s.ProfitTotal = s.ProfitTotal.Add(l.profitTotal)
-		s.DeclinedCount += l.declinedCount
+		s.ProfitTotal = s.ProfitTotal.Add(l.Profit)
+		s.DeclinedCount += l.Declined
 		if e.pool == nil {
-			s.Invested = s.Invested.Add(l.invested)
-			s.Recovered = s.Recovered.Add(l.recovered)
-			s.InvestCount += l.investCount
+			s.Invested = s.Invested.Add(l.Invested)
+			s.Recovered = s.Recovered.Add(l.Recovered)
+			s.InvestCount += l.InvestCount
 			s.LedgerSize += len(l.live)
 		}
 	}

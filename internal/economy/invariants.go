@@ -148,19 +148,19 @@ func (e *Economy) CheckInvariants() error {
 		if len(l.live) > l.cap {
 			return fmt.Errorf("ledger %q: %d live entries exceed cap %d", l.tenant, len(l.live), l.cap)
 		}
-		if l.regretAccrued.IsNegative() || l.regretDropped.IsNegative() {
-			return fmt.Errorf("ledger %q: negative regret counters (accrued %v, dropped %v)", l.tenant, l.regretAccrued, l.regretDropped)
+		if l.RegretAccrued.IsNegative() || l.RegretDropped.IsNegative() {
+			return fmt.Errorf("ledger %q: negative regret counters (accrued %v, dropped %v)", l.tenant, l.RegretAccrued, l.RegretDropped)
 		}
-		if isAccount && live.Add(l.regretDropped) > l.regretAccrued {
+		if isAccount && live.Add(l.RegretDropped) > l.RegretAccrued {
 			return fmt.Errorf("ledger %q: live %v + dropped %v exceeds accrued %v — regret was minted",
-				l.tenant, live, l.regretDropped, l.regretAccrued)
+				l.tenant, live, l.RegretDropped, l.RegretAccrued)
 		}
-		if l.spend.IsNegative() || l.profitTotal.IsNegative() || l.invested.IsNegative() || l.recovered.IsNegative() {
+		if l.Spend.IsNegative() || l.Profit.IsNegative() || l.Invested.IsNegative() || l.Recovered.IsNegative() {
 			return fmt.Errorf("ledger %q: negative money counter (spend %v, profit %v, invested %v, recovered %v)",
-				l.tenant, l.spend, l.profitTotal, l.invested, l.recovered)
+				l.tenant, l.Spend, l.Profit, l.Invested, l.Recovered)
 		}
-		if l.declinedCount > l.queries {
-			return fmt.Errorf("ledger %q: %d declines exceed %d queries", l.tenant, l.declinedCount, l.queries)
+		if l.Declined > l.Queries {
+			return fmt.Errorf("ledger %q: %d declines exceed %d queries", l.tenant, l.Declined, l.Queries)
 		}
 		if e.cfg.Conservative && isAccount && l.credit.IsNegative() {
 			return fmt.Errorf("ledger %q: conservative account went negative: %v", l.tenant, l.credit)
@@ -177,9 +177,9 @@ func (e *Economy) CheckInvariants() error {
 			return err
 		}
 		if e.pool != nil {
-			if l.credit != 0 || l.invested != 0 || l.investCount != 0 || len(l.live) != 0 || l.regretDropped != 0 {
+			if l.credit != 0 || l.Invested != 0 || l.InvestCount != 0 || len(l.live) != 0 || l.RegretDropped != 0 {
 				return fmt.Errorf("altruistic mirror %q carries account state (credit %v, invested %v, %d entries)",
-					l.tenant, l.credit, l.invested, len(l.live))
+					l.tenant, l.credit, l.Invested, len(l.live))
 			}
 		}
 	}

@@ -32,22 +32,38 @@ type Ledger struct {
 	clock int64
 	cap   int
 
-	// Attribution counters. regretAccrued is cumulative (monotone) so
-	// per-tenant regret stays reportable and mergeable even after ledger
-	// entries are consumed by investment or garbage collected.
-	// regretDropped is the cumulative regret discarded by cap evictions:
-	// the live map may forget a structure, but the books never silently
-	// lose the regret it had accrued (live + dropped <= accrued always).
-	spend         money.Amount
-	profitTotal   money.Amount
-	invested      money.Amount
-	recovered     money.Amount
-	regretAccrued money.Amount
-	regretDropped money.Amount
-	investCount   int64
-	declinedCount int64
-	queries       int64
-	cacheAnswered int64
+	// Totals is the account's lifetime attribution.
+	Totals
+}
+
+// Totals is one account's lifetime attribution: traffic, payments,
+// regret and investment. A Ledger keeps it, a LedgerState persists it
+// and TenantStats reports it — one declaration for all three.
+type Totals struct {
+	// Traffic attribution.
+	Queries       int64
+	Declined      int64
+	CacheAnswered int64
+	// Spend is the total the account's users were charged; Profit the
+	// cloud's margin on it.
+	Spend  money.Amount
+	Profit money.Amount
+	// RegretAccrued is the cumulative (monotone) Eq. 1–2 regret
+	// attributed to the account's queries, so per-tenant regret stays
+	// reportable and mergeable after ledger rows are consumed by
+	// investment or garbage collected. RegretDropped is the cumulative
+	// regret discarded by ledger-cap evictions: the live map may forget
+	// a structure, but the books never silently lose the regret it had
+	// accrued (live + dropped <= accrued always).
+	RegretAccrued money.Amount
+	RegretDropped money.Amount
+	// Invested is what the account paid for structure builds, Recovered
+	// what amortization and maintenance paid back into it, InvestCount
+	// the builds charged to it. All three stay zero on an altruistic
+	// provider's tenant mirrors, whose account is the communal pool.
+	Invested    money.Amount
+	Recovered   money.Amount
+	InvestCount int64
 }
 
 // regretRow is one regret-table row; live marks slots that hold one.
@@ -111,7 +127,7 @@ func (l *Ledger) add(s structure.Slot, share money.Amount) {
 	}
 	row.regret = row.regret.Add(share)
 	row.touched = l.clock
-	l.regretAccrued = l.regretAccrued.Add(share)
+	l.RegretAccrued = l.RegretAccrued.Add(share)
 	if fresh {
 		l.gc()
 	}
@@ -143,7 +159,7 @@ func (l *Ledger) gc() {
 			victim = s
 		}
 	}
-	l.regretDropped = l.regretDropped.Add(l.rows[victim].regret)
+	l.RegretDropped = l.RegretDropped.Add(l.rows[victim].regret)
 	l.drop(victim)
 }
 
@@ -151,30 +167,16 @@ func (l *Ledger) gc() {
 type TenantStats struct {
 	// Tenant is the tenant name ("" for untagged queries).
 	Tenant string
-	// Traffic attribution.
-	Queries       int64
-	Declined      int64
-	CacheAnswered int64
-	// Money attribution. Credit is zero under the altruistic provider,
-	// whose account is communal; Spend is the total the tenant's users
-	// were charged; RegretAccrued is cumulative Eq. 1–2 regret attributed
-	// to the tenant's queries.
-	Credit        money.Amount
-	Spend         money.Amount
-	Profit        money.Amount
-	RegretAccrued money.Amount
-	// RegretLive is the sum of the live regret entries; RegretDropped is
-	// the cumulative regret discarded by ledger-cap evictions. Both are
-	// zero under the altruistic provider, whose live map is communal, and
-	// RegretLive + RegretDropped never exceeds the account's share of
-	// RegretAccrued (the rest was consumed by investment).
-	RegretLive    money.Amount
-	RegretDropped money.Amount
-	Invested      money.Amount
-	Recovered     money.Amount
-	// InvestCount is the number of structure builds charged to this
-	// tenant (always zero under the altruistic provider).
-	InvestCount int64
+	Totals
+	// Credit is zero under the altruistic provider, whose account is
+	// communal.
+	Credit money.Amount
+	// RegretLive is the sum of the live regret entries. It is zero under
+	// the altruistic provider, whose live map is communal (so is
+	// RegretDropped), and RegretLive + RegretDropped never exceeds the
+	// account's share of RegretAccrued (the rest was consumed by
+	// investment).
+	RegretLive money.Amount
 	// LedgerSize is the tenant's live regret-map size (zero under the
 	// altruistic provider, whose live map is communal).
 	LedgerSize int
@@ -192,19 +194,10 @@ func (l *Ledger) liveRegret() money.Amount {
 // stats snapshots the ledger.
 func (l *Ledger) stats() TenantStats {
 	return TenantStats{
-		Tenant:        l.tenant,
-		Queries:       l.queries,
-		Declined:      l.declinedCount,
-		CacheAnswered: l.cacheAnswered,
-		Credit:        l.credit,
-		Spend:         l.spend,
-		Profit:        l.profitTotal,
-		RegretAccrued: l.regretAccrued,
-		RegretLive:    l.liveRegret(),
-		RegretDropped: l.regretDropped,
-		Invested:      l.invested,
-		Recovered:     l.recovered,
-		InvestCount:   l.investCount,
-		LedgerSize:    len(l.live),
+		Tenant:     l.tenant,
+		Totals:     l.Totals,
+		Credit:     l.credit,
+		RegretLive: l.liveRegret(),
+		LedgerSize: len(l.live),
 	}
 }

@@ -237,7 +237,7 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) (built b
 				return false, 0
 			}
 			payer.credit = payer.credit.Sub(colPrice)
-			payer.invested = payer.invested.Add(colPrice)
+			payer.Invested = payer.Invested.Add(colPrice)
 			m.started(colSt.Slot, payer)
 			m.buildUsage.Add(colOut.Usage)
 			m.emit(obs.Event{
@@ -266,8 +266,8 @@ func (m *Market) buildStructure(st *structure.Structure, payer *Ledger) (built b
 		return false, 0
 	}
 	payer.credit = payer.credit.Sub(price)
-	payer.invested = payer.invested.Add(price)
-	payer.investCount++
+	payer.Invested = payer.Invested.Add(price)
+	payer.InvestCount++
 	m.started(m.reg.Find(st), payer)
 	m.buildUsage.Add(out.Usage)
 	m.emit(obs.Event{

@@ -30,17 +30,7 @@ type LedgerState struct {
 	// Clock is the ledger's logical LRU clock; Entries are sorted by ID.
 	Clock   int64
 	Entries []RegretEntryState
-
-	Spend         money.Amount
-	ProfitTotal   money.Amount
-	Invested      money.Amount
-	Recovered     money.Amount
-	RegretAccrued money.Amount
-	RegretDropped money.Amount
-	InvestCount   int64
-	DeclinedCount int64
-	Queries       int64
-	CacheAnswered int64
+	Totals
 }
 
 // OwnerState records which tenant financed one resident structure.
@@ -78,21 +68,7 @@ type State struct {
 
 // snapshotLedger exports one ledger.
 func snapshotLedger(l *Ledger) LedgerState {
-	st := LedgerState{
-		Tenant:        l.tenant,
-		Credit:        l.credit,
-		Clock:         l.clock,
-		Spend:         l.spend,
-		ProfitTotal:   l.profitTotal,
-		Invested:      l.invested,
-		Recovered:     l.recovered,
-		RegretAccrued: l.regretAccrued,
-		RegretDropped: l.regretDropped,
-		InvestCount:   l.investCount,
-		DeclinedCount: l.declinedCount,
-		Queries:       l.queries,
-		CacheAnswered: l.cacheAnswered,
-	}
+	st := LedgerState{Tenant: l.tenant, Credit: l.credit, Clock: l.clock, Totals: l.Totals}
 	for _, s := range l.live {
 		row := l.rows[s]
 		st.Entries = append(st.Entries, RegretEntryState{ID: l.reg.ID(s), Regret: row.regret, Touched: row.touched})
@@ -101,30 +77,21 @@ func snapshotLedger(l *Ledger) LedgerState {
 }
 
 // restoreLedger rebuilds one ledger with the economy's configured cap,
-// interning the regret rows' IDs into the cache's registry.
-func restoreLedger(st LedgerState, cap int, reg *structure.Registry) *Ledger {
-	l := newLedger(st.Tenant, 0, cap, reg)
-	l.credit = st.Credit
-	l.clock = st.Clock
-	l.spend = st.Spend
-	l.profitTotal = st.ProfitTotal
-	l.invested = st.Invested
-	l.recovered = st.Recovered
-	l.regretAccrued = st.RegretAccrued
-	l.regretDropped = st.RegretDropped
-	l.investCount = st.InvestCount
-	l.declinedCount = st.DeclinedCount
-	l.queries = st.Queries
-	l.cacheAnswered = st.CacheAnswered
+// interning the regret rows' IDs into the cache's registry. A row named
+// twice is a corrupt snapshot, never a merge.
+func restoreLedger(st LedgerState, cap int, reg *structure.Registry) (*Ledger, error) {
+	l := newLedger(st.Tenant, st.Credit, cap, reg)
+	l.clock, l.Totals = st.Clock, st.Totals
 	for _, es := range st.Entries {
 		s := reg.Intern(es.ID)
 		row := l.row(s)
-		if !row.live {
-			l.live = reg.Insert(l.live, s)
+		if row.live {
+			return nil, fmt.Errorf("economy: ledger %q: duplicate regret row %s in snapshot", st.Tenant, es.ID)
 		}
+		l.live = reg.Insert(l.live, s)
 		*row = regretRow{regret: es.Regret, touched: es.Touched, live: true}
 	}
-	return l
+	return l, nil
 }
 
 // Snapshot exports the economy's state. The cache is not included: the
@@ -184,17 +151,33 @@ func (e *Economy) Restore(st *State) error {
 		if _, dup := e.tenants[ls.Tenant]; dup {
 			return fmt.Errorf("economy: duplicate tenant %q in snapshot", ls.Tenant)
 		}
-		e.tenants[ls.Tenant] = restoreLedger(ls, e.cfg.LedgerCap, e.reg)
+		l, err := restoreLedger(ls, e.cfg.LedgerCap, e.reg)
+		if err != nil {
+			return err
+		}
+		e.tenants[ls.Tenant] = l
 	}
 	if st.Pool != nil {
-		e.pool = restoreLedger(*st.Pool, e.cfg.LedgerCap, e.reg)
+		pool, err := restoreLedger(*st.Pool, e.cfg.LedgerCap, e.reg)
+		if err != nil {
+			return err
+		}
+		e.pool = pool
 	}
 	m := e.market
 	for _, os := range st.Market.Owners {
 		row := m.row(e.reg.Intern(os.ID))
+		if row.owned {
+			return fmt.Errorf("economy: duplicate owner of %s in snapshot", os.ID)
+		}
 		row.owned, row.owner = true, os.Tenant
 	}
+	failed := make(map[structure.ID]bool, len(st.Market.FailCounts))
 	for _, fs := range st.Market.FailCounts {
+		if failed[fs.ID] {
+			return fmt.Errorf("economy: duplicate fail count of %s in snapshot", fs.ID)
+		}
+		failed[fs.ID] = true
 		m.row(e.reg.Intern(fs.ID)).failCount = int(fs.Count)
 	}
 	m.buildUsage = st.Market.BuildUsage

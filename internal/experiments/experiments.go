@@ -210,7 +210,7 @@ func (s Settings) cellConfig(schemeName string, interval time.Duration) (sim.Con
 	}
 	return sim.Config{
 		Scheme:     sch,
-		Generator:  gen,
+		Source:     gen,
 		Queries:    s.Queries,
 		Accounting: s.Accounting,
 	}, nil

@@ -50,7 +50,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/economy"
 	"repro/internal/metrics"
-	"repro/internal/money"
+	"repro/internal/sim"
 	"repro/internal/structure"
 )
 
@@ -91,27 +91,13 @@ type YieldState struct {
 type ShardState struct {
 	Index int
 
-	// Shard time: the monotone clamp, the rent-accrual watermark and the
-	// latest promised completion (the tail-rent window).
-	LastNow     time.Duration
-	LastAccrual time.Duration
-	EndOfRun    time.Duration
+	// LastNow is the shard's monotone clock clamp.
+	LastNow time.Duration
 
-	// Accrued rent integrals.
-	StorageGBSeconds float64
-	NodeSeconds      float64
-
-	// Lifetime counters.
-	Queries       int64
-	Declined      int64
-	CacheAnswered int64
-	Investments   int64
-	Failures      int64
-	Errors        int64
-	Revenue       money.Amount
-	Profit        money.Amount
-	ExecUsage     cost.Usage
-	BuildUsage    cost.Usage
+	// Books is the shard's operating account, as the shard keeps it.
+	sim.Books
+	// Errors counts submissions that failed before a decision.
+	Errors int64
 
 	// RNG is the shard's selectivity-draw generator state, so draws for
 	// queries that omit a selectivity continue the exact pre-restart
@@ -401,13 +387,13 @@ func layoutLedger(c *codec, st *economy.LedgerState) {
 	varint(c, &st.Clock)
 	list(c, &st.Entries, 3, layoutRegretEntry)
 	varint(c, &st.Spend)
-	varint(c, &st.ProfitTotal)
+	varint(c, &st.Profit)
 	varint(c, &st.Invested)
 	varint(c, &st.Recovered)
 	varint(c, &st.RegretAccrued)
 	varint(c, &st.RegretDropped)
 	varint(c, &st.InvestCount)
-	varint(c, &st.DeclinedCount)
+	varint(c, &st.Declined)
 	varint(c, &st.Queries)
 	varint(c, &st.CacheAnswered)
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/economy"
 	"repro/internal/metrics"
 	"repro/internal/money"
+	"repro/internal/sim"
 )
 
 // sampleSnapshot exercises every field of the format: two shards, one
@@ -29,15 +30,17 @@ func sampleSnapshot() *Snapshot {
 			{ID: "col:lineitem.l_extendedprice", Regret: money.FromDollars(0.004), Touched: 9},
 			{ID: "cpu:2", Regret: money.FromDollars(0.001), Touched: 17},
 		},
-		Spend:         money.FromDollars(10),
-		ProfitTotal:   money.FromDollars(3),
-		Invested:      money.FromDollars(7),
-		Recovered:     money.FromDollars(2),
-		RegretAccrued: money.FromDollars(0.5),
-		InvestCount:   4,
-		DeclinedCount: 2,
-		Queries:       100,
-		CacheAnswered: 31,
+		Totals: economy.Totals{
+			Spend:         money.FromDollars(10),
+			Profit:        money.FromDollars(3),
+			Invested:      money.FromDollars(7),
+			Recovered:     money.FromDollars(2),
+			RegretAccrued: money.FromDollars(0.5),
+			InvestCount:   4,
+			Declined:      2,
+			Queries:       100,
+			CacheAnswered: 31,
+		},
 	}
 	return &Snapshot{
 		Fingerprint: Fingerprint{
@@ -50,31 +53,34 @@ func sampleSnapshot() *Snapshot {
 		},
 		Shards: []ShardState{
 			{
-				Index:            0,
-				LastNow:          time.Hour,
-				LastAccrual:      time.Hour - time.Second,
-				EndOfRun:         time.Hour + 3*time.Second,
-				StorageGBSeconds: 123.456,
-				NodeSeconds:      7.5,
-				Queries:          100, Declined: 2, CacheAnswered: 31,
-				Investments: 4, Failures: 1, Errors: 3,
-				Revenue:    money.FromDollars(10),
-				Profit:     money.FromDollars(3),
-				ExecUsage:  cost.Usage{CPUSeconds: 1.5, IOOps: 200, NetBytes: 1 << 30, Boots: 1},
-				BuildUsage: cost.Usage{CPUSeconds: 0.5, IOOps: 10, NetBytes: 1 << 20},
-				RNG:        0xDEADBEEFCAFEF00D,
+				Index:   0,
+				LastNow: time.Hour,
+				Books: sim.Books{
+					LastAccrual:      time.Hour - time.Second,
+					EndOfRun:         time.Hour + 3*time.Second,
+					StorageGBSeconds: 123.456,
+					NodeSeconds:      7.5,
+					Queries:          100, Declined: 2, CacheAnswered: 31,
+					Investments: 4, Failures: 1,
+					Revenue:    money.FromDollars(10),
+					Profit:     money.FromDollars(3),
+					ExecUsage:  cost.Usage{CPUSeconds: 1.5, IOOps: 200, NetBytes: 1 << 30, Boots: 1},
+					BuildUsage: cost.Usage{CPUSeconds: 0.5, IOOps: 10, NetBytes: 1 << 20},
+				},
+				Errors: 3,
+				RNG:    0xDEADBEEFCAFEF00D,
 				Response: metrics.DurationStatsState{
 					Running:   metrics.RunningState{N: 98, Mean: 0.4, M2: 0.01, Min: 0.1, Max: 2.0, Sum: 39.2, HasSamples: true},
 					Reservoir: metrics.ReservoirState{Cap: 4, Seen: 98, Data: []float64{0.1, 0.4, 0.5, 2.0}, PRNG: 12345},
 				},
 				Cache: cache.State{
 					Clock: time.Hour,
-					Entries: []cache.EntryState{{
-						ID: "col:lineitem.l_shipdate", BuiltAt: time.Minute, FirstUsed: 2 * time.Minute,
+					Entries: []cache.EntryState{{ID: "col:lineitem.l_shipdate", Record: cache.Record{
+						BuiltAt: time.Minute, FirstUsed: 2 * time.Minute,
 						LastUsed: 50 * time.Minute, Uses: 12, BuildPrice: money.FromDollars(1.5),
 						AmortRemaining: money.FromDollars(0.75), MaintPaidUntil: 49 * time.Minute,
 						UnpaidMaint: money.FromDollars(0.01), EarnedValue: money.FromDollars(2.25),
-					}},
+					}}},
 					Pending: []cache.PendingState{{
 						ID: "cpu:2", ReadyAt: time.Hour + time.Second,
 						BuildPrice: money.FromDollars(0.2), AmortRemaining: money.FromDollars(0.2),
@@ -84,8 +90,8 @@ func sampleSnapshot() *Snapshot {
 					Provider: economy.ProviderAltruistic,
 					Pool:     &pool,
 					Tenants: []economy.LedgerState{
-						{Tenant: "alice", Spend: money.FromDollars(4), Queries: 40},
-						{Tenant: "bob", Spend: money.FromDollars(6), Queries: 60, CacheAnswered: 31},
+						{Tenant: "alice", Totals: economy.Totals{Spend: money.FromDollars(4), Queries: 40}},
+						{Tenant: "bob", Totals: economy.Totals{Spend: money.FromDollars(6), Queries: 60, CacheAnswered: 31}},
 					},
 					Market: economy.MarketState{
 						Owners:       []economy.OwnerState{{ID: "col:lineitem.l_shipdate", Tenant: ""}},
@@ -98,7 +104,7 @@ func sampleSnapshot() *Snapshot {
 			{
 				Index:   1,
 				LastNow: time.Hour,
-				Queries: 7,
+				Books:   sim.Books{Queries: 7},
 				Response: metrics.DurationStatsState{
 					Reservoir: metrics.ReservoirState{Cap: 4, PRNG: 99},
 				},
@@ -125,6 +131,62 @@ func TestRoundTrip(t *testing.T) {
 	// Encoding is deterministic: same snapshot, same bytes.
 	if string(EncodeBytes(want)) != string(data) {
 		t.Error("encoding is not deterministic")
+	}
+}
+
+// fillDistinct sets every leaf of v, a settable struct walked through its
+// nested structs, to a distinct non-zero value.
+func fillDistinct(t *testing.T, v reflect.Value, n *int64) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), n)
+		}
+	case reflect.Int, reflect.Int64:
+		*n++
+		v.SetInt(*n)
+	case reflect.Float64:
+		*n++
+		v.SetFloat(float64(*n) + 0.25)
+	default:
+		t.Fatalf("fillDistinct: no case for %s", v.Type())
+	}
+}
+
+// TestAccountsRoundTripEveryField holds the embedded accounts to the
+// layouts: every field of sim.Books, economy.Totals and cache.Record set to
+// its own non-zero value must come back from the bytes. A field added to
+// an account without a layout line fails here instead of silently not
+// being persisted.
+func TestAccountsRoundTripEveryField(t *testing.T) {
+	var books sim.Books
+	var totals economy.Totals
+	var rec cache.Record
+	var n int64
+	for _, account := range []any{&books, &totals, &rec} {
+		fillDistinct(t, reflect.ValueOf(account).Elem(), &n)
+	}
+	snap := &Snapshot{Shards: []ShardState{{
+		Books: books,
+		Cache: cache.State{Entries: []cache.EntryState{{ID: "cpu:2", Record: rec}}},
+		Economy: &economy.State{
+			Pool:    &economy.LedgerState{Totals: totals},
+			Tenants: []economy.LedgerState{{Tenant: "a", Totals: totals}},
+		},
+	}}}
+	got, err := Decode(EncodeBytes(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := got.Shards[0]
+	if sh.Books != books {
+		t.Errorf("sim.Books came back %+v, want %+v", sh.Books, books)
+	}
+	if sh.Cache.Entries[0].Record != rec {
+		t.Errorf("cache.Record came back %+v, want %+v", sh.Cache.Entries[0].Record, rec)
+	}
+	if sh.Economy.Pool.Totals != totals || sh.Economy.Tenants[0].Totals != totals {
+		t.Errorf("economy.Totals came back %+v and %+v, want %+v", sh.Economy.Pool.Totals, sh.Economy.Tenants[0].Totals, totals)
 	}
 }
 

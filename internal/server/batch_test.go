@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/economy"
 	"repro/internal/money"
 	"repro/internal/scheme"
 	"repro/internal/server"
@@ -279,87 +279,90 @@ func TestErrorCounterVisible(t *testing.T) {
 
 // TestServerMatchesSimAccounting replays the identical query stream
 // through sim.Run and through a one-shard server on a virtual clock and
-// demands the same books: queries, revenue, exec/build cost and — the
-// tail-rent regression — storage and node rent through the same
-// end-of-run window.
+// demands the same books, to the last bit: queries, revenue, exec/build
+// cost and — the tail-rent regression — storage and node rent through the
+// same end-of-run window. Both keep them in one sim.Books, so any
+// difference is in what they feed it.
 func TestServerMatchesSimAccounting(t *testing.T) {
 	cat := catalog.TPCH(20)
-	params := testParams(cat)
 	const n = 1500
-	genCfg := func(seed int64) workload.Config {
-		return workload.Config{
-			Catalog: cat,
-			Seed:    seed,
-			Arrival: workload.NewFixedArrival(time.Second),
-			Budgets: &workload.FixedPolicy{Shape: workload.ShapeStep, Price: money.FromDollars(0.002), TMax: time.Hour},
-		}
+	genCfg := workload.Config{
+		Catalog: cat,
+		Seed:    7,
+		Arrival: workload.NewFixedArrival(time.Second),
+		Budgets: &workload.FixedPolicy{Shape: workload.ShapeStep, Price: money.FromDollars(0.002), TMax: time.Hour},
 	}
+	type run struct {
+		scheme   string
+		provider economy.Provider
+	}
+	runs := []run{{"bypass", economy.ProviderAltruistic}}
+	for _, name := range []string{"econ-col", "econ-cheap", "econ-fast"} {
+		runs = append(runs, run{name, economy.ProviderAltruistic}, run{name, economy.ProviderSelfish})
+	}
+	for _, r := range runs {
+		t.Run(r.scheme+"/"+r.provider.String(), func(t *testing.T) {
+			params := testParams(cat)
+			params.Provider = r.provider
 
-	// Offline reference.
-	sch, err := scheme.New("econ-cheap", params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, err := workload.NewGenerator(genCfg(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sim.Run(sim.Config{Scheme: sch, Generator: gen, Queries: n})
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Offline reference.
+			sch, err := scheme.New(r.scheme, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.NewGenerator(genCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := sim.Run(sim.Config{Scheme: sch, Source: gen, Queries: n})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Online replay of the same stream.
-	clock := server.NewVirtualClock()
-	srv, err := server.New(server.Config{
-		Shards: 1,
-		Scheme: "econ-cheap",
-		Params: params,
-		Clock:  clock,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen2, err := workload.NewGenerator(genCfg(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	var last time.Duration
-	for i := 0; i < n; i++ {
-		q := gen2.Next()
-		clock.Advance(q.Arrival - last)
-		last = q.Arrival
-		if _, err := srv.Submit(ctx, server.Request{
-			Tenant:         "replay",
-			Template:       q.Template.Name,
-			Selectivity:    q.Selectivity,
-			HasSelectivity: true,
-			Budget:         q.Budget,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
+			// Online replay of the same stream.
+			clock := server.NewVirtualClock()
+			srv, err := server.New(server.Config{Shards: 1, Scheme: r.scheme, Params: params, Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen2, err := workload.NewGenerator(genCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			var last time.Duration
+			for i := 0; i < n; i++ {
+				q := gen2.Next()
+				clock.Advance(q.Arrival - last)
+				last = q.Arrival
+				if _, err := srv.Submit(ctx, server.Request{
+					Tenant:         "replay",
+					Template:       q.Template.Name,
+					Selectivity:    q.Selectivity,
+					HasSelectivity: true,
+					Budget:         q.Budget,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			st := srv.Stats()
 
-	if st.Queries != int64(n) || st.Declined != rep.Declined {
-		t.Errorf("queries/declined = %d/%d, sim %d/%d", st.Queries, st.Declined, n, rep.Declined)
+			if got, want := [5]int64{st.Queries, st.Declined, st.CacheAnswered, st.Investments, st.Failures},
+				[5]int64{n, rep.Declined, rep.CacheAnswered, rep.Investments, rep.Failures}; got != want {
+				t.Errorf("queries/declined/cache/investments/failures = %v, sim %v", got, want)
+			}
+			if rep.Investments == 0 && r.scheme != "bypass" {
+				t.Error("the stream built nothing: rent is not exercised")
+			}
+			got := [6]float64{st.RevenueUSD, st.ProfitUSD, st.ExecCostUSD, st.BuildCostUSD, st.StorageCostUSD, st.NodeCostUSD}
+			want := [6]float64{rep.Revenue.Dollars(), rep.Profit.Dollars(), rep.ExecCost.Dollars(),
+				rep.BuildCost.Dollars(), rep.StorageCost.Dollars(), rep.NodeCost.Dollars()}
+			if got != want {
+				t.Errorf("revenue/profit/exec/build/storage/node = %v, sim %v", got, want)
+			}
+		})
 	}
-	if st.CacheAnswered != rep.CacheAnswered || st.Investments != rep.Investments {
-		t.Errorf("cache/investments = %d/%d, sim %d/%d", st.CacheAnswered, st.Investments, rep.CacheAnswered, rep.Investments)
-	}
-	approx := func(name string, got, want float64) {
-		if math.Abs(got-want) > math.Abs(want)*1e-9+1e-12 {
-			t.Errorf("%s = %v, sim %v", name, got, want)
-		}
-	}
-	approx("revenue", st.RevenueUSD, rep.Revenue.Dollars())
-	approx("profit", st.ProfitUSD, rep.Profit.Dollars())
-	approx("exec cost", st.ExecCostUSD, rep.ExecCost.Dollars())
-	approx("build cost", st.BuildCostUSD, rep.BuildCost.Dollars())
-	approx("storage cost", st.StorageCostUSD, rep.StorageCost.Dollars())
-	approx("node cost", st.NodeCostUSD, rep.NodeCost.Dollars())
 }

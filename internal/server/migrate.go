@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/scheme"
+	"repro/internal/sim"
 )
 
 // Live shard migration: a router moves one shard between backends by
@@ -211,7 +211,7 @@ func (s *Server) ReadyState() (state string, ready bool) {
 // it. Callers hold s.mu.
 func (s *shard) unusedLocked() bool {
 	ca := s.sch.Cache()
-	return s.queries == 0 && s.errors == 0 && ca.Len() == 0 && ca.PendingCount() == 0
+	return s.books.Queries == 0 && s.errors == 0 && ca.Len() == 0 && ca.PendingCount() == 0
 }
 
 // resetLocked swaps in a fresh scheme instance and zeroes every counter
@@ -223,21 +223,9 @@ func (s *shard) resetLocked(fresh scheme.Scheme) {
 	s.eco = economyOf(fresh)
 	s.rng = uint64(shardSeed(s.srv.cfg.Seed, s.id))
 	s.lastNow = 0
-	s.lastAccrual = 0
-	s.endOfRun = 0
-	s.storageGBSeconds = 0
-	s.nodeSeconds = 0
-	s.queries = 0
+	s.books = sim.Books{}
 	s.inline = 0
-	s.declined = 0
-	s.cacheAnswered = 0
-	s.investments = 0
-	s.failures = 0
 	s.errors = 0
-	s.revenue = 0
-	s.profit = 0
-	s.execUsage = cost.Usage{}
-	s.buildUsage = cost.Usage{}
 	s.response = metrics.NewDurationStats(s.srv.cfg.ReservoirCap)
 }
 

@@ -16,7 +16,7 @@ import (
 // before the shard loops start, so a restarted daemon resumes the exact
 // accounts, regret ledgers and resident structures it drained with. The
 // graceful-drain path writes the snapshot after the loops exit but
-// BEFORE tail-rent finalization: the tail window (endOfRun) is persisted
+// BEFORE tail-rent finalization: the tail window (Books.EndOfRun) is persisted
 // and the restored server charges it at its own eventual drain, so a
 // drain-restore-drain sequence accounts rent exactly once — the
 // restart-parity test pins this byte for byte.
@@ -155,25 +155,13 @@ func (s *shard) captureState() persist.ShardState {
 // captureStateLocked does the export. Callers hold s.mu.
 func (s *shard) captureStateLocked() persist.ShardState {
 	st := persist.ShardState{
-		Index:            s.id,
-		LastNow:          s.lastNow,
-		LastAccrual:      s.lastAccrual,
-		EndOfRun:         s.endOfRun,
-		StorageGBSeconds: s.storageGBSeconds,
-		NodeSeconds:      s.nodeSeconds,
-		Queries:          s.queries,
-		Declined:         s.declined,
-		CacheAnswered:    s.cacheAnswered,
-		Investments:      s.investments,
-		Failures:         s.failures,
-		Errors:           s.errors,
-		Revenue:          s.revenue,
-		Profit:           s.profit,
-		ExecUsage:        s.execUsage,
-		BuildUsage:       s.buildUsage,
-		RNG:              s.rng,
-		Response:         s.response.State(),
-		Cache:            s.sch.Cache().Snapshot(),
+		Index:    s.id,
+		LastNow:  s.lastNow,
+		Books:    s.books,
+		Errors:   s.errors,
+		RNG:      s.rng,
+		Response: s.response.State(),
+		Cache:    s.sch.Cache().Snapshot(),
 	}
 	if s.eco != nil {
 		st.Economy = s.eco.Snapshot()
@@ -229,20 +217,8 @@ func (s *shard) restoreStateLocked(st *persist.ShardState) error {
 		ys.RestoreYield(yield)
 	}
 	s.lastNow = st.LastNow
-	s.lastAccrual = st.LastAccrual
-	s.endOfRun = st.EndOfRun
-	s.storageGBSeconds = st.StorageGBSeconds
-	s.nodeSeconds = st.NodeSeconds
-	s.queries = st.Queries
-	s.declined = st.Declined
-	s.cacheAnswered = st.CacheAnswered
-	s.investments = st.Investments
-	s.failures = st.Failures
+	s.books = st.Books
 	s.errors = st.Errors
-	s.revenue = st.Revenue
-	s.profit = st.Profit
-	s.execUsage = st.ExecUsage
-	s.buildUsage = st.BuildUsage
 	s.rng = st.RNG
 	s.response.Restore(st.Response)
 	return nil

@@ -827,7 +827,7 @@ func (s *Server) drain() {
 	for _, sh := range s.shards {
 		<-sh.done
 	}
-	// Persist the drained state BEFORE tail-rent finalization: endOfRun
+	// Persist the drained state BEFORE tail-rent finalization: Books.EndOfRun
 	// travels in the snapshot and the restored server settles that window
 	// at its own drain, so rent is charged exactly once across restarts
 	// and a restored run stays byte-identical to an uninterrupted one.

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"repro/internal/budget"
-	"repro/internal/cost"
 	"repro/internal/economy"
 	"repro/internal/metrics"
-	"repro/internal/money"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/scheme"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -94,16 +93,10 @@ type shard struct {
 
 	// lastNow keeps shard time monotone even if the clock source jitters.
 	lastNow time.Duration
-	// lastAccrual is the point up to which storage and node rent have
-	// been integrated.
-	lastAccrual time.Duration
-	// endOfRun is the completion time of the latest-finishing execution;
-	// the drain path integrates tail rent through it, mirroring
-	// sim.Run's end-of-run accounting.
-	endOfRun time.Duration
-
-	storageGBSeconds float64
-	nodeSeconds      float64
+	// books is the shard's operating account — rent watermark, tail
+	// window, rent integrals, query tallies — the same sim.Books sim.Run
+	// keeps, persisted as is.
+	books sim.Books
 
 	// deferred is handleMsgs' scratch list of batch completions to run
 	// after the lock drops; a field so its capacity survives drains.
@@ -129,20 +122,12 @@ type shard struct {
 	// inline decision — the saturation gauge /v1/stats reports.
 	oldestWait atomic.Int64
 
-	queries int64
-	// inline counts the queries among them decided on their caller's
-	// goroutine; queries - inline went through the mailbox.
-	inline        int64
-	declined      int64
-	cacheAnswered int64
-	investments   int64
-	failures      int64
-	errors        int64
-	revenue       money.Amount
-	profit        money.Amount
-	execUsage     cost.Usage
-	buildUsage    cost.Usage
-	response      *metrics.DurationStats
+	// inline counts the queries among books.Queries decided on their
+	// caller's goroutine; the rest went through the mailbox.
+	inline int64
+	// errors counts submissions that failed before a decision.
+	errors   int64
+	response *metrics.DurationStats
 }
 
 // economyOf extracts the economy from schemes that have one.
@@ -255,7 +240,7 @@ func (s *shard) tryDecide(req Request) (shardReply, bool) {
 		return shardReply{err: s.notOwnedErr()}, true
 	}
 	now := s.nowLocked()
-	s.accrueLocked(now)
+	s.books.Accrue(now, s.sch.Cache())
 	reply := s.handleLocked(req, now, 0)
 	if reply.err == nil {
 		s.inline++
@@ -298,7 +283,7 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 	var now time.Duration
 	if s.owned {
 		now = s.nowLocked()
-		s.accrueLocked(now)
+		s.books.Accrue(now, s.sch.Cache())
 	}
 	s.deferred = s.deferred[:0]
 	for _, m := range msgs {
@@ -354,20 +339,6 @@ func (s *shard) nowLocked() time.Duration {
 	}
 	s.lastNow = now
 	return now
-}
-
-// accrueLocked integrates storage and node rent over [lastAccrual, now)
-// using the residency state in force over that window (the cache has not
-// yet been mutated by whatever prompted the call). Callers hold s.mu.
-func (s *shard) accrueLocked(now time.Duration) {
-	if now <= s.lastAccrual {
-		return
-	}
-	dt := (now - s.lastAccrual).Seconds()
-	ca := s.sch.Cache()
-	s.storageGBSeconds += float64(ca.ResidentBytes()) / (1 << 30) * dt
-	s.nodeSeconds += float64(ca.NodeCount()) * dt
-	s.lastAccrual = now
 }
 
 // handleLocked decides one query at arrival time now, sampling a
@@ -475,27 +446,9 @@ func (s *shard) decideLocked(req Request, now time.Duration) (shardReply, scheme
 		return shardReply{err: fmt.Errorf("shard %d: query %d: %w", s.id, q.ID, err)}, scheme.Result{}
 	}
 
-	s.queries++
-	s.execUsage.Add(r.ExecUsage)
-	s.buildUsage.Add(r.BuildUsage)
-	s.revenue = s.revenue.Add(r.Charged)
-	s.profit = s.profit.Add(r.Profit)
-	s.investments += int64(r.Investments)
-	s.failures += int64(r.Failures)
-	if r.Declined {
-		s.declined++
-	} else {
+	s.books.Record(now, &r)
+	if !r.Declined {
 		s.response.ObserveDuration(r.ResponseTime)
-		if r.Location == plan.Cache {
-			s.cacheAnswered++
-		}
-		// Only executions widen the tail-rent window: a declined query
-		// runs nothing, so it must not push endOfRun (and with it the
-		// storage/node rent finalize charges) past its arrival — the
-		// same window sim.Run bills.
-		if done := now + r.ResponseTime; done > s.endOfRun {
-			s.endOfRun = done
-		}
 	}
 
 	return shardReply{resp: Response{
@@ -524,8 +477,8 @@ func (s *shard) housekeep() {
 		return
 	}
 	now := s.nowLocked()
-	s.accrueLocked(now)
 	ca := s.sch.Cache()
+	s.books.Accrue(now, ca)
 	if now > ca.Clock() {
 		ca.Advance(now)
 	}
@@ -542,11 +495,7 @@ func (s *shard) finalize() {
 	if !s.owned {
 		return
 	}
-	end := s.nowLocked()
-	if s.endOfRun > end {
-		end = s.endOfRun
-	}
-	s.accrueLocked(end)
+	s.books.Close(s.nowLocked(), s.sch.Cache())
 }
 
 // snapshot captures the shard's stats. With samples it also fills the
@@ -576,35 +525,36 @@ func (s *shard) capture(samples bool) (ShardStats, []float64) {
 	// A disowned shard's state is in transit: report it as-is without
 	// advancing the clock or accruing rent, so polling stats during a
 	// migration cannot perturb the frozen capture.
+	ca := s.sch.Cache()
 	now := s.lastNow
 	if s.owned {
 		now = s.nowLocked()
-		s.accrueLocked(now)
+		s.books.Accrue(now, ca)
 	}
 
-	acct := s.srv.accounting
-	ca := s.sch.Cache()
+	b := &s.books
+	c := b.Costs(s.srv.accounting)
 	st := ShardStats{
 		Shard:              s.id,
 		Scheme:             s.sch.Name(),
 		Owned:              s.owned,
 		ClockSec:           now.Seconds(),
-		Queries:            s.queries,
+		Queries:            b.Queries,
 		Inline:             s.inline,
-		Declined:           s.declined,
-		CacheAnswered:      s.cacheAnswered,
-		Investments:        s.investments,
-		Failures:           s.failures,
+		Declined:           b.Declined,
+		CacheAnswered:      b.CacheAnswered,
+		Investments:        b.Investments,
+		Failures:           b.Failures,
 		Errors:             s.errors,
 		MailboxDepth:       len(s.mailbox),
 		OldestWaitSec:      float64(s.oldestWait.Load()) / 1e9,
 		ResponseMeanSec:    s.response.Mean(),
-		ExecCostUSD:        cost.Price(acct, s.execUsage).Dollars(),
-		BuildCostUSD:       cost.Price(acct, s.buildUsage).Dollars(),
-		StorageCostUSD:     acct.StorageRent(s.storageGBSeconds).Dollars(),
-		NodeCostUSD:        acct.NodeRent(s.nodeSeconds).Dollars(),
-		RevenueUSD:         s.revenue.Dollars(),
-		ProfitUSD:          s.profit.Dollars(),
+		ExecCostUSD:        c.Exec.Dollars(),
+		BuildCostUSD:       c.Build.Dollars(),
+		StorageCostUSD:     c.Storage.Dollars(),
+		NodeCostUSD:        c.Node.Dollars(),
+		RevenueUSD:         b.Revenue.Dollars(),
+		ProfitUSD:          b.Profit.Dollars(),
 		ResidentBytes:      ca.ResidentBytes(),
 		ResidentStructures: ca.Len(),
 		PendingBuilds:      ca.PendingCount(),
@@ -658,7 +608,7 @@ func (s *shard) quickCounters() (queries int64, now time.Duration) {
 	if now < s.lastNow {
 		now = s.lastNow
 	}
-	return s.queries, now
+	return s.books.Queries, now
 }
 
 // structures lists the shard's resident structures, sorted by ID.

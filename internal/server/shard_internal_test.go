@@ -86,13 +86,57 @@ func TestDeclinedQueryDoesNotExtendTailRent(t *testing.T) {
 	// The clock never advanced, the only query declined: the drain must
 	// settle zero rent, not an hour of it.
 	sh.mu.Lock()
-	gbSec, nodeSec, end := sh.storageGBSeconds, sh.nodeSeconds, sh.endOfRun
+	gbSec, nodeSec, end := sh.books.StorageGBSeconds, sh.books.NodeSeconds, sh.books.EndOfRun
 	sh.mu.Unlock()
 	if end != 0 {
 		t.Errorf("declined query extended endOfRun to %v", end)
 	}
 	if gbSec != 0 || nodeSec != 0 {
 		t.Errorf("declined query billed tail rent: %g GB·s, %g node·s", gbSec, nodeSec)
+	}
+}
+
+// TestSubmitAllocs pins Submit at zero allocations per query on a warmed
+// one-shard server with an idle tracer, on both arms: decided inline on
+// the caller's goroutine, and — with a no-op DecideDelay — through the
+// mailbox, the shard loop and a pooled reply channel.
+func TestSubmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are the detector's")
+	}
+	for _, arm := range []string{"inline", "mailbox"} {
+		t.Run(arm, func(t *testing.T) {
+			clock := NewVirtualClock()
+			cfg := Config{Shards: 1, Params: scheme.DefaultParams(catalog.TPCH(20)), Clock: clock}
+			if arm == "mailbox" {
+				cfg.DecideDelay = func(int) {}
+			}
+			srv, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Shutdown(context.Background())
+			templates := []string{"Q1", "Q3", "Q6", "Q10", "Q14"}
+			i := 0
+			submit := func() {
+				req := Request{Tenant: "t", Template: templates[i%len(templates)], Selectivity: float64(i%13) / 400, HasSelectivity: true}
+				i++
+				clock.Advance(time.Second)
+				if _, err := srv.Submit(context.Background(), req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i < 5000 {
+				submit()
+			}
+			inline := srv.shards[0].inline
+			if got := testing.AllocsPerRun(1000, submit); got != 0 {
+				t.Errorf("Submit allocates %.1f times per query, want 0", got)
+			}
+			if decidedInline := srv.shards[0].inline > inline; decidedInline != (arm == "inline") {
+				t.Errorf("%s arm: inline decisions moved %v", arm, decidedInline)
+			}
+		})
 	}
 }
 

@@ -61,7 +61,7 @@ func TestReportGoldenJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sim.Run(sim.Config{Scheme: sch, Generator: gen, Queries: 1500, ReservoirCap: 64})
+			rep, err := sim.Run(sim.Config{Scheme: sch, Source: gen, Queries: 1500, ReservoirCap: 64})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,9 +55,9 @@ func TestTailRentCharged(t *testing.T) {
 	const queries = 10
 	const resp = 30 * time.Second
 	rep, err := Run(Config{
-		Scheme:    &rentScheme{ca: ca, resp: resp},
-		Generator: testGen(t, cat, time.Second, 7),
-		Queries:   queries,
+		Scheme:  &rentScheme{ca: ca, resp: resp},
+		Source:  testGen(t, cat, time.Second, 7),
+		Queries: queries,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestBatchInvariance(t *testing.T) {
 func TestRunParallelMatchesSequential(t *testing.T) {
 	cat := catalog.TPCH(5)
 	mk := func(seed int64) Config {
-		return Config{Scheme: testScheme(t, cat), Generator: testGen(t, cat, time.Second, seed), Queries: 500}
+		return Config{Scheme: testScheme(t, cat), Source: testGen(t, cat, time.Second, seed), Queries: 500}
 	}
 	seeds := []int64{1, 2, 3, 4}
 
@@ -160,8 +160,8 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 
 func TestRunParallelFirstError(t *testing.T) {
 	cat := catalog.TPCH(5)
-	good := Config{Scheme: testScheme(t, cat), Generator: testGen(t, cat, time.Second, 1), Queries: 100}
-	bad := Config{Generator: testGen(t, cat, time.Second, 2), Queries: 100} // no scheme
+	good := Config{Scheme: testScheme(t, cat), Source: testGen(t, cat, time.Second, 1), Queries: 100}
+	bad := Config{Source: testGen(t, cat, time.Second, 2), Queries: 100} // no scheme
 	if _, err := RunParallel(context.Background(), []Config{good, bad}, Pool{Workers: 2}); err == nil {
 		t.Error("invalid config accepted")
 	}
@@ -171,7 +171,7 @@ func TestRunParallelCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cat := catalog.TPCH(5)
-	cfg := Config{Scheme: testScheme(t, cat), Generator: testGen(t, cat, time.Second, 1), Queries: 100}
+	cfg := Config{Scheme: testScheme(t, cat), Source: testGen(t, cat, time.Second, 1), Queries: 100}
 	if _, err := RunParallel(ctx, []Config{cfg}, Pool{Workers: 1}); err == nil {
 		t.Error("cancelled context accepted")
 	}

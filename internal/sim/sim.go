@@ -15,7 +15,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cost"
 	"repro/internal/economy"
 	"repro/internal/metrics"
 	"repro/internal/money"
@@ -29,13 +28,9 @@ import (
 type Config struct {
 	// Scheme under test. Required.
 	Scheme scheme.Scheme
-	// Generator produces the query stream. Required unless Source is
-	// set.
-	Generator *workload.Generator
-	// Source, if non-nil, produces the query stream instead of
-	// Generator — any workload.Source (an adversary strategy, a merged
-	// multi-source stream) plugs in here. A nil query from the source
-	// ends the run early.
+	// Source produces the query stream: a *workload.Generator, an
+	// adversary strategy, a merged multi-source stream. Required. A
+	// source that runs dry before Queries fails the run.
 	Source workload.Source
 	// Queries is the stream length. Required.
 	Queries int
@@ -88,8 +83,9 @@ type Report struct {
 
 	// Elapsed is the simulated wall-clock span (first to last arrival).
 	Elapsed time.Duration
-	// EndOfRun is when the last execution completed (last arrival plus
-	// the longest outstanding response); rent is charged through it.
+	// EndOfRun is when the last execution completed (the latest
+	// arrival plus response of an executed query; a decline runs
+	// nothing and never widens it); rent is charged through it.
 	EndOfRun time.Duration
 	// FinalResidentBytes is the cache footprint at the end.
 	FinalResidentBytes int64
@@ -150,10 +146,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	src := cfg.Source
 	if src == nil {
-		if cfg.Generator == nil {
-			return nil, fmt.Errorf("sim: a Generator or Source is required")
-		}
-		src = cfg.Generator
+		return nil, fmt.Errorf("sim: Source is required")
 	}
 	if cfg.Queries <= 0 {
 		return nil, fmt.Errorf("sim: Queries must be positive")
@@ -174,15 +167,9 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		Response:   metrics.NewDurationStats(cfg.ReservoirCap),
 	}
 
-	var execUsage, buildUsage cost.Usage
-	var storageGBSeconds float64 // resident GiB × seconds
-	var nodeSeconds float64      // extra-node uptime in seconds
-
 	ca := cfg.Scheme.Cache()
-	lastClock := ca.Clock()
-	var firstArrival time.Duration
-	var lastArrival time.Duration
-	var endOfRun time.Duration
+	books := Books{LastAccrual: ca.Clock()}
+	var firstArrival, lastArrival time.Duration
 
 	// Per-tenant attribution. Consecutive queries mostly share a tenant
 	// (the paper's streams are untagged; tagged ones are Zipf-skewed), so
@@ -213,42 +200,25 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			}
 			lastArrival = q.Arrival
 
-			// Integrate storage and node rent over the idle gap, using the
-			// cache state before this arrival mutates it.
-			if q.Arrival > lastClock {
-				dt := (q.Arrival - lastClock).Seconds()
-				storageGBSeconds += float64(ca.ResidentBytes()) / (1 << 30) * dt
-				nodeSeconds += float64(ca.NodeCount()) * dt
-				lastClock = q.Arrival
-			}
-
+			// Rent over the idle gap, before this arrival mutates the cache.
+			books.Accrue(q.Arrival, ca)
 			r, err := cfg.Scheme.HandleQuery(q)
 			if err != nil {
 				return nil, fmt.Errorf("sim: query %d: %w", q.ID, err)
 			}
-			execUsage.Add(r.ExecUsage)
-			buildUsage.Add(r.BuildUsage)
-			rep.Revenue = rep.Revenue.Add(r.Charged)
-			rep.Profit = rep.Profit.Add(r.Profit)
-			rep.Investments += int64(r.Investments)
-			rep.Failures += int64(r.Failures)
+			books.Record(q.Arrival, &r)
 			tr := tenantOf(q.Tenant)
 			tr.Queries++
 			tr.Revenue = tr.Revenue.Add(r.Charged)
 			tr.Profit = tr.Profit.Add(r.Profit)
 			if r.Declined {
-				rep.Declined++
 				tr.Declined++
 			} else {
 				rep.Response.ObserveDuration(r.ResponseTime)
 				tr.ResponseSum += r.ResponseTime
 				if r.Location == plan.Cache {
-					rep.CacheAnswered++
 					tr.CacheAnswered++
 				}
-			}
-			if done := q.Arrival + r.ResponseTime; done > endOfRun {
-				endOfRun = done
 			}
 
 			i++
@@ -262,28 +232,21 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		if len(batch) < want {
 			// The source ran dry (only finite Sources do; the Generator
 			// never does).
-			return nil, fmt.Errorf("sim: generator produced %d of %d queries", i, cfg.Queries)
+			return nil, fmt.Errorf("sim: source produced %d of %d queries", i, cfg.Queries)
 		}
 	}
 
-	// Rent keeps accruing while the final queries execute: integrate the
-	// tail from the last arrival to the last completion, so a run's
+	// Rent keeps accruing while the final queries execute, so a run's
 	// storage and node costs do not silently drop the closing window.
-	if endOfRun > lastClock {
-		dt := (endOfRun - lastClock).Seconds()
-		storageGBSeconds += float64(ca.ResidentBytes()) / (1 << 30) * dt
-		nodeSeconds += float64(ca.NodeCount()) * dt
-		lastClock = endOfRun
-	}
-
-	acct := cfg.Accounting
-	rep.ExecCost = cost.Price(acct, execUsage)
-	rep.BuildCost = cost.Price(acct, buildUsage)
-	rep.StorageCost = acct.StorageRent(storageGBSeconds)
-	rep.NodeCost = acct.NodeRent(nodeSeconds)
-	rep.OperatingCost = money.Sum(rep.ExecCost, rep.BuildCost, rep.StorageCost, rep.NodeCost)
+	books.Close(lastArrival, ca)
+	c := books.Costs(cfg.Accounting)
+	rep.Declined, rep.CacheAnswered = books.Declined, books.CacheAnswered
+	rep.Investments, rep.Failures = books.Investments, books.Failures
+	rep.ExecCost, rep.BuildCost, rep.StorageCost, rep.NodeCost = c.Exec, c.Build, c.Storage, c.Node
+	rep.OperatingCost = c.Operating
+	rep.Revenue, rep.Profit = books.Revenue, books.Profit
 	rep.Elapsed = lastArrival - firstArrival
-	rep.EndOfRun = endOfRun
+	rep.EndOfRun = books.EndOfRun
 	rep.FinalResidentBytes = ca.ResidentBytes()
 
 	// Per-tenant sections: only for tagged streams, so the classic

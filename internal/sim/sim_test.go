@@ -42,10 +42,10 @@ func TestRunValidation(t *testing.T) {
 	s := testScheme(t, cat)
 	g := testGen(t, cat, time.Second, 1)
 	cases := []Config{
-		{Generator: g, Queries: 10},                                             // no scheme
-		{Scheme: s, Queries: 10},                                                // no generator
-		{Scheme: s, Generator: g, Queries: 0},                                   // no queries
-		{Scheme: s, Generator: g, Queries: 10, Accounting: &pricing.Schedule{}}, // invalid schedule
+		{Source: g, Queries: 10},           // no scheme
+		{Scheme: s, Queries: 10},           // no source
+		{Scheme: s, Source: g, Queries: 0}, // no queries
+		{Scheme: s, Source: g, Queries: 10, Accounting: &pricing.Schedule{}}, // invalid schedule
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
@@ -58,7 +58,7 @@ func TestRunBasicReport(t *testing.T) {
 	cat := catalog.TPCH(5)
 	s := testScheme(t, cat)
 	g := testGen(t, cat, time.Second, 2)
-	rep, err := Run(Config{Scheme: s, Generator: g, Queries: 500})
+	rep, err := Run(Config{Scheme: s, Source: g, Queries: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestStorageCostGrowsWithInterarrival(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Run(Config{Scheme: s, Generator: testGen(t, cat, gap, 3), Queries: 4000})
+		rep, err := Run(Config{Scheme: s, Source: testGen(t, cat, gap, 3), Queries: 4000})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestProgressCallback(t *testing.T) {
 	g := testGen(t, cat, time.Second, 4)
 	var calls []int
 	_, err := Run(Config{
-		Scheme: s, Generator: g, Queries: 100,
+		Scheme: s, Source: g, Queries: 100,
 		OnProgress: func(done int) { calls = append(calls, done) }, ProgressEvery: 25,
 	})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestBypassVsEconShareAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(Config{Scheme: b, Generator: testGen(t, cat, time.Second, 5), Queries: 300})
+	rep, err := Run(Config{Scheme: b, Source: testGen(t, cat, time.Second, 5), Queries: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRunAllocsPerQuery(t *testing.T) {
 	const queries = 20_000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rep, err := Run(Config{Scheme: sch, Generator: gen, Queries: queries})
+	rep, err := Run(Config{Scheme: sch, Source: gen, Queries: queries})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

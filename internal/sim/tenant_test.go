@@ -74,9 +74,9 @@ func TestAltruisticSimParity(t *testing.T) {
 	cat := catalog.TPCH(20)
 	run := func(tenants int) *Report {
 		rep, err := Run(Config{
-			Scheme:    providerScheme(t, cat, economy.ProviderAltruistic),
-			Generator: tenantGen(t, cat, tenants, 1.1, 7),
-			Queries:   3000,
+			Scheme:  providerScheme(t, cat, economy.ProviderAltruistic),
+			Source:  tenantGen(t, cat, tenants, 1.1, 7),
+			Queries: 3000,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -155,9 +155,9 @@ func TestSelfishChangesInvestment(t *testing.T) {
 	run := func(p economy.Provider) (*Report, scheme.Scheme) {
 		sch := providerScheme(t, cat, p)
 		rep, err := Run(Config{
-			Scheme:    sch,
-			Generator: tenantGen(t, cat, 2, 1.1, 7),
-			Queries:   3000,
+			Scheme:  sch,
+			Source:  tenantGen(t, cat, 2, 1.1, 7),
+			Queries: 3000,
 		})
 		if err != nil {
 			t.Fatal(err)

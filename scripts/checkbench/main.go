@@ -1,4 +1,4 @@
-// Command checkbench gates four contracts recorded in
+// Command checkbench gates three contracts recorded in
 // BENCH_server.json:
 //
 //   - Tracing: the mode=inproc cell with the tracer installed but
@@ -20,12 +20,9 @@
 //     one-query frame stopped paying the batch path's buffers.
 //     Throughput is noisy on shared hosts; allocation counts are nearly
 //     deterministic, so this gate is the sharp one.
-//   - Decision engine: every scheme's BenchmarkDecide row — bare
-//     scheme.HandleQuery on a warmed, resident-heavy state — must run at
-//     zero allocs/query. The engine indexes slices by structure slot; a
-//     string minted, a map grown or a slice made per query reads as ≥ 1
-//     here, while the only allocations a settled state still makes (the
-//     Entry of a rare build) stay orders of magnitude under the gate.
+//
+// The decision engine's zero-allocation contract is not here: it is a
+// plain tier-1 test (TestDecideAllocs at the repository root).
 //
 // Usage: go run ./scripts/checkbench [BENCH_server.json]
 package main
@@ -46,24 +43,10 @@ type cell struct {
 	AllocsPerQuery float64 `json:"allocs_per_query"`
 }
 
-type decideCell struct {
-	Scheme         string  `json:"scheme"`
-	NsPerQuery     float64 `json:"ns_per_query"`
-	AllocsPerQuery float64 `json:"allocs_per_query"`
-}
-
 type benchFile struct {
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Cells      []cell       `json:"cells"`
-	Decide     []decideCell `json:"decide"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	Cells      []cell `json:"cells"`
 }
-
-// decideSchemes are the rows BenchmarkDecide must have written, and
-// maxDecideAllocs the most any of them may allocate per query: zero to
-// two decimals.
-var decideSchemes = []string{"bypass", "econ-col", "econ-cheap", "econ-fast"}
-
-const maxDecideAllocs = 0.005
 
 // maxTraceOffRegression is the gate: trace=off must retain at least this
 // fraction of the no-tracer baseline's throughput.
@@ -118,27 +101,6 @@ func main() {
 	if err := json.Unmarshal(data, &f); err != nil {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}
-
-	// Decision engine: all four schemes present and allocation-free.
-	// Checked first — a count that repeats exactly must not hide behind
-	// the throughput ratios below, which shared hosts make noisy.
-	for _, name := range decideSchemes {
-		var row *decideCell
-		for i := range f.Decide {
-			if f.Decide[i].Scheme == name {
-				row = &f.Decide[i]
-			}
-		}
-		if row == nil {
-			fatal(fmt.Errorf("%s: no decide row for %s — run BenchmarkDecide after the ServerThroughput sweep (make bench does)", path, name))
-		}
-		fmt.Printf("%-30s %6.0f ns/query  %.4f allocs/query\n", "decide "+name, row.NsPerQuery, row.AllocsPerQuery)
-		if row.AllocsPerQuery >= maxDecideAllocs {
-			fatal(fmt.Errorf("decide %s allocates %.4f per query (gate: 0.00) — the decision path must not allocate; `go test -run '^$' -bench Decide/%s -memprofile mem.prof .` shows the site",
-				name, row.AllocsPerQuery, name))
-		}
-	}
-	fmt.Printf("OK: %d schemes decide without allocating\n", len(decideSchemes))
 
 	// The three comparable cells: same mode/shards/batch/procs, only the
 	// tracing configuration differs.
