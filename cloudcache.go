@@ -20,8 +20,6 @@
 //   - Run drives a scheme over a stream and reports operating cost and
 //     response times (Figures 4 and 5 read directly off the Report).
 //   - ReproduceFigures regenerates the paper's figures end to end.
-//   - NewServer builds the concurrent online serving engine behind the
-//     cmd/cloudcached daemon: live queries against sharded economies.
 //
 // See examples/ for runnable walkthroughs and EXPERIMENTS.md for the
 // paper-versus-measured record.
@@ -33,14 +31,12 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/catalog"
-	"repro/internal/economy"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/money"
 	"repro/internal/plan"
 	"repro/internal/pricing"
 	"repro/internal/scheme"
-	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -70,65 +66,18 @@ type (
 	SchemeParams = scheme.Params
 	// Report is the outcome of one simulation run.
 	Report = sim.Report
-	// TenantReport is one tenant's section of a simulation report.
-	TenantReport = sim.TenantReport
-	// Provider selects the economy's accounting stance: altruistic
-	// (pooled communal account, §IV's default) or selfish (per-tenant
-	// ledgers over the shared structure pool).
-	Provider = economy.Provider
 	// Table is a rendered result table.
 	Table = metrics.Table
 	// Cell is one (scheme, interval) measurement of the figure grid.
 	Cell = experiments.Cell
 	// Settings parameterise figure reproduction.
 	Settings = experiments.Settings
-	// SchemeResult reports how a scheme handled one query.
-	SchemeResult = scheme.Result
 	// Location says where a plan executed.
 	Location = plan.Location
-
-	// Server is the concurrent online serving engine: N economy shards
-	// behind one admission front, exposed over HTTP by cmd/cloudcached.
-	Server = server.Server
-	// ServerConfig parameterises a Server.
-	ServerConfig = server.Config
-	// ServerRequest is one live query submission.
-	ServerRequest = server.Request
-	// ServerResponse reports how the economy answered one query.
-	ServerResponse = server.Response
-	// ServerBatchItem is one positional result of Server.SubmitBatch:
-	// the batched admission path that amortizes mailbox and lock traffic
-	// across many queries per shard hop.
-	ServerBatchItem = server.BatchItem
-	// ServerStats is the live metrics snapshot of GET /v1/stats.
-	ServerStats = server.Stats
-	// ServerTenantStats is one tenant's merged ledger view in
-	// ServerStats.
-	ServerTenantStats = server.TenantStats
-	// ServerClock drives the serving layer's economy time.
-	ServerClock = server.Clock
-	// VirtualClock is the manually advanced clock for deterministic runs.
-	VirtualClock = server.VirtualClock
 )
 
-// Execution locations.
-const (
-	// LocationBackend marks back-end execution.
-	LocationBackend = plan.Backend
-	// LocationCache marks in-cache execution.
-	LocationCache = plan.Cache
-)
-
-// Economy providers (§IV's altruistic-vs-selfish discussion).
-const (
-	// ProviderAltruistic pools all tenants into one communal account.
-	ProviderAltruistic = economy.ProviderAltruistic
-	// ProviderSelfish accounts budgets and regret per tenant.
-	ProviderSelfish = economy.ProviderSelfish
-)
-
-// ParseProvider parses a provider name ("altruistic" or "selfish").
-func ParseProvider(s string) (Provider, error) { return economy.ParseProvider(s) }
+// LocationCache marks in-cache execution.
+const LocationCache = plan.Cache
 
 // Dollars converts a float dollar value into an Amount.
 func Dollars(d float64) Amount { return money.FromDollars(d) }
@@ -194,12 +143,6 @@ func FixedArrival(gap time.Duration) workload.ArrivalProcess {
 	return workload.NewFixedArrival(gap)
 }
 
-// PoissonArrival returns a memoryless arrival process with the given mean
-// gap.
-func PoissonArrival(mean time.Duration) workload.ArrivalProcess {
-	return workload.NewPoissonArrival(mean)
-}
-
 // StepBudget returns the §VII-A user preference: pay `price` for completion
 // within tmax and nothing later.
 func StepBudget(price Amount, tmax time.Duration) BudgetFunc {
@@ -262,18 +205,6 @@ func ReproduceFigures(s Settings) (cells []Cell, fig4, fig5 *Table, err error) {
 	}
 	return cells, experiments.Fig4Table(cells), experiments.Fig5Table(cells), nil
 }
-
-// NewServer builds and starts the online serving engine (see
-// internal/server and cmd/cloudcached).
-func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
-
-// NewWallClock returns a serving clock that maps real time onto economy
-// time with a speedup factor (1 = real time).
-func NewWallClock(speedup float64) ServerClock { return server.NewWallClock(speedup) }
-
-// NewVirtualClock returns a manually advanced serving clock for
-// deterministic tests and replays.
-func NewVirtualClock() *VirtualClock { return server.NewVirtualClock() }
 
 // PaperIntervals returns the inter-query intervals of Figures 4 and 5.
 func PaperIntervals() []time.Duration {

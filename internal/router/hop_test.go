@@ -1,0 +1,113 @@
+package router_test
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/server"
+	"repro/internal/server/wire"
+)
+
+// frameCounter counts the frames a backend serves: the protocol loop
+// hands its engine every batch frame as one SubmitBatchAsync call.
+type frameCounter struct {
+	wire.Engine
+	frames atomic.Int64
+}
+
+func (e *frameCounter) SubmitBatchAsync(ctx context.Context, qs []wire.Query, decodeNanos int64, done func([]wire.Reply)) error {
+	e.frames.Add(1)
+	return e.Engine.SubmitBatchAsync(ctx, qs, decodeNanos, done)
+}
+
+func count(set []bool) (n int64) {
+	for _, in := range set {
+		if in {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRouterHopCounts holds the router hop to counts that repeat: one
+// client drives serial round trips through a router to two 4-shard
+// backends. A one-query frame costs exactly one backend frame and at most
+// 17 allocations; a 64-query frame spread over every shard costs between
+// one backend frame per backend it touches (every shard group coalesced)
+// and one per shard group (none coalesced), and at most 142 allocations —
+// both ends of every hop and both backends counted.
+func TestRouterHopCounts(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are the detector's")
+	}
+	const shards = 4
+	tenants := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
+	templates := []string{"Q1", "Q3", "Q6", "Q10", "Q14"}
+	for _, tc := range []struct {
+		batch     int
+		maxAllocs float64
+	}{{1, 17}, {64, 142}} {
+		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
+			var counters []*frameCounter
+			var addrs []string
+			for b := 0; b < 2; b++ {
+				c := &frameCounter{Engine: wire.ServerEngine(newEngine(t, shards, nil, nil))}
+				addr, _ := serveBackend(t, c)
+				counters, addrs = append(counters, c), append(addrs, addr)
+			}
+			r, front := newRouterFront(t, addrs, -1)
+			cl, err := wire.DialMux(front)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			frames := func() int64 { return counters[0].frames.Load() + counters[1].frames.Load() }
+
+			qs := make([]wire.Query, tc.batch)
+			i := 0
+			var trips, minFrames, maxFrames int64
+			roundTrip := func() {
+				var groups [shards]bool
+				var owners [2]bool
+				for j := range qs {
+					qs[j] = wire.Query{Tenant: tenants[i%len(tenants)], Template: templates[i%len(templates)]}
+					i++
+					k := server.ShardIndexFor(qs[j].Tenant, qs[j].Template, shards)
+					groups[k], owners[r.Owner(k)] = true, true
+				}
+				replies, err := cl.Submit(context.Background(), qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rep := range replies {
+					if rep.Err != "" {
+						t.Fatal(rep.Err)
+					}
+				}
+				trips++
+				minFrames += count(owners[:])
+				maxFrames += count(groups[:])
+			}
+			for i < 5000 {
+				roundTrip()
+			}
+
+			before, trips0, min0, max0 := frames(), trips, minFrames, maxFrames
+			allocs := testing.AllocsPerRun(500, roundTrip)
+			got, lo, hi := frames()-before, minFrames-min0, maxFrames-max0
+			if got < lo || got > hi {
+				t.Errorf("%d client frames of %d queries cost %d backend frames, want %d…%d (backends touched … shard groups)",
+					trips-trips0, tc.batch, got, lo, hi)
+			}
+			if tc.batch == 1 && got != trips-trips0 {
+				t.Errorf("%d one-query client frames cost %d backend frames, want exactly one each", trips-trips0, got)
+			}
+			if allocs > tc.maxAllocs {
+				t.Errorf("a batch=%d routed round trip allocates %.1f times, gate %.0f; `make profile` lists the engine's sites, `go test -run TestRouterHopCounts -memprofile mem.prof -memprofilerate 1 ./internal/router` the hop's",
+					tc.batch, allocs, tc.maxAllocs)
+			}
+		})
+	}
+}

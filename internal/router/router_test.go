@@ -67,6 +67,14 @@ func newBackend(t *testing.T, shards int, delays []atomic.Int64) (*server.Server
 // backend whose configuration fingerprint differs from its peers'.
 func newBackendCfg(t *testing.T, shards int, delays []atomic.Int64, mutate func(*scheme.Params)) (*server.Server, string, *killableListener) {
 	t.Helper()
+	srv := newEngine(t, shards, delays, mutate)
+	addr, ln := serveBackend(t, wire.ServerEngine(srv))
+	return srv, addr, ln
+}
+
+// newEngine builds a backend's engine, shut down when the test ends.
+func newEngine(t *testing.T, shards int, delays []atomic.Int64, mutate func(*scheme.Params)) *server.Server {
+	t.Helper()
 	cat := catalog.TPCH(20)
 	params := scheme.DefaultParams(cat)
 	params.RegretFraction = 0.0001
@@ -83,6 +91,7 @@ func newBackendCfg(t *testing.T, shards int, delays []atomic.Int64, mutate func(
 	if delays != nil {
 		cfg.DecideDelay = func(shard int) {
 			if d := delays[shard].Load(); d > 0 {
+				// A real delay, so completions genuinely race one another.
 				time.Sleep(time.Duration(d))
 			}
 		}
@@ -91,17 +100,22 @@ func newBackendCfg(t *testing.T, shards int, delays []atomic.Int64, mutate func(
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	return srv
+}
+
+// serveBackend serves eng — a backend engine, or a decorator over one — on
+// a loopback wire listener until the test ends.
+func serveBackend(t *testing.T, eng wire.Engine) (string, *killableListener) {
+	t.Helper()
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	ln := &killableListener{Listener: raw}
-	go wire.ServeEngine(ln, wire.ServerEngine(srv))
-	t.Cleanup(func() {
-		ln.Close()
-		srv.Shutdown(context.Background())
-	})
-	return srv, raw.Addr().String(), ln
+	go wire.ServeEngine(ln, eng)
+	t.Cleanup(func() { ln.Close() })
+	return raw.Addr().String(), ln
 }
 
 // newRouterFront builds a router over the addrs and serves it on its
@@ -402,7 +416,8 @@ func TestRouterBackendDeath(t *testing.T) {
 			}
 			// The severed connection may not have been observed yet;
 			// the in-flight submit that noticed it already failed
-			// tag-scoped, later ones race the pool's redial backoff.
+			// tag-scoped, later ones race the pool's redial backoff. The
+			// backoff runs on wall time, so the poll waits in wall time.
 			time.Sleep(5 * time.Millisecond)
 		}
 		for i := range replies {
@@ -444,6 +459,7 @@ func TestRouterBackendDeath(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("router /readyz never degraded after backend kill")
 		}
+		// The health loop ticks on wall time (every 20ms here): poll in it.
 		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -427,16 +427,41 @@ func TestDrainSettlesTailRent(t *testing.T) {
 
 // TestShutdownTimeoutThenRetry: a cancelled ctx abandons only the wait —
 // the drain still completes in the background, and a retry with a live
-// ctx observes it.
+// ctx observes it. The one query is held in its shard's mailbox drain
+// until the cancelled call has returned, so the drain cannot finish
+// first.
 func TestShutdownTimeoutThenRetry(t *testing.T) {
-	srv := newTestServer(t, 2, "econ-cheap", server.NewVirtualClock())
-	if _, err := srv.Submit(context.Background(), server.Request{Template: "Q1", Budget: testBudget()}); err != nil {
+	held, release := make(chan struct{}, 1), make(chan struct{})
+	srv, err := server.New(server.Config{
+		Shards: 2,
+		Scheme: "econ-cheap",
+		Params: testParams(testCatalog()),
+		Clock:  server.NewVirtualClock(),
+		DecideDelay: func(int) {
+			select {
+			case held <- struct{}{}:
+			default:
+			}
+			<-release
+		},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	answered := make(chan error, 1)
+	go func() {
+		_, err := srv.Submit(context.Background(), server.Request{Template: "Q1", Budget: testBudget()})
+		answered <- err
+	}()
+	<-held
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := srv.Shutdown(cancelled); !errors.Is(err, context.Canceled) {
 		t.Errorf("shutdown with dead ctx: err = %v, want Canceled", err)
+	}
+	close(release)
+	if err := <-answered; err != nil {
+		t.Fatalf("query admitted before the drain: %v", err)
 	}
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Errorf("retry shutdown: %v", err)
@@ -448,6 +473,7 @@ func TestShutdownTimeoutThenRetry(t *testing.T) {
 
 func TestWallClockSpeedup(t *testing.T) {
 	c := server.NewWallClock(1000)
+	// Wall time is what a WallClock reads: only real time passing tests it.
 	time.Sleep(2 * time.Millisecond)
 	if got := c.Now(); got < time.Second {
 		t.Errorf("speedup 1000 over 2ms = %v, want >= 1s", got)

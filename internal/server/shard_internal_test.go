@@ -96,47 +96,135 @@ func TestDeclinedQueryDoesNotExtendTailRent(t *testing.T) {
 	}
 }
 
+// streamTenants spread a batch over every shard of a 4-shard server; the
+// names exist once, so a measured loop mints no strings.
+var streamTenants = []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
+
+// warmServer builds a server on a VirtualClock — cfg edited by adjust
+// when non-nil — and warms it with 5 000 singleton Submits. next returns
+// the following query of the same stream, one virtual second later: the
+// stream the allocation gates and BenchmarkSubmit share.
+func warmServer(tb testing.TB, shards int, adjust func(*Config)) (srv *Server, next func() Request) {
+	tb.Helper()
+	clock := NewVirtualClock()
+	cfg := Config{Shards: shards, Params: scheme.DefaultParams(catalog.TPCH(20)), Clock: clock}
+	if adjust != nil {
+		adjust(&cfg)
+	}
+	srv, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	templates := []string{"Q1", "Q3", "Q6", "Q10", "Q14"}
+	i := 0
+	next = func() Request {
+		req := Request{
+			Tenant:         streamTenants[i%len(streamTenants)],
+			Template:       templates[i%len(templates)],
+			Selectivity:    float64(i%13) / 400,
+			HasSelectivity: true,
+		}
+		i++
+		clock.Advance(time.Second)
+		return req
+	}
+	for i < 5000 {
+		if _, err := srv.Submit(context.Background(), next()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return srv, next
+}
+
+// traceAll turns the tracer a default config installs idle into one that
+// records every query into its ring.
+func traceAll(cfg *Config) { cfg.TraceSampleEvery = 1 }
+
 // TestSubmitAllocs pins Submit at zero allocations per query on a warmed
-// one-shard server with an idle tracer, on both arms: decided inline on
-// the caller's goroutine, and — with a no-op DecideDelay — through the
-// mailbox, the shard loop and a pooled reply channel.
+// one-shard server, on three arms: decided inline on the caller's
+// goroutine with an idle tracer; with a no-op DecideDelay, through the
+// mailbox, the shard loop and a pooled reply channel; and inline with the
+// tracer recording every query into its ring.
 func TestSubmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the detector's")
 	}
-	for _, arm := range []string{"inline", "mailbox"} {
+	for arm, adjust := range map[string]func(*Config){
+		"inline":  nil,
+		"mailbox": func(cfg *Config) { cfg.DecideDelay = func(int) {} },
+		"traced":  traceAll,
+	} {
 		t.Run(arm, func(t *testing.T) {
-			clock := NewVirtualClock()
-			cfg := Config{Shards: 1, Params: scheme.DefaultParams(catalog.TPCH(20)), Clock: clock}
-			if arm == "mailbox" {
-				cfg.DecideDelay = func(int) {}
-			}
-			srv, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Shutdown(context.Background())
-			templates := []string{"Q1", "Q3", "Q6", "Q10", "Q14"}
-			i := 0
+			srv, next := warmServer(t, 1, adjust)
 			submit := func() {
-				req := Request{Tenant: "t", Template: templates[i%len(templates)], Selectivity: float64(i%13) / 400, HasSelectivity: true}
-				i++
-				clock.Advance(time.Second)
-				if _, err := srv.Submit(context.Background(), req); err != nil {
+				if _, err := srv.Submit(context.Background(), next()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for i < 5000 {
-				submit()
-			}
 			inline := srv.shards[0].inline
 			if got := testing.AllocsPerRun(1000, submit); got != 0 {
-				t.Errorf("Submit allocates %.1f times per query, want 0", got)
+				t.Errorf("Submit allocates %.1f times per query, want 0; `make profile` lists the sites", got)
 			}
-			if decidedInline := srv.shards[0].inline > inline; decidedInline != (arm == "inline") {
+			if decidedInline := srv.shards[0].inline > inline; decidedInline != (arm != "mailbox") {
 				t.Errorf("%s arm: inline decisions moved %v", arm, decidedInline)
 			}
+			if traced := len(srv.TraceSnapshot("", "", 0)) > 0; traced != (arm == "traced") {
+				t.Errorf("%s arm: tracer holds records %v", arm, traced)
+			}
 		})
+	}
+}
+
+// TestSubmitBatchAllocs pins SubmitBatch on a warmed 4-shard server at 15
+// allocations per batch of 16 or 64 queries spread over every shard —
+// the carve's flat buffers, one completion per shard group and the
+// caller's wait — with the tracer idle and sampling every query alike.
+// The count does not grow with the batch: a per-query allocation shows as
+// a jump of 16 or 64.
+func TestSubmitBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are the detector's")
+	}
+	const maxAllocs = 15
+	for arm, adjust := range map[string]func(*Config){"idle": nil, "traced": traceAll} {
+		for _, size := range []int{16, 64} {
+			t.Run(fmt.Sprintf("%s/batch=%d", arm, size), func(t *testing.T) {
+				srv, next := warmServer(t, 4, adjust)
+				reqs := make([]Request, size)
+				submit := func() {
+					for i := range reqs {
+						reqs[i] = next()
+					}
+					items, err := srv.SubmitBatch(context.Background(), reqs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, it := range items {
+						if it.Err != nil {
+							t.Fatal(it.Err)
+						}
+					}
+				}
+				if got := testing.AllocsPerRun(500, submit); got > maxAllocs {
+					t.Errorf("SubmitBatch of %d allocates %.1f times per batch, gate %d; `make profile` lists the engine's sites, `go test -run TestSubmitBatchAllocs -memprofile mem.prof -memprofilerate 1 ./internal/server` the batch path's",
+						size, got, maxAllocs)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkSubmit times singleton Submit on TestSubmitAllocs' warmed
+// one-shard server: the served half of `make profile`.
+func BenchmarkSubmit(b *testing.B) {
+	srv, next := warmServer(b, 1, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := srv.Submit(context.Background(), next()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

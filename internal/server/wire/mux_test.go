@@ -25,6 +25,7 @@ func newMuxServer(t *testing.T, shards int, delays []atomic.Int64) (*server.Serv
 	}
 	return newHookedServer(t, shards, func(shard int) {
 		if d := delays[shard].Load(); d > 0 {
+			// A real delay, so completions genuinely race one another.
 			time.Sleep(time.Duration(d))
 		}
 	})
@@ -567,6 +568,54 @@ func TestMuxFrameAndAHalf(t *testing.T) {
 		t.Fatal(err)
 	}
 	readReply(2)
+}
+
+// TestMuxRoundTripAllocs pins one MuxClient round trip to a warmed 4-shard
+// engine on a loopback listener — client encode, the connection's reader
+// deciding inline or handing off, reply encode and write, client decode,
+// every goroutine of both ends counted — at 6 allocations for a one-query
+// batch and 24 for a 64-query batch spread over every shard.
+func TestMuxRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under -race are the detector's")
+	}
+	tenants := []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"}
+	templates := []string{"Q1", "Q3", "Q6", "Q10", "Q14"}
+	for _, tc := range []struct {
+		batch     int
+		maxAllocs float64
+	}{{1, 6}, {64, 24}} {
+		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
+			clock := server.NewVirtualClock()
+			_, addr := newTestServer(t, 4, func(cfg *server.Config) { cfg.Clock = clock })
+			cl := dialMux(t, addr)
+			qs := make([]wire.Query, tc.batch)
+			i := 0
+			roundTrip := func() {
+				for j := range qs {
+					qs[j] = wire.Query{Tenant: tenants[i%len(tenants)], Template: templates[i%len(templates)]}
+					i++
+				}
+				clock.Advance(time.Second)
+				replies, err := cl.Submit(ctx, qs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range replies {
+					if r.Err != "" {
+						t.Fatal(r.Err)
+					}
+				}
+			}
+			for i < 5000 {
+				roundTrip()
+			}
+			if got := testing.AllocsPerRun(500, roundTrip); got > tc.maxAllocs {
+				t.Errorf("a batch=%d round trip allocates %.1f times, gate %.0f; `make profile` lists the engine's sites, `go test -run TestMuxRoundTripAllocs -memprofile mem.prof -memprofilerate 1 ./internal/server/wire` the front's",
+					tc.batch, got, tc.maxAllocs)
+			}
+		})
+	}
 }
 
 // pipeListener hands the server in-memory connections. net.Pipe has no

@@ -118,7 +118,7 @@ func TestMuxTraceFrame(t *testing.T) {
 // TestMuxEventsFrames: one-shot event fetches and the streaming event
 // subscription both deliver the journal, totals reconcile with the
 // engine's ledgers, and the subscription's installments never repeat an
-// event.
+// event and reach the newest one the one-shot fetch saw.
 func TestMuxEventsFrames(t *testing.T) {
 	srv, addr := newObsWireServer(t, 2)
 	cl, err := wire.DialMux(addr)
@@ -132,19 +132,37 @@ func TestMuxEventsFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[int64]bool)
+	// The reader learns the newest Seq once the one-shot fetch below has
+	// it, and closes caughtUp when the stream has delivered that far.
+	newest := make(chan int64, 1)
+	caughtUp := make(chan struct{})
 	subDone := make(chan error, 1)
 	go func() {
-		for view := range sub.C {
-			for _, e := range view.Events {
-				if seen[e.Seq] {
-					subDone <- fmt.Errorf("subscription repeated event seq %d", e.Seq)
+		seen := make(map[int64]bool)
+		var high int64
+		want := int64(-1)
+		for {
+			select {
+			case view, ok := <-sub.C:
+				if !ok {
+					subDone <- nil
 					return
 				}
-				seen[e.Seq] = true
+				for _, e := range view.Events {
+					if seen[e.Seq] {
+						subDone <- fmt.Errorf("subscription repeated event seq %d", e.Seq)
+						return
+					}
+					seen[e.Seq] = true
+					high = max(high, e.Seq)
+				}
+			case want = <-newest:
+			}
+			if want >= 0 && high >= want {
+				close(caughtUp)
+				want = math.MaxInt64
 			}
 		}
-		subDone <- nil
 	}()
 
 	// Hammer one tenant's hot templates until the economy invests; the
@@ -216,16 +234,24 @@ func TestMuxEventsFrames(t *testing.T) {
 		}
 	}
 
-	// Give the stream a beat to drain, then close it; the reader goroutine
-	// must have seen no duplicate sequence numbers.
-	time.Sleep(50 * time.Millisecond)
+	// The stream must reach the newest event the one-shot view holds, with
+	// no sequence number delivered twice on the way.
+	var high int64
+	for _, e := range view.Events {
+		high = max(high, e.Seq)
+	}
+	newest <- high
+	select {
+	case <-caughtUp:
+	case err := <-subDone:
+		t.Fatalf("subscription ended before event seq %d: %v", high, err)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("subscription did not deliver event seq %d within 10s", high)
+	}
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-subDone; err != nil {
 		t.Fatal(err)
-	}
-	if len(seen) == 0 {
-		t.Error("subscription delivered no events")
 	}
 }

@@ -1,0 +1,7 @@
+//go:build race
+
+package wire_test
+
+// raceEnabled: sync.Pool drops a quarter of what it is handed under the
+// race detector, so allocation counts are not the program's own.
+const raceEnabled = true
