@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race benchcheck profile fuzz e2e loc ci
+.PHONY: all build vet fmt test race benchcheck profile fuzz e2e paper loc ci
 
 all: ci
 
@@ -75,6 +75,14 @@ fuzz:
 e2e:
 	./scripts/e2e_smoke.sh
 
+# The claims table (internal/experiments/claims_test.go) at full size: the
+# Fig. 4/5 orderings at the paper's million queries, each in the worst of
+# seeds 1, 2, 3 and 42 — about a minute on two cores. Tier-1 runs only the
+# rows that hold from 20 k queries. A row that fails, or a known gap that
+# has closed, prints its row, worst seed and margin and fails the target.
+paper:
+	$(GO) test -tags paper -count=1 -timeout 30m -run '^TestPaperClaims$$' -v ./internal/experiments
+
 # The repository benchmark (BENCHMARK.json) is its own module, which
 # `go build ./...` and `go test ./...` here cannot see: vet and test it
 # against this tree, so a changed type it imports breaks CI, not the
@@ -90,4 +98,4 @@ loc:
 # The tier-1 gate. Every target in it passes or fails on counts and
 # invariants, never on a throughput comparison: throughput is the
 # repository benchmark's to measure (benchmark/run.sh, BENCHMARK.json).
-ci: build vet fmt race benchcheck fuzz e2e
+ci: build vet fmt race benchcheck fuzz e2e paper

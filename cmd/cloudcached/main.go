@@ -46,7 +46,7 @@
 //	cloudcached [-addr :8344] [-listen-bin :8345] [-shards 4]
 //	            [-scheme econ-cheap] [-provider altruistic|selfish]
 //	            [-sf 0] [-speedup 1] [-tick 1s] [-seed 1] [-mailbox 256]
-//	            [-failure-floor USD] [-maint-failure-factor F]
+//	            [-maint-failure-factor F (default 6)]
 //	            [-state-dir DIR] [-checkpoint-interval D]
 //	            [-trace-sample N] [-trace-ring N] [-journal-ring N]
 //	            [-pprof] [-log-format text|json]
@@ -72,7 +72,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/economy"
 	"repro/internal/experiments"
-	"repro/internal/money"
 	"repro/internal/persist"
 	"repro/internal/scheme"
 	"repro/internal/server"
@@ -91,8 +90,7 @@ func main() {
 	mailbox := flag.Int("mailbox", 256, "per-shard admission queue depth")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-drain deadline on shutdown")
 	providerName := flag.String("provider", "altruistic", "economy accounting: altruistic (pooled account per shard) or selfish (per-tenant ledgers)")
-	failureFloor := flag.Float64("failure-floor", 0, "minimum arrears (USD) before a used structure can fail; 0 keeps the default calibration")
-	maintFactor := flag.Float64("maint-failure-factor", 0, "rent-vs-value ratio that evicts a structure (footnote 3); 0 keeps the default calibration")
+	maintFactor := flag.Float64("maint-failure-factor", 0, "rent-vs-value ratio that evicts a structure (footnote 3); 0 keeps the default of 6")
 	stateDir := flag.String("state-dir", "", "directory for durable economy state: restore <dir>/econ.snap on boot, write it on drain/checkpoint; empty disables persistence")
 	checkpointInterval := flag.Duration("checkpoint-interval", 0, "periodic state checkpoint cadence (0 disables; requires -state-dir)")
 	traceSample := flag.Int64("trace-sample", 0, "decision-trace sampling period: 0 off, 1 every query, N one in N (runtime cost is one atomic load per query while off)")
@@ -143,9 +141,6 @@ func main() {
 	}
 	params := scheme.DefaultParams(cat)
 	params.Provider = provider
-	if *failureFloor > 0 {
-		params.FailureFloor = money.FromDollars(*failureFloor)
-	}
 	if *maintFactor > 0 {
 		params.MaintFailureFactor = *maintFactor
 	}

@@ -7,7 +7,7 @@
 //	cloudsim [-scheme bypass|econ-col|econ-cheap|econ-fast] [-queries N]
 //	         [-interval D] [-seed S] [-arrival fixed|poisson] [-dbsize bytes]
 //	         [-provider altruistic|selfish] [-tenants N] [-tenant-skew Z]
-//	         [-failure-floor USD] [-maint-failure-factor F]
+//	         [-maint-failure-factor F (default 6)]
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/economy"
 	"repro/internal/experiments"
-	"repro/internal/money"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -35,8 +34,7 @@ func main() {
 	providerName := flag.String("provider", "altruistic", "economy accounting: altruistic (pooled account) or selfish (per-tenant ledgers)")
 	tenants := flag.Int("tenants", 0, "synthetic tenants the stream is spread across (0 = untagged)")
 	tenantSkew := flag.Float64("tenant-skew", 1.1, "Zipf skew of tenant popularity")
-	failureFloor := flag.Float64("failure-floor", 0, "minimum arrears (USD) before a used structure can fail; 0 keeps the default calibration")
-	maintFactor := flag.Float64("maint-failure-factor", 0, "rent-vs-value ratio that evicts a structure (footnote 3); 0 keeps the default calibration")
+	maintFactor := flag.Float64("maint-failure-factor", 0, "rent-vs-value ratio that evicts a structure (footnote 3); 0 keeps the default of 6")
 	flag.Parse()
 
 	provider, err := economy.ParseProvider(*providerName)
@@ -46,9 +44,6 @@ func main() {
 	cat := catalog.TPCH(catalog.ScaleFactorForBytes(*dbBytes))
 	params := scheme.DefaultParams(cat)
 	params.Provider = provider
-	if *failureFloor > 0 {
-		params.FailureFloor = money.FromDollars(*failureFloor)
-	}
 	if *maintFactor > 0 {
 		params.MaintFailureFactor = *maintFactor
 	}

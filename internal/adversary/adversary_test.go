@@ -49,8 +49,7 @@ func newRig(t *testing.T, strat Strategy, provider economy.Provider, honest bool
 		InitialCredit:         money.FromDollars(25),
 		Conservative:          true,
 		UserAcceptsOverBudget: true,
-		MaintFailureFactor:    1.0,
-		FailureFloor:          money.FromDollars(0.0001),
+		MaintFailureFactor:    economy.DefaultMaintFailureFactor,
 		NeverUsedFloor:        money.FromDollars(0.5),
 		InvestBackoff:         2,
 	})

@@ -105,8 +105,7 @@ func fuzzAdversarialStream(t *testing.T, provider Provider, cat *catalog.Catalog
 		InitialCredit:         initial,
 		Conservative:          true,
 		UserAcceptsOverBudget: true,
-		MaintFailureFactor:    1.0,
-		FailureFloor:          money.FromDollars(0.0001),
+		MaintFailureFactor:    DefaultMaintFailureFactor,
 		NeverUsedFloor:        money.FromDollars(0.5),
 		InvestBackoff:         2,
 		LedgerCap:             64, // small cap so fuzzed streams exercise eviction

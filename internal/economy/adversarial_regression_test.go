@@ -67,8 +67,7 @@ func testEconomy(t *testing.T, provider Provider, mutate func(*Config)) (*Econom
 		InitialCredit:         money.FromDollars(25),
 		Conservative:          true,
 		UserAcceptsOverBudget: true,
-		MaintFailureFactor:    1.0,
-		FailureFloor:          money.FromDollars(0.0001),
+		MaintFailureFactor:    DefaultMaintFailureFactor,
 		NeverUsedFloor:        money.FromDollars(0.5),
 		InvestBackoff:         2,
 	}

@@ -187,9 +187,6 @@ func refFailing(m *Market, entry *cache.Entry, now time.Duration) (money.Amount,
 	if entry.Uses == 0 {
 		return due, due > m.cfg.NeverUsedFloor && due > entry.BuildPrice.MulFloat(m.cfg.MaintFailureFactor)
 	}
-	if due <= m.cfg.FailureFloor {
-		return due, false
-	}
 	window := now - entry.FirstUsed
 	if window < time.Hour {
 		return due, false

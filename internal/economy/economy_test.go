@@ -45,8 +45,7 @@ func newRig(t *testing.T, mut func(*Config)) *rig {
 		InitialCredit:         money.FromDollars(100),
 		Conservative:          true,
 		UserAcceptsOverBudget: true,
-		MaintFailureFactor:    1.0,
-		FailureFloor:          money.FromDollars(0.001),
+		MaintFailureFactor:    DefaultMaintFailureFactor,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -353,12 +352,9 @@ func TestSettleCollectsAmortizationAndMaintenance(t *testing.T) {
 }
 
 func TestMaintenanceFailureEvicts(t *testing.T) {
-	r := newRig(t, func(c *Config) {
-		c.MaintFailureFactor = 1.0
-		c.FailureFloor = money.FromMicros(1)
-		c.NeverUsedFloor = money.FromMicros(1)
-	})
-	// A column with a microscopic build price: any accrued rent fails it.
+	r := newRig(t, func(c *Config) { c.NeverUsedFloor = money.FromMicros(1) })
+	// A column with a microscopic build price: a month of rent is far more
+	// than the factor's worth of build prices.
 	ref := catalog.Col("lineitem", "l_comment")
 	st, _ := structure.ColumnStructure(r.model.Catalog(), ref)
 	r.cache.StartBuild(st, 0, money.FromMicros(1))
@@ -384,11 +380,8 @@ func TestMaintenanceFailureEvicts(t *testing.T) {
 	}
 }
 
-func TestFailureFloorProtectsCheapStructures(t *testing.T) {
-	r := newRig(t, func(c *Config) {
-		c.MaintFailureFactor = 1.0
-		c.FailureFloor = money.FromDollars(100)
-	})
+func TestNeverUsedFloorProtectsCheapStructures(t *testing.T) {
+	r := newRig(t, func(c *Config) { c.NeverUsedFloor = money.FromDollars(100) })
 	st, _ := structure.ColumnStructure(r.model.Catalog(), catalog.Col("lineitem", "l_tax"))
 	r.cache.StartBuild(st, 0, money.FromMicros(1))
 	r.cache.CompleteDue()
@@ -398,6 +391,64 @@ func TestFailureFloorProtectsCheapStructures(t *testing.T) {
 	d := r.handle(t, q)
 	if len(d.Failures) != 0 {
 		t.Error("floor did not protect the structure")
+	}
+}
+
+// TestFailingBoundaries pins both arms of footnote 3's failure rule at the
+// shipped factor F, with one row on each boundary:
+//   - a never-used structure fails iff its arrears exceed
+//     max(NeverUsedFloor, F × build price);
+//   - a used structure fails iff, past its one-hour grace window, its
+//     hourly rent exceeds F × its value per hour since first use.
+func TestFailingBoundaries(t *testing.T) {
+	const F = DefaultMaintFailureFactor
+	micro := money.FromMicros(1)
+	build := money.FromDollars(1)
+	h := func(n float64) time.Duration { return time.Duration(n * float64(time.Hour)) }
+	for _, tc := range []struct {
+		name  string
+		floor money.Amount  // NeverUsedFloor
+		due   money.Amount  // never used: arrears at the verdict
+		used  time.Duration // used: time since first use (0 = never used)
+		value func(rent money.Amount) money.Amount
+		fails bool
+	}{
+		{name: "never used, arrears past one build price (a factor of 1 would evict)", floor: build.DivInt(2), due: build.MulFloat(1.5)},
+		{name: "never used, arrears on F × build", floor: build.DivInt(2), due: build.MulFloat(F)},
+		{name: "never used, arrears past F × build", floor: build.DivInt(2), due: build.MulFloat(F).Add(micro), fails: true},
+		{name: "never used, arrears on the floor above F × build", floor: build.MulFloat(10), due: build.MulFloat(10)},
+		{name: "never used, arrears past the floor above F × build", floor: build.MulFloat(10), due: build.MulFloat(10).Add(micro), fails: true},
+		{name: "used, worthless, inside the grace hour", used: time.Hour - 1, value: func(money.Amount) money.Amount { return 0 }},
+		{name: "used, worthless, grace hour over", used: time.Hour, value: func(money.Amount) money.Amount { return 0 }, fails: true},
+		{name: "used, value rate half the rent (a factor of 1 would evict)", used: h(2), value: func(r money.Amount) money.Amount { return r }},
+		{name: "used, rent on F × value rate", used: h(F), value: func(r money.Amount) money.Amount { return r }},
+		{name: "used, rent past F × value rate", used: h(F), value: func(r money.Amount) money.Amount { return r.Sub(micro) }, fails: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, func(c *Config) { c.NeverUsedFloor = tc.floor })
+			if r.econ.market.cfg.MaintFailureFactor != F {
+				t.Fatalf("rig runs factor %g, want the shipped %g", r.econ.market.cfg.MaintFailureFactor, F)
+			}
+			st, _ := structure.ColumnStructure(r.model.Catalog(), catalog.Col("lineitem", "l_tax"))
+			r.cache.StartBuild(st, 0, build)
+			r.cache.CompleteDue()
+			now := 10 * time.Hour
+			r.cache.Advance(now)
+			e, _ := r.cache.Get(st.ID)
+			e.MaintPaidUntil = now
+			e.UnpaidMaint = tc.due
+			if tc.used > 0 {
+				e.Uses, e.FirstUsed = 1, now-tc.used
+				e.EarnedValue = tc.value(r.econ.market.rent(e.S, time.Hour))
+			}
+			due, reason := r.econ.market.failing(e, now)
+			if fails := reason != ""; fails != tc.fails {
+				t.Fatalf("failing = (%v, %q), want fails=%v", due, reason, tc.fails)
+			}
+			if tc.fails && due != tc.due {
+				t.Errorf("condemned with arrears %v, entry owes %v", due, tc.due)
+			}
+		})
 	}
 }
 

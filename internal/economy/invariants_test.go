@@ -55,8 +55,7 @@ func newInvariantRig(t *testing.T, seed int64, criterion Criterion) *invariantRi
 		InitialCredit:         initial,
 		Conservative:          true,
 		UserAcceptsOverBudget: true,
-		MaintFailureFactor:    1.0,
-		FailureFloor:          money.FromDollars(0.0001),
+		MaintFailureFactor:    DefaultMaintFailureFactor,
 		NeverUsedFloor:        money.FromDollars(0.5),
 		InvestBackoff:         2,
 	})

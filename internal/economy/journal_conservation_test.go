@@ -48,8 +48,7 @@ func TestJournalEventConservation(t *testing.T) {
 				AmortN:             5000,
 				InitialCredit:      money.FromDollars(25),
 				Conservative:       true,
-				MaintFailureFactor: 1.0,
-				FailureFloor:       money.FromDollars(0.0001),
+				MaintFailureFactor: DefaultMaintFailureFactor,
 				NeverUsedFloor:     money.FromDollars(0.5),
 				InvestBackoff:      2,
 			})
@@ -70,12 +69,18 @@ func TestJournalEventConservation(t *testing.T) {
 			const n = 1500
 			for i := 0; i < n; i++ {
 				tpl := tpls[rng.Intn(len(tpls))]
+				gap := time.Duration(1+rng.Intn(9_000)) * time.Millisecond
+				if rng.Intn(50) == 0 {
+					// An idle stretch long enough for rent to outweigh
+					// value, so failures fire at the shipped factor.
+					gap = time.Duration(1+rng.Intn(6)) * time.Hour
+				}
 				q := &workload.Query{
 					ID:          int64(i + 1),
 					Tenant:      tenants[rng.Intn(len(tenants))],
 					Template:    tpl,
 					Selectivity: tpl.SelMin + rng.Float64()*(tpl.SelMax-tpl.SelMin),
-					Arrival:     ca.Clock() + time.Duration(1+rng.Intn(9_000))*time.Millisecond,
+					Arrival:     ca.Clock() + gap,
 					Budget: budget.NewStep(
 						money.FromDollars(rng.Float64()*0.02),
 						time.Duration(1+rng.Intn(60))*time.Second),

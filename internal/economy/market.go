@@ -339,9 +339,9 @@ func (m *Market) dueAt(entry *cache.Entry, t time.Duration) money.Amount {
 //     60 s regimes). Rates — not single gaps — are compared so a busy
 //     structure survives an occasional long idle stretch.
 //
-// The floors suppress evictions over negligible arrears so structures do
-// not flap at short intervals, and give fresh builds time to see their
-// first use (partial structure sets are unusable until complete).
+// NeverUsedFloor and the one-hour grace window give fresh builds time to
+// see their first use (partial structure sets are unusable until
+// complete).
 //
 // The sweep walks the residents in structure-ID order, so victims fall in
 // the order they are reported. Pricing arrears is the expensive part of
@@ -446,11 +446,8 @@ func (m *Market) failing(entry *cache.Entry, now time.Duration) (money.Amount, s
 		}
 		return 0, ""
 	}
-	if due := m.dueAt(entry, now); due > m.cfg.FailureFloor {
-		row.safeEntry = nil
-		return due, "rent rate outweighed lifetime value rate"
-	}
-	return 0, ""
+	row.safeEntry = nil
+	return m.dueAt(entry, now), "rent rate outweighed lifetime value rate"
 }
 
 // rent prices holding a structure for duration d.

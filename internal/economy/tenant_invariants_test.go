@@ -54,8 +54,7 @@ func TestTenantLedgerReconciliation(t *testing.T) {
 				AmortN:             5000,
 				InitialCredit:      initial,
 				Conservative:       true,
-				MaintFailureFactor: 1.0,
-				FailureFloor:       money.FromDollars(0.0001),
+				MaintFailureFactor: DefaultMaintFailureFactor,
 				NeverUsedFloor:     money.FromDollars(0.5),
 				InvestBackoff:      2,
 			})

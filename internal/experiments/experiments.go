@@ -127,9 +127,6 @@ func paperParams(cat *catalog.Catalog, over scheme.Params) scheme.Params {
 	if over.RegretFraction != 0 {
 		p.RegretFraction = over.RegretFraction
 	}
-	if over.FailureFloor != 0 {
-		p.FailureFloor = over.FailureFloor
-	}
 	if over.AmortN != 0 {
 		p.AmortN = over.AmortN
 	}

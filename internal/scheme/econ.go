@@ -39,8 +39,6 @@ type Params struct {
 	Conservative bool
 	// MaintFailureFactor triggers structure failure (footnote 3).
 	MaintFailureFactor float64
-	// FailureFloor is the minimum arrears before a used structure fails.
-	FailureFloor money.Amount
 	// NeverUsedFloor is the minimum arrears before a never-used
 	// structure fails.
 	NeverUsedFloor money.Amount
@@ -71,8 +69,7 @@ func DefaultParams(cat *catalog.Catalog) Params {
 		RegretFraction:     0.005,
 		InitialCredit:      money.FromDollars(50),
 		Conservative:       true,
-		MaintFailureFactor: 1.0,
-		FailureFloor:       money.FromDollars(0.0001),
+		MaintFailureFactor: economy.DefaultMaintFailureFactor,
 		NeverUsedFloor:     money.FromDollars(1),
 		InvestBackoff:      2.0,
 		LedgerCap:          4096,
@@ -104,9 +101,6 @@ func (p Params) withDefaults() (Params, error) {
 	}
 	if p.MaintFailureFactor == 0 {
 		p.MaintFailureFactor = d.MaintFailureFactor
-	}
-	if p.FailureFloor == 0 {
-		p.FailureFloor = d.FailureFloor
 	}
 	if p.NeverUsedFloor == 0 {
 		p.NeverUsedFloor = d.NeverUsedFloor
@@ -186,7 +180,6 @@ func newEcon(name string, p Params, criterion economy.Criterion, kinds map[struc
 		Conservative:          p.Conservative,
 		UserAcceptsOverBudget: true,
 		MaintFailureFactor:    p.MaintFailureFactor,
-		FailureFloor:          p.FailureFloor,
 		NeverUsedFloor:        p.NeverUsedFloor,
 		InvestBackoff:         p.InvestBackoff,
 		InvestKinds:           kinds,

@@ -37,8 +37,7 @@ type Template struct {
 	// others).
 	Parallelizable bool
 	// IndexCandidates are the index definitions that would benefit this
-	// template. The advisor pools these across templates to form the
-	// 65-candidate set of §VII-A.
+	// template; the optimizer prices a plan over each of them.
 	IndexCandidates []catalog.IndexDef
 
 	// groupBytes memoizes the column-group size for the catalog the
