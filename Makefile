@@ -18,13 +18,16 @@ fmt:
 test:
 	$(GO) test ./...
 
-# The whole suite under the race detector, then the two packages whose
+# The whole suite under the race detector, then the three packages whose
 # tests run real goroutines against each other (shard loops, migration,
-# router fan-out) twenty more times: their verdict must come from the
-# code, not from which goroutine won a scheduling race once.
+# router completions on the backend connections' reader goroutines, mux
+# client callbacks) twenty more times: their verdict must come from the
+# code, not from which goroutine won a scheduling race once. The explicit
+# timeout makes a callback deadlock fail in minutes, not at Go's default
+# ten.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=20 ./internal/server ./internal/router
+	$(GO) test -race -count=20 -timeout 5m ./internal/server ./internal/router ./internal/server/wire
 
 # Profile the two hot paths, one command each way of running the engine.
 # Served: singleton Submit on a warmed one-shard server (BenchmarkSubmit in

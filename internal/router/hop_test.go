@@ -34,9 +34,8 @@ func count(set []bool) (n int64) {
 // TestRouterHopCounts holds the router hop to counts that repeat: one
 // client drives serial round trips through a router to two 4-shard
 // backends. A one-query frame costs exactly one backend frame and at most
-// 17 allocations; a 64-query frame spread over every shard costs between
-// one backend frame per backend it touches (every shard group coalesced)
-// and one per shard group (none coalesced), and at most 142 allocations —
+// 13 allocations; a 64-query frame spread over every shard costs exactly
+// one backend frame per backend it touches and at most 58 allocations —
 // both ends of every hop and both backends counted.
 func TestRouterHopCounts(t *testing.T) {
 	if raceEnabled {
@@ -48,7 +47,7 @@ func TestRouterHopCounts(t *testing.T) {
 	for _, tc := range []struct {
 		batch     int
 		maxAllocs float64
-	}{{1, 17}, {64, 142}} {
+	}{{1, 13}, {64, 58}} {
 		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
 			var counters []*frameCounter
 			var addrs []string
@@ -67,15 +66,13 @@ func TestRouterHopCounts(t *testing.T) {
 
 			qs := make([]wire.Query, tc.batch)
 			i := 0
-			var trips, minFrames, maxFrames int64
+			var trips, touched int64
 			roundTrip := func() {
-				var groups [shards]bool
 				var owners [2]bool
 				for j := range qs {
 					qs[j] = wire.Query{Tenant: tenants[i%len(tenants)], Template: templates[i%len(templates)]}
 					i++
-					k := server.ShardIndexFor(qs[j].Tenant, qs[j].Template, shards)
-					groups[k], owners[r.Owner(k)] = true, true
+					owners[r.Owner(server.ShardIndexFor(qs[j].Tenant, qs[j].Template, shards))] = true
 				}
 				replies, err := cl.Submit(context.Background(), qs)
 				if err != nil {
@@ -87,22 +84,17 @@ func TestRouterHopCounts(t *testing.T) {
 					}
 				}
 				trips++
-				minFrames += count(owners[:])
-				maxFrames += count(groups[:])
+				touched += count(owners[:])
 			}
 			for i < 5000 {
 				roundTrip()
 			}
 
-			before, trips0, min0, max0 := frames(), trips, minFrames, maxFrames
+			before, trips0, touched0 := frames(), trips, touched
 			allocs := testing.AllocsPerRun(500, roundTrip)
-			got, lo, hi := frames()-before, minFrames-min0, maxFrames-max0
-			if got < lo || got > hi {
-				t.Errorf("%d client frames of %d queries cost %d backend frames, want %d…%d (backends touched … shard groups)",
-					trips-trips0, tc.batch, got, lo, hi)
-			}
-			if tc.batch == 1 && got != trips-trips0 {
-				t.Errorf("%d one-query client frames cost %d backend frames, want exactly one each", trips-trips0, got)
+			if got, want := frames()-before, touched-touched0; got != want {
+				t.Errorf("%d client frames of %d queries cost %d backend frames, want %d (one per backend touched)",
+					trips-trips0, tc.batch, got, want)
 			}
 			if allocs > tc.maxAllocs {
 				t.Errorf("a batch=%d routed round trip allocates %.1f times, gate %.0f; `make profile` lists the engine's sites, `go test -run TestRouterHopCounts -memprofile mem.prof -memprofilerate 1 ./internal/router` the hop's",

@@ -1,10 +1,14 @@
 // Package router implements the stateless cluster front: one process
 // that speaks the full wire protocol to clients, owns the shard →
-// backend map, and fans every batch out to the cloudcached backends
+// backend map, and forwards every batch to the cloudcached backends
 // that actually run the economy. The router holds no durable state —
 // ownership is rediscovered from the backends' own OwnedShards answers
 // at boot, so a router restart (or a second router) converges on the
 // same map the backends already agree on.
+//
+// A batch goes out as one SubmitAsync frame per owning backend and is
+// answered on the reader goroutine of the last reply to land; only the
+// migration-hold and "not owned" replays get goroutines of their own.
 //
 // The router is a wire.Engine: the same protocol loops that serve the
 // in-process engine serve it, so clients cannot tell a router from a
@@ -56,11 +60,6 @@ type backend struct {
 	addr    string
 	httpURL string
 	pool    *wire.PersistentMux
-
-	// dispatch feeds the backend's coalescing loop: concurrent shard
-	// groups bound for this backend merge into one wire frame, so many
-	// small client batches cost one backend round trip, not one each.
-	dispatch chan pendingGroup
 
 	healthy atomic.Bool
 	state   atomic.Value // string: last /readyz (or wire probe) verdict
@@ -123,11 +122,10 @@ func New(cfg Config) (*Router, error) {
 	}
 	for i, bc := range cfg.Backends {
 		b := &backend{
-			id:       i,
-			addr:     bc.Addr,
-			httpURL:  bc.HTTPURL,
-			pool:     wire.NewPersistentMux(bc.Addr),
-			dispatch: make(chan pendingGroup, dispatchQueue),
+			id:      i,
+			addr:    bc.Addr,
+			httpURL: bc.HTTPURL,
+			pool:    wire.NewPersistentMux(bc.Addr),
 		}
 		b.state.Store("unknown")
 		r.backends = append(r.backends, b)
@@ -137,10 +135,6 @@ func New(cfg Config) (*Router, error) {
 			b.pool.Close()
 		}
 		return nil, err
-	}
-	for _, b := range r.backends {
-		r.wg.Add(1)
-		go r.dispatchLoop(b)
 	}
 	if cfg.HealthInterval > 0 {
 		r.wg.Add(1)

@@ -182,6 +182,17 @@ func batchFor(tenants []string, w, r int) []wire.Query {
 	return qs
 }
 
+// spanningBatch builds the spanning worker's round-r batch: two items
+// on every shard's tenant, interleaved, so the router must carve it.
+func spanningBatch(tenants []string, r int) []wire.Query {
+	qs := make([]wire.Query, 2*len(tenants))
+	for i := range qs {
+		w := i % len(tenants)
+		qs[i] = batchFor(tenants, w, r+i)[0]
+	}
+	return qs
+}
+
 // normReplies renders replies to their wire bytes with QueryID zeroed —
 // the one field minted from a per-process global counter.
 func normReplies(rs []wire.Reply) []byte {
@@ -228,11 +239,24 @@ func TestRouterBootstrap(t *testing.T) {
 // byte-identical to a sequential no-migration replay on a single fresh
 // backend, and the router's merged stats must match the single
 // process's aggregate. Run under -race.
+//
+// One worker per shard owns that shard's tenant; one more, the
+// spanning worker, sends frames that span every shard, so the router
+// carves each into one part per backend and the hot shard's part
+// crosses the hold or comes back "not owned" and replays. Rounds are
+// fenced — the shard workers' round rd, then the spanning worker's — so
+// each shard still sees one arrival order the replay can repeat; within
+// a round the shard workers race each other and the migration. Later
+// the hot shard moves back behind the router's back (extracted and
+// installed on the backends directly), so frames that touch it come
+// back "not owned" until the router re-learns the owner.
 func TestRouterMigrationParity(t *testing.T) {
 	const shards = 4
 	const rounds = 40
 	const hot = 2
 	const migrateAt = 15
+	const moveBackAt = 28
+	const span = shards // the spanning worker's index in got
 
 	delays := make([]atomic.Int64, shards)
 	rng := rand.New(rand.NewSource(7))
@@ -243,38 +267,63 @@ func TestRouterMigrationParity(t *testing.T) {
 	_, addrB, _ := newBackend(t, shards, delays)
 	r, front := newRouterFront(t, []string{addrA, addrB}, -1)
 	tenants := shardTenants(shards)
+	batch := func(w, rd int) []wire.Query {
+		if w == span {
+			return spanningBatch(tenants, rd)
+		}
+		return batchFor(tenants, w, rd)
+	}
 
 	cl, err := wire.DialMux(front)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	got := make([][][]wire.Reply, shards)
-	hotRound := make(chan struct{})
-	var hotOnce sync.Once
+	got := make([][][]wire.Reply, shards+1)
+	errCh := make(chan error, (shards+1)*rounds)
+	submit := func(w, rd int) {
+		replies, err := cl.Submit(context.Background(), batch(w, rd))
+		if err != nil {
+			errCh <- fmt.Errorf("worker %d round %d: %w", w, rd, err)
+			return
+		}
+		for i := range replies {
+			if replies[i].Err != "" && !strings.Contains(replies[i].Err, "unknown template") {
+				errCh <- fmt.Errorf("worker %d round %d item %d: %s", w, rd, i, replies[i].Err)
+				return
+			}
+		}
+		got[w][rd] = replies
+	}
+	hotRound, hotBack := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
-	errCh := make(chan error, shards)
-	for w := 0; w < shards; w++ {
+	shardRounds := make([]sync.WaitGroup, rounds) // shard workers done with round rd
+	spanRounds := make([]chan struct{}, rounds)   // spanning worker done with round rd
+	for rd := range rounds {
+		shardRounds[rd].Add(shards)
+		spanRounds[rd] = make(chan struct{})
+	}
+	for w := 0; w <= shards; w++ {
 		got[w] = make([][]wire.Reply, rounds)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for rd := 0; rd < rounds; rd++ {
-				replies, err := cl.Submit(context.Background(), batchFor(tenants, w, rd))
-				if err != nil {
-					errCh <- fmt.Errorf("worker %d round %d: %w", w, rd, err)
-					return
+				if w == span {
+					shardRounds[rd].Wait()
+					submit(w, rd)
+					close(spanRounds[rd])
+					continue
 				}
-				for i := range replies {
-					if replies[i].Err != "" && !strings.Contains(replies[i].Err, "unknown template") {
-						errCh <- fmt.Errorf("worker %d round %d item %d: %s", w, rd, i, replies[i].Err)
-						return
-					}
-				}
-				got[w][rd] = replies
+				submit(w, rd)
 				if w == hot && rd == migrateAt {
-					hotOnce.Do(func() { close(hotRound) })
+					close(hotRound)
 				}
+				if w == hot && rd == moveBackAt {
+					close(hotBack)
+				}
+				shardRounds[rd].Done()
+				<-spanRounds[rd]
 			}
 		}(w)
 	}
@@ -296,23 +345,47 @@ func TestRouterMigrationParity(t *testing.T) {
 		t.Fatalf("owner after migrate = %d, want %d", r.Owner(hot), to)
 	}
 
+	<-hotBack
+	addrs := []string{addrA, addrB}
+	src, err := wire.DialMux(addrs[to])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := wire.DialMux(addrs[from])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	packet, err := src.ExtractShard(context.Background(), hot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.InstallShard(context.Background(), hot, packet); err != nil {
+		t.Fatal(err)
+	}
+
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
 	}
+	if r.Owner(hot) != from {
+		t.Fatalf("router maps hot shard %d to backend %d after it moved back to %d behind its back", hot, r.Owner(hot), from)
+	}
 	routedStats := r.Stats()
 
-	// Sequential replay on one fresh backend that never migrates.
+	// Sequential replay on one fresh backend that never migrates, in the
+	// fenced order.
 	ctlSrv, ctlAddr, _ := newBackend(t, shards, nil)
 	ctl, err := wire.DialMux(ctlAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	for w := 0; w < shards; w++ {
-		for rd := 0; rd < rounds; rd++ {
-			want, err := ctl.Submit(context.Background(), batchFor(tenants, w, rd))
+	for rd := 0; rd < rounds; rd++ {
+		for w := 0; w <= shards; w++ {
+			want, err := ctl.Submit(context.Background(), batch(w, rd))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -461,6 +534,99 @@ func TestRouterBackendDeath(t *testing.T) {
 		}
 		// The health loop ticks on wall time (every 20ms here): poll in it.
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRouterHungDialStallsNoOtherBackend swaps a backend for a listener
+// that accepts connections and never answers the hello. While the router
+// redials it, a frame for the other backend on the same client
+// connection must still complete; the hung backend's items fail
+// tag-scoped once its half-open connections are cut.
+func TestRouterHungDialStallsNoOtherBackend(t *testing.T) {
+	const shards = 4
+	_, addrA, lnA := newBackend(t, shards, nil)
+	_, addrB, _ := newBackend(t, shards, nil)
+	r, front := newRouterFront(t, []string{addrA, addrB}, -1)
+	tenants := shardTenants(shards)
+	cl, err := wire.DialMux(front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	hung, live := -1, -1
+	for k := 0; k < shards; k++ {
+		if r.Owner(k) == 0 {
+			hung = k
+		} else {
+			live = k
+		}
+	}
+	if hung < 0 || live < 0 {
+		t.Fatalf("owners %v: need a shard on each backend", []int{r.Owner(0), r.Owner(1), r.Owner(2), r.Owner(3)})
+	}
+
+	lnA.kill()
+	raw, err := net.Listen("tcp", addrA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := &killableListener{Listener: raw}
+	go func() {
+		for {
+			if _, err := silent.Accept(); err != nil {
+				return
+			}
+		}
+	}()
+	accepted := func() bool {
+		silent.mu.Lock()
+		defer silent.mu.Unlock()
+		return len(silent.conns) > 0
+	}
+
+	// Send frames to the hung backend until the router is caught in a
+	// dial to it.
+	var hungFrames sync.WaitGroup
+	hungErrs := make(chan string, 1024)
+	for deadline := time.Now().Add(5 * time.Second); !accepted(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the router never redialed the replaced backend")
+		}
+		hungFrames.Add(1)
+		go func() {
+			defer hungFrames.Done()
+			rs, err := cl.Submit(context.Background(), batchFor(tenants, hung, 1))
+			switch {
+			case err != nil:
+				hungErrs <- fmt.Sprintf("connection-scoped error %v, want tag-scoped", err)
+			case rs[0].Err == "":
+				hungErrs <- "an item of the hung backend succeeded"
+			}
+		}()
+	}
+
+	liveDone := make(chan error, 1)
+	go func() {
+		rs, err := cl.Submit(context.Background(), batchFor(tenants, live, 1))
+		if err == nil && rs[0].Err != "" {
+			err = errors.New(rs[0].Err)
+		}
+		liveDone <- err
+	}()
+	select {
+	case err := <-liveDone:
+		if err != nil {
+			t.Fatalf("live backend's frame: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("a frame for the live backend waited on the hung backend's dial")
+	}
+
+	silent.kill()
+	hungFrames.Wait()
+	close(hungErrs)
+	for msg := range hungErrs {
+		t.Fatal(msg)
 	}
 }
 
@@ -679,13 +845,14 @@ func TestRouterMigrateRefusalRestoresSource(t *testing.T) {
 	}
 }
 
-// TestRouterCoalesceRespectsMaxBatch floods one backend with a mix of
-// tiny and maximum-size shard groups. The coalescing dispatcher must
-// never merge them into a frame over wire.MaxBatch — before the guard,
-// one small group plus one full group failed every group in the merge.
+// TestRouterCoalesceRespectsMaxBatch floods one backend with tiny and
+// wire.MaxBatch-size client frames at once. The router neither merges
+// nor splits them: each must cost exactly one backend frame, and every
+// item succeed.
 func TestRouterCoalesceRespectsMaxBatch(t *testing.T) {
 	const shards = 1
-	_, addr, _ := newBackend(t, shards, nil)
+	backend := &frameCounter{Engine: wire.ServerEngine(newEngine(t, shards, nil, nil))}
+	addr, _ := serveBackend(t, backend)
 	_, front := newRouterFront(t, []string{addr}, -1)
 	tenants := shardTenants(shards)
 
@@ -704,6 +871,7 @@ func TestRouterCoalesceRespectsMaxBatch(t *testing.T) {
 	const bigWorkers, bigRounds = 2, 2
 	const smallWorkers, smallRounds = 4, 40
 	var wg sync.WaitGroup
+	var clientFrames atomic.Int64
 	errCh := make(chan error, bigWorkers+smallWorkers)
 	run := func(w, rounds, size int) {
 		defer wg.Done()
@@ -720,6 +888,7 @@ func TestRouterCoalesceRespectsMaxBatch(t *testing.T) {
 				errCh <- fmt.Errorf("worker %d (size %d) round %d: %w", w, size, rd, err)
 				return
 			}
+			clientFrames.Add(1)
 			for i := range rs {
 				if rs[i].Err != "" {
 					errCh <- fmt.Errorf("worker %d (size %d) round %d item %d: %s", w, size, rd, i, rs[i].Err)
@@ -740,6 +909,9 @@ func TestRouterCoalesceRespectsMaxBatch(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+	if got, sent := backend.frames.Load(), clientFrames.Load(); got != sent {
+		t.Fatalf("%d client frames cost %d backend frames, want one each", sent, got)
 	}
 }
 

@@ -7,167 +7,248 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
 	"repro/internal/server/wire"
 )
 
-// maxShardAttempts bounds the not-owned retry loop per shard group. At
-// the 500µs pause between refresh rounds this is a ~200ms budget —
-// enough to ride out an externally-driven migration, short enough that
-// a genuinely ownerless shard fails queries instead of wedging them.
-const maxShardAttempts = 400
+const (
+	// maxShardAttempts bounds the not-owned replay rounds of one client
+	// frame: with the 500µs pause between refreshes, a ~200ms budget to
+	// ride out a migration driven elsewhere before failing the items.
+	maxShardAttempts = 400
+	notOwned         = "shard not owned here"
+)
 
-// SubmitBatch routes each query to its shard's owning backend and
-// returns positional replies. Items bound for different shards travel
-// in parallel; items for a shard in migration blackout park on the hold
-// and replay after cutover. Per-backend failures come back tag-scoped
-// in Reply.Err — one dead backend costs its own shards' items, never
-// the batch or the connection.
-func (r *Router) SubmitBatch(ctx context.Context, qs []wire.Query, _ int64) ([]wire.Reply, error) {
-	if r.closedNow() {
-		return nil, ErrClosed
+// SubmitBatch is SubmitBatchAsync plus a wait, so a routed batch travels
+// one path whether or not the caller blocks.
+func (r *Router) SubmitBatch(ctx context.Context, qs []wire.Query, decodeNanos int64) ([]wire.Reply, error) {
+	done := make(chan []wire.Reply, 1)
+	if err := r.SubmitBatchAsync(ctx, qs, decodeNanos, func(rs []wire.Reply) { done <- rs }); err != nil {
+		return nil, err
 	}
-	if len(qs) == 0 {
-		return nil, errors.New("router: empty batch")
+	select {
+	case rs := <-done:
+		return rs, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
-	r.queries.Add(int64(len(qs)))
-	// Shard each item with the same hash the backends use — shared by
-	// construction, not by convention.
-	ks := make([]int, len(qs))
-	single := true
-	for i := range qs {
-		ks[i] = server.ShardIndexFor(qs[i].Tenant, qs[i].Template, r.shards)
-		if ks[i] != ks[0] {
-			single = false
-		}
-	}
-	// Fast path: the whole batch is one shard group (always true for
-	// batch=1, the router's hottest shape) — no index map, no fan-out
-	// goroutine, no reply reshuffle.
-	if single {
-		return r.submitShardGroup(ctx, ks[0], qs), nil
-	}
-	replies := make([]wire.Reply, len(qs))
-	groups := make(map[int][]int)
-	for i, k := range ks {
-		groups[k] = append(groups[k], i)
-	}
-	var wg sync.WaitGroup
-	for k, idxs := range groups {
-		wg.Add(1)
-		go func(k int, idxs []int) {
-			defer wg.Done()
-			sub := make([]wire.Query, len(idxs))
-			for j, i := range idxs {
-				sub[j] = qs[i]
-			}
-			rs := r.submitShardGroup(ctx, k, sub)
-			for j, i := range idxs {
-				replies[i] = rs[j]
-			}
-		}(k, idxs)
-	}
-	wg.Wait()
-	return replies, nil
 }
 
-// SubmitBatchAsync satisfies wire.Engine: the router's submit path is
-// already concurrent per shard, so async is a goroutine around the
-// synchronous fan-out.
-func (r *Router) SubmitBatchAsync(ctx context.Context, qs []wire.Query, decodeNanos int64, done func([]wire.Reply)) error {
+// SubmitBatchAsync routes each query to its shard's owning backend: one
+// frame per backend touched, whose reply lands on that connection's
+// reader goroutine; the last to land calls done with the positional
+// replies. A failed backend costs its own items tag-scoped errors,
+// never the batch or the connection.
+func (r *Router) SubmitBatchAsync(ctx context.Context, qs []wire.Query, _ int64, done func([]wire.Reply)) error {
 	if r.closedNow() {
 		return ErrClosed
 	}
 	if len(qs) == 0 {
 		return errors.New("router: empty batch")
 	}
-	// The caller lends qs for this call only; the fan-out outlives it.
-	qs = slices.Clone(qs)
-	go func() {
-		rs, err := r.SubmitBatch(ctx, qs, decodeNanos)
-		if err != nil {
-			rs = errReplies(len(qs), err)
-		}
-		done(rs)
-	}()
+	r.queries.Add(int64(len(qs)))
+	f := &frame{r: r, ctx: ctx, done: done}
+	f.qs, f.replies = append(f.q1[:0], qs...), f.r1[:]
+	if len(qs) > 1 {
+		f.replies = make([]wire.Reply, len(qs))
+	}
+	r.carve(f, nil)
 	return nil
 }
 
-// submitShardGroup delivers one shard's slice of a batch to whoever
-// owns the shard right now. Two retry triggers, with sharply different
-// rules:
-//
-//   - "shard not owned here" (stale map, or a migration we did not
-//     drive): nothing was decided — rejection touches no shard state —
-//     so the group retries against refreshed ownership, bounded by
-//     maxShardAttempts.
-//   - connection death mid-submit: the group is NOT retried. The
-//     backend may have decided the batch before the connection broke,
-//     and economy decisions happen exactly once; the caller sees the
-//     error per item and owns any retry.
-func (r *Router) submitShardGroup(ctx context.Context, shard int, qs []wire.Query) []wire.Reply {
-	var lastErr error
-	for attempt := 0; attempt < maxShardAttempts; attempt++ {
-		own, err := r.waitHold(ctx, shard)
-		if err != nil {
-			return errReplies(len(qs), err)
-		}
-		rs, err := r.submitVia(ctx, r.backends[own], qs)
-		if err != nil {
-			var te *wire.TaggedError
-			if errors.As(err, &te) && strings.Contains(te.Msg, "shard not owned here") {
-				lastErr = err
-				r.noteStale(ctx, shard, attempt)
-				continue
-			}
-			// Backend down or batch-fatal error. Fail the items
-			// tag-scoped — the pool's backoff already bounds how often
-			// the dispatcher re-dials, and parking queries behind a dead
-			// backend would turn one failure into a pile-up. (A dead
-			// connection is NOT retried here: the backend may have
-			// decided the batch before the connection broke.)
-			return errReplies(len(qs), fmt.Errorf("router: shard %d backend %d: %w", shard, own, err))
-		}
-		if repliesNotOwned(rs) {
-			lastErr = fmt.Errorf("router: backend %d rejected shard %d", own, shard)
-			r.noteStale(ctx, shard, attempt)
-			continue
-		}
-		return rs
-	}
-	return errReplies(len(qs), fmt.Errorf("router: shard %d ownership unresolved after %d attempts: %w", shard, maxShardAttempts, lastErr))
+// frame is one client batch in the router: its own copy of the queries
+// (the caller's is borrowed for the call) and the positional replies —
+// both inside the frame for a lone query.
+type frame struct {
+	r       *Router
+	ctx     context.Context
+	done    func([]wire.Reply)
+	qs      []wire.Query
+	replies []wire.Reply
+	q1      [1]wire.Query
+	r1      [1]wire.Reply
+	pending atomic.Int32 // parts of the current round still in flight
+
+	// The slow path: held items wait out a migration hold, stale ones
+	// (guarded by mu) were answered "not owned"; replay waits on wake.
+	held  []int
+	mu    sync.Mutex
+	stale []int
+	wake  chan struct{}
 }
 
-// waitHold parks until the shard is out of migration blackout, then
-// returns the current owner. The common case — no hold — is one
-// mutex acquisition.
-func (r *Router) waitHold(ctx context.Context, shard int) (int, error) {
+// part is one frame's items bound for one backend, by position, sent on
+// cl as one backend frame.
+type part struct {
+	f   *frame
+	b   *backend
+	pos []int
+	cl  *wire.MuxClient
+}
+
+func (r *Router) shardOf(q *wire.Query) int {
+	return server.ShardIndexFor(q.Tenant, q.Template, r.shards)
+}
+
+// carve sends the items at positions pos (all when nil) as one part per
+// owning backend, read under one r.mu hold; held shards' items join
+// f.held. The shard hash is the backends' own, by construction.
+func (r *Router) carve(f *frame, pos []int) {
+	n, nb := len(f.qs), len(r.backends)
+	if pos != nil {
+		n = len(pos)
+	}
+	at := func(i int) int {
+		if pos == nil {
+			return i
+		}
+		return pos[i]
+	}
+	// dest[i] is item i's backend (nb: held); slot groups by backend.
+	ints := make([]int, 2*n)
+	dest, slot := ints[:n], ints[n:n]
+	r.mu.Lock()
+	for i := range dest {
+		k := r.shardOf(&f.qs[at(i)])
+		if dest[i] = r.owner[k]; r.holds[k] != nil {
+			dest[i] = nb
+		}
+	}
+	r.mu.Unlock()
+	parts := make([]part, 0, nb)
+	for b := range nb + 1 {
+		from := len(slot)
+		for i, d := range dest {
+			if d == b {
+				slot = append(slot, at(i))
+			}
+		}
+		if b == nb {
+			f.held = append(f.held, slot[from:]...)
+		} else if len(slot) > from {
+			parts = append(parts, part{f: f, b: r.backends[b], pos: slot[from:len(slot):len(slot)]})
+		}
+	}
+	if len(parts) == 0 {
+		f.roundDone()
+		return
+	}
+	f.pending.Store(int32(len(parts)))
+	for i := range parts {
+		parts[i].b.send(&parts[i], false)
+	}
+}
+
+// land files one part's replies, or its failure, into the frame.
+func (f *frame) land(p *part, rs []wire.Reply, err error) {
+	var stale []int
+	for j, i := range p.pos {
+		switch {
+		case err != nil: // never retried: the backend may have decided it
+			f.replies[i] = wire.Reply{Err: fmt.Sprintf("router: shard %d backend %d: %v", f.r.shardOf(&f.qs[i]), p.b.id, err)}
+		case strings.Contains(rs[j].Err, notOwned): // decided nothing
+			stale = append(stale, i)
+		default:
+			f.replies[i] = rs[j]
+		}
+	}
+	if stale != nil {
+		f.mu.Lock()
+		f.stale = append(f.stale, stale...)
+		f.mu.Unlock()
+	}
+	if f.pending.Add(-1) == 0 {
+		f.roundDone()
+	}
+}
+
+// roundDone runs when a round's last part lands: the frame completes,
+// or the replay goroutine (started now, or waiting) takes over.
+func (f *frame) roundDone() {
+	switch {
+	case f.wake != nil:
+		f.wake <- struct{}{}
+	case len(f.held) == 0 && len(f.stale) == 0:
+		f.done(f.replies)
+	default:
+		f.wake = make(chan struct{}, 1)
+		go f.r.replay(f)
+	}
+}
+
+// replay is the slow path, one goroutine per frame that needs it: each
+// round refreshes every stale shard's owner, parks on every hold and
+// carves the items again; stale items fail after maxShardAttempts.
+func (r *Router) replay(f *frame) {
+	for attempt := 1; ; attempt++ {
+		f.mu.Lock()
+		held, stale := f.held, f.stale
+		f.held, f.stale = nil, nil
+		f.mu.Unlock()
+		if attempt > maxShardAttempts {
+			for _, i := range stale {
+				f.replies[i] = wire.Reply{Err: fmt.Sprintf("router: shard %d ownership unresolved after %d attempts", r.shardOf(&f.qs[i]), maxShardAttempts)}
+			}
+			stale = nil
+		}
+		pos := slices.Concat(held, stale)
+		if len(pos) == 0 {
+			break
+		}
+		slices.Sort(pos) // a shard's items replay in batch order
+		refreshed := make(map[int]bool)
+		for _, i := range stale {
+			if k := r.shardOf(&f.qs[i]); !refreshed[k] {
+				refreshed[k] = true
+				r.noteStale(f.ctx, k)
+			}
+		}
+		var err error
+		for _, i := range pos {
+			if err = r.waitHold(f.ctx, r.shardOf(&f.qs[i])); err != nil {
+				break
+			}
+		}
+		if err != nil {
+			for _, i := range pos {
+				f.replies[i] = wire.Reply{Err: err.Error()}
+			}
+			break
+		}
+		r.carve(f, pos)
+		<-f.wake
+	}
+	f.done(f.replies)
+}
+
+// waitHold parks until the shard is out of migration blackout. The
+// common case — no hold — is one mutex acquisition.
+func (r *Router) waitHold(ctx context.Context, shard int) error {
 	for {
 		r.mu.Lock()
 		hold := r.holds[shard]
-		own := r.owner[shard]
 		r.mu.Unlock()
 		if hold == nil {
-			return own, nil
+			return nil
 		}
 		select {
 		case <-hold:
 		case <-ctx.Done():
-			return 0, ctx.Err()
+			return ctx.Err()
 		case <-r.stop:
-			return 0, ErrClosed
+			return ErrClosed
 		}
 	}
 }
 
 // noteStale records a reroute and refreshes ownership for a shard the
-// mapped backend just disclaimed. Router-driven migrations never get
-// here (the hold covers their window); this is the path for ownership
-// moved under us — a second router, or an operator driving the
-// backends directly.
-func (r *Router) noteStale(ctx context.Context, shard, attempt int) {
+// mapped backend just disclaimed: ownership moved under us (a second
+// router, an operator driving the backends directly), or a frame was
+// already on its way to the source when a migration's hold went up.
+func (r *Router) noteStale(ctx context.Context, shard int) {
 	r.reroutes.Add(1)
 	if r.refreshOwner(shard) {
 		return
@@ -205,21 +286,51 @@ func (r *Router) refreshOwner(shard int) bool {
 	return true
 }
 
-func errReplies(n int, err error) []wire.Reply {
-	rs := make([]wire.Reply, n)
-	for i := range rs {
-		rs[i] = wire.Reply{Err: err.Error()}
+// gather recycles the buffers a backend frame's queries are gathered
+// into; SubmitAsync encodes them before it returns.
+var gather = sync.Pool{New: func() any { return new([]wire.Query) }}
+
+// send puts p on the wire as one frame; a part that cannot be sent fails
+// its items on the spot. Only a send with dial set may dial: the others
+// run on connection reader goroutines, which a connect or a hello must
+// never stall, and leave a backend with no live connection to a
+// goroutine of its own.
+func (b *backend) send(p *part, dial bool) {
+	cl := b.pool.Live()
+	if cl == nil && !dial {
+		go b.send(p, true)
+		return
 	}
-	return rs
+	var err error
+	if cl == nil {
+		cl, err = b.pool.Get()
+	}
+	if err == nil {
+		buf := gather.Get().(*[]wire.Query)
+		qs := (*buf)[:0]
+		for _, i := range p.pos {
+			qs = append(qs, p.f.qs[i])
+		}
+		p.cl = cl
+		err = cl.SubmitAsync(qs, p.complete)
+		clear(qs) // the pool must not pin the strings and budgets
+		*buf = qs
+		gather.Put(buf)
+		b.markDead(cl, err)
+	}
+	if err != nil {
+		p.f.land(p, nil, err)
+	}
 }
 
-func repliesNotOwned(rs []wire.Reply) bool {
-	// A disowned shard rejects the whole drain, so checking any item
-	// would do; scan them all in case a mixed batch ever appears.
-	for i := range rs {
-		if strings.Contains(rs[i].Err, "shard not owned here") {
-			return true
-		}
+func (b *backend) markDead(cl *wire.MuxClient, err error) {
+	if errors.Is(err, wire.ErrClientClosed) {
+		b.pool.MarkDead(cl)
 	}
-	return false
+}
+
+// complete runs on the backend connection's reader goroutine.
+func (p *part) complete(rs []wire.Reply, err error) {
+	p.b.markDead(p.cl, err)
+	p.f.land(p, rs, err)
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/binenc"
 	"repro/internal/server"
@@ -29,22 +30,48 @@ func (e *TaggedError) Error() string {
 	return fmt.Sprintf("wire: server error (tag %d): %s", e.Tag, e.Msg)
 }
 
-// muxCall is one in-flight tagged batch on the client side.
+// muxCall is one in-flight tagged batch: Submit waits on ch, SubmitAsync
+// gave done.
 type muxCall struct {
-	n  int // queries sent, for the reply-count sanity check
-	ch chan muxResult
+	n    int // queries sent, for the reply-count sanity check
+	ch   chan muxResult
+	done func([]Reply, error)
 }
 
-// muxCallPool recycles Submit's calls and their buffered result
-// channels. A call returns to the pool only after its result was
-// received, so a pooled channel is always empty; abandoned calls (ctx
+// muxCallPool recycles calls and their buffered result channels. A call
+// returns to the pool once its result was received (or its callback
+// started), so a pooled channel is always empty; abandoned calls (ctx
 // cancellation, a failed encode) are left to the garbage collector.
 var muxCallPool = sync.Pool{New: func() any { return &muxCall{ch: make(chan muxResult, 1)} }}
+
+// deliver completes a call the reader (or teardown) just took out of the
+// table, so exactly once; a callback runs here, on the reader goroutine.
+func (call *muxCall) deliver(rs []Reply, err error) {
+	done := call.done
+	if done == nil {
+		call.ch <- muxResult{replies: rs, err: err}
+		return
+	}
+	call.done = nil
+	muxCallPool.Put(call)
+	done(rs, err)
+}
+
+func (call *muxCall) fail(err error) { call.deliver(nil, err) }
 
 type muxResult struct {
 	replies []Reply
 	err     error
 }
+
+// waiter is what an open tag waits on — a batch (*muxCall), a
+// subscription (*Sub) or an admin call — as teardown and tagged errors
+// see it.
+type waiter interface{ fail(err error) }
+
+type adminCall chan adminResult
+
+func (a adminCall) fail(err error) { a <- adminResult{err: err} }
 
 // adminResult is one admin request's outcome on the client side: an
 // ack (freeze, install), a state packet (extract), an ownership map
@@ -91,8 +118,8 @@ type EventsSub = Sub[server.EventsView]
 
 // subscription is what the reader needs of a Sub of any view type.
 type subscription interface {
+	waiter
 	deliver(payload []byte) error
-	finish(cause error) bool
 }
 
 // Err reports why the subscription ended, once C is closed; nil means a
@@ -111,6 +138,8 @@ func (s *Sub[T]) Close() error {
 	}
 	return nil
 }
+
+func (s *Sub[T]) fail(cause error) { s.finish(cause) }
 
 // finish closes C exactly once, recording the cause; reports whether
 // this call was the one that closed it.
@@ -166,10 +195,8 @@ type MuxClient struct {
 	stopping bool
 	wdone    chan struct{}
 
-	mu      sync.Mutex
-	calls   map[uint64]*muxCall
-	subs    map[uint64]subscription
-	acalls  map[uint64]chan adminResult
+	mu      sync.Mutex // guards the open tags and their waiters
+	tags    map[uint64]waiter
 	nextTag uint64
 	err     error // sticky: why the connection died
 	done    chan struct{}
@@ -178,10 +205,14 @@ type MuxClient struct {
 	names interner
 }
 
+// helloTimeout bounds the connect and the hello exchange, so a peer that
+// accepts but never answers fails the dial instead of hanging it.
+const helloTimeout = 5 * time.Second
+
 // DialMux connects to a binary-protocol listener and performs the hello
 // exchange.
 func DialMux(addr string) (*MuxClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, helloTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -198,18 +229,17 @@ func DialMux(addr string) (*MuxClient, error) {
 // is left to the caller to close.
 func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 	c := &MuxClient{
-		conn:   conn,
-		bw:     bufio.NewWriterSize(conn, 64<<10),
-		calls:  make(map[uint64]*muxCall),
-		subs:   make(map[uint64]subscription),
-		acalls: make(map[uint64]chan adminResult),
-		wdone:  make(chan struct{}),
-		done:   make(chan struct{}),
+		conn:  conn,
+		bw:    bufio.NewWriterSize(conn, 64<<10),
+		tags:  make(map[uint64]waiter),
+		wdone: make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.qmu)
 
 	// The hello exchange is the one lockstep moment: write ours, read
 	// theirs, before any concurrency exists.
+	conn.SetDeadline(time.Now().Add(helloTimeout))
 	if err := WriteFrame(c.bw, AppendHello(nil, ProtocolV2)); err != nil {
 		return nil, err
 	}
@@ -235,6 +265,7 @@ func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 	if version < ProtocolV2 {
 		return nil, fmt.Errorf("wire: server protocol version %d < %d", version, ProtocolV2)
 	}
+	conn.SetDeadline(time.Time{})
 
 	go c.writeLoop()
 	go c.readLoop(br)
@@ -318,22 +349,12 @@ func (c *MuxClient) readLoop(br *bufio.Reader) {
 	if c.err == nil {
 		c.err = fatal
 	}
-	calls := c.calls
-	subs := c.subs
-	acalls := c.acalls
-	c.calls = make(map[uint64]*muxCall)
-	c.subs = make(map[uint64]subscription)
-	c.acalls = make(map[uint64]chan adminResult)
+	tags := c.tags
+	c.tags = make(map[uint64]waiter)
 	c.mu.Unlock()
 	closed := fmt.Errorf("%w: %v", ErrClientClosed, fatal)
-	for _, call := range calls {
-		call.ch <- muxResult{err: closed}
-	}
-	for _, sub := range subs {
-		sub.finish(closed)
-	}
-	for _, acall := range acalls {
-		acall <- adminResult{err: closed}
+	for _, w := range tags {
+		w.fail(closed)
 	}
 	c.qmu.Lock()
 	c.stopping = true
@@ -357,41 +378,23 @@ func (c *MuxClient) handleFrame(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		c.mu.Lock()
-		call := c.calls[tag]
-		delete(c.calls, tag)
-		c.mu.Unlock()
-		if call == nil {
+		call, ok := take[*muxCall](c, tag)
+		if !ok {
 			return nil
 		}
 		if len(replies) != call.n {
-			call.ch <- muxResult{err: fmt.Errorf("wire: %d replies for %d queries (tag %d)", len(replies), call.n, tag)}
+			call.deliver(nil, fmt.Errorf("wire: %d replies for %d queries (tag %d)", len(replies), call.n, tag))
 			return nil
 		}
-		call.ch <- muxResult{replies: replies}
+		call.deliver(replies, nil)
 
 	case msgTaggedError:
 		tag, msg, err := DecodeTaggedError(payload)
 		if err != nil {
 			return err
 		}
-		terr := &TaggedError{Tag: tag, Msg: msg}
-		c.mu.Lock()
-		call := c.calls[tag]
-		delete(c.calls, tag)
-		sub := c.subs[tag]
-		delete(c.subs, tag)
-		acall := c.acalls[tag]
-		delete(c.acalls, tag)
-		c.mu.Unlock()
-		if call != nil {
-			call.ch <- muxResult{err: terr}
-		}
-		if sub != nil {
-			sub.finish(terr)
-		}
-		if acall != nil {
-			acall <- adminResult{err: terr}
+		if w, ok := take[waiter](c, tag); ok {
+			w.fail(&TaggedError{Tag: tag, Msg: msg})
 		}
 
 	case msgStatsPush, msgTracePush, msgEventsPush:
@@ -401,9 +404,9 @@ func (c *MuxClient) handleFrame(payload []byte) error {
 			return err
 		}
 		c.mu.Lock()
-		sub := c.subs[tag]
+		sub, ok := c.tags[tag].(subscription)
 		c.mu.Unlock()
-		if sub != nil {
+		if ok {
 			return sub.deliver(payload)
 		}
 
@@ -452,28 +455,33 @@ func (c *MuxClient) handleFrame(payload []byte) error {
 
 // completeAdmin hands an admin reply to the call waiting on its tag.
 func (c *MuxClient) completeAdmin(tag uint64, res adminResult) {
-	c.mu.Lock()
-	acall := c.acalls[tag]
-	delete(c.acalls, tag)
-	c.mu.Unlock()
-	if acall != nil {
-		acall <- res
+	if a, ok := take[adminCall](c, tag); ok {
+		a <- res
 	}
 }
 
-// register allocates a fresh tag under mu, failing fast on a dead
-// connection; attach files the caller's bookkeeping under the new tag
-// while the lock is still held.
-func (c *MuxClient) register(attach func(tag uint64)) (uint64, error) {
+// take removes tag's waiter if it is a W; a frame of the wrong kind for
+// its tag leaves it in place.
+func take[W waiter](c *MuxClient, tag uint64) (W, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w, ok := c.tags[tag].(W)
+	if ok {
+		delete(c.tags, tag)
+	}
+	return w, ok
+}
+
+// register opens a fresh tag for w, failing fast on a dead connection.
+func (c *MuxClient) register(w waiter) (uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrClientClosed, c.err)
 	}
 	c.nextTag++
-	tag := c.nextTag
-	attach(tag)
-	return tag, nil
+	c.tags[c.nextTag] = w
+	return c.nextTag, nil
 }
 
 // Submit sends one tagged query batch and waits for its replies. Safe
@@ -484,30 +492,53 @@ func (c *MuxClient) register(attach func(tag uint64)) (uint64, error) {
 // connection still healthy.
 func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 	call := muxCallPool.Get().(*muxCall)
-	call.n = len(qs)
-	tag, err := c.register(func(tag uint64) { c.calls[tag] = call })
+	tag, err := c.start(call, qs)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := AppendTaggedQueryBatch(make([]byte, 0, sizeTaggedQueryBatch(qs)), tag, qs)
-	if err != nil {
-		c.mu.Lock()
-		delete(c.calls, tag)
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.send(payload)
 	select {
 	case res := <-call.ch:
 		muxCallPool.Put(call)
 		return res.replies, res.err
 	case <-ctx.Done():
 		// Abandon the tag; the reader drops the late reply on the floor.
-		c.mu.Lock()
-		delete(c.calls, tag)
-		c.mu.Unlock()
+		take[*muxCall](c, tag)
 		return nil, ctx.Err()
 	}
+}
+
+// SubmitAsync sends one tagged query batch without waiting: done fires
+// exactly once with what Submit would return, on the connection's reader
+// goroutine, so it must not block. qs is encoded before SubmitAsync
+// returns. An error means nothing was sent and done never fires.
+func (c *MuxClient) SubmitAsync(qs []Query, done func([]Reply, error)) error {
+	call := muxCallPool.Get().(*muxCall)
+	call.done = done
+	if _, err := c.start(call, qs); err != nil {
+		call.done = nil
+		return err
+	}
+	return nil
+}
+
+// start registers call under a fresh tag and queues its frame. An error
+// means the call will never complete; a failed encode whose tag teardown
+// claimed first reports success, as teardown completes the call.
+func (c *MuxClient) start(call *muxCall, qs []Query) (uint64, error) {
+	call.n = len(qs)
+	tag, err := c.register(call)
+	if err != nil {
+		return 0, err
+	}
+	payload, err := AppendTaggedQueryBatch(make([]byte, 0, sizeTaggedQueryBatch(qs)), tag, qs)
+	if err != nil {
+		if _, ok := take[*muxCall](c, tag); ok {
+			return 0, err
+		}
+		return tag, nil
+	}
+	c.send(payload)
+	return tag, nil
 }
 
 // subscribe opens a tag for a server-pushed view of type T, sends the
@@ -516,10 +547,11 @@ func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 func subscribe[T any](c *MuxClient, buf int, push, unsub byte, build func(tag uint64) []byte) (*Sub[T], error) {
 	ch := make(chan T, buf)
 	sub := &Sub[T]{C: ch, c: ch, cl: c, push: push, unsub: unsub}
-	tag, err := c.register(func(tag uint64) { sub.tag = tag; c.subs[tag] = sub })
+	tag, err := c.register(sub)
 	if err != nil {
 		return nil, err
 	}
+	sub.tag = tag // the reader never reads it; Close and fetch do
 	c.send(build(tag))
 	return sub, nil
 }
@@ -551,7 +583,7 @@ func fetch[T any](ctx context.Context, c *MuxClient, push byte, build func(tag u
 func (c *MuxClient) dropSub(tag uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.subs, tag)
+	delete(c.tags, tag)
 	return c.err == nil
 }
 
@@ -621,8 +653,8 @@ func (c *MuxClient) Done() <-chan struct{} { return c.done }
 // the admin reply. A tag-scoped refusal comes back as *TaggedError; a
 // dead connection as ErrClientClosed.
 func (c *MuxClient) adminCall(ctx context.Context, build func(tag uint64) []byte) (adminResult, error) {
-	ch := make(chan adminResult, 1)
-	tag, err := c.register(func(tag uint64) { c.acalls[tag] = ch })
+	ch := make(adminCall, 1)
+	tag, err := c.register(ch)
 	if err != nil {
 		return adminResult{}, err
 	}
@@ -631,9 +663,7 @@ func (c *MuxClient) adminCall(ctx context.Context, build func(tag uint64) []byte
 	case res := <-ch:
 		return res, res.err
 	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.acalls, tag)
-		c.mu.Unlock()
+		take[adminCall](c, tag)
 		return adminResult{}, ctx.Err()
 	}
 }

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -494,6 +495,79 @@ func TestMuxDrainInFlight(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestMuxSubmitAsyncFiresOnce: batches sent with SubmitAsync and still
+// held in the engine when the client closes each complete exactly once,
+// with an error that wraps ErrClientClosed, and the replies the engine
+// sends once it lets go fire nothing more.
+func TestMuxSubmitAsyncFiresOnce(t *testing.T) {
+	const n = 32
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	let := func() { releaseOnce.Do(func() { close(release) }) }
+	var held atomic.Int64
+	srv, addr := newHookedServer(t, 4, func(int) {
+		held.Add(1)
+		<-release
+	})
+	t.Cleanup(let) // before the server's shutdown, which waits for the shards
+	cl, err := wire.DialMux(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var fired [n]atomic.Int32
+	var errs [n]error
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		q := []wire.Query{{Tenant: fmt.Sprintf("async-%d", i), Template: "Q1"}}
+		err := cl.SubmitAsync(q, func(rs []wire.Reply, err error) {
+			if fired[i].Add(1) == 1 {
+				errs[i] = err
+				wg.Done()
+			}
+		})
+		if err != nil {
+			t.Fatalf("SubmitAsync %d: %v", i, err)
+		}
+	}
+	for held.Load() == 0 {
+		time.Sleep(time.Millisecond) // the engine has the batches in hand
+	}
+	if err := cl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	go func() { wg.Wait(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("callbacks still pending after Close")
+	}
+	for i, err := range errs {
+		if !errors.Is(err, wire.ErrClientClosed) {
+			t.Fatalf("callback %d: err = %v, want one wrapping ErrClientClosed", i, err)
+		}
+	}
+
+	// Let the engine decide what it had accepted and answer into the
+	// closed connection; the drain returns once every answer is out.
+	let()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.SubmitAsync([]wire.Query{{Tenant: "late", Template: "Q1"}}, func([]wire.Reply, error) {
+		t.Error("a callback fired for a batch refused at the call")
+	}); !errors.Is(err, wire.ErrClientClosed) {
+		t.Fatalf("SubmitAsync after Close: err = %v, want ErrClientClosed", err)
+	}
+	for i := range fired {
+		if got := fired[i].Load(); got != 1 {
+			t.Fatalf("callback %d fired %d times, want exactly once", i, got)
+		}
 	}
 }
 

@@ -11,8 +11,9 @@ import (
 // backend drops or restarts, the next Get redials with exponential
 // backoff (the listener's transient-error schedule: 5 ms doubling to
 // 1 s) instead of failing forever. Between attempts Get fails fast, so
-// callers — a router fanning a batch out — never block behind a dead
+// callers — a router forwarding a batch — never block behind a dead
 // backend; they answer per-item errors and retry on a later request.
+// Callers that must not wait even for one dial use Live.
 //
 // Reconnection is deliberately NOT transparent at the call level: a
 // Submit that died mid-flight is never resent, because the backend may
@@ -22,8 +23,8 @@ import (
 type PersistentMux struct {
 	addr string
 
+	live      atomic.Pointer[MuxClient] // written under mu, read by Live without it
 	mu        sync.Mutex
-	cl        *MuxClient
 	delay     time.Duration
 	nextTry   time.Time
 	connected bool // a dial has succeeded at least once
@@ -62,14 +63,8 @@ func (p *PersistentMux) Get() (*MuxClient, error) {
 	if p.closed {
 		return nil, ErrClientClosed
 	}
-	if p.cl != nil {
-		select {
-		case <-p.cl.Done():
-			// The connection died underneath us; fall through to redial.
-			p.cl = nil
-		default:
-			return p.cl, nil
-		}
+	if cl := p.Live(); cl != nil {
+		return cl, nil
 	}
 	now := time.Now()
 	if now.Before(p.nextTry) {
@@ -92,26 +87,37 @@ func (p *PersistentMux) Get() (*MuxClient, error) {
 	p.connected = true
 	p.delay = 0
 	p.nextTry = time.Time{}
-	p.cl = cl
+	p.live.Store(cl)
 	return cl, nil
+}
+
+// Live returns the pooled client if its connection is up, else nil. It
+// never dials and never waits on a dial in progress, so a caller on a
+// connection's reader goroutine can use it.
+func (p *PersistentMux) Live() *MuxClient {
+	cl := p.live.Load()
+	if cl == nil {
+		return nil
+	}
+	select {
+	case <-cl.Done():
+		return nil
+	default:
+		return cl
+	}
 }
 
 // MarkDead drops a client the caller observed failing, so the next Get
 // redials instead of handing the same dead connection out again. A
 // no-op if the pool has already moved on.
 func (p *PersistentMux) MarkDead(cl *MuxClient) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cl == cl {
-		p.cl = nil
-	}
+	p.live.CompareAndSwap(cl, nil)
 }
 
 // Close closes the pooled connection and stops future dials.
 func (p *PersistentMux) Close() error {
 	p.mu.Lock()
-	cl := p.cl
-	p.cl = nil
+	cl := p.live.Swap(nil)
 	p.closed = true
 	p.mu.Unlock()
 	if cl != nil {
