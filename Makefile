@@ -29,25 +29,35 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=20 -timeout 5m ./internal/server ./internal/router ./internal/server/wire
 
-# Profile the two hot paths, one command each way of running the engine.
+# Profile the hot paths, one command each way of running the engine.
 # Served: singleton Submit on a warmed one-shard server (BenchmarkSubmit in
 # internal/server: the submit→decide→reply loop with no wire stack in the
-# way) under -cpuprofile/-memprofile. Offline: the Fig. 4/5 grid (sim.Run
-# over optimizer, economy and generator; no server exists), three passes
-# per worker count. Each prints the top-10 allocation sites by object count
-# and the top-10 CPU consumers. The alloc listing is the first place to
-# look when an allocation gate trips: TestDecideAllocs, sim's
-# TestRunAllocsPerQuery, internal/server's TestSubmitAllocs and
-# TestSubmitBatchAllocs, wire's TestMuxRoundTripAllocs or router's
-# TestRouterHopCounts.
+# way), and a 64-query SubmitBatch over a warmed 4-shard server
+# (BenchmarkSubmitBatch: the carve, the shard groups and the lent
+# completion), each under -cpuprofile/-memprofile. Offline: the Fig. 4/5
+# grid (sim.Run over optimizer, economy and generator; no server exists),
+# three passes per worker count. Each prints the top-10 allocation sites by
+# object count and by bytes, and the top-10 CPU consumers: the count gates
+# see objects, but garbage-collection cost follows bytes. The alloc
+# listings are the first place to look when an allocation gate trips:
+# TestDecideAllocs, sim's TestRunAllocsPerQuery, internal/server's
+# TestSubmitAllocs and TestSubmitBatchAllocs, wire's TestMuxRoundTripAllocs
+# or router's TestRouterHopCounts.
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkSubmit$$' -benchtime 20000x \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/server
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects mem.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space mem.prof
 	$(GO) tool pprof -top -nodecount=10 cpu.prof
+	$(GO) test -run '^$$' -bench '^BenchmarkSubmitBatch$$' -benchtime 2000x \
+		-cpuprofile cpu_batch.prof -memprofile mem_batch.prof ./internal/server
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects mem_batch.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space mem_batch.prof
+	$(GO) tool pprof -top -nodecount=10 cpu_batch.prof
 	$(GO) test -run '^$$' -bench GridWorkers -benchtime 3x \
 		-cpuprofile cpu_grid.prof -memprofile mem_grid.prof .
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects mem_grid.prof
+	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space mem_grid.prof
 	$(GO) tool pprof -top -nodecount=10 cpu_grid.prof
 
 # Short fuzz of the hostile-input decoders — wire frames and state

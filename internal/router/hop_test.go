@@ -3,6 +3,7 @@ package router_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -22,6 +23,20 @@ func (e *frameCounter) SubmitBatchAsync(ctx context.Context, qs []wire.Query, de
 	return e.Engine.SubmitBatchAsync(ctx, qs, decodeNanos, done)
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes, as in internal/server's
+// shard_internal_test.go.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 func count(set []bool) (n int64) {
 	for _, in := range set {
 		if in {
@@ -33,10 +48,11 @@ func count(set []bool) (n int64) {
 
 // TestRouterHopCounts holds the router hop to counts that repeat: one
 // client drives serial round trips through a router to two 4-shard
-// backends. A one-query frame costs exactly one backend frame and at most
-// 13 allocations; a 64-query frame spread over every shard costs exactly
-// one backend frame per backend it touches and at most 58 allocations —
-// both ends of every hop and both backends counted.
+// backends. A one-query frame costs exactly one backend frame, at most
+// 4 allocations and 480 bytes; a 64-query frame spread over every shard
+// costs exactly one backend frame per backend it touches, at most 4
+// allocations and 12 KiB — 9 KiB of which is the client's own reply
+// slice — with both ends of every hop and both backends counted.
 func TestRouterHopCounts(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the detector's")
@@ -47,7 +63,8 @@ func TestRouterHopCounts(t *testing.T) {
 	for _, tc := range []struct {
 		batch     int
 		maxAllocs float64
-	}{{1, 13}, {64, 58}} {
+		maxBytes  uint64
+	}{{1, 4, 480}, {64, 4, 12 << 10}} {
 		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
 			var counters []*frameCounter
 			var addrs []string
@@ -92,13 +109,15 @@ func TestRouterHopCounts(t *testing.T) {
 
 			before, trips0, touched0 := frames(), trips, touched
 			allocs := testing.AllocsPerRun(500, roundTrip)
+			bytes := bytesPerRun(500, roundTrip)
 			if got, want := frames()-before, touched-touched0; got != want {
 				t.Errorf("%d client frames of %d queries cost %d backend frames, want %d (one per backend touched)",
 					trips-trips0, tc.batch, got, want)
 			}
-			if allocs > tc.maxAllocs {
-				t.Errorf("a batch=%d routed round trip allocates %.1f times, gate %.0f; `make profile` lists the engine's sites, `go test -run TestRouterHopCounts -memprofile mem.prof -memprofilerate 1 ./internal/router` the hop's",
-					tc.batch, allocs, tc.maxAllocs)
+			t.Logf("batch=%d: %.0f allocations, %d bytes per routed round trip", tc.batch, allocs, bytes)
+			if allocs > tc.maxAllocs || bytes > tc.maxBytes {
+				t.Errorf("a batch=%d routed round trip allocates %.1f times and %d bytes, gates %.0f and %d; `make profile` lists the engine's sites, `go test -run TestRouterHopCounts -memprofile mem.prof -memprofilerate 1 ./internal/router` the hop's",
+					tc.batch, allocs, bytes, tc.maxAllocs, tc.maxBytes)
 			}
 		})
 	}

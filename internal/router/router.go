@@ -88,6 +88,9 @@ type Router struct {
 	nextCursor int64
 	curClock   int64 // logical access clock for LRU eviction
 
+	// frames recycles client frames once they are answered (newFrame).
+	frames sync.Pool
+
 	queries       atomic.Int64
 	reroutes      atomic.Int64
 	migrations    atomic.Int64
@@ -130,6 +133,7 @@ func New(cfg Config) (*Router, error) {
 		b.state.Store("unknown")
 		r.backends = append(r.backends, b)
 	}
+	r.frames.New = r.newFrame
 	if err := r.bootstrap(cfg.BootstrapTimeout); err != nil {
 		for _, b := range r.backends {
 			b.pool.Close()

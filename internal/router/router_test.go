@@ -250,6 +250,12 @@ func TestRouterBootstrap(t *testing.T) {
 // the hot shard moves back behind the router's back (extracted and
 // installed on the backends directly), so frames that touch it come
 // back "not owned" until the router re-learns the owner.
+//
+// Churners meanwhile send spanning frames on a second connection for the
+// whole run, so frames cross the hold and the replay path while the
+// router recycles finished frames into new ones. Their queries name
+// templates no backend knows — decided by nobody, so the economies stay
+// the replay's — and each reply must name its own query's template.
 func TestRouterMigrationParity(t *testing.T) {
 	const shards = 4
 	const rounds = 40
@@ -280,7 +286,7 @@ func TestRouterMigrationParity(t *testing.T) {
 	}
 
 	got := make([][][]wire.Reply, shards+1)
-	errCh := make(chan error, (shards+1)*rounds)
+	errCh := make(chan error, (shards+1)*rounds+2)
 	submit := func(w, rd int) {
 		replies, err := cl.Submit(context.Background(), batch(w, rd))
 		if err != nil {
@@ -295,6 +301,44 @@ func TestRouterMigrationParity(t *testing.T) {
 		}
 		got[w][rd] = replies
 	}
+	churn, err := wire.DialMux(front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer churn.Close()
+	stopChurn := make(chan struct{})
+	var churners sync.WaitGroup
+	var churned atomic.Int64
+	for c := range 2 {
+		churners.Add(1)
+		go func() {
+			defer churners.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stopChurn:
+					return
+				default:
+				}
+				qs := make([]wire.Query, 2*shards+i%3)
+				for k := range qs {
+					qs[k] = wire.Query{Tenant: tenants[k%shards], Template: fmt.Sprintf("churn-%d-%d-%d", c, i, k)}
+				}
+				replies, err := churn.Submit(context.Background(), qs)
+				if err != nil {
+					errCh <- fmt.Errorf("churner %d frame %d: %w", c, i, err)
+					return
+				}
+				for k := range qs {
+					if !strings.Contains(replies[k].Err, fmt.Sprintf("%q", qs[k].Template)) {
+						errCh <- fmt.Errorf("churner %d frame %d item %d: reply %+v does not answer %s", c, i, k, replies[k], qs[k].Template)
+						return
+					}
+				}
+				churned.Add(1)
+			}
+		}()
+	}
+
 	hotRound, hotBack := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
 	shardRounds := make([]sync.WaitGroup, rounds) // shard workers done with round rd
@@ -366,6 +410,9 @@ func TestRouterMigrationParity(t *testing.T) {
 	}
 
 	wg.Wait()
+	close(stopChurn)
+	churners.Wait()
+	t.Logf("churners sent %d spanning frames", churned.Load())
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)

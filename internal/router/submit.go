@@ -23,25 +23,17 @@ const (
 )
 
 // SubmitBatch is SubmitBatchAsync plus a wait, so a routed batch travels
-// one path whether or not the caller blocks.
+// one path whether or not the caller blocks; the replies are the caller's.
 func (r *Router) SubmitBatch(ctx context.Context, qs []wire.Query, decodeNanos int64) ([]wire.Reply, error) {
-	done := make(chan []wire.Reply, 1)
-	if err := r.SubmitBatchAsync(ctx, qs, decodeNanos, func(rs []wire.Reply) { done <- rs }); err != nil {
-		return nil, err
-	}
-	select {
-	case rs := <-done:
-		return rs, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	return server.AwaitBatch(ctx, func(done func([]wire.Reply)) error { return r.SubmitBatchAsync(ctx, qs, decodeNanos, done) })
 }
 
 // SubmitBatchAsync routes each query to its shard's owning backend: one
 // frame per backend touched, whose reply lands on that connection's
 // reader goroutine; the last to land calls done with the positional
-// replies. A failed backend costs its own items tag-scoped errors,
-// never the batch or the connection.
+// replies. They are lent: the frame holding them is recycled once done
+// returns. A failed backend costs its own items tag-scoped errors, never
+// the batch or the connection.
 func (r *Router) SubmitBatchAsync(ctx context.Context, qs []wire.Query, _ int64, done func([]wire.Reply)) error {
 	if r.closedNow() {
 		return ErrClosed
@@ -50,26 +42,26 @@ func (r *Router) SubmitBatchAsync(ctx context.Context, qs []wire.Query, _ int64,
 		return errors.New("router: empty batch")
 	}
 	r.queries.Add(int64(len(qs)))
-	f := &frame{r: r, ctx: ctx, done: done}
-	f.qs, f.replies = append(f.q1[:0], qs...), f.r1[:]
-	if len(qs) > 1 {
-		f.replies = make([]wire.Reply, len(qs))
-	}
+	f := r.frames.Get().(*frame)
+	f.ctx, f.done = ctx, done
+	f.qs = append(f.qs[:0], qs...)
+	f.replies = server.Resize(f.replies, len(qs))
 	r.carve(f, nil)
 	return nil
 }
 
 // frame is one client batch in the router: its own copy of the queries
-// (the caller's is borrowed for the call) and the positional replies —
-// both inside the frame for a lone query.
+// (the caller's is borrowed for the call), the positional replies and the
+// carve's buffers. Frames are pooled per router and recycled once done
+// has returned.
 type frame struct {
 	r       *Router
 	ctx     context.Context
 	done    func([]wire.Reply)
 	qs      []wire.Query
 	replies []wire.Reply
-	q1      [1]wire.Query
-	r1      [1]wire.Reply
+	parts   []part       // parts[b] is bound for backend b
+	ints    []int        // the carve's scratch: item backends, positions by backend
 	pending atomic.Int32 // parts of the current round still in flight
 
 	// The slow path: held items wait out a migration hold, stale ones
@@ -81,12 +73,25 @@ type frame struct {
 }
 
 // part is one frame's items bound for one backend, by position, sent on
-// cl as one backend frame.
+// cl as one backend frame. complete is p.arrive, bound once per part so
+// a send allocates no closure.
 type part struct {
-	f   *frame
-	b   *backend
-	pos []int
-	cl  *wire.MuxClient
+	f        *frame
+	b        *backend
+	pos      []int
+	cl       *wire.MuxClient
+	complete func([]wire.Reply, error)
+}
+
+// newFrame is the frame pool's constructor: one part per backend.
+func (r *Router) newFrame() any {
+	f := &frame{r: r, parts: make([]part, len(r.backends))}
+	for b := range f.parts {
+		p := &f.parts[b]
+		p.f, p.b = f, r.backends[b]
+		p.complete = p.arrive
+	}
+	return f
 }
 
 func (r *Router) shardOf(q *wire.Query) int {
@@ -108,8 +113,8 @@ func (r *Router) carve(f *frame, pos []int) {
 		return pos[i]
 	}
 	// dest[i] is item i's backend (nb: held); slot groups by backend.
-	ints := make([]int, 2*n)
-	dest, slot := ints[:n], ints[n:n]
+	f.ints = server.Resize(f.ints, 2*n)
+	dest, slot := f.ints[:n], f.ints[n:n]
 	r.mu.Lock()
 	for i := range dest {
 		k := r.shardOf(&f.qs[at(i)])
@@ -118,7 +123,7 @@ func (r *Router) carve(f *frame, pos []int) {
 		}
 	}
 	r.mu.Unlock()
-	parts := make([]part, 0, nb)
+	sends := 0
 	for b := range nb + 1 {
 		from := len(slot)
 		for i, d := range dest {
@@ -128,21 +133,27 @@ func (r *Router) carve(f *frame, pos []int) {
 		}
 		if b == nb {
 			f.held = append(f.held, slot[from:]...)
-		} else if len(slot) > from {
-			parts = append(parts, part{f: f, b: r.backends[b], pos: slot[from:len(slot):len(slot)]})
+		} else if f.parts[b].pos = slot[from:len(slot):len(slot)]; len(slot) > from {
+			sends++
 		}
 	}
-	if len(parts) == 0 {
+	if sends == 0 {
 		f.roundDone()
 		return
 	}
-	f.pending.Store(int32(len(parts)))
-	for i := range parts {
-		parts[i].b.send(&parts[i], false)
+	f.pending.Store(int32(sends))
+	// The last part to land may finish the frame and recycle it into
+	// another batch, so f is not read again once every part is sent.
+	for b := 0; sends > 0; b++ {
+		if p := &f.parts[b]; len(p.pos) > 0 {
+			sends--
+			p.b.send(p, false)
+		}
 	}
 }
 
-// land files one part's replies, or its failure, into the frame.
+// land files one part's replies, or its failure, into the frame. The
+// replies are the connection's lent slice, so they are copied here.
 func (f *frame) land(p *part, rs []wire.Reply, err error) {
 	var stale []int
 	for j, i := range p.pos {
@@ -172,11 +183,20 @@ func (f *frame) roundDone() {
 	case f.wake != nil:
 		f.wake <- struct{}{}
 	case len(f.held) == 0 && len(f.stale) == 0:
-		f.done(f.replies)
+		f.finish()
 	default:
 		f.wake = make(chan struct{}, 1)
 		go f.r.replay(f)
 	}
+}
+
+// finish answers the frame and recycles it: once done has returned,
+// nothing reads the replies any more.
+func (f *frame) finish() {
+	f.done(f.replies)
+	clear(f.qs) // the pool must not pin the strings and budgets
+	f.ctx, f.done, f.wake = nil, nil, nil
+	f.r.frames.Put(f)
 }
 
 // replay is the slow path, one goroutine per frame that needs it: each
@@ -221,7 +241,7 @@ func (r *Router) replay(f *frame) {
 		r.carve(f, pos)
 		<-f.wake
 	}
-	f.done(f.replies)
+	f.finish()
 }
 
 // waitHold parks until the shard is out of migration blackout. The
@@ -329,8 +349,8 @@ func (b *backend) markDead(cl *wire.MuxClient, err error) {
 	}
 }
 
-// complete runs on the backend connection's reader goroutine.
-func (p *part) complete(rs []wire.Reply, err error) {
+// arrive runs on the backend connection's reader goroutine.
+func (p *part) arrive(rs []wire.Reply, err error) {
 	p.b.markDead(p.cl, err)
 	p.f.land(p, rs, err)
 }

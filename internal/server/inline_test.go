@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,8 +105,9 @@ func TestInlineMatchesMailbox(t *testing.T) {
 					t.Fatalf("one-request batch: %d items, err %v", len(items), err)
 				}
 				single(items[0])
+				// done lends its items: copy them inside the callback.
 				done := make(chan []server.BatchItem, 1)
-				if err := srv.SubmitBatchAsync(ctx, reqs[3:4], func(items []server.BatchItem) { done <- items }); err != nil {
+				if err := srv.SubmitBatchAsync(ctx, reqs[3:4], func(items []server.BatchItem) { done <- slices.Clone(items) }); err != nil {
 					t.Fatal(err)
 				}
 				single((<-done)[0])
@@ -184,15 +186,35 @@ func TestInlineMatchesMailbox(t *testing.T) {
 // serialization contract: every accepted query decided exactly once
 // (unique QueryIDs, Stats().Queries equals the accepted count), and a
 // goroutine's async batch always decided before the Submit it makes
-// next. Run under -race it also proves the inline path publishes no
-// unsynchronized state.
+// next. Spanning submitters meanwhile send batches over every shard, so
+// a batch's first groups can finish while its submitting loop is still
+// enqueueing the rest, and its pooled buffers go straight to the next
+// batch: every item must echo its own request's template and
+// selectivity. Run under -race it also proves the inline path and the
+// recycled batch buffers publish no unsynchronized state.
 func TestInlineStress(t *testing.T) {
 	const (
+		shards     = 4
 		submitters = 6
+		spanners   = 3
 		perG       = 150
 	)
+	// The submitters' tenants all live on the frozen shard 0; the
+	// spanners' on every shard.
+	var stressTenants []string
+	spanTenants := make([]string, shards)
+	for i := 0; len(stressTenants) < submitters; i++ {
+		name := fmt.Sprintf("stress-%d", i)
+		k := server.ShardIndexFor(name, "", shards)
+		if k == 0 {
+			stressTenants = append(stressTenants, name)
+		}
+		if spanTenants[k] == "" {
+			spanTenants[k] = name
+		}
+	}
 	srv, err := server.New(server.Config{
-		Shards:       1,
+		Shards:       shards,
 		Scheme:       "econ-cheap",
 		Params:       testParams(testCatalog()),
 		Clock:        server.NewVirtualClock(),
@@ -261,7 +283,7 @@ func TestInlineStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tenant := fmt.Sprintf("stress-%d", g)
+			tenant := stressTenants[g]
 			for i := 0; i < perG; i++ {
 				n := 1 + (g+i)%3 // one-request batches take the singleton path
 				reqs := make([]server.Request, n)
@@ -269,7 +291,7 @@ func TestInlineStress(t *testing.T) {
 					reqs[k] = server.Request{Tenant: tenant, Template: "Q6", Budget: testBudget()}
 				}
 				done := make(chan []server.BatchItem, 1)
-				if err := srv.SubmitBatchAsync(ctx, reqs, func(items []server.BatchItem) { done <- items }); err != nil {
+				if err := srv.SubmitBatchAsync(ctx, reqs, func(items []server.BatchItem) { done <- slices.Clone(items) }); err != nil {
 					t.Errorf("async batch: %v", err)
 					return
 				}
@@ -282,6 +304,43 @@ func TestInlineStress(t *testing.T) {
 				}
 				if progress.Add(1) == submitters*perG/3 {
 					close(third)
+				}
+			}
+		}(g)
+	}
+	templates := []string{"Q1", "Q3", "Q6", "Q10", "Q14", "Q18"}
+	for g := 0; g < spanners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				// Over the first 2 to 4 shards, so the submitting loop
+				// often still has shards to look at after its last send;
+				// each item with a selectivity of its own inside every
+				// template's range, so none is clamped.
+				m := 2 + (g+i)%(shards-1)
+				reqs := make([]server.Request, 2*m+i%3)
+				for k := range reqs {
+					reqs[k] = server.Request{
+						Tenant:      spanTenants[k%m],
+						Template:    templates[(g+i+k)%len(templates)],
+						Selectivity: 0.0025 + 1e-5*float64(k),
+						Budget:      testBudget(),
+					}
+				}
+				done := make(chan []server.BatchItem, 1)
+				if err := srv.SubmitBatchAsync(ctx, reqs, func(items []server.BatchItem) { done <- slices.Clone(items) }); err != nil {
+					t.Errorf("spanning batch: %v", err)
+					return
+				}
+				for k, it := range <-done {
+					if record(it.Resp, it.Err) == 0 {
+						continue
+					}
+					if it.Resp.Template != reqs[k].Template || it.Resp.Selectivity != reqs[k].Selectivity {
+						t.Errorf("spanner %d batch %d item %d answers %s at %g, asked %s at %g",
+							g, i, k, it.Resp.Template, it.Resp.Selectivity, reqs[k].Template, reqs[k].Selectivity)
+					}
 				}
 			}
 		}(g)

@@ -15,8 +15,9 @@ import (
 
 // The allocation-free hot path reuses state aggressively: each shard
 // owns a scratch workload.Query and budget.Step, the optimizer refills a
-// plan pool on every Enumerate, batch replies land in caller-owned
-// buffers, and Submit reply channels come from a sync.Pool. This test
+// plan pool on every Enumerate, batch replies land in pooled per-call
+// buffers the completion only borrows, and Submit reply channels come
+// from a sync.Pool. This test
 // pins the safety contract of all that reuse: none of it may leak state
 // between tenants or between concurrent submitters.
 //

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -184,6 +185,8 @@ type Server struct {
 	// channel is always empty; abandoned waits (ctx cancellation) leave
 	// their channel to the garbage collector instead.
 	replyPool sync.Pool
+	// batchCalls recycles SubmitBatchAsync's per-call buffers (batchCall).
+	batchCalls sync.Pool
 
 	// epoch anchors the monotone nanosecond scale behind mailbox-wait
 	// measurement and trace wall stamps (real time, independent of the
@@ -299,6 +302,9 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	srv.shards = make([]*shard, cfg.Shards)
+	srv.batchCalls.New = func() any {
+		return &batchCall{srv: srv, offs: make([]int, cfg.Shards), counts: make([]int, cfg.Shards)}
+	}
 	srv.journals = make([]*obs.Journal, cfg.Shards)
 	for i := range srv.shards {
 		sch, err := scheme.New(cfg.Scheme, cfg.Params)
@@ -479,11 +485,11 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 
 	sh := s.shards[s.ShardIndex(req)]
 	if r, ok := sh.tryDecide(req); ok {
-		return r.resp, r.err
+		return r.Resp, r.Err
 	}
-	reply, _ := s.replyPool.Get().(chan shardReply)
+	reply, _ := s.replyPool.Get().(chan BatchItem)
 	if reply == nil {
-		reply = make(chan shardReply, 1)
+		reply = make(chan BatchItem, 1)
 	}
 	if err := sh.enqueue(ctx, shardMsg{req: req, reply: reply, enq: s.nanos()}); err != nil {
 		s.replyPool.Put(reply) // never enqueued; still empty
@@ -496,7 +502,7 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	select {
 	case r := <-reply:
 		s.replyPool.Put(reply)
-		return r.resp, r.err
+		return r.Resp, r.Err
 	case <-ctx.Done():
 		return Response{}, ctx.Err()
 	}
@@ -504,7 +510,9 @@ func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 
 // BatchItem is one positional result of SubmitBatch: the economy's
 // answer to the request at the same index, or the per-request error that
-// prevented one (e.g. an unknown template).
+// prevented one (e.g. an unknown template). It is also the shard's answer
+// to any one submission, so one type travels from the decision to the
+// caller.
 type BatchItem struct {
 	Resp Response
 	Err  error
@@ -518,58 +526,98 @@ type BatchItem struct {
 // allocations across the group. Within a shard, requests are decided in
 // slice order with one shared arrival stamp, so results are
 // deterministic given the shard's prior state. The returned slice aligns
-// positionally with reqs; per-request failures land in BatchItem.Err
-// while the call-level error reports only whole-batch conditions
-// (ErrServerClosed, ctx cancellation). The graceful-drain guarantee of
-// Submit holds: an accepted batch is always fully answered. An empty
-// batch is a no-op.
+// positionally with reqs and is the caller's to keep; per-request
+// failures land in BatchItem.Err while the call-level error reports only
+// whole-batch conditions (ErrServerClosed, ctx cancellation). The
+// graceful-drain guarantee of Submit holds: an accepted batch is always
+// fully answered. An empty batch is a no-op.
 func (s *Server) SubmitBatch(ctx context.Context, reqs []Request) ([]BatchItem, error) {
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	done := make(chan []BatchItem, 1)
-	if err := s.SubmitBatchAsync(ctx, reqs, func(items []BatchItem) { done <- items }); err != nil {
+	return AwaitBatch(ctx, func(done func([]BatchItem)) error { return s.SubmitBatchAsync(ctx, reqs, done) })
+}
+
+// AwaitBatch is the blocking form of an asynchronous batch primitive:
+// submit hands done to it, and AwaitBatch waits for done to fire. The
+// completion lends its slice, so the copy taken inside it is what
+// AwaitBatch returns, the caller's to keep. If ctx dies first the
+// accepted batch is still decided and its buffered completion dropped —
+// same semantics as an abandoned Submit.
+func AwaitBatch[T any](ctx context.Context, submit func(done func([]T)) error) ([]T, error) {
+	ch := make(chan []T, 1)
+	if err := submit(func(items []T) { ch <- slices.Clone(items) }); err != nil {
 		return nil, err
 	}
-	// If ctx dies first the accepted groups are still decided and their
-	// buffered completion dropped — same semantics as an abandoned Submit.
 	select {
-	case items := <-done:
+	case items := <-ch:
 		return items, nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// carveGroups partitions a batch by destination shard into flat buffers:
-// reqBuf/posBuf hold the requests and their original positions grouped by
-// shard (submission order preserved within each group), replyBuf is the
-// matching reply storage, and offs/counts locate shard idx's group at
-// [offs[idx], offs[idx]+counts[idx]).
-func (s *Server) carveGroups(reqs []Request) (reqBuf []Request, posBuf []int, replyBuf []shardReply, offs, counts []int) {
-	nsh := len(s.shards)
-	counts = make([]int, nsh)
+// batchCall is one multi-request SubmitBatchAsync call: the requests
+// grouped by destination shard (shard k's group is reqs[offs[k] :
+// offs[k]+counts[k]], submission order preserved, and pos holds each
+// one's position in the caller's batch) and the positional items the
+// shard loops fill in place. Calls are pooled per server, so once the
+// pool is warm a batch of any size allocates nothing here.
+//
+// pending counts the groups still deciding plus one for the submitting
+// loop, which reads counts and offs until its last send: the call is
+// answered and recycled only once the last group AND that loop are done
+// with it.
+type batchCall struct {
+	srv     *Server
+	reqs    []Request
+	pos     []int
+	items   []BatchItem
+	offs    []int
+	counts  []int
+	pending atomic.Int32
+	done    func([]BatchItem)
+}
+
+// Resize returns b with length n, reusing its capacity.
+func Resize[T any](b []T, n int) []T { return slices.Grow(b[:0], n)[:n] }
+
+// carve groups reqs by destination shard into the call's buffers and
+// returns the number of groups.
+func (c *batchCall) carve(reqs []Request) (groups int32) {
+	n := len(reqs)
+	c.reqs, c.pos, c.items = Resize(c.reqs, n), Resize(c.pos, n), Resize(c.items, n)
+	clear(c.counts)
 	for i := range reqs {
-		counts[s.ShardIndex(reqs[i])]++
+		k := c.srv.ShardIndex(reqs[i])
+		if c.counts[k]++; c.counts[k] == 1 {
+			groups++
+		}
 	}
-	offs = make([]int, nsh)
 	off := 0
-	for idx, c := range counts {
-		offs[idx] = off
-		off += c
+	for k, cnt := range c.counts {
+		off += cnt
+		c.offs[k] = off
 	}
-	reqBuf = make([]Request, len(reqs))
-	posBuf = make([]int, len(reqs))
-	replyBuf = make([]shardReply, len(reqs))
-	cursor := make([]int, nsh)
-	for i := range reqs {
-		idx := s.ShardIndex(reqs[i])
-		j := offs[idx] + cursor[idx]
-		cursor[idx]++
-		reqBuf[j] = reqs[i]
-		posBuf[j] = i
+	// Fill each group from its end, backwards, leaving offs at its start.
+	for i := n - 1; i >= 0; i-- {
+		k := c.srv.ShardIndex(reqs[i])
+		c.offs[k]--
+		c.reqs[c.offs[k]], c.pos[c.offs[k]] = reqs[i], i
 	}
-	return reqBuf, posBuf, replyBuf, offs, counts
+	return groups
+}
+
+// release drops one count of pending. The last answers the call — done
+// borrows items, which stay valid until it returns — and recycles it.
+func (c *batchCall) release() {
+	if c.pending.Add(-1) != 0 {
+		return
+	}
+	c.done(c.items)
+	clear(c.reqs) // the pool must not pin the strings and budgets
+	c.done = nil
+	c.srv.batchCalls.Put(c)
 }
 
 // SubmitBatchAsync is the batch primitive: requests are grouped by
@@ -581,18 +629,24 @@ func (s *Server) carveGroups(reqs []Request) (reqBuf []Request, posBuf []int, re
 // frames while prior batches are still deciding: batches complete out
 // of order as their shard groups drain.
 //
+// done's slice is lent, not given: it is valid only until done returns,
+// after which the server reuses it for another batch. A consumer encodes
+// or copies inside done, as SubmitBatch does.
+//
 // A one-request batch is a singleton, not a group: it takes Submit's
 // path — decided on this goroutine when its shard is idle, with done
 // invoked before SubmitBatchAsync returns, else one by-value mailbox
 // message — and pays none of the carve below.
 //
 // done otherwise runs on the shard goroutine that completed the batch's
-// final group, so it must be quick and must not call back into the
-// server's snapshot paths (Stats, Structures); hand heavy work to another
-// goroutine. It never runs under a shard lock. On a non-nil error
-// (ErrServerClosed, ctx cancellation mid-enqueue) done is never invoked;
-// groups already enqueued are still decided and their results discarded.
-// reqs is not retained past the call.
+// final group, or on the caller's, before SubmitBatchAsync returns, when
+// every group finished before the last was enqueued. It must be quick
+// and must not call back into the server's snapshot paths (Stats,
+// Structures); hand heavy work to another goroutine. It never runs under
+// a shard lock. On a non-nil error (ErrServerClosed, ctx cancellation
+// mid-enqueue) done is never invoked; groups already enqueued are still
+// decided and their results discarded. reqs is copied before anything is
+// decided: the caller may reuse it once the call returns or done fires.
 func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func([]BatchItem)) error {
 	if len(reqs) == 0 {
 		return fmt.Errorf("server: empty batch")
@@ -605,55 +659,34 @@ func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func
 	if len(reqs) == 1 {
 		sh := s.shards[s.ShardIndex(reqs[0])]
 		if r, ok := sh.tryDecide(reqs[0]); ok {
-			done([]BatchItem{{Resp: r.resp, Err: r.err}})
+			done([]BatchItem{r})
 			return nil
 		}
 		return sh.enqueue(ctx, shardMsg{req: reqs[0], done: done, enq: s.nanos()})
 	}
 
-	items := make([]BatchItem, len(reqs))
-	pending := new(atomic.Int32)
-
-	// Groups are carved out of flat per-call buffers (requests, original
-	// positions, reply storage) so the whole call costs a fixed handful of
-	// allocations regardless of batch size — the shard loops fill the
-	// caller-owned reply storage in place.
-	reqBuf, posBuf, replyBuf, offs, counts := s.carveGroups(reqs)
-	n := int32(0)
-	for _, c := range counts {
-		if c > 0 {
-			n++
-		}
-	}
+	c := s.batchCalls.Get().(*batchCall)
+	c.done = done
 	// pending is set before any send, so a group that completes while
 	// later groups are still enqueueing cannot see a premature zero.
-	pending.Add(n)
+	c.pending.Store(c.carve(reqs) + 1)
 
 	// One wait stamp covers the whole call; groups enqueue back to back.
 	// Sends may block on a full mailbox, but the shard loops drain
 	// independently of this goroutine, so sequential sends cannot deadlock.
 	enq := s.nanos()
-	for idx, c := range counts {
-		if c == 0 {
+	for k, cnt := range c.counts {
+		if cnt == 0 {
 			continue
 		}
-		grp := reqBuf[offs[idx] : offs[idx]+c]
-		buf := replyBuf[offs[idx] : offs[idx]+c]
-		pos := posBuf[offs[idx] : offs[idx]+c]
-		cb := func(replies []shardReply) {
-			for i, r := range replies {
-				items[pos[i]] = BatchItem{Resp: r.resp, Err: r.err}
-			}
-			if pending.Add(-1) == 0 {
-				done(items)
-			}
-		}
-		// Unsent groups keep pending above zero forever, so done can never
-		// fire after an error return.
-		if err := s.shards[idx].enqueue(ctx, shardMsg{batch: grp, batchDone: cb, replyBuf: buf, enq: enq}); err != nil {
+		// An unsent group keeps pending above zero forever: done never
+		// fires after an error return, and the call is left to the garbage
+		// collector instead of recycled under groups still deciding.
+		if err := s.shards[k].enqueue(ctx, shardMsg{call: c, enq: enq}); err != nil {
 			return err
 		}
 	}
+	c.release()
 	return nil
 }
 

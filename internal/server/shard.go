@@ -20,37 +20,27 @@ import (
 
 // shardMsg is one unit of mailbox work: a single query that found its
 // shard busy — with Submit's reply channel or a one-request
-// SubmitBatchAsync's completion — or one shard group of a batch with its
-// completion callback. Reply channels are buffered (capacity 1) so the
+// SubmitBatchAsync's completion — or this shard's group of a
+// multi-request batch. Reply channels are buffered (capacity 1) so the
 // shard loop never blocks on a caller that has already given up. Batches
 // keep the mailbox traffic proportional to submissions, not queries: one
-// send and one dequeue cover the entire slice.
+// send and one dequeue cover the entire group.
 type shardMsg struct {
-	// req carries a single submission, by value, when batch is nil; the
+	// req carries a single submission, by value, when call is nil; the
 	// answer goes to reply (Submit) or, after the shard lock is released,
 	// to done as a one-item slice (SubmitBatchAsync).
 	req   Request
-	reply chan shardReply
+	reply chan BatchItem
 	done  func([]BatchItem)
 
-	// batch carries one shard group of SubmitBatchAsync. The slice is
-	// owned by the shard until batchDone runs. replyBuf is caller-owned
-	// storage for the group's replies (len(batch) entries) that the loop
-	// fills in place; batchDone is invoked with it after the shard lock is
-	// released, on the shard goroutine.
-	batch     []Request
-	replyBuf  []shardReply
-	batchDone func([]shardReply)
+	// call carries a multi-request SubmitBatchAsync: the loop decides the
+	// group at call.offs[id] into the call's positional items and, after
+	// the shard lock is released, releases the group's count of it.
+	call *batchCall
 
 	// enq is the Server.nanos() stamp at enqueue, measuring mailbox wait
 	// (for the oldest-waiter gauge and sampled decision traces).
 	enq int64
-}
-
-// shardReply is the shard's answer to one submission.
-type shardReply struct {
-	resp Response
-	err  error
 }
 
 // shard owns one slice of the economy: its own scheme (cache, account,
@@ -215,13 +205,12 @@ func (s *shard) loop() {
 // released: it chains into SubmitBatchAsync's done, which is caller code
 // and must be free to read server state (snapshot paths on OTHER shards,
 // encode work) without holding this shard's mu. A batch group completes
-// through fn(replies); a queued one-request batch through one(reply).
+// through call.release; a queued one-request batch through one(reply).
 type deferredDone struct {
-	fn      func([]shardReply)
-	replies []shardReply
+	call *batchCall
 
 	one   func([]BatchItem)
-	reply shardReply
+	reply BatchItem
 }
 
 // tryDecide is the fast half of the singleton path: when the shard is
@@ -231,18 +220,18 @@ type deferredDone struct {
 // so tests can reorder completions) sends the caller to the queue
 // instead. A disowned shard answers ErrShardNotOwned without touching
 // state, exactly as the loop would.
-func (s *shard) tryDecide(req Request) (shardReply, bool) {
+func (s *shard) tryDecide(req Request) (BatchItem, bool) {
 	if s.srv.cfg.DecideDelay != nil || s.queued.Load() != 0 || !s.mu.TryLock() {
-		return shardReply{}, false
+		return BatchItem{}, false
 	}
 	defer s.mu.Unlock()
 	if !s.owned {
-		return shardReply{err: s.notOwnedErr()}, true
+		return BatchItem{Err: s.notOwnedErr()}, true
 	}
 	now := s.nowLocked()
 	s.books.Accrue(now, s.sch.Cache())
 	reply := s.handleLocked(req, now, 0)
-	if reply.err == nil {
+	if reply.Err == nil {
 		s.inline++
 	}
 	s.oldestWait.Store(0)
@@ -289,11 +278,13 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 	for _, m := range msgs {
 		wait := drainNanos - m.enq
 		switch {
-		case m.batch != nil:
-			for i, req := range m.batch {
-				m.replyBuf[i] = s.answerLocked(req, now, wait)
+		case m.call != nil:
+			c := m.call
+			off := c.offs[s.id]
+			for j := off; j < off+c.counts[s.id]; j++ {
+				c.items[c.pos[j]] = s.answerLocked(c.reqs[j], now, wait)
 			}
-			s.deferred = append(s.deferred, deferredDone{fn: m.batchDone, replies: m.replyBuf})
+			s.deferred = append(s.deferred, deferredDone{call: c})
 		case m.reply != nil:
 			m.reply <- s.answerLocked(m.req, now, wait)
 		default:
@@ -306,9 +297,9 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 	for i := range s.deferred {
 		d := &s.deferred[i]
 		if d.one != nil {
-			d.one([]BatchItem{{Resp: d.reply.resp, Err: d.reply.err}})
+			d.one([]BatchItem{d.reply})
 		} else {
-			d.fn(d.replies)
+			d.call.release()
 		}
 		*d = deferredDone{}
 	}
@@ -319,9 +310,9 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 // shard state — no clock read, no accrual, no counters — so a frozen
 // shard's captured state is exactly its state at the last real decision.
 // Callers hold s.mu.
-func (s *shard) answerLocked(req Request, now time.Duration, waitNanos int64) shardReply {
+func (s *shard) answerLocked(req Request, now time.Duration, waitNanos int64) BatchItem {
 	if !s.owned {
-		return shardReply{err: s.notOwnedErr()}
+		return BatchItem{Err: s.notOwnedErr()}
 	}
 	return s.handleLocked(req, now, waitNanos)
 }
@@ -345,7 +336,7 @@ func (s *shard) nowLocked() time.Duration {
 // decision trace when the tracer asks for one. waitNanos is the
 // real-time mailbox wait of the message that carried the request.
 // Callers hold s.mu and have already accrued rent through now.
-func (s *shard) handleLocked(req Request, now time.Duration, waitNanos int64) shardReply {
+func (s *shard) handleLocked(req Request, now time.Duration, waitNanos int64) BatchItem {
 	tr := s.srv.tracer
 	// The whole observability layer costs one nil check and one atomic
 	// load per query until a sample is due.
@@ -359,15 +350,15 @@ func (s *shard) handleLocked(req Request, now time.Duration, waitNanos int64) sh
 	decideNanos := time.Since(start).Nanoseconds()
 
 	rec := obs.Record{
-		QueryID:          reply.resp.QueryID,
+		QueryID:          reply.Resp.QueryID,
 		Tenant:           req.Tenant,
 		Template:         req.Template,
-		Selectivity:      reply.resp.Selectivity,
+		Selectivity:      reply.Resp.Selectivity,
 		ArrivalSec:       now.Seconds(),
 		Case:             res.Case,
 		Declined:         res.Declined,
 		CacheHit:         !res.Declined && res.Location == plan.Cache,
-		Location:         reply.resp.Location,
+		Location:         reply.Resp.Location,
 		ResponseTimeSec:  res.ResponseTime.Seconds(),
 		ChargedUSD:       res.Charged.Dollars(),
 		ProfitUSD:        res.Profit.Dollars(),
@@ -380,21 +371,21 @@ func (s *shard) handleLocked(req Request, now time.Duration, waitNanos int64) sh
 		DecideNanos:      decideNanos,
 		WallNanos:        s.srv.nanos(),
 	}
-	if reply.err != nil {
-		rec.Error = reply.err.Error()
+	if reply.Err != nil {
+		rec.Error = reply.Err.Error()
 	}
-	reply.resp.TraceSeq = tr.Publish(s.id, rec)
+	reply.Resp.TraceSeq = tr.Publish(s.id, rec)
 	return reply
 }
 
 // decideLocked is the untraced decision path: template resolution,
 // budgeting, the scheme's verdict and the shard counters. Callers hold
 // s.mu.
-func (s *shard) decideLocked(req Request, now time.Duration) (shardReply, scheme.Result) {
+func (s *shard) decideLocked(req Request, now time.Duration) (BatchItem, scheme.Result) {
 	tpl, ok := s.srv.templates[req.Template]
 	if !ok {
 		s.errors++
-		return shardReply{err: fmt.Errorf("%w: %q", ErrUnknownTemplate, req.Template)}, scheme.Result{}
+		return BatchItem{Err: fmt.Errorf("%w: %q", ErrUnknownTemplate, req.Template)}, scheme.Result{}
 	}
 	sel := req.Selectivity
 	if sel == 0 && !req.HasSelectivity {
@@ -427,7 +418,7 @@ func (s *shard) decideLocked(req Request, now time.Duration) (shardReply, scheme
 		sz, err := q.Sizes(s.srv.catalog)
 		if err != nil {
 			s.errors++
-			return shardReply{err: err}, scheme.Result{}
+			return BatchItem{Err: err}, scheme.Result{}
 		}
 		if sb := s.srv.stepBudgets; sb != nil {
 			if price, tmax, ok := sb.StepBudgetFor(q, sz.Scan, sz.Result); ok {
@@ -443,7 +434,7 @@ func (s *shard) decideLocked(req Request, now time.Duration) (shardReply, scheme
 	r, err := s.sch.HandleQuery(q)
 	if err != nil {
 		s.errors++
-		return shardReply{err: fmt.Errorf("shard %d: query %d: %w", s.id, q.ID, err)}, scheme.Result{}
+		return BatchItem{Err: fmt.Errorf("shard %d: query %d: %w", s.id, q.ID, err)}, scheme.Result{}
 	}
 
 	s.books.Record(now, &r)
@@ -451,7 +442,7 @@ func (s *shard) decideLocked(req Request, now time.Duration) (shardReply, scheme
 		s.response.ObserveDuration(r.ResponseTime)
 	}
 
-	return shardReply{resp: Response{
+	return BatchItem{Resp: Response{
 		QueryID:         q.ID,
 		Shard:           s.id,
 		Template:        tpl.Name,

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
@@ -176,17 +178,34 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 }
 
-// TestSubmitBatchAllocs pins SubmitBatch on a warmed 4-shard server at 15
-// allocations per batch of 16 or 64 queries spread over every shard —
-// the carve's flat buffers, one completion per shard group and the
-// caller's wait — with the tracer idle and sampling every query alike.
-// The count does not grow with the batch: a per-query allocation shows as
-// a jump of 16 or 64.
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates on average over runs calls, after a warm-up call, with
+// GOMAXPROCS at 1 and every goroutine of the process counted. The count
+// gates see objects; garbage-collection cost follows bytes.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestSubmitBatchAllocs pins SubmitBatch on a warmed 4-shard server at 4
+// allocations per batch of 16 or 64 queries spread over every shard — the
+// caller's wait and its copy of the lent items; the carve's buffers are
+// pooled — with the tracer idle and sampling every query alike. The count
+// does not grow with the batch: a per-query allocation shows as a jump of
+// 16 or 64. The bytes grow only by the copy: one BatchItem per query, plus
+// 1 KiB for the wait and the allocator's size classes.
 func TestSubmitBatchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the detector's")
 	}
-	const maxAllocs = 15
+	const maxAllocs = 4
 	for arm, adjust := range map[string]func(*Config){"idle": nil, "traced": traceAll} {
 		for _, size := range []int{16, 64} {
 			t.Run(fmt.Sprintf("%s/batch=%d", arm, size), func(t *testing.T) {
@@ -206,9 +225,12 @@ func TestSubmitBatchAllocs(t *testing.T) {
 						}
 					}
 				}
-				if got := testing.AllocsPerRun(500, submit); got > maxAllocs {
-					t.Errorf("SubmitBatch of %d allocates %.1f times per batch, gate %d; `make profile` lists the engine's sites, `go test -run TestSubmitBatchAllocs -memprofile mem.prof -memprofilerate 1 ./internal/server` the batch path's",
-						size, got, maxAllocs)
+				allocs := testing.AllocsPerRun(500, submit)
+				bytes := bytesPerRun(500, submit)
+				t.Logf("batch=%d: %.0f allocations, %d bytes per batch", size, allocs, bytes)
+				if maxBytes := uint64(size)*uint64(unsafe.Sizeof(BatchItem{})) + 1<<10; allocs > maxAllocs || bytes > maxBytes {
+					t.Errorf("SubmitBatch of %d allocates %.1f times and %d bytes per batch, gates %d and %d; `make profile` lists the engine's sites, `go test -run TestSubmitBatchAllocs -memprofile mem.prof -memprofilerate 1 ./internal/server` the batch path's",
+						size, allocs, bytes, maxAllocs, maxBytes)
 				}
 			})
 		}
@@ -223,6 +245,24 @@ func BenchmarkSubmit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := srv.Submit(context.Background(), next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSubmitBatch times a 64-query SubmitBatch spread over every
+// shard of TestSubmitBatchAllocs' warmed 4-shard server: the batch path's
+// half of `make profile`.
+func BenchmarkSubmitBatch(b *testing.B) {
+	srv, next := warmServer(b, 4, nil)
+	reqs := make([]Request, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range reqs {
+			reqs[j] = next()
+		}
+		if _, err := srv.SubmitBatch(context.Background(), reqs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/persist"
 	"repro/internal/server"
@@ -24,16 +25,18 @@ import (
 // reuses it for the next frame, so an engine that needs the queries
 // after a submit method returns copies them first.
 type Engine interface {
-	// SubmitBatch decides a batch and returns positional replies.
-	// Per-item failures ride Reply.Err; a returned error fails the whole
-	// batch. The protocol loop itself only ever submits asynchronously;
-	// this is the form in-process callers (HTTP handlers, replays) use.
+	// SubmitBatch decides a batch and returns positional replies, the
+	// caller's to keep. Per-item failures ride Reply.Err; a returned error
+	// fails the whole batch. The protocol loop itself only ever submits
+	// asynchronously; this is the form in-process callers (HTTP handlers,
+	// replays) use.
 	SubmitBatch(ctx context.Context, qs []Query, decodeNanos int64) ([]Reply, error)
 	// SubmitBatchAsync hands a batch to the engine and returns without
 	// waiting; done fires exactly once with the positional replies —
 	// possibly before the call returns, on the caller's goroutine, when
-	// the engine could answer on the spot. An error means done will never
-	// fire.
+	// the engine could answer on the spot. The replies are lent: valid
+	// only until done returns, so done encodes or copies them. An error
+	// means done will never fire.
 	SubmitBatchAsync(ctx context.Context, qs []Query, decodeNanos int64, done func([]Reply)) error
 
 	Stats() server.Stats
@@ -65,70 +68,84 @@ type Engine interface {
 // protocol loops serve. Materializing wire queries into engine requests
 // (budget closures included) happens here, so every front — direct or
 // routed — shares one conversion with identical error wording.
-func ServerEngine(srv *server.Server) Engine { return &serverEngine{srv: srv} }
-
-type serverEngine struct {
-	srv *server.Server
+func ServerEngine(srv *server.Server) Engine {
+	e := &serverEngine{srv: srv}
+	e.calls.New = func() any {
+		c := &engineCall{e: e}
+		c.finish = c.complete
+		return c
+	}
+	return e
 }
 
-// requests materializes wire queries into engine requests, spreading the
-// caller's decode time across them for the stage trace. one backs a
-// one-query batch — the caller's stack, so the singleton path allocates
-// no request slice.
-func requests(one *[1]server.Request, qs []Query, decodeNanos int64) ([]server.Request, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	reqs := one[:]
-	if len(qs) > 1 {
-		reqs = make([]server.Request, len(qs))
-	}
-	share := max(decodeNanos, 0) / int64(len(qs))
+type serverEngine struct {
+	srv   *server.Server
+	calls sync.Pool // *engineCall
+}
+
+// requests materializes wire queries into dst (one request per query),
+// spreading the caller's decode time across them for the stage trace.
+func requests(dst []server.Request, qs []Query, decodeNanos int64) error {
+	share := max(decodeNanos, 0) / int64(max(len(qs), 1))
 	for i := range qs {
 		req, err := qs[i].Request()
 		if err != nil {
-			return nil, fmt.Errorf("batch[%d]: %w", i, err)
+			return fmt.Errorf("batch[%d]: %w", i, err)
 		}
 		req.DecodeNanos = share
-		reqs[i] = req
+		dst[i] = req
 	}
-	return reqs, nil
+	return nil
 }
 
-func itemsToReplies(items []server.BatchItem) []Reply {
-	replies := make([]Reply, len(items))
+// engineCall holds one SubmitBatchAsync's buffers: the engine requests,
+// which the server copies before deciding any, and the wire replies done
+// borrows. Calls are pooled and return to the pool once done has
+// returned, or once the submit failed and done never will fire.
+type engineCall struct {
+	e       *serverEngine
+	reqs    []server.Request
+	replies []Reply
+	done    func([]Reply)
+	finish  func([]server.BatchItem) // complete, bound once per call
+}
+
+func (c *engineCall) complete(items []server.BatchItem) {
+	c.replies = server.Resize(c.replies, len(items))
 	for i := range items {
 		if items[i].Err != nil {
-			replies[i] = Reply{Err: items[i].Err.Error()}
+			c.replies[i] = Reply{Err: items[i].Err.Error()}
 		} else {
-			replies[i] = Reply{Resp: items[i].Resp}
+			c.replies[i] = Reply{Resp: items[i].Resp}
 		}
 	}
-	return replies
+	c.done(c.replies)
+	c.recycle()
 }
 
+func (c *engineCall) recycle() {
+	clear(c.reqs) // the pool must not pin the strings and budgets
+	c.done = nil
+	c.e.calls.Put(c)
+}
+
+// SubmitBatch is SubmitBatchAsync plus a wait; the replies are the caller's.
 func (e *serverEngine) SubmitBatch(ctx context.Context, qs []Query, decodeNanos int64) ([]Reply, error) {
-	var one [1]server.Request
-	reqs, err := requests(&one, qs, decodeNanos)
-	if err != nil {
-		return nil, err
-	}
-	items, err := e.srv.SubmitBatch(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	return itemsToReplies(items), nil
+	return server.AwaitBatch(ctx, func(done func([]Reply)) error { return e.SubmitBatchAsync(ctx, qs, decodeNanos, done) })
 }
 
 func (e *serverEngine) SubmitBatchAsync(ctx context.Context, qs []Query, decodeNanos int64, done func([]Reply)) error {
-	var one [1]server.Request
-	reqs, err := requests(&one, qs, decodeNanos)
-	if err != nil {
-		return err
+	c := e.calls.Get().(*engineCall)
+	c.reqs = server.Resize(c.reqs, len(qs))
+	err := requests(c.reqs, qs, decodeNanos)
+	if err == nil {
+		c.done = done
+		err = e.srv.SubmitBatchAsync(ctx, c.reqs, c.finish)
 	}
-	return e.srv.SubmitBatchAsync(ctx, reqs, func(items []server.BatchItem) {
-		done(itemsToReplies(items))
-	})
+	if err != nil {
+		c.recycle()
+	}
+	return err
 }
 
 func (e *serverEngine) Stats() server.Stats { return e.srv.Stats() }

@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/server"
 )
@@ -88,10 +91,20 @@ func fuzzSeeds(t testing.TB) [][]byte {
 	}
 }
 
+// heapAllocs reads the process's cumulative heap allocation in bytes.
+func heapAllocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
 // FuzzWireDecode feeds arbitrary bytes to every payload decoder and the
 // frame reader. The decoders must never panic — a malicious or corrupt
 // client frame must never take the daemon down — and anything that does
-// decode must survive an encode/decode round trip unchanged.
+// decode must survive an encode/decode round trip unchanged. A reply
+// batch presizes its slice from the count it carries, so that decode must
+// also allocate within a small multiple of the payload: a hostile count
+// must not buy more than its own frame holds.
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
@@ -100,6 +113,8 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(seed[:len(seed)/2])
 		}
 	}
+	// A reply batch whose count its payload cannot hold.
+	f.Add(binary.AppendUvarint(appendTag(nil, msgTaggedReplyBatch, 1), MaxBatch))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Round trips are compared as re-encoded BYTES, not values:
 		// arbitrary inputs can carry NaN floats, which decode fine but
@@ -119,7 +134,19 @@ func FuzzWireDecode(f *testing.F) {
 				}
 			}
 		}
-		if tag, rs, err := DecodeTaggedReplyBatch(data, nil); err == nil && len(rs) != 0 {
+		isReplyBatch := len(data) > 0 && data[0] == msgTaggedReplyBatch
+		var before uint64
+		if isReplyBatch { // the memory reads stop the world: only where they tell
+			before = heapAllocs()
+		}
+		tag, rs, err := DecodeTaggedReplyBatch(data, nil)
+		// A reply takes at least two payload bytes and decodes into one
+		// Reply plus at most its own bytes of strings; 64 KiB of slack
+		// absorbs the error text and the fuzz worker's own goroutines.
+		if limit := uint64(len(data)/2)*uint64(unsafe.Sizeof(Reply{})) + uint64(len(data)) + 64<<10; isReplyBatch && heapAllocs()-before > limit {
+			t.Fatalf("decoding a %d-byte reply batch allocated %d bytes (limit %d)", len(data), heapAllocs()-before, limit)
+		}
+		if err == nil && len(rs) != 0 {
 			enc := AppendTaggedReplyBatch(nil, tag, rs)
 			tag2, rs2, err := DecodeTaggedReplyBatch(enc, nil)
 			if err != nil || tag2 != tag {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -193,7 +194,7 @@ type MuxClient struct {
 	cond     *sync.Cond
 	queue    [][]byte
 	stopping bool
-	wdone    chan struct{}
+	free     payloads
 
 	mu      sync.Mutex // guards the open tags and their waiters
 	tags    map[uint64]waiter
@@ -201,8 +202,10 @@ type MuxClient struct {
 	err     error // sticky: why the connection died
 	done    chan struct{}
 
-	// names interns the strings the read loop decodes out of replies.
-	names interner
+	// names interns the strings the read loop decodes out of replies, and
+	// replies is its decode scratch, which SubmitAsync callbacks borrow.
+	names   interner
+	replies []Reply
 }
 
 // helloTimeout bounds the connect and the hello exchange, so a peer that
@@ -229,11 +232,10 @@ func DialMux(addr string) (*MuxClient, error) {
 // is left to the caller to close.
 func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 	c := &MuxClient{
-		conn:  conn,
-		bw:    bufio.NewWriterSize(conn, 64<<10),
-		tags:  make(map[uint64]waiter),
-		wdone: make(chan struct{}),
-		done:  make(chan struct{}),
+		conn: conn,
+		bw:   bufio.NewWriterSize(conn, 64<<10),
+		tags: make(map[uint64]waiter),
+		done: make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.qmu)
 
@@ -293,11 +295,14 @@ func (c *MuxClient) send(payload []byte) {
 // also closes the conn so the read loop fails every in-flight call —
 // a silently dropped frame would leave its caller waiting forever.
 func (c *MuxClient) writeLoop() {
-	defer close(c.wdone)
 	var dead bool
 	var batch [][]byte
 	for {
 		c.qmu.Lock()
+		// The burst just written: its payloads feed start's encodes and
+		// its backing array becomes the next queue (double-buffered).
+		c.free.put(batch...)
+		clear(batch)
 		for len(c.queue) == 0 && !c.stopping {
 			c.cond.Wait()
 		}
@@ -305,9 +310,6 @@ func (c *MuxClient) writeLoop() {
 			c.qmu.Unlock()
 			return
 		}
-		// Double-buffered: the burst just written becomes the next queue,
-		// so a steady load enqueues without allocating.
-		clear(batch)
 		batch, c.queue = c.queue, batch[:0]
 		c.qmu.Unlock()
 
@@ -370,14 +372,15 @@ func (c *MuxClient) readLoop(br *bufio.Reader) {
 func (c *MuxClient) handleFrame(payload []byte) error {
 	switch payload[0] {
 	case msgTaggedReplyBatch:
-		// Decoded into a fresh slice: the caller owns it outright, and
-		// concurrent callers must not share scratch space. Only the
-		// template and location names — a small closed set — are shared,
-		// through the reader's interner.
-		tag, replies, err := readTaggedReplyBatch(payload, nil, &c.names)
+		// Decoded into the reader's scratch, which a SubmitAsync callback
+		// borrows until it returns; a Submit caller gets its own copy.
+		// The template and location names — a small closed set — are
+		// shared through the reader's interner.
+		tag, replies, err := readTaggedReplyBatch(payload, c.replies, &c.names)
 		if err != nil {
 			return err
 		}
+		c.replies = replies
 		call, ok := take[*muxCall](c, tag)
 		if !ok {
 			return nil
@@ -385,6 +388,9 @@ func (c *MuxClient) handleFrame(payload []byte) error {
 		if len(replies) != call.n {
 			call.deliver(nil, fmt.Errorf("wire: %d replies for %d queries (tag %d)", len(replies), call.n, tag))
 			return nil
+		}
+		if call.done == nil {
+			replies = slices.Clone(replies)
 		}
 		call.deliver(replies, nil)
 
@@ -487,9 +493,9 @@ func (c *MuxClient) register(w waiter) (uint64, error) {
 // Submit sends one tagged query batch and waits for its replies. Safe
 // for concurrent use: any number of goroutines may have batches in
 // flight on the one connection, and each gets its own freshly allocated
-// reply slice. Per-item failures ride Reply.Err; a batch-scoped failure
-// (a draining server, a decode error) returns a *TaggedError with the
-// connection still healthy.
+// reply slice, sized to the batch. Per-item failures ride Reply.Err; a
+// batch-scoped failure (a draining server, a decode error) returns a
+// *TaggedError with the connection still healthy.
 func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 	call := muxCallPool.Get().(*muxCall)
 	tag, err := c.start(call, qs)
@@ -509,7 +515,9 @@ func (c *MuxClient) Submit(ctx context.Context, qs []Query) ([]Reply, error) {
 
 // SubmitAsync sends one tagged query batch without waiting: done fires
 // exactly once with what Submit would return, on the connection's reader
-// goroutine, so it must not block. qs is encoded before SubmitAsync
+// goroutine, so it must not block. The replies are lent, not given: they
+// live in the reader's decode scratch and are valid only until done
+// returns, so done copies what it keeps. qs is encoded before SubmitAsync
 // returns. An error means nothing was sent and done never fires.
 func (c *MuxClient) SubmitAsync(qs []Query, done func([]Reply, error)) error {
 	call := muxCallPool.Get().(*muxCall)
@@ -530,7 +538,7 @@ func (c *MuxClient) start(call *muxCall, qs []Query) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	payload, err := AppendTaggedQueryBatch(make([]byte, 0, sizeTaggedQueryBatch(qs)), tag, qs)
+	payload, err := AppendTaggedQueryBatch(slices.Grow(c.free.get(), sizeTaggedQueryBatch(qs)), tag, qs)
 	if err != nil {
 		if _, ok := take[*muxCall](c, tag); ok {
 			return 0, err

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -644,11 +645,27 @@ func TestMuxFrameAndAHalf(t *testing.T) {
 	readReply(2)
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes, as in internal/server's
+// shard_internal_test.go.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestMuxRoundTripAllocs pins one MuxClient round trip to a warmed 4-shard
 // engine on a loopback listener — client encode, the connection's reader
 // deciding inline or handing off, reply encode and write, client decode,
-// every goroutine of both ends counted — at 6 allocations for a one-query
-// batch and 24 for a 64-query batch spread over every shard.
+// every goroutine of both ends counted — at 3 allocations and 416 bytes
+// for a one-query batch, and at 2 allocations and 10 KiB for a 64-query
+// batch spread over every shard, 9 KiB of which is the client's own reply
+// slice.
 func TestMuxRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race are the detector's")
@@ -658,7 +675,8 @@ func TestMuxRoundTripAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		batch     int
 		maxAllocs float64
-	}{{1, 6}, {64, 24}} {
+		maxBytes  uint64
+	}{{1, 3, 416}, {64, 2, 10 << 10}} {
 		t.Run(fmt.Sprintf("batch=%d", tc.batch), func(t *testing.T) {
 			clock := server.NewVirtualClock()
 			_, addr := newTestServer(t, 4, func(cfg *server.Config) { cfg.Clock = clock })
@@ -684,9 +702,12 @@ func TestMuxRoundTripAllocs(t *testing.T) {
 			for i < 5000 {
 				roundTrip()
 			}
-			if got := testing.AllocsPerRun(500, roundTrip); got > tc.maxAllocs {
-				t.Errorf("a batch=%d round trip allocates %.1f times, gate %.0f; `make profile` lists the engine's sites, `go test -run TestMuxRoundTripAllocs -memprofile mem.prof -memprofilerate 1 ./internal/server/wire` the front's",
-					tc.batch, got, tc.maxAllocs)
+			allocs := testing.AllocsPerRun(500, roundTrip)
+			bytes := bytesPerRun(500, roundTrip)
+			t.Logf("batch=%d: %.0f allocations, %d bytes per round trip", tc.batch, allocs, bytes)
+			if allocs > tc.maxAllocs || bytes > tc.maxBytes {
+				t.Errorf("a batch=%d round trip allocates %.1f times and %d bytes, gates %.0f and %d; `make profile` lists the engine's sites, `go test -run TestMuxRoundTripAllocs -memprofile mem.prof -memprofilerate 1 ./internal/server/wire` the front's",
+					tc.batch, allocs, bytes, tc.maxAllocs, tc.maxBytes)
 			}
 		})
 	}

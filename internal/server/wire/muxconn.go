@@ -65,9 +65,8 @@ type muxConn struct {
 	// wrote into bw that still wait for its flush.
 	unflushed int
 
-	// free recycles spent payload buffers back to reply encoders, so a
-	// steady load encodes frames without allocating. Guarded by qmu.
-	free [][]byte
+	// free recycles spent payload buffers back to reply encoders.
+	free payloads
 
 	// inflight counts batches handed to SubmitBatchAsync whose
 	// completions have not yet handed over their reply frame; connection
@@ -163,35 +162,45 @@ func (c *muxConn) complete(seq uint64, frame []byte) {
 // flushBytes is one Ethernet TCP segment's payload.
 const flushBytes = 1460
 
-// maxFreeBufs bounds the recycled-payload free list; maxFreeBufCap keeps
+// maxFreeBufs bounds a recycled-payload free list; maxFreeBufCap keeps
 // one oversized frame (a fat stats push, a shard-state packet) from
-// pinning megabytes in the pool.
+// pinning megabytes in it.
 const (
 	maxFreeBufs   = 64
 	maxFreeBufCap = 1 << 20
 )
 
-// getBuf returns a recycled payload buffer (length 0) for an encoder to
-// append into, or nil when the free list is empty — append grows nil
-// fine. The buffer returns to the free list after it is written.
-func (c *muxConn) getBuf() []byte {
-	c.qmu.Lock()
-	var b []byte
-	if n := len(c.free); n > 0 {
-		b = c.free[n-1][:0]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
+// payloads is a free list of written payload buffers for encoders to
+// append into, so a steady load encodes frames without allocating. Both
+// ends of a connection keep one, which their writers refill after each
+// flush.
+type payloads struct {
+	mu   sync.Mutex
+	bufs [][]byte
+}
+
+// get returns a recycled buffer (length 0), or nil when the list is
+// empty — append grows nil fine.
+func (l *payloads) get() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.bufs)
+	if n == 0 {
+		return nil
 	}
-	c.qmu.Unlock()
+	b := l.bufs[n-1][:0]
+	l.bufs[n-1] = nil
+	l.bufs = l.bufs[:n-1]
 	return b
 }
 
-// freeLocked returns written payload buffers to getBuf's free list.
-// Callers hold qmu.
-func (c *muxConn) freeLocked(frames ...[]byte) {
+// put returns written payload buffers to the list.
+func (l *payloads) put(frames ...[]byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	for _, p := range frames {
-		if len(c.free) < maxFreeBufs && cap(p) <= maxFreeBufCap {
-			c.free = append(c.free, p[:0])
+		if len(l.bufs) < maxFreeBufs && cap(p) <= maxFreeBufCap {
+			l.bufs = append(l.bufs, p[:0])
 		}
 	}
 }
@@ -230,10 +239,10 @@ func (c *muxConn) writeLoop() {
 	var batch [][]byte
 	for {
 		c.qmu.Lock()
-		// The burst just written: its payload buffers feed getBuf and its
+		// The burst just written: its payload buffers return to free, its
 		// backing array becomes the next queue (double-buffered), so a
 		// steady pipelined load enqueues frames without allocating.
-		c.freeLocked(batch...)
+		c.free.put(batch...)
 		clear(batch)
 		for len(c.queue) == 0 && !c.stopping {
 			c.cond.Wait()
@@ -279,9 +288,7 @@ func (c *muxConn) reply(frame []byte) {
 	c.writeLocked(false, frame)
 	c.wmu.Unlock()
 	c.unflushed += 4 + len(frame)
-	c.qmu.Lock()
-	c.freeLocked(frame)
-	c.qmu.Unlock()
+	c.free.put(frame)
 }
 
 // flush pushes the replies the reader buffered out to the client. When
@@ -475,7 +482,7 @@ func (c *muxConn) submitBatch(payload []byte) error {
 		if traceOn {
 			encStart = time.Now()
 		}
-		frame := AppendTaggedReplyBatch(c.getBuf(), tag, replies)
+		frame := AppendTaggedReplyBatch(c.free.get(), tag, replies)
 		if traceOn {
 			// Back-fill the encode stage into the sampled records: the
 			// shard published them before the reply bytes existed.

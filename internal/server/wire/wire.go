@@ -71,6 +71,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/binenc"
 	"repro/internal/server"
@@ -492,8 +493,8 @@ func appendReplyItems(b []byte, rs []Reply) []byte {
 	return b
 }
 
-// DecodeTaggedReplyBatch parses a tagged reply-batch payload, appending
-// into rs to reuse its capacity.
+// DecodeTaggedReplyBatch parses a tagged reply-batch payload into rs,
+// reusing its capacity.
 func DecodeTaggedReplyBatch(payload []byte, rs []Reply) (uint64, []Reply, error) {
 	return readTaggedReplyBatch(payload, rs, nil)
 }
@@ -508,7 +509,9 @@ func readTaggedReplyBatch(payload []byte, rs []Reply, in *interner) (uint64, []R
 	if n > MaxBatch {
 		r.Fail("wire: reply batch size %d exceeds %d", n, MaxBatch)
 	}
-	rs = rs[:0]
+	// Presized, but never past what the payload can hold — a reply is at
+	// least two bytes — so a hostile count allocates within its own frame.
+	rs = slices.Grow(rs[:0], int(min(n, uint64(r.Len()/2))))
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		var rep Reply
 		switch status := r.Byte(); status {
