@@ -72,6 +72,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/economy"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/scheme"
 	"repro/internal/server"
@@ -100,7 +101,7 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
 
-	if err := setupLogging(*logFormat); err != nil {
+	if err := obs.SetupLogging(*logFormat); err != nil {
 		fail(err)
 	}
 
@@ -276,20 +277,6 @@ func main() {
 	if err := enc.Encode(srv.Stats()); err != nil {
 		fail(err)
 	}
-}
-
-// setupLogging installs the process-wide slog handler on stderr in the
-// requested format.
-func setupLogging(format string) error {
-	switch format {
-	case "", "text":
-		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	case "json":
-		slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
-	default:
-		return errors.New("unknown -log-format " + format + " (want text or json)")
-	}
-	return nil
 }
 
 func fail(err error) {

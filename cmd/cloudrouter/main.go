@@ -48,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/server/wire"
 )
@@ -62,7 +63,7 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	flag.Parse()
 
-	if err := setupLogging(*logFormat); err != nil {
+	if err := obs.SetupLogging(*logFormat); err != nil {
 		fail(err)
 	}
 	if *backends == "" {
@@ -135,20 +136,6 @@ func main() {
 	if err := r.Close(); err != nil {
 		slog.Error("cloudrouter: close", "err", err)
 	}
-}
-
-// setupLogging installs the process-wide slog handler on stderr in the
-// requested format.
-func setupLogging(format string) error {
-	switch format {
-	case "", "text":
-		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	case "json":
-		slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
-	default:
-		return errors.New("unknown -log-format " + format + " (want text or json)")
-	}
-	return nil
 }
 
 func fail(err error) {

@@ -56,6 +56,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/wire"
 	"repro/internal/workload"
@@ -89,13 +90,8 @@ func main() {
 		fail(fmt.Errorf("-serve is required: workloadgen replays its stream against a running daemon"))
 	}
 
-	switch *logFormat {
-	case "", "text":
-		slog.SetDefault(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-	case "json":
-		slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
-	default:
-		fail(fmt.Errorf("unknown -log-format %q (want text or json)", *logFormat))
+	if err := obs.SetupLogging(*logFormat); err != nil {
+		fail(err)
 	}
 
 	cat := catalog.Paper()

@@ -1,6 +1,7 @@
 // Package metrics provides the small statistics toolkit the simulator and
 // the experiment harness report with: running means, percentile estimation
-// over bounded reservoirs, counters and fixed-width table rendering.
+// over bounded reservoirs and fixed-width table rendering. The served path
+// records response times into obs.Histogram instead, whose counts merge.
 package metrics
 
 import (
@@ -90,7 +91,7 @@ type Reservoir struct {
 
 // NewReservoir creates a reservoir with the given capacity (minimum 1).
 // The sample buffer is allocated up front so Observe never allocates —
-// the serving hot path observes a response time per query.
+// the simulator observes a response time per query.
 func NewReservoir(capacity int) *Reservoir {
 	if capacity < 1 {
 		capacity = 1
@@ -100,10 +101,10 @@ func NewReservoir(capacity int) *Reservoir {
 
 // SplitMix64 advances a SplitMix64 state and returns the next state and
 // output. It is the one PRNG implementation shared by every component
-// whose random state must be persistable as a plain uint64 (the
-// reservoir's replacement draws, the serving layer's selectivity
-// draws): a single uint64 restores the exact sequence, which math/rand
-// cannot offer.
+// whose random state must be reproducible from a plain uint64 (the
+// reservoir's replacement draws, the serving layer's persisted
+// selectivity draws): a single uint64 restores the exact sequence, which
+// math/rand cannot offer.
 func SplitMix64(state uint64) (next, out uint64) {
 	state += 0x9E3779B97F4A7C15
 	z := state
@@ -166,185 +167,11 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Seen reports how many samples were observed (not how many are retained).
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Samples returns a copy of the retained sample set, for merging reservoirs
-// across shards or exporting raw data. The copy is unsorted.
-func (r *Reservoir) Samples() []float64 {
-	out := make([]float64, len(r.data))
-	copy(out, r.data)
-	return out
-}
-
-// QuantilesOfSortedRuns estimates quantiles over the union of several
-// ascending sample runs, every sample of runs[i] carrying weights[i]. This
-// is the correct way to merge capped reservoirs from streams of different
-// lengths: a reservoir that retained k of n observations contributes each
-// sample with weight n/k, so a busy shard is not flattened to equal
-// footing with an idle one. The runs are merged k-way — each was sorted
-// once by whoever produced it, so nothing is sorted again here; equal
-// values keep run order. Uses midpoint positions with linear
-// interpolation; runs and weights must have equal length (runs with a
-// weight <= 0 are skipped). Results are 0 with no positive-weight samples.
-func QuantilesOfSortedRuns(runs [][]float64, weights []float64, qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	// heads is a binary min-heap of the runs that still have samples,
-	// ordered by each run's next sample, then by run index.
-	heads := make([]int, 0, len(runs))
-	next := make([]int, len(runs))
-	n, total := 0, 0.0
-	for i, run := range runs {
-		if weights[i] > 0 && len(run) > 0 {
-			heads = append(heads, i)
-			n += len(run)
-		}
-	}
-	if n == 0 {
-		return out
-	}
-	less := func(a, b int) bool {
-		va, vb := runs[a][next[a]], runs[b][next[b]]
-		return va < vb || va == vb && a < b
-	}
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(heads) {
-				return
-			}
-			if c+1 < len(heads) && less(heads[c+1], heads[c]) {
-				c++
-			}
-			if !less(heads[c], heads[i]) {
-				return
-			}
-			heads[i], heads[c] = heads[c], heads[i]
-			i = c
-		}
-	}
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	// vals is the merged run; pos[k] is the cumulative-midpoint position
-	// of sample k in [0,1] once divided by the total weight.
-	vals := make([]float64, 0, n)
-	pos := make([]float64, 0, n)
-	for len(heads) > 0 {
-		r := heads[0]
-		w := weights[r]
-		vals = append(vals, runs[r][next[r]])
-		pos = append(pos, total+w/2)
-		total += w
-		if next[r]++; next[r] == len(runs[r]) {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		siftDown(0)
-	}
-	for i := range pos {
-		pos[i] /= total
-	}
-	for j, q := range qs {
-		switch {
-		case q <= pos[0]:
-			out[j] = vals[0]
-		case q >= pos[n-1]:
-			out[j] = vals[n-1]
-		default:
-			i := sort.SearchFloat64s(pos, q)
-			lo, hi := i-1, i
-			frac := (q - pos[lo]) / (pos[hi] - pos[lo])
-			out[j] = vals[lo]*(1-frac) + vals[hi]*frac
-		}
-	}
-	return out
-}
-
-// RunningState is the exported form of a Running accumulator, for
-// persistence. Restoring it reproduces the accumulator bit for bit, so
-// means and variances continue exactly where they left off.
-type RunningState struct {
-	N          int64
-	Mean       float64
-	M2         float64
-	Min        float64
-	Max        float64
-	Sum        float64
-	HasSamples bool
-}
-
-// State exports the accumulator.
-func (r *Running) State() RunningState {
-	return RunningState{N: r.n, Mean: r.mean, M2: r.m2, Min: r.min, Max: r.max, Sum: r.sum, HasSamples: r.hasSamples}
-}
-
-// Restore adopts a previously exported state wholesale.
-func (r *Running) Restore(st RunningState) {
-	r.n, r.mean, r.m2, r.min, r.max, r.sum, r.hasSamples = st.N, st.Mean, st.M2, st.Min, st.Max, st.Sum, st.HasSamples
-}
-
-// ReservoirState is the exported form of a Reservoir, including the
-// internal PRNG state, so a restored reservoir continues the exact
-// replacement sequence of the original — percentile estimates after a
-// restart are byte-identical to an uninterrupted run's.
-type ReservoirState struct {
-	Cap  int
-	Seen int64
-	Data []float64
-	PRNG uint64
-}
-
-// State exports the reservoir (the sample slice is copied).
-func (r *Reservoir) State() ReservoirState {
-	return ReservoirState{Cap: r.cap, Seen: r.seen, Data: r.Samples(), PRNG: r.state}
-}
-
-// Restore adopts a previously exported state. The state's capacity wins
-// over the receiver's so restored percentile behavior matches the
-// original exactly; insane values are clamped rather than rejected.
-// Seen in particular must stay >= len(Data) and >= 0, or the next
-// Observe's replacement draw (mod seen) would divide by zero.
-func (r *Reservoir) Restore(st ReservoirState) {
-	if st.Cap < 1 {
-		st.Cap = 1
-	}
-	n := len(st.Data)
-	if n > st.Cap {
-		n = st.Cap
-	}
-	// Full capacity up front, like NewReservoir: Observe after a restore
-	// must stay allocation-free too.
-	data := make([]float64, n, st.Cap)
-	copy(data, st.Data[:n])
-	if st.Seen < int64(n) {
-		st.Seen = int64(n)
-	}
-	r.cap, r.seen, r.data, r.state = st.Cap, st.Seen, data, st.PRNG
-}
-
 // DurationStats couples a Running and a Reservoir for a duration-valued
 // series, reporting in seconds.
 type DurationStats struct {
 	Running
 	res *Reservoir
-}
-
-// DurationStatsState is the exported form of a DurationStats.
-type DurationStatsState struct {
-	Running   RunningState
-	Reservoir ReservoirState
-}
-
-// State exports the statistics.
-func (d *DurationStats) State() DurationStatsState {
-	return DurationStatsState{Running: d.Running.State(), Reservoir: d.res.State()}
-}
-
-// Restore adopts a previously exported state.
-func (d *DurationStats) Restore(st DurationStatsState) {
-	d.Running.Restore(st.Running)
-	d.res.Restore(st.Reservoir)
 }
 
 // MarshalJSON reports the series' headline statistics (count, mean and
@@ -378,9 +205,6 @@ func (d *DurationStats) ObserveDuration(t time.Duration) {
 func (d *DurationStats) Percentile(p float64) float64 {
 	return d.res.Quantile(p / 100)
 }
-
-// Samples returns a copy of the reservoir's retained samples in seconds.
-func (d *DurationStats) Samples() []float64 { return d.res.Samples() }
 
 // Table renders aligned textual tables for experiment output.
 type Table struct {

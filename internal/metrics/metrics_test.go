@@ -2,8 +2,7 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
-	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -57,8 +56,8 @@ func TestReservoirExact(t *testing.T) {
 	if got := r.Quantile(0.5); math.Abs(got-5.5) > 1e-9 {
 		t.Errorf("median = %v, want 5.5", got)
 	}
-	if r.Seen() != 10 {
-		t.Errorf("Seen = %d", r.Seen())
+	if r.seen != 10 {
+		t.Errorf("Seen = %d", r.seen)
 	}
 }
 
@@ -88,8 +87,8 @@ func TestReservoirSubsamples(t *testing.T) {
 	if med < 25 || med > 75 {
 		t.Errorf("median = %v, wildly off", med)
 	}
-	if r.Seen() != 10000 {
-		t.Errorf("Seen = %d", r.Seen())
+	if r.seen != 10000 {
+		t.Errorf("Seen = %d", r.seen)
 	}
 }
 
@@ -184,94 +183,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestQuantilesOfSortedRuns(t *testing.T) {
-	// Equal weights reduce to the ordinary quantile, within the midpoint
-	// interpolation's resolution — however the samples are split into runs.
-	runs := [][]float64{{1, 4, 7, 10}, {2, 3, 8}, {5, 6, 9}}
-	got := QuantilesOfSortedRuns(runs, []float64{1, 1, 1}, 0, 0.5, 1)
-	if got[0] != 1 || got[2] != 10 {
-		t.Errorf("extremes = %v, want min/max", got)
-	}
-	if got[1] < 5 || got[1] > 6 {
-		t.Errorf("median = %g, want in [5,6]", got[1])
-	}
-
-	// A heavy run dominates: 99% of the weight at 100 pulls the median to
-	// 100 even though it is one value among many.
-	got = QuantilesOfSortedRuns([][]float64{{1, 2, 3}, {100}}, []float64{1, 297}, 0.5)
-	if got[0] < 99 {
-		t.Errorf("weighted median = %g, want ~100", got[0])
-	}
-
-	// Zero/negative weights are skipped; empty input yields zeros.
-	got = QuantilesOfSortedRuns([][]float64{{5}, {7}}, []float64{0, -1}, 0.5)
-	if got[0] != 0 {
-		t.Errorf("all-zero-weight median = %g, want 0", got[0])
-	}
-	if got := QuantilesOfSortedRuns(nil, nil, 0.5); got[0] != 0 {
-		t.Errorf("empty median = %g, want 0", got[0])
-	}
-	if got := QuantilesOfSortedRuns([][]float64{nil, {}}, []float64{1, 1}, 0.5); got[0] != 0 {
-		t.Errorf("empty-runs median = %g, want 0", got[0])
-	}
-}
-
-// TestQuantilesOfSortedRunsMatchesFlatSort: the k-way merge is the
-// sort-everything estimator it replaced — flatten the runs into (value,
-// weight) pairs, sort them stably by value, walk the cumulative midpoints
-// — bit for bit, for any number of runs, with ties within and across
-// runs and an empty or weightless run in the mix.
-func TestQuantilesOfSortedRunsMatchesFlatSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	qs := []float64{0, 0.01, 0.5, 0.95, 0.99, 1}
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(9)
-		runs := make([][]float64, k)
-		weights := make([]float64, k)
-		type pair struct{ v, w float64 }
-		var flat []pair
-		for i := range runs {
-			weights[i] = float64(rng.Intn(4)) * (0.5 + rng.Float64()) // 0 one time in four
-			for n := rng.Intn(40); n > 0; n-- {
-				runs[i] = append(runs[i], float64(rng.Intn(25))/8) // few distinct values: many ties
-			}
-			sort.Float64s(runs[i])
-			if weights[i] > 0 {
-				for _, v := range runs[i] {
-					flat = append(flat, pair{v, weights[i]})
-				}
-			}
-		}
-		sort.SliceStable(flat, func(i, j int) bool { return flat[i].v < flat[j].v })
-		want := make([]float64, len(qs))
-		if len(flat) > 0 {
-			total := 0.0
-			pos := make([]float64, len(flat))
-			for i, p := range flat {
-				pos[i] = total + p.w/2
-				total += p.w
-			}
-			for i := range pos {
-				pos[i] /= total
-			}
-			for j, q := range qs {
-				switch i := sort.SearchFloat64s(pos, q); {
-				case q <= pos[0]:
-					want[j] = flat[0].v
-				case q >= pos[len(pos)-1]:
-					want[j] = flat[len(flat)-1].v
-				default:
-					frac := (q - pos[i-1]) / (pos[i] - pos[i-1])
-					want[j] = flat[i-1].v*(1-frac) + flat[i].v*frac
-				}
-			}
-		}
-		if got := QuantilesOfSortedRuns(runs, weights, qs...); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (%d runs): got %v, want %v", trial, k, got, want)
-		}
-	}
-}
-
 // TestQuantileSortedIsReservoirQuantile: reading several quantiles off one
 // sorted copy is bit-identical to asking the reservoir for each.
 func TestQuantileSortedIsReservoirQuantile(t *testing.T) {
@@ -279,46 +190,11 @@ func TestQuantileSortedIsReservoirQuantile(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		d.ObserveDuration(time.Duration((i*7919)%1000) * time.Millisecond)
 	}
-	sorted := d.Samples()
+	sorted := slices.Clone(d.res.data)
 	sort.Float64s(sorted)
 	for _, p := range []float64{0, 50, 95, 99, 100} {
 		if got, want := QuantileSorted(sorted, p/100), d.Percentile(p); got != want {
 			t.Errorf("p%g: QuantileSorted = %v, Percentile = %v", p, got, want)
-		}
-	}
-}
-
-// TestStateRestoreContinuity: a restored DurationStats continues the
-// exact sequence of the original — same means, same reservoir
-// replacements — so statistics survive a snapshot/restore bit for bit.
-func TestStateRestoreContinuity(t *testing.T) {
-	a := NewDurationStats(8)
-	for i := 1; i <= 100; i++ {
-		a.ObserveDuration(time.Duration(i) * time.Millisecond)
-	}
-	b := NewDurationStats(8)
-	b.Restore(a.State())
-	for i := 101; i <= 200; i++ {
-		a.ObserveDuration(time.Duration(i) * time.Millisecond)
-		b.ObserveDuration(time.Duration(i) * time.Millisecond)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() || a.Percentile(50) != b.Percentile(50) ||
-		a.Percentile(99) != b.Percentile(99) {
-		t.Errorf("restored stats diverged: n %d/%d mean %v/%v p50 %v/%v",
-			a.N(), b.N(), a.Mean(), b.Mean(), a.Percentile(50), b.Percentile(50))
-	}
-}
-
-// TestReservoirRestoreClampsSeen: hostile state claiming fewer
-// observations than it retains must not leave a reservoir that panics
-// (mod zero) on its next Observe.
-func TestReservoirRestoreClampsSeen(t *testing.T) {
-	for _, seen := range []int64{-5, 0, 1} {
-		r := NewReservoir(1)
-		r.Restore(ReservoirState{Cap: 1, Seen: seen, Data: []float64{1}, PRNG: 7})
-		r.Observe(2) // must not panic
-		if r.Seen() != 2 {
-			t.Errorf("Seen after clamped restore (%d) + 1 observe = %d, want 2", seen, r.Seen())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -38,6 +39,62 @@ func NewLatencyHistogram() *Histogram {
 	return NewHistogram(bounds)
 }
 
+// ResponseBuckets is the bucket count of the response layout, +Inf
+// included: the constant length of every response histogram's counts.
+const ResponseBuckets = 90
+
+// responseBounds is the response layout: 2^(1/4) growth per bucket (at
+// most 19 % relative width) from 1 ms to 2^22 ms (~70 min). Served
+// response times run from milliseconds to tenths of a second, and
+// simulated ones to tens of seconds; a ×4 stage layout would put a whole
+// decade of them in two buckets.
+var responseBounds = func() []int64 {
+	b := make([]int64, ResponseBuckets-1)
+	for i := range b {
+		b[i] = int64(math.Round(1e6 * math.Exp2(float64(i)/4)))
+	}
+	return b
+}()
+
+// NewResponseHistogram builds a response-time histogram in the response
+// layout, the one every shard records into and every stats reader merges.
+func NewResponseHistogram() *Histogram { return NewHistogram(responseBounds) }
+
+// ResponseQuantile estimates the q-quantile (0 ≤ q ≤ 1), in seconds, of
+// bucket counts in the response layout — one histogram's Counts, or the
+// element-wise sum of several, which is the histogram of their union. It
+// finds the bucket holding the observation of rank ⌈q·n⌉ and interpolates
+// linearly inside it, so the estimate lies in the same bucket as that
+// observation; the +Inf bucket reads as the last bound. Returns 0 with no
+// observations.
+func ResponseQuantile(counts []int64, q float64) float64 {
+	var total int64
+	for _, c := range counts {
+		total += c
+	}
+	if total <= 0 {
+		return 0
+	}
+	rank := min(max(q, 0), 1) * float64(total)
+	var cum int64
+	for i, c := range counts {
+		if c <= 0 || float64(cum+c) < rank {
+			cum += c
+			continue
+		}
+		if i >= len(responseBounds) {
+			break
+		}
+		lo := int64(0)
+		if i > 0 {
+			lo = responseBounds[i-1]
+		}
+		hi := responseBounds[i]
+		return (float64(lo) + float64(hi-lo)*(rank-float64(cum))/float64(c)) / 1e9
+	}
+	return float64(responseBounds[len(responseBounds)-1]) / 1e9
+}
+
 // Observe records one nanosecond-valued observation.
 func (h *Histogram) Observe(nanos int64) {
 	if nanos < 0 {
@@ -51,6 +108,40 @@ func (h *Histogram) Observe(nanos int64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Sum returns the exact total of the observations, nanoseconds.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
+// Counts returns the per-bucket counts, dense and without trailing empty
+// buckets (nil when nothing was observed).
+func (h *Histogram) Counts() []int64 {
+	n := len(h.counts)
+	for n > 0 && h.counts[n-1].Load() == 0 {
+		n--
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = h.counts[i].Load()
+	}
+	return out
+}
+
+// Add merges counts in h's layout, as Counts returns them, and their
+// nanosecond sum into h: merging histograms is adding their counts, and
+// restoring one is adding its counts to a fresh one. Counts past h's
+// buckets land in +Inf.
+func (h *Histogram) Add(counts []int64, sumNanos int64) {
+	var n int64
+	for i, c := range counts {
+		h.counts[min(i, len(h.counts)-1)].Add(c)
+		n += c
+	}
+	h.count.Add(n)
+	h.sum.Add(sumNanos)
+}
 
 // WritePrometheus writes the histogram in Prometheus text exposition
 // format under the given fully-qualified metric name, with cumulative

@@ -2,8 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -299,5 +301,116 @@ func TestHistogramObserveAndExposition(t *testing.T) {
 	NewLatencyHistogram().WritePrometheus(&sb, "y", "")
 	if !strings.Contains(sb.String(), "y_count 0") {
 		t.Fatalf("unlabelled exposition wrong:\n%s", sb.String())
+	}
+}
+
+// TestResponseLayout: the response layout's buckets are at most 19 %
+// wide relative to their lower edge, span at most 1 ms to at least an
+// hour, and ResponseBuckets counts them, +Inf included.
+func TestResponseLayout(t *testing.T) {
+	b := responseBounds
+	if len(b)+1 != ResponseBuckets || b[0] > 1e6 || b[len(b)-1] < 3600e9 {
+		t.Fatalf("layout: %d bounds (+Inf makes %d, want %d), %d … %d ns", len(b), len(b)+1, ResponseBuckets, b[0], b[len(b)-1])
+	}
+	for i := 1; i < len(b); i++ {
+		if g := float64(b[i]) / float64(b[i-1]); g <= 1 || g > 1.19 {
+			t.Fatalf("bucket %d grows %v× over bucket %d", i, g, i-1)
+		}
+	}
+}
+
+// logUniform draws n response times log-uniform between 1 ms and 1 h.
+func logUniform(rng *rand.Rand, n int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(math.Exp(math.Log(1e6) + rng.Float64()*math.Log(3600e9/1e6)))
+	}
+	return out
+}
+
+// TestResponseQuantileWithinOneBucket: on random log-uniform samples, the
+// histogram's p50, p95 and p99 lie within one bucket width of the exact
+// quantile of the sorted samples (the observation of rank ⌈q·n⌉), because
+// both lie in the same bucket.
+func TestResponseQuantileWithinOneBucket(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		samples := logUniform(rng, 1+rng.Intn(3000))
+		h := NewResponseHistogram()
+		for _, v := range samples {
+			h.Observe(v)
+		}
+		slices.Sort(samples)
+		for _, q := range []float64{0.50, 0.95, 0.99} {
+			exact := samples[int(math.Ceil(q*float64(len(samples))))-1]
+			i, _ := slices.BinarySearch(responseBounds, exact)
+			width := float64(responseBounds[i])
+			if i > 0 {
+				width -= float64(responseBounds[i-1])
+			}
+			got := ResponseQuantile(h.Counts(), q) * 1e9
+			if math.Abs(got-float64(exact)) > width {
+				t.Fatalf("trial %d, n=%d, q=%g: histogram reads %v ns, exact %d ns, bucket width %v", trial, len(samples), q, got, exact, width)
+			}
+		}
+	}
+	if got := ResponseQuantile(nil, 0.5); got != 0 {
+		t.Errorf("empty histogram p50 = %v, want 0", got)
+	}
+}
+
+// TestHistogramMergeEqualsUnion: adding two histograms' counts yields the
+// histogram of the union of their samples — counts, sum and every
+// quantile — so merged percentiles are exact, not a weighted estimate.
+func TestHistogramMergeEqualsUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		a, b, union := NewResponseHistogram(), NewResponseHistogram(), NewResponseHistogram()
+		for _, v := range logUniform(rng, rng.Intn(500)) {
+			a.Observe(v)
+			union.Observe(v)
+		}
+		for _, v := range logUniform(rng, rng.Intn(500)) {
+			b.Observe(v)
+			union.Observe(v)
+		}
+		merged := NewResponseHistogram()
+		merged.Add(a.Counts(), a.Sum())
+		merged.Add(b.Counts(), b.Sum())
+		if !reflect.DeepEqual(merged.Counts(), union.Counts()) || merged.Sum() != union.Sum() || merged.Count() != union.Count() {
+			t.Fatalf("trial %d: merged %v (sum %d, n %d) != union %v (sum %d, n %d)", trial,
+				merged.Counts(), merged.Sum(), merged.Count(), union.Counts(), union.Sum(), union.Count())
+		}
+		for _, q := range []float64{0.50, 0.95, 0.99} {
+			if m, u := ResponseQuantile(merged.Counts(), q), ResponseQuantile(union.Counts(), q); m != u {
+				t.Fatalf("trial %d q=%g: merged %v != union %v", trial, q, m, u)
+			}
+		}
+	}
+}
+
+// TestHistogramRestoreContinuity: a histogram restored from another's
+// counts and sum continues exactly as the original does — what a
+// snapshot or a migrated shard relies on.
+func TestHistogramRestoreContinuity(t *testing.T) {
+	a := NewResponseHistogram()
+	for i := int64(1); i <= 100; i++ {
+		a.Observe(i * 1e6)
+	}
+	b := NewResponseHistogram()
+	b.Add(a.Counts(), a.Sum())
+	for i := int64(101); i <= 200; i++ {
+		a.Observe(i * 1e6)
+		b.Observe(i * 1e6)
+	}
+	if !reflect.DeepEqual(a.Counts(), b.Counts()) || a.Sum() != b.Sum() || a.Count() != b.Count() {
+		t.Errorf("restored histogram diverged: %v/%d/%d vs %v/%d/%d", a.Counts(), a.Sum(), a.Count(), b.Counts(), b.Sum(), b.Count())
+	}
+	// Counts past the layout land in +Inf rather than vanishing.
+	c := NewResponseHistogram()
+	c.Add(make([]int64, ResponseBuckets+2), 0)
+	c.Add(append(make([]int64, ResponseBuckets+1), 3), 0)
+	if got := c.Counts(); len(got) != ResponseBuckets || got[ResponseBuckets-1] != 3 || c.Count() != 3 {
+		t.Errorf("overlong counts: %v, n %d", got, c.Count())
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the serving engine's observability layer: sampled
-// per-query decision traces, a bounded journal of economy events, and
-// the latency histograms + Prometheus text exposition the /metrics
-// endpoint reports.
+// per-query decision traces, a bounded journal of economy events, the
+// latency and response-time histograms + Prometheus text exposition the
+// /metrics endpoint reports, and the commands' log handler.
 //
 // The package is deliberately a leaf — it depends only on the money
 // type — so the economy, the shard loop and the HTTP layer can all feed

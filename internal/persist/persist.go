@@ -32,7 +32,7 @@
 // inside a frame dies at its CRC and never reaches a layout.
 // FuzzRecordDecode is the one that does: its bytes are a record payload,
 // framed with a fresh CRC behind a valid header, so the count bounds and
-// reservoir checks meet hostile input.
+// histogram checks meet hostile input.
 package persist
 
 import (
@@ -40,7 +40,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -49,15 +48,16 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cost"
 	"repro/internal/economy"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/structure"
 )
 
 // Version is the current snapshot format version. Decoders reject
 // versions they do not know; bumping this is how incompatible layout
-// changes stay loud. v2 added the ledgers' RegretDropped counter.
-const Version = 2
+// changes stay loud. v2 added the ledgers' RegretDropped counter; v3
+// replaced the response reservoir with the response histogram's counts.
+const Version = 3
 
 // magic identifies a snapshot file.
 var magic = [6]byte{'C', 'C', 'S', 'N', 'A', 'P'}
@@ -104,9 +104,10 @@ type ShardState struct {
 	// sequence.
 	RNG uint64
 
-	// Response is the response-time statistics (running moments plus the
-	// percentile reservoir, PRNG included).
-	Response metrics.DurationStatsState
+	// ResponseCounts and ResponseSum are the response-time histogram: its
+	// bucket counts in obs's response layout and its exact nanosecond sum.
+	ResponseCounts [obs.ResponseBuckets]int64
+	ResponseSum    int64
 
 	// Cache is the shard's residency state.
 	Cache cache.State
@@ -275,26 +276,6 @@ func list[T any](c *codec, s *[]T, minBytes int, each func(*codec, *T)) {
 	}
 }
 
-// f64s is list for the one sequence that is most of every snapshot, the
-// reservoir's samples: the elements are fixed-width, so the count check
-// is exact and one allocation and one tight loop replace a call per
-// element.
-func f64s(c *codec, s *[]float64) {
-	if c.r == nil {
-		c.b = binary.AppendUvarint(c.b, uint64(len(*s)))
-		for _, v := range *s {
-			c.b = binenc.AppendF64(c.b, v)
-		}
-		return
-	}
-	if n := c.r.Count(8); n > 0 {
-		*s = make([]float64, n)
-		for i := range *s {
-			(*s)[i] = c.r.F64()
-		}
-	}
-}
-
 // encode runs a layout forwards and returns the record's bytes.
 func encode[T any](layout func(*codec, *T), v *T) []byte {
 	var c codec
@@ -321,30 +302,29 @@ func layoutUsage(c *codec, u *cost.Usage) {
 	varint(c, &u.Boots)
 }
 
-func layoutDurationStats(c *codec, st *metrics.DurationStatsState) {
-	run, res := &st.Running, &st.Reservoir
-	varint(c, &run.N)
-	f64(c, &run.Mean)
-	f64(c, &run.M2)
-	f64(c, &run.Min)
-	f64(c, &run.Max)
-	f64(c, &run.Sum)
-	flag(c, &run.HasSamples)
-	bounded(c, &res.Cap, math.MaxInt32, "reservoir cap")
-	varint(c, &res.Seen)
-	f64s(c, &res.Data)
-	u64(c, &res.PRNG)
+// layoutResponse is the response histogram: its bucket count, which
+// must be the layout's, every count, none negative, and the sum.
+func layoutResponse(c *codec, st *ShardState) {
+	n := len(st.ResponseCounts)
+	bounded(c, &n, obs.ResponseBuckets, "response bucket count")
+	if n != len(st.ResponseCounts) {
+		c.r.Fail("persist: %d response buckets, the layout has %d", n, len(st.ResponseCounts))
+		return
+	}
+	for i := range st.ResponseCounts {
+		varint(c, &st.ResponseCounts[i])
+	}
+	varint(c, &st.ResponseSum)
 	if c.r == nil {
 		return
 	}
-	if run.N < 0 {
-		c.r.Fail("persist: negative sample count %d", run.N)
+	for i, v := range st.ResponseCounts {
+		if v < 0 {
+			c.r.Fail("persist: response bucket %d counts %d", i, v)
+		}
 	}
-	// A reservoir that claims fewer observations than it retains (or a
-	// negative count) is corrupt, and the replacement draw after restore
-	// would divide by Seen: reject rather than restore a time bomb.
-	if res.Seen < int64(len(res.Data)) {
-		c.r.Fail("persist: reservoir claims %d observations but retains %d", res.Seen, len(res.Data))
+	if st.ResponseSum < 0 {
+		c.r.Fail("persist: negative response sum %d", st.ResponseSum)
 	}
 }
 
@@ -442,7 +422,7 @@ func layoutShard(c *codec, st *ShardState) {
 	layoutUsage(c, &st.ExecUsage)
 	layoutUsage(c, &st.BuildUsage)
 	u64(c, &st.RNG)
-	layoutDurationStats(c, &st.Response)
+	layoutResponse(c, st)
 	layoutCacheState(c, &st.Cache)
 	optional(c, &st.Economy, layoutEconomyState)
 	list(c, &st.Yield, 2, layoutYield)

@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,17 +9,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/binenc"
 	"repro/internal/cache"
 	"repro/internal/cost"
 	"repro/internal/economy"
-	"repro/internal/metrics"
 	"repro/internal/money"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 // sampleSnapshot exercises every field of the format: two shards, one
 // with a full economy (pool + tenants + market), one bypass-shaped
-// (no economy, yield accumulators), pending builds, reservoir samples.
+// (no economy, yield accumulators), pending builds, response buckets.
 func sampleSnapshot() *Snapshot {
 	pool := economy.LedgerState{
 		Tenant: "",
@@ -67,12 +67,10 @@ func sampleSnapshot() *Snapshot {
 					ExecUsage:  cost.Usage{CPUSeconds: 1.5, IOOps: 200, NetBytes: 1 << 30, Boots: 1},
 					BuildUsage: cost.Usage{CPUSeconds: 0.5, IOOps: 10, NetBytes: 1 << 20},
 				},
-				Errors: 3,
-				RNG:    0xDEADBEEFCAFEF00D,
-				Response: metrics.DurationStatsState{
-					Running:   metrics.RunningState{N: 98, Mean: 0.4, M2: 0.01, Min: 0.1, Max: 2.0, Sum: 39.2, HasSamples: true},
-					Reservoir: metrics.ReservoirState{Cap: 4, Seen: 98, Data: []float64{0.1, 0.4, 0.5, 2.0}, PRNG: 12345},
-				},
+				Errors:         3,
+				RNG:            0xDEADBEEFCAFEF00D,
+				ResponseCounts: [obs.ResponseBuckets]int64{20: 40, 31: 50, 44: 7, obs.ResponseBuckets - 1: 1},
+				ResponseSum:    39_200_000_000,
 				Cache: cache.State{
 					Clock: time.Hour,
 					Entries: []cache.EntryState{{ID: "col:lineitem.l_shipdate", Record: cache.Record{
@@ -102,13 +100,12 @@ func sampleSnapshot() *Snapshot {
 				},
 			},
 			{
-				Index:   1,
-				LastNow: time.Hour,
-				Books:   sim.Books{Queries: 7},
-				Response: metrics.DurationStatsState{
-					Reservoir: metrics.ReservoirState{Cap: 4, PRNG: 99},
-				},
-				Cache: cache.State{Clock: time.Hour, Capacity: 1 << 40},
+				Index:          1,
+				LastNow:        time.Hour,
+				Books:          sim.Books{Queries: 7},
+				ResponseCounts: [obs.ResponseBuckets]int64{0: 2, 12: 5},
+				ResponseSum:    45_000_000,
+				Cache:          cache.State{Clock: time.Hour, Capacity: 1 << 40},
 				Yield: []YieldState{
 					{ID: "col:orders.o_orderdate", Bytes: 1 << 20},
 					{ID: "col:orders.o_totalprice", Bytes: 42},
@@ -251,29 +248,50 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeRejectsLyingReservoir: a CRC-valid snapshot whose reservoir
-// claims fewer observations than it retains (or a negative count) must
-// be rejected at decode — restored, its next replacement draw would
-// divide by the bogus count.
-func TestDecodeRejectsLyingReservoir(t *testing.T) {
-	for _, seen := range []int64{-1, 0, 3} {
-		s := sampleSnapshot()
-		s.Shards[0].Response.Reservoir.Seen = seen // retains 4 samples
-		if _, err := Decode(EncodeBytes(s)); err == nil {
-			t.Errorf("reservoir claiming %d observations over 4 samples decoded", seen)
+// TestDecodeRejectsLyingHistogram: a CRC-valid shard record whose
+// response histogram has another layout's bucket count, a negative
+// count or a negative sum must be rejected at decode — restored, it would
+// read percentiles off the wrong buckets, or off counts below zero.
+func TestDecodeRejectsLyingHistogram(t *testing.T) {
+	packet := func(st ShardState, mutate func(shard []byte)) []byte {
+		shard := encode(layoutShard, &st)
+		mutate(shard)
+		return appendFrame(appendFrame(appendHeader(shardMagic), encode(layoutShardMeta, &Fingerprint{})), shard)
+	}
+	// The bucket count is the byte after the shard's 8-byte RNG state.
+	setBuckets := func(n byte) func([]byte) {
+		return func(shard []byte) {
+			at := bytes.Index(shard, binenc.AppendU64(nil, sampleSnapshot().Shards[0].RNG)) + 8
+			if at < 8 || shard[at] != obs.ResponseBuckets {
+				t.Fatal("sample shard no longer has its bucket count after its RNG state")
+			}
+			shard[at] = n
 		}
 	}
-	s := sampleSnapshot()
-	s.Shards[0].Response.Running.N = -1
-	if _, err := Decode(EncodeBytes(s)); err == nil {
-		t.Error("negative running sample count decoded")
+	negative := sampleSnapshot().Shards[0]
+	negative.ResponseCounts[31] = -1
+	negSum := sampleSnapshot().Shards[0]
+	negSum.ResponseSum = -5
+	for name, data := range map[string][]byte{
+		"one bucket short":    packet(sampleSnapshot().Shards[0], setBuckets(obs.ResponseBuckets-1)),
+		"one bucket too many": packet(sampleSnapshot().Shards[0], setBuckets(obs.ResponseBuckets+1)),
+		"negative count":      packet(negative, func([]byte) {}),
+		"negative sum":        packet(negSum, func([]byte) {}),
+	} {
+		_, err := DecodeShardPacket(data)
+		if err == nil || !strings.Contains(err.Error(), "response") {
+			t.Errorf("%s: err %v, want a response-histogram rejection", name, err)
+		}
+	}
+	if _, err := DecodeShardPacket(packet(sampleSnapshot().Shards[0], func([]byte) {})); err != nil {
+		t.Fatalf("the unmutated packet fails too: %v", err)
 	}
 }
 
-// TestDecodeOnlyBounds: values no encoder run would write — a reservoir
-// cap past MaxInt32, a shard index or count past MaxShards, a snapshot
-// of no shards, a count that promises more elements than bytes remain —
-// arrive CRC-valid and must be rejected by the layouts themselves.
+// TestDecodeOnlyBounds: values no encoder run would write — a shard
+// index or count past MaxShards, a snapshot of no shards, a count that
+// promises more elements than bytes remain — arrive CRC-valid and must be
+// rejected by the layouts themselves.
 func TestDecodeOnlyBounds(t *testing.T) {
 	snap := func(mutate func(*Snapshot)) []byte {
 		s := sampleSnapshot()
@@ -281,8 +299,7 @@ func TestDecodeOnlyBounds(t *testing.T) {
 		return EncodeBytes(s)
 	}
 	for name, data := range map[string][]byte{
-		"reservoir cap past MaxInt32": snap(func(s *Snapshot) { s.Shards[0].Response.Reservoir.Cap = math.MaxInt32 + 1 }),
-		"no shards":                   snap(func(s *Snapshot) { s.Shards = nil }),
+		"no shards": snap(func(s *Snapshot) { s.Shards = nil }),
 		"shard count past MaxShards": appendFrame(appendHeader(magic),
 			encode(layoutMeta, &meta{shards: MaxShards + 1})),
 		"wrong record type": appendFrame(appendHeader(magic),

@@ -224,15 +224,8 @@ func (r *Router) bootstrap(timeout time.Duration) error {
 				if i == keep {
 					continue
 				}
-				cl, err := r.backends[i].pool.Get()
-				if err != nil {
-					return fmt.Errorf("router: backend %d (%s): %w", i, r.backends[i].addr, err)
-				}
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				err = cl.FreezeShard(ctx, k)
-				cancel()
-				if err != nil {
-					return fmt.Errorf("router: freeze shard %d on backend %d: %w", k, i, err)
+				if err := freeze(r.backends[i], k); err != nil {
+					return fmt.Errorf("router: freeze shard %d on backend %d (%s): %w", k, i, r.backends[i].addr, err)
 				}
 			}
 			r.log.Info("router: resolved multi-owned shard", "shard", k, "kept", keep, "frozen", len(cands)-1)
@@ -245,24 +238,17 @@ func (r *Router) bootstrap(timeout time.Duration) error {
 // probeState fetches one backend's ownership map and per-shard stats in
 // a single bootstrap probe; the stats are the evidence multi-owned
 // shards are resolved with.
-func (r *Router) probeState(b *backend) ([]bool, []server.ShardStats, error) {
-	cl, err := b.pool.Get()
-	if err != nil {
-		return nil, nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	own, err := cl.Owners(ctx)
-	if err != nil {
-		b.pool.MarkDead(cl)
-		return nil, nil, err
-	}
-	st, err := cl.Stats(ctx)
-	if err != nil {
-		b.pool.MarkDead(cl)
-		return nil, nil, err
-	}
-	return own, st.PerShard, nil
+func (r *Router) probeState(b *backend) (own []bool, per []server.ShardStats, err error) {
+	st, err := ask(b, func(cl *wire.MuxClient, ctx context.Context) (st server.Stats, err error) {
+		if own, err = cl.Owners(ctx); err == nil {
+			st, err = cl.Stats(ctx)
+		}
+		if err != nil {
+			b.pool.MarkDead(cl)
+		}
+		return st, err
+	})
+	return own, st.PerShard, err
 }
 
 // shardHasState reports whether a backend's shard k carries a live (or
@@ -279,18 +265,13 @@ func shardHasState(per []server.ShardStats, k int) bool {
 }
 
 func (r *Router) probeOwners(b *backend) ([]bool, error) {
-	cl, err := b.pool.Get()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	own, err := cl.Owners(ctx)
-	if err != nil {
-		b.pool.MarkDead(cl)
-		return nil, err
-	}
-	return own, nil
+	return ask(b, func(cl *wire.MuxClient, ctx context.Context) ([]bool, error) {
+		own, err := cl.Owners(ctx)
+		if err != nil {
+			b.pool.MarkDead(cl)
+		}
+		return own, err
+	})
 }
 
 // Shards returns the cluster-wide shard count.
@@ -350,70 +331,61 @@ func (r *Router) Migrate(ctx context.Context, shard, to int) (time.Duration, err
 	r.holds[shard] = hold
 	r.mu.Unlock()
 
-	// cutover publishes the final owner and releases everyone parked on
-	// the hold; it runs exactly once on every path out of here.
-	cutover := func(newOwner int) {
+	// The cutover publishes the final owner — the source unless the
+	// install landed — and releases everyone parked on the hold, once, on
+	// every path out of here.
+	newOwner := from
+	defer func() {
 		r.mu.Lock()
 		r.owner[shard] = newOwner
 		r.holds[shard] = nil
 		r.mu.Unlock()
 		close(hold)
-	}
+	}()
 
 	start := time.Now()
 	srcCl, err := r.backends[from].pool.Get()
 	if err != nil {
-		cutover(from)
 		return 0, fmt.Errorf("router: source backend %d: %w", from, err)
 	}
 	dstCl, err := r.backends[to].pool.Get()
 	if err != nil {
-		cutover(from)
 		return 0, fmt.Errorf("router: destination backend %d: %w", to, err)
 	}
 	packet, err := srcCl.ExtractShard(ctx, shard)
 	if err != nil {
-		cutover(from)
 		return 0, fmt.Errorf("router: extract shard %d from backend %d: %w", shard, from, err)
 	}
 	if err := dstCl.InstallShard(ctx, shard, packet); err != nil {
+		landed := false
 		var te *wire.TaggedError
 		if !errors.As(err, &te) {
 			// Transport failure: the ack may have been lost after the
 			// destination adopted the shard. Ask it before deciding.
 			own, perr := r.probeOwners(r.backends[to])
-			if perr == nil && shard < len(own) && own[shard] {
-				// Lost ack — the install landed. Finish the cutover.
-				cutover(to)
-				d := time.Since(start)
-				r.migrations.Add(1)
-				r.lastBlackout.Store(int64(d))
-				r.totalBlackout.Add(int64(d))
-				r.log.Warn("router: shard migrated despite lost install ack", "shard", shard, "from", from, "to", to, "blackout", d, "err", err)
-				return d, nil
-			}
 			if perr != nil {
 				// Cannot tell whether the destination adopted the packet;
 				// reinstalling on the source could double-decide the shard.
 				// Leave it frozen — queries answer tag-scoped errors until
 				// the operator resolves which side holds the state.
-				cutover(from)
 				return 0, fmt.Errorf("router: shard %d in limbo: install on backend %d failed (%v) and its ownership cannot be verified (%v); shard left frozen — resolve before reinstalling", shard, to, err, perr)
 			}
-			// The destination answered and does not own the shard: the
-			// install verifiably never applied, so restoring is safe.
+			landed = shard < len(own) && own[shard]
 		}
-		// Put the shard back where it came from: the source slot is
-		// empty and frozen, so reinstall is legal and restores the
-		// pre-migration world exactly.
-		if rerr := srcCl.InstallShard(ctx, shard, packet); rerr != nil {
-			cutover(from)
-			return 0, fmt.Errorf("router: shard %d stranded: install on backend %d failed (%v), restore to backend %d failed (%v)", shard, to, err, from, rerr)
+		if !landed {
+			// The install verifiably never applied. Put the shard back
+			// where it came from: the source slot is empty and frozen, so
+			// reinstall is legal and restores the pre-migration world
+			// exactly.
+			if rerr := srcCl.InstallShard(ctx, shard, packet); rerr != nil {
+				return 0, fmt.Errorf("router: shard %d stranded: install on backend %d failed (%v), restore to backend %d failed (%v)", shard, to, err, from, rerr)
+			}
+			return 0, fmt.Errorf("router: install shard %d on backend %d (restored to %d): %w", shard, to, from, err)
 		}
-		cutover(from)
-		return 0, fmt.Errorf("router: install shard %d on backend %d (restored to %d): %w", shard, to, from, err)
+		// Lost ack — the install landed. Finish the cutover.
+		r.log.Warn("router: shard install ack lost; the destination owns the shard", "shard", shard, "to", to, "err", err)
 	}
-	cutover(to)
+	newOwner = to
 	d := time.Since(start)
 	r.migrations.Add(1)
 	r.lastBlackout.Store(int64(d))

@@ -450,10 +450,18 @@ func TestRouterMigrationParity(t *testing.T) {
 		routedStats.Investments != ctlStats.Investments ||
 		routedStats.RevenueUSD != ctlStats.RevenueUSD ||
 		routedStats.ProfitUSD != ctlStats.ProfitUSD ||
-		routedStats.ResidentBytes != ctlStats.ResidentBytes {
-		t.Fatalf("merged stats diverge from control:\nrouted:  q=%d hit=%d inv=%d rev=%v profit=%v bytes=%d\ncontrol: q=%d hit=%d inv=%d rev=%v profit=%v bytes=%d",
+		routedStats.ResidentBytes != ctlStats.ResidentBytes ||
+		routedStats.ResponseP50Sec != ctlStats.ResponseP50Sec ||
+		routedStats.ResponseP95Sec != ctlStats.ResponseP95Sec ||
+		routedStats.ResponseP99Sec != ctlStats.ResponseP99Sec {
+		t.Fatalf("merged stats diverge from control:\nrouted:  q=%d hit=%d inv=%d rev=%v profit=%v bytes=%d p50/p95/p99=%v/%v/%v\ncontrol: q=%d hit=%d inv=%d rev=%v profit=%v bytes=%d p50/p95/p99=%v/%v/%v",
 			routedStats.Queries, routedStats.CacheAnswered, routedStats.Investments, routedStats.RevenueUSD, routedStats.ProfitUSD, routedStats.ResidentBytes,
-			ctlStats.Queries, ctlStats.CacheAnswered, ctlStats.Investments, ctlStats.RevenueUSD, ctlStats.ProfitUSD, ctlStats.ResidentBytes)
+			routedStats.ResponseP50Sec, routedStats.ResponseP95Sec, routedStats.ResponseP99Sec,
+			ctlStats.Queries, ctlStats.CacheAnswered, ctlStats.Investments, ctlStats.RevenueUSD, ctlStats.ProfitUSD, ctlStats.ResidentBytes,
+			ctlStats.ResponseP50Sec, ctlStats.ResponseP95Sec, ctlStats.ResponseP99Sec)
+	}
+	if ctlStats.ResponseP50Sec == 0 || ctlStats.ResponseP50Sec == ctlStats.ResponseP99Sec {
+		t.Fatalf("control p50 %v, p99 %v: the stream spreads no response times", ctlStats.ResponseP50Sec, ctlStats.ResponseP99Sec)
 	}
 
 	// Graceful drain under -race: client then router (cleanup closes the
@@ -581,6 +589,34 @@ func TestRouterBackendDeath(t *testing.T) {
 		}
 		// The health loop ticks on wall time (every 20ms here): poll in it.
 		time.Sleep(10 * time.Millisecond)
+	}
+
+	// A migration onto the dead backend fails before anything is
+	// extracted: the shard stays with its live owner, and the hold it
+	// raised is released, so the shard keeps deciding.
+	live := -1
+	for w := 0; w < shards; w++ {
+		if r.Owner(w) == 1 {
+			live = w
+		}
+	}
+	if live < 0 {
+		t.Fatal("no shard mapped to the live backend — test vacuous")
+	}
+	if _, err := r.Migrate(context.Background(), live, 0); err == nil || !strings.Contains(err.Error(), "destination backend 0") {
+		t.Fatalf("migrate onto the dead backend: err %v, want the destination refused", err)
+	}
+	if got := r.Owner(live); got != 1 {
+		t.Fatalf("owner after failed migrate = %d, want 1", got)
+	}
+	replies, err := cl.Submit(context.Background(), batchFor(tenants, live, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range replies {
+		if replies[i].Err != "" {
+			t.Fatalf("shard %d after failed migrate: item %d: %s", live, i, replies[i].Err)
+		}
 	}
 }
 

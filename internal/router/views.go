@@ -11,34 +11,39 @@ import (
 	"repro/internal/server/wire"
 )
 
-// viewTimeout bounds every backend round-trip a merged view makes.
+// viewTimeout bounds every backend round trip a merged view, a probe or
+// a bootstrap freeze makes.
 const viewTimeout = 5 * time.Second
+
+// ask runs one request on b's pooled client, bounded by viewTimeout.
+// req takes the client first, so a MuxClient method expression such as
+// (*wire.MuxClient).Stats is a request.
+func ask[T any](b *backend, req func(*wire.MuxClient, context.Context) (T, error)) (T, error) {
+	cl, err := b.pool.Get()
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
+	defer cancel()
+	return req(cl, ctx)
+}
 
 // Stats merges the cluster into one server.Stats, attributing each
 // shard to the backend that owns it (a disowned replica's frozen
 // counters would double-count). Aggregates are recomputed from the
-// selected per-shard rows with the same arithmetic the single-process
-// engine uses, so a client reading /v1/stats through the router sees
-// the same shape and the same conservation properties.
-//
-// One approximation is unavoidable: the raw response-time reservoirs do
-// not travel over the wire, so the cluster percentiles are the
-// query-weighted mean of the per-shard percentiles rather than a true
-// merged-reservoir estimate.
+// selected per-shard rows by the single-process engine's own
+// server.Stats.Aggregate, response histograms included, so a client
+// reading /v1/stats through the router sees the same shape, the same
+// conservation properties and the same percentiles.
 func (r *Router) Stats() server.Stats {
 	owner := r.ownerSnapshot()
 	per := make([]server.ShardStats, r.shards)
 	byBackend := make([]*server.Stats, len(r.backends))
 
-	ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-	defer cancel()
 	agg := server.Stats{Shards: r.shards}
 	for _, b := range r.backends {
-		cl, err := b.pool.Get()
-		if err != nil {
-			continue
-		}
-		st, err := cl.Stats(ctx)
+		st, err := ask(b, (*wire.MuxClient).Stats)
 		if err != nil {
 			continue
 		}
@@ -61,33 +66,17 @@ func (r *Router) Stats() server.Stats {
 
 	agg.PerShard = per
 	agg.Aggregate()
-	if executed := float64(agg.Queries - agg.Declined); executed > 0 {
-		var p50W, p95W, p99W float64
-		for _, st := range per {
-			w := float64(st.Queries - st.Declined)
-			p50W += st.ResponseP50Sec * w
-			p95W += st.ResponseP95Sec * w
-			p99W += st.ResponseP99Sec * w
-		}
-		agg.ResponseP50Sec = p50W / executed
-		agg.ResponseP95Sec = p95W / executed
-		agg.ResponseP99Sec = p99W / executed
-	}
 	return agg
 }
 
 // TraceViewSnapshot concatenates the backends' trace rings. SampleEvery
 // is taken from the first backend whose tracer is on (-1 if none).
 func (r *Router) TraceViewSnapshot(tenant, template string, n int) server.TraceView {
-	view := server.TraceView{SampleEvery: -1}
-	ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-	defer cancel()
+	view := server.TraceView{SampleEvery: -1, Records: []obs.Record{}} // [], never null, in JSON
 	for _, b := range r.backends {
-		cl, err := b.pool.Get()
-		if err != nil {
-			continue
-		}
-		tv, err := cl.Trace(ctx, tenant, template, n)
+		tv, err := ask(b, func(cl *wire.MuxClient, ctx context.Context) (server.TraceView, error) {
+			return cl.Trace(ctx, tenant, template, n)
+		})
 		if err != nil {
 			continue
 		}
@@ -95,9 +84,6 @@ func (r *Router) TraceViewSnapshot(tenant, template string, n int) server.TraceV
 			view.SampleEvery = tv.SampleEvery
 		}
 		view.Records = append(view.Records, tv.Records...)
-	}
-	if view.Records == nil {
-		view.Records = []obs.Record{} // keep the []-not-null JSON contract
 	}
 	return view
 }
@@ -116,23 +102,16 @@ func addTotals(sum *server.EventTotalsView, t server.EventTotalsView) {
 // conservation totals. Events keep each backend's own Seq numbering —
 // Seq orders a journal, not the cluster.
 func (r *Router) EventsViewSnapshot(typ, tenant string, n int) server.EventsView {
-	view := server.EventsView{}
-	ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-	defer cancel()
+	view := server.EventsView{Events: []obs.Event{}} // [], never null, in JSON
 	for _, b := range r.backends {
-		cl, err := b.pool.Get()
-		if err != nil {
-			continue
-		}
-		ev, err := cl.Events(ctx, typ, tenant, n)
+		ev, err := ask(b, func(cl *wire.MuxClient, ctx context.Context) (server.EventsView, error) {
+			return cl.Events(ctx, typ, tenant, n)
+		})
 		if err != nil {
 			continue
 		}
 		addTotals(&view.Totals, ev.Totals)
 		view.Events = append(view.Events, ev.Events...)
-	}
-	if view.Events == nil {
-		view.Events = []obs.Event{} // keep the []-not-null JSON contract
 	}
 	return view
 }
@@ -180,15 +159,11 @@ func (r *Router) EventsViewSince(since int64) (server.EventsView, int64) {
 	last := append([]int64(nil), ent.last...)
 	r.curMu.Unlock()
 
-	view := server.EventsView{}
-	ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-	defer cancel()
+	view := server.EventsView{Events: []obs.Event{}} // [], never null, in JSON
 	for _, b := range r.backends {
-		cl, err := b.pool.Get()
-		if err != nil {
-			continue
-		}
-		ev, err := cl.Events(ctx, "", "", 0)
+		ev, err := ask(b, func(cl *wire.MuxClient, ctx context.Context) (server.EventsView, error) {
+			return cl.Events(ctx, "", "", 0)
+		})
 		if err != nil {
 			continue
 		}
@@ -199,9 +174,6 @@ func (r *Router) EventsViewSince(since int64) (server.EventsView, int64) {
 				last[b.id] = e.Seq
 			}
 		}
-	}
-	if view.Events == nil {
-		view.Events = []obs.Event{} // keep the []-not-null JSON contract
 	}
 	r.curMu.Lock()
 	if e, ok := r.cursors[since]; ok {
@@ -226,13 +198,15 @@ func (r *Router) FreezeShard(shard int) error {
 	if shard < 0 || shard >= r.shards {
 		return fmt.Errorf("router: shard %d out of range [0,%d)", shard, r.shards)
 	}
-	cl, err := r.backends[r.Owner(shard)].pool.Get()
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-	defer cancel()
-	return cl.FreezeShard(ctx, shard)
+	return freeze(r.backends[r.Owner(shard)], shard)
+}
+
+// freeze freezes shard on backend b.
+func freeze(b *backend, shard int) error {
+	_, err := ask(b, func(cl *wire.MuxClient, ctx context.Context) (struct{}, error) {
+		return struct{}{}, cl.FreezeShard(ctx, shard)
+	})
+	return err
 }
 
 // ExtractShardPacket relays to the shard's current owner.
@@ -240,13 +214,9 @@ func (r *Router) ExtractShardPacket(shard int) ([]byte, error) {
 	if shard < 0 || shard >= r.shards {
 		return nil, fmt.Errorf("router: shard %d out of range [0,%d)", shard, r.shards)
 	}
-	cl, err := r.backends[r.Owner(shard)].pool.Get()
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), viewTimeout)
-	defer cancel()
-	return cl.ExtractShard(ctx, shard)
+	return ask(r.backends[r.Owner(shard)], func(cl *wire.MuxClient, ctx context.Context) ([]byte, error) {
+		return cl.ExtractShard(ctx, shard)
+	})
 }
 
 // InstallShardPacket is refused at the router: an install names a

@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/workload"
 )
@@ -387,5 +390,31 @@ func TestHTTPInlineCounter(t *testing.T) {
 	}
 	if inline != singles || mailbox != batched || st.Queries != singles+batched {
 		t.Errorf("inline %d + mailbox %d of %d queries, want %d + %d", inline, mailbox, st.Queries, singles, batched)
+	}
+
+	// The response histogram /metrics exports is the one /v1/stats
+	// reports: the same buckets, cumulated, over every executed query.
+	var cum, got []int64
+	var sum int64
+	for i := range obs.ResponseBuckets {
+		if i < len(st.ResponseBuckets) {
+			sum += st.ResponseBuckets[i]
+		}
+		cum = append(cum, sum)
+	}
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if strings.HasPrefix(line, "cloudcache_response_seconds_bucket{") {
+			v, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			got = append(got, v)
+		}
+	}
+	if executed := st.Queries - st.Declined; executed == 0 || sum != executed || !reflect.DeepEqual(got, cum) {
+		t.Errorf("/metrics response buckets %v, /v1/stats cumulates to %v over %d executed queries", got, cum, executed)
+	}
+	if line := fmt.Sprintf("cloudcache_response_seconds_count %d\n", sum); !strings.Contains(metrics.String(), line) {
+		t.Errorf("/metrics lacks %q", strings.TrimSpace(line))
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 
@@ -11,11 +12,11 @@ import (
 
 // Prometheus text exposition (GET /metrics). Hand-rolled on purpose: the
 // format is a few lines of fmt.Fprintf and the repository takes no
-// third-party dependencies. Economy counters and gauges come from the
-// same Stats snapshot /v1/stats serves, taken without its response
-// percentiles (so the two endpoints can never disagree, and a scrape
-// sorts no reservoir), stage-latency histograms from the tracer, event
-// totals from the journals, and runtime/GC gauges from
+// third-party dependencies. Economy counters, gauges and the response
+// histogram come from the same Stats snapshot /v1/stats serves (so the
+// two endpoints can never disagree: the buckets /v1/stats reports are the
+// ones Prometheus scrapes), stage-latency histograms from the tracer,
+// event totals from the journals, and runtime/GC gauges from
 // runtime.ReadMemStats.
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -48,8 +49,7 @@ func writeGauge(w io.Writer, name, help string, v float64) {
 
 // WriteMetrics writes the full Prometheus text exposition to w.
 func (s *Server) WriteMetrics(w io.Writer) {
-	// Nothing below prints a response percentile.
-	st := s.stats(false)
+	st := s.Stats()
 
 	writeGauge(w, "cloudcache_clock_seconds", "Economy clock, seconds since server start.", st.ClockSec)
 	draining := 0.0
@@ -89,6 +89,13 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	writeGauge(w, "cloudcache_profit_usd", "Profit (revenue minus true expenditure), dollars.", st.ProfitUSD)
 	writeGauge(w, "cloudcache_operating_cost_usd", "True expenditure, dollars.", st.OperatingCostUSD)
 	writeGauge(w, "cloudcache_credit_usd", "Economy credit outstanding, dollars.", st.CreditUSD)
+
+	// Response times of executed queries, cluster-wide: the summed shard
+	// buckets, and the sum their exact per-shard means imply.
+	response := obs.NewResponseHistogram()
+	response.Add(st.ResponseBuckets, int64(math.Round(st.ResponseMeanSec*float64(st.Queries-st.Declined)*1e9)))
+	fmt.Fprintf(w, "# HELP cloudcache_response_seconds Response time of executed queries, seconds.\n# TYPE cloudcache_response_seconds histogram\n")
+	response.WritePrometheus(w, "cloudcache_response_seconds", "")
 
 	// Economy event journal: exact running totals, immune to ring rotation.
 	tot := s.EventTotals()

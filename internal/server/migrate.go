@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/scheme"
@@ -226,7 +225,7 @@ func (s *shard) resetLocked(fresh scheme.Scheme) {
 	s.books = sim.Books{}
 	s.inline = 0
 	s.errors = 0
-	s.response = metrics.NewDurationStats(s.srv.cfg.ReservoirCap)
+	s.response = obs.NewResponseHistogram()
 }
 
 // wireJournal re-attaches shard i's economy event sink after a scheme

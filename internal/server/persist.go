@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/economy"
+	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/structure"
 )
@@ -155,14 +156,15 @@ func (s *shard) captureState() persist.ShardState {
 // captureStateLocked does the export. Callers hold s.mu.
 func (s *shard) captureStateLocked() persist.ShardState {
 	st := persist.ShardState{
-		Index:    s.id,
-		LastNow:  s.lastNow,
-		Books:    s.books,
-		Errors:   s.errors,
-		RNG:      s.rng,
-		Response: s.response.State(),
-		Cache:    s.sch.Cache().Snapshot(),
+		Index:       s.id,
+		LastNow:     s.lastNow,
+		Books:       s.books,
+		Errors:      s.errors,
+		RNG:         s.rng,
+		ResponseSum: s.response.Sum(),
+		Cache:       s.sch.Cache().Snapshot(),
 	}
+	copy(st.ResponseCounts[:], s.response.Counts())
 	if s.eco != nil {
 		st.Economy = s.eco.Snapshot()
 	}
@@ -220,6 +222,7 @@ func (s *shard) restoreStateLocked(st *persist.ShardState) error {
 	s.books = st.Books
 	s.errors = st.Errors
 	s.rng = st.RNG
-	s.response.Restore(st.Response)
+	s.response = obs.NewResponseHistogram()
+	s.response.Add(st.ResponseCounts[:], st.ResponseSum)
 	return nil
 }

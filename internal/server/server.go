@@ -38,7 +38,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/catalog"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/pricing"
@@ -137,8 +136,6 @@ type Config struct {
 	DecideDelay func(shard int)
 	// Seed derives each shard's deterministic RNG. Default 1.
 	Seed int64
-	// ReservoirCap bounds each shard's response reservoir. Default 4096.
-	ReservoirCap int
 	// SnapshotPath, when set, is where the engine persists its economy
 	// state: atomically on graceful drain, on every Checkpoint call, and
 	// on the periodic checkpoint ticker.
@@ -266,9 +263,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.ReservoirCap <= 0 {
-		cfg.ReservoirCap = 4096
-	}
 
 	srv := &Server{
 		cfg:        cfg,
@@ -311,7 +305,7 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		srv.shards[i] = newShard(i, srv, sch, shardSeed(cfg.Seed, i), cfg.MailboxDepth, cfg.ReservoirCap)
+		srv.shards[i] = newShard(i, srv, sch, shardSeed(cfg.Seed, i), cfg.MailboxDepth)
 		// Each shard journals its economy's events; emission happens on
 		// the shard's serialized decision path, and restore mutates the
 		// scheme in place, so the sink survives snapshot adoption.
@@ -699,13 +693,8 @@ func (s *Server) Housekeep() {
 	}
 }
 
-// Stats snapshots live metrics across all shards. Aggregate percentiles
-// are estimated over the union of the per-shard reservoirs.
-func (s *Server) Stats() Stats { return s.stats(true) }
-
-// stats builds the snapshot; without percentiles no reservoir is copied,
-// sorted or merged and every response percentile reads zero.
-func (s *Server) stats(percentiles bool) Stats {
+// Stats snapshots live metrics across all shards.
+func (s *Server) Stats() Stats {
 	agg := Stats{
 		Scheme:   s.cfg.Scheme,
 		Provider: s.cfg.Params.Provider.String(),
@@ -714,41 +703,31 @@ func (s *Server) stats(percentiles bool) Stats {
 	s.mu.Lock()
 	agg.Draining = s.closed
 	s.mu.Unlock()
-
-	var runs [][]float64
-	var weights []float64
 	for _, sh := range s.shards {
-		st, run := sh.snapshot(percentiles)
-		agg.PerShard = append(agg.PerShard, st)
-		// Reservoirs are capped: each retained sample stands for
-		// executed/len(run) observations, so busy shards keep their
-		// weight in the merged percentiles.
-		if len(run) > 0 {
-			runs = append(runs, run)
-			weights = append(weights, float64(st.Queries-st.Declined)/float64(len(run)))
-		}
+		agg.PerShard = append(agg.PerShard, sh.snapshot())
 	}
 	agg.Aggregate()
-	// Each shard sorted its own run; merging them sorts nothing again.
-	ps := metrics.QuantilesOfSortedRuns(runs, weights, 0.50, 0.95, 0.99)
-	agg.ResponseP50Sec, agg.ResponseP95Sec, agg.ResponseP99Sec = ps[0], ps[1], ps[2]
 	return agg
 }
 
 // Aggregate fills a fresh Stats' cluster-wide figures from its PerShard
 // rows: the counter and money sums, the latest shard clock, the
-// executed-weighted mean response time and the merged tenant section.
-// The response percentiles stay the caller's, because the rule differs:
-// the engine merges its shards' reservoirs, a router — which sees no
-// reservoir — can only weigh the per-shard percentiles.
+// executed-weighted mean response time, the merged tenant section and the
+// response histogram. Each row's percentiles and the cluster's are read
+// off bucket counts with obs.ResponseQuantile, and the cluster's counts
+// are the sum of the rows', so an engine and a router merging the same
+// rows report the same percentiles, bit for bit.
 func (agg *Stats) Aggregate() {
 	// Tenant-routed traffic keeps a tenant on one shard, but untagged
 	// (template-routed) queries spread the "" tenant across shards: merge
 	// by summing per tenant name, then sort for a deterministic section.
 	tenants := make(map[string]TenantStats)
 	var meanWeighted float64
+	response := obs.NewResponseHistogram()
 	for i := range agg.PerShard {
 		st := &agg.PerShard[i]
+		st.ResponseP50Sec, st.ResponseP95Sec, st.ResponseP99Sec = responsePercentiles(st.ResponseBuckets)
+		response.Add(st.ResponseBuckets, 0)
 		for _, ts := range st.Tenants {
 			m := tenants[ts.Tenant]
 			m.Tenant = ts.Tenant
@@ -788,6 +767,8 @@ func (agg *Stats) Aggregate() {
 	if executed := agg.Queries - agg.Declined; executed > 0 {
 		agg.ResponseMeanSec = meanWeighted / float64(executed)
 	}
+	agg.ResponseBuckets = response.Counts()
+	agg.ResponseP50Sec, agg.ResponseP95Sec, agg.ResponseP99Sec = responsePercentiles(agg.ResponseBuckets)
 	if len(tenants) > 0 {
 		agg.Tenants = make([]TenantStats, 0, len(tenants))
 		for _, ts := range tenants {
@@ -798,6 +779,11 @@ func (agg *Stats) Aggregate() {
 		}
 		sort.Slice(agg.Tenants, func(i, j int) bool { return agg.Tenants[i].Tenant < agg.Tenants[j].Tenant })
 	}
+}
+
+// responsePercentiles reads p50, p95 and p99 off response bucket counts.
+func responsePercentiles(counts []int64) (p50, p95, p99 float64) {
+	return obs.ResponseQuantile(counts, 0.50), obs.ResponseQuantile(counts, 0.95), obs.ResponseQuantile(counts, 0.99)
 }
 
 // Structures lists every resident structure across all shards.

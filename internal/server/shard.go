@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,8 +115,9 @@ type shard struct {
 	// caller's goroutine; the rest went through the mailbox.
 	inline int64
 	// errors counts submissions that failed before a decision.
-	errors   int64
-	response *metrics.DurationStats
+	errors int64
+	// response records every executed query's response time.
+	response *obs.Histogram
 }
 
 // economyOf extracts the economy from schemes that have one.
@@ -128,7 +128,7 @@ func economyOf(s scheme.Scheme) *economy.Economy {
 	return nil
 }
 
-func newShard(id int, srv *Server, sch scheme.Scheme, seed int64, depth, reservoirCap int) *shard {
+func newShard(id int, srv *Server, sch scheme.Scheme, seed int64, depth int) *shard {
 	s := &shard{
 		id:       id,
 		srv:      srv,
@@ -139,7 +139,7 @@ func newShard(id int, srv *Server, sch scheme.Scheme, seed int64, depth, reservo
 		eco:      economyOf(sch),
 		owned:    true,
 		rng:      uint64(seed),
-		response: metrics.NewDurationStats(reservoirCap),
+		response: obs.NewResponseHistogram(),
 	}
 	s.stepFunc = &s.scratchStep
 	return s
@@ -439,7 +439,7 @@ func (s *shard) decideLocked(req Request, now time.Duration) (BatchItem, scheme.
 
 	s.books.Record(now, &r)
 	if !r.Declined {
-		s.response.ObserveDuration(r.ResponseTime)
+		s.response.Observe(int64(r.ResponseTime))
 	}
 
 	return BatchItem{Resp: Response{
@@ -489,28 +489,11 @@ func (s *shard) finalize() {
 	s.books.Close(s.nowLocked(), s.sch.Cache())
 }
 
-// snapshot captures the shard's stats. With samples it also fills the
-// response percentiles and returns the reservoir's retained samples,
-// ascending, for the caller to merge into aggregate percentiles: the
-// reservoir is copied once under the lock and sorted once after the lock is
-// released — a 4 096-sample sort must not stall decisions — and the three
-// percentiles are read off that one sorted run. Without samples the
-// percentiles stay zero and the reservoir is not touched: the counters-only
-// read /metrics takes, which prints no percentile.
-func (s *shard) snapshot(samples bool) (ShardStats, []float64) {
-	st, run := s.capture(samples)
-	if samples {
-		slices.Sort(run)
-		st.ResponseP50Sec = metrics.QuantileSorted(run, 0.50)
-		st.ResponseP95Sec = metrics.QuantileSorted(run, 0.95)
-		st.ResponseP99Sec = metrics.QuantileSorted(run, 0.99)
-	}
-	return st, run
-}
-
-// capture is snapshot's locked half: every counter and gauge, and — with
-// samples — an unsorted copy of the reservoir. It computes no percentile.
-func (s *shard) capture(samples bool) (ShardStats, []float64) {
+// snapshot captures the shard's stats: every counter and gauge, and the
+// response histogram's bucket counts. Reading the buckets is O(buckets),
+// so one snapshot serves /v1/stats and /metrics alike; the percentiles
+// are Stats.Aggregate's to fill.
+func (s *shard) snapshot() ShardStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// A disowned shard's state is in transit: report it as-is without
@@ -539,7 +522,7 @@ func (s *shard) capture(samples bool) (ShardStats, []float64) {
 		Errors:             s.errors,
 		MailboxDepth:       len(s.mailbox),
 		OldestWaitSec:      float64(s.oldestWait.Load()) / 1e9,
-		ResponseMeanSec:    s.response.Mean(),
+		ResponseBuckets:    s.response.Counts(),
 		ExecCostUSD:        c.Exec.Dollars(),
 		BuildCostUSD:       c.Build.Dollars(),
 		StorageCostUSD:     c.Storage.Dollars(),
@@ -552,6 +535,9 @@ func (s *shard) capture(samples bool) (ShardStats, []float64) {
 		Nodes:              ca.NodeCount(),
 	}
 	st.OperatingCostUSD = st.ExecCostUSD + st.BuildCostUSD + st.StorageCostUSD + st.NodeCostUSD
+	if n := s.response.Count(); n > 0 {
+		st.ResponseMeanSec = float64(s.response.Sum()) / float64(n) / 1e9
+	}
 	if s.eco != nil {
 		es := s.eco.Stats()
 		st.CreditUSD = es.Credit.Dollars()
@@ -562,10 +548,7 @@ func (s *shard) capture(samples bool) (ShardStats, []float64) {
 			st.Tenants = append(st.Tenants, tenantStatsView(ts))
 		}
 	}
-	if !samples {
-		return st, nil
-	}
-	return st, s.response.Samples()
+	return st
 }
 
 // tenantStatsView converts an economy ledger snapshot into the wire view.
@@ -591,7 +574,7 @@ func tenantStatsView(ts economy.TenantStats) TenantStats {
 }
 
 // quickCounters reads the headline liveness counters without pricing
-// costs or copying the reservoir — cheap enough for high-rate probes.
+// costs or copying the buckets — cheap enough for high-rate probes.
 func (s *shard) quickCounters() (queries int64, now time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

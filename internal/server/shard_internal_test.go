@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
-	"repro/internal/metrics"
 	"repro/internal/money"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/structure"
 	"repro/internal/workload"
@@ -268,16 +267,15 @@ func BenchmarkSubmitBatch(b *testing.B) {
 	}
 }
 
-// statsTestServer has served a fixed stream on a virtual clock, long enough
-// that its 64-sample reservoirs are full and replacing.
+// statsTestServer has served a fixed stream on a virtual clock over three
+// shards, with response times spread over many histogram buckets.
 func statsTestServer(t *testing.T) *Server {
 	t.Helper()
 	clock := NewVirtualClock()
 	srv, err := New(Config{
-		Shards:       3,
-		Params:       scheme.DefaultParams(catalog.TPCH(20)),
-		Clock:        clock,
-		ReservoirCap: 64,
+		Shards: 3,
+		Params: scheme.DefaultParams(catalog.TPCH(20)),
+		Clock:  clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,75 +297,45 @@ func statsTestServer(t *testing.T) *Server {
 	return srv
 }
 
-// TestStatsPercentilesUnchanged: the per-shard percentiles /v1/stats
-// reports — now read off one sorted copy of the reservoir, outside the
-// lock — are bit for bit what they were when the reservoir itself was
-// asked three times, under it; and /metrics' counters-only read reports
-// the same counters with no percentile computed.
+// TestStatsPercentilesUnchanged: the percentiles /v1/stats reports are
+// read off the response histograms. Each shard reports its histogram's
+// counts — one per executed query — and the percentiles and exact mean
+// they yield; the cluster reports the sum of those counts and the
+// percentiles of that sum.
 func TestStatsPercentilesUnchanged(t *testing.T) {
 	srv := statsTestServer(t)
-	full, counters := srv.Stats(), srv.stats(false)
+	full := srv.Stats()
+	sum := obs.NewResponseHistogram()
 	for i, sh := range srv.shards {
 		sh.mu.Lock()
-		p50, p95, p99 := sh.response.Percentile(50), sh.response.Percentile(95), sh.response.Percentile(99)
+		counts, n, total := sh.response.Counts(), sh.response.Count(), sh.response.Sum()
 		sh.mu.Unlock()
+		sum.Add(counts, total)
+		p50, p95, p99 := obs.ResponseQuantile(counts, 0.50), obs.ResponseQuantile(counts, 0.95), obs.ResponseQuantile(counts, 0.99)
 		st := full.PerShard[i]
 		if st.Queries == 0 || p50 == 0 || p50 == p99 {
 			t.Fatalf("shard %d: %d queries, p50 %v, p99 %v: the stream exercises nothing", i, st.Queries, p50, p99)
 		}
+		if !reflect.DeepEqual(st.ResponseBuckets, counts) || n != st.Queries-st.Declined {
+			t.Errorf("shard %d: stats report buckets %v, the histogram holds %v (%d observations, %d executed)", i, st.ResponseBuckets, counts, n, st.Queries-st.Declined)
+		}
 		if st.ResponseP50Sec != p50 || st.ResponseP95Sec != p95 || st.ResponseP99Sec != p99 {
-			t.Errorf("shard %d: stats report p50/p95/p99 %v/%v/%v, the reservoir %v/%v/%v",
+			t.Errorf("shard %d: stats report p50/p95/p99 %v/%v/%v, the histogram %v/%v/%v",
 				i, st.ResponseP50Sec, st.ResponseP95Sec, st.ResponseP99Sec, p50, p95, p99)
 		}
-		st.ResponseP50Sec, st.ResponseP95Sec, st.ResponseP99Sec = 0, 0, 0
-		if !reflect.DeepEqual(st, counters.PerShard[i]) {
-			t.Errorf("shard %d: counters-only read differs beyond the percentiles:\n%+v\nvs\n%+v", i, counters.PerShard[i], st)
+		if want := float64(total) / float64(n) / 1e9; st.ResponseMeanSec != want {
+			t.Errorf("shard %d: mean %v, the histogram's sum over its count %v", i, st.ResponseMeanSec, want)
 		}
+	}
+	if !reflect.DeepEqual(full.ResponseBuckets, sum.Counts()) {
+		t.Errorf("cluster buckets %v, the shards' sum %v", full.ResponseBuckets, sum.Counts())
+	}
+	counts := sum.Counts()
+	if full.ResponseP50Sec != obs.ResponseQuantile(counts, 0.50) || full.ResponseP95Sec != obs.ResponseQuantile(counts, 0.95) ||
+		full.ResponseP99Sec != obs.ResponseQuantile(counts, 0.99) {
+		t.Errorf("cluster p50/p95/p99 %v/%v/%v are not the summed buckets'", full.ResponseP50Sec, full.ResponseP95Sec, full.ResponseP99Sec)
 	}
 	if full.ResponseP50Sec == 0 || full.ResponseP50Sec > full.ResponseP95Sec || full.ResponseP95Sec > full.ResponseP99Sec {
 		t.Errorf("aggregate p50/p95/p99 = %v/%v/%v", full.ResponseP50Sec, full.ResponseP95Sec, full.ResponseP99Sec)
-	}
-	if counters.ResponseP50Sec != 0 || counters.ResponseP99Sec != 0 || counters.Queries != full.Queries {
-		t.Errorf("counters-only read: p50 %v, p99 %v, %d of %d queries", counters.ResponseP50Sec, counters.ResponseP99Sec, counters.Queries, full.Queries)
-	}
-}
-
-// TestStatsSortsOutsideTheShardLock: everything a stats read does under a
-// shard's lock is capture — which hands back the reservoir as it lies,
-// unsorted, with no percentile computed — and everything after it needs
-// no lock: while this test holds the shard's mutex (a decision in
-// progress), the sort and the percentile reads that complete snapshot's
-// work finish, and a concurrent Stats() — held at capture until the mutex
-// is released — reports exactly what that captured copy yields.
-func TestStatsSortsOutsideTheShardLock(t *testing.T) {
-	srv := statsTestServer(t)
-	sh := srv.shards[0]
-
-	st, run := sh.capture(true)
-	if !sh.mu.TryLock() {
-		t.Fatal("capture returned with the shard locked")
-	}
-	// The shard is now "busy deciding" until this test unlocks it.
-	if len(run) != 64 || slices.IsSorted(run) {
-		t.Fatalf("capture returned %d samples, sorted %v: want the raw reservoir", len(run), slices.IsSorted(run))
-	}
-	if !reflect.DeepEqual(run, sh.response.Samples()) {
-		t.Error("capture's copy is not the reservoir")
-	}
-	if st.ResponseP50Sec != 0 || st.ResponseP95Sec != 0 || st.ResponseP99Sec != 0 {
-		t.Errorf("capture computed percentiles under the lock: %+v", st)
-	}
-
-	got := make(chan Stats)
-	go func() { got <- srv.Stats() }()
-	// The unlocked half of snapshot runs to completion under that same
-	// lock; were any of it to want the mutex, this would deadlock.
-	slices.Sort(run)
-	want := [3]float64{metrics.QuantileSorted(run, 0.50), metrics.QuantileSorted(run, 0.95), metrics.QuantileSorted(run, 0.99)}
-	sh.mu.Unlock()
-
-	full := <-got
-	if p := full.PerShard[0]; [3]float64{p.ResponseP50Sec, p.ResponseP95Sec, p.ResponseP99Sec} != want {
-		t.Errorf("Stats() reports %v/%v/%v, the captured copy yields %v", p.ResponseP50Sec, p.ResponseP95Sec, p.ResponseP99Sec, want)
 	}
 }

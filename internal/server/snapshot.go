@@ -41,11 +41,15 @@ type ShardStats struct {
 	MailboxDepth  int     `json:"mailbox_depth"`
 	OldestWaitSec float64 `json:"oldest_wait_s"`
 
-	// Response-time statistics over executed queries (seconds).
+	// Response-time statistics over executed queries (seconds). The mean
+	// is the histogram's exact sum over its count; the percentiles are
+	// read off ResponseBuckets, the histogram's counts in obs's response
+	// layout (trailing empty buckets trimmed).
 	ResponseMeanSec float64 `json:"response_mean_s"`
 	ResponseP50Sec  float64 `json:"response_p50_s"`
 	ResponseP95Sec  float64 `json:"response_p95_s"`
 	ResponseP99Sec  float64 `json:"response_p99_s"`
+	ResponseBuckets []int64 `json:"response_buckets,omitempty"`
 
 	// True expenditure by resource, priced with the accounting schedule
 	// (the Fig. 4 decomposition, live).
@@ -116,12 +120,14 @@ type Stats struct {
 	Failures      int64 `json:"failures"`
 	Errors        int64 `json:"errors"`
 
-	// Aggregate response percentiles, estimated over the union of the
-	// per-shard reservoirs.
+	// Cluster response statistics. ResponseBuckets sums the per-shard
+	// histograms — the histogram of every executed query — and the
+	// percentiles are read off it.
 	ResponseMeanSec float64 `json:"response_mean_s"`
 	ResponseP50Sec  float64 `json:"response_p50_s"`
 	ResponseP95Sec  float64 `json:"response_p95_s"`
 	ResponseP99Sec  float64 `json:"response_p99_s"`
+	ResponseBuckets []int64 `json:"response_buckets,omitempty"`
 
 	ExecCostUSD      float64 `json:"exec_cost_usd"`
 	BuildCostUSD     float64 `json:"build_cost_usd"`

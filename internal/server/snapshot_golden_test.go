@@ -91,9 +91,7 @@ func TestSnapshotGolden(t *testing.T) {
 			params := testParams(testCatalog())
 			params.Provider = c.provider
 			clock := server.NewVirtualClock()
-			// A small reservoir keeps the goldens to economy state rather
-			// than kilobytes of response samples.
-			srv, err := server.New(server.Config{Shards: 2, Scheme: c.scheme, Params: params, Clock: clock, ReservoirCap: 64})
+			srv, err := server.New(server.Config{Shards: 2, Scheme: c.scheme, Params: params, Clock: clock})
 			if err != nil {
 				t.Fatal(err)
 			}
