@@ -32,7 +32,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/catalog"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/money"
 	"repro/internal/plan"
 	"repro/internal/pricing"
@@ -67,7 +66,7 @@ type (
 	// Report is the outcome of one simulation run.
 	Report = sim.Report
 	// Table is a rendered result table.
-	Table = metrics.Table
+	Table = experiments.Table
 	// Cell is one (scheme, interval) measurement of the figure grid.
 	Cell = experiments.Cell
 	// Settings parameterise figure reproduction.

@@ -55,7 +55,6 @@ import (
 	"repro/internal/budget"
 	"repro/internal/catalog"
 	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/wire"
@@ -371,7 +370,7 @@ type loadResult struct {
 	ok       int64
 	declined int64
 	failed   int64
-	latency  *metrics.DurationStats
+	latency  *obs.Histogram
 }
 
 func (r *loadResult) observe(ok, declined, failed int64, lat time.Duration) {
@@ -380,7 +379,7 @@ func (r *loadResult) observe(ok, declined, failed int64, lat time.Duration) {
 	r.declined += declined
 	r.failed += failed
 	if lat > 0 {
-		r.latency.ObserveDuration(lat)
+		r.latency.Observe(int64(lat))
 	}
 	r.mu.Unlock()
 }
@@ -518,7 +517,7 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 		}
 	}
 
-	res := &loadResult{latency: metrics.NewDurationStats(8192)}
+	res := &loadResult{latency: obs.NewClientHistogram()}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for c := 0; c < cfg.clients; c++ {
@@ -548,7 +547,7 @@ func serveLoad(src workload.Source, cfg loadConfig) error {
 		fmt.Printf("stats stream: %d server-pushed snapshots during the run\n", statsPushes.Load())
 	}
 	fmt.Printf("request latency: p50=%.2fms p95=%.2fms p99=%.2fms\n",
-		res.latency.Percentile(50)*1000, res.latency.Percentile(95)*1000, res.latency.Percentile(99)*1000)
+		res.latency.Quantile(0.50)*1000, res.latency.Quantile(0.95)*1000, res.latency.Quantile(0.99)*1000)
 
 	if !haveStats {
 		return nil

@@ -20,7 +20,6 @@ package cache
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/money"
@@ -322,22 +321,6 @@ func (c *Cache) EvictAt(s structure.Slot) (*Entry, bool) {
 
 // Evict removes a resident structure and returns its entry.
 func (c *Cache) Evict(id structure.ID) (*Entry, bool) { return c.EvictAt(c.reg.Lookup(id)) }
-
-// LRUVictims returns up to n resident structures in least-recently-used
-// order, breaking ties by structure ID for determinism. CPU nodes are
-// returned like any other structure; callers that only want disk residents
-// can filter on Kind.
-func (c *Cache) LRUVictims(n int) []*Entry {
-	all := c.Entries() // ID order, so a stable sort leaves ties by ID
-	sort.SliceStable(all, func(i, j int) bool { return all[i].LastUsed < all[j].LastUsed })
-	if n > len(all) {
-		n = len(all)
-	}
-	if n < 0 {
-		n = 0
-	}
-	return all[:n]
-}
 
 // EnsureRoom evicts LRU disk structures until adding `need` bytes fits the
 // capacity. It returns the evicted entries (possibly none). With no

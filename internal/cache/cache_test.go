@@ -116,35 +116,19 @@ func TestTouchAndLRU(t *testing.T) {
 	c.Touch(a.ID)
 	c.Advance(20 * time.Second)
 	c.Touch(d.ID)
-	// b never touched since build -> coldest.
-
-	victims := c.LRUVictims(2)
-	if len(victims) != 2 {
-		t.Fatalf("victims = %d", len(victims))
-	}
-	if victims[0].S.ID != b.ID {
-		t.Errorf("coldest = %s, want %s", victims[0].S.ID, b.ID)
-	}
-	if victims[1].S.ID != a.ID {
-		t.Errorf("second = %s, want %s", victims[1].S.ID, a.ID)
-	}
-	// Uses counted.
-	e, _ := c.Get(a.ID)
-	if e.Uses != 1 || e.LastUsed != 10*time.Second {
-		t.Errorf("entry = %+v", e)
+	// b never touched since build -> coldest; EnsureRoom's victim order
+	// is pinned by TestEnsureRoomEvictsLRU.
+	for _, want := range []struct {
+		id       structure.ID
+		uses     int64
+		lastUsed time.Duration
+	}{{b.ID, 0, 0}, {a.ID, 1, 10 * time.Second}, {d.ID, 1, 20 * time.Second}} {
+		if e, _ := c.Get(want.id); e.Uses != want.uses || e.LastUsed != want.lastUsed {
+			t.Errorf("%s: uses %d, last used %v; want %d, %v", want.id, e.Uses, e.LastUsed, want.uses, want.lastUsed)
+		}
 	}
 	// Touch of non-resident is a no-op.
 	c.Touch("nope")
-}
-
-func TestLRUVictimsBounds(t *testing.T) {
-	c := New(0)
-	if got := c.LRUVictims(5); len(got) != 0 {
-		t.Error("empty cache should have no victims")
-	}
-	if got := c.LRUVictims(-1); len(got) != 0 {
-		t.Error("negative n should be empty")
-	}
 }
 
 func TestEvict(t *testing.T) {

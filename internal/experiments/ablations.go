@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/economy"
-	"repro/internal/metrics"
 	"repro/internal/pricing"
 	"repro/internal/workload"
 )
@@ -14,7 +13,7 @@ import (
 // AblationRegretFraction sweeps the Eq. 3 fraction `a` for the econ-cheap
 // scheme at the given interval: smaller `a` invests sooner (Abl. A in
 // DESIGN.md).
-func AblationRegretFraction(s Settings, fractions []float64, interval time.Duration) (*metrics.Table, []Cell, error) {
+func AblationRegretFraction(s Settings, fractions []float64, interval time.Duration) (*Table, []Cell, error) {
 	s = s.withDefaults()
 	if len(fractions) == 0 {
 		fractions = []float64{0.001, 0.005, 0.02, 0.1, 0.5}
@@ -29,7 +28,7 @@ func AblationRegretFraction(s Settings, fractions []float64, interval time.Durat
 	if err != nil {
 		return nil, nil, err
 	}
-	t := metrics.NewTable("regret fraction a", "cost ($)", "response (s)", "investments")
+	t := NewTable("regret fraction a", "cost ($)", "response (s)", "investments")
 	for i, cell := range cells {
 		t.AddRow(
 			fmt.Sprintf("%g", fractions[i]),
@@ -44,7 +43,7 @@ func AblationRegretFraction(s Settings, fractions []float64, interval time.Durat
 // AblationBudgetShape sweeps the user budget shape (Fig. 1) for econ-cheap:
 // convex users pay premiums only for fast answers, concave users hold their
 // price until a hard deadline (Abl. B).
-func AblationBudgetShape(s Settings, interval time.Duration) (*metrics.Table, []Cell, error) {
+func AblationBudgetShape(s Settings, interval time.Duration) (*Table, []Cell, error) {
 	s = s.withDefaults()
 	base, ok := s.Budgets.(*workload.ScaledPolicy)
 	if !ok {
@@ -63,7 +62,7 @@ func AblationBudgetShape(s Settings, interval time.Duration) (*metrics.Table, []
 	if err != nil {
 		return nil, nil, err
 	}
-	t := metrics.NewTable("budget shape", "cost ($)", "response (s)", "revenue ($)", "declined")
+	t := NewTable("budget shape", "cost ($)", "response (s)", "revenue ($)", "declined")
 	for i, cell := range cells {
 		t.AddRow(
 			shapes[i].String(),
@@ -78,7 +77,7 @@ func AblationBudgetShape(s Settings, interval time.Duration) (*metrics.Table, []
 
 // AblationNetworkThroughput sweeps the WAN throughput, which governs both
 // back-end response times and structure build times (Abl. C).
-func AblationNetworkThroughput(s Settings, mbps []float64, interval time.Duration) (*metrics.Table, []Cell, error) {
+func AblationNetworkThroughput(s Settings, mbps []float64, interval time.Duration) (*Table, []Cell, error) {
 	s = s.withDefaults()
 	if len(mbps) == 0 {
 		mbps = []float64{5, 25, 100, 200}
@@ -96,7 +95,7 @@ func AblationNetworkThroughput(s Settings, mbps []float64, interval time.Duratio
 	if err != nil {
 		return nil, nil, err
 	}
-	t := metrics.NewTable("throughput (Mbps)", "cost ($)", "response (s)", "cache answered")
+	t := NewTable("throughput (Mbps)", "cost ($)", "response (s)", "cache answered")
 	for i, cell := range cells {
 		t.AddRow(
 			fmt.Sprintf("%g", mbps[i]),
@@ -110,7 +109,7 @@ func AblationNetworkThroughput(s Settings, mbps []float64, interval time.Duratio
 
 // AblationCacheFraction sweeps the bypass cache cap around the 30 % the
 // paper cites as ideal for net-only [14] (Abl. D).
-func AblationCacheFraction(s Settings, fractions []float64, interval time.Duration) (*metrics.Table, []Cell, error) {
+func AblationCacheFraction(s Settings, fractions []float64, interval time.Duration) (*Table, []Cell, error) {
 	s = s.withDefaults()
 	if len(fractions) == 0 {
 		fractions = []float64{0.10, 0.20, 0.30, 0.45, 0.60}
@@ -125,7 +124,7 @@ func AblationCacheFraction(s Settings, fractions []float64, interval time.Durati
 	if err != nil {
 		return nil, nil, err
 	}
-	t := metrics.NewTable("cache fraction", "cost ($)", "response (s)", "cache answered")
+	t := NewTable("cache fraction", "cost ($)", "response (s)", "cache answered")
 	for i, cell := range cells {
 		t.AddRow(
 			fmt.Sprintf("%.0f%%", fractions[i]*100),
@@ -143,7 +142,7 @@ func AblationCacheFraction(s Settings, fractions []float64, interval time.Durati
 // ledgers. The run rows carry the Fig. 4/5 values; the tenant rows show
 // how the selfish provider redistributes spend, credit and structure
 // financing that the altruistic pool blends together.
-func AblationProvider(s Settings, interval time.Duration) (*metrics.Table, []Cell, error) {
+func AblationProvider(s Settings, interval time.Duration) (*Table, []Cell, error) {
 	s = s.withDefaults()
 	if s.Tenants == 0 {
 		s.Tenants = 2
@@ -162,7 +161,7 @@ func AblationProvider(s Settings, interval time.Duration) (*metrics.Table, []Cel
 	if err != nil {
 		return nil, nil, err
 	}
-	t := metrics.NewTable("provider", "tenant", "queries", "cost ($)", "response (s)",
+	t := NewTable("provider", "tenant", "queries", "cost ($)", "response (s)",
 		"investments", "spend ($)", "credit ($)", "structures charged")
 	for i, cell := range cells {
 		t.AddRow(
@@ -191,7 +190,7 @@ func AblationProvider(s Settings, interval time.Duration) (*metrics.Table, []Cel
 
 // AblationAmortization sweeps the Eq. 7 horizon n, the open problem the
 // paper defers ("Selecting n is a challenging problem in itself", §IV-D).
-func AblationAmortization(s Settings, horizons []int64, interval time.Duration) (*metrics.Table, []Cell, error) {
+func AblationAmortization(s Settings, horizons []int64, interval time.Duration) (*Table, []Cell, error) {
 	s = s.withDefaults()
 	if len(horizons) == 0 {
 		horizons = []int64{1_000, 10_000, 100_000, 1_000_000}
@@ -206,7 +205,7 @@ func AblationAmortization(s Settings, horizons []int64, interval time.Duration) 
 	if err != nil {
 		return nil, nil, err
 	}
-	t := metrics.NewTable("amortization n", "cost ($)", "response (s)", "cache answered")
+	t := NewTable("amortization n", "cost ($)", "response (s)", "cache answered")
 	for i, cell := range cells {
 		t.AddRow(
 			fmt.Sprintf("%d", horizons[i]),

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/economy"
-	"repro/internal/metrics"
 	"repro/internal/money"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -22,7 +21,7 @@ import (
 // next to what the lie did to the service it received and to the
 // provider's investment behavior. A strategy only "beats" a provider
 // policy if its gain is positive without a matching service collapse.
-func AdversaryComparison(s Settings, strategies []adversary.Strategy, interval time.Duration) (*metrics.Table, error) {
+func AdversaryComparison(s Settings, strategies []adversary.Strategy, interval time.Duration) (*Table, error) {
 	s = s.withDefaults()
 	if len(strategies) == 0 {
 		strategies = adversary.All()
@@ -129,7 +128,7 @@ func AdversaryComparison(s Settings, strategies []adversary.Strategy, interval t
 		return 0
 	}
 
-	t := metrics.NewTable("strategy", "provider", "lying spend ($)", "honest spend ($)",
+	t := NewTable("strategy", "provider", "lying spend ($)", "honest spend ($)",
 		"lying gain ($)", "lying resp (s)", "honest resp (s)", "invests lie/honest", "run cost Δ ($)")
 	for i := 0; i < len(variants); i += 2 {
 		lie, twin := variants[i], variants[i+1]

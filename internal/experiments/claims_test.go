@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/plan"
 	"repro/internal/scheme"
 	"repro/internal/sim"
@@ -401,7 +400,7 @@ func checkClaims(t *testing.T, queries int) []verdict {
 // report logs the verdicts as a table — each claim's median margin and
 // its range over claimSeeds — then fails the test on every unexpected one.
 func report(t *testing.T, verdicts []verdict) {
-	tb := metrics.NewTable("claim", "source", "queries", "median margin", "range", "verdict")
+	tb := NewTable("claim", "source", "queries", "median margin", "range", "verdict")
 	for _, v := range verdicts {
 		ms := slices.Sorted(slices.Values(v.margins))
 		med := (ms[(len(ms)-1)/2] + ms[len(ms)/2]) / 2

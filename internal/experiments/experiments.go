@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/metrics"
 	"repro/internal/money"
 	"repro/internal/pricing"
 	"repro/internal/scheme"
@@ -295,21 +294,21 @@ func RunGridContext(ctx context.Context, s Settings) ([]Cell, error) {
 
 // Fig4Table renders the operating-cost table of Figure 4: one row per
 // inter-query interval, one column per scheme.
-func Fig4Table(cells []Cell) *metrics.Table {
+func Fig4Table(cells []Cell) *Table {
 	return pivot(cells, "cost ($)", func(c Cell) string {
 		return fmt.Sprintf("%.2f", c.Cost().Dollars())
 	})
 }
 
 // Fig5Table renders the average-response-time table of Figure 5.
-func Fig5Table(cells []Cell) *metrics.Table {
+func Fig5Table(cells []Cell) *Table {
 	return pivot(cells, "response (s)", func(c Cell) string {
 		return fmt.Sprintf("%.2f", c.MeanResponseSeconds())
 	})
 }
 
 // pivot arranges cells into interval rows × scheme columns.
-func pivot(cells []Cell, label string, value func(Cell) string) *metrics.Table {
+func pivot(cells []Cell, label string, value func(Cell) string) *Table {
 	// Collect orders.
 	var intervals []time.Duration
 	var schemes []string
@@ -327,7 +326,7 @@ func pivot(cells []Cell, label string, value func(Cell) string) *metrics.Table {
 	}
 	header := []string{"interval \\ " + label}
 	header = append(header, schemes...)
-	t := metrics.NewTable(header...)
+	t := NewTable(header...)
 	for _, iv := range intervals {
 		row := []string{fmt.Sprintf("%ds", int(iv.Seconds()))}
 		for _, sn := range schemes {

@@ -43,31 +43,53 @@ func NewLatencyHistogram() *Histogram {
 // included: the constant length of every response histogram's counts.
 const ResponseBuckets = 90
 
-// responseBounds is the response layout: 2^(1/4) growth per bucket (at
-// most 19 % relative width) from 1 ms to 2^22 ms (~70 min). Served
-// response times run from milliseconds to tenths of a second, and
-// simulated ones to tens of seconds; a ×4 stage layout would put a whole
-// decade of them in two buckets.
-var responseBounds = func() []int64 {
-	b := make([]int64, ResponseBuckets-1)
+// quarterOctaves returns n bounds growing 2^(1/4) per bucket (at most
+// 19 % relative width) from first nanoseconds.
+func quarterOctaves(first float64, n int) []int64 {
+	b := make([]int64, n)
 	for i := range b {
-		b[i] = int64(math.Round(1e6 * math.Exp2(float64(i)/4)))
+		b[i] = int64(math.Round(first * math.Exp2(float64(i)/4)))
 	}
 	return b
-}()
+}
+
+// responseBounds is the response layout: quarter octaves from 1 ms to
+// 2^22 ms (~70 min). Served response times run from milliseconds to
+// tenths of a second, and simulated ones to tens of seconds; a ×4 stage
+// layout would put a whole decade of them in two buckets.
+var responseBounds = quarterOctaves(1e6, ResponseBuckets-1)
+
+// clientBounds is the client layout: the same quarter octaves from 1 µs
+// to 2^26 µs (~67 s). A client's round trips over a local socket take
+// tens to hundreds of microseconds, below the response layout's floor.
+var clientBounds = quarterOctaves(1e3, 105)
 
 // NewResponseHistogram builds a response-time histogram in the response
-// layout, the one every shard records into and every stats reader merges.
+// layout, the one every shard and every simulation records into and every
+// stats reader merges.
 func NewResponseHistogram() *Histogram { return NewHistogram(responseBounds) }
+
+// NewClientHistogram builds a round-trip histogram in the client layout,
+// the one load generators record request latencies into.
+func NewClientHistogram() *Histogram { return NewHistogram(clientBounds) }
 
 // ResponseQuantile estimates the q-quantile (0 ≤ q ≤ 1), in seconds, of
 // bucket counts in the response layout — one histogram's Counts, or the
-// element-wise sum of several, which is the histogram of their union. It
-// finds the bucket holding the observation of rank ⌈q·n⌉ and interpolates
-// linearly inside it, so the estimate lies in the same bucket as that
-// observation; the +Inf bucket reads as the last bound. Returns 0 with no
-// observations.
+// element-wise sum of several, which is the histogram of their union — by
+// the rule Histogram.Quantile states.
 func ResponseQuantile(counts []int64, q float64) float64 {
+	return quantile(responseBounds, counts, q)
+}
+
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of h's observations, in
+// seconds. It finds the bucket holding the observation of rank ⌈q·n⌉ and
+// interpolates linearly inside it, so the estimate lies in the same bucket
+// as that observation; the +Inf bucket reads as the last bound. Returns 0
+// with no observations.
+func (h *Histogram) Quantile(q float64) float64 { return quantile(h.bounds, h.Counts(), q) }
+
+// quantile is Quantile over bucket counts in the layout bounds.
+func quantile(bounds, counts []int64, q float64) float64 {
 	var total int64
 	for _, c := range counts {
 		total += c
@@ -82,17 +104,17 @@ func ResponseQuantile(counts []int64, q float64) float64 {
 			cum += c
 			continue
 		}
-		if i >= len(responseBounds) {
+		if i >= len(bounds) {
 			break
 		}
 		lo := int64(0)
 		if i > 0 {
-			lo = responseBounds[i-1]
+			lo = bounds[i-1]
 		}
-		hi := responseBounds[i]
+		hi := bounds[i]
 		return (float64(lo) + float64(hi-lo)*(rank-float64(cum))/float64(c)) / 1e9
 	}
-	return float64(responseBounds[len(responseBounds)-1]) / 1e9
+	return float64(bounds[len(bounds)-1]) / 1e9
 }
 
 // Observe records one nanosecond-valued observation.
@@ -111,6 +133,16 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the exact total of the observations, nanoseconds.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
+
+// Mean returns the exact mean observation, sum / count, in seconds (0
+// with no observations).
+func (h *Histogram) Mean() float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.Sum()) / float64(n) / 1e9
+}
 
 // Counts returns the per-bucket counts, dense and without trailing empty
 // buckets (nil when nothing was observed).

@@ -304,58 +304,89 @@ func TestHistogramObserveAndExposition(t *testing.T) {
 	}
 }
 
-// TestResponseLayout: the response layout's buckets are at most 19 %
-// wide relative to their lower edge, span at most 1 ms to at least an
-// hour, and ResponseBuckets counts them, +Inf included.
+// TestResponseLayout: both quarter-octave layouts grow each bucket at
+// most 19 % over the last; the response layout spans at most 1 ms to at
+// least an hour, the client layout at most 1 µs to at least a minute, and
+// ResponseBuckets counts the response buckets, +Inf included.
 func TestResponseLayout(t *testing.T) {
-	b := responseBounds
-	if len(b)+1 != ResponseBuckets || b[0] > 1e6 || b[len(b)-1] < 3600e9 {
-		t.Fatalf("layout: %d bounds (+Inf makes %d, want %d), %d … %d ns", len(b), len(b)+1, ResponseBuckets, b[0], b[len(b)-1])
+	if n := len(responseBounds) + 1; n != ResponseBuckets {
+		t.Fatalf("response layout: %d bounds make %d buckets with +Inf, want %d", n-1, n, ResponseBuckets)
 	}
-	for i := 1; i < len(b); i++ {
-		if g := float64(b[i]) / float64(b[i-1]); g <= 1 || g > 1.19 {
-			t.Fatalf("bucket %d grows %v× over bucket %d", i, g, i-1)
+	for _, l := range []struct {
+		name        string
+		b           []int64
+		first, last int64
+	}{{"response", responseBounds, 1e6, 3600e9}, {"client", clientBounds, 1e3, 60e9}} {
+		b := l.b
+		if b[0] > l.first || b[len(b)-1] < l.last {
+			t.Fatalf("%s layout spans %d … %d ns, want ≤ %d … ≥ %d", l.name, b[0], b[len(b)-1], l.first, l.last)
+		}
+		for i := 1; i < len(b); i++ {
+			if g := float64(b[i]) / float64(b[i-1]); g <= 1 || g > 1.19 {
+				t.Fatalf("%s bucket %d grows %v× over bucket %d", l.name, i, g, i-1)
+			}
 		}
 	}
 }
 
 // logUniform draws n response times log-uniform between 1 ms and 1 h.
-func logUniform(rng *rand.Rand, n int) []int64 {
+func logUniform(rng *rand.Rand, n int) []int64 { return logUniformIn(rng, n, 1e6, 3600e9) }
+
+// logUniformIn draws n nanosecond values log-uniform between lo and hi.
+func logUniformIn(rng *rand.Rand, n int, lo, hi float64) []int64 {
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = int64(math.Exp(math.Log(1e6) + rng.Float64()*math.Log(3600e9/1e6)))
+		out[i] = int64(math.Exp(math.Log(lo) + rng.Float64()*math.Log(hi/lo)))
 	}
 	return out
 }
 
-// TestResponseQuantileWithinOneBucket: on random log-uniform samples, the
-// histogram's p50, p95 and p99 lie within one bucket width of the exact
-// quantile of the sorted samples (the observation of rank ⌈q·n⌉), because
-// both lie in the same bucket.
+// TestResponseQuantileWithinOneBucket: on random log-uniform samples —
+// 1 ms to 1 h in the response layout, 5 to 500 µs in the client layout —
+// Histogram.Quantile is monotone in q and lies in the same bucket as the
+// exact quantile of the sorted samples (the observation of rank ⌈q·n⌉),
+// and ResponseQuantile reads the response layout by the same rule.
 func TestResponseQuantileWithinOneBucket(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		samples := logUniform(rng, 1+rng.Intn(3000))
-		h := NewResponseHistogram()
-		for _, v := range samples {
-			h.Observe(v)
-		}
-		slices.Sort(samples)
-		for _, q := range []float64{0.50, 0.95, 0.99} {
-			exact := samples[int(math.Ceil(q*float64(len(samples))))-1]
-			i, _ := slices.BinarySearch(responseBounds, exact)
-			width := float64(responseBounds[i])
-			if i > 0 {
-				width -= float64(responseBounds[i-1])
+	for _, l := range []struct {
+		name   string
+		bounds []int64
+		lo, hi float64
+	}{{"response", responseBounds, 1e6, 3600e9}, {"client", clientBounds, 5e3, 500e3}} {
+		for trial := 0; trial < 200; trial++ {
+			samples := logUniformIn(rng, 1+rng.Intn(3000), l.lo, l.hi)
+			h := NewHistogram(l.bounds)
+			for _, v := range samples {
+				h.Observe(v)
 			}
-			got := ResponseQuantile(h.Counts(), q) * 1e9
-			if math.Abs(got-float64(exact)) > width {
-				t.Fatalf("trial %d, n=%d, q=%g: histogram reads %v ns, exact %d ns, bucket width %v", trial, len(samples), q, got, exact, width)
+			slices.Sort(samples)
+			qs := []float64{0.50, 0.95, 0.99, 1}
+			for range 8 {
+				qs = append(qs, 1-rng.Float64()) // (0, 1]
+			}
+			slices.Sort(qs)
+			prev := 0.0
+			for _, q := range qs {
+				exact := samples[int(math.Ceil(q*float64(len(samples))))-1]
+				i, _ := slices.BinarySearch(l.bounds, exact)
+				lo := 0.0
+				if i > 0 {
+					lo = float64(l.bounds[i-1]) / 1e9
+				}
+				got := h.Quantile(q)
+				if got < lo || got > float64(l.bounds[i])/1e9 || got < prev {
+					t.Fatalf("%s trial %d, n=%d, q=%g: histogram reads %v s (previous q %v), exact %d ns in bucket (%v s, %d ns]",
+						l.name, trial, len(samples), q, got, prev, exact, lo, l.bounds[i])
+				}
+				prev = got
+				if l.name == "response" && ResponseQuantile(h.Counts(), q) != h.Quantile(q) {
+					t.Fatalf("trial %d q=%g: ResponseQuantile %v != Quantile %v", trial, q, ResponseQuantile(h.Counts(), q), h.Quantile(q))
+				}
 			}
 		}
 	}
-	if got := ResponseQuantile(nil, 0.5); got != 0 {
-		t.Errorf("empty histogram p50 = %v, want 0", got)
+	if got, empty := ResponseQuantile(nil, 0.5), NewClientHistogram().Quantile(0.5); got != 0 || empty != 0 {
+		t.Errorf("empty histogram p50 = %v / %v, want 0", got, empty)
 	}
 }
 

@@ -1,7 +1,12 @@
 // Package obs is the serving engine's observability layer: sampled
 // per-query decision traces, a bounded journal of economy events, the
 // latency and response-time histograms + Prometheus text exposition the
-// /metrics endpoint reports, and the commands' log handler.
+// /metrics endpoint reports, and the commands' log handler. Its
+// histograms are also the one percentile rule of the whole repository:
+// the simulator's reports, every shard's and router's stats and the load
+// client read quantiles with Histogram.Quantile, over the response layout
+// (1 ms to ~70 min) or the client layout (1 µs to ~67 s), and means as
+// the exact nanosecond sum over the count.
 //
 // The package is deliberately a leaf — it depends only on the money
 // type — so the economy, the shard loop and the HTTP layer can all feed

@@ -282,7 +282,9 @@ func TestErrorCounterVisible(t *testing.T) {
 // demands the same books, to the last bit: queries, revenue, exec/build
 // cost and — the tail-rent regression — storage and node rent through the
 // same end-of-run window. Both keep them in one sim.Books, so any
-// difference is in what they feed it.
+// difference is in what they feed it. Both read response percentiles off
+// the same histogram by the same rule, and the mean as sum / count, so
+// those match to the bit as well.
 func TestServerMatchesSimAccounting(t *testing.T) {
 	cat := catalog.TPCH(20)
 	const n = 1500
@@ -362,6 +364,11 @@ func TestServerMatchesSimAccounting(t *testing.T) {
 				rep.BuildCost.Dollars(), rep.StorageCost.Dollars(), rep.NodeCost.Dollars()}
 			if got != want {
 				t.Errorf("revenue/profit/exec/build/storage/node = %v, sim %v", got, want)
+			}
+			resp := rep.Response
+			if got, want := [4]float64{st.ResponseP50Sec, st.ResponseP95Sec, st.ResponseP99Sec, st.ResponseMeanSec},
+				[4]float64{resp.Percentile(50), resp.Percentile(95), resp.Percentile(99), resp.Mean()}; got != want {
+				t.Errorf("response p50/p95/p99/mean = %v, sim %v", got, want)
 			}
 		})
 	}

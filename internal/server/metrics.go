@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 
@@ -93,7 +92,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	// Response times of executed queries, cluster-wide: the summed shard
 	// buckets, and the sum their exact per-shard means imply.
 	response := obs.NewResponseHistogram()
-	response.Add(st.ResponseBuckets, int64(math.Round(st.ResponseMeanSec*float64(st.Queries-st.Declined)*1e9)))
+	response.Add(st.ResponseBuckets, responseSum(st.ResponseMeanSec, st.Queries-st.Declined))
 	fmt.Fprintf(w, "# HELP cloudcache_response_seconds Response time of executed queries, seconds.\n# TYPE cloudcache_response_seconds histogram\n")
 	response.WritePrometheus(w, "cloudcache_response_seconds", "")
 

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -711,23 +712,22 @@ func (s *Server) Stats() Stats {
 }
 
 // Aggregate fills a fresh Stats' cluster-wide figures from its PerShard
-// rows: the counter and money sums, the latest shard clock, the
-// executed-weighted mean response time, the merged tenant section and the
-// response histogram. Each row's percentiles and the cluster's are read
-// off bucket counts with obs.ResponseQuantile, and the cluster's counts
-// are the sum of the rows', so an engine and a router merging the same
-// rows report the same percentiles, bit for bit.
+// rows: the counter and money sums, the latest shard clock, the merged
+// tenant section and the response histogram. Each row's percentiles and
+// the cluster's are read off bucket counts with obs.ResponseQuantile, and
+// the cluster's counts and nanosecond sum are the sum of the rows', so an
+// engine and a router merging the same rows report the same percentiles
+// and mean, bit for bit — and one row reports its shard's own.
 func (agg *Stats) Aggregate() {
 	// Tenant-routed traffic keeps a tenant on one shard, but untagged
 	// (template-routed) queries spread the "" tenant across shards: merge
 	// by summing per tenant name, then sort for a deterministic section.
 	tenants := make(map[string]TenantStats)
-	var meanWeighted float64
 	response := obs.NewResponseHistogram()
 	for i := range agg.PerShard {
 		st := &agg.PerShard[i]
 		st.ResponseP50Sec, st.ResponseP95Sec, st.ResponseP99Sec = responsePercentiles(st.ResponseBuckets)
-		response.Add(st.ResponseBuckets, 0)
+		response.Add(st.ResponseBuckets, responseSum(st.ResponseMeanSec, st.Queries-st.Declined))
 		for _, ts := range st.Tenants {
 			m := tenants[ts.Tenant]
 			m.Tenant = ts.Tenant
@@ -762,11 +762,8 @@ func (agg *Stats) Aggregate() {
 		agg.ProfitUSD += st.ProfitUSD
 		agg.ResidentBytes += st.ResidentBytes
 		agg.CreditUSD += st.CreditUSD
-		meanWeighted += st.ResponseMeanSec * float64(st.Queries-st.Declined)
 	}
-	if executed := agg.Queries - agg.Declined; executed > 0 {
-		agg.ResponseMeanSec = meanWeighted / float64(executed)
-	}
+	agg.ResponseMeanSec = response.Mean()
 	agg.ResponseBuckets = response.Counts()
 	agg.ResponseP50Sec, agg.ResponseP95Sec, agg.ResponseP99Sec = responsePercentiles(agg.ResponseBuckets)
 	if len(tenants) > 0 {
@@ -779,6 +776,12 @@ func (agg *Stats) Aggregate() {
 		}
 		sort.Slice(agg.Tenants, func(i, j int) bool { return agg.Tenants[i].Tenant < agg.Tenants[j].Tenant })
 	}
+}
+
+// responseSum recovers the nanosecond sum behind an exact mean response
+// time (sum / count) over executed queries.
+func responseSum(meanSec float64, executed int64) int64 {
+	return int64(math.Round(meanSec * float64(executed) * 1e9))
 }
 
 // responsePercentiles reads p50, p95 and p99 off response bucket counts.

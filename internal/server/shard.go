@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/budget"
 	"repro/internal/economy"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/scheme"
@@ -149,8 +148,20 @@ func newShard(id int, srv *Server, sch scheme.Scheme, seed int64, depth int) *sh
 // stream. Callers hold s.mu.
 func (s *shard) randFloat64() float64 {
 	var out uint64
-	s.rng, out = metrics.SplitMix64(s.rng)
+	s.rng, out = splitMix64(s.rng)
 	return float64(out>>11) / (1 << 53)
+}
+
+// splitMix64 advances a SplitMix64 state and returns the next state and
+// output. A single uint64 restores the exact sequence, which math/rand
+// cannot offer, and a snapshot persists the shard's selectivity draws as
+// that one state.
+func splitMix64(state uint64) (next, out uint64) {
+	state += 0x9E3779B97F4A7C15
+	z := state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return state, z ^ (z >> 31)
 }
 
 // loop is the shard's serialized decision loop. It exits only when the
@@ -535,9 +546,7 @@ func (s *shard) snapshot() ShardStats {
 		Nodes:              ca.NodeCount(),
 	}
 	st.OperatingCostUSD = st.ExecCostUSD + st.BuildCostUSD + st.StorageCostUSD + st.NodeCostUSD
-	if n := s.response.Count(); n > 0 {
-		st.ResponseMeanSec = float64(s.response.Sum()) / float64(n) / 1e9
-	}
+	st.ResponseMeanSec = s.response.Mean()
 	if s.eco != nil {
 		es := s.eco.Stats()
 		st.CreditUSD = es.Credit.Dollars()

@@ -29,8 +29,8 @@ var update = flag.Bool("update", false, "rewrite golden files with the current o
 // The reference run is small but exercises the full report surface:
 // investments, cache answers, tenant sections under both providers, and
 // the end-of-run tail-rent window. Values are exact: the simulator is
-// single-threaded and seeded, money is fixed-point, and the percentile
-// reservoir uses a deterministic PRNG. (The handful of float64 fields
+// single-threaded and seeded, money is fixed-point, and the percentiles
+// are read off histogram counts. (The handful of float64 fields
 // assume one architecture's rounding; CI and the golden agree on
 // linux/amd64.)
 func TestReportGoldenJSON(t *testing.T) {
@@ -61,7 +61,7 @@ func TestReportGoldenJSON(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := sim.Run(sim.Config{Scheme: sch, Source: gen, Queries: 1500, ReservoirCap: 64})
+			rep, err := sim.Run(sim.Config{Scheme: sch, Source: gen, Queries: 1500})
 			if err != nil {
 				t.Fatal(err)
 			}

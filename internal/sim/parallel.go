@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Pool configures RunParallel.
+// Pool configures RunParallelFunc.
 type Pool struct {
 	// Workers bounds how many simulations run concurrently. Zero or
 	// negative means runtime.GOMAXPROCS(0).
@@ -17,21 +17,14 @@ type Pool struct {
 	OnDone func(i int, rep *Report)
 }
 
-// RunParallel executes every config on a bounded worker pool and returns
-// the reports in config order. Each simulation owns all of its state
-// (scheme, cache, economy, generator), so runs never share mutable data;
-// results are identical for any worker count. The first error cancels the
-// remaining work and is returned.
-func RunParallel(ctx context.Context, cfgs []Config, pool Pool) ([]*Report, error) {
-	return RunParallelFunc(ctx, len(cfgs), func(i int) (Config, error) {
-		return cfgs[i], nil
-	}, pool)
-}
-
-// RunParallelFunc is RunParallel with lazy config construction: build(i) is
-// called inside the worker that runs job i, so at most Workers simulations'
-// worth of state (schemes, caches, generators) is live at once no matter
-// how large the job set is. build must be a pure function of i.
+// RunParallelFunc executes n simulations on a bounded worker pool and
+// returns the reports in job order. build(i) is called inside the worker
+// that runs job i, so at most Workers simulations' worth of state
+// (schemes, caches, generators) is live at once no matter how large the
+// job set is; build must be a pure function of i. Each simulation owns all
+// of its state, so runs never share mutable data and results are identical
+// for any worker count. The first error cancels the remaining work and is
+// returned.
 func RunParallelFunc(ctx context.Context, n int, build func(i int) (Config, error), pool Pool) ([]*Report, error) {
 	workers := pool.Workers
 	if workers <= 0 {

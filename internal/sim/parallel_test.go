@@ -139,7 +139,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		cfgs[i] = mk(s)
 	}
 	var doneCalls int
-	got, err := RunParallel(context.Background(), cfgs, Pool{
+	got, err := runAll(context.Background(), cfgs, Pool{
 		Workers: 4,
 		OnDone:  func(int, *Report) { doneCalls++ },
 	})
@@ -162,7 +162,7 @@ func TestRunParallelFirstError(t *testing.T) {
 	cat := catalog.TPCH(5)
 	good := Config{Scheme: testScheme(t, cat), Source: testGen(t, cat, time.Second, 1), Queries: 100}
 	bad := Config{Source: testGen(t, cat, time.Second, 2), Queries: 100} // no scheme
-	if _, err := RunParallel(context.Background(), []Config{good, bad}, Pool{Workers: 2}); err == nil {
+	if _, err := runAll(context.Background(), []Config{good, bad}, Pool{Workers: 2}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -172,14 +172,19 @@ func TestRunParallelCancelled(t *testing.T) {
 	cancel()
 	cat := catalog.TPCH(5)
 	cfg := Config{Scheme: testScheme(t, cat), Source: testGen(t, cat, time.Second, 1), Queries: 100}
-	if _, err := RunParallel(ctx, []Config{cfg}, Pool{Workers: 1}); err == nil {
+	if _, err := runAll(ctx, []Config{cfg}, Pool{Workers: 1}); err == nil {
 		t.Error("cancelled context accepted")
 	}
 }
 
 func TestRunParallelEmpty(t *testing.T) {
-	reports, err := RunParallel(context.Background(), nil, Pool{})
+	reports, err := runAll(context.Background(), nil, Pool{})
 	if err != nil || len(reports) != 0 {
 		t.Errorf("empty run: %v, %v", reports, err)
 	}
+}
+
+// runAll runs ready-made configs through RunParallelFunc.
+func runAll(ctx context.Context, cfgs []Config, pool Pool) ([]*Report, error) {
+	return RunParallelFunc(ctx, len(cfgs), func(i int) (Config, error) { return cfgs[i], nil }, pool)
 }

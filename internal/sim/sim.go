@@ -11,13 +11,14 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/economy"
-	"repro/internal/metrics"
 	"repro/internal/money"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/pricing"
 	"repro/internal/scheme"
@@ -36,9 +37,6 @@ type Config struct {
 	Queries int
 	// Accounting prices the true expenditure; defaults to EC22008.
 	Accounting *pricing.Schedule
-	// ReservoirCap bounds the response-time percentile reservoir.
-	// Defaults to 4096.
-	ReservoirCap int
 	// OnProgress, if set, is invoked every ProgressEvery queries with
 	// the number handled so far.
 	OnProgress    func(done int)
@@ -67,7 +65,7 @@ type Report struct {
 	Failures    int64
 
 	// Response aggregates response times of executed queries (seconds).
-	Response *metrics.DurationStats
+	Response *Responses
 
 	// True expenditure, priced with the accounting schedule.
 	ExecCost    money.Amount // query execution (CPU + I/O + result WAN)
@@ -94,6 +92,46 @@ type Report struct {
 	// when the stream carried no tenant tags (the paper's single-tenant
 	// figures).
 	Tenants []TenantReport
+}
+
+// Responses summarises the response times of a run's executed queries:
+// exact count, mean (nanosecond sum / count) and max, and percentiles read
+// off an obs response histogram — the layout and the rule a served shard's
+// stats use, so a simulation and a server fed the same stream report the
+// same figures.
+type Responses struct {
+	hist *obs.Histogram
+	max  time.Duration
+}
+
+func (r *Responses) observe(d time.Duration) {
+	r.hist.Observe(int64(d))
+	r.max = max(r.max, d)
+}
+
+// N returns the number of response times observed.
+func (r *Responses) N() int64 { return r.hist.Count() }
+
+// Mean returns the exact mean response time in seconds (0 with none).
+func (r *Responses) Mean() float64 { return r.hist.Mean() }
+
+// Max returns the longest response time in seconds.
+func (r *Responses) Max() float64 { return r.max.Seconds() }
+
+// Percentile estimates the p-th percentile (0 ≤ p ≤ 100) in seconds.
+func (r *Responses) Percentile(p float64) float64 { return r.hist.Quantile(p / 100) }
+
+// MarshalJSON reports the headline statistics in seconds, which golden
+// tests pin.
+func (r *Responses) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		N       int64   `json:"n"`
+		MeanSec float64 `json:"mean_s"`
+		P50Sec  float64 `json:"p50_s"`
+		P95Sec  float64 `json:"p95_s"`
+		P99Sec  float64 `json:"p99_s"`
+		MaxSec  float64 `json:"max_s"`
+	}{r.N(), r.Mean(), r.Percentile(50), r.Percentile(95), r.Percentile(99), r.Max()})
 }
 
 // TenantReport is one tenant's slice of the run: traffic and payment
@@ -157,14 +195,11 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	if err := cfg.Accounting.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.ReservoirCap == 0 {
-		cfg.ReservoirCap = 4096
-	}
 
 	rep := &Report{
 		SchemeName: cfg.Scheme.Name(),
 		Queries:    cfg.Queries,
-		Response:   metrics.NewDurationStats(cfg.ReservoirCap),
+		Response:   &Responses{hist: obs.NewResponseHistogram()},
 	}
 
 	ca := cfg.Scheme.Cache()
@@ -214,7 +249,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 			if r.Declined {
 				tr.Declined++
 			} else {
-				rep.Response.ObserveDuration(r.ResponseTime)
+				rep.Response.observe(r.ResponseTime)
 				tr.ResponseSum += r.ResponseTime
 				if r.Location == plan.Cache {
 					tr.CacheAnswered++
@@ -273,11 +308,6 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		sort.Slice(rep.Tenants, func(i, j int) bool { return rep.Tenants[i].Tenant < rep.Tenants[j].Tenant })
 	}
 	return rep, nil
-}
-
-// MeanResponse returns the mean response time.
-func (r *Report) MeanResponse() time.Duration {
-	return time.Duration(r.Response.Mean() * float64(time.Second))
 }
 
 // String renders a one-line summary.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/money"
+	"repro/internal/obs"
 	"repro/internal/pricing"
 	"repro/internal/scheme"
 	"repro/internal/workload"
@@ -80,11 +81,35 @@ func TestRunBasicReport(t *testing.T) {
 	if !rep.Revenue.IsPositive() {
 		t.Error("no revenue")
 	}
-	if rep.MeanResponse() <= 0 {
+	if rep.Response.Mean() <= 0 {
 		t.Error("mean response not positive")
 	}
 	if rep.String() == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestResponsesExact: count, mean and max are exact over a known stream —
+// the mean is the nanosecond sum over the count, not a running estimate —
+// and the percentiles are the response histogram's.
+func TestResponsesExact(t *testing.T) {
+	r := &Responses{hist: obs.NewResponseHistogram()}
+	if r.N() != 0 || r.Mean() != 0 || r.Max() != 0 || r.Percentile(50) != 0 {
+		t.Fatalf("empty: n %d mean %v max %v p50 %v", r.N(), r.Mean(), r.Max(), r.Percentile(50))
+	}
+	want := obs.NewResponseHistogram()
+	for i := 100; i >= 1; i-- { // i² ms: sum 338 350 ms, max 10 s
+		d := time.Duration(i*i) * time.Millisecond
+		r.observe(d)
+		want.Observe(int64(d))
+	}
+	if r.N() != 100 || r.Mean() != 3.3835 || r.Max() != 10 {
+		t.Errorf("n %d mean %v max %v, want 100, 3.3835, 10", r.N(), r.Mean(), r.Max())
+	}
+	for _, p := range []float64{0, 50, 95, 99, 100} {
+		if got := r.Percentile(p); got != want.Quantile(p/100) {
+			t.Errorf("p%g = %v, histogram reads %v", p, got, want.Quantile(p/100))
+		}
 	}
 }
 
