@@ -30,6 +30,14 @@ import (
 type Entry struct {
 	S *structure.Structure
 	Record
+
+	// share memoizes AmortShare's Eq. 7 quotient BuildPrice/shareN, as
+	// divided from a BuildPrice of shareOf: the build price is fixed from
+	// build to eviction and so is n, so every query that prices or settles
+	// the entry reads the quotient instead of dividing again. Derived
+	// state: never persisted, recomputed when either input differs.
+	share, shareOf money.Amount
+	shareN         int64
 }
 
 // Record is one structure's residency history and money: what an Entry

@@ -296,3 +296,27 @@ func TestTouchSetsFirstUsed(t *testing.T) {
 		t.Errorf("LastUsed/Uses = %v/%d", e.LastUsed, e.Uses)
 	}
 }
+
+// TestAmortShareMemo: the memoized Eq. 7 share is the plain division,
+// capped by what remains to amortize, as the remainder runs down, when n
+// changes between callers and when the build price behind the memo is
+// rewritten.
+func TestAmortShareMemo(t *testing.T) {
+	e := &Entry{S: colStruct(t, "lineitem", "l_tax"), Record: Record{BuildPrice: 1_000_003, AmortRemaining: 1_000_003}}
+	for i, n := range []int64{7, 7, 7, 1000, 7, 3, 3, 1} {
+		if i == 6 {
+			e.BuildPrice = 999
+		}
+		want := money.MaxAmount(0, money.MinAmount(e.BuildPrice.DivInt(n), e.AmortRemaining))
+		if got := AmortShare(e, n); got != want {
+			t.Fatalf("step %d: AmortShare(n=%d) = %v, want %v", i, n, got, want)
+		}
+		e.AmortRemaining = e.AmortRemaining.Sub(want).Sub(10_000)
+	}
+	if AmortShare(e, 0) != 0 || AmortShare(nil, 7) != 0 {
+		t.Error("n = 0 or no entry must owe nothing")
+	}
+	if e.AmortRemaining = 0; AmortShare(e, 7) != 0 {
+		t.Error("a fully amortized entry must owe nothing")
+	}
+}

@@ -181,14 +181,28 @@ func (m *Model) Overhead(nodes int) float64 {
 // scanOutcome is the common Eq. 8 machinery: scanning `bytes` on `nodes`
 // parallel CPU nodes.
 func (m *Model) scanOutcome(bytes int64, nodes int) Outcome {
+	baseCPU, ioOps := m.scanBase(bytes)
+	return m.onNodes(baseCPU, ioOps, nodes)
+}
+
+// scanBase is the node-independent half of Eq. 8: the CPU seconds one
+// node spends scanning `bytes` (fcpu·qtot) and the I/O operations the
+// scan issues (io·iotot).
+func (m *Model) scanBase(bytes int64) (baseCPU float64, ioOps int64) {
 	if bytes < 0 {
 		bytes = 0
 	}
 	qtot := float64(bytes) / m.tun.BytesPerCostUnit
-	baseCPU := m.sched.LCPU * m.sched.FCPU * qtot // seconds on one node
+	baseCPU = m.sched.LCPU * m.sched.FCPU * qtot // seconds on one node
+	ioOps = int64(float64(bytes/m.tun.PageSize) * m.sched.FIO)
+	return baseCPU, ioOps
+}
+
+// onNodes splits a scan's one-node CPU across `nodes` parallel nodes: the
+// elapsed time shrinks by Speedup, the total CPU grows by Overhead.
+func (m *Model) onNodes(baseCPU float64, ioOps int64, nodes int) Outcome {
 	elapsed := baseCPU / m.Speedup(nodes)
 	cpuSeconds := baseCPU * m.Overhead(nodes)
-	ioOps := int64(float64(bytes/m.tun.PageSize) * m.sched.FIO)
 	return Outcome{
 		Time: time.Duration(elapsed * float64(time.Second)),
 		Usage: Usage{
@@ -223,6 +237,51 @@ func (m *Model) CacheExecSized(tpl *workload.Template, sz workload.Sizes, useInd
 	out.Usage.CPUSeconds += m.tun.IndexProbeCPUSeconds
 	out.Time += time.Duration(m.tun.IndexProbeCPUSeconds * float64(time.Second))
 	return out
+}
+
+// CacheScan is one sized query's cache scan — the plain scan, or the
+// index probe when useIndex — costed and priced under the model's schedule
+// once for every node count: the scan size, its one-node CPU, its I/O and
+// the I/O's price do not depend on how many nodes run it. A caller pricing
+// every plan variant of a query builds one CacheScan per scan size and
+// asks At for each node count.
+type CacheScan struct {
+	m        *Model
+	baseCPU  float64 // CPU seconds on one node
+	ioOps    int64
+	ioPrice  money.Amount
+	probe    bool // an index probe: At adds IndexProbeCPUSeconds
+	parallel bool // the template may run on extra nodes
+}
+
+// CacheScan prepares the Eq. 8 scan of a query of template tpl already
+// sized, through a useful index when useIndex.
+func (m *Model) CacheScan(tpl *workload.Template, sz workload.Sizes, useIndex bool) CacheScan {
+	bytes := sz.Scan
+	if useIndex {
+		bytes = sz.IndexScan
+	}
+	baseCPU, ioOps := m.scanBase(bytes)
+	return CacheScan{m: m, baseCPU: baseCPU, ioOps: ioOps, ioPrice: m.sched.IOCost(ioOps), probe: useIndex, parallel: tpl.Parallelizable}
+}
+
+// At returns the scan on `nodes` CPU nodes — exactly CacheExecSized's
+// outcome — and its price, exactly Price of that outcome's usage: a cache
+// scan moves no bytes over the WAN and boots nothing, so the price is the
+// CPU term plus the I/O term.
+func (s *CacheScan) At(nodes int) (Outcome, money.Amount) {
+	m := s.m
+	nodes = min(max(nodes, 1), m.tun.MaxNodes)
+	if !s.parallel {
+		nodes = 1
+	}
+	out := m.onNodes(s.baseCPU, s.ioOps, nodes)
+	if s.probe {
+		out.Usage.CPUSeconds += m.tun.IndexProbeCPUSeconds
+		out.Time += time.Duration(m.tun.IndexProbeCPUSeconds * float64(time.Second))
+	}
+	price := m.sched.CPUCost(time.Duration(out.Usage.CPUSeconds*float64(time.Second)), 1)
+	return out, price.Add(s.ioPrice)
 }
 
 // BackendExec is Eq. 9: the query runs completely in the back-end database

@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -333,5 +334,65 @@ func TestResponseTimeInPaperBand(t *testing.T) {
 		if back.Time <= out.Time {
 			t.Errorf("%s backend %v not slower than cache %v", tpl.Name, back.Time, out.Time)
 		}
+	}
+}
+
+// TestCacheScanMatchesPerVariantPricing pins the per-size scan pricing
+// the optimizer enumerates with to the per-variant path it replaced:
+// CacheExecSized on each node count, then Price of its usage. Every paper
+// template, plain scan and index probe, every node count from below 1 to
+// past MaxNodes (both clamps), over scan sizes at the edges — 0 and 1
+// byte, either side of a page boundary — and across the paper's range,
+// under the paper's schedule, the network-only one and perturbed
+// tunables: the outcome and the price must be bit-identical.
+func TestCacheScanMatchesPerVariantPricing(t *testing.T) {
+	cat := catalog.TPCH(10)
+	wide := DefaultTunables()
+	wide.MaxNodes, wide.SpeedupPerExtraNode, wide.OverheadPerExtraNode = 6, 0.37, 0.091
+	wide.IndexProbeCPUSeconds, wide.PageSize, wide.BytesPerCostUnit = 0.0173, 4096, 3<<20
+	rng := rand.New(rand.NewSource(7))
+	variants := 0
+	for _, sched := range []*pricing.Schedule{pricing.EC22008(), pricing.NetOnly()} {
+		for _, tun := range []Tunables{DefaultTunables(), wide} {
+			m, err := NewModel(cat, sched, tun)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page := tun.PageSize
+			sizes := []int64{0, 1, 2, page - 1, page, page + 1, 2*page - 1, 2 * page, 2*page + 1, 1 << 30, 4 << 40}
+			for range 40 {
+				sizes = append(sizes, rng.Int63n(1<<uint(1+rng.Intn(42))))
+			}
+			for _, tpl := range workload.PaperTemplates() {
+				// The template's own sizes across its selectivity range too.
+				for range 10 {
+					q := &workload.Query{Template: tpl, Selectivity: tpl.SelMin + rng.Float64()*(tpl.SelMax-tpl.SelMin)}
+					sz, err := q.Sizes(cat)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sizes = append(sizes, sz.Scan, sz.IndexScan)
+				}
+				for _, size := range sizes {
+					sz := workload.Sizes{Scan: size, IndexScan: size, Result: 1}
+					for _, useIndex := range []bool{false, true} {
+						scan := m.CacheScan(tpl, sz, useIndex)
+						for nodes := -1; nodes <= tun.MaxNodes+2; nodes++ {
+							want := m.CacheExecSized(tpl, sz, useIndex, nodes)
+							wantPrice := Price(sched, want.Usage)
+							got, price := scan.At(nodes)
+							if got != want || price != wantPrice {
+								t.Fatalf("%s, %s, %d bytes, index %v, %d nodes: CacheScan says %+v at %v, per-variant path %+v at %v",
+									sched, tpl.Name, size, useIndex, nodes, got, price, want, wantPrice)
+							}
+							variants++
+						}
+					}
+				}
+			}
+		}
+	}
+	if variants < 10_000 {
+		t.Errorf("only %d variants compared", variants)
 	}
 }

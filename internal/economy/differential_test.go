@@ -413,3 +413,229 @@ func TestInvestBarsCrossedMatchesLadder(t *testing.T) {
 		}
 	}
 }
+
+// lockstep runs the same query stream through two economies built by mk:
+// before every query, prep readies each side (side 0 runs the fast path
+// under test, side 1 the path it replaced), and the decisions must be
+// equal query by query, the books and the caches every 250 queries. At
+// query restoreAt, side 0 restarts from its own snapshot. next draws the
+// i-th query's template, tenant and gap.
+func lockstep(t *testing.T, n, restoreAt int, mk func() (*Economy, *optimizer.Optimizer, *cache.Cache),
+	next func(i int) (*workload.Template, string, time.Duration, *rand.Rand),
+	prep func(side int, e *Economy), check func(i int, e *Economy)) {
+	t.Helper()
+	type rig struct {
+		econ *Economy
+		opt  *optimizer.Optimizer
+		ca   *cache.Cache
+	}
+	newRig := func() rig {
+		e, o, c := mk()
+		return rig{e, o, c}
+	}
+	fast, plain := newRig(), newRig()
+	for i := 0; i < n; i++ {
+		tpl, tenant, gap, rng := next(i)
+		q := workload.Query{
+			ID:          int64(i + 1),
+			Tenant:      tenant,
+			Template:    tpl,
+			Selectivity: tpl.SelMin + rng.Float64()*(tpl.SelMax-tpl.SelMin),
+			Arrival:     fast.ca.Clock() + gap,
+			Budget:      budget.NewStep(money.FromDollars(0.004+0.05*rng.Float64()), time.Hour),
+		}
+		if i == restoreAt {
+			fresh := newRig()
+			resolve := func(id structure.ID) (*structure.Structure, error) {
+				return ResolveID(fast.econ.cfg.Model.Catalog(), id)
+			}
+			if err := fresh.ca.Restore(fast.ca.Snapshot(), resolve); err != nil {
+				t.Fatal(err)
+			}
+			if err := fresh.econ.Restore(fast.econ.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			fast = fresh
+		}
+		var decided [2]Decision
+		for side, r := range []rig{fast, plain} {
+			r.ca.Advance(q.Arrival)
+			r.ca.CompleteDue()
+			prep(side, r.econ)
+			qq := q
+			plans, err := r.opt.Enumerate(&qq, r.ca)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := r.econ.HandleQuery(&qq, plans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Chosen != nil {
+				chosen := *d.Chosen // pooled: compare by value, not by address
+				chosen.Query, chosen.Structures, chosen.Missing = nil, nil, nil
+				d.Chosen = &chosen
+			}
+			decided[side] = d
+		}
+		check(i, fast.econ)
+		if !reflect.DeepEqual(decided[0], decided[1]) {
+			t.Fatalf("query %d: fast path %+v, replaced path %+v", i, decided[0], decided[1])
+		}
+		if i%250 == 0 || i == n-1 {
+			if !reflect.DeepEqual(fast.econ.Snapshot(), plain.econ.Snapshot()) {
+				t.Fatalf("query %d: books diverged:\n%+v\nvs\n%+v", i, fast.econ.Snapshot(), plain.econ.Snapshot())
+			}
+			if !reflect.DeepEqual(fast.ca.Snapshot(), plain.ca.Snapshot()) {
+				t.Fatalf("query %d: caches diverged", i)
+			}
+		}
+	}
+}
+
+// ledgersOf lists an economy's regret ledgers: the pool, then the
+// tenants.
+func ledgersOf(e *Economy) []*Ledger {
+	var out []*Ledger
+	if e.pool != nil {
+		out = append(out, e.pool)
+	}
+	for _, l := range e.tenants {
+		out = append(out, l)
+	}
+	return out
+}
+
+// TestFailureSweepDeadlineMatchesFullWalk pins the sweep's deadline —
+// skip the walk while every resident's last verdict stands — to the full
+// walk on every query. Over rent-hostile streams whose gaps swing between
+// seconds and hours, two economies run in lockstep, one with its deadline
+// wiped before every query; decisions, books and caches must stay equal
+// through first uses, build completions and evictions between queries,
+// and across a restore of the deadline side. Whenever the deadline skips
+// a walk, no resident may be failing by the memoryless rule.
+func TestFailureSweepDeadlineMatchesFullWalk(t *testing.T) {
+	for _, provider := range []Provider{ProviderAltruistic, ProviderSelfish} {
+		t.Run(provider.String(), func(t *testing.T) {
+			var tpls []*workload.Template
+			mk := func() (*Economy, *optimizer.Optimizer, *cache.Cache) {
+				econ, opt, ca, ts := testEconomy(t, provider, func(cfg *Config) {
+					cfg.RegretFraction = 0.0001
+					cfg.NeverUsedFloor = money.FromDollars(0.05)
+					cfg.MaintFailureFactor = 0.2
+				})
+				tpls = ts
+				return econ, opt, ca
+			}
+			rng := rand.New(rand.NewSource(31))
+			next := func(i int) (*workload.Template, string, time.Duration, *rand.Rand) {
+				gap := time.Duration(1+rng.Intn(60)) * time.Second
+				switch rng.Intn(50) {
+				case 0:
+					gap = time.Duration(1+rng.Intn(6)) * time.Hour
+				case 1, 2:
+					gap = time.Duration(5+rng.Intn(55)) * time.Minute
+				}
+				return tpls[(i/200+rng.Intn(2))%len(tpls)], fmt.Sprintf("t%d", rng.Intn(3)), gap, rng
+			}
+			// Why each query on the deadline side walked, or that it did not.
+			var skipped, firstUse, epochMoved, expired int
+			prep := func(side int, e *Economy) {
+				m, ca := e.market, e.cfg.Cache
+				if side == 1 {
+					m.sweepStamp = 0
+					return
+				}
+				switch {
+				case m.sweepStamp == 0:
+					firstUse++
+				case m.sweepStamp != ca.Epoch()+1:
+					epochMoved++
+				case ca.Clock() > m.sweepUntil:
+					expired++
+				default:
+					skipped++
+					ca.ForEach(func(entry *cache.Entry) {
+						if _, fails := refFailing(m, entry, ca.Clock()); fails {
+							t.Fatalf("the deadline skips the sweep at %v, but %s fails by the rule", ca.Clock(), entry.S.ID)
+						}
+					})
+				}
+			}
+			lockstep(t, 6000, 3000, mk, next, prep, func(int, *Economy) {})
+			if skipped < 500 || firstUse < 10 || epochMoved < 50 || expired < 50 {
+				t.Errorf("stream too tame: %d skipped walks; walks after %d first uses, %d epoch moves, %d expired deadlines",
+					skipped, firstUse, epochMoved, expired)
+			}
+		})
+	}
+}
+
+// TestInvestPeakGateMatchesUngatedScan pins the investment scan's regret
+// peak gate — no walk while the ledger's largest live regret is below the
+// base bar — to the ungated scan. Two economies with small ledgers, whose
+// rows climb to a high bar in many shares, run the same stream in
+// lockstep, one with every peak forced to the maximum before each query;
+// decisions (InvestConsidered included), books and caches must stay equal
+// while rows approach and cross the bar, build, block and are garbage
+// collected, and across a snapshot/restore of the gated side, which
+// recomputes its peaks. After every query each gated ledger's peak must
+// be its exact largest live regret.
+func TestInvestPeakGateMatchesUngatedScan(t *testing.T) {
+	for _, provider := range []Provider{ProviderAltruistic, ProviderSelfish} {
+		t.Run(provider.String(), func(t *testing.T) {
+			var tpls []*workload.Template
+			mk := func() (*Economy, *optimizer.Optimizer, *cache.Cache) {
+				econ, opt, ca, ts := testEconomy(t, provider, func(cfg *Config) {
+					cfg.InitialCredit = money.FromDollars(25)
+					cfg.RegretFraction = 0.003
+					cfg.LedgerCap = 5
+				})
+				tpls = ts
+				return econ, opt, ca
+			}
+			rng := rand.New(rand.NewSource(37))
+			next := func(int) (*workload.Template, string, time.Duration, *rand.Rand) {
+				return tpls[rng.Intn(len(tpls))], fmt.Sprintf("t%d", rng.Intn(2)), time.Duration(1+rng.Intn(20)) * time.Second, rng
+			}
+			var gated, near, walked int
+			prep := func(side int, e *Economy) {
+				for _, l := range ledgersOf(e) {
+					if side == 1 {
+						l.peak = money.Max
+						continue
+					}
+					if bar := l.credit.MulFloat(e.cfg.RegretFraction); bar.IsPositive() {
+						switch half := halfUp(bar); {
+						case l.peak < half:
+							gated++
+						case l.peak < 2*half:
+							near++
+						default:
+							walked++
+						}
+					}
+				}
+			}
+			var dropped money.Amount
+			check := func(i int, e *Economy) {
+				dropped = 0
+				for _, l := range ledgersOf(e) {
+					var want money.Amount
+					for _, s := range l.live {
+						want = money.MaxAmount(want, l.rows[s].regret)
+					}
+					if l.peak != want {
+						t.Fatalf("query %d: ledger %q keeps peak %v, its largest live regret is %v", i, l.tenant, l.peak, want)
+					}
+					dropped = dropped.Add(l.RegretDropped)
+				}
+			}
+			lockstep(t, 8000, 4000, mk, next, prep, check)
+			if gated < 500 || near < 500 || walked < 500 || !dropped.IsPositive() {
+				t.Errorf("stream too tame: %d scans gated, %d walked with the peak within a bar of the gate, %d further off; %v regret garbage collected",
+					gated, near, walked, dropped)
+			}
+		})
+	}
+}

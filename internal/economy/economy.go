@@ -633,6 +633,9 @@ func (e *Economy) settle(p *plan.Plan, ev planEval, backendExec, scanExec money.
 			earned = earned.Add(extraShare)
 		}
 		entry.EarnedValue = entry.EarnedValue.Add(earned)
+		if entry.Uses == 0 {
+			e.market.firstUse()
+		}
 		e.cfg.Cache.TouchAt(slot)
 	}
 }
@@ -752,13 +755,18 @@ func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 	}
 	// One pass over the live rows in structure-ID order — the order
 	// builds are attempted and reported in — against the per-failure-count
-	// bar ladder of this scan. The common query crosses nothing and the
-	// pass is a compare per row; a row that crosses but cannot build (a
-	// conservative provider short of its price) remembers the price that
-	// blocked it, and costs two compares per query until the account can
-	// cover it or the cache's residency — and with it the price — moves.
-	bars := e.market.bars(threshold)
+	// bar ladder of this scan. The common query crosses nothing: when even
+	// the account's largest live regret sits below the base bar the pass
+	// is skipped, and otherwise it is a compare per row. A row that
+	// crosses but cannot build (a conservative provider short of its
+	// price) remembers the price that blocked it, and costs two compares
+	// per query until the account can cover it or the cache's residency
+	// — and with it the price — moves.
 	half := halfUp(threshold)
+	if acct.peak < half {
+		return nil, 0 // no row can cross the bar
+	}
+	bars := e.market.bars(threshold)
 	ca := e.cfg.Cache
 	var built []structure.ID
 	considered := 0

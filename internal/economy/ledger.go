@@ -31,6 +31,10 @@ type Ledger struct {
 	live  []structure.Slot
 	clock int64
 	cap   int
+	// peak is the largest regret among the live rows, floored at 0: add
+	// raises it, dropping the row that holds it recomputes it. The Eq. 3
+	// scan reads it to skip a table no row of which can cross the bar.
+	peak money.Amount
 
 	// Totals is the account's lifetime attribution.
 	Totals
@@ -127,6 +131,7 @@ func (l *Ledger) add(s structure.Slot, share money.Amount) {
 	}
 	row.regret = row.regret.Add(share)
 	row.touched = l.clock
+	l.peak = money.MaxAmount(l.peak, row.regret)
 	l.RegretAccrued = l.RegretAccrued.Add(share)
 	if fresh {
 		l.gc()
@@ -136,8 +141,20 @@ func (l *Ledger) add(s structure.Slot, share money.Amount) {
 // drop removes a live row (consumed by investment, or garbage
 // collected).
 func (l *Ledger) drop(s structure.Slot) {
+	top := l.rows[s].regret == l.peak
 	l.rows[s] = regretRow{}
 	l.live = l.reg.Remove(l.live, s)
+	if top {
+		l.repeak()
+	}
+}
+
+// repeak recomputes peak from the live rows.
+func (l *Ledger) repeak() {
+	l.peak = 0
+	for _, s := range l.live {
+		l.peak = money.MaxAmount(l.peak, l.rows[s].regret)
+	}
 }
 
 // gc enforces the cap on the regret table (§IV-B garbage collection). The

@@ -1,6 +1,7 @@
 package economy
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/cache"
@@ -37,6 +38,15 @@ type Market struct {
 	// across queries.
 	ladder  investBars
 	victims []victim
+
+	// sweepUntil is the earliest safeUntil among the residents the last
+	// full failure sweep left standing, and sweepStamp the cache epoch
+	// plus one that sweep saw (0 = sweep in full next time). Until the
+	// clock passes sweepUntil, while the epoch stands and no resident has
+	// had its first use, every resident is still known safe and a full
+	// sweep would test none of them.
+	sweepUntil time.Duration
+	sweepStamp int64
 
 	// events mirrors Economy.events (installed via Economy.SetEvents) for
 	// the invest and evict events the market itself originates.
@@ -348,27 +358,39 @@ func (m *Market) dueAt(entry *cache.Entry, t time.Duration) money.Amount {
 // the test, so it comes last: a used structure is priced only once its
 // rates already condemn it, and a never-used one only when the clock has
 // passed the point up to which it is known to sit below its floor.
+//
+// The walk itself is skipped while the last one's verdicts all stand: a
+// resident's "safe until T" holds as long as it is the same entry (the
+// cache epoch has not moved) in the same use state (no first use since —
+// settle reports those through firstUse), so before the earliest such T
+// a walk would skip every resident and condemn nothing.
 func (m *Market) sweepFailures() []structure.ID {
 	if m.cfg.MaintFailureFactor <= 0 {
 		return nil
 	}
 	ca := m.cfg.Cache
 	now := ca.Clock()
-	victims := m.victims[:0]
-	for _, s := range ca.Live() {
-		entry := ca.At(s)
-		if m.row(s).safe(entry, now) {
-			continue
-		}
-		if due, reason := m.failing(entry, now); reason != "" {
-			victims = append(victims, victim{entry: entry, due: due, reason: reason})
-		}
-	}
-	m.victims = victims
-	if len(victims) == 0 {
+	if m.sweepStamp == ca.Epoch()+1 && now <= m.sweepUntil {
 		return nil
 	}
-	ids := make([]structure.ID, 0, len(victims))
+	victims := m.victims[:0]
+	until := time.Duration(math.MaxInt64)
+	for _, s := range ca.Live() {
+		entry := ca.At(s)
+		row := m.row(s)
+		if !row.safe(entry, now) {
+			if due, reason := m.failing(entry, now); reason != "" {
+				victims = append(victims, victim{entry: entry, due: due, reason: reason})
+				continue
+			}
+		}
+		until = min(until, row.safeUntil)
+	}
+	m.victims = victims
+	var ids []structure.ID
+	if len(victims) > 0 {
+		ids = make([]structure.ID, 0, len(victims))
+	}
 	for i, v := range victims {
 		s := v.entry.S.Slot
 		row := m.row(s)
@@ -386,8 +408,16 @@ func (m *Market) sweepFailures() []structure.ID {
 		ids = append(ids, v.entry.S.ID)
 		victims[i] = victim{}
 	}
+	// Evicting the victims moved the epoch but left every survivor's
+	// verdict as it was.
+	m.sweepUntil, m.sweepStamp = until, ca.Epoch()+1
 	return ids
 }
+
+// firstUse records that a resident is about to see its first use, which
+// moves it from the never-used failure rule to the used one: the next
+// sweep walks in full.
+func (m *Market) firstUse() { m.sweepStamp = 0 }
 
 // victim is one structure the failure sweep condemned.
 type victim struct {
@@ -403,8 +433,9 @@ type victim struct {
 // left alone (arrears and idle windows grow, the value rate decays), and
 // a use only pushes them further from true (it settles the arrears and
 // adds earned value). So a verdict of "not before clock T" stands until
-// T: each miss looks ahead — doubling the entry's idle or measured window
-// — and the sweep skips the entry until the clock gets there. A condemning
+// T: each miss looks ahead — doubling the entry's idle or measured window,
+// or bisecting back towards now when the doubled window would fail — and
+// the sweep skips the entry until the clock gets there. A condemning
 // verdict remembers nothing, so asking again gives the same answer.
 func (m *Market) failing(entry *cache.Entry, now time.Duration) (money.Amount, string) {
 	st := entry.S
@@ -423,6 +454,8 @@ func (m *Market) failing(entry *cache.Entry, now time.Duration) (money.Amount, s
 		ahead := now + max(now-entry.MaintPaidUntil, time.Minute)
 		if m.dueAt(entry, ahead) <= limit {
 			row.safeUntil = ahead
+		} else {
+			row.safeUntil = lastSafe(now, ahead, func(t time.Duration) bool { return m.dueAt(entry, t) <= limit })
 		}
 		return 0, ""
 	}
@@ -443,11 +476,33 @@ func (m *Market) failing(entry *cache.Entry, now time.Duration) (money.Amount, s
 	if !outweighed(window) {
 		if !outweighed(2 * window) {
 			row.safeUntil = now + window
+		} else {
+			row.safeUntil = entry.FirstUsed + lastSafe(window, 2*window, func(w time.Duration) bool { return !outweighed(w) })
 		}
 		return 0, ""
 	}
 	row.safeEntry = nil
 	return m.dueAt(entry, now), "rent rate outweighed lifetime value rate"
+}
+
+// lastSafe narrows the lookahead of a rule that holds at safe, fails at
+// fails, and once failing stays failing as the clock (or window) grows:
+// a few bisection steps find a point in between where it still holds, so
+// a resident whose failure is near but not yet due is not retested on
+// every query until it is.
+func lastSafe(safe, fails time.Duration, holds func(time.Duration) bool) time.Duration {
+	for range 6 {
+		mid := safe + (fails-safe)/2
+		if mid == safe {
+			break
+		}
+		if holds(mid) {
+			safe = mid
+		} else {
+			fails = mid
+		}
+	}
+	return safe
 }
 
 // rent prices holding a structure for duration d.

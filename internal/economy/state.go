@@ -91,6 +91,7 @@ func restoreLedger(st LedgerState, cap int, reg *structure.Registry) (*Ledger, e
 		l.live = reg.Insert(l.live, s)
 		*row = regretRow{regret: es.Regret, touched: es.Touched, live: true}
 	}
+	l.repeak()
 	return l, nil
 }
 

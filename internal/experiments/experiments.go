@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -235,22 +236,24 @@ type cellJob struct {
 }
 
 // runCellJobs executes the jobs on a bounded worker pool sized by
-// base.Workers and returns the cells in job order. Every job owns its
-// whole simulation state, built lazily inside the worker that runs it so
-// at most Workers cells are live at once; results match a sequential run
-// exactly. Progress lines are buffered and released in job order, keeping
-// the full observable output byte-identical for any worker count.
+// base.Workers, handing them out longest first (dispatchOrder), and
+// returns the cells in job order. Every job owns its whole simulation
+// state, built lazily inside the worker that runs it so at most Workers
+// cells are live at once; results match a sequential run exactly.
+// Progress lines are buffered and released in job order, keeping the full
+// observable output byte-identical for any worker count.
 func runCellJobs(ctx context.Context, base Settings, jobs []cellJob) ([]Cell, error) {
 	mkCell := func(i int, rep *sim.Report) Cell {
 		return Cell{Scheme: jobs[i].scheme, Interval: jobs[i].interval, Report: rep}
 	}
+	order := dispatchOrder(jobs)
 	pool := sim.Pool{Workers: base.Workers}
 	if base.OnProgress != nil {
 		// Cells complete in any order; emit their lines in grid order.
 		done := make([]*sim.Report, len(jobs))
 		next := 0
-		pool.OnDone = func(i int, rep *sim.Report) {
-			done[i] = rep
+		pool.OnDone = func(k int, rep *sim.Report) {
+			done[order[k]] = rep
 			for next < len(jobs) && done[next] != nil {
 				c := mkCell(next, done[next])
 				base.OnProgress(fmt.Sprintf("%-10s interval=%-4s cost=%-12s resp=%.2fs",
@@ -260,17 +263,34 @@ func runCellJobs(ctx context.Context, base Settings, jobs []cellJob) ([]Cell, er
 		}
 	}
 
-	reports, err := sim.RunParallelFunc(ctx, len(jobs), func(i int) (sim.Config, error) {
-		return jobs[i].settings.cellConfig(jobs[i].scheme, jobs[i].interval)
+	reports, err := sim.RunParallelFunc(ctx, len(jobs), func(k int) (sim.Config, error) {
+		j := &jobs[order[k]]
+		return j.settings.cellConfig(j.scheme, j.interval)
 	}, pool)
 	if err != nil {
 		return nil, err
 	}
 	cells := make([]Cell, len(jobs))
-	for i, rep := range reports {
-		cells[i] = mkCell(i, rep)
+	for k, rep := range reports {
+		cells[order[k]] = mkCell(order[k], rep)
 	}
 	return cells, nil
+}
+
+// dispatchOrder lists the job indices longest first: scheme-major in
+// reverse paper order — econ-fast, econ-cheap, econ-col, then bypass, the
+// order of how many plans each scheme prices per query — and in job order
+// within a scheme. A bounded pool handed its longest cells first does not
+// end on one long cell running alone.
+func dispatchOrder(jobs []cellJob) []int {
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return slices.Index(SchemeNames, jobs[b].scheme) - slices.Index(SchemeNames, jobs[a].scheme)
+	})
+	return order
 }
 
 // RunGrid executes the full scheme × interval grid that backs Figures 4

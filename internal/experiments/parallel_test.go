@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -64,6 +67,53 @@ func TestRunGridParallelMatchesSequential(t *testing.T) {
 	for i := range seqLines {
 		if seqLines[i] != parLines[i] {
 			t.Errorf("progress line %d differs:\n%s\nvs\n%s", i, seqLines[i], parLines[i])
+		}
+	}
+}
+
+// TestDispatchOrderLongestFirst: the paper grid is handed to the pool
+// scheme by scheme in reverse paper order — the order of how many plans
+// each scheme prices — and in grid order within a scheme, while the cells
+// and the progress lines still come back in grid order.
+func TestDispatchOrderLongestFirst(t *testing.T) {
+	var jobs []cellJob
+	for _, iv := range PaperIntervals {
+		for _, name := range SchemeNames {
+			jobs = append(jobs, cellJob{scheme: name, interval: iv})
+		}
+	}
+	var got, want []string
+	for _, i := range dispatchOrder(jobs) {
+		got = append(got, fmt.Sprintf("%s/%v", jobs[i].scheme, jobs[i].interval))
+	}
+	for _, name := range []string{"econ-fast", "econ-cheap", "econ-col", "bypass"} {
+		for _, iv := range PaperIntervals {
+			want = append(want, fmt.Sprintf("%s/%v", name, iv))
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("dispatch order\n%v\nwant\n%v", got, want)
+	}
+
+	s := fastSettings()
+	s.Queries, s.Workers = 300, 1
+	s.Schemes = []string{"bypass", "econ-cheap"}
+	s.Intervals = []time.Duration{time.Second, 5 * time.Second}
+	var lines []string
+	s.OnProgress = func(line string) { lines = append(lines, line) }
+	cells, err := RunGrid(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != len(cells) || len(cells) != 4 {
+		t.Fatalf("%d cells, %d progress lines, want 4 of each", len(cells), len(lines))
+	}
+	for i, c := range cells {
+		if c.Scheme != s.Schemes[i%2] || c.Interval != s.Intervals[i/2] {
+			t.Errorf("cell %d is %s/%v, out of grid order", i, c.Scheme, c.Interval)
+		}
+		if want := fmt.Sprintf("%-10s interval=%-4s cost=%-12s", c.Scheme, c.Interval, c.Cost()); !strings.HasPrefix(lines[i], want) {
+			t.Errorf("progress line %d is %q, cell %d is %q", i, lines[i], i, want)
 		}
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -18,6 +18,12 @@ type Histogram struct {
 	counts []atomic.Int64
 	sum    atomic.Int64 // total nanoseconds observed
 	count  atomic.Int64
+
+	// octave[k] is the first bucket whose bound reaches 2^(k-1) (0 for
+	// k = 0): an observation of bit length k falls in that bucket or a
+	// later one whose bound is below 2^k, so Bucket steps through at most
+	// one octave's bounds instead of searching them all.
+	octave [65]int32
 }
 
 // NewHistogram builds a histogram over the given ascending nanosecond
@@ -25,6 +31,13 @@ type Histogram struct {
 func NewHistogram(bounds []int64) *Histogram {
 	h := &Histogram{bounds: bounds}
 	h.counts = make([]atomic.Int64, len(bounds)+1)
+	for k := 1; k < len(h.octave); k++ {
+		i := int(h.octave[k-1])
+		for i < len(bounds) && uint64(bounds[i]) < 1<<(k-1) {
+			i++
+		}
+		h.octave[k] = int32(i)
+	}
 	return h
 }
 
@@ -119,13 +132,22 @@ func quantile(bounds, counts []int64, q float64) float64 {
 
 // Observe records one nanosecond-valued observation.
 func (h *Histogram) Observe(nanos int64) {
-	if nanos < 0 {
-		nanos = 0
-	}
-	i := sort.Search(len(h.bounds), func(i int) bool { return nanos <= h.bounds[i] })
-	h.counts[i].Add(1)
+	nanos = max(nanos, 0)
+	h.counts[h.Bucket(nanos)].Add(1)
 	h.sum.Add(nanos)
 	h.count.Add(1)
+}
+
+// Bucket returns the index, into Counts' layout, of the bucket a
+// non-negative observation falls in: the first bound at or above it, or
+// the +Inf bucket past the last. A single-goroutine recorder can keep
+// plain counts by it and fold them in with Add.
+func (h *Histogram) Bucket(nanos int64) int {
+	i := int(h.octave[bits.Len64(uint64(nanos))])
+	for i < len(h.bounds) && nanos > h.bounds[i] {
+		i++
+	}
+	return i
 }
 
 // Count returns the number of observations.

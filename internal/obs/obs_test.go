@@ -304,6 +304,39 @@ func TestHistogramObserveAndExposition(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketMatchesSearch pins Bucket's one-octave step to a
+// binary search for the first bound at or above the observation, in the
+// three layouts and in random ones with several bounds to an octave or
+// many octaves to a bound: at every bound, one either side of it, 0, the
+// largest value, and random values of every bit length.
+func TestHistogramBucketMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	layouts := [][]int64{NewLatencyHistogram().bounds, responseBounds, clientBounds, {1}, {1 << 62}}
+	for range 20 {
+		b := []int64{1 + rng.Int63n(1000)}
+		for len(b) < 1+rng.Intn(120) && b[len(b)-1] < math.MaxInt64/4 {
+			b = append(b, b[len(b)-1]+1+rng.Int63n(b[len(b)-1]*int64(1+rng.Intn(3))))
+		}
+		layouts = append(layouts, b)
+	}
+	for _, bounds := range layouts {
+		h := NewHistogram(bounds)
+		probes := []int64{0, math.MaxInt64}
+		for _, b := range bounds {
+			probes = append(probes, b-1, b, b+1)
+		}
+		for k := range 63 {
+			probes = append(probes, int64(1)<<k, rng.Int63n(int64(1)<<k+1))
+		}
+		for _, n := range probes {
+			want, _ := slices.BinarySearch(bounds, n)
+			if got := h.Bucket(n); got != want {
+				t.Fatalf("bounds %v: Bucket(%d) = %d, the first bound at or above it is %d", bounds, n, got, want)
+			}
+		}
+	}
+}
+
 // TestResponseLayout: both quarter-octave layouts grow each bucket at
 // most 19 % over the last; the response layout spans at most 1 ms to at
 // least an hour, the client layout at most 1 µs to at least a minute, and

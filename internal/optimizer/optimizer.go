@@ -368,6 +368,14 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 	p.AmortPrice, p.MaintPrice, p.Missing = 0, 0, nil
 	plans = append(plans, p)
 
+	// Eq. 8 per scan size: the plain scan and, when the table probes an
+	// index, the index scan are costed once; each variant only splits its
+	// scan across its nodes.
+	scans := [2]cost.CacheScan{m.CacheScan(q.Template, sz, false)}
+	if tb.index != nil {
+		scans[1] = m.CacheScan(q.Template, sz, true)
+	}
+
 	// The per-query share of the cache plans' prices: what each piece's
 	// residents are owed now. The node piece grows with the variant.
 	now := ca.Clock()
@@ -384,14 +392,14 @@ func (o *Optimizer) Enumerate(q *workload.Query, ca *cache.Cache) ([]*plan.Plan,
 		}
 		p := o.nextPlan()
 		p.Query, p.Location, p.Structures, p.Nodes = q, plan.Cache, v.set, v.nodes
-		p.Outcome = m.CacheExecSized(q.Template, sz, v.index != nil, v.nodes)
-		p.ExecPrice = cost.Price(sched, p.Outcome.Usage)
 		p.AmortPrice, p.MaintPrice, p.Missing = colAmort, colMaint, v.missing
 		if v.index != nil {
+			p.Outcome, p.ExecPrice = scans[1].At(v.nodes)
 			p.UsesIndex, p.Index = true, v.index.ID
 			p.AmortPrice = p.AmortPrice.Add(idxAmort)
 			p.MaintPrice = p.MaintPrice.Add(idxMaint)
 		} else {
+			p.Outcome, p.ExecPrice = scans[0].At(v.nodes)
 			p.UsesIndex, p.Index = false, ""
 		}
 		p.AmortPrice = p.AmortPrice.Add(nodeAmort)

@@ -99,27 +99,47 @@ type Report struct {
 // off an obs response histogram — the layout and the rule a served shard's
 // stats use, so a simulation and a server fed the same stream report the
 // same figures.
+//
+// One goroutine runs a simulation, so observe records into plain counts
+// in hist's layout, the response layout — no atomics — and the readers
+// fold them into hist first; Run folds before it returns the report.
 type Responses struct {
 	hist *obs.Histogram
 	max  time.Duration
+
+	// counts, sum and n tally the observations not yet folded into hist.
+	counts [obs.ResponseBuckets]int64
+	sum, n int64
 }
 
 func (r *Responses) observe(d time.Duration) {
-	r.hist.Observe(int64(d))
+	ns := max(int64(d), 0)
+	r.counts[r.hist.Bucket(ns)]++
+	r.sum += ns
+	r.n++
 	r.max = max(r.max, d)
 }
 
+// folded returns hist with every observation folded in.
+func (r *Responses) folded() *obs.Histogram {
+	if r.n > 0 {
+		r.hist.Add(r.counts[:], r.sum)
+		r.counts, r.sum, r.n = [obs.ResponseBuckets]int64{}, 0, 0
+	}
+	return r.hist
+}
+
 // N returns the number of response times observed.
-func (r *Responses) N() int64 { return r.hist.Count() }
+func (r *Responses) N() int64 { return r.folded().Count() }
 
 // Mean returns the exact mean response time in seconds (0 with none).
-func (r *Responses) Mean() float64 { return r.hist.Mean() }
+func (r *Responses) Mean() float64 { return r.folded().Mean() }
 
 // Max returns the longest response time in seconds.
 func (r *Responses) Max() float64 { return r.max.Seconds() }
 
 // Percentile estimates the p-th percentile (0 ≤ p ≤ 100) in seconds.
-func (r *Responses) Percentile(p float64) float64 { return r.hist.Quantile(p / 100) }
+func (r *Responses) Percentile(p float64) float64 { return r.folded().Quantile(p / 100) }
 
 // MarshalJSON reports the headline statistics in seconds, which golden
 // tests pin.
@@ -271,6 +291,7 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 
+	rep.Response.folded()
 	// Rent keeps accruing while the final queries execute, so a run's
 	// storage and node costs do not silently drop the closing window.
 	books.Close(lastArrival, ca)
