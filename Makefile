@@ -34,9 +34,12 @@ race:
 # internal/server: the submit→decide→reply loop with no wire stack in the
 # way), and a 64-query SubmitBatch over a warmed 4-shard server
 # (BenchmarkSubmitBatch: the carve, the shard groups and the lent
-# completion), each under -cpuprofile/-memprofile. Offline: the Fig. 4/5
-# grid (sim.Run over optimizer, economy and generator; no server exists),
-# three passes per worker count. Each prints the top-10 allocation sites by
+# completion) in two sub-benchmarks — idle, where every shard group is
+# decided on the caller's goroutine, and mailbox, where a no-op DecideDelay
+# sends every group through its shard's mailbox and loop — each under
+# -cpuprofile/-memprofile (the batch profile covers both arms). Offline:
+# the Fig. 4/5 grid (sim.Run over optimizer, economy and generator; no
+# server exists), three passes per worker count. Each prints the top-10 allocation sites by
 # object count and by bytes, and the top-10 CPU consumers: the count gates
 # see objects, but garbage-collection cost follows bytes. The alloc
 # listings are the first place to look when an allocation gate trips:

@@ -18,9 +18,17 @@ import (
 	"repro/internal/workload"
 )
 
-func newHTTPServer(t *testing.T) (*server.Server, *httptest.Server) {
+func newHTTPServer(t *testing.T, opts ...func(*server.Config)) (*server.Server, *httptest.Server) {
 	t.Helper()
-	srv := newTestServer(t, 4, "econ-cheap", server.NewVirtualClock())
+	cfg := server.Config{Shards: 4, Scheme: "econ-cheap", Params: testParams(testCatalog()), Clock: server.NewVirtualClock()}
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -336,27 +344,45 @@ func TestHTTPAfterShutdown(t *testing.T) {
 	}
 }
 
-// TestHTTPInlineCounter reads the fast path from outside: lone POST
-// /v1/query requests on an idle engine are decided inline, a batch goes
-// through the mailbox, and per shard /v1/stats and /metrics agree that
-// inline + mailbox decisions make up `queries`.
+// TestHTTPInlineCounter reads the fast path from outside: on an idle
+// engine lone POST /v1/query requests and a POST /v1/batch are all decided
+// inline, with a DecideDelay hook all of them go through the mailbox, and
+// per shard /v1/stats and /metrics agree that inline + mailbox decisions
+// make up `queries`.
 func TestHTTPInlineCounter(t *testing.T) {
-	_, ts := newHTTPServer(t)
-	const singles = 9
+	const singles, batched = 9, 3
+	for _, arm := range []struct {
+		name            string
+		opts            []func(*server.Config)
+		inline, mailbox int64
+	}{
+		{"idle", nil, singles + batched, 0},
+		{"forced-mailbox", []func(*server.Config){forceMailbox}, 0, singles + batched},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			_, ts := newHTTPServer(t, arm.opts...)
+			testHTTPInlineCounter(t, ts.URL, singles, arm.inline, arm.mailbox)
+		})
+	}
+}
+
+// testHTTPInlineCounter posts singles lone queries and one 3-query batch
+// to url and checks the counters both surfaces report.
+func testHTTPInlineCounter(t *testing.T, url string, singles int, wantInline, wantMailbox int64) {
+	t.Helper()
 	for i := 0; i < singles; i++ {
-		resp, body := postQuery(t, ts.URL, fmt.Sprintf(`{"tenant":"t%d","template":"Q6"}`, i%3))
+		resp, body := postQuery(t, url, fmt.Sprintf(`{"tenant":"t%d","template":"Q6"}`, i%3))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
-	resp, body := postBody(t, ts.URL+"/v1/batch",
+	resp, body := postBody(t, url+"/v1/batch",
 		`[{"tenant":"t0","template":"Q6"},{"tenant":"t1","template":"Q1"},{"tenant":"t0","template":"Q3"}]`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, body)
 	}
-	const batched = 3
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
+	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +391,7 @@ func TestHTTPInlineCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,8 +414,8 @@ func TestHTTPInlineCounter(t *testing.T) {
 			}
 		}
 	}
-	if inline != singles || mailbox != batched || st.Queries != singles+batched {
-		t.Errorf("inline %d + mailbox %d of %d queries, want %d + %d", inline, mailbox, st.Queries, singles, batched)
+	if inline != wantInline || mailbox != wantMailbox || st.Queries != wantInline+wantMailbox {
+		t.Errorf("inline %d + mailbox %d of %d queries, want %d + %d", inline, mailbox, st.Queries, wantInline, wantMailbox)
 	}
 
 	// The response histogram /metrics exports is the one /v1/stats

@@ -18,12 +18,13 @@ import (
 	"repro/internal/server"
 )
 
-// A single query that finds its shard idle is decided on its caller's
-// goroutine; everything else waits in the mailbox for the shard's loop.
-// These tests pin that the two paths are one economy: the same stream
-// through either yields the same books, every query is decided exactly
-// once whichever path it took, and a goroutine's submissions are decided
-// in the order it made them.
+// A Submit, or a batch's group of queries for one shard, that finds its
+// shard idle is decided on its caller's goroutine; work that finds the
+// shard busy waits in the mailbox for the shard's loop. These tests pin
+// that the two paths are one economy: the same stream through either
+// yields the same books, every query is decided exactly once whichever
+// path it took, and a goroutine's submissions are decided in the order it
+// made them.
 
 // stateBytes encodes the engine's durable state without its one
 // wall-clock field, so two captures compare byte for byte.
@@ -40,9 +41,9 @@ func forceMailbox(cfg *server.Config) { cfg.DecideDelay = func(int) {} }
 // TestInlineMatchesMailbox replays one scripted stream — singleton
 // Submits, one-request batches (blocking and async) and multi-request
 // batches, with clock steps and housekeeping between rounds — through
-// idle shards (singletons decide inline) and through a forced mailbox,
-// and demands equal Stats, byte-identical snapshots and field-for-field
-// equal decision traces (bar the real-time stage stamps).
+// idle shards (every submission decides inline) and through a forced
+// mailbox, and demands equal Stats, byte-identical snapshots and
+// field-for-field equal decision traces (bar the real-time stage stamps).
 func TestInlineMatchesMailbox(t *testing.T) {
 	const rounds = 12
 	tenants := scratchTenants()
@@ -52,8 +53,6 @@ func TestInlineMatchesMailbox(t *testing.T) {
 		inline   [scratchShards]int64
 		snapshot []byte
 		records  []obs.Record
-		// singles are the QueryIDs of the singleton submissions.
-		singles map[int64]bool
 	}
 	run := func(t *testing.T, provider economy.Provider, opts ...func(*server.Config)) outcome {
 		t.Helper()
@@ -77,14 +76,13 @@ func TestInlineMatchesMailbox(t *testing.T) {
 		}
 		defer srv.Shutdown(context.Background())
 		ctx := context.Background()
-		out := outcome{singles: make(map[int64]bool)}
+		var out outcome
 
 		single := func(it server.BatchItem) {
 			t.Helper()
 			if it.Err != nil {
 				t.Fatal(it.Err)
 			}
-			out.singles[it.Resp.QueryID] = true
 		}
 		for round := 0; round < rounds; round++ {
 			clock.Advance(20 * time.Second)
@@ -139,8 +137,8 @@ func TestInlineMatchesMailbox(t *testing.T) {
 
 			// The arms really did take different paths.
 			for shard := 0; shard < scratchShards; shard++ {
-				if got, want := inline.inline[shard], int64(rounds*4); got != want {
-					t.Errorf("idle arm, shard %d: %d inline decisions, want %d (every singleton)", shard, got, want)
+				if got, want := inline.inline[shard], int64(rounds*scratchPerRound); got != want {
+					t.Errorf("idle arm, shard %d: %d inline decisions, want %d (every query)", shard, got, want)
 				}
 				if got := queued.inline[shard]; got != 0 {
 					t.Errorf("forced-mailbox arm, shard %d: %d inline decisions, want 0", shard, got)
@@ -165,7 +163,7 @@ func TestInlineMatchesMailbox(t *testing.T) {
 				byID[r.QueryID] = r
 			}
 			for _, r := range inline.records {
-				if inline.singles[r.QueryID] && r.WaitNanos != 0 {
+				if r.WaitNanos != 0 {
 					t.Errorf("query %d was decided inline but its trace reports a %d ns mailbox wait", r.QueryID, r.WaitNanos)
 				}
 				q := byID[r.QueryID]
@@ -285,7 +283,7 @@ func TestInlineStress(t *testing.T) {
 			defer wg.Done()
 			tenant := stressTenants[g]
 			for i := 0; i < perG; i++ {
-				n := 1 + (g+i)%3 // one-request batches take the singleton path
+				n := 1 + (g+i)%3 // one, two or three queries: one group on shard 0
 				reqs := make([]server.Request, n)
 				for k := range reqs {
 					reqs[k] = server.Request{Tenant: tenant, Template: "Q6", Budget: testBudget()}
@@ -411,5 +409,84 @@ func TestFrozenShardAnswersInlineUntouched(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Queries != 1 || st.Errors != 0 {
 		t.Errorf("queries/errors = %d/%d after two refusals, want 1/0", st.Queries, st.Errors)
+	}
+}
+
+// TestFrozenGroupAnswersInline: a batch's group for a disowned shard is
+// turned away on the caller's goroutine like a lone query — every item
+// ErrShardNotOwned, done fired before SubmitBatchAsync returns — and
+// leaves the frozen shard's state exactly what the freeze captured, while
+// the batch's groups for owned shards are decided beside it.
+func TestFrozenGroupAnswersInline(t *testing.T) {
+	const frozen = 1
+	clock := server.NewVirtualClock()
+	srv := newTestServer(t, scratchShards, "econ-cheap", clock)
+	ctx := context.Background()
+	tenants := scratchTenants()
+	request := func(shard, i int) server.Request {
+		return server.Request{Tenant: tenants[shard][i%2], Template: "Q6", Budget: testBudget()}
+	}
+	for shard := range tenants {
+		if _, err := srv.Submit(ctx, request(shard, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.FreezeShard(frozen); err != nil {
+		t.Fatal(err)
+	}
+	clock.Advance(time.Minute) // a decision or an accrual would book this
+	// The frozen shard's own record, without the engine-wide fingerprint
+	// (its NextID moves with every decision on any shard).
+	frozenBytes := func() []byte {
+		return persist.EncodeBytes(&persist.Snapshot{Shards: srv.Snapshot().Shards[frozen : frozen+1]})
+	}
+	submit := func(reqs []server.Request) []server.BatchItem {
+		t.Helper()
+		var got []server.BatchItem
+		if err := srv.SubmitBatchAsync(ctx, reqs, func(items []server.BatchItem) { got = slices.Clone(items) }); err != nil {
+			t.Fatal(err)
+		}
+		if got == nil {
+			t.Fatal("done had not fired when SubmitBatchAsync returned")
+		}
+		return got
+	}
+
+	// Wholly on the frozen shard: nothing anywhere moves.
+	before := stateBytes(srv)
+	for i, it := range submit([]server.Request{request(frozen, 0), request(frozen, 1), request(frozen, 2)}) {
+		if !errors.Is(it.Err, server.ErrShardNotOwned) {
+			t.Errorf("item %d: err = %v, want ErrShardNotOwned", i, it.Err)
+		}
+	}
+	if !bytes.Equal(before, stateBytes(srv)) {
+		t.Error("turning a group away changed the engine's state")
+	}
+
+	// Over every shard: the owned groups decide, the frozen one is turned
+	// away untouched.
+	frozenBefore := frozenBytes()
+	var span []server.Request
+	for i := 0; i < 2; i++ {
+		for shard := range tenants {
+			span = append(span, request(shard, i))
+		}
+	}
+	for i, it := range submit(span) {
+		if shard := srv.ShardIndex(span[i]); shard == frozen && !errors.Is(it.Err, server.ErrShardNotOwned) {
+			t.Errorf("item %d to the frozen shard: err = %v, want ErrShardNotOwned", i, it.Err)
+		} else if shard != frozen && (it.Err != nil || it.Resp.Shard != shard) {
+			t.Errorf("item %d to owned shard %d: shard %d, err %v", i, shard, it.Resp.Shard, it.Err)
+		}
+	}
+	if !bytes.Equal(frozenBefore, frozenBytes()) {
+		t.Error("a spanning batch changed the frozen shard's state")
+	}
+	st := srv.Stats()
+	if want := int64(scratchShards + 2*(scratchShards-1)); st.Queries != want || st.Errors != 0 {
+		t.Errorf("queries/errors = %d/%d, want %d/0", st.Queries, st.Errors, want)
+	}
+	if in := st.PerShard[frozen].Inline; in != 1 {
+		t.Errorf("frozen shard: %d inline decisions, want 1 (its query before the freeze)", in)
 	}
 }

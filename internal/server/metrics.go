@@ -60,7 +60,7 @@ func (s *Server) WriteMetrics(w io.Writer) {
 
 	writeShardCounter(w, "cloudcache_queries_total", "Queries decided.", st.PerShard,
 		func(sh *ShardStats) int64 { return sh.Queries })
-	writeShardCounter(w, "cloudcache_inline_decisions_total", "Queries decided on their caller's goroutine (idle shard), without a mailbox hand-off.", st.PerShard,
+	writeShardCounter(w, "cloudcache_inline_decisions_total", "Queries decided on their caller's goroutine because their shard was idle (a lone query or a batch's whole shard group), without a mailbox hand-off.", st.PerShard,
 		func(sh *ShardStats) int64 { return sh.Inline })
 	writeShardCounter(w, "cloudcache_declined_total", "Queries declined (Case C).", st.PerShard,
 		func(sh *ShardStats) int64 { return sh.Declined })

@@ -6,12 +6,12 @@
 // Each shard owns a complete scheme instance — cache, account, regret
 // ledger — behind one lock, so the paper's single-owner economy
 // invariants hold per shard. The lock serializes, the mailbox queues: a
-// single query that finds its shard idle (nothing queued, lock free) is
-// decided right where it is, on its caller's goroutine — Submit, a
-// one-request batch, the HTTP handler and the wire front's connection
-// reader all run a lone query to completion without a hand-off — while
-// contended singletons and all batched work wait in the shard's mailbox
-// for its loop goroutine, which decides a whole drain under one
+// query, or a batch's group of queries for one shard, that finds its
+// shard idle (nothing queued, lock free) is decided right where it is, on
+// its caller's goroutine — Submit, SubmitBatchAsync, the HTTP handler and
+// the wire front's connection reader all run it to completion without a
+// hand-off — while work that finds its shard busy waits in the shard's
+// mailbox for its loop goroutine, which decides a whole drain under one
 // acquisition. Queries route to shards by tenant (or template when no
 // tenant is given), keeping each tenant's regret and
 // amortization history together. A shared Clock (wall, accelerated, or
@@ -447,8 +447,8 @@ func ShardIndexFor(tenant, template string, shards int) int {
 }
 
 // admit registers one submission with the drain: it fails once Shutdown
-// has begun, and otherwise holds submitWG — which the caller releases when
-// its query is decided inline or its last message is enqueued — so drain
+// has begun, and otherwise holds submitWG — which the caller releases once
+// each of its queries is decided inline or enqueued — so drain
 // closes the mailboxes, and finalize runs, only after every accepted
 // query is decided or queued.
 func (s *Server) admit() error {
@@ -470,8 +470,8 @@ func (s *Server) admit() error {
 // only a busy one costs a mailbox message and a wait on a pooled reply
 // channel. Either way a query allocates nothing. POST /v1/query (the
 // http-mixed benchmark workload) and the in-process bench cells ride
-// this path, and a one-request SubmitBatchAsync shares its two halves
-// (shard.tryDecide, shard.enqueue).
+// this path; SubmitBatchAsync follows the same rule per shard group
+// (shard.tryInline, shard.enqueue).
 func (s *Server) Submit(ctx context.Context, req Request) (Response, error) {
 	if err := s.admit(); err != nil {
 		return Response{}, err
@@ -516,9 +516,10 @@ type BatchItem struct {
 // SubmitBatch submits many queries in one call and waits for all of them:
 // SubmitBatchAsync plus a wait, so a batch is carved, decided and answered
 // by exactly one path whether or not the caller blocks. Requests are
-// grouped by destination shard and each group travels the mailbox as a
-// single message, amortizing channel sends, lock acquisitions and reply
-// allocations across the group. Within a shard, requests are decided in
+// grouped by destination shard and each group is decided under one lock
+// acquisition — inline on an idle shard, else as a single mailbox
+// message — amortizing lock acquisitions, clock reads and channel sends
+// across the group. Within a shard, requests are decided in
 // slice order with one shared arrival stamp, so results are
 // deterministic given the shard's prior state. The returned slice aligns
 // positionally with reqs and is the caller's to keep; per-request
@@ -556,13 +557,13 @@ func AwaitBatch[T any](ctx context.Context, submit func(done func([]T)) error) (
 // grouped by destination shard (shard k's group is reqs[offs[k] :
 // offs[k]+counts[k]], submission order preserved, and pos holds each
 // one's position in the caller's batch) and the positional items the
-// shard loops fill in place. Calls are pooled per server, so once the
-// pool is warm a batch of any size allocates nothing here.
+// shards fill in place. Calls are pooled per server, so once the pool is
+// warm a batch of any size allocates nothing here.
 //
-// pending counts the groups still deciding plus one for the submitting
-// loop, which reads counts and offs until its last send: the call is
-// answered and recycled only once the last group AND that loop are done
-// with it.
+// pending counts the queued groups still deciding plus one for the
+// submitting loop, which reads counts and offs until its last group is
+// placed: the call is answered and recycled only once the last group AND
+// that loop are done with it.
 type batchCall struct {
 	srv     *Server
 	reqs    []Request
@@ -577,17 +578,14 @@ type batchCall struct {
 // Resize returns b with length n, reusing its capacity.
 func Resize[T any](b []T, n int) []T { return slices.Grow(b[:0], n)[:n] }
 
-// carve groups reqs by destination shard into the call's buffers and
-// returns the number of groups.
-func (c *batchCall) carve(reqs []Request) (groups int32) {
+// carve groups reqs by destination shard into the call's buffers.
+func (c *batchCall) carve(reqs []Request) {
 	n := len(reqs)
 	c.reqs, c.pos, c.items = Resize(c.reqs, n), Resize(c.pos, n), Resize(c.items, n)
 	clear(c.counts)
 	for i := range reqs {
 		k := c.srv.ShardIndex(reqs[i])
-		if c.counts[k]++; c.counts[k] == 1 {
-			groups++
-		}
+		c.counts[k]++
 	}
 	off := 0
 	for k, cnt := range c.counts {
@@ -600,7 +598,6 @@ func (c *batchCall) carve(reqs []Request) (groups int32) {
 		c.offs[k]--
 		c.reqs[c.offs[k]], c.pos[c.offs[k]] = reqs[i], i
 	}
-	return groups
 }
 
 // release drops one count of pending. The last answers the call — done
@@ -617,31 +614,30 @@ func (c *batchCall) release() {
 
 // SubmitBatchAsync is the batch primitive: requests are grouped by
 // destination shard — submission order preserved within each group, one
-// shared arrival stamp per group — and enqueued one mailbox message per
-// group. The call returns as soon as every group is enqueued, and done
-// is invoked exactly once with the positional items when the last shard
-// group finishes. This is what lets a pipelined listener accept new
-// frames while prior batches are still deciding: batches complete out
-// of order as their shard groups drain.
+// shared arrival stamp per group — and each group follows Submit's rule.
+// A group whose shard is idle (nothing queued, lock free) is decided right
+// here, on the caller's goroutine; a group whose shard is busy is enqueued
+// as one mailbox message. The call returns as soon as every group is
+// decided or enqueued, and done is invoked exactly once with the
+// positional items when the last group finishes. This is what lets a
+// pipelined listener accept new frames while prior batches are still
+// deciding: batches complete out of order as their queued groups drain.
 //
 // done's slice is lent, not given: it is valid only until done returns,
 // after which the server reuses it for another batch. A consumer encodes
 // or copies inside done, as SubmitBatch does.
 //
-// A one-request batch is a singleton, not a group: it takes Submit's
-// path — decided on this goroutine when its shard is idle, with done
-// invoked before SubmitBatchAsync returns, else one by-value mailbox
-// message — and pays none of the carve below.
-//
-// done otherwise runs on the shard goroutine that completed the batch's
-// final group, or on the caller's, before SubmitBatchAsync returns, when
-// every group finished before the last was enqueued. It must be quick
-// and must not call back into the server's snapshot paths (Stats,
-// Structures); hand heavy work to another goroutine. It never runs under
-// a shard lock. On a non-nil error (ErrServerClosed, ctx cancellation
-// mid-enqueue) done is never invoked; groups already enqueued are still
-// decided and their results discarded. reqs is copied before anything is
-// decided: the caller may reuse it once the call returns or done fires.
+// done runs on the caller's goroutine, before SubmitBatchAsync returns,
+// when every group was decided inline or finished before the last was
+// placed — a batch on idle shards is read, decided and answered by one
+// goroutine — and otherwise on the shard goroutine that completed the
+// final group. It must be quick and must not call back into the server's
+// snapshot paths (Stats, Structures); hand heavy work to another
+// goroutine. It never runs under a shard lock. On a non-nil error
+// (ErrServerClosed, ctx cancellation mid-enqueue) done is never invoked;
+// groups already decided or enqueued keep their results, which are
+// discarded. reqs is copied before anything is decided: the caller may
+// reuse it once the call returns or done fires.
 func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func([]BatchItem)) error {
 	if len(reqs) == 0 {
 		return fmt.Errorf("server: empty batch")
@@ -651,33 +647,28 @@ func (s *Server) SubmitBatchAsync(ctx context.Context, reqs []Request, done func
 	}
 	defer s.submitWG.Done()
 
-	if len(reqs) == 1 {
-		sh := s.shards[s.ShardIndex(reqs[0])]
-		if r, ok := sh.tryDecide(reqs[0]); ok {
-			done([]BatchItem{r})
-			return nil
-		}
-		return sh.enqueue(ctx, shardMsg{req: reqs[0], done: done, enq: s.nanos()})
-	}
-
 	c := s.batchCalls.Get().(*batchCall)
 	c.done = done
-	// pending is set before any send, so a group that completes while
-	// later groups are still enqueueing cannot see a premature zero.
-	c.pending.Store(c.carve(reqs) + 1)
-
-	// One wait stamp covers the whole call; groups enqueue back to back.
-	// Sends may block on a full mailbox, but the shard loops drain
-	// independently of this goroutine, so sequential sends cannot deadlock.
-	enq := s.nanos()
+	c.carve(reqs)
+	// The placing loop holds one count of pending, and each queued group
+	// adds its own before its send, so a group that completes while later
+	// groups are still being placed cannot see a premature zero.
+	c.pending.Store(1)
 	for k, cnt := range c.counts {
 		if cnt == 0 {
 			continue
 		}
-		// An unsent group keeps pending above zero forever: done never
-		// fires after an error return, and the call is left to the garbage
-		// collector instead of recycled under groups still deciding.
-		if err := s.shards[k].enqueue(ctx, shardMsg{call: c, enq: enq}); err != nil {
+		sh := s.shards[k]
+		if sh.tryDecideGroup(c) {
+			continue
+		}
+		// Sends may block on a full mailbox, but the shard loops drain
+		// independently of this goroutine, so sequential sends cannot
+		// deadlock. An unsent group keeps pending above zero forever: done
+		// never fires after an error return, and the call is left to the
+		// garbage collector instead of recycled under groups still deciding.
+		c.pending.Add(1)
+		if err := sh.enqueue(ctx, shardMsg{call: c, enq: s.nanos()}); err != nil {
 			return err
 		}
 	}

@@ -16,24 +16,21 @@ import (
 	"repro/internal/workload"
 )
 
-// shardMsg is one unit of mailbox work: a single query that found its
-// shard busy — with Submit's reply channel or a one-request
-// SubmitBatchAsync's completion — or this shard's group of a
-// multi-request batch. Reply channels are buffered (capacity 1) so the
-// shard loop never blocks on a caller that has already given up. Batches
-// keep the mailbox traffic proportional to submissions, not queries: one
-// send and one dequeue cover the entire group.
+// shardMsg is one unit of mailbox work: a Submit that found its shard
+// busy, or this shard's group of a SubmitBatchAsync call whose shard was
+// busy. Reply channels are buffered (capacity 1) so the shard loop never
+// blocks on a caller that has already given up. Batches keep the mailbox
+// traffic proportional to submissions, not queries: one send and one
+// dequeue cover the entire group.
 type shardMsg struct {
-	// req carries a single submission, by value, when call is nil; the
-	// answer goes to reply (Submit) or, after the shard lock is released,
-	// to done as a one-item slice (SubmitBatchAsync).
+	// req carries a Submit, by value, when call is nil; the answer goes to
+	// reply.
 	req   Request
 	reply chan BatchItem
-	done  func([]BatchItem)
 
-	// call carries a multi-request SubmitBatchAsync: the loop decides the
-	// group at call.offs[id] into the call's positional items and, after
-	// the shard lock is released, releases the group's count of it.
+	// call carries a SubmitBatchAsync group: the loop decides the group at
+	// call.offs[id] into the call's positional items and, after the shard
+	// lock is released, releases the group's count of it.
 	call *batchCall
 
 	// enq is the Server.nanos() stamp at enqueue, measuring mailbox wait
@@ -44,11 +41,11 @@ type shardMsg struct {
 // shard owns one slice of the economy: its own scheme (cache, account,
 // regret ledger), its own deterministic RNG and its own metrics. The lock
 // serializes: every decision, housekeeping pass and snapshot runs under
-// mu, on whichever goroutine holds it. The mailbox queues: contended
-// singletons and all batched work wait there for the loop goroutine, which
-// decides a whole drain under one acquisition. A single query that finds
-// the shard idle — nothing queued, lock free — never sees the mailbox; it
-// is decided on its caller's goroutine (tryDecide).
+// mu, on whichever goroutine holds it. The mailbox queues: submissions
+// that find the shard busy wait there for the loop goroutine, which
+// decides a whole drain under one acquisition. A Submit or a batch's shard
+// group that finds the shard idle — nothing queued, lock free — never sees
+// the mailbox; it is decided on its caller's goroutine (tryInline).
 type shard struct {
 	id  int
 	srv *Server
@@ -86,9 +83,12 @@ type shard struct {
 	// keeps, persisted as is.
 	books sim.Books
 
-	// deferred is handleMsgs' scratch list of batch completions to run
-	// after the lock drops; a field so its capacity survives drains.
-	deferred []deferredDone
+	// deferred is handleMsgs' scratch list of batch calls to release
+	// after the lock drops: a release may run SubmitBatchAsync's done,
+	// caller code that must be free to read server state (snapshot paths
+	// on other shards, encode work) without this shard's mu. A field so
+	// its capacity survives drains.
+	deferred []*batchCall
 
 	// scratchQ is the per-shard query object decideLocked reuses for
 	// every decision: decisions are serialized by mu — on the loop
@@ -212,41 +212,38 @@ func (s *shard) loop() {
 	}
 }
 
-// deferredDone is one completion held back until the shard lock is
-// released: it chains into SubmitBatchAsync's done, which is caller code
-// and must be free to read server state (snapshot paths on OTHER shards,
-// encode work) without holding this shard's mu. A batch group completes
-// through call.release; a queued one-request batch through one(reply).
-type deferredDone struct {
-	call *batchCall
-
-	one   func([]BatchItem)
-	reply BatchItem
+// tryInline is the one idle rule: when the shard is idle — nothing queued
+// ahead and the lock free — it runs decide right here, on the caller's
+// goroutine, with one clock read and one rent accrual (what a one-message
+// mailbox drain takes), and reports true. It tries and never waits: a busy
+// shard (or a DecideDelay hook, which forces the mailbox so tests can
+// reorder completions) sends the caller to the queue instead. decide runs
+// under the lock and answers through answerLocked, so a disowned shard
+// turns its queries away without touching state, exactly as the loop
+// would.
+func (s *shard) tryInline(decide func(now time.Duration)) bool {
+	if s.srv.cfg.DecideDelay != nil || s.queued.Load() != 0 || !s.mu.TryLock() {
+		return false
+	}
+	decided := s.books.Queries
+	decide(s.stampLocked())
+	s.inline += s.books.Queries - decided
+	s.oldestWait.Store(0)
+	s.mu.Unlock()
+	return true
 }
 
-// tryDecide is the fast half of the singleton path: when the shard is
-// idle — nothing queued ahead and the lock free — it decides req right
-// here, on the caller's goroutine, and reports true. It tries and never
-// waits: a busy shard (or a DecideDelay hook, which forces the mailbox
-// so tests can reorder completions) sends the caller to the queue
-// instead. A disowned shard answers ErrShardNotOwned without touching
-// state, exactly as the loop would.
-func (s *shard) tryDecide(req Request) (BatchItem, bool) {
-	if s.srv.cfg.DecideDelay != nil || s.queued.Load() != 0 || !s.mu.TryLock() {
-		return BatchItem{}, false
-	}
-	defer s.mu.Unlock()
-	if !s.owned {
-		return BatchItem{Err: s.notOwnedErr()}, true
-	}
-	now := s.nowLocked()
-	s.books.Accrue(now, s.sch.Cache())
-	reply := s.handleLocked(req, now, 0)
-	if reply.Err == nil {
-		s.inline++
-	}
-	s.oldestWait.Store(0)
-	return reply, true
+// tryDecide is Submit's fast half: req decided inline on an idle shard.
+func (s *shard) tryDecide(req Request) (reply BatchItem, ok bool) {
+	ok = s.tryInline(func(now time.Duration) { reply = s.answerLocked(req, now, 0) })
+	return reply, ok
+}
+
+// tryDecideGroup is SubmitBatchAsync's fast half: this shard's group of c
+// decided inline on an idle shard. An inline group takes no count of the
+// call's pending: it is done before the placing loop moves on.
+func (s *shard) tryDecideGroup(c *batchCall) bool {
+	return s.tryInline(func(now time.Duration) { s.decideGroupLocked(c, now, 0) })
 }
 
 // enqueue is the slow half: one by-value mailbox message, counted in
@@ -267,8 +264,8 @@ func (s *shard) enqueue(ctx context.Context, m shardMsg) error {
 // one clock read: every message in the group shares the arrival stamp, as
 // if its queries had been submitted back-to-back at the same instant.
 // Submit's replies go out per message in order; the channels are
-// buffered, so a caller that gave up blocks nothing. Completions are
-// invoked after the lock is dropped, still on this goroutine and still in
+// buffered, so a caller that gave up blocks nothing. Batch calls are
+// released after the lock is dropped, still on this goroutine and still in
 // dequeue order.
 func (s *shard) handleMsgs(msgs []shardMsg) {
 	if delay := s.srv.cfg.DecideDelay; delay != nil {
@@ -280,39 +277,46 @@ func (s *shard) handleMsgs(msgs []shardMsg) {
 	drainNanos := s.srv.nanos()
 	s.oldestWait.Store(drainNanos - msgs[0].enq)
 	s.mu.Lock()
-	var now time.Duration
-	if s.owned {
-		now = s.nowLocked()
-		s.books.Accrue(now, s.sch.Cache())
-	}
+	now := s.stampLocked()
 	s.deferred = s.deferred[:0]
 	for _, m := range msgs {
 		wait := drainNanos - m.enq
-		switch {
-		case m.call != nil:
-			c := m.call
-			off := c.offs[s.id]
-			for j := off; j < off+c.counts[s.id]; j++ {
-				c.items[c.pos[j]] = s.answerLocked(c.reqs[j], now, wait)
-			}
-			s.deferred = append(s.deferred, deferredDone{call: c})
-		case m.reply != nil:
+		if m.call != nil {
+			s.decideGroupLocked(m.call, now, wait)
+			s.deferred = append(s.deferred, m.call)
+		} else {
 			m.reply <- s.answerLocked(m.req, now, wait)
-		default:
-			s.deferred = append(s.deferred, deferredDone{one: m.done, reply: s.answerLocked(m.req, now, wait)})
 		}
 	}
 	// Decided: inline callers may have the shard again.
 	s.queued.Add(-int64(len(msgs)))
 	s.mu.Unlock()
-	for i := range s.deferred {
-		d := &s.deferred[i]
-		if d.one != nil {
-			d.one([]BatchItem{d.reply})
-		} else {
-			d.call.release()
-		}
-		*d = deferredDone{}
+	for i, c := range s.deferred {
+		c.release()
+		s.deferred[i] = nil
+	}
+}
+
+// stampLocked reads the clock and accrues rent through it: the one clock
+// read and rent accrual that a mailbox drain or an inline decision takes.
+// A disowned shard reads and accrues nothing; answerLocked turns its
+// queries away. Callers hold s.mu.
+func (s *shard) stampLocked() (now time.Duration) {
+	if s.owned {
+		now = s.nowLocked()
+		s.books.Accrue(now, s.sch.Cache())
+	}
+	return now
+}
+
+// decideGroupLocked decides this shard's group of call c in submission
+// order at the one arrival stamp now, into the call's positional items.
+// waitNanos is the group's real-time mailbox wait (0 inline). Callers
+// hold s.mu.
+func (s *shard) decideGroupLocked(c *batchCall, now time.Duration, waitNanos int64) {
+	off := c.offs[s.id]
+	for j := off; j < off+c.counts[s.id]; j++ {
+		c.items[c.pos[j]] = s.answerLocked(c.reqs[j], now, waitNanos)
 	}
 }
 

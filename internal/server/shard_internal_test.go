@@ -142,6 +142,10 @@ func warmServer(tb testing.TB, shards int, adjust func(*Config)) (srv *Server, n
 // records every query into its ring.
 func traceAll(cfg *Config) { cfg.TraceSampleEvery = 1 }
 
+// forceMailbox is a no-op DecideDelay hook: its presence alone sends
+// every submission through the mailbox.
+func forceMailbox(cfg *Config) { cfg.DecideDelay = func(int) {} }
+
 // TestSubmitAllocs pins Submit at zero allocations per query on a warmed
 // one-shard server, on three arms: decided inline on the caller's
 // goroutine with an idle tracer; with a no-op DecideDelay, through the
@@ -153,7 +157,7 @@ func TestSubmitAllocs(t *testing.T) {
 	}
 	for arm, adjust := range map[string]func(*Config){
 		"inline":  nil,
-		"mailbox": func(cfg *Config) { cfg.DecideDelay = func(int) {} },
+		"mailbox": forceMailbox,
 		"traced":  traceAll,
 	} {
 		t.Run(arm, func(t *testing.T) {
@@ -196,7 +200,8 @@ func bytesPerRun(runs int, f func()) uint64 {
 // TestSubmitBatchAllocs pins SubmitBatch on a warmed 4-shard server at 4
 // allocations per batch of 16 or 64 queries spread over every shard — the
 // caller's wait and its copy of the lent items; the carve's buffers are
-// pooled — with the tracer idle and sampling every query alike. The count
+// pooled — with every group decided inline (tracer idle or sampling every
+// query) and with every group sent through the mailbox alike. The count
 // does not grow with the batch: a per-query allocation shows as a jump of
 // 16 or 64. The bytes grow only by the copy: one BatchItem per query, plus
 // 1 KiB for the wait and the allocator's size classes.
@@ -205,7 +210,7 @@ func TestSubmitBatchAllocs(t *testing.T) {
 		t.Skip("allocation counts under -race are the detector's")
 	}
 	const maxAllocs = 4
-	for arm, adjust := range map[string]func(*Config){"idle": nil, "traced": traceAll} {
+	for arm, adjust := range map[string]func(*Config){"idle": nil, "traced": traceAll, "mailbox": forceMailbox} {
 		for _, size := range []int{16, 64} {
 			t.Run(fmt.Sprintf("%s/batch=%d", arm, size), func(t *testing.T) {
 				srv, next := warmServer(t, 4, adjust)
@@ -250,20 +255,29 @@ func BenchmarkSubmit(b *testing.B) {
 }
 
 // BenchmarkSubmitBatch times a 64-query SubmitBatch spread over every
-// shard of TestSubmitBatchAllocs' warmed 4-shard server: the batch path's
-// half of `make profile`.
+// shard of TestSubmitBatchAllocs' warmed 4-shard server, the batch path's
+// half of `make profile`, in two arms: idle, where every group is decided
+// on the caller's goroutine, and mailbox, where a no-op DecideDelay sends
+// every group through its shard's mailbox and loop.
 func BenchmarkSubmitBatch(b *testing.B) {
-	srv, next := warmServer(b, 4, nil)
-	reqs := make([]Request, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range reqs {
-			reqs[j] = next()
-		}
-		if _, err := srv.SubmitBatch(context.Background(), reqs); err != nil {
-			b.Fatal(err)
-		}
+	for _, arm := range []struct {
+		name   string
+		adjust func(*Config)
+	}{{"idle", nil}, {"mailbox", forceMailbox}} {
+		b.Run(arm.name, func(b *testing.B) {
+			srv, next := warmServer(b, 4, arm.adjust)
+			reqs := make([]Request, 64)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range reqs {
+					reqs[j] = next()
+				}
+				if _, err := srv.SubmitBatch(context.Background(), reqs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

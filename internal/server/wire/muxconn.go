@@ -28,10 +28,10 @@ const minSubInterval = time.Millisecond
 // completions arrive on shard goroutines, stats pushes on subscription
 // goroutines), and the bookkeeping tying them together. The reader is its
 // own writer of first resort: a reply completed while the reader is still
-// inside the submit call that produced it — an idle shard decided the
-// query on the reader's goroutine — is written by the reader and flushed
-// when it has nothing further to read, so a lone query is read, decided
-// and answered without waking anyone.
+// inside the submit call that produced it — idle shards decided the
+// batch on the reader's goroutine — is written by the reader and flushed
+// when it has nothing further to read, so a batch on idle shards is read,
+// decided and answered without waking anyone.
 type muxConn struct {
 	eng  Engine
 	conn net.Conn
