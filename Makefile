@@ -45,7 +45,16 @@ race:
 # listings are the first place to look when an allocation gate trips:
 # TestDecideAllocs, sim's TestRunAllocsPerQuery, internal/server's
 # TestSubmitAllocs and TestSubmitBatchAllocs, wire's TestMuxRoundTripAllocs
-# or router's TestRouterHopCounts.
+# or router's TestRouterHopCounts. Last, the routed path over loopback
+# sockets (BenchmarkRoutedRoundTrip in internal/router: a MuxClient, a
+# router, two 4-shard backends) prints queries/s in three
+# sub-benchmarks: closed-64, one caller waiting on each 64-query frame —
+# the routed-batch workload's shape, where every reply is alone on its
+# connection and goes straight to the socket; and pipelined-1 and
+# pipelined-8, 32 goroutines on one MuxClient with 1- and 8-query
+# frames, where the writer goroutines' coalescing carries the load. A
+# change to when a frame skips the writer goroutine must leave the
+# pipelined pair where it was.
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkSubmit$$' -benchtime 20000x \
 		-cpuprofile cpu.prof -memprofile mem.prof ./internal/server
@@ -62,6 +71,7 @@ profile:
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_objects mem_grid.prof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space mem_grid.prof
 	$(GO) tool pprof -top -nodecount=10 cpu_grid.prof
+	$(GO) test -run '^$$' -bench '^BenchmarkRoutedRoundTrip$$' -benchtime 2s ./internal/router
 
 # Short fuzz of the hostile-input decoders — wire frames and state
 # snapshots must never panic or load partial state, and the HTTP front's

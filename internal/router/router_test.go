@@ -59,13 +59,13 @@ func (l *killableListener) kill() {
 // newBackend boots one cloudcached-equivalent: an engine plus a wire
 // listener. delays, when non-nil, gives each shard a decision-delay
 // knob so concurrency tests get genuinely scrambled completion order.
-func newBackend(t *testing.T, shards int, delays []atomic.Int64) (*server.Server, string, *killableListener) {
+func newBackend(t testing.TB, shards int, delays []atomic.Int64) (*server.Server, string, *killableListener) {
 	return newBackendCfg(t, shards, delays, nil)
 }
 
 // newBackendCfg is newBackend with a params hook, for tests that need a
 // backend whose configuration fingerprint differs from its peers'.
-func newBackendCfg(t *testing.T, shards int, delays []atomic.Int64, mutate func(*scheme.Params)) (*server.Server, string, *killableListener) {
+func newBackendCfg(t testing.TB, shards int, delays []atomic.Int64, mutate func(*scheme.Params)) (*server.Server, string, *killableListener) {
 	t.Helper()
 	srv := newEngine(t, shards, delays, mutate)
 	addr, ln := serveBackend(t, wire.ServerEngine(srv))
@@ -73,7 +73,7 @@ func newBackendCfg(t *testing.T, shards int, delays []atomic.Int64, mutate func(
 }
 
 // newEngine builds a backend's engine, shut down when the test ends.
-func newEngine(t *testing.T, shards int, delays []atomic.Int64, mutate func(*scheme.Params)) *server.Server {
+func newEngine(t testing.TB, shards int, delays []atomic.Int64, mutate func(*scheme.Params)) *server.Server {
 	t.Helper()
 	cat := catalog.TPCH(20)
 	params := scheme.DefaultParams(cat)
@@ -106,7 +106,7 @@ func newEngine(t *testing.T, shards int, delays []atomic.Int64, mutate func(*sch
 
 // serveBackend serves eng — a backend engine, or a decorator over one — on
 // a loopback wire listener until the test ends.
-func serveBackend(t *testing.T, eng wire.Engine) (string, *killableListener) {
+func serveBackend(t testing.TB, eng wire.Engine) (string, *killableListener) {
 	t.Helper()
 	raw, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -121,7 +121,7 @@ func serveBackend(t *testing.T, eng wire.Engine) (string, *killableListener) {
 // newRouterFront builds a router over the addrs and serves it on its
 // own wire listener, so tests drive the whole path a client sees:
 // TCP -> router protocol loop -> router fan-out -> TCP -> backend.
-func newRouterFront(t *testing.T, addrs []string, health time.Duration) (*router.Router, string) {
+func newRouterFront(t testing.TB, addrs []string, health time.Duration) (*router.Router, string) {
 	t.Helper()
 	cfgs := make([]router.BackendConfig, len(addrs))
 	for i, a := range addrs {
@@ -711,6 +711,101 @@ func TestRouterHungDialStallsNoOtherBackend(t *testing.T) {
 	for msg := range hungErrs {
 		t.Fatal(msg)
 	}
+}
+
+// TestRouterStalledClientSparesOthers: a client of the router that sends
+// frames and never reads the replies stalls nobody else. Its frames
+// complete on the backend connections' reader goroutines, which write
+// each reply straight to its socket while it is alone there and leave
+// what the kernel refuses to that connection's writer goroutine; were a
+// reader to block on the stalled socket instead, another client's
+// replies from the same backend would wait behind it. The router's
+// socket to the stalled client has a send buffer at the kernel's floor
+// and the client a 4 KiB receive buffer; 200 replies of 64 items
+// outgrow both many times over.
+func TestRouterStalledClientSparesOthers(t *testing.T) {
+	const shards = 4
+	_, addrA, _ := newBackend(t, shards, nil)
+	_, addrB, _ := newBackend(t, shards, nil)
+	r, err := router.New(router.Config{Backends: []router.BackendConfig{{Addr: addrA}, {Addr: addrB}}, HealthInterval: -1, Log: quietLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go wire.ServeEngine(tinyBufListener{ln}, r)
+	t.Cleanup(func() {
+		ln.Close()
+		r.Close()
+	})
+	tenants := shardTenants(shards)
+	qs := make([]wire.Query, 64)
+	for i := range qs {
+		qs[i] = wire.Query{Tenant: tenants[i%shards], Template: "Q6"}
+	}
+
+	stalled, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stalled.Close()
+	if err := stalled.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(stalled, wire.AppendHello(nil, wire.ProtocolV2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadFrame(stalled, nil); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendTaggedQueryBatch(nil, 1, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One frame a millisecond, so each is answered alone; sending stops
+	// early if the router stops reading (its reader parked on its own
+	// flush).
+	for range 200 {
+		stalled.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+		if wire.WriteFrame(stalled, frame) != nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	cl, err := wire.DialMux(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := range 50 {
+		rs, err := cl.Submit(ctx, qs[:2*shards])
+		if err != nil {
+			t.Fatalf("frame %d behind a stalled client: %v", i, err)
+		}
+		for _, rep := range rs {
+			if rep.Err != "" {
+				t.Fatalf("frame %d behind a stalled client: %s", i, rep.Err)
+			}
+		}
+	}
+}
+
+// tinyBufListener shrinks each accepted connection's send buffer to the
+// kernel's floor and hands the connection on unwrapped, raw socket and
+// all.
+type tinyBufListener struct{ net.Listener }
+
+func (l tinyBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		err = c.(*net.TCPConn).SetWriteBuffer(4096)
+	}
+	return c, err
 }
 
 // TestRouterHTTP drives the admin surface end to end: migrate a shard

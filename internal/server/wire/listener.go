@@ -113,9 +113,6 @@ func serveConn(conn net.Conn, eng Engine) {
 // refuse ends a connection that never became a session: one msgError
 // frame saying why, then close.
 func refuse(conn net.Conn, err error) {
-	bw := bufio.NewWriter(conn)
-	if werr := WriteFrame(bw, appendErrorPayload(nil, err.Error())); werr == nil {
-		_ = bw.Flush()
-	}
+	_ = WriteFrame(conn, appendErrorPayload(nil, err.Error())) // closed either way
 	conn.Close()
 }

@@ -181,20 +181,17 @@ func (s *Sub[T]) deliver(payload []byte) error {
 // any number of goroutines, any number of outstanding batches. Each
 // Submit rides a tagged frame; a reader goroutine demultiplexes replies
 // back to their callers as the server completes them — out of order
-// when the server's shard groups finish out of order — and a writer
-// goroutine coalesces concurrent submitters' frames into shared
-// flushes. The zero value is not usable; DialMux or NewMuxClient.
+// when the server's shard groups finish out of order. Every frame queues
+// for the connection's writer goroutine (writer.go), which coalesces
+// concurrent submitters' frames into shared flushes: writing a lone
+// call's frame on its caller instead gained the routed path nothing and
+// cost a pipelining router's backend hop 4 % (EXPERIMENTS.md). Callbacks
+// run on the reader goroutine; a router's writes its client's reply,
+// which may touch that client's socket but never blocks on it. The zero
+// value is not usable; DialMux or NewMuxClient.
 type MuxClient struct {
 	conn net.Conn
-	bw   *bufio.Writer
-
-	// Writer queue, same shape as the server side: senders never block,
-	// the writer drains whole bursts into one flush.
-	qmu      sync.Mutex
-	cond     *sync.Cond
-	queue    [][]byte
-	stopping bool
-	free     payloads
+	w    writer
 
 	mu      sync.Mutex // guards the open tags and their waiters
 	tags    map[uint64]waiter
@@ -233,19 +230,15 @@ func DialMux(addr string) (*MuxClient, error) {
 func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 	c := &MuxClient{
 		conn: conn,
-		bw:   bufio.NewWriterSize(conn, 64<<10),
 		tags: make(map[uint64]waiter),
 		done: make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.qmu)
+	c.w.init(conn)
 
 	// The hello exchange is the one lockstep moment: write ours, read
 	// theirs, before any concurrency exists.
 	conn.SetDeadline(time.Now().Add(helloTimeout))
-	if err := WriteFrame(c.bw, AppendHello(nil, ProtocolV2)); err != nil {
-		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
+	if err := c.w.writeLocked(true, AppendHello(nil, ProtocolV2)); err != nil {
 		return nil, err
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -269,7 +262,7 @@ func NewMuxClient(conn net.Conn) (*MuxClient, error) {
 	}
 	conn.SetDeadline(time.Time{})
 
-	go c.writeLoop()
+	go c.w.loop()
 	go c.readLoop(br)
 	return c, nil
 }
@@ -280,55 +273,6 @@ func (c *MuxClient) Close() error {
 	err := c.conn.Close()
 	<-c.done // reader observed the close and failed everything in flight
 	return err
-}
-
-// send enqueues one encoded payload for the writer goroutine.
-func (c *MuxClient) send(payload []byte) {
-	c.qmu.Lock()
-	c.queue = append(c.queue, payload)
-	c.qmu.Unlock()
-	c.cond.Signal()
-}
-
-// writeLoop mirrors the server's: drain bursts, one flush per burst, go
-// quiet (but keep consuming) once the connection dies. A write error
-// also closes the conn so the read loop fails every in-flight call —
-// a silently dropped frame would leave its caller waiting forever.
-func (c *MuxClient) writeLoop() {
-	var dead bool
-	var batch [][]byte
-	for {
-		c.qmu.Lock()
-		// The burst just written: its payloads feed start's encodes and
-		// its backing array becomes the next queue (double-buffered).
-		c.free.put(batch...)
-		clear(batch)
-		for len(c.queue) == 0 && !c.stopping {
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 && c.stopping {
-			c.qmu.Unlock()
-			return
-		}
-		batch, c.queue = c.queue, batch[:0]
-		c.qmu.Unlock()
-
-		if dead {
-			continue
-		}
-		for _, p := range batch {
-			if err := WriteFrame(c.bw, p); err != nil {
-				dead = true
-				break
-			}
-		}
-		if !dead && c.bw.Flush() != nil {
-			dead = true
-		}
-		if dead {
-			c.conn.Close()
-		}
-	}
 }
 
 // readLoop demultiplexes inbound frames to their tags until the
@@ -358,10 +302,7 @@ func (c *MuxClient) readLoop(br *bufio.Reader) {
 	for _, w := range tags {
 		w.fail(closed)
 	}
-	c.qmu.Lock()
-	c.stopping = true
-	c.qmu.Unlock()
-	c.cond.Signal()
+	c.w.stop()
 	close(c.done)
 }
 
@@ -538,14 +479,14 @@ func (c *MuxClient) start(call *muxCall, qs []Query) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	payload, err := AppendTaggedQueryBatch(slices.Grow(c.free.get(), sizeTaggedQueryBatch(qs)), tag, qs)
+	payload, err := AppendTaggedQueryBatch(slices.Grow(c.w.free.get(), sizeTaggedQueryBatch(qs)), tag, qs)
 	if err != nil {
 		if _, ok := take[*muxCall](c, tag); ok {
 			return 0, err
 		}
 		return tag, nil
 	}
-	c.send(payload)
+	c.w.send(payload, false)
 	return tag, nil
 }
 
@@ -560,7 +501,7 @@ func subscribe[T any](c *MuxClient, buf int, push, unsub byte, build func(tag ui
 		return nil, err
 	}
 	sub.tag = tag // the reader never reads it; Close and fetch do
-	c.send(build(tag))
+	c.w.send(build(tag), false)
 	return sub, nil
 }
 
@@ -599,7 +540,7 @@ func (c *MuxClient) dropSub(tag uint64) bool {
 // connection is already dead and there is no one to tell.
 func (c *MuxClient) unsubscribe(tag uint64, typ byte) {
 	if c.dropSub(tag) {
-		c.send(appendTag(nil, typ, tag))
+		c.w.send(appendTag(nil, typ, tag), false)
 	}
 }
 
@@ -666,7 +607,7 @@ func (c *MuxClient) adminCall(ctx context.Context, build func(tag uint64) []byte
 	if err != nil {
 		return adminResult{}, err
 	}
-	c.send(build(tag))
+	c.w.send(build(tag), false)
 	select {
 	case res := <-ch:
 		return res, res.err

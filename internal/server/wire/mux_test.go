@@ -732,52 +732,132 @@ func (l *pipeListener) Accept() (net.Conn, error) {
 func (l *pipeListener) Close() error   { close(l.closed); return nil }
 func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
 
-// TestMuxStalledClientSparesOthers: a client that sends a query and never
-// reads the reply stalls whoever writes to it — its own connection's
-// reader or writer — and nobody else. No shard goroutine and no shard
-// lock is ever held across a socket write, so another connection's
-// queries to the SAME shard keep being answered, whether the stalled
-// query was decided inline (on the reader) or through the mailbox.
+// tinyBufListener shrinks each accepted connection's send buffer to the
+// kernel's floor and hands the connection on unwrapped, raw socket and
+// all.
+type tinyBufListener struct{ net.Listener }
+
+func (l tinyBufListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		err = c.(*net.TCPConn).SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// stallTCP dials addr with a 4 KiB receive buffer, says hello and sends
+// n frames, one a millisecond so each is its connection's only batch in
+// flight when it is answered, and never reads a reply. Their replies far
+// outgrow both socket buffers, so the server's direct writes to it are
+// refused and the rest parks with its writer goroutine. Sending stops
+// early once the server stops reading (its reader parked on its own
+// flush). The caller closes the connection.
+func stallTCP(t *testing.T, addr string, n int, frame []byte) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Fatal(err)
+	}
+	rawHello(t, conn)
+	for range n {
+		conn.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+		if wire.WriteFrame(conn, frame) != nil {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return conn
+}
+
+// TestMuxStalledClientSparesOthers: a client that sends queries and never
+// reads the replies stalls whoever writes to it — its own connection's
+// reader or writer goroutine — and nobody else. No shard goroutine and
+// no shard lock is ever held across a blocking socket write, so another
+// connection's queries to the SAME shard keep being answered, whether
+// the stalled queries were decided inline (on the reader) or through the
+// mailbox. Over net.Pipe, which has no buffer at all, every reply queues
+// for the writer goroutine; over TCP, replies answered alone go straight
+// to the socket from the goroutine that completes them until the kernel
+// refuses one.
 func TestMuxStalledClientSparesOthers(t *testing.T) {
-	for name, adjust := range map[string]func(*server.Config){
-		"inline":  nil,
-		"mailbox": func(cfg *server.Config) { cfg.DecideDelay = func(int) {} },
-	} {
+	frame, err := wire.AppendTaggedQueryBatch(nil, 1, []wire.Query{{Tenant: "shared", Template: "Q6"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]wire.Query, 64)
+	for i := range qs {
+		qs[i] = wire.Query{Tenant: "shared", Template: "Q6"}
+	}
+	fat, err := wire.AppendTaggedQueryBatch(nil, 1, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"inline", "mailbox"} {
+		var adjust func(*server.Config)
+		if name == "mailbox" {
+			adjust = func(cfg *server.Config) { cfg.DecideDelay = func(int) {} }
+		}
 		t.Run(name, func(t *testing.T) {
-			srv, addr := newTestServer(t, 4, adjust)
-			pl := &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
-			served := make(chan error, 1)
-			go func() { served <- wire.Serve(pl, srv) }()
-			defer func() {
-				pl.Close()
-				if err := <-served; err != nil {
-					t.Errorf("wire.Serve: %v", err)
-				}
-			}()
+			t.Run("pipe", func(t *testing.T) {
+				srv, addr := newTestServer(t, 4, adjust)
+				pl := &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
+				served := make(chan error, 1)
+				go func() { served <- wire.Serve(pl, srv) }()
+				defer func() {
+					pl.Close()
+					if err := <-served; err != nil {
+						t.Errorf("wire.Serve: %v", err)
+					}
+				}()
 
-			stalled, serverEnd := net.Pipe()
-			defer stalled.Close() // fails the server's blocked write, freeing the connection
-			pl.conns <- serverEnd
-			rawHello(t, stalled)
-			frame, err := wire.AppendTaggedQueryBatch(nil, 1, []wire.Query{{Tenant: "shared", Template: "Q6"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Returns once the server has read the frame; its reply then
-			// blocks on the pipe for as long as this test does not read it.
-			if err := wire.WriteFrame(stalled, frame); err != nil {
-				t.Fatal(err)
-			}
-
-			cl := dialMux(t, addr)
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			for i := 0; i < 50; i++ {
-				replies, err := cl.Submit(ctx, []wire.Query{{Tenant: "shared", Template: "Q6"}})
-				if err != nil || len(replies) != 1 || replies[0].Err != "" {
-					t.Fatalf("query %d behind a stalled client: replies %+v, err %v", i, replies, err)
+				stalled, serverEnd := net.Pipe()
+				defer stalled.Close() // fails the server's blocked write, freeing the connection
+				pl.conns <- serverEnd
+				rawHello(t, stalled)
+				// Returns once the server has read the frame; its reply then
+				// blocks on the pipe for as long as this test does not read it.
+				if err := wire.WriteFrame(stalled, frame); err != nil {
+					t.Fatal(err)
 				}
-			}
+				answeredBehind(t, addr)
+			})
+			t.Run("tcp", func(t *testing.T) {
+				srv, addr := newTestServer(t, 4, adjust)
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				served := make(chan error, 1)
+				go func() { served <- wire.Serve(tinyBufListener{ln}, srv) }()
+				defer func() {
+					ln.Close()
+					if err := <-served; err != nil {
+						t.Errorf("wire.Serve: %v", err)
+					}
+				}()
+				// 200 replies of 64 items: well over half a megabyte.
+				stalled := stallTCP(t, ln.Addr().String(), 200, fat)
+				defer stalled.Close()
+				answeredBehind(t, addr)
+			})
 		})
+	}
+}
+
+// answeredBehind sends 50 one-query batches to the stalled client's shard
+// from a connection of its own; each must be answered.
+func answeredBehind(t *testing.T, addr string) {
+	t.Helper()
+	cl := dialMux(t, addr)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i := 0; i < 50; i++ {
+		replies, err := cl.Submit(ctx, []wire.Query{{Tenant: "shared", Template: "Q6"}})
+		if err != nil || len(replies) != 1 || replies[0].Err != "" {
+			t.Fatalf("query %d behind a stalled client: replies %+v, err %v", i, replies, err)
+		}
 	}
 }

@@ -23,54 +23,40 @@ const maxSubs = 16
 const minSubInterval = time.Millisecond
 
 // muxConn is one server connection: a read loop that dispatches tagged
-// frames without waiting for prior batches, a single writer goroutine
-// that serializes the outbound frames other goroutines complete (batch
+// frames without waiting for prior batches, the connection's writer
+// (writer.go), which other goroutines complete frames into (batch
 // completions arrive on shard goroutines, stats pushes on subscription
 // goroutines), and the bookkeeping tying them together. The reader is its
 // own writer of first resort: a reply completed while the reader is still
 // inside the submit call that produced it — idle shards decided the
 // batch on the reader's goroutine — is written by the reader and flushed
 // when it has nothing further to read, so a batch on idle shards is read,
-// decided and answered without waking anyone.
+// decided and answered without waking anyone. A reply completed later
+// (on a shard loop, a router's backend reader) and alone in flight goes
+// to the socket from there, never blocking: a stalled client stalls no
+// economy.
 type muxConn struct {
-	eng  Engine
-	conn net.Conn
-	br   *bufio.Reader
+	eng Engine
+	br  *bufio.Reader
+	w   writer
 
-	// wmu guards the write side: bw, and dead, which is set once a write
-	// failed and the connection was closed. The writer goroutine holds it
-	// per drained burst, the reader per reply it writes itself.
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	dead bool
-
-	// qmu guards the outbound frame queue; cond wakes the writer. send
-	// never blocks, so shard-loop completion callbacks never stall on a
-	// slow client — the queue is bounded in practice by the client's own
-	// in-flight window.
-	qmu      sync.Mutex
-	cond     *sync.Cond
-	queue    [][]byte
-	stopping bool
-
+	// mu guards submitting, parked, active and subs.
+	mu sync.Mutex
 	// submitting is the sequence number of the SubmitBatchAsync call the
 	// reader is inside (0 outside one); a completion that finds its own
 	// number there leaves its reply frame in parked for the reader
-	// instead of queueing it. seq, the reader's own, numbers the calls.
-	// submitting and parked are guarded by qmu.
+	// instead of sending it. seq, the reader's own, numbers the calls.
 	submitting uint64
 	parked     []byte
 	seq        uint64
+	active     int // batches in flight: is a completion's frame alone?
 	// unflushed, also the reader's own, counts the reply bytes the reader
-	// wrote into bw that still wait for its flush.
+	// wrote into the writer's buffer that still wait for its flush.
 	unflushed int
-
-	// free recycles spent payload buffers back to reply encoders.
-	free payloads
 
 	// inflight counts batches handed to SubmitBatchAsync whose
 	// completions have not yet handed over their reply frame; connection
-	// teardown waits for it so no completion touches a freed writer.
+	// teardown waits for it so no completion touches a stopped writer.
 	inflight sync.WaitGroup
 
 	// subs maps subscription tags to their stop channels.
@@ -99,20 +85,18 @@ func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 
 	c := &muxConn{
 		eng:  eng,
-		conn: conn,
 		br:   br,
-		bw:   bufio.NewWriterSize(conn, 64<<10),
 		subs: make(map[uint64]chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.qmu)
-	if c.writeLocked(true, AppendHello(nil, ProtocolV2)); c.dead {
+	c.w.init(conn)
+	if c.w.writeLocked(true, AppendHello(nil, ProtocolV2)) != nil {
 		return
 	}
 
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		c.writeLoop()
+		c.w.loop()
 	}()
 
 	c.readLoop()
@@ -125,140 +109,33 @@ func serveMux(conn net.Conn, br *bufio.Reader, hello []byte, eng Engine) {
 	c.stopAllSubs()
 	c.subsWG.Wait()
 	c.inflight.Wait()
-	c.qmu.Lock()
-	c.stopping = true
-	c.qmu.Unlock()
-	c.cond.Signal()
+	c.w.stop()
 	<-writerDone
 	conn.Close()
 }
 
-// send enqueues one encoded payload for the writer goroutine. Never
-// blocks; safe from any goroutine.
-func (c *muxConn) send(payload []byte) {
-	c.qmu.Lock()
-	c.queue = append(c.queue, payload)
-	c.qmu.Unlock()
-	c.cond.Signal()
-}
+// send queues a frame that is not a batch reply; never blocks.
+func (c *muxConn) send(payload []byte) { c.w.send(payload, false) }
 
 // complete hands over one batch's reply frame: to the reader, when the
 // reader is still inside the submit call numbered seq that produced it,
-// else to the writer's queue. The goroutine completing a batch — a shard
-// loop, usually — therefore never touches the socket: a client that
-// stops reading must not stall an economy.
+// else to the writer — straight to the socket when no other batch is in
+// flight on the connection.
 func (c *muxConn) complete(seq uint64, frame []byte) {
-	c.qmu.Lock()
+	c.mu.Lock()
+	c.active--
 	if c.submitting == seq {
 		c.parked = frame
-		c.qmu.Unlock()
+		c.mu.Unlock()
 		return
 	}
-	c.queue = append(c.queue, frame)
-	c.qmu.Unlock()
-	c.cond.Signal()
+	alone := c.active == 0
+	c.mu.Unlock()
+	c.w.send(frame, alone)
 }
 
 // flushBytes is one Ethernet TCP segment's payload.
 const flushBytes = 1460
-
-// maxFreeBufs bounds a recycled-payload free list; maxFreeBufCap keeps
-// one oversized frame (a fat stats push, a shard-state packet) from
-// pinning megabytes in it.
-const (
-	maxFreeBufs   = 64
-	maxFreeBufCap = 1 << 20
-)
-
-// payloads is a free list of written payload buffers for encoders to
-// append into, so a steady load encodes frames without allocating. Both
-// ends of a connection keep one, which their writers refill after each
-// flush.
-type payloads struct {
-	mu   sync.Mutex
-	bufs [][]byte
-}
-
-// get returns a recycled buffer (length 0), or nil when the list is
-// empty — append grows nil fine.
-func (l *payloads) get() []byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.bufs)
-	if n == 0 {
-		return nil
-	}
-	b := l.bufs[n-1][:0]
-	l.bufs[n-1] = nil
-	l.bufs = l.bufs[:n-1]
-	return b
-}
-
-// put returns written payload buffers to the list.
-func (l *payloads) put(frames ...[]byte) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, p := range frames {
-		if len(l.bufs) < maxFreeBufs && cap(p) <= maxFreeBufCap {
-			l.bufs = append(l.bufs, p[:0])
-		}
-	}
-}
-
-// writeLocked writes frames into bw and, when asked, flushes it. A write
-// error marks the connection dead AND closes it: a dropped frame poisons
-// the multiplexed stream (its tag would wait forever on the client), so
-// the read loop must observe the close and tear the connection down
-// rather than leave the peer hanging. Callers hold wmu (or are alone with
-// the connection).
-func (c *muxConn) writeLocked(flush bool, frames ...[]byte) {
-	if c.dead {
-		return
-	}
-	var err error
-	for _, p := range frames {
-		if err = WriteFrame(c.bw, p); err != nil {
-			break
-		}
-	}
-	if err == nil && flush {
-		err = c.bw.Flush()
-	}
-	if err != nil {
-		c.dead = true
-		c.conn.Close()
-	}
-}
-
-// writeLoop serializes the queued outbound frames. Each wakeup drains
-// the whole queue into the buffered writer and flushes once — under
-// pipelining pressure many reply frames share one syscall. Once the
-// connection is dead it keeps draining (and discarding) so senders are
-// never stuck, and exits when the conn is torn down.
-func (c *muxConn) writeLoop() {
-	var batch [][]byte
-	for {
-		c.qmu.Lock()
-		// The burst just written: its payload buffers return to free, its
-		// backing array becomes the next queue (double-buffered), so a
-		// steady pipelined load enqueues frames without allocating.
-		c.free.put(batch...)
-		clear(batch)
-		for len(c.queue) == 0 && !c.stopping {
-			c.cond.Wait()
-		}
-		if len(c.queue) == 0 && c.stopping {
-			c.qmu.Unlock()
-			return
-		}
-		batch, c.queue = c.queue, batch[:0]
-		c.qmu.Unlock()
-
-		c.wmu.Lock()
-		c.writeLocked(true, batch...)
-		c.wmu.Unlock()
-	}
-}
 
 // frameBuffered reports whether the next inbound frame is already
 // complete in the read buffer, so reading it will not block. A buffered
@@ -277,28 +154,29 @@ func (c *muxConn) frameBuffered() bool {
 // waking the writer goroutine and without flushing — readLoop flushes
 // when its next read would block, so a pipelined burst of lone queries
 // shares one flush and a closed-loop client gets its reply in the same
-// breath as the decision. The reader may block here only on its own
-// client (the buffer spilling into a full socket), and yields the frame
-// to the writer when that is mid-burst.
+// breath as the decision. The frame goes to the writer goroutine instead
+// when someone else holds the write side.
 func (c *muxConn) reply(frame []byte) {
-	if !c.wmu.TryLock() {
+	if !c.w.wmu.TryLock() {
 		c.send(frame)
 		return
 	}
-	c.writeLocked(false, frame)
-	c.wmu.Unlock()
+	c.w.writeLocked(false, frame)
+	c.w.wmu.Unlock()
 	c.unflushed += 4 + len(frame)
-	c.free.put(frame)
+	c.w.free.put(frame)
 }
 
-// flush pushes the replies the reader buffered out to the client. When
-// the writer goroutine holds the write side it is about to flush the
-// whole buffer — the reader's bytes, written earlier, included.
+// flush pushes the replies the reader buffered out to the client; the
+// reader may block here, but only on its own client. When the writer
+// goroutine or a direct send holds the write side, it is about to write
+// the whole buffer — the reader's bytes, written earlier, included — or
+// to leave what the kernel refused to the writer goroutine.
 func (c *muxConn) flush() {
 	c.unflushed = 0
-	if c.wmu.TryLock() {
-		c.writeLocked(true)
-		c.wmu.Unlock()
+	if c.w.wmu.TryLock() {
+		c.w.writeLocked(true)
+		c.w.wmu.Unlock()
 	}
 }
 
@@ -313,6 +191,8 @@ func (c *muxConn) readLoop() {
 		// mid-burst, as soon as they would fill a packet: holding more
 		// saves nothing on the wire and only delays a pipelining client,
 		// which works on the first replies while the rest are decided.
+		// Flushing before every read gained a closed-loop caller nothing and
+		// cost pipelining ones up to a fifth of their queries/s (EXPERIMENTS.md).
 		if c.unflushed >= flushBytes || (c.unflushed > 0 && !c.frameBuffered()) {
 			c.flush()
 		}
@@ -470,9 +350,10 @@ func (c *muxConn) submitBatch(payload []byte) error {
 	}
 	c.seq++
 	seq := c.seq
-	c.qmu.Lock()
+	c.mu.Lock()
 	c.submitting = seq
-	c.qmu.Unlock()
+	c.active++
+	c.mu.Unlock()
 	c.inflight.Add(1)
 	// The engine borrows the decode scratch for the call only; the next
 	// frame reuses it.
@@ -482,7 +363,7 @@ func (c *muxConn) submitBatch(payload []byte) error {
 		if traceOn {
 			encStart = time.Now()
 		}
-		frame := AppendTaggedReplyBatch(c.free.get(), tag, replies)
+		frame := AppendTaggedReplyBatch(c.w.free.get(), tag, replies)
 		if traceOn {
 			// Back-fill the encode stage into the sampled records: the
 			// shard published them before the reply bytes existed.
@@ -490,11 +371,14 @@ func (c *muxConn) submitBatch(payload []byte) error {
 		}
 		c.complete(seq, frame)
 	})
-	c.qmu.Lock()
+	c.mu.Lock()
 	c.submitting = 0
 	frame := c.parked
 	c.parked = nil
-	c.qmu.Unlock()
+	if err != nil {
+		c.active--
+	}
+	c.mu.Unlock()
 	if err != nil {
 		// ErrServerClosed during drain — or a malformed budget in the
 		// batch body: this batch fails, the connection survives to serve
@@ -519,14 +403,14 @@ func (c *muxConn) startSub(tag uint64, intervalSec float64, push func()) {
 	if intervalSec > 0 { // NaN compares false: one-shot
 		interval = max(time.Duration(intervalSec*float64(time.Second)), minSubInterval)
 	}
-	c.qmu.Lock()
+	c.mu.Lock()
 	if _, dup := c.subs[tag]; dup {
-		c.qmu.Unlock()
+		c.mu.Unlock()
 		c.send(AppendTaggedError(nil, tag, "wire: subscription tag already active"))
 		return
 	}
 	if interval > 0 && len(c.subs) >= maxSubs {
-		c.qmu.Unlock()
+		c.mu.Unlock()
 		c.send(AppendTaggedError(nil, tag, fmt.Sprintf("wire: too many subscriptions (max %d)", maxSubs)))
 		return
 	}
@@ -535,7 +419,7 @@ func (c *muxConn) startSub(tag uint64, intervalSec float64, push func()) {
 		stop = make(chan struct{})
 		c.subs[tag] = stop
 	}
-	c.qmu.Unlock()
+	c.mu.Unlock()
 
 	push()
 	if interval == 0 {
@@ -560,12 +444,12 @@ func (c *muxConn) startSub(tag uint64, intervalSec float64, push func()) {
 // stopSub ends one subscription; unknown tags are a no-op (the stream
 // may have been one-shot, or already closed).
 func (c *muxConn) stopSub(tag uint64) {
-	c.qmu.Lock()
+	c.mu.Lock()
 	stop, ok := c.subs[tag]
 	if ok {
 		delete(c.subs, tag)
 	}
-	c.qmu.Unlock()
+	c.mu.Unlock()
 	if ok {
 		close(stop)
 	}
@@ -573,10 +457,10 @@ func (c *muxConn) stopSub(tag uint64) {
 
 // stopAllSubs ends every subscription at connection teardown.
 func (c *muxConn) stopAllSubs() {
-	c.qmu.Lock()
+	c.mu.Lock()
 	subs := c.subs
 	c.subs = make(map[uint64]chan struct{})
-	c.qmu.Unlock()
+	c.mu.Unlock()
 	for _, stop := range subs {
 		close(stop)
 	}

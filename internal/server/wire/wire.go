@@ -682,29 +682,27 @@ func DecodeEventsUnsubscribe(payload []byte) (uint64, error) {
 
 // --- framing --------------------------------------------------------------
 
-// WriteFrame writes one length-prefixed frame. The header travels
-// through a bufio.Writer's own buffer when w is one (every connection's
-// is): a stack array handed to an io.Writer escapes, which would cost an
-// allocation per frame.
+// WriteFrame writes one length-prefixed frame in one Write.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds %d", len(payload), MaxFrame)
+	frame, err := appendFrame(nil, payload)
+	if err == nil {
+		_, err = w.Write(frame)
 	}
-	var hdr []byte
-	if bw, ok := w.(*bufio.Writer); ok {
-		hdr = bw.AvailableBuffer()
-	}
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
 	return err
 }
 
+// appendFrame appends payload to dst behind its length prefix.
+func appendFrame(dst, payload []byte) ([]byte, error) {
+	if len(payload) > MaxFrame {
+		return dst, fmt.Errorf("wire: frame of %d bytes exceeds %d", len(payload), MaxFrame)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...), nil
+}
+
 // readHeader reads a frame's 4-byte length prefix — straight out of a
-// bufio.Reader's buffer when r is one, for the same reason WriteFrame
-// borrows the writer's.
+// bufio.Reader's buffer when r is one: a stack array handed to an
+// io.Reader escapes, which would cost an allocation per frame.
 func readHeader(r io.Reader) (uint32, error) {
 	if br, ok := r.(*bufio.Reader); ok {
 		hdr, err := br.Peek(4)
