@@ -34,10 +34,13 @@ race:
 # internal/server: the submit→decide→reply loop with no wire stack in the
 # way), and a 64-query SubmitBatch over a warmed 4-shard server
 # (BenchmarkSubmitBatch: the carve, the shard groups and the lent
-# completion) in two sub-benchmarks — idle, where every shard group is
-# decided on the caller's goroutine, and mailbox, where a no-op DecideDelay
-# sends every group through its shard's mailbox and loop — each under
-# -cpuprofile/-memprofile (the batch profile covers both arms). Offline:
+# completion) in three sub-benchmarks — idle, where every shard group is
+# decided on the caller's goroutine; mailbox, where a no-op DecideDelay
+# sends every group through its shard's mailbox and loop; and selfish, the
+# engine the routed-batch benchmark workload runs (per-tenant accounts, 64
+# tenants, the paper's stream), whose ledgers carry rows with failure
+# histories, so the Eq. 3 scan's gates show in the profile — each under
+# -cpuprofile/-memprofile (the batch profile covers all three arms). Offline:
 # the Fig. 4/5 grid (sim.Run over optimizer, economy and generator; no
 # server exists), three passes per worker count. Each prints the top-10 allocation sites by
 # object count and by bytes, and the top-10 CPU consumers: the count gates

@@ -32,7 +32,8 @@
 // Observability:
 //
 //	GET /v1/trace       sampled per-query decision traces (?tenant= ?template= ?n=)
-//	GET /v1/events      economy event journal: invests, evictions, recoveries
+//	GET /v1/events      economy event journal: invests and evictions, plus
+//	                    running totals (settlement recoveries are counted there)
 //	GET /metrics        Prometheus text exposition (economy counters, mailbox
 //	                    gauges, stage-latency histograms, runtime/GC gauges)
 //

@@ -206,23 +206,23 @@ func TestDistributeRegretConservation(t *testing.T) {
 // selfish provider with skewed ownership, the amortization + maintenance
 // recovery flowing back to owners must sum per query to exactly the
 // AmortPrice + MaintPrice the chosen plan charged the user (whenever no
-// failure sweep intersected the plan), every reimbursement must go to the
-// structure's recorded owner, and the journal-style event totals must
-// reconcile exactly with the ledger sums.
+// failure sweep intersected the plan), every reimbursement must go to an
+// owner of one of the plan's structures, and the reimbursements and
+// invest events must reconcile exactly with the ledger sums. The
+// reimbursements are read off the owners' credit: each ledger's credit
+// moves by its recovery, plus its profit when it paid, minus what it
+// invested.
 func TestSelfishRecoverySplitExact(t *testing.T) {
 	econ, opt, ca, tpls := testEconomy(t, ProviderSelfish, nil)
 
-	var perQuery []obs.Event
 	var totalRecovered, totalInvested money.Amount
 	econ.SetEvents(func(ev obs.Event) {
-		perQuery = append(perQuery, ev)
-		switch ev.Type {
-		case obs.EventRecover:
-			totalRecovered = totalRecovered.Add(ev.Amount)
-		case obs.EventInvest:
+		if ev.Type == obs.EventInvest {
 			totalInvested = totalInvested.Add(ev.Amount)
 		}
 	})
+	type books struct{ credit, recovered, invested money.Amount }
+	before := map[*Ledger]books{}
 
 	// Skewed tenants: alice dominates, so she finances most structures
 	// and the others' queries reimburse her.
@@ -247,20 +247,40 @@ func TestSelfishRecoverySplitExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		perQuery = perQuery[:0]
+		clear(before)
+		for _, l := range econ.tenants {
+			before[l] = books{l.credit, l.Recovered, l.Invested}
+		}
 		d, err := econ.HandleQuery(q, plans)
 		if err != nil {
 			t.Fatal(err)
 		}
+		owners := map[string]bool{}
+		if d.Chosen != nil {
+			for _, st := range d.Chosen.Structures.Items() {
+				owners[econ.Market().Owner(st.ID)] = true
+			}
+		}
 		var recovered money.Amount
-		for _, ev := range perQuery {
-			if ev.Type != obs.EventRecover {
+		for name, l := range econ.tenants {
+			was, ok := before[l]
+			if !ok { // opened by this query, with the seed capital
+				was = books{credit: econ.cfg.InitialCredit}
+			}
+			got := l.credit.Sub(was.credit).Add(l.Invested.Sub(was.invested))
+			if name == q.Tenant {
+				got = got.Sub(d.Profit)
+			}
+			if want := l.Recovered.Sub(was.recovered); got != want {
+				t.Fatalf("query %d: %q's credit moved by %v beyond profit and investment, its recovery by %v", q.ID, name, got, want)
+			}
+			if got == 0 {
 				continue
 			}
-			recovered = recovered.Add(ev.Amount)
-			if owner := econ.Market().Owner(structure.ID(ev.Structure)); ev.Tenant != owner {
-				t.Fatalf("query %d: recovery for %s credited %q, structure owner is %q",
-					q.ID, ev.Structure, ev.Tenant, owner)
+			recovered = recovered.Add(got)
+			totalRecovered = totalRecovered.Add(got)
+			if len(d.Failures) == 0 && !owners[name] {
+				t.Fatalf("query %d: %q was reimbursed %v but owns none of the chosen plan's structures", q.ID, name, got)
 			}
 		}
 		if d.Chosen != nil && len(d.Failures) == 0 {
@@ -278,7 +298,8 @@ func TestSelfishRecoverySplitExact(t *testing.T) {
 		t.Fatal("no query exercised a non-zero recovery split")
 	}
 
-	// Journal totals must reconcile exactly with the ledger sums.
+	// The reimbursements read off the credit and the invest events must
+	// reconcile exactly with the ledger sums.
 	var sumRecovered, sumInvested money.Amount
 	ownersSeen := map[string]bool{}
 	for _, ts := range econ.TenantStats() {
@@ -289,7 +310,7 @@ func TestSelfishRecoverySplitExact(t *testing.T) {
 		}
 	}
 	if sumRecovered != totalRecovered {
-		t.Errorf("ledgers recovered %v, journal events say %v", sumRecovered, totalRecovered)
+		t.Errorf("ledgers recovered %v, their credit moved by %v", sumRecovered, totalRecovered)
 	}
 	if sumInvested != totalInvested {
 		t.Errorf("ledgers invested %v, journal events say %v", sumInvested, totalInvested)

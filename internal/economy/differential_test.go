@@ -2,6 +2,8 @@ package economy
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -414,6 +416,73 @@ func TestInvestBarsCrossedMatchesLadder(t *testing.T) {
 	}
 }
 
+// TestEffGateBoundsLadder checks the effective-regret gate against the
+// real MulFloat ladder over random base bars T (1 µ$ to past money.Max/2),
+// backoffs and failure counts (0–35): every unsaturated rung k meets the
+// bound b^k·(T − k/2)·(1 − 2k·2⁻⁵³) the gate's proof rests on (evaluated
+// in 256-bit floats), and the largest regret the gate dismisses — found
+// by bisection, the dismissal being monotone in regret — is below the
+// row's own bar, saturated or not.
+func TestEffGateBoundsLadder(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	backoffs := []float64{1.0000001, 1.3, 1.7, 2, 7.3}
+	for range 40 {
+		backoffs = append(backoffs, 1+9*rng.Float64())
+	}
+	bigf := func(x float64) *big.Float { return new(big.Float).SetPrec(256).SetFloat64(x) }
+	bigi := func(a money.Amount) *big.Float { return new(big.Float).SetPrec(256).SetInt64(int64(a)) }
+	saturated, tight := 0, 0
+	for _, b := range backoffs {
+		m := &Market{cfg: Config{InvestBackoff: b}, scale: backoffScale(b)}
+		for range 200 {
+			threshold := money.Amount(1 + rng.Int63n(1<<uint(1+rng.Intn(62))))
+			bars := m.bars(threshold)
+			gate := effGate(threshold)
+			for failures := range maxBackoffSteps + 6 {
+				bar := bars.at(failures)
+				k := min(failures, maxBackoffSteps)
+				if bar == money.Max {
+					saturated++
+				} else {
+					// b^k·(T − k/2)·(1 − 2k·2⁻⁵³), exactly enough.
+					want := bigi(threshold)
+					want.Sub(want, bigf(float64(k)/2))
+					want.Mul(want, new(big.Float).SetPrec(256).Sub(bigf(1), bigf(2*float64(k)*0x1p-53)))
+					for range k {
+						want.Mul(want, bigf(b))
+					}
+					if bigi(bar).Cmp(want) < 0 {
+						t.Fatalf("b %g, T %d: rung %d is %d, below the bound %s", b, threshold, k, bar, want.Text('g', 20))
+					}
+				}
+				dismissed := func(r money.Amount) bool {
+					return 2*m.effRegret(r, failures) < gate && 2*float64(r) < rawGate
+				}
+				if !dismissed(0) {
+					continue
+				}
+				lo, hi := money.Amount(0), money.Max // dismissed(lo), and hi is not or is Max
+				for hi-lo > 1 {
+					if mid := lo + (hi-lo)/2; dismissed(mid) {
+						lo = mid
+					} else {
+						hi = mid
+					}
+				}
+				if bars.crossed(lo, failures) {
+					t.Fatalf("b %g, T %d, %d failures: the gate dismisses regret %d, which crosses bar %d", b, threshold, failures, lo, bar)
+				}
+				if lo.MulInt(2) >= bar-bar/1000-64 {
+					tight++
+				}
+			}
+		}
+	}
+	if saturated == 0 || tight == 0 {
+		t.Errorf("%d saturated rungs, %d gates within 0.1%% of their bar: the draw misses a case", saturated, tight)
+	}
+}
+
 // lockstep runs the same query stream through two economies built by mk:
 // before every query, prep readies each side (side 0 runs the fast path
 // under test, side 1 the path it replaced), and the decisions must be
@@ -571,71 +640,236 @@ func TestFailureSweepDeadlineMatchesFullWalk(t *testing.T) {
 	}
 }
 
-// TestInvestPeakGateMatchesUngatedScan pins the investment scan's regret
-// peak gate — no walk while the ledger's largest live regret is below the
-// base bar — to the ungated scan. Two economies with small ledgers, whose
-// rows climb to a high bar in many shares, run the same stream in
-// lockstep, one with every peak forced to the maximum before each query;
-// decisions (InvestConsidered included), books and caches must stay equal
-// while rows approach and cross the bar, build, block and are garbage
-// collected, and across a snapshot/restore of the gated side, which
-// recomputes its peaks. After every query each gated ledger's peak must
-// be its exact largest live regret.
+// TestInvestPeakGateMatchesUngatedScan pins the investment scan's two
+// gates — no walk while the ledger's largest live regret is below the
+// base bar, nor while every row sits below its own failure-raised bar by
+// the bound effPeak keeps — and the in-walk dismissal by that bound to
+// the ungated scan. Two economies with small ledgers (LedgerCap 5, so
+// rows are garbage collected) run the same stream in lockstep, one with
+// every peak and effPeak forced to its maximum before each query;
+// decisions (InvestConsidered included), books and caches must stay
+// equal, across a snapshot/restore of the gated side. The plain arm is
+// the queries' own regret alone: rows climb to a high bar in many shares,
+// approach and cross it, build and block. The nudged arms also raise
+// random rows' failure counts (0–35, past the 30 rungs the bar compounds
+// over) and push random rows to just below, at or above their own bar,
+// or somewhere under it; they run backoff 2 and 1.7, a threshold near
+// money.Max whose ladder saturates, and an account too poor to pay for
+// what crosses, so rows sit blocked. After every query each gated
+// ledger's peak must be its exact largest live regret and its effPeak at
+// least its exact largest effRegret; after the restore, every effPeak is
+// +Inf. Each arm must reach its floors on scans gated by the base bar,
+// past it with the peak within a bar of it or further off, gated by
+// effPeak and walked, and must garbage collect regret.
 func TestInvestPeakGateMatchesUngatedScan(t *testing.T) {
 	for _, provider := range []Provider{ProviderAltruistic, ProviderSelfish} {
 		t.Run(provider.String(), func(t *testing.T) {
-			var tpls []*workload.Template
-			mk := func() (*Economy, *optimizer.Optimizer, *cache.Cache) {
-				econ, opt, ca, ts := testEconomy(t, provider, func(cfg *Config) {
-					cfg.InitialCredit = money.FromDollars(25)
-					cfg.RegretFraction = 0.003
-					cfg.LedgerCap = 5
-				})
-				tpls = ts
-				return econ, opt, ca
-			}
-			rng := rand.New(rand.NewSource(37))
-			next := func(int) (*workload.Template, string, time.Duration, *rand.Rand) {
-				return tpls[rng.Intn(len(tpls))], fmt.Sprintf("t%d", rng.Intn(2)), time.Duration(1+rng.Intn(20)) * time.Second, rng
-			}
-			var gated, near, walked int
-			prep := func(side int, e *Economy) {
-				for _, l := range ledgersOf(e) {
-					if side == 1 {
-						l.peak = money.Max
-						continue
-					}
-					if bar := l.credit.MulFloat(e.cfg.RegretFraction); bar.IsPositive() {
-						switch half := halfUp(bar); {
-						case l.peak < half:
-							gated++
-						case l.peak < 2*half:
-							near++
-						default:
-							walked++
-						}
-					}
-				}
-			}
-			var dropped money.Amount
-			check := func(i int, e *Economy) {
-				dropped = 0
-				for _, l := range ledgersOf(e) {
-					var want money.Amount
-					for _, s := range l.live {
-						want = money.MaxAmount(want, l.rows[s].regret)
-					}
-					if l.peak != want {
-						t.Fatalf("query %d: ledger %q keeps peak %v, its largest live regret is %v", i, l.tenant, l.peak, want)
-					}
-					dropped = dropped.Add(l.RegretDropped)
-				}
-			}
-			lockstep(t, 8000, 4000, mk, next, prep, check)
-			if gated < 500 || near < 500 || walked < 500 || !dropped.IsPositive() {
-				t.Errorf("stream too tame: %d scans gated, %d walked with the peak within a bar of the gate, %d further off; %v regret garbage collected",
-					gated, near, walked, dropped)
+			for _, arm := range peakGateArms {
+				t.Run(arm.name, func(t *testing.T) { testPeakGate(t, provider, arm) })
 			}
 		})
+	}
+}
+
+// peakGateArm is one configuration of TestInvestPeakGateMatchesUngatedScan
+// and the scan counts its stream must reach.
+type peakGateArm struct {
+	name     string
+	backoff  float64
+	credit   money.Amount
+	fraction float64
+	// nudges is how many queries in 20 carry a nudge; 0 is the plain
+	// stream.
+	nudges int
+	// The floors: scans gated by the base bar, past it with the peak
+	// within a bar of it, further off; of those past it, gated by effPeak
+	// and walked; rows pushed onto their bar.
+	base, near, far, eff, walked, crossing int
+}
+
+var peakGateArms = []peakGateArm{
+	{name: "plain", backoff: 2, credit: money.FromDollars(25), fraction: 0.003,
+		base: 500, near: 500, far: 500, eff: 500},
+	{name: "backoff-2", backoff: 2, credit: money.FromDollars(25), fraction: 0.003, nudges: 2,
+		base: 150, near: 14, far: 5000, eff: 5000, walked: 45, crossing: 70},
+	{name: "backoff-1.7", backoff: 1.7, credit: money.FromDollars(25), fraction: 0.003, nudges: 2,
+		base: 150, near: 14, far: 5000, eff: 5000, walked: 45, crossing: 70},
+	{name: "saturating", backoff: 2, credit: money.Max / 2, fraction: 0.5, nudges: 2,
+		base: 5000, near: 90, far: 300, eff: 130, walked: 300, crossing: 10},
+	{name: "short", backoff: 2, credit: money.FromDollars(0.05), fraction: 0.001, nudges: 2,
+		base: 800, near: 25, far: 5000, eff: 5000, walked: 250, crossing: 55},
+}
+
+func testPeakGate(t *testing.T, provider Provider, arm peakGateArm) {
+	var tpls []*workload.Template
+	mk := func() (*Economy, *optimizer.Optimizer, *cache.Cache) {
+		econ, opt, ca, ts := testEconomy(t, provider, func(cfg *Config) {
+			cfg.InitialCredit = arm.credit
+			cfg.RegretFraction = arm.fraction
+			cfg.LedgerCap = 5
+			cfg.InvestBackoff = arm.backoff
+		})
+		tpls = ts
+		return econ, opt, ca
+	}
+	// The plain arm is the stream the scan gate was first pinned with;
+	// the nudged arms run longer, since their pushed rows keep the peak
+	// far above the base bar most of the time.
+	n, restoreAt := 8000, 4000
+	if arm.nudges > 0 {
+		n, restoreAt = 16000, 8000
+	}
+	rng := rand.New(rand.NewSource(37))
+	// Each query's nudge, drawn with it and applied to both sides alike:
+	// pick a ledger and one of its rows, then either raise the row's
+	// failure count or push its regret towards its bar.
+	var draw struct {
+		ledger, row, kind, sub, delta int
+		frac                          float64
+	}
+	draw.kind = 20
+	next := func(int) (*workload.Template, string, time.Duration, *rand.Rand) {
+		if arm.nudges > 0 {
+			draw.ledger, draw.row, draw.kind, draw.sub = rng.Intn(8), rng.Intn(5), rng.Intn(20), rng.Intn(6)
+			draw.delta, draw.frac = rng.Intn(5)-2, 0.05+0.95*rng.Float64()
+		}
+		return tpls[rng.Intn(len(tpls))], fmt.Sprintf("t%d", rng.Intn(2)), time.Duration(1+rng.Intn(20)) * time.Second, rng
+	}
+	var nudge struct {
+		id       structure.ID
+		failures int
+		share    money.Amount
+		ledger   string
+		pool     bool
+	}
+	var lastFast *Economy
+	var base, near, far, effGated, rawWalked, walked, crossing int
+	var dropped money.Amount
+	prep := func(side int, e *Economy) {
+		if side == 1 {
+			applyNudge(e, nudge.pool, nudge.ledger, nudge.id, nudge.failures, nudge.share)
+			for _, l := range ledgersOf(e) {
+				l.peak, l.effPeak = money.Max, math.Inf(1)
+			}
+			return
+		}
+		if lastFast != nil && e != lastFast {
+			for _, l := range ledgersOf(e) {
+				if !math.IsInf(l.effPeak, 1) {
+					t.Fatalf("restored ledger %q keeps effPeak %g, want +Inf", l.tenant, l.effPeak)
+				}
+			}
+		}
+		lastFast = e
+		// The accounts whose rows drive investment: the pool, or the
+		// tenants in name order.
+		ledgers := []*Ledger{e.pool}
+		if e.pool == nil {
+			ledgers = ledgersOf(e)
+			sort.Slice(ledgers, func(i, j int) bool { return ledgers[i].tenant < ledgers[j].tenant })
+		}
+		for _, l := range ledgers {
+			threshold := l.credit.MulFloat(e.cfg.RegretFraction)
+			if !threshold.IsPositive() {
+				continue
+			}
+			gate, half := effGate(threshold), halfUp(threshold)
+			switch {
+			case l.peak < half:
+				base++
+				continue
+			case l.peak < 2*half:
+				near++
+			default:
+				far++
+			}
+			switch {
+			case 2*l.effPeak < gate && 2*float64(l.peak) < rawGate:
+				effGated++
+			case 2*l.effPeak < gate:
+				rawWalked++
+			default:
+				walked++
+			}
+		}
+		// The nudge, by name, so the other side can apply it to its own
+		// slots.
+		nudge.id, nudge.share = "", 0
+		if len(ledgers) == 0 {
+			return
+		}
+		l := ledgers[draw.ledger%len(ledgers)]
+		if len(l.live) == 0 || draw.kind >= arm.nudges {
+			return
+		}
+		slot := l.live[draw.row%len(l.live)]
+		nudge.id, nudge.ledger, nudge.pool = e.reg.ID(slot), l.tenant, l == e.pool
+		nudge.failures = e.market.failures(slot)
+		if draw.sub < 2 {
+			nudge.failures = min(nudge.failures+3+draw.delta, 35)
+		} else if threshold := l.credit.MulFloat(e.cfg.RegretFraction); threshold.IsPositive() {
+			half := halfUp(e.market.bars(threshold).at(nudge.failures))
+			target := half.Add(money.Amount(draw.delta))
+			if draw.sub == 5 {
+				target = half.MulFloat(draw.frac)
+			}
+			if target == half {
+				crossing++
+			}
+			nudge.share = target.Sub(l.rows[slot].regret)
+		}
+		applyNudge(e, nudge.pool, nudge.ledger, nudge.id, nudge.failures, nudge.share)
+	}
+	check := func(i int, e *Economy) {
+		dropped = 0
+		for _, l := range ledgersOf(e) {
+			dropped = dropped.Add(l.RegretDropped)
+			var peak money.Amount
+			eff := 0.0
+			for _, s := range l.live {
+				peak = money.MaxAmount(peak, l.rows[s].regret)
+				eff = max(eff, e.market.effRegret(l.rows[s].regret, e.market.failures(s)))
+			}
+			if l.peak != peak {
+				t.Fatalf("query %d: ledger %q keeps peak %v, its largest live regret is %v", i, l.tenant, l.peak, peak)
+			}
+			if l.effPeak < eff {
+				t.Fatalf("query %d: ledger %q keeps effPeak %g, a live row's effRegret is %g", i, l.tenant, l.effPeak, eff)
+			}
+		}
+	}
+	lockstep(t, n, restoreAt, mk, next, prep, check)
+	var deep int
+	for _, s := range lastFast.reg.Ordered() {
+		if lastFast.market.failures(s) > maxBackoffSteps {
+			deep++
+		}
+	}
+	if base < arm.base || near < arm.near || far < arm.far || effGated < arm.eff || walked+rawWalked < arm.walked ||
+		crossing < arm.crossing || arm.nudges > 0 && deep == 0 || !dropped.IsPositive() {
+		t.Errorf("stream too tame: %d scans gated by the base bar, %d past it with the peak within a bar of it, %d further off; "+
+			"%d gated by effPeak, %d walked (%d on the saturation bound alone); %d rows pushed onto their bar, %d structures past the last rung; %v regret garbage collected",
+			base, near, far, effGated, walked+rawWalked, rawWalked, crossing, deep, dropped)
+	}
+	if arm.credit > money.Max/4 && rawWalked < 130 {
+		t.Errorf("saturating arm: only %d scans walked on the saturation bound alone", rawWalked)
+	}
+}
+
+// applyNudge raises a row's failure count to failures and adds share to
+// its regret, in the named ledger (the pool when pool is set).
+func applyNudge(e *Economy, pool bool, ledger string, id structure.ID, failures int, share money.Amount) {
+	if id == "" {
+		return
+	}
+	slot := e.reg.Lookup(id)
+	e.market.row(slot).failCount = failures
+	if share.IsPositive() {
+		l := e.pool
+		if !pool {
+			l = e.tenants[ledger]
+		}
+		l.add(slot, share)
+		e.raiseEffPeak(l, slot)
 	}
 }

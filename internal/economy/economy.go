@@ -270,10 +270,11 @@ type Economy struct {
 	// cfg.TenantCap; overflow names share one ledger.
 	tenants map[string]*Ledger
 
-	// events, when set, receives every invest/evict/recover as it
-	// happens (see SetEvents). The market holds the same sink for the
-	// events it originates.
-	events func(obs.Event)
+	// recovers counts the settlements that reimbursed an account since
+	// the economy was built; the dollars they moved are the ledgers'
+	// Recovered. A settlement happens on nearly every query, so it is
+	// counted rather than journaled. Not persisted.
+	recovers int64
 
 	// evals, scratchExist and scratchAfford back HandleQuery's per-query
 	// view of the plan set, reused across calls so the steady-state
@@ -296,24 +297,25 @@ type planEval struct {
 }
 
 // SetEvents installs a sink for the economy's structured events: every
-// investment, maintenance-failure eviction and settlement recovery is
-// reported as it happens. Events fire synchronously on the decision
-// path, so the sink must be cheap (the obs.Journal is); nil removes the
-// sink. Not safe to call concurrently with HandleQuery — install it at
-// wiring time, before traffic.
-func (e *Economy) SetEvents(fn func(obs.Event)) {
-	e.events = fn
-	e.market.events = fn
-}
+// investment and maintenance-failure eviction is reported as it happens
+// (settlement recoveries are counted instead, see Recoveries). Events
+// fire synchronously on the decision path, so the sink must be cheap (the
+// obs.Journal is); nil removes the sink. Not safe to call concurrently
+// with HandleQuery — install it at wiring time, before traffic.
+func (e *Economy) SetEvents(fn func(obs.Event)) { e.market.events = fn }
 
-// emit reports one event if a sink is installed, stamping the economy
-// clock.
-func (e *Economy) emit(ev obs.Event) {
-	if e.events == nil {
-		return
+// Recoveries returns how many settlements reimbursed an account since the
+// economy was built; Stats().Recovered is the dollars they moved. Not
+// persisted: a restored economy counts from zero, as the event journal's
+// totals always did.
+func (e *Economy) Recoveries() int64 { return e.recovers }
+
+// reimburse books one settlement's reimbursement of an account.
+func (e *Economy) reimburse(l *Ledger, amount money.Amount) {
+	l.Recovered = l.Recovered.Add(amount)
+	if amount != 0 {
+		e.recovers++
 	}
-	ev.ClockSec = e.cfg.Cache.Clock().Seconds()
-	e.events(ev)
 }
 
 // OverflowTenant is the shared ledger name that tenants beyond TenantCap
@@ -551,15 +553,7 @@ func (e *Economy) settle(p *plan.Plan, ev planEval, backendExec, scanExec money.
 	// amortized shares and maintenance recovery stay in the accounts.
 	if e.pool != nil {
 		e.pool.credit = e.pool.credit.Add(d.Charged.Sub(p.ExecPrice))
-		recovery := p.AmortPrice.Add(p.MaintPrice)
-		e.pool.Recovered = e.pool.Recovered.Add(recovery)
-		if recovery != 0 {
-			e.emit(obs.Event{
-				Type:   obs.EventRecover,
-				Amount: recovery,
-				Reason: "settlement collected the plan's amortized shares and arrears for the pool",
-			})
-		}
+		e.reimburse(e.pool, p.AmortPrice.Add(p.MaintPrice))
 	} else {
 		led.credit = led.credit.Add(d.Profit)
 	}
@@ -612,16 +606,7 @@ func (e *Economy) settle(p *plan.Plan, ev planEval, backendExec, scanExec money.
 			recovery := share.Add(e.market.maintDueOf(entry))
 			owner := e.ownerOf(slot)
 			owner.credit = owner.credit.Add(recovery)
-			owner.Recovered = owner.Recovered.Add(recovery)
-			if recovery != 0 {
-				e.emit(obs.Event{
-					Type:      obs.EventRecover,
-					Tenant:    owner.tenant,
-					Structure: string(st.ID),
-					Amount:    recovery,
-					Reason:    "use reimbursed the owner's amortized share and arrears",
-				})
-			}
+			e.reimburse(owner, recovery)
 		}
 		entry.AmortRemaining = entry.AmortRemaining.Sub(share)
 		entry.UnpaidMaint = 0
@@ -723,12 +708,23 @@ func (e *Economy) distribute(p *plan.Plan, r money.Amount, led, acct *Ledger) mo
 			slot = e.reg.SlotOf(st)
 		}
 		acct.add(slot, share)
+		e.raiseEffPeak(acct, slot)
 		landed = landed.Add(share)
 		if acct != led {
 			led.RegretAccrued = led.RegretAccrued.Add(share)
 		}
 	}
 	return landed
+}
+
+// raiseEffPeak keeps the account's effPeak a bound after a row's regret
+// grew: one compare while the row's raw regret stays within the bound,
+// which its effective regret can then not exceed either, and only past
+// it is the row measured against its own bar.
+func (e *Economy) raiseEffPeak(acct *Ledger, s structure.Slot) {
+	if r := acct.rows[s].regret; float64(r) > acct.effPeak {
+		acct.effPeak = max(acct.effPeak, e.market.effRegret(r, e.market.failures(s)))
+	}
 }
 
 // kindAllowed reports whether the scheme may invest in this kind.
@@ -755,34 +751,46 @@ func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 	}
 	// One pass over the live rows in structure-ID order — the order
 	// builds are attempted and reported in — against the per-failure-count
-	// bar ladder of this scan. The common query crosses nothing: when even
-	// the account's largest live regret sits below the base bar the pass
-	// is skipped, and otherwise it is a compare per row. A row that
-	// crosses but cannot build (a conservative provider short of its
-	// price) remembers the price that blocked it, and costs two compares
-	// per query until the account can cover it or the cache's residency
-	// — and with it the price — moves.
+	// bar ladder of this scan. The common query crosses nothing, and two
+	// gates skip the pass when no row can: the account's largest live
+	// regret sits below the base bar, or every row sits below its own
+	// failure-raised bar by the bound effPeak keeps (see effGate). Inside
+	// the pass the same bound dismisses a row before the ladder is
+	// climbed, and the pass recomputes effPeak over the rows it keeps. A
+	// row that crosses but cannot build (a conservative provider short of
+	// its price) remembers the price that blocked it, and costs two
+	// compares per query until the account can cover it or the cache's
+	// residency — and with it the price — moves.
 	half := halfUp(threshold)
 	if acct.peak < half {
 		return nil, 0 // no row can cross the bar
+	}
+	gate := effGate(threshold)
+	if 2*acct.effPeak < gate && 2*float64(acct.peak) < rawGate {
+		return nil, 0 // no row can cross its own bar
 	}
 	bars := e.market.bars(threshold)
 	ca := e.cfg.Cache
 	var built []structure.ID
 	considered := 0
+	effPeak := 0.0
 	for i := 0; i < len(acct.live); {
 		slot := acct.live[i]
 		row := &acct.rows[slot]
 		// Eq. 3 with round(): triggers at 2·regret >= a·CR, tested as
 		// regret >= ⌈a·CR/2⌉. A history of failed builds raises the bar
 		// exponentially, never lowers it, so most rows are dismissed
-		// against the base threshold.
-		if row.regret < half || !bars.crossed(row.regret, e.market.failures(slot)) {
+		// against the base threshold or the gate's bound.
+		failures := e.market.failures(slot)
+		eff := e.market.effRegret(row.regret, failures)
+		if row.regret < half || 2*eff < gate && 2*float64(row.regret) < rawGate || !bars.crossed(row.regret, failures) {
+			effPeak = max(effPeak, eff)
 			i++
 			continue
 		}
 		considered++
 		if row.blockedEpoch == ca.Epoch()+1 && acct.credit < row.blockedPrice {
+			effPeak = max(effPeak, eff)
 			i++
 			continue
 		}
@@ -804,8 +812,10 @@ func (e *Economy) invest(acct *Ledger) ([]structure.ID, int) {
 		if short != 0 {
 			row.blockedPrice, row.blockedEpoch = short, ca.Epoch()+1
 		}
+		effPeak = max(effPeak, eff)
 		i++
 	}
+	acct.effPeak = effPeak
 	return built, considered
 }
 

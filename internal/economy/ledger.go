@@ -35,6 +35,13 @@ type Ledger struct {
 	// raises it, dropping the row that holds it recomputes it. The Eq. 3
 	// scan reads it to skip a table no row of which can cross the bar.
 	peak money.Amount
+	// effPeak bounds from above every live row's regret ÷ backoff^rung —
+	// its regret measured against its own failure-raised bar (see
+	// Market.effRegret). Economy.distribute raises it, every investment
+	// walk recomputes it exactly over the rows it keeps, and a restore
+	// sets it to +Inf. Failures and drops only lower a row's true value,
+	// so the bound needs no upkeep there.
+	effPeak float64
 
 	// Totals is the account's lifetime attribution.
 	Totals

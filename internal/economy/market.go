@@ -38,6 +38,8 @@ type Market struct {
 	// across queries.
 	ladder  investBars
 	victims []victim
+	// scale[k] is backoff^k, the factor k failures raise the Eq. 3 bar by.
+	scale [maxBackoffSteps + 1]float64
 
 	// sweepUntil is the earliest safeUntil among the residents the last
 	// full failure sweep left standing, and sweepStamp the cache epoch
@@ -48,8 +50,8 @@ type Market struct {
 	sweepUntil time.Duration
 	sweepStamp int64
 
-	// events mirrors Economy.events (installed via Economy.SetEvents) for
-	// the invest and evict events the market itself originates.
+	// events receives the invest and evict events the market originates
+	// (installed via Economy.SetEvents).
 	events func(obs.Event)
 }
 
@@ -99,7 +101,20 @@ func (m *Market) emit(ev obs.Event) {
 
 // newMarket wires the shared pool.
 func newMarket(cfg Config) *Market {
-	return &Market{cfg: cfg, reg: cfg.Cache.Registry()}
+	return &Market{cfg: cfg, reg: cfg.Cache.Registry(), scale: backoffScale(cfg.InvestBackoff)}
+}
+
+// backoffScale returns backoff^k for every rung k, by repeated
+// multiplication; all ones when backoff is off (<= 1).
+func backoffScale(backoff float64) (scale [maxBackoffSteps + 1]float64) {
+	scale[0] = 1
+	for k := 1; k < len(scale); k++ {
+		scale[k] = scale[k-1]
+		if backoff > 1 {
+			scale[k] *= backoff
+		}
+	}
+	return scale
 }
 
 // row returns the slot's bookkeeping row, growing the table to cover
@@ -201,6 +216,40 @@ func (b *investBars) crossed(regret money.Amount, failures int) bool {
 // 2·r >= t, so `r < halfUp(t)` is Eq. 3's `2·r < t` without an overflow-
 // checked doubling per row.
 func halfUp(t money.Amount) money.Amount { return t/2 + t%2 }
+
+// The effective-regret gate. Let T be an account's base bar a·CR and b
+// the backoff. Each rung of the ladder is round(rung below × b), and
+// MulFloat rounds twice in float64 (the conversion and the product, each
+// within a factor 1 ± 2⁻⁵³) before rounding to the micro-dollar (within
+// ½). Unrolled over k rungs the factors compound to at least 1 − 2k·2⁻⁵³
+// and the ½s, each scaled by fewer than k factors of b, to at most
+// k/2·b^k, so until a rung saturates at money.Max
+//
+//	rung k ≥ b^k·(T − k/2)·(1 − 2k·2⁻⁵³),
+//
+// and every rung above a saturated one is money.Max. A row with k
+// failures crosses Eq. 3 when 2·regret ≥ rung k, so with k ≤ 30 it cannot
+// cross when both
+//
+//	2·regret/b^k < T·(1 − 10⁻¹²) − 32   and   2·regret < money.Max·(1 − 10⁻¹²)
+//
+// hold: the first keeps it under an unsaturated rung (k/2 ≤ 15, and the
+// 10⁻¹² dwarfs the 60·2⁻⁵³ above and the float error of evaluating either
+// side), the second under a saturated one. effRegret is regret/b^k, and a
+// Ledger's effPeak bounds it over the live rows.
+const gateSlack = 1 - 1e-12
+
+// rawGate is the second condition's bound on 2·regret.
+const rawGate = float64(money.Max) * gateSlack
+
+// effGate is the first condition's bound on 2·effRegret for base bar t.
+func effGate(t money.Amount) float64 { return float64(t)*gateSlack - 32 }
+
+// effRegret returns regret measured against the bar `failures` prior
+// failures raise: regret ÷ backoff^rung.
+func (m *Market) effRegret(regret money.Amount, failures int) float64 {
+	return float64(regret) / m.scale[min(failures, maxBackoffSteps)]
+}
 
 // failures returns the slot's failure count.
 func (m *Market) failures(s structure.Slot) int {

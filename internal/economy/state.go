@@ -2,6 +2,7 @@ package economy
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cost"
@@ -92,6 +93,9 @@ func restoreLedger(st LedgerState, cap int, reg *structure.Registry) (*Ledger, e
 		*row = regretRow{regret: es.Regret, touched: es.Touched, live: true}
 	}
 	l.repeak()
+	// The failure history is restored after the ledgers, so the first
+	// investment walk measures the rows against it.
+	l.effPeak = math.Inf(1)
 	return l, nil
 }
 

@@ -9,21 +9,16 @@ import (
 	"repro/internal/money"
 )
 
-// Event types. Invest and evict are rare (structure lifecycle); recover
-// fires once per settled query that collected an amortized share or
-// maintenance arrears, so it gets its own ring and cannot rotate the
-// lifecycle history out of the journal.
+// Event types: the structure lifecycle, rare next to the queries. A
+// settlement's recovery of amortized shares and arrears happens on nearly
+// every query and is not an event: the economy counts it beside its
+// ledgers (economy.Economy.Recoveries).
 const (
 	// EventInvest: a ledger financed a structure build.
 	EventInvest = "invest"
 	// EventEvict: the maintenance-failure sweep evicted a structure
 	// whose rent no longer paid (footnote 3 "structure failure").
 	EventEvict = "evict"
-	// EventRecover: a settlement collected a structure's amortized
-	// build share and maintenance arrears, reimbursing its financier
-	// (the owner ledger when selfish, the communal pool when
-	// altruistic).
-	EventRecover = "recover"
 )
 
 // Event is one structured economy event: who moved how many dollars
@@ -38,15 +33,14 @@ type Event struct {
 	// ClockSec is the economy clock at emission, seconds.
 	ClockSec float64 `json:"clock_s"`
 	Shard    int     `json:"shard"`
-	// Type is EventInvest, EventEvict or EventRecover.
+	// Type is EventInvest or EventEvict.
 	Type string `json:"type"`
-	// Tenant is the actor account: the financier on invest, the
-	// reimbursed owner on recover ("" is the communal pool), the owner
-	// losing the structure on evict.
+	// Tenant is the actor account: the financier on invest ("" is the
+	// communal pool), the owner losing the structure on evict.
 	Tenant    string `json:"tenant"`
 	Structure string `json:"structure,omitempty"`
 	// AmountUSD is the event's dollar value: the build price charged,
-	// the arrears at eviction, the recovery collected.
+	// the arrears at eviction.
 	AmountUSD float64 `json:"usd"`
 	Reason    string  `json:"reason"`
 
@@ -55,9 +49,12 @@ type Event struct {
 	Amount money.Amount `json:"-"`
 }
 
-// Totals are a journal's exact lifetime sums, maintained independently
-// of ring capacity so invest/recover dollars always reconcile against
-// ledger totals even after the rings rotate.
+// Totals are exact lifetime sums, maintained independently of ring
+// capacity so invested dollars always reconcile against ledger totals
+// even after the rings rotate. A journal keeps the invest and evict
+// totals; Recovers and Recovered are the economies' settlement counts and
+// recovered ledger dollars, which a server adds in (a journal's stay
+// zero).
 type Totals struct {
 	Invests  int64
 	Evicts   int64
@@ -112,9 +109,8 @@ func NewJournal(shard, cap int, seq *atomic.Int64) *Journal {
 		shard: shard,
 		seq:   seq,
 		rings: map[string]*eventRing{
-			EventInvest:  {buf: make([]Event, 0, cap)},
-			EventEvict:   {buf: make([]Event, 0, cap)},
-			EventRecover: {buf: make([]Event, 0, cap)},
+			EventInvest: {buf: make([]Event, 0, cap)},
+			EventEvict:  {buf: make([]Event, 0, cap)},
 		},
 	}
 }
@@ -138,9 +134,6 @@ func (j *Journal) Emit(e Event) {
 	case EventEvict:
 		j.totals.Evicts++
 		j.totals.Evicted = j.totals.Evicted.Add(e.Amount)
-	case EventRecover:
-		j.totals.Recovers++
-		j.totals.Recovered = j.totals.Recovered.Add(e.Amount)
 	}
 	if len(r.buf) < cap(r.buf) {
 		r.buf = append(r.buf, e)

@@ -213,32 +213,38 @@ func TestJournalTotalsAndRings(t *testing.T) {
 	j.Emit(Event{Type: EventInvest, Tenant: "b", Structure: "idx2", Amount: d(2.5), Reason: "regret"})
 	j.Emit(Event{Type: EventInvest, Tenant: "a", Structure: "idx3", Amount: d(4), Reason: "regret"})
 	j.Emit(Event{Type: EventEvict, Tenant: "a", Structure: "idx1", Amount: d(0.25), Reason: "rent"})
-	for i := 0; i < 5; i++ {
-		j.Emit(Event{Type: EventRecover, Tenant: "b", Structure: "idx2", Amount: d(0.1), Reason: "amort"})
+	for i := 0; i < 3; i++ {
+		j.Emit(Event{Type: EventEvict, Tenant: "b", Structure: "idx2", Amount: d(0.1), Reason: "rent"})
 	}
+	// Settlement recovery is not an event: the journal drops it like any
+	// other type outside its schema, and its totals stay zero.
+	j.Emit(Event{Type: "recover", Tenant: "b", Structure: "idx2", Amount: d(0.1), Reason: "amort"})
 	j.Emit(Event{Type: "bogus", Amount: d(100)})
 
 	tot := j.Totals()
-	if tot.Invests != 3 || tot.Evicts != 1 || tot.Recovers != 5 {
+	if tot.Invests != 3 || tot.Evicts != 4 || tot.Recovers != 0 {
 		t.Fatalf("counts wrong: %+v", tot)
 	}
-	if tot.Invested != d(8) || tot.Evicted != d(0.25) || tot.Recovered != d(0.5) {
+	if tot.Invested != d(8) || tot.Evicted != d(0.55) || tot.Recovered != 0 {
 		t.Fatalf("totals lost exactness despite ring rotation: %+v", tot)
 	}
 
-	// Rings are bounded per type: invest kept the 2 newest, recover the 2
-	// newest, and the lone evict survived the recover flood.
+	// Rings are bounded per type: invest and evict each kept their 2
+	// newest.
 	evs := j.Snapshot("", "", 0)
-	if len(evs) != 5 {
-		t.Fatalf("snapshot kept %d events, want 5 (2 invest + 1 evict + 2 recover)", len(evs))
+	if len(evs) != 4 {
+		t.Fatalf("snapshot kept %d events, want 4 (2 invest + 2 evict)", len(evs))
 	}
 	for i := 1; i < len(evs); i++ {
 		if evs[i].Seq <= evs[i-1].Seq {
 			t.Fatalf("events out of order: %+v", evs)
 		}
 	}
-	if got := j.Snapshot(EventEvict, "", 0); len(got) != 1 || got[0].Structure != "idx1" {
+	if got := j.Snapshot(EventEvict, "", 0); len(got) != 2 || got[0].Tenant != "b" || got[1].Tenant != "b" {
 		t.Fatalf("type filter wrong: %+v", got)
+	}
+	if got := j.Snapshot("recover", "", 0); len(got) != 0 {
+		t.Fatalf("recover filter found %d events in a journal without them", len(got))
 	}
 	if got := j.Snapshot("", "b", 0); len(got) != 3 {
 		t.Fatalf("tenant filter kept %d, want 3", len(got))

@@ -518,7 +518,9 @@ type EventsView struct {
 	Events []obs.Event     `json:"events"`
 }
 
-// EventTotalsView reports the journal's conservation counters in dollars.
+// EventTotalsView reports the conservation counters in dollars: the
+// journals' invest and evict totals, the economies' settlement counts
+// and the ledgers' recovered dollars.
 type EventTotalsView struct {
 	Invests      int64   `json:"invests"`
 	Evicts       int64   `json:"evicts"`
@@ -548,7 +550,7 @@ func (s *Server) EventsViewSnapshot(typ, tenant string, n int) EventsView {
 	if n <= 0 {
 		n = defaultEventsN
 	}
-	view := EventsView{Totals: totalsView(s.EventTotals()), Events: []obs.Event{}}
+	view := EventsView{Totals: totalsView(s.economyTotals()), Events: []obs.Event{}}
 	if evs := s.EventsSnapshot(typ, tenant, n); evs != nil {
 		view.Events = evs
 	}
@@ -560,7 +562,7 @@ func (s *Server) EventsViewSnapshot(typ, tenant string, n int) EventsView {
 // cursor (the highest Seq delivered, or since when nothing is new). This
 // is the streaming form the binary protocol's events subscription uses.
 func (s *Server) EventsViewSince(since int64) (EventsView, int64) {
-	view := EventsView{Totals: totalsView(s.EventTotals()), Events: []obs.Event{}}
+	view := EventsView{Totals: totalsView(s.economyTotals()), Events: []obs.Event{}}
 	if evs := s.EventsSince(since); evs != nil {
 		view.Events = evs
 	}
@@ -585,11 +587,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	typ := q.Get("type")
-	switch typ {
-	case "", obs.EventInvest, obs.EventEvict, obs.EventRecover:
-	default:
-		writeError(w, r, http.StatusBadRequest,
-			fmt.Errorf("type: want %q, %q or %q, got %q", obs.EventInvest, obs.EventEvict, obs.EventRecover, typ))
+	if err := CheckEventType(typ); err != nil {
+		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	writeJSONIndent(w, r, http.StatusOK, s.EventsViewSnapshot(typ, q.Get("tenant"), n), wantPretty(r))

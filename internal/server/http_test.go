@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
@@ -442,5 +444,90 @@ func testHTTPInlineCounter(t *testing.T, url string, singles int, wantInline, wa
 	}
 	if line := fmt.Sprintf("cloudcache_response_seconds_count %d\n", sum); !strings.Contains(metrics.String(), line) {
 		t.Errorf("/metrics lacks %q", strings.TrimSpace(line))
+	}
+}
+
+// TestHTTPEventsRecoverTotals: settlement recovery is counted by the
+// economies, not journaled. GET /v1/events refuses type=recover with a
+// 400, serves the journaled types, and reports recover totals whose
+// dollars are /v1/stats' ledger sums; /metrics reads the same totals
+// under their old series, the journals' own totals carry none, and
+// migrating every shard away leaves the totals following the fresh
+// economies, as /v1/stats does.
+func TestHTTPEventsRecoverTotals(t *testing.T) {
+	clock := server.NewVirtualClock()
+	srv, ts := newHTTPServer(t, func(c *server.Config) { c.Clock = clock })
+	ctx := context.Background()
+	templates := []string{"Q6", "Q1", "Q3"}
+	for i := 0; srv.RecoverTotals().Recovers == 0; i++ {
+		if i == 5000 {
+			t.Fatal("no settlement recovered anything in 5000 queries")
+		}
+		req := server.Request{Tenant: fmt.Sprintf("t%d", i%3), Template: templates[i%len(templates)]}
+		if _, err := srv.Submit(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Second)
+	}
+
+	get := func(query string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+	if code, body := get("/v1/events?type=recover"); code != http.StatusBadRequest || !strings.Contains(string(body), "recover") {
+		t.Errorf("type=recover: %d %s, want 400 naming the type", code, body)
+	}
+	code, body := get("/v1/events?type=invest")
+	if code != http.StatusOK {
+		t.Fatalf("type=invest: %d %s", code, body)
+	}
+	var view server.EventsView
+	if err := json.Unmarshal(body, &view); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range view.Events {
+		if e.Type != obs.EventInvest {
+			t.Errorf("invest filter leaked %q", e.Type)
+		}
+	}
+	if journaled := srv.EventTotals(); journaled.Recovers != 0 || journaled.Recovered != 0 {
+		t.Errorf("journals hold recover totals %d / %v", journaled.Recovers, journaled.Recovered)
+	}
+	tot := srv.RecoverTotals()
+	var recoveredUSD float64
+	for _, sh := range srv.Stats().PerShard {
+		recoveredUSD += sh.RecoveredUSD
+	}
+	if view.Totals.Recovers != tot.Recovers || tot.Recovers == 0 ||
+		math.Abs(view.Totals.RecoveredUSD-recoveredUSD) > recoveredUSD*1e-9 {
+		t.Errorf("events view recovers %d / $%v; counters say %d, ledgers $%v",
+			view.Totals.Recovers, view.Totals.RecoveredUSD, tot.Recovers, recoveredUSD)
+	}
+	_, metrics := get("/metrics")
+	if want := fmt.Sprintf("cloudcache_economy_events_total{type=%q} %d\n", "recover", tot.Recovers); !strings.Contains(string(metrics), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+
+	for i := range srv.Stats().PerShard {
+		if _, err := srv.ExtractShard(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recoveredUSD = 0
+	for _, sh := range srv.Stats().PerShard {
+		recoveredUSD += sh.RecoveredUSD
+	}
+	if after := srv.RecoverTotals(); after.Recovers != 0 || after.Recovered != 0 || recoveredUSD != 0 {
+		t.Errorf("recover totals %d / %v after extracting every shard, /v1/stats $%v; want all zero",
+			after.Recovers, after.Recovered, recoveredUSD)
 	}
 }

@@ -15,8 +15,9 @@ import (
 // histogram come from the same Stats snapshot /v1/stats serves (so the
 // two endpoints can never disagree: the buckets /v1/stats reports are the
 // ones Prometheus scrapes), stage-latency histograms from the tracer,
-// event totals from the journals, and runtime/GC gauges from
-// runtime.ReadMemStats.
+// event totals from the journals, recover totals from the economies
+// (settlement counts, ledgers' recovered dollars), and runtime/GC gauges
+// from runtime.ReadMemStats.
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -97,15 +98,17 @@ func (s *Server) WriteMetrics(w io.Writer) {
 	response.WritePrometheus(w, "cloudcache_response_seconds", "")
 
 	// Economy event journal: exact running totals, immune to ring rotation.
-	tot := s.EventTotals()
+	// Recovery is no journal event; its series read the economies'
+	// settlement counts and the ledgers' recovered dollars.
+	tot := s.economyTotals()
 	fmt.Fprintf(w, "# HELP cloudcache_economy_events_total Economy journal events by type.\n# TYPE cloudcache_economy_events_total counter\n")
 	fmt.Fprintf(w, "cloudcache_economy_events_total{type=%q} %d\n", obs.EventInvest, tot.Invests)
 	fmt.Fprintf(w, "cloudcache_economy_events_total{type=%q} %d\n", obs.EventEvict, tot.Evicts)
-	fmt.Fprintf(w, "cloudcache_economy_events_total{type=%q} %d\n", obs.EventRecover, tot.Recovers)
+	fmt.Fprintf(w, "cloudcache_economy_events_total{type=%q} %d\n", "recover", tot.Recovers)
 	fmt.Fprintf(w, "# HELP cloudcache_economy_event_dollars_total Dollars moved by journaled events, by type.\n# TYPE cloudcache_economy_event_dollars_total counter\n")
 	fmt.Fprintf(w, "cloudcache_economy_event_dollars_total{type=%q} %g\n", obs.EventInvest, tot.Invested.Dollars())
 	fmt.Fprintf(w, "cloudcache_economy_event_dollars_total{type=%q} %g\n", obs.EventEvict, tot.Evicted.Dollars())
-	fmt.Fprintf(w, "cloudcache_economy_event_dollars_total{type=%q} %g\n", obs.EventRecover, tot.Recovered.Dollars())
+	fmt.Fprintf(w, "cloudcache_economy_event_dollars_total{type=%q} %g\n", "recover", tot.Recovered.Dollars())
 
 	// Decision tracing: sampling period and per-stage latency histograms.
 	sample := int64(-1)

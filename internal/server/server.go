@@ -412,14 +412,47 @@ func (s *Server) EventsSince(seq int64) []obs.Event {
 
 // EventTotals sums the journals' exact lifetime totals across shards.
 // Ring-capacity independent: these reconcile against ledger totals even
-// after old events rotate out.
+// after old events rotate out. Recovers and Recovered stay zero: a
+// settlement's recovery is counted by its economy, not journaled (see
+// RecoverTotals).
 func (s *Server) EventTotals() obs.Totals {
 	var t obs.Totals
 	for _, j := range s.journals {
-		jt := j.Totals()
-		t.Add(jt)
+		t.Add(j.Totals())
 	}
 	return t
+}
+
+// RecoverTotals sums the shards' settlement recovery totals — each
+// economy's settlement count and its ledgers' recovered dollars, so the
+// dollars are /v1/stats' and follow a migrated shard's economy as its
+// stats do: the Recovers and Recovered that EventTotals leaves zero.
+func (s *Server) RecoverTotals() obs.Totals {
+	var t obs.Totals
+	for _, sh := range s.shards {
+		t.Add(sh.recoveries())
+	}
+	return t
+}
+
+// economyTotals is what /metrics and the events views report: the
+// journals' totals with the recover totals filled in.
+func (s *Server) economyTotals() obs.Totals {
+	t := s.EventTotals()
+	t.Add(s.RecoverTotals())
+	return t
+}
+
+// CheckEventType validates an events filter: "" (every type) or one of
+// the journaled types. Settlement recovery is not journaled — its totals
+// ride every events view — so "recover" is refused rather than answered
+// with an empty list.
+func CheckEventType(typ string) error {
+	switch typ {
+	case "", obs.EventInvest, obs.EventEvict:
+		return nil
+	}
+	return fmt.Errorf("type: want %q or %q, got %q", obs.EventInvest, obs.EventEvict, typ)
 }
 
 // Clock returns the server's clock.

@@ -586,6 +586,18 @@ func tenantStatsView(ts economy.TenantStats) TenantStats {
 	return v
 }
 
+// recoveries returns the shard's settlement recovery totals: its
+// economy's settlement count and its ledgers' recovered dollars, the
+// figure /v1/stats reports.
+func (s *shard) recoveries() obs.Totals {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.eco == nil {
+		return obs.Totals{}
+	}
+	return obs.Totals{Recovers: s.eco.Recoveries(), Recovered: s.eco.Stats().Recovered}
+}
+
 // quickCounters reads the headline liveness counters without pricing
 // costs or copying the buckets — cheap enough for high-rate probes.
 func (s *shard) quickCounters() (queries int64, now time.Duration) {

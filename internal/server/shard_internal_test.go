@@ -11,6 +11,8 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/catalog"
+	"repro/internal/economy"
+	"repro/internal/experiments"
 	"repro/internal/money"
 	"repro/internal/obs"
 	"repro/internal/scheme"
@@ -254,18 +256,73 @@ func BenchmarkSubmit(b *testing.B) {
 	}
 }
 
+// warmSelfish builds the engine of the routed-batch benchmark workload on
+// a VirtualClock — 4 shards of econ-cheap with per-tenant accounts, the
+// paper catalog and budget policy — and warms it with 32 000 queries of
+// the paper's Zipf stream over 64 tenants, one virtual second apart, in
+// batches of 64. next cycles through the same stream. By then the
+// tenants' ledgers carry rows of structures that failed and were rebuilt,
+// whose bars the backoff has raised.
+func warmSelfish(tb testing.TB) (srv *Server, next func() Request) {
+	tb.Helper()
+	clock := NewVirtualClock()
+	cat := catalog.Paper()
+	params := scheme.DefaultParams(cat)
+	params.Provider = economy.ProviderSelfish
+	policy := experiments.PaperBudgetPolicy()
+	srv, err := New(Config{Shards: 4, Scheme: "econ-cheap", Params: params, Clock: clock, Budgets: policy})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	gen, err := workload.NewGenerator(workload.Config{
+		Catalog: cat, Seed: 1, Arrival: workload.NewFixedArrival(time.Second), Budgets: policy,
+		Theta: 1.1, PhaseLength: 20_000, Tenants: 64, TenantTheta: 1.0,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool := make([]Request, 0, 32_000)
+	for _, q := range gen.Generate(cap(pool)) {
+		pool = append(pool, Request{Tenant: q.Tenant, Template: q.Template.Name, Selectivity: q.Selectivity, HasSelectivity: true})
+	}
+	i := 0
+	next = func() Request {
+		req := pool[i%len(pool)]
+		i++
+		clock.Advance(time.Second)
+		return req
+	}
+	batch := make([]Request, 64)
+	for range len(pool) / len(batch) {
+		for j := range batch {
+			batch[j] = next()
+		}
+		if _, err := srv.SubmitBatch(context.Background(), batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return srv, next
+}
+
 // BenchmarkSubmitBatch times a 64-query SubmitBatch spread over every
 // shard of TestSubmitBatchAllocs' warmed 4-shard server, the batch path's
-// half of `make profile`, in two arms: idle, where every group is decided
-// on the caller's goroutine, and mailbox, where a no-op DecideDelay sends
-// every group through its shard's mailbox and loop.
+// half of `make profile`, in three arms: idle, where every group is
+// decided on the caller's goroutine; mailbox, where a no-op DecideDelay
+// sends every group through its shard's mailbox and loop; and selfish,
+// warmSelfish's engine, whose ledgers carry rows with failure histories,
+// so the investment scan's gates do real work.
 func BenchmarkSubmitBatch(b *testing.B) {
 	for _, arm := range []struct {
-		name   string
-		adjust func(*Config)
-	}{{"idle", nil}, {"mailbox", forceMailbox}} {
+		name string
+		warm func(testing.TB) (*Server, func() Request)
+	}{
+		{"idle", func(tb testing.TB) (*Server, func() Request) { return warmServer(tb, 4, nil) }},
+		{"mailbox", func(tb testing.TB) (*Server, func() Request) { return warmServer(tb, 4, forceMailbox) }},
+		{"selfish", warmSelfish},
+	} {
 		b.Run(arm.name, func(b *testing.B) {
-			srv, next := warmServer(b, 4, arm.adjust)
+			srv, next := arm.warm(b)
 			reqs := make([]Request, 64)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -259,7 +259,11 @@ func (c *muxConn) handleFrame(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		c.pushJSON(msgEventsPush, tag, c.eng.EventsViewSnapshot(typ, tenant, int(min(n, MaxBatch))))
+		if err := server.CheckEventType(typ); err != nil {
+			c.answer(tag, nil, err)
+		} else {
+			c.pushJSON(msgEventsPush, tag, c.eng.EventsViewSnapshot(typ, tenant, int(min(n, MaxBatch))))
+		}
 
 	case msgCheckpointRequest:
 		tag, err := DecodeCheckpointRequest(payload)

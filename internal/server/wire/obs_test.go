@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,9 +195,9 @@ func TestMuxEventsFrames(t *testing.T) {
 	if view.Totals.Invests == 0 || len(view.Events) == 0 {
 		t.Fatalf("events view empty after investments: %+v", view.Totals)
 	}
-	tot := srv.EventTotals()
-	if view.Totals.Invests != tot.Invests || view.Totals.Evicts != tot.Evicts || view.Totals.Recovers != tot.Recovers {
-		t.Errorf("wire totals %+v != journal totals %+v", view.Totals, tot)
+	tot, rec := srv.EventTotals(), srv.RecoverTotals()
+	if view.Totals.Invests != tot.Invests || view.Totals.Evicts != tot.Evicts || view.Totals.Recovers != rec.Recovers {
+		t.Errorf("wire totals %+v != journal totals %+v and recover totals %+v", view.Totals, tot, rec)
 	}
 	st := srv.Stats()
 	var investedUSD, recoveredUSD float64
@@ -212,7 +213,7 @@ func TestMuxEventsFrames(t *testing.T) {
 	approx("invested", view.Totals.InvestedUSD, investedUSD)
 	approx("recovered", view.Totals.RecoveredUSD, recoveredUSD)
 	for _, e := range view.Events {
-		if e.Type != "invest" && e.Type != "evict" && e.Type != "recover" {
+		if e.Type != "invest" && e.Type != "evict" {
 			t.Errorf("unknown event type %q", e.Type)
 		}
 		if e.Tenant != "" && e.Tenant != "alice" {
@@ -232,6 +233,11 @@ func TestMuxEventsFrames(t *testing.T) {
 		if e.Type != "invest" {
 			t.Errorf("invest filter leaked %q", e.Type)
 		}
+	}
+	// Settlement recovery is counted, not journaled: filtering for it is
+	// a tagged error, and the connection carries on.
+	if _, err := cl.Events(ctx, "recover", "", 0); err == nil || !strings.Contains(err.Error(), `"recover"`) {
+		t.Errorf("recover filter answered %v, want a tagged error naming the type", err)
 	}
 
 	// The stream must reach the newest event the one-shot view holds, with

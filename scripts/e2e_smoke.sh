@@ -137,10 +137,9 @@ tot = events["totals"]
 assert tot["invests"] > 0, "no invest events journaled"
 assert events["events"], "event journal empty"
 for e in events["events"]:
-    assert e["type"] in ("invest", "evict", "recover"), e
+    assert e["type"] in ("invest", "evict"), e
     assert e["reason"] and e["seq"] > 0, f"incomplete event: {e}"
-    if e["type"] in ("invest", "evict"):
-        assert e["structure"], f"lifecycle event without a structure: {e}"
+    assert e["structure"], f"lifecycle event without a structure: {e}"
 
 def close(a, b):
     return abs(a - b) <= abs(b) * 1e-9 + 1e-9
@@ -149,7 +148,7 @@ recovered = sum(s["recovered_usd"] for s in stats["per_shard"])
 assert close(tot["invested_usd"], invested), \
     f"journal invested {tot['invested_usd']} != ledgers {invested}"
 assert close(tot["recovered_usd"], recovered), \
-    f"journal recovered {tot['recovered_usd']} != ledgers {recovered}"
+    f"recover totals {tot['recovered_usd']} != per-shard ledgers {recovered}"
 assert tot["evicts"] == stats["failures"], \
     f"journal evicts {tot['evicts']} != failure sweeps {stats['failures']}"
 print(f"observability OK: {len(recs)} traces, {tot['invests']} invests / "
