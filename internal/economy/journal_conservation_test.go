@@ -166,7 +166,7 @@ func TestJournalEventConservation(t *testing.T) {
 			// Retention is bounded per type; sequence numbers are unique,
 			// increasing, and stamped with the journal's shard.
 			for _, typ := range []string{obs.EventInvest, obs.EventEvict} {
-				events := journal.Snapshot(typ, "", 0)
+				events := journal.Snapshot(typ, "")
 				if len(events) > ringCap {
 					t.Errorf("%s ring retains %d events, cap %d", typ, len(events), ringCap)
 				}

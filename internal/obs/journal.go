@@ -152,10 +152,8 @@ func (j *Journal) Totals() Totals {
 }
 
 // Snapshot returns the retained events matching the type/tenant filters
-// ("" matches everything), in global sequence order. sinceSeq > 0
-// restricts to events with Seq > sinceSeq — the cursor the wire event
-// stream advances between pushes.
-func (j *Journal) Snapshot(typ, tenant string, sinceSeq int64) []Event {
+// ("" matches everything), in global sequence order.
+func (j *Journal) Snapshot(typ, tenant string) []Event {
 	j.mu.Lock()
 	var out []Event
 	for name, r := range j.rings {
@@ -163,9 +161,6 @@ func (j *Journal) Snapshot(typ, tenant string, sinceSeq int64) []Event {
 			continue
 		}
 		for _, e := range r.buf {
-			if e.Seq <= sinceSeq {
-				continue
-			}
 			if tenant != "" && e.Tenant != tenant {
 				continue
 			}

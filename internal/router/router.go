@@ -80,14 +80,6 @@ type Router struct {
 	owner []int
 	holds []chan struct{}
 
-	// curMu guards the EventsViewSince cursor table: an opaque cursor
-	// handed to the caller maps to one last-seen journal Seq per
-	// backend (each backend numbers its own journal independently).
-	curMu      sync.Mutex
-	cursors    map[int64]*cursorEntry
-	nextCursor int64
-	curClock   int64 // logical access clock for LRU eviction
-
 	// frames recycles client frames once they are answered (newFrame).
 	frames sync.Pool
 
@@ -119,9 +111,8 @@ func New(cfg Config) (*Router, error) {
 		cfg.HealthInterval = 500 * time.Millisecond
 	}
 	r := &Router{
-		log:     cfg.Log,
-		cursors: make(map[int64]*cursorEntry),
-		stop:    make(chan struct{}),
+		log:  cfg.Log,
+		stop: make(chan struct{}),
 	}
 	for i, bc := range cfg.Backends {
 		b := &backend{

@@ -116,73 +116,6 @@ func (r *Router) EventsViewSnapshot(typ, tenant string, n int) server.EventsView
 	return view
 }
 
-// maxCursors bounds the EventsViewSince cursor table; past it the
-// least-recently-used cursor is dropped (an events subscription holds
-// exactly one and touches it on every poll, so live subscriptions
-// survive churn in short-lived ones — evicting by lowest id would
-// silently reset the longest-lived subscription and replay its whole
-// buffer).
-const maxCursors = 64
-
-// cursorEntry is one live cursor: per-backend last-seen journal Seqs
-// plus the logical access stamp LRU eviction orders by.
-type cursorEntry struct {
-	last []int64
-	used int64
-}
-
-// EventsViewSince serves the incremental feed behind events
-// subscriptions. Each backend numbers its journal independently, so the
-// router's cursor is an opaque handle into a table of per-backend
-// last-seen Seqs; pass 0 (or less) to open a new cursor, pass the
-// returned value to resume it.
-func (r *Router) EventsViewSince(since int64) (server.EventsView, int64) {
-	r.curMu.Lock()
-	ent, ok := r.cursors[since]
-	if !ok {
-		r.nextCursor++
-		since = r.nextCursor
-		ent = &cursorEntry{last: make([]int64, len(r.backends))}
-		r.cursors[since] = ent
-		if len(r.cursors) > maxCursors {
-			lruID, lruUsed := int64(0), int64(1<<62)
-			for id, e := range r.cursors {
-				if id != since && e.used < lruUsed {
-					lruID, lruUsed = id, e.used
-				}
-			}
-			delete(r.cursors, lruID)
-		}
-	}
-	r.curClock++
-	ent.used = r.curClock
-	last := append([]int64(nil), ent.last...)
-	r.curMu.Unlock()
-
-	view := server.EventsView{Events: []obs.Event{}} // [], never null, in JSON
-	for _, b := range r.backends {
-		ev, err := ask(b, func(cl *wire.MuxClient, ctx context.Context) (server.EventsView, error) {
-			return cl.Events(ctx, "", "", 0)
-		})
-		if err != nil {
-			continue
-		}
-		addTotals(&view.Totals, ev.Totals)
-		for _, e := range ev.Events {
-			if e.Seq > last[b.id] {
-				view.Events = append(view.Events, e)
-				last[b.id] = e.Seq
-			}
-		}
-	}
-	r.curMu.Lock()
-	if e, ok := r.cursors[since]; ok {
-		e.last = last
-	}
-	r.curMu.Unlock()
-	return view, since
-}
-
 // Checkpoint is refused at the router: checkpoints are per-backend
 // durable state, each written to its own backend's state path. Send
 // the checkpoint frame to each backend's own listener instead. (The

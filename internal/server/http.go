@@ -557,24 +557,6 @@ func (s *Server) EventsViewSnapshot(typ, tenant string, n int) EventsView {
 	return view
 }
 
-// EventsViewSince builds an incremental events view — every buffered
-// event with Seq > since plus the running totals — and returns the new
-// cursor (the highest Seq delivered, or since when nothing is new). This
-// is the streaming form the binary protocol's events subscription uses.
-func (s *Server) EventsViewSince(since int64) (EventsView, int64) {
-	view := EventsView{Totals: totalsView(s.economyTotals()), Events: []obs.Event{}}
-	if evs := s.EventsSince(since); evs != nil {
-		view.Events = evs
-	}
-	cursor := since
-	for i := range view.Events {
-		if view.Events[i].Seq > cursor {
-			cursor = view.Events[i].Seq
-		}
-	}
-	return view, cursor
-}
-
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, r, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))

@@ -394,20 +394,9 @@ func (s *Server) TraceSnapshot(tenant, template string, n int) []obs.Record {
 func (s *Server) EventsSnapshot(typ, tenant string, n int) []obs.Event {
 	parts := make([][]obs.Event, len(s.journals))
 	for i, j := range s.journals {
-		parts[i] = j.Snapshot(typ, tenant, 0)
+		parts[i] = j.Snapshot(typ, tenant)
 	}
 	return obs.MergeEvents(n, parts...)
-}
-
-// EventsSince returns every retained economy event with Seq > seq in
-// global order — the cursor walk the wire event stream uses between
-// pushes.
-func (s *Server) EventsSince(seq int64) []obs.Event {
-	parts := make([][]obs.Event, len(s.journals))
-	for i, j := range s.journals {
-		parts[i] = j.Snapshot("", "", seq)
-	}
-	return obs.MergeEvents(0, parts...)
 }
 
 // EventTotals sums the journals' exact lifetime totals across shards.

@@ -42,7 +42,6 @@ type Engine interface {
 	Stats() server.Stats
 	TraceViewSnapshot(tenant, template string, n int) server.TraceView
 	EventsViewSnapshot(typ, tenant string, n int) server.EventsView
-	EventsViewSince(since int64) (server.EventsView, int64)
 
 	// Checkpoint persists the engine's durable state now (the checkpoint
 	// admin frame); engines without a state path answer an error.
@@ -156,10 +155,6 @@ func (e *serverEngine) TraceViewSnapshot(tenant, template string, n int) server.
 
 func (e *serverEngine) EventsViewSnapshot(typ, tenant string, n int) server.EventsView {
 	return e.srv.EventsViewSnapshot(typ, tenant, n)
-}
-
-func (e *serverEngine) EventsViewSince(since int64) (server.EventsView, int64) {
-	return e.srv.EventsViewSince(since)
 }
 
 func (e *serverEngine) Checkpoint() (string, int64, error) { return e.srv.Checkpoint() }

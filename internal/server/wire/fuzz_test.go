@@ -38,15 +38,15 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		{Resp: server.Response{QueryID: 9, Shard: 1, Template: "Q3", Location: "backend"}},
 		{Err: "server: closed"},
 	})
-	sp, err := AppendStatsPush(nil, 5, server.Stats{Scheme: "econ-cheap", Shards: 4, Queries: 10})
+	sp, err := appendJSONPush(nil, msgStatsPush, 5, server.Stats{Scheme: "econ-cheap", Shards: 4, Queries: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tp, err := AppendTracePush(nil, 6, server.TraceView{SampleEvery: 64})
+	tp, err := appendJSONPush(nil, msgTracePush, 6, server.TraceView{SampleEvery: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep, err := AppendEventsPush(nil, 7, server.EventsView{})
+	ep, err := appendJSONPush(nil, msgEventsPush, 7, server.EventsView{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +67,17 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		trb,
 		AppendTaggedError(nil, 42, "wire: batch refused"),
 		AppendStatsSubscribe(nil, 5, 0.25),
-		AppendStatsUnsubscribe(nil, 5),
+		appendTag(nil, msgStatsUnsubscribe, 5),
 		sp,
 		// Observability frames: trace and events.
 		AppendTraceRequest(nil, 6, "alice", "Q6", 128),
 		tp,
 		AppendEventsRequest(nil, 7, "invest", "alice", 64),
 		ep,
-		AppendEventsSubscribe(nil, 7, 0.5),
-		AppendEventsUnsubscribe(nil, 7),
+		// The retired events subscription (types 19 and 20), as its
+		// encoders last wrote them: a tag, then a cadence.
+		unhex(t, "1307000000000000e03f"),
+		unhex(t, "1407"),
 		// Shard checkpoint-transfer admin frames. The packet bytes are an
 		// arbitrary opaque blob at this layer (persist validates them), so
 		// the seeds carry a stand-in.
@@ -173,13 +175,14 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatal("stats subscribe encoding unstable")
 			}
 		}
-		if tag, err := DecodeStatsUnsubscribe(data); err == nil {
-			enc := AppendStatsUnsubscribe(nil, tag)
-			if tag2, err := DecodeStatsUnsubscribe(enc); err != nil || tag2 != tag {
+		if tag, err := decodeTagOnly(data, msgStatsUnsubscribe); err == nil {
+			enc := appendTag(nil, msgStatsUnsubscribe, tag)
+			if tag2, err := decodeTagOnly(enc, msgStatsUnsubscribe); err != nil || tag2 != tag {
 				t.Fatalf("stats unsubscribe round trip: tag %d→%d, err %v", tag, tag2, err)
 			}
 		}
-		_, _, _ = DecodeStatsPush(data)
+		var st server.Stats
+		_, _ = decodeJSONPush(data, msgStatsPush, &st)
 
 		// Observability decoders: same contract.
 		if tag, tenant, template, n, err := DecodeTraceRequest(data); err == nil {
@@ -196,23 +199,10 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("events request round trip diverged: err %v", err)
 			}
 		}
-		if tag, interval, err := DecodeEventsSubscribe(data); err == nil {
-			enc := AppendEventsSubscribe(nil, tag, interval)
-			if tag2, _, err := DecodeEventsSubscribe(enc); err != nil || tag2 != tag {
-				t.Fatalf("events subscribe round trip: tag %d→%d, err %v", tag, tag2, err)
-			}
-			if !bytes.Equal(enc, AppendEventsSubscribe(nil, tag, interval)) {
-				t.Fatal("events subscribe encoding unstable")
-			}
-		}
-		if tag, err := DecodeEventsUnsubscribe(data); err == nil {
-			enc := AppendEventsUnsubscribe(nil, tag)
-			if tag2, err := DecodeEventsUnsubscribe(enc); err != nil || tag2 != tag {
-				t.Fatalf("events unsubscribe round trip: tag %d→%d, err %v", tag, tag2, err)
-			}
-		}
-		_, _, _ = DecodeTracePush(data)
-		_, _, _ = DecodeEventsPush(data)
+		var tv server.TraceView
+		_, _ = decodeJSONPush(data, msgTracePush, &tv)
+		var ev server.EventsView
+		_, _ = decodeJSONPush(data, msgEventsPush, &ev)
 
 		// Shard-admin decoders: same never-panic, byte-stable-round-trip
 		// contract as every other frame.

@@ -91,9 +91,8 @@ type adminResult struct {
 // arrive on C as the server pushes them; the channel is closed when the
 // subscription ends (Close, a tag-scoped server error, or connection
 // teardown). A slow consumer drops pushes rather than stalling the
-// connection's reader — stats are snapshots and an events installment's
-// totals are running sums, not deltas, so the next push still
-// reconciles.
+// connection's reader — stats are snapshots, not deltas, so the next
+// push still reconciles.
 type Sub[T any] struct {
 	C <-chan T
 	c chan T
@@ -111,11 +110,6 @@ type Sub[T any] struct {
 
 // StatsSub streams engine snapshots (SubscribeStats).
 type StatsSub = Sub[server.Stats]
-
-// EventsSub streams cursored economy-event installments
-// (SubscribeEvents): each carries only events the subscription has not
-// yet seen, plus the journal's running totals.
-type EventsSub = Sub[server.EventsView]
 
 // subscription is what the reader needs of a Sub of any view type.
 type subscription interface {
@@ -579,17 +573,6 @@ func (c *MuxClient) Trace(ctx context.Context, tenant, template string, n int) (
 func (c *MuxClient) Events(ctx context.Context, typ, tenant string, n int) (server.EventsView, error) {
 	return fetch[server.EventsView](ctx, c, msgEventsPush, func(tag uint64) []byte {
 		return AppendEventsRequest(nil, tag, typ, tenant, uint64(max(n, 0)))
-	})
-}
-
-// SubscribeEvents opens a server-pushed economy-events stream: one
-// installment of everything the journals buffer immediately, then every
-// interval only the events the stream has not yet seen. The cursor
-// lives server-side, so installments never repeat an event. Close the
-// sub to stop the stream.
-func (c *MuxClient) SubscribeEvents(interval float64) (*EventsSub, error) {
-	return subscribe[server.EventsView](c, 4, msgEventsPush, msgEventsUnsubscribe, func(tag uint64) []byte {
-		return AppendEventsSubscribe(nil, tag, interval)
 	})
 }
 

@@ -13,9 +13,9 @@ import (
 	"repro/internal/server"
 )
 
-// maxSubs bounds the concurrent streaming subscriptions (stats and
-// events together) one connection may hold open: each costs a goroutine,
-// and a hostile client must not be able to mint unbounded ones.
+// maxSubs bounds the concurrent stats subscriptions one connection may
+// hold open: each costs a goroutine, and a hostile client must not be
+// able to mint unbounded ones.
 const maxSubs = 16
 
 // minSubInterval floors a subscription's push cadence so a hostile 1 ns
@@ -226,22 +226,8 @@ func (c *muxConn) handleFrame(payload []byte) error {
 		}
 		c.startSub(tag, intervalSec, func() { c.pushJSON(msgStatsPush, tag, c.eng.Stats()) })
 
-	case msgEventsSubscribe:
-		tag, intervalSec, err := DecodeEventsSubscribe(payload)
-		if err != nil {
-			return err
-		}
-		// Cursored by journal sequence number: the first installment is
-		// everything the journals buffer, later ones only what is new.
-		var cursor int64
-		c.startSub(tag, intervalSec, func() {
-			var view server.EventsView
-			view, cursor = c.eng.EventsViewSince(cursor)
-			c.pushJSON(msgEventsPush, tag, view)
-		})
-
-	case msgStatsUnsubscribe, msgEventsUnsubscribe:
-		tag, err := decodeTagOnly(payload, payload[0])
+	case msgStatsUnsubscribe:
+		tag, err := decodeTagOnly(payload, msgStatsUnsubscribe)
 		if err != nil {
 			return err
 		}
@@ -301,6 +287,13 @@ func (c *muxConn) handleFrame(payload []byte) error {
 			return err
 		}
 		c.send(AppendOwnersReply(nil, tag, c.eng.OwnedShards()))
+
+	case 19, 20: // the retired events subscribe and unsubscribe
+		tag, n := binary.Uvarint(payload[1:])
+		if n <= 0 {
+			return fmt.Errorf("wire: unparseable tag in retired message type %d", payload[0])
+		}
+		c.send(AppendTaggedError(nil, tag, "events subscription retired; use the events request"))
 
 	default:
 		return fmt.Errorf("wire: unexpected message type %d", payload[0])
@@ -397,11 +390,9 @@ func (c *muxConn) submitBatch(payload []byte) error {
 
 // startSub opens one subscription: an immediate push, then one every
 // interval, all on one goroutine at a time (the read loop's, then the
-// ticker's), so push may keep state between calls. A non-positive (or
-// non-finite) interval is the one-shot form — push once, hold nothing.
-// Subscribing an active tag or exceeding the per-connection cap answers
-// a tagged error. Stats and events streams share the tag space and the
-// cap.
+// ticker's). A non-positive (or non-finite) interval is the one-shot
+// form — push once, hold nothing. Subscribing an active tag or exceeding
+// the per-connection cap answers a tagged error.
 func (c *muxConn) startSub(tag uint64, intervalSec float64, push func()) {
 	interval := time.Duration(0)
 	if intervalSec > 0 { // NaN compares false: one-shot

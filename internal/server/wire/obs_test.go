@@ -2,7 +2,6 @@ package wire_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"net"
 	"strings"
@@ -116,10 +115,8 @@ func TestMuxTraceFrame(t *testing.T) {
 	}
 }
 
-// TestMuxEventsFrames: one-shot event fetches and the streaming event
-// subscription both deliver the journal, totals reconcile with the
-// engine's ledgers, and the subscription's installments never repeat an
-// event and reach the newest one the one-shot fetch saw.
+// TestMuxEventsFrames: one-shot event fetches deliver the journal, and
+// their totals reconcile with the engine's ledgers.
 func TestMuxEventsFrames(t *testing.T) {
 	srv, addr := newObsWireServer(t, 2)
 	cl, err := wire.DialMux(addr)
@@ -128,43 +125,6 @@ func TestMuxEventsFrames(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-
-	sub, err := cl.SubscribeEvents(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reader learns the newest Seq once the one-shot fetch below has
-	// it, and closes caughtUp when the stream has delivered that far.
-	newest := make(chan int64, 1)
-	caughtUp := make(chan struct{})
-	subDone := make(chan error, 1)
-	go func() {
-		seen := make(map[int64]bool)
-		var high int64
-		want := int64(-1)
-		for {
-			select {
-			case view, ok := <-sub.C:
-				if !ok {
-					subDone <- nil
-					return
-				}
-				for _, e := range view.Events {
-					if seen[e.Seq] {
-						subDone <- fmt.Errorf("subscription repeated event seq %d", e.Seq)
-						return
-					}
-					seen[e.Seq] = true
-					high = max(high, e.Seq)
-				}
-			case want = <-newest:
-			}
-			if want >= 0 && high >= want {
-				close(caughtUp)
-				want = math.MaxInt64
-			}
-		}
-	}()
 
 	// Hammer one tenant's hot templates until the economy invests; the
 	// test params make that take a few hundred queries at most.
@@ -240,24 +200,4 @@ func TestMuxEventsFrames(t *testing.T) {
 		t.Errorf("recover filter answered %v, want a tagged error naming the type", err)
 	}
 
-	// The stream must reach the newest event the one-shot view holds, with
-	// no sequence number delivered twice on the way.
-	var high int64
-	for _, e := range view.Events {
-		high = max(high, e.Seq)
-	}
-	newest <- high
-	select {
-	case <-caughtUp:
-	case err := <-subDone:
-		t.Fatalf("subscription ended before event seq %d: %v", high, err)
-	case <-time.After(10 * time.Second):
-		t.Fatalf("subscription did not deliver event seq %d within 10s", high)
-	}
-	if err := sub.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-subDone; err != nil {
-		t.Fatal(err)
-	}
 }

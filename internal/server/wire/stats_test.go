@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/server"
 	"repro/internal/server/wire"
 )
 
@@ -48,33 +47,5 @@ func TestWireStatsFrame(t *testing.T) {
 	// The connection still carries queries after a stats exchange.
 	if _, err := cl.Submit(ctx, []wire.Query{{Tenant: "bob", Template: "Q6"}}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestWireStatsCodec round-trips the payload without a socket.
-func TestWireStatsCodec(t *testing.T) {
-	in := server.Stats{
-		Scheme:   "econ-cheap",
-		Provider: "selfish",
-		Shards:   2,
-		Queries:  7,
-		Tenants: []server.TenantStats{
-			{Tenant: "a", Queries: 4, CreditUSD: 1.5},
-			{Tenant: "b", Queries: 3, SpendUSD: 0.25},
-		},
-	}
-	payload, err := wire.AppendStatsPush(nil, 9, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag, out, err := wire.DecodeStatsPush(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tag != 9 || !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip changed stats (tag %d):\nin  %+v\nout %+v", tag, in, out)
-	}
-	if _, _, err := wire.DecodeStatsPush([]byte{9, 9}); err == nil {
-		t.Error("bad stats payload accepted")
 	}
 }

@@ -26,8 +26,6 @@
 //	         | msgTracePush         | uvarint tag | json            (server.TraceView)
 //	         | msgEventsRequest     | uvarint tag | string type | string tenant | uvarint n
 //	         | msgEventsPush        | uvarint tag | json            (server.EventsView)
-//	         | msgEventsSubscribe   | uvarint tag | f64 intervalSec
-//	         | msgEventsUnsubscribe | uvarint tag
 //
 // plus the tagged admin frames in admin.go (shard migration, ownership,
 // on-demand checkpoint). msgError is the one untagged reply: it reports
@@ -38,15 +36,16 @@
 // Message types 1, 2 and 4–7 belonged to the retired lockstep
 // generation (untagged query/reply batches, stats and snapshot
 // request/reply pairs). They are reserved and never reused: a peer that
-// opens with one is told to say hello and hung up on.
+// opens with one is told to say hello and hung up on. Types 19 and 20
+// were the retired events subscription (subscribe, unsubscribe); they
+// are reserved too, and a session that sends one gets a tagged error
+// pointing at the events request and keeps its connection.
 //
 // Requests and subscriptions are fully binary; the snapshot bodies
 // (stats, traces, events) ride as JSON inside the frame — they flow at
 // human cadence, not per query, so the self-describing encoding tracks
 // the evolving view schemas for free while framing, connection reuse and
-// the hot query path stay binary. An events subscription is cursored:
-// each push carries only events the subscription has not yet seen, plus
-// the journal's running totals.
+// the hot query path stay binary.
 //
 // Item grammar:
 //
@@ -77,8 +76,8 @@ import (
 	"repro/internal/server"
 )
 
-// Message types. 1, 2 and 4–7 are retired (see the package comment) and
-// must never be reassigned; the admin frames in admin.go continue the
+// Message types. 1, 2, 4–7, 19 and 20 are retired (see the package
+// comment) and must never be reassigned; the admin frames in admin.go continue the
 // numbering at 21.
 const (
 	msgError byte = 3
@@ -91,12 +90,10 @@ const (
 	msgStatsUnsubscribe byte = 13
 	msgStatsPush        byte = 14
 
-	msgTraceRequest      byte = 15
-	msgTracePush         byte = 16
-	msgEventsRequest     byte = 17
-	msgEventsPush        byte = 18
-	msgEventsSubscribe   byte = 19
-	msgEventsUnsubscribe byte = 20
+	msgTraceRequest  byte = 15
+	msgTracePush     byte = 16
+	msgEventsRequest byte = 17
+	msgEventsPush    byte = 18
 )
 
 // msgNames words the decoders' complaints.
@@ -113,8 +110,6 @@ var msgNames = [...]string{
 	msgTracePush:         "trace push",
 	msgEventsRequest:     "events request",
 	msgEventsPush:        "events push",
-	msgEventsSubscribe:   "events subscribe",
-	msgEventsUnsubscribe: "events unsubscribe",
 	msgShardFreeze:       "shard freeze",
 	msgShardExtract:      "shard extract",
 	msgShardState:        "shard state",
@@ -205,9 +200,9 @@ var (
 // --- shared frame shapes ---------------------------------------------------
 //
 // Every payload but hello and msgError opens "type byte, uvarint tag",
-// and most bodies are one of four shapes — nothing more, an f64 cadence,
-// two filter strings and a bound, or a JSON view. Each shape is written
-// once here; the exported codecs below name the message type.
+// and most bodies are one of three shapes — nothing more, two filter
+// strings and a bound, or a JSON view. Each shape is written once here;
+// the exported codecs below name the message type.
 
 // appendTag opens a tagged payload.
 func appendTag(b []byte, typ byte, tag uint64) []byte {
@@ -235,18 +230,6 @@ func decodeTagOnly(payload []byte, typ byte) (uint64, error) {
 	r := binenc.NewReader(payload)
 	tag := readTag(&r, typ)
 	return tag, r.End(msgNames[typ])
-}
-
-// appendSubscribe / decodeSubscribe: tag plus a push cadence in seconds.
-func appendSubscribe(b []byte, typ byte, tag uint64, intervalSec float64) []byte {
-	return appendF64(appendTag(b, typ, tag), intervalSec)
-}
-
-func decodeSubscribe(payload []byte, typ byte) (tag uint64, intervalSec float64, err error) {
-	r := binenc.NewReader(payload)
-	tag = readTag(&r, typ)
-	intervalSec = r.F64()
-	return tag, intervalSec, r.End(msgNames[typ])
 }
 
 // appendViewRequest / decodeViewRequest: tag, two filter strings ("" matches
@@ -566,38 +549,16 @@ func DecodeTaggedError(payload []byte) (uint64, string, error) {
 // stream on the query connection. intervalSec <= 0 (or non-finite)
 // requests a single push — the one-shot fetch.
 func AppendStatsSubscribe(b []byte, tag uint64, intervalSec float64) []byte {
-	return appendSubscribe(b, msgStatsSubscribe, tag, intervalSec)
+	return appendF64(appendTag(b, msgStatsSubscribe, tag), intervalSec)
 }
 
 // DecodeStatsSubscribe parses a stats-subscription payload (msg byte
 // included).
 func DecodeStatsSubscribe(payload []byte) (tag uint64, intervalSec float64, err error) {
-	return decodeSubscribe(payload, msgStatsSubscribe)
-}
-
-// AppendStatsUnsubscribe appends a stats-unsubscribe payload ending the
-// stream opened under tag.
-func AppendStatsUnsubscribe(b []byte, tag uint64) []byte {
-	return appendTag(b, msgStatsUnsubscribe, tag)
-}
-
-// DecodeStatsUnsubscribe parses a stats-unsubscribe payload (msg byte
-// included).
-func DecodeStatsUnsubscribe(payload []byte) (uint64, error) {
-	return decodeTagOnly(payload, msgStatsUnsubscribe)
-}
-
-// AppendStatsPush appends a pushed stats payload: the engine snapshot
-// /v1/stats would serve, behind the subscription's tag.
-func AppendStatsPush(b []byte, tag uint64, st server.Stats) ([]byte, error) {
-	return appendJSONPush(b, msgStatsPush, tag, st)
-}
-
-// DecodeStatsPush parses a pushed stats payload (msg byte included).
-func DecodeStatsPush(payload []byte) (uint64, server.Stats, error) {
-	var st server.Stats
-	tag, err := decodeJSONPush(payload, msgStatsPush, &st)
-	return tag, st, err
+	r := binenc.NewReader(payload)
+	tag = readTag(&r, msgStatsSubscribe)
+	intervalSec = r.F64()
+	return tag, intervalSec, r.End(msgNames[msgStatsSubscribe])
 }
 
 // --- trace + events frames --------------------------------------------------
@@ -614,19 +575,6 @@ func DecodeTraceRequest(payload []byte) (tag uint64, tenant, template string, n 
 	return decodeViewRequest(payload, msgTraceRequest)
 }
 
-// AppendTracePush appends a trace-reply payload: the sampled decision
-// records behind the request's tag.
-func AppendTracePush(b []byte, tag uint64, view server.TraceView) ([]byte, error) {
-	return appendJSONPush(b, msgTracePush, tag, view)
-}
-
-// DecodeTracePush parses a trace-reply payload (msg byte included).
-func DecodeTracePush(payload []byte) (uint64, server.TraceView, error) {
-	var view server.TraceView
-	tag, err := decodeJSONPush(payload, msgTracePush, &view)
-	return tag, view, err
-}
-
 // AppendEventsRequest appends an events-request payload: the binary twin
 // of GET /v1/events. typ and tenant filter ("" matches everything);
 // n == 0 applies the server's default bound.
@@ -638,46 +586,6 @@ func AppendEventsRequest(b []byte, tag uint64, typ, tenant string, n uint64) []b
 // included).
 func DecodeEventsRequest(payload []byte) (tag uint64, typ, tenant string, n uint64, err error) {
 	return decodeViewRequest(payload, msgEventsRequest)
-}
-
-// AppendEventsPush appends an events payload — the one-shot reply to an
-// events request, or one cursored installment of an events subscription.
-func AppendEventsPush(b []byte, tag uint64, view server.EventsView) ([]byte, error) {
-	return appendJSONPush(b, msgEventsPush, tag, view)
-}
-
-// DecodeEventsPush parses an events payload (msg byte included).
-func DecodeEventsPush(payload []byte) (uint64, server.EventsView, error) {
-	var view server.EventsView
-	tag, err := decodeJSONPush(payload, msgEventsPush, &view)
-	return tag, view, err
-}
-
-// AppendEventsSubscribe appends an events-subscription payload: the
-// server pushes an immediate installment (everything its journals
-// currently buffer) and then, every intervalSec seconds, only the events
-// the subscription has not yet seen. intervalSec <= 0 (or non-finite)
-// requests a single installment.
-func AppendEventsSubscribe(b []byte, tag uint64, intervalSec float64) []byte {
-	return appendSubscribe(b, msgEventsSubscribe, tag, intervalSec)
-}
-
-// DecodeEventsSubscribe parses an events-subscription payload (msg byte
-// included).
-func DecodeEventsSubscribe(payload []byte) (tag uint64, intervalSec float64, err error) {
-	return decodeSubscribe(payload, msgEventsSubscribe)
-}
-
-// AppendEventsUnsubscribe appends an events-unsubscribe payload ending
-// the stream opened under tag.
-func AppendEventsUnsubscribe(b []byte, tag uint64) []byte {
-	return appendTag(b, msgEventsUnsubscribe, tag)
-}
-
-// DecodeEventsUnsubscribe parses an events-unsubscribe payload (msg byte
-// included).
-func DecodeEventsUnsubscribe(payload []byte) (uint64, error) {
-	return decodeTagOnly(payload, msgEventsUnsubscribe)
 }
 
 // --- framing --------------------------------------------------------------

@@ -2,13 +2,18 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"net"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/obs"
+	"repro/internal/scheme"
 	"repro/internal/server"
 )
 
@@ -206,8 +211,37 @@ func TestBatchSizeLimits(t *testing.T) {
 	}
 }
 
-// TestFrameBytesPinned holds every frame of message types 8–27 to the
-// bytes its encoder wrote before the codecs were folded onto shared
+// TestWireStatsCodec round-trips the payload without a socket.
+func TestWireStatsCodec(t *testing.T) {
+	in := server.Stats{
+		Scheme:   "econ-cheap",
+		Provider: "selfish",
+		Shards:   2,
+		Queries:  7,
+		Tenants: []server.TenantStats{
+			{Tenant: "a", Queries: 4, CreditUSD: 1.5},
+			{Tenant: "b", Queries: 3, SpendUSD: 0.25},
+		},
+	}
+	payload, err := appendJSONPush(nil, msgStatsPush, 9, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out server.Stats
+	tag, err := decodeJSONPush(payload, msgStatsPush, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tag != 9 || !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip changed stats (tag %d):\nin  %+v\nout %+v", tag, in, out)
+	}
+	if _, err := decodeJSONPush([]byte{9, 9}, msgStatsPush, &out); err == nil {
+		t.Error("bad stats payload accepted")
+	}
+}
+
+// TestFrameBytesPinned holds every frame of message types 8–27 but the
+// reserved 19 and 20 to the bytes its encoder wrote before the codecs were folded onto shared
 // helpers (captured at the commit that retired the lockstep
 // generation): each encoder must still produce exactly these bytes, and
 // each decoder must read them back to the values that made them.
@@ -281,11 +315,11 @@ func TestFrameBytesPinned(t *testing.T) {
 			tag, iv, err := DecodeStatsSubscribe(p)
 			return same([]any{tag, iv}, []any{uint64(5), 0.25}, err)
 		}},
-		{msgStatsUnsubscribe, AppendStatsUnsubscribe(nil, 5), "0d05", func(p []byte) error {
-			tag, err := DecodeStatsUnsubscribe(p)
+		{msgStatsUnsubscribe, appendTag(nil, msgStatsUnsubscribe, 5), "0d05", func(p []byte) error {
+			tag, err := decodeTagOnly(p, msgStatsUnsubscribe)
 			return same(tag, uint64(5), err)
 		}},
-		{msgStatsPush, must(AppendStatsPush(nil, 5, stats)),
+		{msgStatsPush, must(appendJSONPush(nil, msgStatsPush, 5, stats)),
 			"0e057b22736368656d65223a2265636f6e2d6368656170222c2270726f7669646572223a2273656c66697368222c2273" +
 				"6861726473223a322c22636c6f636b5f73223a302c22647261696e696e67223a66616c73652c2271756572696573223a" +
 				"372c226465636c696e6564223a302c2263616368655f616e737765726564223a302c22696e766573746d656e7473223a" +
@@ -300,14 +334,15 @@ func TestFrameBytesPinned(t *testing.T) {
 				"6669745f757364223a302c227265677265745f757364223a302c22696e7665737465645f757364223a302c227265636f" +
 				"76657265645f757364223a302c22737472756374757265735f63686172676564223a302c226c65646765725f73697a65" +
 				"223a307d5d2c227065725f7368617264223a6e756c6c7d", func(p []byte) error {
-				tag, st, err := DecodeStatsPush(p)
+				var st server.Stats
+				tag, err := decodeJSONPush(p, msgStatsPush, &st)
 				return same([]any{tag, st}, []any{uint64(5), stats}, err)
 			}},
 		{msgTraceRequest, AppendTraceRequest(nil, 6, "alice", "Q6", 128), "0f0605616c6963650251368001", func(p []byte) error {
 			tag, tenant, template, n, err := DecodeTraceRequest(p)
 			return same([]any{tag, tenant, template, n}, []any{uint64(6), "alice", "Q6", uint64(128)}, err)
 		}},
-		{msgTracePush, must(AppendTracePush(nil, 6, traces)),
+		{msgTracePush, must(appendJSONPush(nil, msgTracePush, 6, traces)),
 			"10067b2273616d706c655f6576657279223a36342c227265636f726473223a5b7b22736571223a302c2271756572795f" +
 				"6964223a392c227368617264223a302c2274656e616e74223a22616c696365222c2274656d706c617465223a22513622" +
 				"2c2273656c6563746976697479223a302c226172726976616c5f73223a302c226465636c696e6564223a66616c73652c" +
@@ -316,31 +351,25 @@ func TestFrameBytesPinned(t *testing.T) {
 				"745f636f6e73696465726564223a302c22696e766573745f74616b656e223a302c226661696c757265735f7377657074" +
 				"223a302c226465636f64655f6e73223a302c226d61696c626f785f776169745f6e73223a302c226465636964655f6e73" +
 				"223a313230302c22656e636f64655f6e73223a302c2277616c6c5f6e73223a307d5d7d", func(p []byte) error {
-				tag, view, err := DecodeTracePush(p)
+				var view server.TraceView
+				tag, err := decodeJSONPush(p, msgTracePush, &view)
 				return same([]any{tag, view}, []any{uint64(6), traces}, err)
 			}},
 		{msgEventsRequest, AppendEventsRequest(nil, 7, "invest", "alice", 64), "110706696e7665737405616c69636540", func(p []byte) error {
 			tag, typ, tenant, n, err := DecodeEventsRequest(p)
 			return same([]any{tag, typ, tenant, n}, []any{uint64(7), "invest", "alice", uint64(64)}, err)
 		}},
-		{msgEventsPush, must(AppendEventsPush(nil, 7, events)),
+		{msgEventsPush, must(appendJSONPush(nil, msgEventsPush, 7, events)),
 			"12077b22746f74616c73223a7b22696e7665737473223a302c22657669637473223a302c227265636f76657273223a30" +
 				"2c22696e7665737465645f757364223a302c22657669637465645f757364223a302c227265636f76657265645f757364" +
 				"223a307d2c226576656e7473223a5b7b22736571223a332c22636c6f636b5f73223a302c227368617264223a302c2274" +
 				"797065223a22696e76657374222c2274656e616e74223a22616c696365222c22737472756374757265223a2269647828" +
 				"6c696e656974656d2e6c5f736869706461746529222c22757364223a302c22726561736f6e223a22726567726574227d" +
 				"5d7d", func(p []byte) error {
-				tag, view, err := DecodeEventsPush(p)
+				var view server.EventsView
+				tag, err := decodeJSONPush(p, msgEventsPush, &view)
 				return same([]any{tag, view}, []any{uint64(7), events}, err)
 			}},
-		{msgEventsSubscribe, AppendEventsSubscribe(nil, 7, 0.5), "1307000000000000e03f", func(p []byte) error {
-			tag, iv, err := DecodeEventsSubscribe(p)
-			return same([]any{tag, iv}, []any{uint64(7), 0.5}, err)
-		}},
-		{msgEventsUnsubscribe, AppendEventsUnsubscribe(nil, 7), "1407", func(p []byte) error {
-			tag, err := DecodeEventsUnsubscribe(p)
-			return same(tag, uint64(7), err)
-		}},
 		{msgShardFreeze, AppendShardFreeze(nil, 8, 3), "150803", func(p []byte) error {
 			tag, shard, err := DecodeShardFreeze(p)
 			return same(tagShard{tag, shard}, tagShard{8, 3}, err)
@@ -370,11 +399,17 @@ func TestFrameBytesPinned(t *testing.T) {
 			return same([]any{tag, got}, []any{uint64(9), owned}, err)
 		}},
 	}
+	want := msgHello
 	for i, c := range cases {
-		// The table must walk the pinned range in order, no type skipped.
-		if want := msgHello + byte(i); c.typ != want {
+		// The table must walk the pinned range in order, no type skipped
+		// but the reserved ones (TestRetiredTypesAnswerByTag).
+		for msgNames[want] == "" {
+			want++
+		}
+		if c.typ != want {
 			t.Fatalf("case %d covers message type %d, want %d", i, c.typ, want)
 		}
+		want++
 		pinned, err := hex.DecodeString(c.pinned)
 		if err != nil {
 			t.Fatal(err)
@@ -392,5 +427,63 @@ func TestFrameBytesPinned(t *testing.T) {
 	}
 	if last := cases[len(cases)-1].typ; last != 27 {
 		t.Errorf("pinned range ends at message type %d, want 27", last)
+	}
+}
+
+// TestRetiredTypesAnswerByTag: the retired events subscription's frames
+// (types 19 and 20, as their encoders last wrote them) are refused under
+// their own tag, and the connection goes on serving. No reserved type
+// has a name, so none can be reused by a new frame.
+func TestRetiredTypesAnswerByTag(t *testing.T) {
+	for _, typ := range []byte{1, 2, 4, 5, 6, 7, 19, 20} {
+		if msgNames[typ] != "" {
+			t.Errorf("reserved message type %d is named %q", typ, msgNames[typ])
+		}
+	}
+
+	srv, err := server.New(server.Config{
+		Shards: 1,
+		Scheme: "econ-cheap",
+		Params: scheme.DefaultParams(catalog.TPCH(20)),
+		Clock:  server.NewVirtualClock(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	conn, peer := net.Pipe()
+	served := make(chan struct{})
+	go func() { defer close(served); serveConn(peer, ServerEngine(srv)) }()
+	t.Cleanup(func() { conn.Close(); <-served })
+	roundTrip := func(frame []byte) []byte {
+		t.Helper()
+		if err := WriteFrame(conn, frame); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	roundTrip(AppendHello(nil, ProtocolV2))
+
+	for _, frame := range []string{"1307000000000000e03f", "1407"} {
+		tag, msg, err := DecodeTaggedError(roundTrip(unhex(t, frame)))
+		if err != nil {
+			t.Fatalf("frame %s: want a tagged error, got %v", frame, err)
+		}
+		if tag != 7 || !strings.Contains(msg, "events request") {
+			t.Errorf("frame %s answered (%d, %q), want tag 7 pointing at the events request", frame, tag, msg)
+		}
+	}
+
+	batch, err := AppendTaggedQueryBatch(nil, 8, []Query{{Template: "Q1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag, replies, err := DecodeTaggedReplyBatch(roundTrip(batch), nil)
+	if err != nil || tag != 8 || len(replies) != 1 || replies[0].Err != "" {
+		t.Fatalf("batch after the retired frames: tag %d, replies %+v, err %v", tag, replies, err)
 	}
 }

@@ -21,8 +21,13 @@ go build -o "$BIN/workloadgen" ./cmd/workloadgen
 
 # -trace-sample 64 and -pprof exercise the observability layer: sampled
 # decision traces on both fronts, the economy event journal, /metrics
-# and the profiling mux.
-"$BIN/cloudcached" -addr "$ADDR" -listen-bin "$BIN_ADDR" -shards "$SHARDS" -scheme "$SCHEME" -speedup 60 \
+# and the profiling mux. -speedup 36000 (ten economy hours per wall
+# second) lets the structures the first replay buys finish building: a
+# build is a WAN transfer at the paper's 25 Mbps, hours for a large
+# column, and at 60x the whole leg spans about a minute of economy time,
+# so no query would ever be answered from the cache and no settlement
+# would recover a dollar.
+"$BIN/cloudcached" -addr "$ADDR" -listen-bin "$BIN_ADDR" -shards "$SHARDS" -scheme "$SCHEME" -speedup 36000 \
     -trace-sample 64 -pprof \
     >"$BIN/final.json" 2>"$BIN/daemon.log" &
 DAEMON_PID=$!
@@ -45,6 +50,10 @@ curl -sf "http://$ADDR/healthz"
 grep -q "decision traces: sample_every=64" "$BIN/trace_http.out" || {
     echo "workloadgen HTTP trace dump missing:"; cat "$BIN/trace_http.out"; exit 1
 }
+# At least ten economy hours pass before the next replay, however fast
+# the machine, so the first replay's builds are in the cache for the
+# rest of the leg. A slower machine only adds economy time.
+sleep 1
 
 # Same stream again over the binary protocol with connection reuse and
 # batching (one batch in flight per connection, stats over HTTP); the
@@ -151,9 +160,15 @@ assert close(tot["recovered_usd"], recovered), \
     f"recover totals {tot['recovered_usd']} != per-shard ledgers {recovered}"
 assert tot["evicts"] == stats["failures"], \
     f"journal evicts {tot['evicts']} != failure sweeps {stats['failures']}"
+# Resident structures answered queries, and their settlements recovered
+# build cost: a 0 == 0 reconciliation above would prove nothing.
+assert stats["cache_answered"] > 0, "no query was answered from the cache"
+assert tot["recovers"] > 0 and tot["recovered_usd"] > 0, \
+    f"no settlement recovered a dollar: {tot}"
 print(f"observability OK: {len(recs)} traces, {tot['invests']} invests / "
       f"{tot['evicts']} evicts / {tot['recovers']} recovers, "
-      f"${tot['invested_usd']:.4f} invested reconciles")
+      f"{stats['cache_answered']} cache-answered, "
+      f"${tot['invested_usd']:.4f} invested and ${tot['recovered_usd']:.4f} recovered reconcile")
 EOF
 
 # Graceful drain: SIGTERM, wait for exit, then check the final snapshot.
